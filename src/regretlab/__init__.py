@@ -53,6 +53,7 @@ from .games import (
     EnumerationCapError,
     NormalFormGame,
     SmoothnessCertificate,
+    UtilityRangeError,
     brute_force_opt,
     dump_dense_csv,
     load_dense_csv,
@@ -108,7 +109,7 @@ __all__ = [
     "mean_bid_oscillation", "run_experiment",
     "DenseGame", "EnumerationCapError", "NormalFormGame", "SmoothnessCertificate",
     "brute_force_opt", "dump_dense_csv", "load_dense_csv", "poa_welfare_bound",
-    "search_smoothness", "verify_smoothness",
+    "search_smoothness", "verify_smoothness", "UtilityRangeError",
     "BestResponseLearner", "Certificate", "FtrlLearner", "LearnerSpec",
     "OmdLearner", "OnlineLearner", "VariationBound", "certify_prox_inequality",
     "certify_stability", "certify_variation_bound", "declared_variation_bound",

@@ -1,9 +1,9 @@
 """Repeated simultaneous play with exact expected-utility feedback.
 
 ``run`` drives T rounds, records every mixed strategy, utility vector
-(normalized units), raw welfare, and the per-player variation sums; ``report``
-turns a trace into regrets plus every certificate the trace's metadata
-supports.
+(normalized units) and raw welfare, and derives the per-player variation sums
+from that record; ``report`` turns a trace into regrets plus every certificate
+the trace's metadata supports.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .learners import (
     certify_variation_bound,
     declared_variation_bound,
     make_learner,
+    variation_steps,
 )
 
 __all__ = [
@@ -49,7 +50,8 @@ class Trace:
 
     plays[i] and utilities[i] are (T, d_i) arrays (normalized units);
     welfare is (T,) in raw units; du2_cum / dw2_cum are (n, T) running sums of
-    ||u^t - u^{t-1}||_inf^2 (u^0 = 0) and ||w^t - w^{t-1}||_1^2 (w^0 = w^1).
+    ||u^t - u^{t-1}||_inf^2 (u^0 = 0) and ||w^t - w^{t-1}||_1^2 (w^0 = w^1),
+    the ``np.cumsum`` of ``learners.variation_steps`` of plays and utilities.
     """
 
     plays: list
@@ -68,22 +70,26 @@ class Trace:
         return len(self.welfare)
 
 
+def _variation_cums(plays, utilities) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, T) du2_cum / dw2_cum of a trace, from its plays and utilities."""
+    steps = [variation_steps(u, w) for u, w in zip(utilities, plays)]
+    return (np.array([np.cumsum(du2) for du2, _ in steps]),
+            np.array([np.cumsum(dw2) for _, dw2 in steps]))
+
+
 def _build_learners(game: NormalFormGame, specs):
-    """Instantiate learners; best-response players get a per-round oracle slot
-    the engine fills before asking them to play."""
-    learners: list[OnlineLearner] = []
-    slots: list[list] = []
-    for i, spec in enumerate(specs):
-        if isinstance(spec, OnlineLearner):
-            learners.append(spec)
-            slots.append(None)
-        elif spec.algorithm == "bestresponse":
-            slot = [np.zeros(game.dims[i])]
-            learners.append(make_learner(spec, game.dims[i], utility_source=lambda s=slot: s[0]))
-            slots.append(slot)
-        else:
-            learners.append(make_learner(spec, game.dims[i]))
-            slots.append(None)
+    """Instantiate learners; best-response players, spec-built or prebuilt,
+    read a per-round oracle slot the engine fills before asking them to play."""
+    slots = [[np.zeros(d)] for d in game.dims]
+    sources = [lambda s=slot: s[0] for slot in slots]
+    learners: list[OnlineLearner] = [
+        spec if isinstance(spec, OnlineLearner)
+        else make_learner(spec, game.dims[i], utility_source=sources[i])
+        for i, spec in enumerate(specs)
+    ]
+    for learner, source in zip(learners, sources):
+        if isinstance(learner, BestResponseLearner):
+            learner.utility_source = source
     return learners, slots
 
 
@@ -110,10 +116,6 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     plays = [np.empty((T, game.dims[i])) for i in range(n)]
     utilities = [np.empty((T, game.dims[i])) for i in range(n)]
     welfare = np.empty(T)
-    du2 = np.zeros((n, T))
-    dw2 = np.zeros((n, T))
-    prev_u = [np.zeros(game.dims[i]) for i in range(n)]
-    prev_w = [None] * n
 
     profile = [np.full(game.dims[i], 1.0 / game.dims[i]) for i in range(n)]
     for t in range(T):
@@ -146,13 +148,6 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
             else:
                 feed = u
             learners[i].observe(feed)
-            pw = current[i] if prev_w[i] is None else prev_w[i]
-            step_u = float(np.abs(u - prev_u[i]).max()) ** 2
-            step_w = float(np.abs(current[i] - pw).sum()) ** 2
-            du2[i, t] = (du2[i, t - 1] if t else 0.0) + step_u
-            dw2[i, t] = (dw2[i, t - 1] if t else 0.0) + step_w
-            prev_u[i] = u
-            prev_w[i] = current[i]
         profile = current
 
     meta = {
@@ -161,7 +156,7 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
         "T": T,
         "mode": mode,
     }
-    return Trace(plays, utilities, welfare, du2, dw2, meta)
+    return Trace(plays, utilities, welfare, *_variation_cums(plays, utilities), meta)
 
 
 def _spec_dict(s) -> dict:
@@ -397,14 +392,13 @@ def read_trace_csv(text_or_path) -> Trace:
     plays = [np.empty((T, game.dims[i])) for i in range(n)]
     stored_regret = np.empty((n, T))
     welfare = np.empty(T)
-    du2 = np.empty((n, T))
-    dw2 = np.empty((n, T))
-    for row in data:
-        t, i = int(row[0]) - 1, int(row[1])
+    for k, row in enumerate(data):
+        t, i = divmod(k, n)
+        if row[:2] != [str(t + 1), str(i)]:
+            raise ValueError(f"trace line {k + 3}: expected round {t + 1}, player {i}; "
+                             f"found {','.join(row[:2]) or 'an empty row'}")
         stored_regret[i, t] = float(row[2])
         welfare[t] = float(row[3])
-        du2[i, t] = float(row[4])
-        dw2[i, t] = float(row[5])
         plays[i][t] = [float(x) for x in row[6 : 6 + game.dims[i]]]
     utilities = [np.empty((T, game.dims[i])) for i in range(n)]
     for t in range(T):
@@ -412,6 +406,6 @@ def read_trace_csv(text_or_path) -> Trace:
         for i in range(n):
             u = game.expected_utilities(i, profile)
             utilities[i][t] = 1.0 - u if mode == "cost" else u
-    trace = Trace(plays, utilities, welfare, du2, dw2, meta)
+    trace = Trace(plays, utilities, welfare, *_variation_cums(plays, utilities), meta)
     trace.meta["stored_regret_series"] = stored_regret.tolist()
     return trace

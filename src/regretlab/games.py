@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "EnumerationCapError",
+    "UtilityRangeError",
     "NormalFormGame",
     "DenseGame",
     "SmoothnessCertificate",
@@ -34,6 +35,10 @@ DEFAULT_ENUM_CAP = 10**7
 class EnumerationCapError(RuntimeError):
     """Raised instead of silently approximating when a brute-force scan would
     exceed the enumeration cap."""
+
+
+class UtilityRangeError(ValueError):
+    """A player's normalized expected utilities escape [0, 1]."""
 
 
 def _check_profile(game: "NormalFormGame", profile, skip: int | None = None) -> list:
@@ -121,8 +126,8 @@ class NormalFormGame:
         profile = _check_profile(self, profile, skip=i)
         u = self.normalize(self.raw_expected_utilities(i, profile))
         if u.min() < -1e-12 or u.max() > 1.0 + 1e-12:
-            raise AssertionError(
-                f"normalized utilities escape [0,1]: [{u.min()}, {u.max()}]"
+            raise UtilityRangeError(
+                f"player {i}: normalized utilities escape [0, 1]: [{u.min()}, {u.max()}]"
             )
         return u
 

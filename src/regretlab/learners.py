@@ -1,8 +1,9 @@
 """Online learners over the simplex with a uniform play/observe contract.
 
 Each learner plays a mixed strategy once per round, then observes the exact
-expected-utility vector for that round.  Instrumentation tracks the two
-variation sums that every regret certificate consumes:
+expected-utility vector for that round.  Learners keep no variation state;
+``variation_steps`` alone defines, from a recorded trajectory, the per-round
+terms of the two variation sums that every regret certificate consumes:
 
     sum ||u^t - u^{t-1}||_inf^2   with u^0 = 0,
     sum ||w^t - w^{t-1}||_1^2     with w^0 = w^1 (first round contributes 0).
@@ -86,8 +87,8 @@ class VariationBound:
 class ZeroPredictor:
     kind = "none"
 
-    def predict(self, d: int) -> float:
-        return 0.0
+    def predict(self, d: int) -> np.ndarray:
+        return np.zeros(d)
 
     def update(self, u: np.ndarray) -> None:
         pass
@@ -174,7 +175,7 @@ def _make_predictor(kind: str, param):
 
 
 class OnlineLearner:
-    """Base class enforcing the play/observe alternation and instrumentation."""
+    """Base class enforcing the play/observe alternation."""
 
     feedback = "utility"
 
@@ -184,10 +185,6 @@ class OnlineLearner:
         self.d = d
         self.t = 0  # completed rounds
         self._pending = None
-        self._prev_play = None
-        self._prev_u = np.zeros(d)
-        self.sum_du2 = 0.0
-        self.sum_dw2 = 0.0
         self.declared_bound: VariationBound | None = None
 
     def play(self) -> np.ndarray:
@@ -205,13 +202,7 @@ class OnlineLearner:
             raise ValueError(
                 f"utility vector has shape {u.shape}, learner expects ({self.d},)"
             )
-        w = self._pending
-        prev_w = w if self._prev_play is None else self._prev_play
-        self.sum_dw2 += float(np.abs(w - prev_w).sum()) ** 2
-        self.sum_du2 += float(np.abs(u - self._prev_u).max()) ** 2
         self._observe(u)
-        self._prev_play = w
-        self._prev_u = u
         self._pending = None
         self.t += 1
 
@@ -286,8 +277,6 @@ class OmdLearner(OnlineLearner):
 
     def _play(self) -> np.ndarray:
         m = self.predictor.predict(self.d)
-        if np.isscalar(m):
-            m = np.zeros(self.d)
         if self._entropic:
             w = softmax(self._log_g + self.eta * m)
         else:
@@ -440,10 +429,11 @@ def make_learner(spec: LearnerSpec, d: int, utility_source=None) -> OnlineLearne
 # certificates
 
 
-def variation_sums(
+def variation_steps(
     utilities: np.ndarray, plays: np.ndarray, norm_pair: str = "l1_linf"
-) -> tuple[float, float]:
-    """(sum ||du||_*^2, sum ||dw||^2) under the u^0 = 0, w^0 = w^1 conventions.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-round (||u^t - u^{t-1}||_*^2, ||w^t - w^{t-1}||^2), two (T,) arrays,
+    under the u^0 = 0, w^0 = w^1 conventions (so the first dw term is 0).
 
     The norms follow the constants' derivation: "l1_linf" measures du in
     l-infinity and dw in l1; "l2_l2" measures both in l2 (self-dual).
@@ -452,17 +442,20 @@ def variation_sums(
         raise ValueError(f"unknown norm pair {norm_pair!r}")
     utilities = np.asarray(utilities, dtype=float)
     plays = np.asarray(plays, dtype=float)
-    if len(utilities) == 0:
-        return 0.0, 0.0
     du = np.diff(utilities, axis=0, prepend=np.zeros((1, utilities.shape[1])))
-    dw = np.diff(plays, axis=0)
+    dw = np.diff(plays, axis=0, prepend=plays[:1])
     if norm_pair == "l1_linf":
-        sum_du2 = float(np.sum(np.max(np.abs(du), axis=1) ** 2))
-        sum_dw2 = float(np.sum(np.sum(np.abs(dw), axis=1) ** 2))
-    else:
-        sum_du2 = float(np.sum(np.sum(du * du, axis=1)))
-        sum_dw2 = float(np.sum(np.sum(dw * dw, axis=1)))
-    return sum_du2, sum_dw2
+        return np.max(np.abs(du), axis=1) ** 2, np.sum(np.abs(dw), axis=1) ** 2
+    return np.sum(du * du, axis=1), np.sum(dw * dw, axis=1)
+
+
+def variation_sums(
+    utilities: np.ndarray, plays: np.ndarray, norm_pair: str = "l1_linf"
+) -> tuple[float, float]:
+    """(sum ||du||_*^2, sum ||dw||^2): the totals of ``variation_steps``."""
+    du2, dw2 = variation_steps(utilities, plays, norm_pair)
+    # skip the w^0 = w^1 zero: a leading term would shift pairwise summation
+    return float(np.sum(du2)), float(np.sum(dw2[1:]))
 
 
 def certify_variation_bound(

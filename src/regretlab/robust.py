@@ -44,6 +44,7 @@ class DoublingWrapper(OnlineLearner):
         self.epoch = 1
         self.budget = 1.0
         self.variation_total = 0.0
+        self._prev_u = np.zeros(d)
         self.epoch_log: list[dict] = []
         self.eta = self._tuned_eta()
         self.inner = inner_factory(self.eta)
@@ -58,9 +59,10 @@ class DoublingWrapper(OnlineLearner):
 
     def _observe(self, u: np.ndarray) -> None:
         self.inner.observe(u)
-        # base-class instrumentation has already accumulated this round's
-        # ||du||_inf^2 into sum_du2; that global sum is the trigger quantity
-        self.variation_total = self.sum_du2
+        # the trigger: the global sum of ||u^t - u^{t-1}||_inf^2 (u^0 = 0),
+        # kept here (learners keep no variation state) and never reset
+        self.variation_total += float(np.abs(u - self._prev_u).max()) ** 2
+        self._prev_u = u
         if self.variation_total >= self.budget:
             self.epoch_log.append({
                 "round": self.t + 1,

@@ -19,7 +19,7 @@ from regretlab.dynamics import (
     write_trace_csv,
 )
 from regretlab.games import DenseGame, SmoothnessCertificate, verify_smoothness
-from regretlab.learners import LearnerSpec
+from regretlab.learners import BestResponseLearner, LearnerSpec
 from regretlab.library import make_matrix_game, make_random_game
 
 A_TILTED = [[0.9, 0.2], [0.3, 0.7]]
@@ -362,6 +362,14 @@ class TestBestResponseDynamics:
         g = make_matrix_game([[1.0, 0.0], [0.0, 1.0]])
         tr = run(g, [hedge(0.2), LearnerSpec("bestresponse")], 1)
         np.testing.assert_array_equal(tr.plays[1][0], [1.0, 0.0])
+
+    def test_prebuilt_responder_is_wired_like_a_spec(self):
+        g = make_matrix_game([[1.0, 0.0], [0.0, 1.0]])
+        prebuilt = BestResponseLearner(2, utility_source=lambda: np.zeros(2))
+        tr = run(g, [hedge(0.2), prebuilt], 12)
+        ref = run(g, [hedge(0.2), LearnerSpec("bestresponse")], 12)
+        for i in range(2):
+            np.testing.assert_array_equal(tr.plays[i], ref.plays[i])
 
     def test_two_responders_react_to_previous_round(self):
         g = make_random_game(2, [2, 2], seed=111)

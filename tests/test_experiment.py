@@ -586,6 +586,43 @@ class TestCliReport:
         assert code == 1
         assert "metadata" in capsys.readouterr().err
 
+    def report_edited_trace(self, tmp_path, capsys, edit):
+        """Run `report` on a matrix_smooth trace after ``edit(lines)``; return
+        (exit code, stderr).  An uncaught exception would escape main()."""
+        manifest = run_experiment(parse_config(MATRIX_SMOOTH_CFG),
+                                  out_dir=str(tmp_path / "arm"))
+        lines = read(manifest["artifacts"]["trace"]).splitlines(keepends=True)
+        edit(lines)  # lines[0] meta, lines[1] header, lines[2] = round 1 player 0
+        bad = tmp_path / "edited.csv"
+        bad.write_text("".join(lines))
+        capsys.readouterr()
+        code = main(["report", str(bad)])
+        return code, capsys.readouterr().err
+
+    def test_out_of_range_player_exits_1(self, tmp_path, capsys):
+        def edit(lines):
+            lines[2] = lines[2].replace("1,0,", "1,5,", 1)
+        code, err = self.report_edited_trace(tmp_path, capsys, edit)
+        assert code == 1
+        assert err.startswith("error: trace line 3: expected round 1, player 0")
+
+    def test_duplicated_row_exits_1(self, tmp_path, capsys):
+        def edit(lines):
+            lines[3] = lines[2]  # round 1 player 0 twice, player 1 missing
+        code, err = self.report_edited_trace(tmp_path, capsys, edit)
+        assert code == 1
+        assert err.startswith("error: trace line 4: expected round 1, player 1")
+
+    def test_utilities_escaping_the_unit_range_exit_1(self, tmp_path, capsys):
+        # a column strategy summing to 1 + 5e-10 passes the simplex check but
+        # lifts the row player's utility above 1
+        def edit(lines):
+            head = lines[3].split(",")[:6]
+            lines[3] = ",".join(head + ["1.0000000005", "0.0"]) + "\n"
+        code, err = self.report_edited_trace(tmp_path, capsys, edit)
+        assert code == 1
+        assert err.startswith("error: player 0: normalized utilities escape [0, 1]")
+
 
 class TestCliLowerbound:
     def test_prints_realized_and_closed_forms(self, capsys):

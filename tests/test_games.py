@@ -14,6 +14,7 @@ import oracles as orc
 from regretlab import (
     DenseGame,
     EnumerationCapError,
+    UtilityRangeError,
     brute_force_opt,
     dump_dense_csv,
     load_dense_csv,
@@ -37,6 +38,12 @@ class TestExpectedUtilities:
         g = pennies()
         u = g.expected_utilities(0, [np.array([1.0, 0.0]), np.array([0.5, 0.5])])
         np.testing.assert_allclose(u, [0.5, 0.5], atol=1e-15)
+
+    def test_escaping_the_unit_range_is_a_value_error(self):
+        g = pennies()
+        with pytest.raises(UtilityRangeError, match=r"player 0: .*escape \[0, 1\]"):
+            g.expected_utilities(0, [np.array([0.5, 0.5]), np.array([1.0 + 5e-10, 0.0])])
+        assert issubclass(UtilityRangeError, ValueError)
 
     def test_pennies_degenerate_column(self):
         g = pennies()

@@ -86,7 +86,7 @@ def _cmd_simulate(args) -> int:
     spec = _parse_config_file(args.config)
     try:
         manifest = run_experiment(spec, out_dir=args.out)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     summary = manifest["summary"]
@@ -134,34 +134,21 @@ def _cmd_lowerbound(args) -> int:
 
 
 def _cmd_verify_smooth(args) -> int:
-    from .experiment import build_game_from_config
-    from .games import search_smoothness, verify_smoothness
-    from .costmode import verify_cost_smoothness
+    from .experiment import build_game_from_config, check_smoothness_claim
 
     spec = _parse_config_file(args.config)
     if spec.smoothness is None:
         print("error: config claims no smoothness (game.lambda / game.mu missing)",
               file=sys.stderr)
         return 1
-    game = build_game_from_config(spec.game)
-    lam, mu = spec.smoothness["lambda"], spec.smoothness["mu"]
-    s_star = spec.smoothness.get("s_star")
     try:
-        if spec.mode == "cost":
-            if s_star is None:
-                print("error: cost-mode smoothness claims need game.s_star",
-                      file=sys.stderr)
-                return 1
-            cert = verify_cost_smoothness(game, lam, mu, tuple(s_star))
-        elif s_star is not None:
-            cert = verify_smoothness(game, lam, mu, tuple(s_star))
-        else:
-            cert = search_smoothness(game, lam, mu)
-    except ValueError as exc:
+        cert = check_smoothness_claim(build_game_from_config(spec.game),
+                                      spec.smoothness, spec.mode)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     status = "verified" if cert.verified else "REFUTED"
-    print(f"smoothness ({lam}, {mu}) {status}")
+    print(f"smoothness ({spec.smoothness['lambda']}, {spec.smoothness['mu']}) {status}")
     print(f"s_star={list(cert.s_star)} slack={cert.slack!r} "
           f"worst_profile={list(cert.worst_profile)} opt={cert.opt!r}")
     return 0 if cert.verified else 2

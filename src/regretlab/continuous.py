@@ -24,6 +24,7 @@ __all__ = [
     "CongestionNetwork",
     "LipschitzBundle",
     "ContinuousTrace",
+    "RoutingReport",
     "parse_network",
     "gradient",
     "player_cost",
@@ -194,13 +195,16 @@ def lipschitz_constant(network: CongestionNetwork) -> LipschitzBundle:
 
 @dataclass
 class ContinuousTrace:
-    """Per round: flows[i] (T, |P_i|), grads[i] (T, |P_i|), total_cost (T,)."""
+    """Per round: flows[i] (T, |P_i|), grads[i] (T, |P_i|), total_cost (T,),
+    and costs (n, T), where costs[i, t] is player i's cost c_i(w^t), equal to
+    ``player_cost`` on round t's flows."""
 
     network: CongestionNetwork
     eta: float
     flows: list
     grads: list
     total_cost: np.ndarray
+    costs: np.ndarray
 
     @property
     def T(self) -> int:
@@ -222,6 +226,7 @@ def run_continuous(network: CongestionNetwork, eta: float, T: int) -> Continuous
     flows = [np.empty((T, k)) for k in sizes]
     grads = [np.empty((T, k)) for k in sizes]
     total_cost = np.empty(T)
+    costs = np.empty((n, T))
     for t in range(T):
         profile = [
             network.players[i][2] * softmax(-eta * (cum[i] + last[i]))
@@ -237,7 +242,9 @@ def run_continuous(network: CongestionNetwork, eta: float, T: int) -> Continuous
             grads[i][t] = gs[i]
             cum[i] = cum[i] + gs[i]
             last[i] = gs[i]
-    return ContinuousTrace(network, eta, flows, grads, total_cost)
+            costs[i, t] = sum(per[i, e] * network.latency(e, total[e])
+                              for e in range(network.m))
+    return ContinuousTrace(network, eta, flows, grads, total_cost, costs)
 
 
 def linearized_regret(trace: ContinuousTrace, i: int) -> float:
@@ -303,6 +310,27 @@ def true_regret(trace: ContinuousTrace, i: int) -> float:
         if best is None or val < best:
             best = val
     return float(realized - best)
+
+
+@dataclass
+class RoutingReport:
+    """A routing run's report, laid out by ``experiment.write_report_csv``
+    like a RegretReport: per-player linearized regrets (``regrets``) and true
+    regrets (``regrets_raw``), the summary figures named in ``summary_names``,
+    and the total-regret certificate when the run used the tuned step size."""
+
+    regrets: list
+    regrets_raw: list
+    sum_linearized_regret: float
+    avg_total_cost: float
+    lipschitz_L: float
+    eta: float
+    certificates: list
+    extras: dict = field(default_factory=dict)
+    summary_names = ("sum_linearized_regret", "avg_total_cost", "lipschitz_L", "eta")
+
+    def failed(self) -> list:
+        return [c for c in self.certificates if c.passed is False]
 
 
 def certify_total_regret(trace: ContinuousTrace, bundle: LipschitzBundle,

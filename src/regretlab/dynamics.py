@@ -39,6 +39,7 @@ __all__ = [
     "variation_terms",
     "coupling_margin",
     "report",
+    "write_trace_rows",
     "write_trace_csv",
     "read_trace_csv",
 ]
@@ -221,6 +222,8 @@ class RegretReport:
     avg_welfare: float  # raw units
     certificates: list
     extras: dict = field(default_factory=dict)
+    # the summary rows of experiment.write_report_csv, in order
+    summary_names = ("sum_regret", "max_regret", "cce_gap", "avg_welfare")
 
     def failed(self) -> list:
         return [c for c in self.certificates if c.passed is False]
@@ -339,31 +342,39 @@ def _renamed(cert: Certificate, name: str) -> Certificate:
 # trace CSV interchange
 
 
-def write_trace_csv(trace: Trace, path=None) -> str:
-    """Serialize a trace.  First line carries the metadata as a JSON comment;
-    then one row per (round, player) with the pinned column layout.  Floats go
-    through repr so reruns are byte-identical."""
+def write_trace_rows(meta: dict, value_names, values, vector_name: str, vectors,
+                     path=None) -> str:
+    """The layout every trace file shares.  First line carries the metadata as
+    a JSON comment; then a header and one row per (round, player): t, player,
+    the player's ``values[i][t]`` (one per name in ``value_names``) and its
+    ``vectors[i][t]``, padded with empty cells to the widest player's.  Floats
+    go through repr so reruns are byte-identical."""
     out = io.StringIO()
-    out.write("# meta=" + json.dumps(trace.meta, sort_keys=True) + "\n")
-    max_d = max(p.shape[1] for p in trace.plays)
+    out.write("# meta=" + json.dumps(meta, sort_keys=True) + "\n")
+    width = max(v.shape[1] for v in vectors)
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["t", "player", "regret_to_date", "welfare", "du2_cum", "dw2_cum"]
-        + [f"strategy_{k}" for k in range(max_d)]
-    )
-    series = [regret_series(trace, i) for i in range(trace.n)]
-    for t in range(trace.T):
-        for i in range(trace.n):
-            row = [t + 1, i, repr(float(series[i][t])), repr(float(trace.welfare[t])),
-                   repr(float(trace.du2_cum[i, t])), repr(float(trace.dw2_cum[i, t]))]
-            row += [repr(float(x)) for x in trace.plays[i][t]]
-            row += [""] * (max_d - trace.plays[i].shape[1])
-            writer.writerow(row)
+    writer.writerow(["t", "player", *value_names]
+                    + [f"{vector_name}_{k}" for k in range(width)])
+    pads = [[""] * (width - v.shape[1]) for v in vectors]
+    for t in range(len(vectors[0])):
+        for i, (vals, vec) in enumerate(zip(values, vectors)):
+            writer.writerow([t + 1, i, *map(repr, vals[t].tolist()),
+                             *map(repr, vec[t].tolist()), *pads[i]])
     text = out.getvalue()
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
+
+
+def write_trace_csv(trace: Trace, path=None) -> str:
+    """Serialize a trace through ``write_trace_rows``: per player and round the
+    regret to date, welfare, du2_cum and dw2_cum, then the strategy."""
+    values = [np.column_stack((regret_series(trace, i), trace.welfare,
+                               trace.du2_cum[i], trace.dw2_cum[i]))
+              for i in range(trace.n)]
+    return write_trace_rows(trace.meta, ("regret_to_date", "welfare", "du2_cum", "dw2_cum"),
+                            values, "strategy", trace.plays, path)
 
 
 def read_trace_csv(text_or_path) -> Trace:
@@ -392,14 +403,22 @@ def read_trace_csv(text_or_path) -> Trace:
     plays = [np.empty((T, game.dims[i])) for i in range(n)]
     stored_regret = np.empty((n, T))
     welfare = np.empty(T)
+    width = 6 + max(game.dims)
     for k, row in enumerate(data):
         t, i = divmod(k, n)
-        if row[:2] != [str(t + 1), str(i)]:
-            raise ValueError(f"trace line {k + 3}: expected round {t + 1}, player {i}; "
-                             f"found {','.join(row[:2]) or 'an empty row'}")
-        stored_regret[i, t] = float(row[2])
-        welfare[t] = float(row[3])
-        plays[i][t] = [float(x) for x in row[6 : 6 + game.dims[i]]]
+        d = game.dims[i]
+        try:
+            if row[:2] != [str(t + 1), str(i)]:
+                raise ValueError(f"expected round {t + 1}, player {i}; "
+                                 f"found {','.join(row[:2]) or 'an empty row'}")
+            if len(row) != width or "" in row[2 : 6 + d] or any(row[6 + d :]):
+                raise ValueError(f"expected 4 values and {d} strategy entries, "
+                                 f"padded with empty cells to {width} cells")
+            stored_regret[i, t] = float(row[2])
+            welfare[t] = float(row[3])
+            plays[i][t] = [float(x) for x in row[6 : 6 + d]]
+        except ValueError as exc:
+            raise ValueError(f"trace line {k + 3}: {exc}") from None
     utilities = [np.empty((T, game.dims[i])) for i in range(n)]
     for t in range(T):
         profile = [plays[i][t] for i in range(n)]

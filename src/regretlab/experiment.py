@@ -1,11 +1,14 @@
 """Config-driven experiment runner.
 
-``run_experiment`` executes a parsed ExperimentSpec end to end: build the
-game, run the main arm (and the optional baseline arm), evaluate every
-certificate the config claims, and write the artifacts — trace CSVs, report
-CSVs, SVG plots, and a manifest.json.  Everything in a report CSV is
-recomputable from the matching trace CSV alone; ``full_report`` does exactly
-that for the CLI's ``report`` subcommand.
+``run_experiment`` executes a parsed ExperimentSpec end to end.  Each game
+kind runs its arms (the main arm and the optional baseline arm), evaluates
+every certificate the config claims and draws its plots; one writer then
+saves the artifacts of every kind — trace CSVs (``flows.csv`` for routing),
+report CSVs, SVG plots, and a manifest.json.  Everything in the report CSV of
+a normal-form or auction game is recomputable from the matching trace CSV
+alone; ``full_report`` does exactly that for the CLI's ``report``
+subcommand.  A routing ``flows.csv`` cannot be re-reported yet (ROADMAP open
+item 5).
 
 Artifacts land under ``$REGRETLAB_OUT`` (default: the current directory) in
 the subdirectory named by [outputs] dir.
@@ -17,6 +20,7 @@ import csv
 import io
 import json
 import os
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from .dynamics import (
     report,
     run,
     write_trace_csv,
+    write_trace_rows,
 )
 from .games import load_dense_csv, search_smoothness, verify_smoothness
 from .learners import Certificate
@@ -45,6 +50,7 @@ from .svgplot import line_plot, write_svg
 __all__ = [
     "OUTPUT_ROOT_ENV",
     "build_game_from_config",
+    "check_smoothness_claim",
     "run_experiment",
     "full_report",
     "write_report_csv",
@@ -102,6 +108,20 @@ def _arm_players(game, specs, robust):
 # reporting (trace-only, so the CLI can redo it from the CSV)
 
 
+def check_smoothness_claim(game, claim: dict, mode: str):
+    """Check a (lambda, mu) smoothness claim on ``game``: at the claimed
+    s_star when one is given (cost mode needs one), else by searching for
+    the best s_star."""
+    lam, mu, s_star = claim["lambda"], claim["mu"], claim.get("s_star")
+    if mode == "cost":
+        if s_star is None:
+            raise ValueError("cost-mode smoothness claims need game.s_star")
+        return verify_cost_smoothness(game, lam, mu, tuple(s_star))
+    if s_star is not None:
+        return verify_smoothness(game, lam, mu, tuple(s_star))
+    return search_smoothness(game, lam, mu)
+
+
 def full_report(trace: Trace, tol: float = 1e-9) -> RegretReport:
     """dynamics.report plus every certificate the trace's metadata claims:
     the smoothness claim itself, the welfare floor (utility mode) or the
@@ -112,21 +132,12 @@ def full_report(trace: Trace, tol: float = 1e-9) -> RegretReport:
     smooth_cert = None
     claim_cert = None
     if claim:
-        game = build_game(trace.meta["game"])
-        lam, mu = claim["lambda"], claim["mu"]
-        s_star = claim.get("s_star")
-        if mode == "cost":
-            if s_star is None:
-                raise ValueError("cost-mode smoothness claims need game.s_star")
-            smooth_cert = verify_cost_smoothness(game, lam, mu, tuple(s_star))
-        elif s_star is not None:
-            smooth_cert = verify_smoothness(game, lam, mu, tuple(s_star))
-        else:
-            smooth_cert = search_smoothness(game, lam, mu)
+        smooth_cert = check_smoothness_claim(build_game(trace.meta["game"]), claim, mode)
         claim_cert = Certificate(
             "smoothness_claim", bool(smooth_cert.verified),
             smooth_cert.slack, 0.0,
-            {"lambda": lam, "mu": mu, "s_star": list(smooth_cert.s_star),
+            {"lambda": claim["lambda"], "mu": claim["mu"],
+             "s_star": list(smooth_cert.s_star),
              "worst_profile": list(smooth_cert.worst_profile),
              "opt": smooth_cert.opt},
         )
@@ -170,22 +181,24 @@ def _fit_cost_constants(trace: Trace):
     return fit_first_order_constants(observations)
 
 
-def write_report_csv(rep: RegretReport, path=None) -> str:
-    """Stable five-column summary: kind,name,value,value2,status."""
+def _status(cert: Certificate) -> str:
+    return "vacuous" if cert.passed is None else ("pass" if cert.passed else "fail")
+
+
+def write_report_csv(rep, path=None) -> str:
+    """Stable five-column summary: kind,name,value,value2,status.  ``rep`` is
+    a RegretReport or a continuous.RoutingReport; its ``summary_names`` pick
+    the summary rows."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["kind", "name", "value", "value2", "status"])
     for i, (r_norm, r_raw) in enumerate(zip(rep.regrets, rep.regrets_raw)):
         writer.writerow(["regret", f"player_{i}", repr(r_norm), repr(r_raw), ""])
-    for name, value in (("sum_regret", rep.sum_regret),
-                        ("max_regret", rep.max_regret),
-                        ("cce_gap", rep.cce_gap),
-                        ("avg_welfare", rep.avg_welfare)):
-        writer.writerow(["summary", name, repr(value), "", ""])
+    for name in rep.summary_names:
+        writer.writerow(["summary", name, repr(getattr(rep, name)), "", ""])
     for cert in rep.certificates:
-        status = "vacuous" if cert.passed is None else ("pass" if cert.passed else "fail")
         writer.writerow(["certificate", cert.name, repr(float(cert.lhs)),
-                         repr(float(cert.rhs)), status])
+                         repr(float(cert.rhs)), _status(cert)])
     for key in sorted(rep.extras):
         writer.writerow(["extra", key, repr(float(rep.extras[key])), "", ""])
     text = out.getvalue()
@@ -277,7 +290,9 @@ def bids_plot(trace: Trace) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the runner
+# the runner: each game kind returns (arms, plots), one writer saves them.  An
+# arm is (label, trace file stem, trace writer, report, manifest summary
+# fields); plots map an artifact key to (file name, SVG text).
 
 
 def _out_dir(spec: ExperimentSpec) -> str:
@@ -285,14 +300,9 @@ def _out_dir(spec: ExperimentSpec) -> str:
     return os.path.join(root, spec.outputs.get("dir") or "experiment")
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> dict:
-    """Execute a validated spec and write all artifacts.
-
-    Returns the manifest (also written as manifest.json).  The manifest's
-    exit_code is 0 on success and 2 when any claimed certificate fails;
-    artifacts are written either way."""
-    if spec.game["type"] == "network":
-        return _run_network_experiment(spec, out_dir)
+def _game_arms(spec: ExperimentSpec):
+    """Normal-form and auction games: the main arm, the optional baseline arm,
+    the regret plot of both, and the bid plot of an auction's main arm."""
     game = build_game_from_config(spec.game)
     n = game.n
     problems = [f"[learner.{i}] refers to player {i} but the game has {n} players"
@@ -310,86 +320,38 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> dict:
     if problems:
         raise ValueError("; ".join(problems))
 
-    out = out_dir or _out_dir(spec)
-    os.makedirs(out, exist_ok=True)
-
-    specs = spec.specs_for(n)
-    trace = run(game, _arm_players(game, specs, spec.robust), spec.T, spec.mode)
-    trace.meta["seed"] = spec.seed
-    if spec.smoothness:
-        trace.meta["smoothness"] = spec.smoothness
-    rep = full_report(trace)
-
-    artifacts = {"trace": os.path.join(out, "trace.csv"),
-                 "report": os.path.join(out, "report.csv")}
-    write_trace_csv(trace, artifacts["trace"])
-    write_report_csv(rep, artifacts["report"])
-
-    arms = {"main": trace}
-    baseline_rep = None
-    if spec.baseline is not None:
-        baseline_trace = run(game, [spec.baseline] * n, spec.T, spec.mode)
-        baseline_trace.meta["seed"] = spec.seed
+    def arm(label, players):
+        trace = run(game, players, spec.T, spec.mode)
+        trace.meta["seed"] = spec.seed
         if spec.smoothness:
-            baseline_trace.meta["smoothness"] = spec.smoothness
-        baseline_rep = full_report(baseline_trace)
-        artifacts["trace_baseline"] = os.path.join(out, "trace_baseline.csv")
-        artifacts["report_baseline"] = os.path.join(out, "report_baseline.csv")
-        write_trace_csv(baseline_trace, artifacts["trace_baseline"])
-        write_report_csv(baseline_rep, artifacts["report_baseline"])
-        arms["baseline"] = baseline_trace
+            trace.meta["smoothness"] = spec.smoothness
+        traces[label] = trace
+        rep = full_report(trace)
+        summary = {"regrets": rep.regrets, "sum_regret": rep.sum_regret}
+        if label == "main":
+            summary.update(T=spec.T, mode=spec.mode, max_regret=rep.max_regret,
+                           cce_gap=rep.cce_gap, avg_welfare=rep.avg_welfare)
+        return label, "trace", partial(write_trace_csv, trace), rep, summary
 
-    artifacts["regret_svg"] = os.path.join(out, "regret.svg")
-    write_svg(regret_plot(arms), artifacts["regret_svg"])
+    traces = {}
+    arms = [arm("main", _arm_players(game, spec.specs_for(n), spec.robust))]
+    if spec.baseline is not None:
+        arms.append(arm("baseline", [spec.baseline] * n))
+    plots = {"regret_svg": ("regret.svg", regret_plot(traces))}
     if spec.game["type"] == "auction":
-        artifacts["bids_svg"] = os.path.join(out, "bids.svg")
-        write_svg(bids_plot(trace), artifacts["bids_svg"])
-
-    def _cert_status(r):
-        return {c.name: ("vacuous" if c.passed is None
-                         else ("pass" if c.passed else "fail"))
-                for c in r.certificates}
-
-    failed = bool(rep.failed()) or bool(baseline_rep and baseline_rep.failed())
-    manifest = {
-        "out_dir": out,
-        "artifacts": artifacts,
-        "summary": {
-            "T": spec.T,
-            "mode": spec.mode,
-            "regrets": rep.regrets,
-            "sum_regret": rep.sum_regret,
-            "max_regret": rep.max_regret,
-            "cce_gap": rep.cce_gap,
-            "avg_welfare": rep.avg_welfare,
-            "certificates": _cert_status(rep),
-        },
-        "exit_code": 2 if failed else 0,
-    }
-    if baseline_rep is not None:
-        manifest["baseline_summary"] = {
-            "regrets": baseline_rep.regrets,
-            "sum_regret": baseline_rep.sum_regret,
-            "certificates": _cert_status(baseline_rep),
-        }
-    artifacts["manifest"] = os.path.join(out, "manifest.json")
-    with open(artifacts["manifest"], "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
+        plots["bids_svg"] = ("bids.svg", bids_plot(traces["main"]))
+    return arms, plots
 
 
-# ---------------------------------------------------------------------------
-# splittable-routing experiments
-
-
-def _run_network_experiment(spec: ExperimentSpec, out_dir: str | None) -> dict:
+def _routing_arms(spec: ExperimentSpec):
+    """Splittable routing: one arm at the configured or the tuned step size
+    1/(2Ln), certified only at the tuned one, and its cost plot."""
     from .continuous import (
+        RoutingReport,
         certify_total_regret,
         linearized_regret,
         lipschitz_constant,
         parse_network,
-        player_cost,
         run_continuous,
         true_regret,
     )
@@ -397,83 +359,59 @@ def _run_network_experiment(spec: ExperimentSpec, out_dir: str | None) -> dict:
     with open(spec.game["path"], "r", encoding="utf-8") as fh:
         network = parse_network(fh.read())
     bundle = lipschitz_constant(network)
-    eta_tuned = 1.0 / (2.0 * bundle.L * network.n)
+    n = network.n
+    eta_tuned = 1.0 / (2.0 * bundle.L * n)
     eta = spec.learner.eta if spec.learner.eta is not None else eta_tuned
     trace = run_continuous(network, eta, spec.T)
-
-    out = out_dir or _out_dir(spec)
-    os.makedirs(out, exist_ok=True)
-    n = network.n
     linearized = [linearized_regret(trace, i) for i in range(n)]
-    true = [true_regret(trace, i) for i in range(n)]
-    cert = None
-    if abs(eta - eta_tuned) <= 1e-12 * max(1.0, eta_tuned):
-        cert = certify_total_regret(trace, bundle)
-
-    costs = np.empty((n, spec.T))
-    for t in range(spec.T):
-        profile = [trace.flows[i][t] for i in range(n)]
-        for i in range(n):
-            costs[i, t] = player_cost(network, profile, i)
+    tuned = abs(eta - eta_tuned) <= 1e-12 * max(1.0, eta_tuned)
+    rep = RoutingReport(linearized, [true_regret(trace, i) for i in range(n)],
+                        float(sum(linearized)), float(trace.total_cost.mean()),
+                        bundle.L, float(eta),
+                        [certify_total_regret(trace, bundle)] if tuned else [])
 
     meta = {"game": {"kind": "network", "path": spec.game["path"],
                      "players": n, "paths": [len(p) for p in network.paths]},
             "eta": eta, "T": spec.T, "seed": spec.seed, "mode": "routing"}
-    artifacts = {"trace": os.path.join(out, "flows.csv"),
-                 "report": os.path.join(out, "report.csv"),
-                 "costs_svg": os.path.join(out, "costs.svg")}
-    max_k = max(len(p) for p in network.paths)
-    buf = io.StringIO()
-    buf.write("# meta=" + json.dumps(meta, sort_keys=True) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "player", "cost", "total_cost"]
-                    + [f"flow_{k}" for k in range(max_k)])
-    for t in range(spec.T):
-        for i in range(n):
-            row = [t + 1, i, repr(float(costs[i, t])), repr(float(trace.total_cost[t]))]
-            row += [repr(float(x)) for x in trace.flows[i][t]]
-            row += [""] * (max_k - len(network.paths[i]))
-            writer.writerow(row)
-    with open(artifacts["trace"], "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
-
-    rbuf = io.StringIO()
-    writer = csv.writer(rbuf, lineterminator="\n")
-    writer.writerow(["kind", "name", "value", "value2", "status"])
-    for i in range(n):
-        writer.writerow(["regret", f"player_{i}", repr(linearized[i]),
-                         repr(true[i]), ""])
-    writer.writerow(["summary", "sum_linearized_regret", repr(float(sum(linearized))),
-                     "", ""])
-    writer.writerow(["summary", "avg_total_cost",
-                     repr(float(trace.total_cost.mean())), "", ""])
-    writer.writerow(["summary", "lipschitz_L", repr(bundle.L), "", ""])
-    writer.writerow(["summary", "eta", repr(float(eta)), "", ""])
-    if cert is not None:
-        writer.writerow(["certificate", cert.name, repr(float(cert.lhs)),
-                         repr(float(cert.rhs)), "pass" if cert.passed else "fail"])
-    with open(artifacts["report"], "w", encoding="utf-8") as fh:
-        fh.write(rbuf.getvalue())
-
+    values = [np.column_stack((trace.costs[i], trace.total_cost)) for i in range(n)]
+    write = partial(write_trace_rows, meta, ("cost", "total_cost"), values, "flow",
+                    trace.flows)
     ts = list(range(1, spec.T + 1))
-    series = [(f"player {i} cost", ts, costs[i]) for i in range(n)]
+    series = [(f"player {i} cost", ts, trace.costs[i]) for i in range(n)]
     series.append(("total cost", ts, trace.total_cost))
-    write_svg(line_plot(series, title="Routing costs", xlabel="round",
-                        ylabel="cost"), artifacts["costs_svg"])
+    plot = line_plot(series, title="Routing costs", xlabel="round", ylabel="cost")
+    summary = {"T": spec.T, "mode": "routing", "eta": rep.eta,
+               "linearized_regrets": rep.regrets, "true_regrets": rep.regrets_raw,
+               "sum_linearized_regret": rep.sum_linearized_regret,
+               "avg_total_cost": rep.avg_total_cost}
+    return [("main", "flows", write, rep, summary)], {"costs_svg": ("costs.svg", plot)}
 
-    manifest = {
-        "out_dir": out,
-        "artifacts": artifacts,
-        "summary": {
-            "T": spec.T, "mode": "routing", "eta": eta,
-            "linearized_regrets": linearized, "true_regrets": true,
-            "sum_linearized_regret": float(sum(linearized)),
-            "avg_total_cost": float(trace.total_cost.mean()),
-            "certificates": {} if cert is None else
-            {cert.name: "pass" if cert.passed else "fail"},
-        },
-        "exit_code": 2 if (cert is not None and cert.passed is False) else 0,
-    }
+
+def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> dict:
+    """Execute a validated spec and write all artifacts.
+
+    Returns the manifest (also written as manifest.json).  The manifest's
+    exit_code is 0 on success and 2 when any claimed certificate fails;
+    artifacts are written either way."""
+    kind_arms = _routing_arms if spec.game["type"] == "network" else _game_arms
+    arms, plots = kind_arms(spec)
+    out = out_dir or _out_dir(spec)
+    os.makedirs(out, exist_ok=True)
+    artifacts = {}
+    manifest = {"out_dir": out, "artifacts": artifacts, "exit_code": 0}
+    for label, trace_stem, write_trace, rep, summary in arms:
+        if rep.failed():
+            manifest["exit_code"] = 2
+        suffix = "" if label == "main" else f"_{label}"
+        artifacts["trace" + suffix] = os.path.join(out, f"{trace_stem}{suffix}.csv")
+        write_trace(artifacts["trace" + suffix])
+        artifacts["report" + suffix] = os.path.join(out, f"report{suffix}.csv")
+        write_report_csv(rep, artifacts["report" + suffix])
+        manifest["summary" if label == "main" else f"{label}_summary"] = dict(
+            summary, certificates={c.name: _status(c) for c in rep.certificates})
+    for key, (name, svg) in plots.items():
+        artifacts[key] = os.path.join(out, name)
+        write_svg(svg, artifacts[key])
     artifacts["manifest"] = os.path.join(out, "manifest.json")
     with open(artifacts["manifest"], "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

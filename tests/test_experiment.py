@@ -11,6 +11,7 @@ import pytest
 import oracles as orc
 from regretlab.cli import main
 from regretlab.config import parse_config
+from regretlab.continuous import parse_network, run_continuous
 from regretlab.dynamics import RegretReport, Trace, read_trace_csv, run
 from regretlab.experiment import (
     OUTPUT_ROOT_ENV,
@@ -113,6 +114,22 @@ edge s t 0 0 1
 player s t 1
 player s t 1
 """
+
+# paths share edges, so a player's cost depends on how the others split
+SHARED_EDGE_NET = """\
+edge s a 0.2 0.3 0.1
+edge a t 0.1 0.5 0.0
+edge s b 0.0 1.0 0.2
+edge b t 0.3 0.2 0.1
+edge a b 0.4 0.1 0.0
+edge s t 0.5 0.1 0.3
+player s t 1.5
+player s t 0.8
+player a t 0.6
+"""
+
+SHIPPED_CONFIGS = ("auction_fig1.cfg", "cost_congestion.cfg", "matrix_smooth.cfg",
+                   "routing.cfg")
 
 NETWORK_CFG = """\
 [game]
@@ -441,6 +458,20 @@ class TestRunExperiment:
         assert "game.s_star names 3 strategies for 2 players" in msg
 
 
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_shipped_config_reports_and_plots_rerun_byte_identical(self, tmp_path, name):
+        cfg = os.path.join(CONFIG_DIR, name)
+        runs = []
+        for arm in ("one", "two"):
+            assert main(["simulate", cfg, "--out", str(tmp_path / arm)]) == 0
+            runs.append({f: (tmp_path / arm / f).read_bytes()
+                         for f in os.listdir(tmp_path / arm)
+                         if f.startswith("report") or f.endswith(".svg")})
+        assert any(f.endswith(".svg") for f in runs[0]), name
+        assert any(f.startswith("report") for f in runs[0]), name
+        assert runs[0] == runs[1], name
+
+
 class TestNetworkExperiment:
     def test_artifacts_and_tuned_step_size(self, tmp_path):
         spec = network_spec(tmp_path)
@@ -486,6 +517,45 @@ class TestNetworkExperiment:
         spec = network_spec(tmp_path)
         manifest = run_experiment(spec, out_dir=str(tmp_path / "routing"))
         assert polylines(read(manifest["artifacts"]["costs_svg"])) == 3
+
+    def test_recorded_costs_match_the_loop_oracle_every_round(self):
+        net = parse_network(SHARED_EDGE_NET)
+        trace = run_continuous(net, 0.05, 40)
+        assert trace.costs.shape == (net.n, 40)
+        for t in range(trace.T):
+            flows = [trace.flows[j][t] for j in range(net.n)]
+            for i in range(net.n):
+                expect = orc.routing_player_cost(net.edges, net.paths, flows, i)
+                assert trace.costs[i, t] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+    def test_report_csv_rows_in_order(self, tmp_path):
+        spec = network_spec(tmp_path)
+        manifest = run_experiment(spec, out_dir=str(tmp_path / "routing"))
+        rows = [line.split(",") for line in
+                read(manifest["artifacts"]["report"]).splitlines()]
+        assert rows[0] == ["kind", "name", "value", "value2", "status"]
+        summary = manifest["summary"]
+        assert rows[1:3] == [
+            ["regret", f"player_{i}", repr(summary["linearized_regrets"][i]),
+             repr(summary["true_regrets"][i]), ""] for i in range(2)]
+        assert [r[:2] for r in rows[3:7]] == [
+            ["summary", "sum_linearized_regret"], ["summary", "avg_total_cost"],
+            ["summary", "lipschitz_L"], ["summary", "eta"]]
+        assert [r[2] for r in rows[3:7]] == [
+            repr(summary["sum_linearized_regret"]), repr(summary["avg_total_cost"]),
+            "16.0", repr(1.0 / 64.0)]
+        assert [r[0] + "," + r[1] + "," + r[4] for r in rows[7:]] == [
+            "certificate,total_linearized_regret,pass"]
+
+    def test_manifest_keys(self, tmp_path):
+        spec = network_spec(tmp_path)
+        manifest = run_experiment(spec, out_dir=str(tmp_path / "routing"))
+        assert sorted(manifest) == ["artifacts", "exit_code", "out_dir", "summary"]
+        assert sorted(manifest["artifacts"]) == ["costs_svg", "manifest", "report",
+                                                 "trace"]
+        assert sorted(manifest["summary"]) == [
+            "T", "avg_total_cost", "certificates", "eta", "linearized_regrets",
+            "mode", "sum_linearized_regret", "true_regrets"]
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +614,18 @@ class TestCliSimulate:
         code = main(["simulate", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
         assert "refers to player 9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg_text", [
+        NETWORK_CFG.replace("net.txt", "missing.txt"),
+        "[game]\ntype = dense_csv\npath = missing.csv\n"
+        "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 5\n",
+    ], ids=["network", "dense_csv"])
+    def test_missing_game_file_exits_1(self, tmp_path, capsys, cfg_text):
+        cfg = write_cfg(tmp_path, cfg_text)
+        code = main(["simulate", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
+        assert not os.path.exists(tmp_path / "out")
 
     def test_game_path_is_relative_to_the_config(self, tmp_path, capsys,
                                                  monkeypatch):
@@ -613,6 +695,24 @@ class TestCliReport:
         assert code == 1
         assert err.startswith("error: trace line 4: expected round 1, player 1")
 
+    def test_short_row_exits_1(self, tmp_path, capsys):
+        # one strategy value fewer than matrix_smooth's two, no padding
+        def edit(lines):
+            lines[2] = "1,0,0.0,1.0,0.25,0.0,0.5\n"
+        code, err = self.report_edited_trace(tmp_path, capsys, edit)
+        assert code == 1
+        assert err.startswith("error: trace line 3: expected 4 values and 2 strategy "
+                              "entries, padded with empty cells to 8 cells")
+
+    def test_non_numeric_cell_exits_1(self, tmp_path, capsys):
+        def edit(lines):
+            cells = lines[3].split(",")
+            lines[3] = ",".join(cells[:6] + ["abc"] + cells[7:])
+        code, err = self.report_edited_trace(tmp_path, capsys, edit)
+        assert code == 1
+        assert err.startswith("error: trace line 4: could not convert string to "
+                              "float: 'abc'")
+
     def test_utilities_escaping_the_unit_range_exit_1(self, tmp_path, capsys):
         # a column strategy summing to 1 + 5e-10 passes the simplex check but
         # lifts the row player's utility above 1
@@ -673,6 +773,14 @@ class TestCliVerifySmooth:
                      os.path.join(CONFIG_DIR, "auction_fig1.cfg")])
         assert code == 1
         assert "claims no smoothness" in capsys.readouterr().err
+
+    def test_missing_dense_csv_file_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[game]\ntype = dense_csv\npath = missing.csv\n"
+                        "lambda = 1\nmu = 1\n"
+                        "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 5\n")
+        code = main(["verify-smooth", cfg])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
 
     def test_searches_when_no_s_star_is_given(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MATRIX_SMOOTH_CFG.replace(

@@ -73,6 +73,7 @@ from .learners import (
     certify_stability,
     certify_variation_bound,
     declared_variation_bound,
+    declares_variation_bound,
     make_learner,
     variation_sums,
 )
@@ -113,7 +114,7 @@ __all__ = [
     "BestResponseLearner", "Certificate", "FtrlLearner", "LearnerSpec",
     "OmdLearner", "OnlineLearner", "VariationBound", "certify_prox_inequality",
     "certify_stability", "certify_variation_bound", "declared_variation_bound",
-    "make_learner", "variation_sums",
+    "declares_variation_bound", "make_learner", "variation_sums",
     "build_game", "lower_bound_experiment", "make_matrix_game", "make_random_game",
     "make_random_smooth_game", "splitmix64_floats", "splitmix64_stream",
     "NegativeEntropy", "SquaredEuclidean", "get_regularizer",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .learners import LearnerSpec
+from .learners import LearnerSpec, declares_variation_bound
 
 __all__ = ["ConfigError", "RobustSettings", "ExperimentSpec", "parse_config"]
 
@@ -465,11 +465,7 @@ def parse_config(text: str) -> ExperimentSpec:
     outputs = _validate_outputs(sections.get("outputs"), errors)
 
     if robust is not None and learner is not None and not is_network:
-        rs = learner.resolved()
-        declares = (rs.algorithm == "ftrl" and rs.predictor in
-                    ("last", "window", "geometric")) \
-            or (rs.algorithm == "omd" and rs.predictor == "last")
-        if not declares:
+        if not declares_variation_bound(learner):
             errors.append(f"line {sections['robust']['line']}: [robust] needs a "
                           f"learner with declared variation-bound constants "
                           f"(an optimistic predictor), not {learner.algorithm!r} "

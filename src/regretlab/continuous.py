@@ -3,9 +3,10 @@
 Players divide a fixed flow amount across explicitly enumerated simple paths;
 costs are edge latency integrals c_i(w) = sum_e f_{i,e} * latency_e(f_e), and
 the per-path gradient is grad_{i,p} = sum_{e in p} [latency_e(f_e) +
-f_{i,e} * latency_e'(f_e)].  The dynamics are a linearized regularized-leader
-update on the scaled simplex (costs are minimized, hence the negated
-exponent); the certificate bounds the sum of linearized regrets, which
+f_{i,e} * latency_e'(f_e)].  Each player runs the package's optimistic Hedge
+learner (``FtrlLearner`` with the entropy regularizer and the last-utility
+predictor) on its negated gradients and routes its flow amount times that
+learner's play.  The certificate bounds the sum of linearized regrets, which
 dominates every player's true regret by convexity.
 """
 
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .learners import Certificate
-from .regularizers import softmax
+from .learners import Certificate, FtrlLearner, LastUtility
+from .regularizers import NegativeEntropy
 
 __all__ = [
     "CongestionNetwork",
@@ -43,11 +44,16 @@ class CongestionNetwork:
     """Directed graph with latency a*x^2 + b*x + c per edge and one
     (source, sink, flow) commodity per player.  Path sets are enumerated at
     construction; instances exceeding PATH_CAP paths per player are rejected.
+    Construction also builds the arrays every evaluation uses: each player's
+    (|P_i|, m) path-edge incidence matrix and the (m, 3) coefficients (a, b, c).
     """
 
     edges: list  # (u, v, a, b, c) with a, b, c >= 0
     players: list  # (source, sink, flow)
     paths: list = field(init=False)  # per player: list of edge-index tuples
+    # derived arrays; compare=False keeps == on networks well defined
+    incidence: list = field(init=False, compare=False, repr=False)  # per player: (|P_i|, m) 0/1
+    coef: np.ndarray = field(init=False, compare=False, repr=False)  # (m, 3) latency a, b, c
 
     def __post_init__(self):
         self.edges = [(str(u), str(v), float(a), float(b), float(c))
@@ -73,6 +79,13 @@ class CongestionNetwork:
                     f"{len(found)} paths from {s} to {t} exceed the cap {PATH_CAP}"
                 )
             self.paths.append(sorted(found))
+        self.incidence = []
+        for paths in self.paths:
+            inc = np.zeros((len(paths), self.m))
+            for p_idx, path in enumerate(paths):
+                inc[p_idx, list(path)] = 1.0  # a simple path uses an edge once
+            self.incidence.append(inc)
+        self.coef = np.array([e[2:] for e in self.edges], dtype=float)
 
     def _dfs(self, node, t, out, acc, seen, found):
         if node == t:
@@ -96,13 +109,11 @@ class CongestionNetwork:
     def m(self) -> int:
         return len(self.edges)
 
-    def latency(self, eidx: int, x: float) -> float:
-        _, _, a, b, c = self.edges[eidx]
-        return a * x * x + b * x + c
-
-    def latency_slope(self, eidx: int, x: float) -> float:
-        _, _, a, b, _ = self.edges[eidx]
-        return 2.0 * a * x + b
+    def latencies(self, x):
+        """(latency a*x*x + b*x + c, slope 2*a*x + b) of every edge at the
+        edge loads ``x``, an array whose last axis runs over the m edges."""
+        a, b, c = self.coef.T
+        return a * x * x + b * x + c, 2.0 * a * x + b
 
     def check_feasible(self, i: int, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -120,10 +131,7 @@ class CongestionNetwork:
         """(per-player (n, m) edge flows, total (m,) edge flow)."""
         per = np.zeros((self.n, self.m))
         for i, w in enumerate(profile):
-            w = self.check_feasible(i, w)
-            for p_idx, path in enumerate(self.paths[i]):
-                for e in path:
-                    per[i, e] += w[p_idx]
+            per[i] = self.check_feasible(i, w) @ self.incidence[i]
         return per, per.sum(axis=0)
 
 
@@ -153,18 +161,13 @@ def parse_network(text: str) -> CongestionNetwork:
 def gradient(network: CongestionNetwork, profile, i: int) -> np.ndarray:
     """Exact gradient of player i's cost in its own path flows."""
     per, total = network.edge_loads(profile)
-    out = np.empty(len(network.paths[i]))
-    for p_idx, path in enumerate(network.paths[i]):
-        out[p_idx] = sum(
-            network.latency(e, total[e]) + per[i, e] * network.latency_slope(e, total[e])
-            for e in path
-        )
-    return out
+    lat, slope = network.latencies(total)
+    return network.incidence[i] @ (lat + per[i] * slope)
 
 
 def player_cost(network: CongestionNetwork, profile, i: int) -> float:
     per, total = network.edge_loads(profile)
-    return float(sum(per[i, e] * network.latency(e, total[e]) for e in range(network.m)))
+    return float(np.sum(per[i] * network.latencies(total)[0]))
 
 
 @dataclass
@@ -212,38 +215,32 @@ class ContinuousTrace:
 
 
 def run_continuous(network: CongestionNetwork, eta: float, T: int) -> ContinuousTrace:
-    """Linearized leader dynamics: each round every player plays
-    f_i * softmax(-eta * (sum of past gradients + last gradient)) over its
-    paths, starting from the uniform split."""
+    """Optimistic Hedge on costs: player i routes f_i times the play of an
+    ``FtrlLearner(|P_i|, NegativeEntropy(), eta, LastUtility())`` fed its
+    negated path gradients, i.e. f_i * softmax(-eta * (sum of past gradients
+    + last gradient)), starting from the uniform split.  Each round computes
+    the edge loads once and derives every gradient and cost from them."""
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    n = network.n
-    sizes = [len(p) for p in network.paths]
-    cum = [np.zeros(k) for k in sizes]
-    last = [np.zeros(k) for k in sizes]
-    flows = [np.empty((T, k)) for k in sizes]
-    grads = [np.empty((T, k)) for k in sizes]
+    learners = [FtrlLearner(len(p), NegativeEntropy(), eta, LastUtility())
+                for p in network.paths]
+    flows = [np.empty((T, len(p))) for p in network.paths]
+    grads = [np.empty((T, len(p))) for p in network.paths]
     total_cost = np.empty(T)
-    costs = np.empty((n, T))
+    costs = np.empty((network.n, T))
     for t in range(T):
-        profile = [
-            network.players[i][2] * softmax(-eta * (cum[i] + last[i]))
-            for i in range(n)
-        ]
-        gs = [gradient(network, profile, i) for i in range(n)]
+        profile = [f * lr.play() for (_s, _t, f), lr in zip(network.players, learners)]
         per, total = network.edge_loads(profile)
-        total_cost[t] = float(sum(
-            total[e] * network.latency(e, total[e]) for e in range(network.m)
-        ))
-        for i in range(n):
+        lat, slope = network.latencies(total)
+        for i, lr in enumerate(learners):
+            g = network.incidence[i] @ (lat + per[i] * slope)
+            lr.observe(-g)
             flows[i][t] = profile[i]
-            grads[i][t] = gs[i]
-            cum[i] = cum[i] + gs[i]
-            last[i] = gs[i]
-            costs[i, t] = sum(per[i, e] * network.latency(e, total[e])
-                              for e in range(network.m))
+            grads[i][t] = g
+        costs[:, t] = np.sum(per * lat, axis=1)
+        total_cost[t] = np.sum(total * lat)
     return ContinuousTrace(network, eta, flows, grads, total_cost, costs)
 
 
@@ -261,40 +258,24 @@ def true_regret(trace: ContinuousTrace, i: int) -> float:
     """sum_t c_i(w^t) - min_w sum_t c_i(w, w_-i^t), the min taken over the
     scaled simplex (convex program, solved to high accuracy)."""
     net = trace.network
-    T = trace.T
     k = len(net.paths[i])
     f = net.players[i][2]
-    # opponents' per-edge loads each round
-    others = np.zeros((T, net.m))
-    for j in range(net.n):
-        if j == i:
-            continue
-        for p_idx, path in enumerate(net.paths[j]):
-            for e in path:
-                others[:, e] += trace.flows[j][:, p_idx]
-    # path -> edge incidence for player i
-    inc = np.zeros((k, net.m))
-    for p_idx, path in enumerate(net.paths[i]):
-        for e in path:
-            inc[p_idx, e] += 1.0
-    abc = np.array([[a, b, c] for (_u, _v, a, b, c) in net.edges])
+    inc = net.incidence[i]
+    # opponents' per-edge loads each round, (T, m) even with no opponents
+    others = sum((trace.flows[j] @ net.incidence[j] for j in range(net.n) if j != i),
+                 np.zeros((trace.T, net.m)))
 
     def cum_cost(w):
         mine = w @ inc  # (m,) edge flows of player i
-        tot = others + mine[None, :]
-        lat = abc[:, 0] * tot**2 + abc[:, 1] * tot + abc[:, 2]
+        lat, _ = net.latencies(others + mine)
         return float(np.sum(lat @ mine))
 
     def cum_grad(w):
         mine = w @ inc
-        tot = others + mine[None, :]
-        lat = abc[:, 0] * tot**2 + abc[:, 1] * tot + abc[:, 2]
-        slope = 2.0 * abc[:, 0] * tot + abc[:, 1]
-        per_edge = lat.sum(axis=0) + (slope.sum(axis=0) * mine)
-        return inc @ per_edge
+        lat, slope = net.latencies(others + mine)
+        return inc @ (lat.sum(axis=0) + slope.sum(axis=0) * mine)
 
-    realized = sum(player_cost(net, [trace.flows[j][t] for j in range(net.n)], i)
-                   for t in range(T))
+    realized = sum(trace.costs[i].tolist())  # sequential; pairwise np.sum rounds differently
     best = None
     starts = [np.full(k, f / k)]
     starts += [f * np.eye(k)[p] * (1 - 1e-9) + (f * 1e-9 / k) for p in range(k)]

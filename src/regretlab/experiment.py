@@ -42,7 +42,7 @@ from .dynamics import (
     write_trace_rows,
 )
 from .games import load_dense_csv, search_smoothness, verify_smoothness
-from .learners import Certificate
+from .learners import Certificate, declares_variation_bound
 from .library import build_game, make_matrix_game, make_random_game
 from .robust import certify_robust, parametric_constants, wrap_doubling
 from .svgplot import line_plot, write_svg
@@ -83,12 +83,6 @@ def build_game_from_config(game: dict):
     raise ValueError(f"unknown game type {gtype!r}")
 
 
-def _declares_bound(spec) -> bool:
-    rs = spec.resolved()
-    return (rs.algorithm == "ftrl" and rs.predictor in ("last", "window", "geometric")) \
-        or (rs.algorithm == "omd" and rs.predictor == "last")
-
-
 def _arm_players(game, specs, robust):
     """Per-player learner list for the engine; wrapped when [robust] asks and
     the player's family declares variation-bound constants."""
@@ -96,7 +90,7 @@ def _arm_players(game, specs, robust):
         return list(specs)
     players = []
     for i, s in enumerate(specs):
-        if _declares_bound(s):
+        if declares_variation_bound(s):
             players.append(wrap_doubling(s, game.dims[i], robust.eta_star,
                                          robust.alpha))
         else:

@@ -27,6 +27,7 @@ __all__ = [
     "OmdLearner",
     "BestResponseLearner",
     "make_learner",
+    "declares_variation_bound",
     "certify_variation_bound",
     "certify_stability",
     "certify_prox_inequality",
@@ -65,10 +66,11 @@ class VariationBound:
     norm_pair: str = "l1_linf"
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0 or self.gamma <= 0:
+        # alpha = R/eta is 0 for a one-strategy player (R = ln 1)
+        if self.alpha < 0 or self.beta <= 0 or self.gamma <= 0:
             raise ValueError(
-                f"variation-bound constants must be positive, got "
-                f"({self.alpha}, {self.beta}, {self.gamma})"
+                f"variation-bound constants need alpha >= 0 and beta, gamma > 0, "
+                f"got ({self.alpha}, {self.beta}, {self.gamma})"
             )
 
     def to_dict(self) -> dict:
@@ -247,8 +249,6 @@ class OmdLearner(OnlineLearner):
     entropy instance keeps g in log space (the chained prox steps telescope to
     exponential weights), which is exactly the prox recursion but immune to
     underflow on long runs; the Euclidean instance stores g directly.
-
-    Histories (w, g, M, u) are retained for the prox-inequality diagnostic.
     """
 
     algorithm = "omd"
@@ -266,10 +266,6 @@ class OmdLearner(OnlineLearner):
             self._log_g = np.log(g0)
         else:
             self._g = g0
-        self.g_history = [g0]
-        self.w_history: list[np.ndarray] = []
-        self.m_history: list[np.ndarray] = []
-        self.u_history: list[np.ndarray] = []
 
     @property
     def g(self) -> np.ndarray:
@@ -278,12 +274,8 @@ class OmdLearner(OnlineLearner):
     def _play(self) -> np.ndarray:
         m = self.predictor.predict(self.d)
         if self._entropic:
-            w = softmax(self._log_g + self.eta * m)
-        else:
-            w = self.reg.prox_step(self._g, m, self.eta)
-        self.m_history.append(np.asarray(m, dtype=float))
-        self.w_history.append(w)
-        return w
+            return softmax(self._log_g + self.eta * m)
+        return self.reg.prox_step(self._g, m, self.eta)
 
     def _observe(self, u: np.ndarray) -> None:
         if self._entropic:
@@ -291,8 +283,6 @@ class OmdLearner(OnlineLearner):
             self._log_g = z - np.log(np.sum(np.exp(z - z.max()))) - z.max()
         else:
             self._g = self.reg.prox_step(self._g, u, self.eta)
-        self.g_history.append(self.g)
-        self.u_history.append(u)
         self.predictor.update(u)
 
 
@@ -369,6 +359,14 @@ class LearnerSpec:
         )
 
 
+def declares_variation_bound(spec: LearnerSpec) -> bool:
+    """Whether ``spec``'s family carries variation-bound constants (given a
+    step size): ftrl with a last/window/geometric predictor, or omd+last."""
+    s = spec.resolved()
+    return (s.algorithm == "ftrl" and s.predictor in ("last", "window", "geometric")) \
+        or (s.algorithm == "omd" and s.predictor == "last")
+
+
 def declared_variation_bound(spec: LearnerSpec, d: int) -> VariationBound | None:
     """The (alpha, beta, gamma) constants each optimistic variant carries.
 
@@ -380,25 +378,22 @@ def declared_variation_bound(spec: LearnerSpec, d: int) -> VariationBound | None
     Plain (zero-predictor) learners and best response carry none.
     """
     s = spec.resolved()
-    if s.eta is None or s.algorithm not in ("ftrl", "omd"):
+    if s.eta is None or not declares_variation_bound(s):
         return None
     reg = get_regularizer(s.regularizer)
     pair = "l1_linf" if reg.primal_norm == "l1" else "l2_l2"
     eta = float(s.eta)
-    if s.algorithm == "ftrl":
-        if s.predictor == "last":
-            return VariationBound(reg.r_ftrl(d) / eta, eta, 1.0 / (4.0 * eta), pair)
-        if s.predictor == "window":
-            H = int(s.predictor_param)
-            return VariationBound(reg.r_ftrl(d) / eta, eta * H * H, 1.0 / (4.0 * eta), pair)
-        if s.predictor == "geometric":
-            delta = float(s.predictor_param)
-            return VariationBound(
-                reg.r_ftrl(d) / eta, eta / (1.0 - delta) ** 3, 1.0 / (8.0 * eta), pair
-            )
-    elif s.algorithm == "omd" and s.predictor == "last":
+    if s.algorithm == "omd":
         return VariationBound(reg.r_omd(d) / eta, eta, 1.0 / (8.0 * eta), pair)
-    return None
+    if s.predictor == "last":
+        return VariationBound(reg.r_ftrl(d) / eta, eta, 1.0 / (4.0 * eta), pair)
+    if s.predictor == "window":
+        H = int(s.predictor_param)
+        return VariationBound(reg.r_ftrl(d) / eta, eta * H * H, 1.0 / (4.0 * eta), pair)
+    delta = float(s.predictor_param)
+    return VariationBound(
+        reg.r_ftrl(d) / eta, eta / (1.0 - delta) ** 3, 1.0 / (8.0 * eta), pair
+    )
 
 
 def make_learner(spec: LearnerSpec, d: int, utility_source=None) -> OnlineLearner:
@@ -458,25 +453,34 @@ def variation_sums(
     return float(np.sum(du2)), float(np.sum(dw2[1:]))
 
 
-def certify_variation_bound(
-    utilities, plays, bound: VariationBound, comparator=None, tol: float = 1e-9
-) -> Certificate:
-    """Check regret <= alpha + beta*sum||du||^2 - gamma*sum||dw||^2 against a
-    fixed comparator (best vertex when none is given)."""
+def _comparator_regret(utilities, plays, comparator=None):
+    """(utilities, plays, regret) with both sequences as float arrays of equal
+    shape and regret = sum_t <comparator - w^t, u^t>, the comparator being the
+    best vertex in hindsight when none is given."""
     utilities = np.asarray(utilities, dtype=float)
     plays = np.asarray(plays, dtype=float)
     if utilities.shape != plays.shape:
         raise ValueError("utility and play sequences must have equal shapes")
     if len(utilities) == 0:
-        return Certificate("variation_bound", True, 0.0, bound.alpha,
-                           {"sum_du2": 0.0, "sum_dw2": 0.0, **bound.to_dict()})
+        return utilities, plays, 0.0
     total = utilities.sum(axis=0)
     if comparator is None:
         comparator = np.zeros(utilities.shape[1])
         comparator[int(np.argmax(total))] = 1.0
     else:
         comparator = np.asarray(comparator, dtype=float)
-    lhs = float(comparator @ total - np.sum(plays * utilities))
+    return utilities, plays, float(comparator @ total - np.sum(plays * utilities))
+
+
+def certify_variation_bound(
+    utilities, plays, bound: VariationBound, comparator=None, tol: float = 1e-9
+) -> Certificate:
+    """Check regret <= alpha + beta*sum||du||^2 - gamma*sum||dw||^2 against a
+    fixed comparator (best vertex when none is given)."""
+    utilities, plays, lhs = _comparator_regret(utilities, plays, comparator)
+    if len(utilities) == 0:
+        return Certificate("variation_bound", True, 0.0, bound.alpha,
+                           {"sum_du2": 0.0, "sum_dw2": 0.0, **bound.to_dict()})
     sum_du2, sum_dw2 = variation_sums(utilities, plays, bound.norm_pair)
     rhs = bound.alpha + bound.beta * sum_du2 - bound.gamma * sum_dw2
     return Certificate(
@@ -498,29 +502,33 @@ def certify_stability(plays, eta: float, tol: float = 1e-9) -> Certificate:
     )
 
 
-def certify_prox_inequality(learner: OmdLearner, tol: float = 1e-9) -> Certificate:
-    """Mirror-descent intermediate bound on the learner's own history:
+def certify_prox_inequality(utilities, plays, spec: LearnerSpec,
+                            tol: float = 1e-9) -> Certificate:
+    """Mirror-descent intermediate bound on an OMD learner's trajectory:
 
         regret <= R_omd/eta + sum ||u-M||_inf ||w-g||_1
                   - (1/2eta) sum (||w-g^t||_1^2 + ||w-g^{t-1}||_1^2)
+
+    The secondary sequence g^t and the predictions M^t depend on the utility
+    stream alone, so a fresh learner built from ``spec`` replays them.
     """
-    if not isinstance(learner, OmdLearner):
+    if spec.resolved().algorithm != "omd":
         raise TypeError("prox inequality applies to mirror-descent learners only")
-    us = np.asarray(learner.u_history, dtype=float)
-    ws = np.asarray(learner.w_history[: len(us)], dtype=float)
-    ms = np.asarray(learner.m_history[: len(us)], dtype=float)
-    gs = np.asarray(learner.g_history, dtype=float)  # g^0 .. g^T
-    T = len(us)
-    if T == 0:
-        return Certificate("prox_inequality", True, 0.0,
-                           learner.reg.r_omd(learner.d) / learner.eta, {})
-    total = us.sum(axis=0)
-    best = float(total.max())
-    lhs = best - float(np.sum(ws * us))
-    w_minus_g = np.sum(np.abs(ws - gs[1 : T + 1]), axis=1)
+    us, ws, lhs = _comparator_regret(utilities, plays)
+    T, d = us.shape
+    learner = make_learner(spec, d)
+    ms = np.empty((T, d))
+    gs = np.empty((T + 1, d))  # g^0 .. g^T
+    gs[0] = learner.g
+    for t, u in enumerate(us):
+        ms[t] = learner.predictor.predict(d)
+        learner.play()
+        learner.observe(u)
+        gs[t + 1] = learner.g
+    w_minus_g = np.sum(np.abs(ws - gs[1:]), axis=1)
     w_minus_gprev = np.sum(np.abs(ws - gs[:T]), axis=1)
     cross = float(np.sum(np.max(np.abs(us - ms), axis=1) * w_minus_g))
     quad = float(np.sum(w_minus_g**2 + w_minus_gprev**2))
-    rhs = learner.reg.r_omd(learner.d) / learner.eta + cross - quad / (2.0 * learner.eta)
+    rhs = learner.reg.r_omd(d) / learner.eta + cross - quad / (2.0 * learner.eta)
     return Certificate("prox_inequality", bool(lhs <= rhs + tol), lhs, rhs,
                        {"cross_term": cross, "quadratic_term": quad})

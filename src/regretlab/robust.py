@@ -149,18 +149,12 @@ def certify_robust(
     eta-free ones: regret <= alpha/eta + eta*beta*sum_du - (gamma/eta)*sum_dw),
     and ``norm_pair`` picks the norms those constants were derived under.
     """
-    from .learners import variation_sums
+    from .learners import _comparator_regret, variation_sums
 
-    utilities = np.asarray(utilities, dtype=float)
-    plays = np.asarray(plays, dtype=float)
+    utilities, plays, lhs = _comparator_regret(utilities, plays, comparator)
     T = len(utilities)
     if T < 2:
         raise ValueError("the wrapped-learner bound needs T >= 2")
-    total = utilities.sum(axis=0)
-    if comparator is None:
-        comparator = np.zeros(utilities.shape[1])
-        comparator[int(np.argmax(total))] = 1.0
-    lhs = float(comparator @ total - np.sum(plays * utilities))
     sum_du2, sum_dw2 = variation_sums(utilities, plays, norm_pair)
     log_t = math.log(T)
     rhs_variation = log_t * (2.0 + alpha / eta_star + (2.0 + eta_star * beta) * sum_du2) \

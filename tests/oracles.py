@@ -239,6 +239,36 @@ def independent_variation_sums(utilities_i, plays_i):
     return sum_du, sum_dw
 
 
+def entropy_omd_prox_terms(utilities, plays, eta):
+    """(lhs, rhs) of the mirror-descent prox inequality for entropy OMD with
+    the last-utility predictor, from its closed form: g^t = softmax(eta *
+    sum_{s<=t} u^s) (g^0 uniform), M^t = u^{t-1} (M^1 = 0), R = ln d.
+
+        lhs = max_x sum_t u^t_x - sum_t <w^t, u^t>
+        rhs = ln d / eta + sum_t ||u^t - M^t||_inf ||w^t - g^t||_1
+              - (1/2eta) sum_t (||w^t - g^t||_1^2 + ||w^t - g^{t-1}||_1^2)
+    """
+    T = len(utilities)
+    d = len(utilities[0])
+    cum = [0.0] * d
+    g_prev = softmax(cum)
+    m = [0.0] * d
+    realized = cross = quad = 0.0
+    for t in range(T):
+        u, w = utilities[t], plays[t]
+        for k in range(d):
+            cum[k] += u[k]
+        g = softmax([eta * c for c in cum])
+        w_g = sum(abs(w[k] - g[k]) for k in range(d))
+        w_gprev = sum(abs(w[k] - g_prev[k]) for k in range(d))
+        cross += max(abs(u[k] - m[k]) for k in range(d)) * w_g
+        quad += w_g * w_g + w_gprev * w_gprev
+        realized += sum(w[k] * u[k] for k in range(d))
+        g_prev, m = g, list(u)
+    best = max(sum(utilities[t][x] for t in range(T)) for x in range(d))
+    return best - realized, math.log(d) / eta + cross - quad / (2.0 * eta)
+
+
 # ---------------------------------------------------------------------------
 # Routing-game oracle: independent cost evaluation + finite differences.
 # ---------------------------------------------------------------------------
@@ -266,6 +296,43 @@ def routing_player_cost(edges, paths, flows, i):
         a, b, c = edges[e][2], edges[e][3], edges[e][4]
         total += mine[e] * (a * loads[e] ** 2 + b * loads[e] + c)
     return total
+
+
+def routing_optimistic_hedge_sim(edges, paths, amounts, eta, T):
+    """Optimistic Hedge on path costs: each round player k routes
+    amounts[k] * softmax(-eta * (sum of past gradients + last gradient)) and
+    its gradient on path p is sum_{e in p} [latency_e(L_e) + mine_{k,e} *
+    latency_e'(L_e)], L the total edge loads.  Returns (flows, grads) as
+    per-player lists of T lists."""
+    n, m = len(paths), len(edges)
+    cum = [[0.0] * len(paths[k]) for k in range(n)]
+    last = [[0.0] * len(paths[k]) for k in range(n)]
+    flows = [[] for _ in range(n)]
+    grads = [[] for _ in range(n)]
+    for _ in range(T):
+        w = [[amounts[k] * x for x in softmax(
+            [-eta * (cum[k][p] + last[k][p]) for p in range(len(paths[k]))])]
+            for k in range(n)]
+        mine = [[0.0] * m for _ in range(n)]
+        for k in range(n):
+            for p, path in enumerate(paths[k]):
+                for e in path:
+                    mine[k][e] += w[k][p]
+        loads = [sum(mine[k][e] for k in range(n)) for e in range(m)]
+        for k in range(n):
+            g = []
+            for path in paths[k]:
+                total = 0.0
+                for e in path:
+                    a, b, c = edges[e][2], edges[e][3], edges[e][4]
+                    x = loads[e]
+                    total += a * x * x + b * x + c + mine[k][e] * (2.0 * a * x + b)
+                g.append(total)
+            flows[k].append(w[k])
+            grads[k].append(g)
+            cum[k] = [cum[k][p] + g[p] for p in range(len(g))]
+            last[k] = g
+    return flows, grads
 
 
 def fd_gradient(fn, x, h=1e-5):

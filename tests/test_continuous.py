@@ -56,6 +56,7 @@ class TestParsing:
         net = parse_network(TWO_EDGE_TWO_PLAYER)
         assert net.n == 2 and net.m == 2
         assert net.paths == [[(0,), (1,)], [(0,), (1,)]]
+        assert net == parse_network(TWO_EDGE_TWO_PLAYER)  # derived arrays stay out of ==
 
     def test_comments_and_blank_lines_are_skipped(self):
         net = parse_network("# header\n\nedge s t 0 1 0  # inline\nplayer s t 1\n")
@@ -244,6 +245,27 @@ class TestDynamics:
             dev = float(np.abs(tr.flows[i] - f / k).max())
             assert dev <= 100.0 * eta
 
+    def test_matches_the_loop_oracle_recursion(self):
+        net = parse_network(QUAD_NETWORK)
+        tr = run_continuous(net, 0.3, 60)
+        flows, grads = orc.routing_optimistic_hedge_sim(
+            net.edges, net.paths, [f for (_s, _t, f) in net.players], 0.3, 60)
+        for i in range(net.n):
+            np.testing.assert_allclose(tr.flows[i], flows[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tr.grads[i], grads[i], rtol=0, atol=1e-12)
+
+    def test_edge_loads_once_per_round(self, monkeypatch):
+        calls = []
+        loads = CongestionNetwork.edge_loads
+
+        def counting(self, profile):
+            calls.append(1)
+            return loads(self, profile)
+
+        monkeypatch.setattr(CongestionNetwork, "edge_loads", counting)
+        run_continuous(parse_network(QUAD_NETWORK), 0.05, 25)
+        assert len(calls) == 25
+
     def test_total_cost_series_matches_hand_recomputation(self):
         net = parse_network(QUAD_NETWORK)
         tr = run_continuous(net, 0.05, 10)
@@ -261,6 +283,19 @@ class TestRegret:
         tr = run_continuous(net, 0.05, 25)
         assert linearized_regret(tr, 0) == 0.0
         assert linearized_regret(tr, 1) == 0.0
+
+    def test_true_regret_of_a_lone_player_sums_every_round(self):
+        # latencies x and 1 on two parallel links, one unit of flow: the best
+        # fixed split is (1/2, 1/2) at cost 3/4 per round, so the true regret
+        # is the realized cost minus 3T/4 (no opponents, yet T rounds of load)
+        net = CongestionNetwork(
+            [("s", "t", 0.0, 1.0, 0.0), ("s", "t", 0.0, 0.0, 1.0)], [("s", "t", 1.0)]
+        )
+        T = 30
+        tr = run_continuous(net, 0.1, T)
+        realized = sum(orc.routing_player_cost(net.edges, net.paths, [tr.flows[0][t].tolist()], 0)
+                       for t in range(T))
+        assert true_regret(tr, 0) == pytest.approx(realized - 0.75 * T, abs=1e-8)
 
     def test_true_regret_below_linearized(self):
         net = parse_network(QUAD_NETWORK)

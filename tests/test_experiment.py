@@ -579,6 +579,15 @@ class TestCliSimulate:
         assert "wrote trace:" in out and "wrote manifest:" in out
         assert os.path.exists(str(tmp_path / "out" / "trace.csv"))
 
+    def test_one_strategy_player_runs_and_reports(self, tmp_path, capsys):
+        # player 1 has one strategy, so its declared alpha = ln(1)/eta is 0
+        cfg = write_cfg(tmp_path, "[game]\ntype = matrix\nmatrix = 1; 0\n"
+                        "[learner]\nalgorithm = optimistic_hedge\neta = 0.25\n"
+                        "[run]\nT = 50\n")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "certificate variation_bound[1]: pass" in capsys.readouterr().out
+        assert main(["report", str(tmp_path / "out" / "trace.csv")]) == 0
+
     def test_certificate_failure_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, REFUTED_CFG)
         code = main(["simulate", cfg, "--out", str(tmp_path / "out")])

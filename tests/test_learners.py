@@ -10,10 +10,12 @@ import oracles as orc
 from regretlab import (
     LearnerSpec,
     OmdLearner,
+    VariationBound,
     certify_prox_inequality,
     certify_stability,
     certify_variation_bound,
     declared_variation_bound,
+    declares_variation_bound,
     make_learner,
     splitmix64_floats,
     variation_sums,
@@ -177,6 +179,21 @@ class TestDeclaredConstants:
         assert declared_variation_bound(LearnerSpec("hedge", 0.1), 2) is None
         assert declared_variation_bound(LearnerSpec("omd", 0.1, "entropy", "none"), 2) is None
 
+    def test_one_strategy_player_has_zero_alpha(self):
+        # R = ln 1 = 0, so alpha = R/eta = 0 is a valid constant
+        b = declared_variation_bound(LearnerSpec("optimistic_hedge", 0.25), 1)
+        assert (b.alpha, b.beta, b.gamma) == (0.0, 0.25, 1.0)
+        with pytest.raises(ValueError, match="alpha >= 0"):
+            VariationBound(-1e-3, 0.25, 1.0)
+        with pytest.raises(ValueError, match="beta, gamma > 0"):
+            VariationBound(0.0, 0.0, 1.0)
+
+    def test_predicate_agrees_with_the_constants_table(self):
+        for spec in list(SPECS.values()) + [LearnerSpec("omd", 0.1, "entropy", "none"),
+                                            LearnerSpec("bestresponse")]:
+            has = declared_variation_bound(spec, 3) is not None
+            assert declares_variation_bound(spec) == has, spec
+
 
 class TestInstrumentation:
     """Variation sums are computed from the recorded trajectory."""
@@ -276,19 +293,35 @@ class TestStability:
 class TestProxInequality:
     def test_holds_on_random_streams(self):
         learner = make_learner(SPECS["omd_last"], 3)
-        drive(learner, random_stream(3, 200, seed=91))
-        cert = certify_prox_inequality(learner)
+        plays, seen = drive(learner, random_stream(3, 200, seed=91))
+        cert = certify_prox_inequality(seen, plays, SPECS["omd_last"])
         assert cert.passed, (cert.lhs, cert.rhs)
 
     def test_holds_on_alternating(self):
         learner = make_learner(SPECS["omd_last"], 2)
-        drive(learner, alternating_stream(2, 500))
-        cert = certify_prox_inequality(learner)
+        plays, seen = drive(learner, alternating_stream(2, 500))
+        cert = certify_prox_inequality(seen, plays, SPECS["omd_last"])
         assert cert.passed
 
     def test_rejects_non_omd(self):
-        with pytest.raises(TypeError):
-            certify_prox_inequality(make_learner(SPECS["hedge"], 2))
+        plays, seen = drive(make_learner(SPECS["hedge"], 2), alternating_stream(2, 4))
+        for spec in (SPECS["hedge"], LearnerSpec("bestresponse")):
+            with pytest.raises(TypeError):
+                certify_prox_inequality(seen, plays, spec)
+
+    def test_learner_keeps_no_per_round_lists(self):
+        learner = make_learner(SPECS["omd_last"], 3)
+        drive(learner, random_stream(3, 50, seed=93))
+        assert isinstance(learner, OmdLearner)
+        assert [k for k, v in vars(learner).items() if isinstance(v, list)] == []
+
+    def test_matches_the_closed_form_entropy_recursion(self):
+        spec = SPECS["omd_last"]
+        plays, seen = drive(make_learner(spec, 3), random_stream(3, 200, seed=92))
+        cert = certify_prox_inequality(seen, plays, spec)
+        lhs, rhs = orc.entropy_omd_prox_terms(seen.tolist(), plays.tolist(), spec.eta)
+        assert cert.lhs == pytest.approx(lhs, abs=1e-12)
+        assert cert.rhs == pytest.approx(rhs, abs=1e-12)
 
 
 class TestBestResponse:

@@ -185,6 +185,12 @@ class TestRobustCertificate:
         with pytest.raises(ValueError, match="T >= 2"):
             certify_robust([[1.0, 0.0]], [[0.5, 0.5]], 1.0, 1.0, 0.25, 0.1)
 
+    def test_plays_must_match_the_utility_shape(self):
+        # a single play row must not broadcast across 50 rounds of utilities
+        stream = random_stream(231, 50, 3)
+        with pytest.raises(ValueError, match="equal shapes"):
+            certify_robust(stream, np.full((1, 3), 1.0 / 3.0), 1.0, 1.0, 0.25, 0.1)
+
     def test_constant_stream_passes_with_pinned_sqrt_form(self):
         T, eta_star = 100, 0.1
         w = wrap_doubling(OPT_HEDGE, 2, eta_star=eta_star)

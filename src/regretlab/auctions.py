@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .games import DEFAULT_ENUM_CAP, NormalFormGame, _check_profile, brute_force_opt
 
@@ -79,21 +78,21 @@ class AuctionGame(NormalFormGame):
         return j, float(self.spec.bid_levels[b])
 
     def _loss_mass(self, profile, i: int):
-        """For each opponent k: (m, nb) matrices of P[k bids >= level] and
-        P[k bids > level] on each item; returns the win-probability matrix of
+        """For each opponent k: L + (m, nb) arrays of P[k bids >= level] and
+        P[k bids > level] on each item; returns the win-probability array of
         player i over (item, bid) cells."""
-        win = np.ones((self.m, self.nb))
+        lead = np.shape(profile[i])[:-1]
+        win = np.ones(lead + (self.m, self.nb))
         for k in range(self.n):
             if k == i:
                 continue
-            wk = profile[k].reshape(self.m, self.nb)
-            at_least = np.cumsum(wk[:, ::-1], axis=1)[:, ::-1]  # P[>= level]
+            wk = profile[k].reshape(lead + (self.m, self.nb))
+            at_least = np.cumsum(wk[..., ::-1], axis=-1)[..., ::-1]  # P[>= level]
             if k < i:  # k would win the tie, so any bid >= ours beats us
                 lose = at_least
             else:  # we win ties against higher indices
-                lose = np.concatenate(
-                    [at_least[:, 1:], np.zeros((self.m, 1))], axis=1
-                )
+                lose = np.zeros_like(at_least)
+                lose[..., :-1] = at_least[..., 1:]
             win = win * (1.0 - lose)
         return win
 
@@ -101,16 +100,16 @@ class AuctionGame(NormalFormGame):
     def raw_expected_utilities(self, i: int, profile) -> np.ndarray:
         win = self._loss_mass(profile, i)
         payoff = self.spec.values[i][:, None] - self.spec.bid_levels[None, :]
-        return (payoff * win).ravel()
+        return (payoff * win).reshape(win.shape[:-2] + (-1,))
 
-    def welfare_mixed(self, profile) -> float:
-        profile = _check_profile(self, profile)
+    def welfare_mixed(self, profile):
+        profile, lead = _check_profile(self, profile)
         total = 0.0
         for i in range(self.n):
             win = self._loss_mass(profile, i)
-            wi = profile[i].reshape(self.m, self.nb)
-            total += float(np.sum(self.spec.values[i][:, None] * wi * win))
-        return total
+            wi = profile[i].reshape(lead + (self.m, self.nb))
+            total = total + np.sum(self.spec.values[i][:, None] * wi * win, axis=(-2, -1))
+        return total if lead else float(total)
 
     def _resolve(self, s):
         """Winner of each item at the pure profile s; returns dict item -> (i, bid)."""
@@ -164,6 +163,8 @@ class AuctionGame(NormalFormGame):
         """
         if self.nb < 2 and self.n > self.m:
             return brute_force_opt(self, cap)
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(self.spec.values, maximize=True)
         opt = float(self.spec.values[rows, cols].sum())
         profile = []

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .learners import Certificate, FtrlLearner, LastUtility
 from .regularizers import NegativeEntropy
@@ -129,6 +128,9 @@ class CongestionNetwork:
 
     def edge_loads(self, profile) -> tuple[np.ndarray, np.ndarray]:
         """(per-player (n, m) edge flows, total (m,) edge flow)."""
+        if len(profile) != self.n:
+            raise ValueError(f"profile has {len(profile)} flow vectors, "
+                             f"network has {self.n} players")
         per = np.zeros((self.n, self.m))
         for i, w in enumerate(profile):
             per[i] = self.check_feasible(i, w) @ self.incidence[i]
@@ -274,6 +276,8 @@ def true_regret(trace: ContinuousTrace, i: int) -> float:
         mine = w @ inc
         lat, slope = net.latencies(others + mine)
         return inc @ (lat.sum(axis=0) + slope.sum(axis=0) * mine)
+
+    from scipy.optimize import minimize
 
     realized = sum(trace.costs[i].tolist())  # sequential; pairwise np.sum rounds differently
     best = None

@@ -217,11 +217,8 @@ def certify_cost_welfare(
     details: dict = {}
     for i in range(n):
         costs = 1.0 - trace.utilities[i]  # engine stores 1 - c
-        dev_costs = np.empty(T)
-        for t in range(T):
-            profile = [trace.plays[j][t] for j in range(n)]
-            # in cost mode the game's oracle values are the costs themselves
-            dev_costs[t] = game.expected_utilities(i, profile)[s_star[i]]
+        # in cost mode the game's oracle values are the costs themselves
+        dev_costs = game.expected_utilities(i, trace.plays)[:, s_star[i]]
         realized = float(np.sum(trace.plays[i] * costs))
         r_dev = realized - float(dev_costs.sum())
         cap = constants.bound(trace.plays[i].shape[1], float(dev_costs.sum()))

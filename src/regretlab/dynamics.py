@@ -1,9 +1,10 @@
 """Repeated simultaneous play with exact expected-utility feedback.
 
-``run`` drives T rounds, records every mixed strategy, utility vector
-(normalized units) and raw welfare, and derives the per-player variation sums
-from that record; ``report`` turns a trace into regrets plus every certificate
-the trace's metadata supports.
+``run`` drives T rounds and records every mixed strategy; the rest of a
+trace (utilities in normalized units, raw welfare, the per-player variation
+sums) is a function of those plays, derived by the one routine that also
+rebuilds a trace read from CSV.  ``report`` turns a trace into regrets plus
+every certificate the trace's metadata supports.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .learners import (
     Certificate,
     LearnerSpec,
     OnlineLearner,
-    VariationBound,
     certify_stability,
     certify_variation_bound,
     declared_variation_bound,
@@ -71,11 +71,17 @@ class Trace:
         return len(self.welfare)
 
 
-def _variation_cums(plays, utilities) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, T) du2_cum / dw2_cum of a trace, from its plays and utilities."""
+def _trace_from_plays(game: NormalFormGame, plays, mode: str, meta: dict) -> Trace:
+    """The trace of (T, d_i) plays: each player's utilities from one oracle
+    call over all T rounds (1 - c in cost mode), welfare from one
+    ``welfare_mixed`` call, and the running variation sums."""
+    utilities = [game.expected_utilities(i, plays) for i in range(game.n)]
+    if mode == "cost":
+        utilities = [1.0 - u for u in utilities]
     steps = [variation_steps(u, w) for u, w in zip(utilities, plays)]
-    return (np.array([np.cumsum(du2) for du2, _ in steps]),
-            np.array([np.cumsum(dw2) for _, dw2 in steps]))
+    return Trace(plays, utilities, game.welfare_mixed(plays),
+                 np.array([np.cumsum(du2) for du2, _ in steps]),
+                 np.array([np.cumsum(dw2) for _, dw2 in steps]), meta)
 
 
 def _build_learners(game: NormalFormGame, specs):
@@ -115,8 +121,6 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     dist_players = [i for i in range(n) if i not in responders]
 
     plays = [np.empty((T, game.dims[i])) for i in range(n)]
-    utilities = [np.empty((T, game.dims[i])) for i in range(n)]
-    welfare = np.empty(T)
 
     profile = [np.full(game.dims[i], 1.0 / game.dims[i]) for i in range(n)]
     for t in range(T):
@@ -136,19 +140,11 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
 
         raws = [game.expected_utilities(i, current) for i in range(n)]
         for i in range(n):
-            utilities[i][t] = 1.0 - raws[i] if mode == "cost" else raws[i]
             plays[i][t] = current[i]
-        welfare[t] = game.welfare_mixed(current)
-
-        for i in range(n):
-            u = utilities[i][t]
-            if getattr(learners[i], "feedback", "utility") == "cost":
-                # cost-native learners get the costs themselves: the raw
-                # oracle value in cost mode, the exact complement otherwise
-                feed = raws[i] if mode == "cost" else 1.0 - u
-            else:
-                feed = u
-            learners[i].observe(feed)
+            # utility learners get 1 - c in cost mode; cost-native learners
+            # get the costs: the raw value in cost mode, 1 - u otherwise
+            native = getattr(learners[i], "feedback", "utility") == "cost"
+            learners[i].observe(raws[i] if native == (mode == "cost") else 1.0 - raws[i])
         profile = current
 
     meta = {
@@ -157,7 +153,7 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
         "T": T,
         "mode": mode,
     }
-    return Trace(plays, utilities, welfare, *_variation_cums(plays, utilities), meta)
+    return _trace_from_plays(game, plays, mode, meta)
 
 
 def _spec_dict(s) -> dict:
@@ -227,12 +223,6 @@ class RegretReport:
 
     def failed(self) -> list:
         return [c for c in self.certificates if c.passed is False]
-
-
-def _bound_from_dict(d: dict | None) -> VariationBound | None:
-    if not d:
-        return None
-    return VariationBound(d["alpha"], d["beta"], d["gamma"], d.get("norm_pair", "l1_linf"))
 
 
 def report(trace: Trace, smoothness: SmoothnessCertificate | None = None,
@@ -367,20 +357,28 @@ def write_trace_rows(meta: dict, value_names, values, vector_name: str, vectors,
     return text
 
 
+_TRACE_VALUES = ("regret_to_date", "welfare", "du2_cum", "dw2_cum")
+
+
+def _trace_values(trace: Trace) -> list:
+    """Per player, the (T, 4) derived ``_TRACE_VALUES`` a trace file stores."""
+    return [np.column_stack((regret_series(trace, i), trace.welfare,
+                             trace.du2_cum[i], trace.dw2_cum[i]))
+            for i in range(trace.n)]
+
+
 def write_trace_csv(trace: Trace, path=None) -> str:
     """Serialize a trace through ``write_trace_rows``: per player and round the
     regret to date, welfare, du2_cum and dw2_cum, then the strategy."""
-    values = [np.column_stack((regret_series(trace, i), trace.welfare,
-                               trace.du2_cum[i], trace.dw2_cum[i]))
-              for i in range(trace.n)]
-    return write_trace_rows(trace.meta, ("regret_to_date", "welfare", "du2_cum", "dw2_cum"),
-                            values, "strategy", trace.plays, path)
+    return write_trace_rows(trace.meta, _TRACE_VALUES, _trace_values(trace),
+                            "strategy", trace.plays, path)
 
 
 def read_trace_csv(text_or_path) -> Trace:
-    """Rebuild a trace from its CSV.  Utilities are recomputed exactly from
-    the stored strategies through the game described in the metadata line, so
-    every report quantity is recoverable from the file alone."""
+    """Rebuild a trace from its CSV: everything but the strategies is derived
+    from them through the game in the metadata line, as ``run`` derives it,
+    and a stored value that disagrees with its derivation (beyond rtol 1e-9,
+    atol 1e-12) is an error naming its line."""
     if isinstance(text_or_path, str) and "\n" not in text_or_path:
         with open(text_or_path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -393,16 +391,13 @@ def read_trace_csv(text_or_path) -> Trace:
     from .library import build_game
 
     game = build_game(meta["game"])
-    mode = meta.get("mode", "utility")
-    rows = list(csv.reader(lines[1:]))
-    header, data = rows[0], rows[1:]
+    data = list(csv.reader(lines[2:]))  # lines[1] is the header
     n = game.n
     T = meta["T"]
     if len(data) != n * T:
         raise ValueError(f"expected {n * T} data rows, found {len(data)}")
     plays = [np.empty((T, game.dims[i])) for i in range(n)]
-    stored_regret = np.empty((n, T))
-    welfare = np.empty(T)
+    stored = np.empty((T, n, len(_TRACE_VALUES)))
     width = 6 + max(game.dims)
     for k, row in enumerate(data):
         t, i = divmod(k, n)
@@ -414,17 +409,14 @@ def read_trace_csv(text_or_path) -> Trace:
             if len(row) != width or "" in row[2 : 6 + d] or any(row[6 + d :]):
                 raise ValueError(f"expected 4 values and {d} strategy entries, "
                                  f"padded with empty cells to {width} cells")
-            stored_regret[i, t] = float(row[2])
-            welfare[t] = float(row[3])
+            stored[t, i] = [float(x) for x in row[2:6]]
             plays[i][t] = [float(x) for x in row[6 : 6 + d]]
         except ValueError as exc:
             raise ValueError(f"trace line {k + 3}: {exc}") from None
-    utilities = [np.empty((T, game.dims[i])) for i in range(n)]
-    for t in range(T):
-        profile = [plays[i][t] for i in range(n)]
-        for i in range(n):
-            u = game.expected_utilities(i, profile)
-            utilities[i][t] = 1.0 - u if mode == "cost" else u
-    trace = Trace(plays, utilities, welfare, *_variation_cums(plays, utilities), meta)
-    trace.meta["stored_regret_series"] = stored_regret.tolist()
+    trace = _trace_from_plays(game, plays, meta.get("mode", "utility"), meta)
+    bad = ~np.isclose(stored, np.stack(_trace_values(trace), axis=1), rtol=1e-9, atol=1e-12)
+    if bad.any():
+        t, i, c = np.argwhere(bad)[0]
+        raise ValueError(f"trace line {t * n + i + 3}: stored {_TRACE_VALUES[c]} "
+                         f"{float(stored[t, i, c])!r} does not match the plays")
     return trace

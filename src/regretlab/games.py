@@ -41,23 +41,33 @@ class UtilityRangeError(ValueError):
     """A player's normalized expected utilities escape [0, 1]."""
 
 
-def _check_profile(game: "NormalFormGame", profile, skip: int | None = None) -> list:
+def _check_profile(game: "NormalFormGame", profile, skip: int | None = None):
+    """(float arrays of shape L + (d_j,), L): one leading shape L shared by all
+    players, empty for a single profile.  Entry ``skip`` is shape-checked only."""
     if len(profile) != game.n:
         raise ValueError(f"profile has {len(profile)} strategies, game has {game.n} players")
-    out = []
-    for j, w in enumerate(profile):
-        if skip is not None and j == skip:
-            out.append(None)
-            continue
-        w = np.asarray(w, dtype=float)
-        if w.shape != (game.dims[j],):
-            raise ValueError(
-                f"player {j}: strategy has shape {w.shape}, expected ({game.dims[j]},)"
-            )
-        if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
+    out = [np.asarray(w, dtype=float) for w in profile]
+    lead = out[0].shape[:-1]
+    for j, w in enumerate(out):
+        if w.shape != lead + (game.dims[j],):
+            raise ValueError(f"player {j}: strategy has shape {w.shape}, "
+                             f"expected {lead + (game.dims[j],)}")
+        if j != skip and (np.any(w < -1e-12) or np.any(abs(w.sum(axis=-1) - 1.0) > 1e-9)):
             raise ValueError(f"player {j}: strategy is not on the simplex")
-        out.append(w)
-    return out
+    return out, lead
+
+
+def _contract(t: np.ndarray, strategies) -> np.ndarray:
+    """Contract the trailing axes of ``t`` with ``strategies`` (shapes
+    L + (d,), one per axis), from the last axis down.  With a strategy for
+    every axis the result has shape L, otherwise L + t.shape[:1]."""
+    k = t.ndim
+    for w in reversed(strategies):
+        if k == 1:
+            return (t[..., None, :] @ w[..., :, None])[..., 0, 0]
+        t = (t @ w.reshape(w.shape[:-1] + (1,) * (k - 2) + (w.shape[-1], 1)))[..., 0]
+        k -= 1
+    return t
 
 
 class NormalFormGame:
@@ -75,12 +85,12 @@ class NormalFormGame:
         self.scale = float(scale)
         self.shift = float(shift)
 
-    # -- raw-unit oracles (implemented by subclasses) -----------------------
+    # -- raw-unit oracles (implemented by subclasses), along a leading shape L
     def raw_expected_utilities(self, i: int, profile) -> np.ndarray:
         raise NotImplementedError
 
-    def welfare_mixed(self, profile) -> float:
-        """Expected welfare (raw units) under the product distribution."""
+    def welfare_mixed(self, profile):
+        """Expected raw welfare under the product distribution (float if L = ())."""
         raise NotImplementedError
 
     def pure_utilities(self, s) -> np.ndarray:
@@ -120,10 +130,11 @@ class NormalFormGame:
 
     def expected_utilities(self, i: int, profile) -> np.ndarray:
         """Exact expected utility of each of player i's strategies against the
-        opponents' mixed profile (entry i ignored), normalized units."""
+        opponents' mixed profile (entry i gives only the leading shape),
+        normalized units, shape L + (d_i,)."""
         if not 0 <= i < self.n:
             raise ValueError(f"player index {i} out of range for n={self.n}")
-        profile = _check_profile(self, profile, skip=i)
+        profile, _ = _check_profile(self, profile, skip=i)
         u = self.normalize(self.raw_expected_utilities(i, profile))
         if u.min() < -1e-12 or u.max() > 1.0 + 1e-12:
             raise UtilityRangeError(
@@ -152,25 +163,19 @@ class DenseGame(NormalFormGame):
                 f"[{shift}, {shift + scale}]"
             )
         self.tensors = tensors
+        # views, not copies: a copy changes the BLAS call and so the last bits
+        self._own_axis_first = [np.moveaxis(t, i, 0) for i, t in enumerate(tensors)]
         self._welfare = sum(tensors)
         self.meta = dict(meta or {})
 
     def raw_expected_utilities(self, i: int, profile) -> np.ndarray:
-        # contract opponent axes from the last one down so earlier axis
-        # indices stay valid
-        t = self.tensors[i]
-        for j in range(self.n - 1, -1, -1):
-            if j == i:
-                continue
-            t = np.tensordot(t, profile[j], axes=([j], [0]))
-        return t
+        u = _contract(self._own_axis_first[i], [w for j, w in enumerate(profile) if j != i])
+        return np.broadcast_to(u, np.shape(profile[i])) if self.n == 1 else u
 
-    def welfare_mixed(self, profile) -> float:
-        profile = _check_profile(self, profile)
-        t = self._welfare
-        for j in range(self.n - 1, -1, -1):
-            t = np.tensordot(t, profile[j], axes=([j], [0]))
-        return float(t)
+    def welfare_mixed(self, profile):
+        profile, lead = _check_profile(self, profile)
+        w = _contract(self._welfare, profile)
+        return w if lead else float(w)
 
     def pure_utilities(self, s) -> np.ndarray:
         s = tuple(int(x) for x in s)

@@ -123,6 +123,23 @@ def auction_resolve(values, m, choices):
     return utilities, welfare
 
 
+def auction_expected_welfare(values, m, bid_levels, profile):
+    """Expected allocated value under the product distribution, by brute
+    force over every pure profile (item-major strategy indices)."""
+    nb = len(bid_levels)
+    strategies = [(j, bid_levels[b]) for j in range(m) for b in range(nb)]
+    total = 0.0
+    for s in itertools.product(range(m * nb), repeat=len(profile)):
+        p = 1.0
+        for k, x in enumerate(s):
+            p *= profile[k][x]
+        if p == 0.0:
+            continue
+        _, welfare = auction_resolve(values, m, [strategies[x] for x in s])
+        total += p * welfare
+    return total
+
+
 def auction_expected_utilities(values, m, bid_levels, i, profile):
     """Expected raw utility of every (item, bid) strategy of player ``i`` by
     brute force over opponent pure strategies.

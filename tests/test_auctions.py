@@ -121,6 +121,41 @@ class TestFastOracle:
         assert g.welfare_mixed(prof) == pytest.approx(total, abs=1e-12)
 
 
+class TestLeadingAxis:
+    @pytest.mark.parametrize("n, m, nb", [(1, 2, 3), (2, 2, 2), (3, 1, 3), (3, 2, 2)])
+    def test_every_row_matches_the_loop_oracle(self, n, m, nb):
+        vals = np.array([[2.0 + ((i + 2 * j) % 3) for j in range(m)] for i in range(n)])
+        levels = [float(b + 1) for b in range(nb)]
+        g = make_auction(AuctionSpec(n, m, vals, levels))
+        rows = [random_profile([m * nb] * n, 200 + 10 * n + t) for t in range(5)]
+        prof = [np.array([r[k] for r in rows]) for k in range(n)]
+        welfare = g.welfare_mixed(prof)
+        assert welfare.shape == (5,)
+        for i in range(n):
+            u = g.raw_expected_utilities(i, prof)
+            assert u.shape == (5, m * nb)
+            for t, r in enumerate(rows):
+                np.testing.assert_allclose(
+                    u[t], orc.auction_expected_utilities(vals.tolist(), m, levels, i, r),
+                    atol=1e-12)
+        for t, r in enumerate(rows):
+            assert welfare[t] == pytest.approx(
+                orc.auction_expected_welfare(vals.tolist(), m, levels, r), abs=1e-12)
+
+    def test_equals_stacked_single_calls_bitwise(self):
+        g = make_auction(AuctionSpec(3, 2, np.array([[4.0, 2.0], [3.0, 5.0], [2.0, 2.0]]),
+                                     [1.0, 2.0, 3.0]))
+        rows = [random_profile([6, 6, 6], 300 + t) for t in range(6)]
+        prof = [np.array([r[k] for r in rows]).reshape(2, 3, 6) for k in range(3)]
+        for i in range(3):
+            np.testing.assert_array_equal(
+                g.expected_utilities(i, prof).reshape(6, 6),
+                [g.expected_utilities(i, r) for r in rows])
+        np.testing.assert_array_equal(g.welfare_mixed(prof).ravel(),
+                                      [g.welfare_mixed(r) for r in rows])
+        assert type(g.welfare_mixed(rows[0])) is float
+
+
 class TestOptimum:
     def test_fig_parameters_opt_80(self):
         g = make_auction(AuctionSpec(4, 4, uniform_values(4, 4, 20.0), list(np.arange(1.0, 21.0))))

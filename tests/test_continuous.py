@@ -124,6 +124,16 @@ class TestGradient:
         with pytest.raises(ValueError, match="shape"):
             gradient(net, [np.array([1.0]), np.array([0.5, 0.5])], 0)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_profile_of_the_wrong_length_is_rejected(self, count):
+        net = parse_network(TWO_EDGE_TWO_PLAYER)
+        prof = [np.array([0.5, 0.5])] * count
+        for fn in (net.edge_loads, lambda p: gradient(net, p, 0),
+                   lambda p: player_cost(net, p, 0)):
+            with pytest.raises(ValueError, match=f"profile has {count} flow vectors, "
+                                                 "network has 2 players"):
+                fn(prof)
+
     def test_matches_finite_differences_on_quadratic_networks(self):
         net = parse_network(QUAD_NETWORK)
         for seed in (300, 301, 302):

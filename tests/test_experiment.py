@@ -459,7 +459,8 @@ class TestRunExperiment:
 
 
     @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
-    def test_shipped_config_reports_and_plots_rerun_byte_identical(self, tmp_path, name):
+    def test_shipped_config_reports_and_plots_rerun_byte_identical(self, tmp_path, capsys,
+                                                                     name):
         cfg = os.path.join(CONFIG_DIR, name)
         runs = []
         for arm in ("one", "two"):
@@ -470,6 +471,14 @@ class TestRunExperiment:
         assert any(f.endswith(".svg") for f in runs[0]), name
         assert any(f.startswith("report") for f in runs[0]), name
         assert runs[0] == runs[1], name
+        # re-reporting each trace reproduces its report file; routing writes
+        # flows.csv, which `report` cannot rebuild yet
+        traces = [f for f in os.listdir(tmp_path / "one") if f.startswith("trace")]
+        assert bool(traces) == (name != "routing.cfg"), name
+        for f in traces:
+            capsys.readouterr()
+            assert main(["report", str(tmp_path / "one" / f)]) == 0
+            assert capsys.readouterr().out.encode() == runs[0][f.replace("trace", "report")]
 
 
 class TestNetworkExperiment:
@@ -732,6 +741,22 @@ class TestCliReport:
         assert code == 1
         assert err.startswith("error: player 0: normalized utilities escape [0, 1]")
 
+
+    @pytest.mark.parametrize("line, column, cell, shown", [
+        (4, 3, "1000.0", "welfare 1000.0"),  # round 1, player 1
+        (3, 3, "1000.0", "welfare 1000.0"),  # round 1's first row
+        (3, 2, "nan", "regret_to_date nan"),
+        (6, 4, "1e309", "du2_cum inf"),
+    ])
+    def test_stored_value_that_disagrees_with_the_plays_exits_1(
+            self, tmp_path, capsys, line, column, cell, shown):
+        def edit(lines):
+            cells = lines[line - 1].split(",")
+            cells[column] = cell
+            lines[line - 1] = ",".join(cells)
+        code, err = self.report_edited_trace(tmp_path, capsys, edit)
+        assert code == 1
+        assert err == f"error: trace line {line}: stored {shown} does not match the plays\n"
 
 class TestCliLowerbound:
     def test_prints_realized_and_closed_forms(self, capsys):

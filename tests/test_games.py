@@ -116,6 +116,78 @@ class TestWelfare:
         assert g.welfare_mixed(UNIFORM3) == pytest.approx(1.7184016151964763, abs=1e-12)
 
 
+def stacked_profile(dims, lead, seed):
+    """Strategies of shape lead + (d_j,): seeded rows on each simplex."""
+    rng = np.random.default_rng(seed)
+    return [rng.dirichlet(np.ones(d), size=lead) for d in dims]
+
+
+def row(profile, idx):
+    return [w[idx] for w in profile]
+
+
+class TestLeadingAxis:
+    CASES = [(1, [4]), (2, [3, 2]), (2, [5, 4]), (3, [3, 2, 4]), (4, [2, 3, 2, 3])]
+
+    @pytest.mark.parametrize("n, dims", CASES)
+    def test_every_row_matches_enumeration(self, n, dims):
+        g = make_random_game(n, dims, seed=31 + n)
+        tensors = g.utility_tensors()
+        prof = stacked_profile(dims, (6,), seed=n)
+        welfare = g.welfare_mixed(prof)
+        assert welfare.shape == (6,)
+        for i in range(n):
+            u = g.raw_expected_utilities(i, prof)
+            assert u.shape == (6, dims[i])
+            for t in range(6):
+                np.testing.assert_allclose(
+                    u[t], orc.enum_expected_utilities(tensors, i, row(prof, t)), atol=1e-12)
+        for t in range(6):
+            assert welfare[t] == pytest.approx(orc.enum_welfare(tensors, row(prof, t)),
+                                               abs=1e-12)
+
+    @pytest.mark.parametrize("n, dims", CASES)
+    def test_equals_stacked_single_calls_bitwise(self, n, dims):
+        g = make_random_game(n, dims, seed=41 + n)
+        prof = stacked_profile(dims, (2, 3), seed=10 + n)
+        singles = [[row(prof, (a, b)) for b in range(3)] for a in range(2)]
+        for i in range(n):
+            np.testing.assert_array_equal(
+                g.expected_utilities(i, prof),
+                [[g.expected_utilities(i, p) for p in r] for r in singles])
+        np.testing.assert_array_equal(
+            g.welfare_mixed(prof), [[g.welfare_mixed(p) for p in r] for r in singles])
+
+    def test_single_profile_welfare_is_a_float(self):
+        g = make_random_game(3, [2, 2, 2], seed=5)
+        assert type(g.welfare_mixed(stacked_profile([2, 2, 2], (), seed=1))) is float
+
+    def test_lone_player_utilities_broadcast_to_the_leading_shape(self):
+        g = make_random_game(1, [3], seed=6)
+        u = g.expected_utilities(0, stacked_profile([3], (4,), seed=2))
+        np.testing.assert_array_equal(u, np.tile(g.normalize(g.tensors[0]), (4, 1)))
+
+    def test_mismatched_leading_shapes_name_the_player(self):
+        g = make_random_game(3, [2, 2, 2], seed=7)
+        prof = stacked_profile([2, 2, 2], (5,), seed=3)
+        prof[2] = prof[2][:4]
+        with pytest.raises(ValueError, match=r"player 2: strategy has shape \(4, 2\), "
+                                             r"expected \(5, 2\)"):
+            g.expected_utilities(0, prof)
+        with pytest.raises(ValueError, match="player 2"):
+            g.welfare_mixed(prof)
+
+    def test_an_off_simplex_row_names_the_player(self):
+        g = make_random_game(2, [3, 2], seed=8)
+        prof = stacked_profile([3, 2], (5,), seed=4)
+        prof[1][3] = [0.7, 0.4]
+        with pytest.raises(ValueError, match="player 1: strategy is not on the simplex"):
+            g.expected_utilities(0, prof)
+        with pytest.raises(ValueError, match="player 1: strategy is not on the simplex"):
+            g.welfare_mixed(prof)
+        g.expected_utilities(1, prof)  # a player's own entry gives only the shape
+
+
 class TestBruteForceOpt:
     def test_constant_half(self):
         g = DenseGame([np.full((2, 2), 0.5), np.full((2, 2), 0.5)])

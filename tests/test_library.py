@@ -2,11 +2,15 @@
 and the Hedge-versus-best-response lower-bound experiment."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import oracles as orc
+import regretlab
 from regretlab import (
     build_game,
     lower_bound_experiment,
@@ -208,3 +212,15 @@ class TestBuildGame:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_game({"kind": "quantum"})
+
+
+class TestImport:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize is loaded by the few functions that use it, so every
+        # CLI call and short script skips its import cost
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(regretlab.__file__)))
+        code = "import sys, regretlab; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "False\n"

@@ -25,8 +25,6 @@ from .costmode import (
     FirstOrderHedge,
     certify_cost_welfare,
     fit_first_order_constants,
-    opt_min_cost,
-    verify_cost_smoothness,
 )
 from .dynamics import (
     RegretReport,
@@ -58,7 +56,6 @@ from .games import (
     dump_dense_csv,
     load_dense_csv,
     poa_welfare_bound,
-    search_smoothness,
     verify_smoothness,
 )
 from .learners import (
@@ -103,14 +100,14 @@ __all__ = [
     "CongestionNetwork", "certify_total_regret", "gradient", "linearized_regret",
     "lipschitz_constant", "parse_network", "run_continuous", "true_regret",
     "FirstOrderConstants", "FirstOrderHedge", "certify_cost_welfare",
-    "fit_first_order_constants", "opt_min_cost", "verify_cost_smoothness",
+    "fit_first_order_constants",
     "RegretReport", "Trace", "coupling_margin", "read_trace_csv", "regret",
     "regret_series", "report", "run", "variation_terms", "write_trace_csv",
     "OUTPUT_ROOT_ENV", "bid_trajectory", "build_game_from_config", "full_report",
     "mean_bid_oscillation", "run_experiment",
     "DenseGame", "EnumerationCapError", "NormalFormGame", "SmoothnessCertificate",
     "brute_force_opt", "dump_dense_csv", "load_dense_csv", "poa_welfare_bound",
-    "search_smoothness", "verify_smoothness", "UtilityRangeError",
+    "verify_smoothness", "UtilityRangeError",
     "BestResponseLearner", "Certificate", "FtrlLearner", "LearnerSpec",
     "OmdLearner", "OnlineLearner", "VariationBound", "certify_prox_inequality",
     "certify_stability", "certify_variation_bound", "declared_variation_bound",

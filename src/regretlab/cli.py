@@ -134,7 +134,8 @@ def _cmd_lowerbound(args) -> int:
 
 
 def _cmd_verify_smooth(args) -> int:
-    from .experiment import build_game_from_config, check_smoothness_claim
+    from .experiment import build_game_from_config
+    from .games import verify_smoothness
 
     spec = _parse_config_file(args.config)
     if spec.smoothness is None:
@@ -142,8 +143,9 @@ def _cmd_verify_smooth(args) -> int:
               file=sys.stderr)
         return 1
     try:
-        cert = check_smoothness_claim(build_game_from_config(spec.game),
-                                      spec.smoothness, spec.mode)
+        claim = spec.smoothness
+        cert = verify_smoothness(build_game_from_config(spec.game), claim["lambda"],
+                                 claim["mu"], claim["s_star"], mode=spec.mode)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,6 +13,7 @@ keys are errors.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -148,6 +149,9 @@ class _SectionReader:
             x = float(value)
         except ValueError:
             self.error(ln, f"{self.name}.{key} must be a number, got {value!r}")
+            return None
+        if not math.isfinite(x):
+            self.error(ln, f"{self.name}.{key} must be a finite number, got {value}")
             return None
         if minimum is not None and (x <= minimum if strict else x < minimum):
             self.error(ln, f"{self.name}.{key} must be "

@@ -14,52 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import DEFAULT_ENUM_CAP, DenseGame, SmoothnessCertificate
+from .games import SmoothnessCertificate
 from .learners import Certificate, OnlineLearner
 from .regularizers import softmax
 
 __all__ = [
-    "opt_min_cost",
-    "verify_cost_smoothness",
     "CostHedge",
     "FirstOrderHedge",
     "FirstOrderConstants",
     "fit_first_order_constants",
     "certify_cost_welfare",
 ]
-
-
-def opt_min_cost(game: DenseGame, cap: int = DEFAULT_ENUM_CAP):
-    """Exact min total cost over pure profiles (lexicographically first argmin)."""
-    w = game.welfare_tensor(cap)
-    flat = int(np.argmin(w))
-    return float(w.flat[flat]), tuple(int(x) for x in np.unravel_index(flat, w.shape))
-
-
-def verify_cost_smoothness(
-    game: DenseGame, lam: float, mu: float, s_star,
-    cap: int = DEFAULT_ENUM_CAP, tol: float = 1e-9,
-) -> SmoothnessCertificate:
-    """Cost-game smoothness: for every pure s,
-    sum_i c_i(s*_i, s_-i) <= lam * Opt' + mu * C(s)."""
-    if lam <= 0 or mu < 0:
-        raise ValueError(f"need lambda > 0 and mu >= 0, got ({lam}, {mu})")
-    s_star = tuple(int(x) for x in s_star)
-    tensors = game.utility_tensors(cap)
-    total = game.welfare_tensor(cap)
-    opt, _ = opt_min_cost(game, cap)
-    dev = np.zeros_like(total)
-    for i in range(game.n):
-        dev = dev + np.expand_dims(np.take(tensors[i], s_star[i], axis=i), axis=i)
-    slack = lam * opt + mu * total - dev
-    flat = int(np.argmin(slack))
-    worst = tuple(int(x) for x in np.unravel_index(flat, slack.shape))
-    value = float(slack.flat[flat])
-    return SmoothnessCertificate(
-        lam=float(lam), mu=float(mu), s_star=s_star, verified=bool(value >= -tol),
-        worst_profile=worst, slack=value, opt=opt,
-        poa_factor=lam * (1.0 + mu) / (mu * (1.0 - mu)) if 0 < mu < 1 else math.inf,
-    )
 
 
 class CostHedge(OnlineLearner):

@@ -378,7 +378,9 @@ def read_trace_csv(text_or_path) -> Trace:
     """Rebuild a trace from its CSV: everything but the strategies is derived
     from them through the game in the metadata line, as ``run`` derives it,
     and a stored value that disagrees with its derivation (beyond rtol 1e-9,
-    atol 1e-12) is an error naming its line."""
+    atol 1e-12) is an error naming its line.  The metadata must be a JSON
+    object with a ``game`` object, an int ``T`` >= 1, one ``learners`` object
+    per player and, if given, a ``mode`` of utility or cost."""
     if isinstance(text_or_path, str) and "\n" not in text_or_path:
         with open(text_or_path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -387,13 +389,27 @@ def read_trace_csv(text_or_path) -> Trace:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# meta="):
         raise ValueError("trace file is missing its metadata line")
-    meta = json.loads(lines[0][len("# meta="):])
+    try:
+        meta = json.loads(lines[0][len("# meta="):])
+    except ValueError as exc:
+        raise ValueError(f"trace line 1: metadata is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict) or not isinstance(meta.get("game"), dict):
+        raise ValueError("trace line 1: metadata must be a JSON object with a 'game' object")
     from .library import build_game
 
     game = build_game(meta["game"])
-    data = list(csv.reader(lines[2:]))  # lines[1] is the header
     n = game.n
-    T = meta["T"]
+    T = meta.get("T")
+    if type(T) is not int or T < 1:
+        raise ValueError(f"trace line 1: metadata T must be an integer >= 1, got {T!r}")
+    if meta.get("mode", "utility") not in ("utility", "cost"):
+        raise ValueError(f"trace line 1: metadata mode must be 'utility' or 'cost', "
+                         f"got {meta['mode']!r}")
+    learners = meta.get("learners")
+    if not isinstance(learners, list) or len(learners) != n \
+            or not all(isinstance(x, dict) for x in learners):
+        raise ValueError(f"trace line 1: metadata learners must be a list of {n} objects")
+    data = list(csv.reader(lines[2:]))  # lines[1] is the header
     if len(data) != n * T:
         raise ValueError(f"expected {n * T} data rows, found {len(data)}")
     plays = [np.empty((T, game.dims[i])) for i in range(n)]

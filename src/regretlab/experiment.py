@@ -26,11 +26,7 @@ import numpy as np
 
 from .auctions import AuctionGame, AuctionSpec, masked_values, uniform_values
 from .config import ExperimentSpec
-from .costmode import (
-    certify_cost_welfare,
-    fit_first_order_constants,
-    verify_cost_smoothness,
-)
+from .costmode import certify_cost_welfare, fit_first_order_constants
 from .dynamics import (
     RegretReport,
     Trace,
@@ -41,7 +37,7 @@ from .dynamics import (
     write_trace_csv,
     write_trace_rows,
 )
-from .games import load_dense_csv, search_smoothness, verify_smoothness
+from .games import load_dense_csv, verify_smoothness
 from .learners import Certificate, declares_variation_bound
 from .library import build_game, make_matrix_game, make_random_game
 from .robust import certify_robust, parametric_constants, wrap_doubling
@@ -50,7 +46,6 @@ from .svgplot import line_plot, write_svg
 __all__ = [
     "OUTPUT_ROOT_ENV",
     "build_game_from_config",
-    "check_smoothness_claim",
     "run_experiment",
     "full_report",
     "write_report_csv",
@@ -102,20 +97,6 @@ def _arm_players(game, specs, robust):
 # reporting (trace-only, so the CLI can redo it from the CSV)
 
 
-def check_smoothness_claim(game, claim: dict, mode: str):
-    """Check a (lambda, mu) smoothness claim on ``game``: at the claimed
-    s_star when one is given (cost mode needs one), else by searching for
-    the best s_star."""
-    lam, mu, s_star = claim["lambda"], claim["mu"], claim.get("s_star")
-    if mode == "cost":
-        if s_star is None:
-            raise ValueError("cost-mode smoothness claims need game.s_star")
-        return verify_cost_smoothness(game, lam, mu, tuple(s_star))
-    if s_star is not None:
-        return verify_smoothness(game, lam, mu, tuple(s_star))
-    return search_smoothness(game, lam, mu)
-
-
 def full_report(trace: Trace, tol: float = 1e-9) -> RegretReport:
     """dynamics.report plus every certificate the trace's metadata claims:
     the smoothness claim itself, the welfare floor (utility mode) or the
@@ -126,7 +107,8 @@ def full_report(trace: Trace, tol: float = 1e-9) -> RegretReport:
     smooth_cert = None
     claim_cert = None
     if claim:
-        smooth_cert = check_smoothness_claim(build_game(trace.meta["game"]), claim, mode)
+        smooth_cert = verify_smoothness(build_game(trace.meta["game"]), claim["lambda"],
+                                        claim["mu"], claim.get("s_star"), mode=mode)
         claim_cert = Certificate(
             "smoothness_claim", bool(smooth_cert.verified),
             smooth_cert.slack, 0.0,
@@ -308,9 +290,6 @@ def _game_arms(spec: ExperimentSpec):
                             f"{n} players")
         elif any(x >= d for x, d in zip(s_star, game.dims)):
             problems.append("game.s_star has an out-of-range strategy index")
-    if spec.mode == "cost" and spec.smoothness \
-            and spec.smoothness.get("s_star") is None:
-        problems.append("cost-mode smoothness claims need game.s_star")
     if problems:
         raise ValueError("; ".join(problems))
 

@@ -22,7 +22,6 @@ __all__ = [
     "SmoothnessCertificate",
     "brute_force_opt",
     "verify_smoothness",
-    "search_smoothness",
     "poa_welfare_bound",
     "load_dense_csv",
     "dump_dense_csv",
@@ -32,9 +31,9 @@ __all__ = [
 DEFAULT_ENUM_CAP = 10**7
 
 
-class EnumerationCapError(RuntimeError):
+class EnumerationCapError(ValueError):
     """Raised instead of silently approximating when a brute-force scan would
-    exceed the enumeration cap."""
+    exceed the enumeration cap (a ValueError: the input is too large)."""
 
 
 class UtilityRangeError(ValueError):
@@ -207,103 +206,87 @@ class DenseGame(NormalFormGame):
 class SmoothnessCertificate:
     """Result of checking the welfare-smoothness condition for (lam, mu, s_star):
 
-        for every pure s:  sum_i u_i(s*_i, s_-i) + residual(s) >= lam*Opt - mu*W(s)
+        utility:  for every pure s,  sum_i u_i(s*_i, s_-i) + residual(s) >= lam*Opt - mu*W(s)
+        cost:     for every pure s,  sum_i c_i(s*_i, s_-i) <= lam*Opt' + mu*C(s)
 
     where residual(s) = W(s) - sum_i u_i(s) (zero whenever welfare is exactly
-    the utility sum; for auctions it is the seller's revenue).  ``slack`` is
-    the minimum over s of lhs - rhs; verified iff slack >= -1e-9.
+    the utility sum; for auctions it is the seller's revenue) and Opt' is the
+    minimum total cost.  ``slack`` is the minimum over s of the side that must
+    be >= 0, attained first at ``worst_profile``; verified iff slack >= -tol.
     """
 
     lam: float
     mu: float
-    s_star: tuple | None
+    s_star: tuple
     verified: bool
-    worst_profile: tuple | None
+    worst_profile: tuple
     slack: float
     opt: float
     poa_factor: float
 
     def to_dict(self) -> dict:
         return {
-            "lambda": self.lam, "mu": self.mu,
-            "s_star": None if self.s_star is None else list(self.s_star),
-            "verified": self.verified,
-            "worst_profile": None if self.worst_profile is None else list(self.worst_profile),
+            "lambda": self.lam, "mu": self.mu, "s_star": list(self.s_star),
+            "verified": self.verified, "worst_profile": list(self.worst_profile),
             "slack": self.slack, "opt": self.opt, "poa_factor": self.poa_factor,
         }
 
 
-def brute_force_opt(game: NormalFormGame, cap: int = DEFAULT_ENUM_CAP):
-    """Exact max welfare over pure profiles (raw units) and its
-    lexicographically first argmax.  Refuses above the cap."""
+def brute_force_opt(game: NormalFormGame, cap: int = DEFAULT_ENUM_CAP, mode: str = "utility"):
+    """Exact optimum over pure profiles (raw units) and its lexicographically
+    first optimizer: max welfare, or in cost mode min total cost.  Refuses
+    above the cap."""
+    if mode not in ("utility", "cost"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'utility' or 'cost'")
     w = game.welfare_tensor(cap)
-    flat = int(np.argmax(w))  # first maximizer in C order = lexicographically first
+    # first optimizer in C order = lexicographically first
+    flat = int(np.argmax(w) if mode == "utility" else np.argmin(w))
     return float(w.flat[flat]), tuple(int(x) for x in np.unravel_index(flat, w.shape))
 
 
-def _slack_tensor(game, tensors, welfare, lam, mu, opt, s_star):
-    dev = np.zeros_like(welfare)
-    for i in range(game.n):
-        ti = np.take(tensors[i], int(s_star[i]), axis=i)
-        dev = dev + np.expand_dims(ti, axis=i)
-    residual = welfare - sum(tensors)
-    return dev + residual - lam * opt + mu * welfare
-
-
 def verify_smoothness(
-    game: NormalFormGame, lam: float, mu: float, s_star,
-    cap: int = DEFAULT_ENUM_CAP, tol: float = 1e-9,
+    game: NormalFormGame, lam: float, mu: float, s_star=None,
+    cap: int = DEFAULT_ENUM_CAP, tol: float = 1e-9, mode: str = "utility",
 ) -> SmoothnessCertificate:
-    """Brute-force check of the smoothness condition at a candidate deviation
-    profile s_star (raw units)."""
+    """Brute-force check of (lam, mu)-smoothness (raw units) at the deviation
+    profile ``s_star`` or, without one, at every pure profile in lexicographic
+    order.  Returns the first candidate that verifies, else the candidate
+    with the largest slack (unverified, never an exception)."""
     if lam <= 0 or mu < 0:
         raise ValueError(f"need lambda > 0 and mu >= 0, got ({lam}, {mu})")
-    s_star = tuple(int(x) for x in s_star)
-    if len(s_star) != game.n or any(not 0 <= s_star[j] < game.dims[j] for j in range(game.n)):
-        raise ValueError(f"s_star {s_star} is not a pure profile of this game")
+    opt, _ = brute_force_opt(game, cap, mode)
+    if s_star is not None:
+        s_star = tuple(int(x) for x in s_star)
+        if len(s_star) != game.n or any(not 0 <= x < d for x, d in zip(s_star, game.dims)):
+            raise ValueError(f"s_star {list(s_star)} is not a pure profile of this game")
     tensors = game.utility_tensors(cap)
     welfare = game.welfare_tensor(cap)
-    opt, _ = brute_force_opt(game, cap)
-    slack = _slack_tensor(game, tensors, welfare, lam, mu, opt, s_star)
-    flat = int(np.argmin(slack))
-    worst = tuple(int(x) for x in np.unravel_index(flat, slack.shape))
-    value = float(slack.flat[flat])
-    return SmoothnessCertificate(
-        lam=float(lam), mu=float(mu), s_star=s_star,
-        verified=bool(value >= -tol), worst_profile=worst, slack=value,
-        opt=opt, poa_factor=(1.0 + mu) / lam,
-    )
-
-
-def search_smoothness(
-    game: NormalFormGame, lam: float, mu: float,
-    cap: int = DEFAULT_ENUM_CAP, tol: float = 1e-9,
-) -> SmoothnessCertificate:
-    """Scan all pure profiles as deviation candidates (lexicographic order);
-    return the first verified certificate, or a not-found certificate carrying
-    the best slack seen."""
-    if lam <= 0 or mu < 0:
-        raise ValueError(f"need lambda > 0 and mu >= 0, got ({lam}, {mu})")
-    tensors = game.utility_tensors(cap)
-    welfare = game.welfare_tensor(cap)
-    opt, _ = brute_force_opt(game, cap)
-    best = (-np.inf, None, None)
-    for s_star in np.ndindex(*game.dims):
-        slack = _slack_tensor(game, tensors, welfare, lam, mu, opt, s_star)
+    residual = welfare - sum(tensors)
+    best = None
+    for cand in [s_star] if s_star is not None else np.ndindex(*game.dims):
+        dev = np.zeros_like(welfare)
+        for i in range(game.n):
+            dev = dev + np.expand_dims(np.take(tensors[i], cand[i], axis=i), axis=i)
+        if mode == "utility":
+            slack = dev + residual - lam * opt + mu * welfare
+        else:
+            slack = lam * opt + mu * welfare - dev
         flat = int(np.argmin(slack))
         value = float(slack.flat[flat])
-        worst = tuple(int(x) for x in np.unravel_index(flat, slack.shape))
+        if best is None or value > best[0]:
+            best = (value, cand, flat)
         if value >= -tol:
-            return SmoothnessCertificate(
-                lam=float(lam), mu=float(mu), s_star=tuple(int(x) for x in s_star),
-                verified=True, worst_profile=worst, slack=value,
-                opt=opt, poa_factor=(1.0 + mu) / lam,
-            )
-        if value > best[0]:
-            best = (value, tuple(int(x) for x in s_star), worst)
+            break
+    value, cand, flat = best
+    if mode == "utility":
+        poa_factor = (1.0 + mu) / lam
+    else:
+        poa_factor = lam * (1.0 + mu) / (mu * (1.0 - mu)) if 0 < mu < 1 else math.inf
     return SmoothnessCertificate(
-        lam=float(lam), mu=float(mu), s_star=None, verified=False,
-        worst_profile=best[2], slack=best[0], opt=opt, poa_factor=(1.0 + mu) / lam,
+        lam=float(lam), mu=float(mu), s_star=cand,
+        verified=bool(value >= -tol),
+        worst_profile=tuple(int(x) for x in np.unravel_index(flat, welfare.shape)),
+        slack=value, opt=opt, poa_factor=poa_factor,
     )
 
 

@@ -87,8 +87,6 @@ class VariationBound:
 
 
 class ZeroPredictor:
-    kind = "none"
-
     def predict(self, d: int) -> np.ndarray:
         return np.zeros(d)
 
@@ -97,8 +95,6 @@ class ZeroPredictor:
 
 
 class LastUtility:
-    kind = "last"
-
     def __init__(self):
         self._last = None
 
@@ -112,8 +108,6 @@ class LastUtility:
 class WindowAverage:
     """Average of the last H utilities, zero-padding rounds before the start
     (the divisor is always H)."""
-
-    kind = "window"
 
     def __init__(self, H: int):
         if H < 1 or int(H) != H:
@@ -136,13 +130,12 @@ class GeometricDiscount:
     M^t = sum_{tau=0}^{t-1} delta^{-tau} u^tau / sum_{tau=0}^{t-1} delta^{-tau}
     with u^0 = 0, computed through the overflow-free recurrences
     N <- delta*N + u and D <- delta*D + 1 (both sides scaled by delta^{t-1}).
+    At delta = 0 the recurrences keep only the last utility.
     """
 
-    kind = "geometric"
-
     def __init__(self, delta: float):
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"discount must lie in (0, 1), got {delta}")
+        if not 0.0 <= delta < 1.0:
+            raise ValueError(f"discount must lie in [0, 1), got {delta}")
         self.delta = float(delta)
         self._num = None  # starts at u^0 = 0
         self._den = 1.0

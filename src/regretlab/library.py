@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auctions import AuctionGame, AuctionSpec
-from .games import DenseGame, NormalFormGame, SmoothnessCertificate, search_smoothness
+from .games import DenseGame, NormalFormGame, SmoothnessCertificate, verify_smoothness
 
 __all__ = [
     "splitmix64_stream",
@@ -71,11 +71,11 @@ def make_random_game(n: int, dims, seed: int) -> DenseGame:
 def make_random_smooth_game(
     n: int, d: int, lam: float, mu: float, seed: int
 ) -> tuple[DenseGame, SmoothnessCertificate]:
-    """Random game plus the first smoothness certificate found by scanning all
-    pure deviation profiles (not-found comes back as an unverified certificate,
-    never an exception)."""
+    """Random game plus ``verify_smoothness(game, lam, mu)``: the first pure
+    deviation profile that verifies, or, when none does, an unverified
+    certificate naming the profile with the largest slack."""
     game = make_random_game(n, [d] * n, seed)
-    return game, search_smoothness(game, lam, mu)
+    return game, verify_smoothness(game, lam, mu)
 
 
 # ---------------------------------------------------------------------------

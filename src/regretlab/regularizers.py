@@ -100,9 +100,6 @@ class NegativeEntropy:
         safe = np.where(w > 0.0, w, 1.0)
         return float(np.sum(np.where(w > 0.0, w * (np.log(safe) - np.log(g)), 0.0)))
 
-    def norm(self, x) -> float:
-        return float(np.abs(x).sum())
-
     def r_ftrl(self, d: int) -> float:
         """Range of R over the d-simplex: 0 - (-ln d) = ln d."""
         _check_dim(d)
@@ -148,9 +145,6 @@ class SquaredEuclidean:
         g = np.asarray(g, dtype=float)
         diff = w - g
         return 0.5 * float(diff @ diff)
-
-    def norm(self, x) -> float:
-        return float(np.sqrt(np.sum(np.square(x))))
 
     def r_ftrl(self, d: int) -> float:
         """Range of ||w||^2/2 on the simplex: (1 - 1/d) / 2 (vertex minus uniform)."""

@@ -81,6 +81,26 @@ def enum_smoothness_slack(tensors, lam, mu, s_star):
     return worst, worst_s, opt
 
 
+def enum_cost_smoothness_slack(tensors, lam, mu, s_star):
+    """min over pure s of [lam*Opt' + mu*C(s) - sum_i c_i(s*_i, s_-i)], with
+    Opt' the min total cost; returns (slack, argmin s, Opt')."""
+    n = len(tensors)
+    profiles = list(itertools.product(*(range(d) for d in tensors[0].shape)))
+    opt = min(sum(float(tensors[i][s]) for i in range(n)) for s in profiles)
+    worst, worst_s = None, None
+    for s in profiles:
+        dev = 0.0
+        for i in range(n):
+            swapped = list(s)
+            swapped[i] = s_star[i]
+            dev += float(tensors[i][tuple(swapped)])
+        c = sum(float(tensors[i][s]) for i in range(n))
+        slack = lam * opt + mu * c - dev
+        if worst is None or slack < worst:
+            worst, worst_s = slack, s
+    return worst, worst_s, opt
+
+
 def enum_cce_deviation_gain(plays, utilities, i, x):
     """Average gain of deviating to pure strategy ``x`` against the empirical
     distribution of play: (1/T) sum_t (u_{i,x}^t - <w_i^t, u_i^t>)."""

@@ -30,7 +30,6 @@ from regretlab.costmode import (
     FirstOrderHedge,
     certify_cost_welfare,
     fit_first_order_constants,
-    verify_cost_smoothness,
 )
 from regretlab.dynamics import regret, regret_series, report, run
 from regretlab.experiment import (
@@ -392,7 +391,7 @@ def test_10_first_order_regret_is_horizon_free_and_certifies_welfare():
     assert r_zero[10_000] <= constants.A2 * math.log(d) + TOL
 
     game = make_random_game(2, [3, 3], seed=403)
-    smooth = verify_cost_smoothness(game, 1.0, 0.5, (2, 1))
+    smooth = verify_smoothness(game, 1.0, 0.5, (2, 1), mode="cost")
     assert smooth.verified and 0.0 < smooth.mu < 1.0
     tr = run(game, [LearnerSpec("first_order_hedge")] * 2, 500, "cost")
     observations = []

@@ -188,6 +188,30 @@ class TestRequiredSections:
 # [game] validation
 
 
+class TestNonFiniteNumbers:
+    ROBUST = (*MATRIX_GAME, "[learner]", "algorithm = optimistic_hedge", "eta = 0.1",
+              *RUN_10, "[robust]")  # [robust] body starts at line 10
+    AUCTION = ("[game]", "type = auction", "bidders = 2", "items = 1")  # lines 1-4
+    HEDGE = ("[learner]", "algorithm = hedge", "eta = 0.1", *RUN_10)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+    @pytest.mark.parametrize("rows, key, line", [
+        ((*AUCTION, "value = {}", "bids = 1..2", *HEDGE), "game.value", 5),
+        ((*MATRIX_GAME, "lambda = {}", "mu = 0", *HEDGE), "game.lambda", 4),
+        ((*MATRIX_GAME, "lambda = 1", "mu = {}", *HEDGE), "game.mu", 5),
+        ((*MATRIX_GAME, "[learner]", "algorithm = hedge", "eta = {}", *RUN_10),
+         "learner.eta", 6),
+        ((*MATRIX_GAME, "[learner]", "algorithm = oftrl", "eta = 0.1",
+          "predictor = geometric", "predictor_param = {}", *RUN_10),
+         "learner.predictor_param", 8),
+        ((*ROBUST, "eta_star = {}"), "robust.eta_star", 10),
+        ((*ROBUST, "eta_star = 0.5", "alpha = {}"), "robust.alpha", 11),
+    ], ids=["value", "lambda", "mu", "eta", "predictor_param", "eta_star", "alpha"])
+    def test_is_a_config_error_naming_the_line(self, rows, key, line, value):
+        errs = errors_of(lines(*(row.format(value) for row in rows)))
+        assert errs == [f"line {line}: {key} must be a finite number, got {value}"]
+
+
 class TestGameSection:
     def test_missing_type(self):
         errs = errors_of(lines("[game]", "matrix = 1,0; 0,1",
@@ -540,6 +564,12 @@ class TestLearnerSection:
             f"line 8: learner.predictor_param must be a discount in [0, 1), "
             f"got {float(bad)}"
         ]
+
+    def test_geometric_param_zero_parses(self):
+        spec = parse_config(with_learner("algorithm = oftrl", "eta = 0.1",
+                                         "predictor = geometric",
+                                         "predictor_param = 0"))
+        assert spec.learner == LearnerSpec("oftrl", 0.1, "entropy", "geometric", 0.0)
 
     def test_geometric_param_parses(self):
         spec = parse_config(with_learner("algorithm = oftrl", "eta = 0.1",

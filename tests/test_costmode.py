@@ -14,11 +14,9 @@ from regretlab.costmode import (
     FirstOrderHedge,
     certify_cost_welfare,
     fit_first_order_constants,
-    opt_min_cost,
-    verify_cost_smoothness,
 )
 from regretlab.dynamics import regret, run
-from regretlab.games import DenseGame
+from regretlab.games import DenseGame, brute_force_opt, verify_smoothness
 from regretlab.learners import FtrlLearner, LearnerSpec, ZeroPredictor
 from regretlab.library import make_random_game
 from regretlab.regularizers import NegativeEntropy
@@ -133,13 +131,13 @@ class TestCostHedge:
 class TestOptMinCost:
     def test_hand_instance(self):
         g = DenseGame([np.array(C0), np.array(C1)])
-        value, argmin = opt_min_cost(g)
+        value, argmin = brute_force_opt(g, mode="cost")
         assert value == 0.0
         assert argmin == (0, 0)  # lexicographically first of the two zeros
 
     def test_matches_enumeration(self):
         g = make_random_game(2, [3, 3], seed=403)
-        value, argmin = opt_min_cost(g)
+        value, argmin = brute_force_opt(g, mode="cost")
         best = min(
             (float(g.tensors[0][s] + g.tensors[1][s]), s)
             for s in itertools.product(range(3), range(3))
@@ -152,7 +150,7 @@ class TestOptMinCost:
 class TestCostSmoothness:
     def test_constant_half_costs_are_smooth(self):
         g = DenseGame([np.full((2, 2), 0.5), np.full((2, 2), 0.5)])
-        cert = verify_cost_smoothness(g, 1.0, 0.5, (0, 0))
+        cert = verify_smoothness(g, 1.0, 0.5, (0, 0), mode="cost")
         assert cert.verified is True
         assert cert.slack == pytest.approx(0.5, abs=1e-12)
         assert cert.opt == pytest.approx(1.0, abs=1e-12)
@@ -162,7 +160,7 @@ class TestCostSmoothness:
         # deviating to s* = (0,0) from profile (1,1) costs 2 while
         # lam*Opt' + mu*C(1,1) = 0: slack is exactly -2
         g = DenseGame([np.array(C0), np.array(C1)])
-        cert = verify_cost_smoothness(g, 1.0, 0.5, (0, 0))
+        cert = verify_smoothness(g, 1.0, 0.5, (0, 0), mode="cost")
         assert cert.verified is False
         assert cert.slack == pytest.approx(-2.0, abs=1e-12)
         assert cert.worst_profile == (1, 1)
@@ -170,7 +168,7 @@ class TestCostSmoothness:
 
     def test_random_game_certificate_frozen(self):
         g = make_random_game(2, [3, 3], seed=403)
-        cert = verify_cost_smoothness(g, 1.0, 0.5, (2, 1))
+        cert = verify_smoothness(g, 1.0, 0.5, (2, 1), mode="cost")
         assert cert.verified is True
         assert cert.slack == pytest.approx(0.19940467300138476, abs=1e-9)
         assert cert.opt == pytest.approx(0.7088550238439126, abs=1e-9)
@@ -178,7 +176,7 @@ class TestCostSmoothness:
     def test_slack_matches_loop_enumeration(self):
         g = make_random_game(2, [3, 3], seed=404)
         s_star = (1, 2)
-        cert = verify_cost_smoothness(g, 0.8, 0.3, s_star)
+        cert = verify_smoothness(g, 0.8, 0.3, s_star, mode="cost")
         opt = min(
             float(g.tensors[0][s] + g.tensors[1][s])
             for s in itertools.product(range(3), range(3))
@@ -191,12 +189,20 @@ class TestCostSmoothness:
         )
         assert cert.slack == pytest.approx(worst, abs=1e-12)
 
+    def test_claim_without_s_star_searches(self):
+        # the first witness in lexicographic order is the frozen (2, 1) above
+        g = make_random_game(2, [3, 3], seed=403)
+        cert = verify_smoothness(g, 1.0, 0.5, mode="cost")
+        assert cert.verified is True
+        assert cert.s_star == (2, 1)
+        assert cert.slack == pytest.approx(0.19940467300138476, abs=1e-9)
+
     def test_parameter_validation(self):
         g = DenseGame([np.array(C0), np.array(C1)])
         with pytest.raises(ValueError, match="lambda"):
-            verify_cost_smoothness(g, 0.0, 0.5, (0, 0))
+            verify_smoothness(g, 0.0, 0.5, (0, 0), mode="cost")
         with pytest.raises(ValueError, match="mu"):
-            verify_cost_smoothness(g, 1.0, -0.1, (0, 0))
+            verify_smoothness(g, 1.0, -0.1, (0, 0), mode="cost")
 
 
 class TestFirstOrderConstants:
@@ -252,7 +258,7 @@ class TestCostWelfareCertificate:
 
     def test_constant_half_cost_game_passes(self):
         g = DenseGame([np.full((2, 2), 0.5), np.full((2, 2), 0.5)])
-        cert = verify_cost_smoothness(g, 1.0, 0.5, (0, 0))
+        cert = verify_smoothness(g, 1.0, 0.5, (0, 0), mode="cost")
         tr = run(g, [LearnerSpec("hedge", eta=0.2)] * 2, 50, mode="cost")
         out = certify_cost_welfare(tr, cert, FirstOrderConstants(1.0, 1.0))
         assert out.passed is True
@@ -262,7 +268,7 @@ class TestCostWelfareCertificate:
 
     def test_all_zero_cost_game_passes(self):
         g = DenseGame([np.zeros((2, 2)), np.zeros((2, 2))])
-        cert = verify_cost_smoothness(g, 1.0, 0.5, (0, 0))
+        cert = verify_smoothness(g, 1.0, 0.5, (0, 0), mode="cost")
         tr = run(g, [LearnerSpec("first_order_hedge")] * 2, 20, mode="cost")
         out = certify_cost_welfare(tr, cert, FirstOrderConstants(1.0, 1.0))
         assert out.passed is True
@@ -270,7 +276,7 @@ class TestCostWelfareCertificate:
 
     def test_end_to_end_with_measured_constants(self):
         g = make_random_game(2, [3, 3], seed=403)
-        cert = verify_cost_smoothness(g, 1.0, 0.5, (2, 1))
+        cert = verify_smoothness(g, 1.0, 0.5, (2, 1), mode="cost")
         tr = run(g, [LearnerSpec("first_order_hedge")] * 2, 500, mode="cost")
         consts = self.fit_from_trace(tr, 3)
         out = certify_cost_welfare(tr, cert, consts)
@@ -282,7 +288,7 @@ class TestCostWelfareCertificate:
 
     def test_failed_precondition_is_vacuous_never_failed(self):
         g = make_random_game(2, [3, 3], seed=403)
-        cert = verify_cost_smoothness(g, 1.0, 0.5, (2, 1))
+        cert = verify_smoothness(g, 1.0, 0.5, (2, 1), mode="cost")
         tr = run(g, [LearnerSpec("first_order_hedge")] * 2, 500, mode="cost")
         out = certify_cost_welfare(tr, cert, FirstOrderConstants(0.0, 1e-12))
         assert out.passed is None
@@ -290,21 +296,21 @@ class TestCostWelfareCertificate:
 
     def test_interior_mu_is_required(self):
         g = DenseGame([np.full((2, 2), 0.5), np.full((2, 2), 0.5)])
-        cert = verify_cost_smoothness(g, 1.0, 0.0, (0, 0))
+        cert = verify_smoothness(g, 1.0, 0.0, (0, 0), mode="cost")
         tr = run(g, [LearnerSpec("hedge", eta=0.2)] * 2, 5, mode="cost")
         with pytest.raises(ValueError, match=r"\(0,1\)"):
             certify_cost_welfare(tr, cert, FirstOrderConstants(1.0, 1.0))
 
     def test_verified_certificate_is_required(self):
         g = DenseGame([np.array(C0), np.array(C1)])
-        cert = verify_cost_smoothness(g, 1.0, 0.5, (0, 0))  # refuted
+        cert = verify_smoothness(g, 1.0, 0.5, (0, 0), mode="cost")  # refuted
         tr = run(g, [LearnerSpec("hedge", eta=0.2)] * 2, 5, mode="cost")
         with pytest.raises(ValueError, match="verified"):
             certify_cost_welfare(tr, cert, FirstOrderConstants(1.0, 1.0))
 
     def test_utility_mode_traces_are_rejected(self):
         g = DenseGame([np.full((2, 2), 0.5), np.full((2, 2), 0.5)])
-        cert = verify_cost_smoothness(g, 1.0, 0.5, (0, 0))
+        cert = verify_smoothness(g, 1.0, 0.5, (0, 0), mode="cost")
         tr = run(g, [LearnerSpec("hedge", eta=0.2)] * 2, 5, mode="utility")
         with pytest.raises(ValueError, match="cost-mode"):
             certify_cost_welfare(tr, cert, FirstOrderConstants(1.0, 1.0))

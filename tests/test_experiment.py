@@ -73,6 +73,10 @@ eta = 0.25
 T = 30
 """
 
+# no s_star: the search scans every candidate, all of which fail lambda = 5
+REFUTED_SEARCH_CFG = REFUTED_CFG.replace("lambda = 1", "lambda = 5").replace(
+    "s_star = 0,0\n", "")
+
 AUCTION_CFG = """\
 [game]
 type = auction
@@ -597,11 +601,32 @@ class TestCliSimulate:
         assert "certificate variation_bound[1]: pass" in capsys.readouterr().out
         assert main(["report", str(tmp_path / "out" / "trace.csv")]) == 0
 
+    def test_geometric_discount_zero_runs(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[game]\ntype = matrix\nmatrix = 1,0; 0,1\n"
+                        "[learner]\nalgorithm = oftrl\neta = 0.25\n"
+                        "predictor = geometric\npredictor_param = 0\n[run]\nT = 50\n")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "certificate variation_bound[0]: pass" in capsys.readouterr().out
+
     def test_certificate_failure_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, REFUTED_CFG)
         code = main(["simulate", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "certificate smoothness_claim: fail" in capsys.readouterr().out
+
+    def test_refuted_claim_without_s_star_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, REFUTED_SEARCH_CFG)
+        assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "certificate smoothness_claim: fail" in capsys.readouterr().out
+        assert main(["report", str(tmp_path / "out" / "trace.csv")]) == 2
+        assert "certificate,smoothness_claim,-5.0,0.0,fail" in capsys.readouterr().out
+
+    def test_cost_claim_without_s_star_searches(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, COST_CFG.replace("s_star = 0,0\n", ""))
+        assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "certificate smoothness_claim: pass" in out
+        assert "certificate cost_welfare: pass" in out
 
     def test_invalid_config_exits_1_with_line_numbers(self, tmp_path, capsys):
         # config problems abort before any handler logic, argparse-style
@@ -655,6 +680,14 @@ class TestCliSimulate:
         out = capsys.readouterr().out
         assert "mode=routing" in out
         assert "certificate total_linearized_regret: pass" in out
+
+
+def meta_without(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+def meta_with(**entries):
+    return lambda meta: {**meta, **entries}
 
 
 class TestCliReport:
@@ -758,6 +791,35 @@ class TestCliReport:
         assert code == 1
         assert err == f"error: trace line {line}: stored {shown} does not match the plays\n"
 
+    @pytest.mark.parametrize("change, message", [
+        (meta_without("T"), "metadata T must be an integer >= 1, got None"),
+        (meta_without("game"), "metadata must be a JSON object with a 'game' object"),
+        (meta_with(T="60"), "metadata T must be an integer >= 1, got '60'"),
+        (meta_with(T=True), "metadata T must be an integer >= 1, got True"),
+        (meta_without("learners"), "metadata learners must be a list of 2 objects"),
+        (meta_with(learners=[{}]), "metadata learners must be a list of 2 objects"),
+        (meta_with(mode="welfare"),
+         "metadata mode must be 'utility' or 'cost', got 'welfare'"),
+        (lambda m: [m], "metadata must be a JSON object with a 'game' object"),
+    ], ids=["no-T", "no-game", "T-string", "T-bool", "no-learners", "short-learners",
+            "bad-mode", "list"])
+    def test_malformed_meta_exits_1(self, tmp_path, capsys, change, message):
+        def edit(lines):
+            meta = json.loads(lines[0][len("# meta="):])
+            lines[0] = "# meta=" + json.dumps(change(meta)) + "\n"
+        code, err = self.report_edited_trace(tmp_path, capsys, edit)
+        assert code == 1
+        assert err == f"error: trace line 1: {message}\n"
+
+    def test_meta_that_is_not_json_exits_1(self, tmp_path, capsys):
+        def edit(lines):
+            lines[0] = "# meta={not json\n"
+        code, err = self.report_edited_trace(tmp_path, capsys, edit)
+        assert code == 1
+        assert err.startswith("error: trace line 1: metadata is not valid JSON: ")
+        assert err.count("\n") == 1
+
+
 class TestCliLowerbound:
     def test_prints_realized_and_closed_forms(self, capsys):
         code = main(["lowerbound", "--eta", "1.0", "--T", "10"])
@@ -822,6 +884,44 @@ class TestCliVerifySmooth:
         code = main(["verify-smooth", cfg])
         assert code == 0
         assert "verified" in capsys.readouterr().out
+
+    def test_refuted_search_names_the_best_candidate(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, REFUTED_SEARCH_CFG)
+        assert main(["verify-smooth", cfg]) == 2
+        out = capsys.readouterr().out
+        tensors = make_matrix_game(np.eye(2)).tensors
+        slacks = {s: orc.enum_smoothness_slack(tensors, 5.0, 0.0, s)
+                  for s in ((0, 0), (0, 1), (1, 0), (1, 1))}
+        best = max(slacks, key=lambda s: slacks[s][0])  # first of the ties
+        slack, worst, _ = slacks[best]
+        assert "smoothness (5.0, 0.0) REFUTED" in out
+        assert f"s_star={list(best)} slack={slack!r} worst_profile={list(worst)}" in out
+
+    @pytest.mark.parametrize("s_star", ["0,5", "0,1,1"])
+    def test_cost_s_star_outside_the_game_exits_1(self, tmp_path, capsys, s_star):
+        (tmp_path / "p.csv").write_text("2,2,2\n0,0,0.1,0.2\n0,1,0.3,0.4\n"
+                                        "1,0,0.5,0.6\n1,1,0.7,0.8\n")
+        cfg = write_cfg(tmp_path, "[game]\ntype = dense_csv\npath = p.csv\n"
+                        f"lambda = 1\nmu = 0.5\ns_star = {s_star}\n"
+                        "[learner]\nalgorithm = first_order_hedge\n"
+                        "[run]\nT = 5\nmode = cost\n")
+        assert main(["verify-smooth", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: s_star [{s_star.replace(',', ', ')}] is not a pure " \
+                      f"profile of this game\n"
+
+    def test_cost_claim_without_s_star_searches(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, COST_CFG.replace("s_star = 0,0\n", ""))
+        assert main(["verify-smooth", cfg]) == 0
+        assert "smoothness (1.0, 0.5) verified\ns_star=[0, 0]" in capsys.readouterr().out
+
+    def test_claim_beyond_the_enumeration_cap_exits_1(self, tmp_path, capsys):
+        # 4 bidders x 80 strategies: 80^4 pure profiles, above the 10^7 cap
+        cfg = write_cfg(tmp_path, "[game]\ntype = auction\nbidders = 4\nitems = 4\n"
+                        "value = 20\nbids = 1..20\nlambda = 0.5\nmu = 0\n"
+                        "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 5\n")
+        assert main(["verify-smooth", cfg]) == 1
+        assert "exceed the enumeration cap" in capsys.readouterr().err
 
 
 class TestCliPlot:

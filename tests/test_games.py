@@ -5,6 +5,7 @@ Frozen numbers below come from the plain-loop enumeration oracles in
 ``oracles.py``, run before the library was tested against them.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from regretlab import (
     make_matrix_game,
     make_random_game,
     poa_welfare_bound,
-    search_smoothness,
     verify_smoothness,
 )
 
@@ -243,7 +243,7 @@ class TestVerifySmoothness:
         # for the identity matrix game, s* = (0, 0) gives deviation welfare
         # >= 1 = Opt at every s (one of the two deviators always matches)
         g = pennies()
-        cert = search_smoothness(g, 1.0, 1.0)
+        cert = verify_smoothness(g, 1.0, 1.0)
         assert cert.verified
         slack, _, _ = orc.enum_smoothness_slack(g.utility_tensors(), 1.0, 1.0, tuple(cert.s_star))
         assert slack >= -1e-9
@@ -252,6 +252,52 @@ class TestVerifySmoothness:
         g = DenseGame([np.full((2, 2), 0.5), np.full((2, 2), 0.5)])
         cert = verify_smoothness(g, 1.0, 0.0, (0, 0))
         assert cert.poa_factor == pytest.approx(1.0, abs=1e-15)
+
+
+class TestSmoothnessScan:
+    """One scan serves both modes: a search certificate is the check at its
+    own s_star, and a refuted search names the candidate with the largest
+    slack."""
+
+    @pytest.mark.parametrize("mode", ["utility", "cost"])
+    @pytest.mark.parametrize("n, d", [(2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("lam, mu", [(0.3, 0.5), (1.0, 0.5), (5.0, 0.0)])
+    def test_search_equals_the_check_at_its_own_s_star(self, mode, n, d, lam, mu):
+        for seed in (1, 2, 3):
+            g = make_random_game(n, [d] * n, seed=seed)
+            found = verify_smoothness(g, lam, mu, mode=mode)
+            again = verify_smoothness(g, lam, mu, found.s_star, mode=mode)
+            assert found.to_dict() == again.to_dict()  # bitwise, floats included
+
+    @pytest.mark.parametrize("mode, oracle, lam, mu", [
+        ("utility", orc.enum_smoothness_slack, 5.0, 0.1),
+        ("cost", orc.enum_cost_smoothness_slack, 0.2, 0.1),
+    ])
+    @pytest.mark.parametrize("n, d", [(2, 3), (3, 2)])
+    def test_refuted_search_names_the_max_slack_candidate(self, mode, oracle, lam, mu, n, d):
+        for seed in (4, 5):
+            g = make_random_game(n, [d] * n, seed=seed)
+            cert = verify_smoothness(g, lam, mu, mode=mode)
+            assert cert.verified is False
+            slacks = {s: oracle(g.tensors, lam, mu, s)
+                      for s in itertools.product(*(range(k) for k in g.dims))}
+            best = max(v[0] for v in slacks.values())
+            first = next(s for s, v in slacks.items() if v[0] >= best - 1e-12)
+            assert cert.s_star == first
+            assert cert.slack == pytest.approx(best, abs=1e-12)
+            assert cert.worst_profile == slacks[first][1]
+            assert cert.opt == pytest.approx(slacks[first][2], abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["utility", "cost"])
+    @pytest.mark.parametrize("s_star", [(0, 5), (0, 1, 1), (-1, 0)])
+    def test_s_star_must_be_a_pure_profile(self, mode, s_star):
+        with pytest.raises(ValueError, match="is not a pure profile"):
+            verify_smoothness(make_random_game(2, [3, 3], seed=1), 1.0, 0.5, s_star,
+                              mode=mode)
+
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode 'welfare'"):
+            verify_smoothness(pennies(), 1.0, 1.0, mode="welfare")
 
 
 class TestPoaWelfareBound:

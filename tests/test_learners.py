@@ -139,6 +139,15 @@ class TestClosedForms:
         pb, _ = drive(b, stream)
         assert np.array_equal(pa, pb)
 
+    @pytest.mark.parametrize("reg", ["entropy", "euclidean"])
+    def test_geometric_zero_is_last_bitwise(self, reg):
+        a = make_learner(LearnerSpec("oftrl", 0.37, reg, "geometric", 0.0), 3)
+        b = make_learner(LearnerSpec("oftrl", 0.37, reg, "last"), 3)
+        stream = random_stream(3, 300, seed=53)
+        pa, _ = drive(a, stream)
+        pb, _ = drive(b, stream)
+        assert np.array_equal(pa, pb)
+
     def test_window_one_is_last_bitwise(self):
         a = make_learner(LearnerSpec("oftrl", 0.37, "entropy", "window", 1), 3)
         b = make_learner(LearnerSpec("oftrl", 0.37, "entropy", "last"), 3)

@@ -1,6 +1,7 @@
 """Game library: seeded PRNG streams, matrix games, random (smooth) games,
 and the Hedge-versus-best-response lower-bound experiment."""
 
+import importlib
 import math
 import os
 import subprocess
@@ -18,7 +19,6 @@ from regretlab import (
     make_matrix_game,
     make_random_game,
     make_random_smooth_game,
-    search_smoothness,
     splitmix64_floats,
     splitmix64_stream,
     verify_smoothness,
@@ -116,7 +116,7 @@ class TestAuctionSmoothness:
         # strategyless player, so its "deviation" utility is just its revenue
         # at s); the scan finds a witness among the pure bid pairs
         g = make_auction(self.AUCTION)
-        cert = search_smoothness(g, 1.0 - 1.0 / math.e, 0.0)
+        cert = verify_smoothness(g, 1.0 - 1.0 / math.e, 0.0)
         assert cert.verified
         assert cert.slack >= -1e-9
 
@@ -224,3 +224,13 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out == "False\n"
+
+    @pytest.mark.parametrize("module", ["regretlab"] + [
+        f"regretlab.{name[:-3]}"
+        for name in sorted(os.listdir(os.path.dirname(regretlab.__file__)))
+        if name.endswith(".py") and name != "__init__.py"])
+    def test_every_exported_name_resolves_once(self, module):
+        mod = importlib.import_module(module)
+        names = mod.__all__
+        assert len(names) == len(set(names)), module
+        assert [n for n in names if not hasattr(mod, n)] == []

@@ -207,6 +207,9 @@ def _parse_bids(reader: _SectionReader):
         except ValueError:
             reader.error(ln, f"game.bids must be 'lo..hi' or a comma list, got {value!r}")
             return None
+        if not all(map(math.isfinite, levels)):
+            reader.error(ln, f"game.bids must be finite numbers, got {value!r}")
+            return None
     if not levels or any(b <= 0 for b in levels) \
             or any(b2 <= b1 for b1, b2 in zip(levels, levels[1:])):
         reader.error(ln, "game.bids must be positive and strictly increasing")

@@ -116,24 +116,33 @@ class CongestionNetwork:
 
     def check_feasible(self, i: int, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        f = self.players[i][2]
         if w.shape != (len(self.paths[i]),):
             raise ValueError(
                 f"player {i}: flow vector has shape {w.shape}, "
                 f"expected ({len(self.paths[i])},)"
             )
-        if np.any(w < -1e-9) or abs(w.sum() - f) > 1e-9:
-            raise ValueError(f"player {i}: path flows must be >= 0 and sum to {f}")
+        self._check_flow_rows(i, w)
         return w
+
+    def _check_flow_rows(self, i: int, w: np.ndarray) -> None:
+        """Every row of player i's flows, shape L + (|P_i|,), is feasible."""
+        f = self.players[i][2]
+        if np.any(w < -1e-9) or np.any(abs(w.sum(axis=-1) - f) > 1e-9):
+            raise ValueError(f"player {i}: path flows must be >= 0 and sum to {f}")
 
     def edge_loads(self, profile) -> tuple[np.ndarray, np.ndarray]:
         """(per-player (n, m) edge flows, total (m,) edge flow)."""
         if len(profile) != self.n:
             raise ValueError(f"profile has {len(profile)} flow vectors, "
                              f"network has {self.n} players")
+        return self._edge_loads([self.check_feasible(i, w) for i, w in enumerate(profile)])
+
+    def _edge_loads(self, profile) -> tuple[np.ndarray, np.ndarray]:
+        """``edge_loads`` past its feasibility check: ``profile`` holds one
+        float (|P_i|,) array per player, unchecked here."""
         per = np.zeros((self.n, self.m))
         for i, w in enumerate(profile):
-            per[i] = self.check_feasible(i, w) @ self.incidence[i]
+            per[i] = w @ self.incidence[i]
         return per, per.sum(axis=0)
 
 
@@ -234,7 +243,7 @@ def run_continuous(network: CongestionNetwork, eta: float, T: int) -> Continuous
     costs = np.empty((network.n, T))
     for t in range(T):
         profile = [f * lr.play() for (_s, _t, f), lr in zip(network.players, learners)]
-        per, total = network.edge_loads(profile)
+        per, total = network._edge_loads(profile)
         lat, slope = network.latencies(total)
         for i, lr in enumerate(learners):
             g = network.incidence[i] @ (lat + per[i] * slope)
@@ -243,6 +252,8 @@ def run_continuous(network: CongestionNetwork, eta: float, T: int) -> Continuous
             grads[i][t] = g
         costs[:, t] = np.sum(per * lat, axis=1)
         total_cost[t] = np.sum(total * lat)
+    for i, w in enumerate(flows):  # once over all T rounds, not in every round
+        network._check_flow_rows(i, w)
     return ContinuousTrace(network, eta, flows, grads, total_cost, costs)
 
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import NormalFormGame, SmoothnessCertificate, poa_welfare_bound
+from .games import (
+    NormalFormGame,
+    SmoothnessCertificate,
+    UtilityRangeError,
+    _check_profile,
+    _check_shape,
+    poa_welfare_bound,
+)
 from .learners import (
     BestResponseLearner,
     Certificate,
@@ -108,6 +115,10 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     Best-response players respond to the current round's strategies of every
     distribution player (and the previous round's strategies of any other
     responder), so the dynamics stay simultaneous and well defined.
+
+    Each play is shape-checked when its learner returns it; the per-round
+    oracle calls skip the profile check, and every row of every play is
+    checked against the simplex once, when the trace is derived from them.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -119,6 +130,22 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     n = game.n
     responders = [i for i, L in enumerate(learners) if isinstance(L, BestResponseLearner)]
     dist_players = [i for i in range(n) if i not in responders]
+    # utility learners get 1 - c in cost mode; cost-native learners get the
+    # costs: the oracle's value in cost mode, 1 - u otherwise
+    as_is = [(getattr(L, "feedback", "utility") == "cost") == (mode == "cost")
+             for L in learners]
+
+    def play(i):
+        w = np.asarray(learners[i].play(), dtype=float)
+        _check_shape(i, w, (game.dims[i],))
+        return w
+
+    def oracle(i, prof):
+        try:
+            return game._normalized_utilities(i, prof)
+        except UtilityRangeError:
+            _check_profile(game, prof)  # name an off-simplex play, the likelier cause
+            raise
 
     plays = [np.empty((T, game.dims[i])) for i in range(n)]
 
@@ -126,25 +153,20 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     for t in range(T):
         current = list(profile)  # responders: previous round (uniform at t=0)
         for i in dist_players:
-            current[i] = learners[i].play()
+            current[i] = play(i)
         for i in responders:
             ref = list(current)
             for j in responders:
                 if j != i:
                     ref[j] = profile[j]
-            u_now = game.expected_utilities(i, ref)
-            if mode == "cost":
-                u_now = 1.0 - u_now
-            slots[i][0] = u_now
-            current[i] = learners[i].play()
+            u_now = oracle(i, ref)
+            slots[i][0] = 1.0 - u_now if mode == "cost" else u_now
+            current[i] = play(i)
 
-        raws = [game.expected_utilities(i, current) for i in range(n)]
+        raws = [oracle(i, current) for i in range(n)]
         for i in range(n):
             plays[i][t] = current[i]
-            # utility learners get 1 - c in cost mode; cost-native learners
-            # get the costs: the raw value in cost mode, 1 - u otherwise
-            native = getattr(learners[i], "feedback", "utility") == "cost"
-            learners[i].observe(raws[i] if native == (mode == "cost") else 1.0 - raws[i])
+            learners[i].observe(raws[i] if as_is[i] else 1.0 - raws[i])
         profile = current
 
     meta = {
@@ -379,8 +401,10 @@ def read_trace_csv(text_or_path) -> Trace:
     from them through the game in the metadata line, as ``run`` derives it,
     and a stored value that disagrees with its derivation (beyond rtol 1e-9,
     atol 1e-12) is an error naming its line.  The metadata must be a JSON
-    object with a ``game`` object, an int ``T`` >= 1, one ``learners`` object
-    per player and, if given, a ``mode`` of utility or cost."""
+    object with a ``game`` object that rebuilds the game, an int ``T`` >= 1,
+    one ``learners`` object per player and, if given, a ``mode`` of utility or
+    cost and a ``smoothness`` object with numeric ``lambda`` and ``mu`` and
+    an optional list of int ``s_star``."""
     if isinstance(text_or_path, str) and "\n" not in text_or_path:
         with open(text_or_path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -397,7 +421,12 @@ def read_trace_csv(text_or_path) -> Trace:
         raise ValueError("trace line 1: metadata must be a JSON object with a 'game' object")
     from .library import build_game
 
-    game = build_game(meta["game"])
+    try:
+        game = build_game(meta["game"])
+    except KeyError as exc:
+        raise ValueError(f"trace line 1: metadata game is missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"trace line 1: metadata game: {exc}") from None
     n = game.n
     T = meta.get("T")
     if type(T) is not int or T < 1:
@@ -405,6 +434,19 @@ def read_trace_csv(text_or_path) -> Trace:
     if meta.get("mode", "utility") not in ("utility", "cost"):
         raise ValueError(f"trace line 1: metadata mode must be 'utility' or 'cost', "
                          f"got {meta['mode']!r}")
+    claim = meta.get("smoothness") or {}
+    if not isinstance(claim, dict):
+        raise ValueError(f"trace line 1: metadata smoothness must be an object, got {claim!r}")
+    for key in ("lambda", "mu") if claim else ():
+        value = claim.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"trace line 1: metadata smoothness {key} must be a number, "
+                             f"got {value!r}")
+    s_star = claim.get("s_star")
+    if s_star is not None and not (isinstance(s_star, list)
+                                   and all(type(x) is int for x in s_star)):
+        raise ValueError(f"trace line 1: metadata smoothness s_star must be a list of "
+                         f"integers, got {s_star!r}")
     learners = meta.get("learners")
     if not isinstance(learners, list) or len(learners) != n \
             or not all(isinstance(x, dict) for x in learners):

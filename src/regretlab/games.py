@@ -40,6 +40,11 @@ class UtilityRangeError(ValueError):
     """A player's normalized expected utilities escape [0, 1]."""
 
 
+def _check_shape(j: int, w: np.ndarray, expected: tuple) -> None:
+    if w.shape != expected:
+        raise ValueError(f"player {j}: strategy has shape {w.shape}, expected {expected}")
+
+
 def _check_profile(game: "NormalFormGame", profile, skip: int | None = None):
     """(float arrays of shape L + (d_j,), L): one leading shape L shared by all
     players, empty for a single profile.  Entry ``skip`` is shape-checked only."""
@@ -48,9 +53,7 @@ def _check_profile(game: "NormalFormGame", profile, skip: int | None = None):
     out = [np.asarray(w, dtype=float) for w in profile]
     lead = out[0].shape[:-1]
     for j, w in enumerate(out):
-        if w.shape != lead + (game.dims[j],):
-            raise ValueError(f"player {j}: strategy has shape {w.shape}, "
-                             f"expected {lead + (game.dims[j],)}")
+        _check_shape(j, w, lead + (game.dims[j],))
         if j != skip and (np.any(w < -1e-12) or np.any(abs(w.sum(axis=-1) - 1.0) > 1e-9)):
             raise ValueError(f"player {j}: strategy is not on the simplex")
     return out, lead
@@ -134,6 +137,11 @@ class NormalFormGame:
         if not 0 <= i < self.n:
             raise ValueError(f"player index {i} out of range for n={self.n}")
         profile, _ = _check_profile(self, profile, skip=i)
+        return self._normalized_utilities(i, profile)
+
+    def _normalized_utilities(self, i: int, profile) -> np.ndarray:
+        """``expected_utilities`` past its boundary check: ``profile`` must
+        already hold float arrays of the right shapes, unchecked here."""
         u = self.normalize(self.raw_expected_utilities(i, profile))
         if u.min() < -1e-12 or u.max() > 1.0 + 1e-12:
             raise UtilityRangeError(

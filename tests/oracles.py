@@ -241,6 +241,39 @@ def matrix_optimistic_hedge_sim(A, eta, T):
     return plays0, plays1, utils0, utils1
 
 
+def optimistic_hedge_selfplay(expected_utilities, dims, etas, T):
+    """n-player optimistic-Hedge self-play with exact feedback: each round
+    every player i plays softmax(etas[i] * (cumulative utilities + previous
+    round's utility vector)), then observes ``expected_utilities(i, profile)``
+    (a list, normalized units) at the round's full profile.  Entropic
+    optimistic mirror descent with the last-utility predictor plays the same
+    softmax (its chained prox steps telescope), so this loop stands for both.
+    Returns (plays, utils): per player, T plain lists."""
+    n = len(dims)
+    cum = [[0.0] * d for d in dims]
+    last = [[0.0] * d for d in dims]
+    plays = [[] for _ in range(n)]
+    utils = [[] for _ in range(n)]
+    for _ in range(T):
+        profile = [softmax([etas[i] * (cum[i][k] + last[i][k]) for k in range(dims[i])])
+                   for i in range(n)]
+        for i in range(n):
+            u = list(expected_utilities(i, profile))
+            plays[i].append(profile[i])
+            utils[i].append(u)
+            cum[i] = [c + x for c, x in zip(cum[i], u)]
+            last[i] = u
+    return plays, utils
+
+
+def dense_selfplay_sim(tensors, etas, T):
+    """``optimistic_hedge_selfplay`` on a dense game with raw utilities in
+    [0, 1] (shift 0, scale 1), fed by ``enum_expected_utilities``."""
+    dims = list(tensors[0].shape)
+    return optimistic_hedge_selfplay(
+        lambda i, profile: enum_expected_utilities(tensors, i, profile), dims, etas, T)
+
+
 # ---------------------------------------------------------------------------
 # Regret / variation recomputation from raw trace arrays.
 # ---------------------------------------------------------------------------

@@ -280,6 +280,15 @@ class TestGameSection:
             "line 6: game.bids must be 'lo..hi' or a comma list, got '1,zebra'"
         ]
 
+    @pytest.mark.parametrize("bad", ["1,nan", "1,2,inf", "-inf,1"])
+    def test_bids_must_be_finite(self, bad):
+        text = lines(
+            "[game]", "type = auction", "bidders = 2", "items = 1",
+            "value = 5",
+            f"bids = {bad}",             # 6
+            "[learner]", "algorithm = hedge", "eta = 0.1", *RUN_10)
+        assert errors_of(text) == [f"line 6: game.bids must be finite numbers, got {bad!r}"]
+
     @pytest.mark.parametrize("bad", ["0..3", "2,1", "1,1,2", "-1,2"])
     def test_bids_must_be_positive_increasing(self, bad):
         text = lines(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from regretlab import continuous
 from regretlab.continuous import (
     CongestionNetwork,
     certify_total_regret,
@@ -265,16 +266,31 @@ class TestDynamics:
             np.testing.assert_allclose(tr.grads[i], grads[i], rtol=0, atol=1e-12)
 
     def test_edge_loads_once_per_round(self, monkeypatch):
+        # the round loop calls the unchecked core; flows are checked once, after it
         calls = []
-        loads = CongestionNetwork.edge_loads
+        loads = CongestionNetwork._edge_loads
 
         def counting(self, profile):
             calls.append(1)
             return loads(self, profile)
 
-        monkeypatch.setattr(CongestionNetwork, "edge_loads", counting)
+        monkeypatch.setattr(CongestionNetwork, "_edge_loads", counting)
         run_continuous(parse_network(QUAD_NETWORK), 0.05, 25)
         assert len(calls) == 25
+
+    @pytest.mark.parametrize("bad_round", [0, 9])
+    def test_infeasible_flows_are_rejected_after_the_loop(self, monkeypatch, bad_round):
+        # a learner that drifts off the simplex in one round: its flows no
+        # longer sum to the player's amount, and run_continuous must say so
+        class Drifting(continuous.FtrlLearner):
+            def _play(self):
+                w = super()._play()
+                return w * 1.5 if self.t == bad_round else w
+
+        monkeypatch.setattr(continuous, "FtrlLearner", Drifting)
+        with pytest.raises(ValueError,
+                           match=r"^player 0: path flows must be >= 0 and sum to 1\.5$"):
+            run_continuous(parse_network(QUAD_NETWORK), 0.05, 10)
 
     def test_total_cost_series_matches_hand_recomputation(self):
         net = parse_network(QUAD_NETWORK)

@@ -1,11 +1,14 @@
 """Tests for the repeated-play engine: traces, regrets, certificates, CSV."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import oracles as orc
+from regretlab import games
+from regretlab.auctions import AuctionGame, AuctionSpec
 from regretlab.costmode import CostHedge
 from regretlab.dynamics import (
     Trace,
@@ -18,8 +21,13 @@ from regretlab.dynamics import (
     variation_terms,
     write_trace_csv,
 )
-from regretlab.games import DenseGame, SmoothnessCertificate, verify_smoothness
-from regretlab.learners import BestResponseLearner, LearnerSpec
+from regretlab.games import (
+    DenseGame,
+    SmoothnessCertificate,
+    UtilityRangeError,
+    verify_smoothness,
+)
+from regretlab.learners import BestResponseLearner, LearnerSpec, OnlineLearner
 from regretlab.library import make_matrix_game, make_random_game
 
 A_TILTED = [[0.9, 0.2], [0.3, 0.7]]
@@ -80,6 +88,103 @@ class TestRunContract:
         tr2 = run(g, [hedge(0.3), hedge(0.3)], 10)
         np.testing.assert_array_equal(tr.plays[0], tr2.plays[0])
         assert tr.meta["learners"][0]["algorithm"] == "hedge"
+
+
+class FixedPlay(OnlineLearner):
+    """Plays ``w`` every round, whatever it is; observes nothing."""
+
+    def __init__(self, w):
+        super().__init__(np.shape(w)[-1])
+        self.w = w
+
+    def _play(self):
+        return self.w
+
+    def _observe(self, u):
+        pass
+
+
+class TestRunChecksPlays:
+    """The round loop skips the oracle's per-call profile check; every play
+    is shape-checked as it is made and simplex-checked once after the loop."""
+
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize("w", [[0.25, 0.25], [1.5, 0.0], [1.2, -0.2]],
+                             ids=["short", "long", "negative"])
+    def test_off_simplex_play_is_rejected(self, j, w):
+        specs = [hedge(0.3), hedge(0.3)]
+        specs[j] = FixedPlay(np.array(w))
+        with pytest.raises(ValueError, match=f"^player {j}: strategy is not on the simplex$"):
+            run(make_matrix_game(A_TILTED), specs, 5)
+
+    @pytest.mark.parametrize("j", [0, 1])
+    @pytest.mark.parametrize("w", [np.full(3, 1 / 3), np.full((1, 2), 0.5)], ids=["d3", "2d"])
+    def test_play_of_the_wrong_shape_is_rejected(self, j, w):
+        specs = [hedge(0.3), hedge(0.3)]
+        specs[j] = FixedPlay(w)
+        msg = f"player {j}: strategy has shape {w.shape}, expected (2,)"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            run(make_matrix_game(A_TILTED), specs, 5)
+
+    def test_utilities_escaping_the_unit_range_are_rejected(self):
+        class Leaky(DenseGame):
+            def raw_expected_utilities(self, i, profile):
+                return super().raw_expected_utilities(i, profile) + 0.5
+
+        A = np.array(A_TILTED)
+        with pytest.raises(UtilityRangeError, match="player 0: normalized utilities escape"):
+            run(Leaky([A, 1.0 - A]), [hedge(0.3), hedge(0.3)], 5)
+
+    def test_profile_checks_do_not_grow_with_T(self, monkeypatch):
+        calls = []
+        check = games._check_profile
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(games, "_check_profile", counting)
+        g = make_random_game(3, [2, 3, 2], seed=5)
+        specs = [opt_hedge(0.2), LearnerSpec("omd", 0.3, predictor="last"),
+                 LearnerSpec("bestresponse")]
+        counts = []
+        for T in (5, 50):
+            calls.clear()
+            run(g, specs, T)
+            counts.append(len(calls))
+        # n batched expected_utilities calls and one welfare_mixed call
+        assert counts == [g.n + 1, g.n + 1]
+
+
+class TestAgainstSelfplayOracle:
+    """n-player self-play through the engine's unchecked round loop matches
+    the plain-loop oracle round by round."""
+
+    @pytest.mark.parametrize("dims", [[2, 3, 2], [2, 2, 3, 2]], ids=["n3", "n4"])
+    @pytest.mark.parametrize("algorithm", ["oftrl", "omd"])
+    def test_dense_game(self, dims, algorithm):
+        g = make_random_game(len(dims), dims, seed=41)
+        etas = [0.3 + 0.2 * i for i in range(len(dims))]
+        tr = run(g, [LearnerSpec(algorithm, eta, "entropy", "last") for eta in etas], 20)
+        plays, utils = orc.dense_selfplay_sim(g.tensors, etas, 20)
+        for i in range(g.n):
+            np.testing.assert_allclose(tr.plays[i], plays[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tr.utilities[i], utils[i], rtol=0, atol=1e-12)
+
+    def test_auction(self):
+        values, levels = [[3.0, 1.0], [2.0, 2.0], [1.0, 3.0]], [1.0, 2.0]
+        g = AuctionGame(AuctionSpec(3, 2, values, levels))
+        etas = [0.5, 0.8, 1.1]
+        tr = run(g, [opt_hedge(eta) for eta in etas], 15)
+
+        def normalized(i, profile):
+            raw = orc.auction_expected_utilities(values, 2, levels, i, profile)
+            return [(x - g.shift) / g.scale for x in raw]
+
+        plays, utils = orc.optimistic_hedge_selfplay(normalized, g.dims, etas, 15)
+        for i in range(g.n):
+            np.testing.assert_allclose(tr.plays[i], plays[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tr.utilities[i], utils[i], rtol=0, atol=1e-12)
 
 
 class TestAgainstIndependentSimulator:

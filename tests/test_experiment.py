@@ -3,12 +3,15 @@ and the command-line front end (artifacts, recomputability, exit codes)."""
 
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 import oracles as orc
+import regretlab
 from regretlab.cli import main
 from regretlab.config import parse_config
 from regretlab.continuous import parse_network, run_continuous
@@ -801,8 +804,21 @@ class TestCliReport:
         (meta_with(mode="welfare"),
          "metadata mode must be 'utility' or 'cost', got 'welfare'"),
         (lambda m: [m], "metadata must be a JSON object with a 'game' object"),
+        (lambda m: {**m, "game": {k: v for k, v in m["game"].items() if k != "matrix"}},
+         "metadata game is missing key 'matrix'"),
+        (lambda m: {**m, "game": {**m["game"], "matrix": {"a": 1}}},
+         "metadata game: float() argument must be a string or a real number, not 'dict'"),
+        (lambda m: {**m, "smoothness": {"mu": 1.0}},
+         "metadata smoothness lambda must be a number, got None"),
+        (lambda m: {**m, "smoothness": {"lambda": 1.0, "mu": "1"}},
+         "metadata smoothness mu must be a number, got '1'"),
+        (lambda m: {**m, "smoothness": [1.0, 1.0]},
+         "metadata smoothness must be an object, got [1.0, 1.0]"),
+        (lambda m: {**m, "smoothness": {**m["smoothness"], "s_star": 5}},
+         "metadata smoothness s_star must be a list of integers, got 5"),
     ], ids=["no-T", "no-game", "T-string", "T-bool", "no-learners", "short-learners",
-            "bad-mode", "list"])
+            "bad-mode", "list", "game-no-matrix", "matrix-dict", "smoothness-no-lambda",
+            "mu-string", "smoothness-list", "s_star-int"])
     def test_malformed_meta_exits_1(self, tmp_path, capsys, change, message):
         def edit(lines):
             meta = json.loads(lines[0][len("# meta="):])
@@ -966,6 +982,15 @@ class TestCliUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 1
+
+    def test_python_dash_m_runs_the_cli(self):
+        # the package may come from a checkout (PYTHONPATH=src), not an install
+        src = os.path.dirname(os.path.dirname(os.path.abspath(regretlab.__file__)))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run([sys.executable, "-m", "regretlab", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: regretlab")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .games import SmoothnessCertificate
 from .learners import Certificate, OnlineLearner
-from .regularizers import softmax
+from .regularizers import _exp_weights
 
 __all__ = [
     "CostHedge",
@@ -81,7 +81,7 @@ class FirstOrderHedge(OnlineLearner):
         return math.sqrt(max(math.log(self.d), 1e-12) / self.budget)
 
     def _play(self) -> np.ndarray:
-        return softmax(-self.eta * self.epoch_cum)
+        return _exp_weights(-self.eta * self.epoch_cum, "cumulative cost vector")
 
     def _observe(self, c: np.ndarray) -> None:
         if c.min() < -1e-12 or c.max() > 1.0 + 1e-12:

@@ -54,7 +54,8 @@ def _check_profile(game: "NormalFormGame", profile, skip: int | None = None):
     lead = out[0].shape[:-1]
     for j, w in enumerate(out):
         _check_shape(j, w, lead + (game.dims[j],))
-        if j != skip and (np.any(w < -1e-12) or np.any(abs(w.sum(axis=-1) - 1.0) > 1e-9)):
+        # negated comparisons, so a NaN entry fails them too
+        if j != skip and not (np.all(w >= -1e-12) and np.all(abs(w.sum(axis=-1) - 1.0) <= 1e-9)):
             raise ValueError(f"player {j}: strategy is not on the simplex")
     return out, lead
 
@@ -143,7 +144,7 @@ class NormalFormGame:
         """``expected_utilities`` past its boundary check: ``profile`` must
         already hold float arrays of the right shapes, unchecked here."""
         u = self.normalize(self.raw_expected_utilities(i, profile))
-        if u.min() < -1e-12 or u.max() > 1.0 + 1e-12:
+        if not (u.min() >= -1e-12 and u.max() <= 1.0 + 1e-12):  # NaN fails too
             raise UtilityRangeError(
                 f"player {i}: normalized utilities escape [0, 1]: [{u.min()}, {u.max()}]"
             )

@@ -11,12 +11,11 @@ terms of the two variation sums that every regret certificate consumes:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regularizers import NegativeEntropy, get_regularizer, softmax
+from .regularizers import NegativeEntropy, get_regularizer
 
 __all__ = [
     "Certificate",
@@ -87,8 +86,8 @@ class VariationBound:
 
 
 class ZeroPredictor:
-    def predict(self, d: int) -> np.ndarray:
-        return np.zeros(d)
+    def predict(self, d: int):
+        return 0.0
 
     def update(self, u: np.ndarray) -> None:
         pass
@@ -96,10 +95,10 @@ class ZeroPredictor:
 
 class LastUtility:
     def __init__(self):
-        self._last = None
+        self._last = 0.0  # u^0 = 0
 
     def predict(self, d: int):
-        return np.zeros(d) if self._last is None else self._last
+        return self._last
 
     def update(self, u: np.ndarray) -> None:
         self._last = u
@@ -107,21 +106,31 @@ class LastUtility:
 
 class WindowAverage:
     """Average of the last H utilities, zero-padding rounds before the start
-    (the divisor is always H)."""
+    (the divisor is always H).
+
+    Each utility is written to rows k and k + H of a (2H, d) buffer, k
+    cycling through 0..H-1, so the window is always the one contiguous slice
+    ``[k + 1, k + 1 + H)`` in arrival order, its zero padding first.
+    """
 
     def __init__(self, H: int):
         if H < 1 or int(H) != H:
             raise ValueError(f"window length must be a positive integer, got {H}")
         self.H = int(H)
-        self._buf = deque(maxlen=self.H)
+        self._buf = None  # allocated at the first update, when d is known
+        self._k = -1  # buffer row of the latest utility
 
     def predict(self, d: int):
-        if not self._buf:
-            return np.zeros(d)
-        return sum(self._buf) / self.H
+        if self._buf is None:
+            return 0.0
+        k = self._k + 1
+        return np.add.reduce(self._buf[k : k + self.H], axis=0) / self.H
 
     def update(self, u: np.ndarray) -> None:
-        self._buf.append(u)
+        if self._buf is None:
+            self._buf = np.zeros((2 * self.H, len(u)))
+        k = self._k = (self._k + 1) % self.H
+        self._buf[k] = self._buf[k + self.H] = u
 
 
 class GeometricDiscount:
@@ -129,8 +138,9 @@ class GeometricDiscount:
 
     M^t = sum_{tau=0}^{t-1} delta^{-tau} u^tau / sum_{tau=0}^{t-1} delta^{-tau}
     with u^0 = 0, computed through the overflow-free recurrences
-    N <- delta*N + u and D <- delta*D + 1 (both sides scaled by delta^{t-1}).
-    At delta = 0 the recurrences keep only the last utility.
+    N <- delta*N + u and D <- delta*D + 1 (both sides scaled by delta^{t-1}),
+    N updated in place.  At delta = 0 the recurrences keep only the last
+    utility.
     """
 
     def __init__(self, delta: float):
@@ -142,14 +152,15 @@ class GeometricDiscount:
 
     def predict(self, d: int):
         if self._num is None:
-            return np.zeros(d)
+            return 0.0
         return self._num / self._den
 
     def update(self, u: np.ndarray) -> None:
         if self._num is None:
             self._num = np.array(u, dtype=float)
         else:
-            self._num = self.delta * self._num + u
+            self._num *= self.delta
+            self._num += u
         self._den = self.delta * self._den + 1.0
 
 
@@ -213,7 +224,8 @@ class FtrlLearner(OnlineLearner):
 
     Plays argmax_w <w, G + M^t> - R(w)/eta where G is the cumulative utility
     and M^t the predictor.  With a zero predictor this is plain Hedge (for the
-    entropy regularizer) / lazy projected ascent (Euclidean).
+    entropy regularizer) / lazy projected ascent (Euclidean).  ``cumulative``
+    is updated in place.
     """
 
     algorithm = "ftrl"
@@ -231,7 +243,7 @@ class FtrlLearner(OnlineLearner):
         return self.reg.ftrl_argmax(self.cumulative + self.predictor.predict(self.d), self.eta)
 
     def _observe(self, u: np.ndarray) -> None:
-        self.cumulative = self.cumulative + u
+        self.cumulative += u
         self.predictor.update(u)
 
 
@@ -239,9 +251,10 @@ class OmdLearner(OnlineLearner):
     """Optimistic mirror descent with secondary sequence g^t.
 
     Plays w^t = prox(M^t, g^{t-1}); updates g^t = prox(u^t, g^{t-1}).  The
-    entropy instance keeps g in log space (the chained prox steps telescope to
-    exponential weights), which is exactly the prox recursion but immune to
-    underflow on long runs; the Euclidean instance stores g directly.
+    entropy instance's chained prox steps telescope to exponential weights,
+    g^t = softmax(eta G^t) and w^t = softmax(eta (G^{t-1} + M^t)) with G the
+    cumulative utility, so it keeps G alone (in place) and plays FTRL's
+    entropy argmax; the Euclidean instance stores g directly.
     """
 
     algorithm = "omd"
@@ -254,26 +267,24 @@ class OmdLearner(OnlineLearner):
         self.eta = float(eta)
         self.predictor = predictor
         self._entropic = isinstance(regularizer, NegativeEntropy)
-        g0 = regularizer.initial_point(d)
         if self._entropic:
-            self._log_g = np.log(g0)
+            self.cumulative = np.zeros(d)
         else:
-            self._g = g0
+            self._g = regularizer.initial_point(d)
 
     @property
     def g(self) -> np.ndarray:
-        return softmax(self._log_g) if self._entropic else self._g
+        return self.reg.ftrl_argmax(self.cumulative, self.eta) if self._entropic else self._g
 
     def _play(self) -> np.ndarray:
         m = self.predictor.predict(self.d)
         if self._entropic:
-            return softmax(self._log_g + self.eta * m)
+            return self.reg.ftrl_argmax(self.cumulative + m, self.eta)
         return self.reg.prox_step(self._g, m, self.eta)
 
     def _observe(self, u: np.ndarray) -> None:
         if self._entropic:
-            z = self._log_g + self.eta * u
-            self._log_g = z - np.log(np.sum(np.exp(z - z.max()))) - z.max()
+            self.cumulative += u
         else:
             self._g = self.reg.prox_step(self._g, u, self.eta)
         self.predictor.update(u)

@@ -7,6 +7,8 @@ certificate in this package leans on that property.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -19,10 +21,25 @@ __all__ = [
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax (max-subtraction)."""
-    z = np.asarray(z, dtype=float)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """Numerically stable softmax (max-subtraction) of a copy of ``z``."""
+    return _exp_weights(np.array(z, dtype=float), "softmax input")
+
+
+def _exp_weights(z: np.ndarray, what: str = "cumulative utility vector") -> np.ndarray:
+    """Overwrite the fresh float vector ``z`` with exp(z - max z), normalized.
+
+    The finiteness check and the max run in Python over ``z.tolist()``, which
+    beats numpy's reductions on the short vectors of a learner step; the sum
+    stays numpy's pairwise one, so the weights are bitwise those of
+    ``e = exp(z - z.max()); e / e.sum()``.
+    """
+    vals = z.tolist()
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"{what} contains non-finite entries")
+    z -= max(vals)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z)
+    return z
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -72,8 +89,7 @@ class NegativeEntropy:
         """argmax over the simplex of <w, G> - R(w)/eta (softmax of eta*G)."""
         if eta <= 0.0:
             raise ValueError(f"eta must be positive, got {eta}")
-        G = _check_finite(G, "cumulative utility vector")
-        return softmax(eta * G)
+        return _exp_weights(eta * np.asarray(G, dtype=float))
 
     def prox_step(self, g, u, eta: float) -> np.ndarray:
         """Prox point: argmax of eta*<w, u> - D(w, g); closed form g*exp(eta*u)."""

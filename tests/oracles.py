@@ -241,37 +241,122 @@ def matrix_optimistic_hedge_sim(A, eta, T):
     return plays0, plays1, utils0, utils1
 
 
-def optimistic_hedge_selfplay(expected_utilities, dims, etas, T):
+def optimistic_hedge_selfplay(expected_utilities, dims, etas, T, responders=()):
     """n-player optimistic-Hedge self-play with exact feedback: each round
     every player i plays softmax(etas[i] * (cumulative utilities + previous
     round's utility vector)), then observes ``expected_utilities(i, profile)``
     (a list, normalized units) at the round's full profile.  Entropic
     optimistic mirror descent with the last-utility predictor plays the same
     softmax (its chained prox steps telescope), so this loop stands for both.
+    A player listed in ``responders`` instead plays a point mass on its first
+    best response to this round's Hedge plays and the other responders'
+    previous plays (uniform before round one).
     Returns (plays, utils): per player, T plain lists."""
     n = len(dims)
     cum = [[0.0] * d for d in dims]
     last = [[0.0] * d for d in dims]
     plays = [[] for _ in range(n)]
     utils = [[] for _ in range(n)]
+    prev = [[1.0 / d] * d for d in dims]
     for _ in range(T):
-        profile = [softmax([etas[i] * (cum[i][k] + last[i][k]) for k in range(dims[i])])
+        profile = [prev[i] if i in responders else
+                   softmax([etas[i] * (cum[i][k] + last[i][k]) for k in range(dims[i])])
                    for i in range(n)]
+        seen = list(profile)  # responders see each other's previous plays
+        for i in responders:
+            u = list(expected_utilities(i, seen))
+            best = max(range(dims[i]), key=u.__getitem__)
+            profile[i] = [1.0 if k == best else 0.0 for k in range(dims[i])]
         for i in range(n):
             u = list(expected_utilities(i, profile))
             plays[i].append(profile[i])
             utils[i].append(u)
             cum[i] = [c + x for c, x in zip(cum[i], u)]
             last[i] = u
+        prev = profile
     return plays, utils
 
 
-def dense_selfplay_sim(tensors, etas, T):
+def dense_selfplay_sim(tensors, etas, T, responders=()):
     """``optimistic_hedge_selfplay`` on a dense game with raw utilities in
     [0, 1] (shift 0, scale 1), fed by ``enum_expected_utilities``."""
     dims = list(tensors[0].shape)
     return optimistic_hedge_selfplay(
-        lambda i, profile: enum_expected_utilities(tensors, i, profile), dims, etas, T)
+        lambda i, profile: enum_expected_utilities(tensors, i, profile), dims, etas, T,
+        responders)
+
+
+# ---------------------------------------------------------------------------
+# Plain-Python optimistic learners: FTRL and mirror descent, every predictor.
+# ---------------------------------------------------------------------------
+
+
+def project_simplex_loop(v):
+    """Euclidean projection onto the probability simplex: subtract the
+    threshold theta that makes the clipped vector sum to one, found by
+    scanning the entries in descending order."""
+    desc = sorted(v, reverse=True)
+    theta, total = 0.0, 0.0
+    for k, x in enumerate(desc, start=1):
+        total += x
+        cand = (total - 1.0) / k
+        if x - cand > 0.0:
+            theta = cand
+    return [max(x - theta, 0.0) for x in v]
+
+
+def predictor_value(kind, param, history, d):
+    """M^t from the utilities seen so far (u^0 = 0 before the first), by the
+    closed forms: none 0; last u^{t-1}; window the sum of the last H
+    utilities, zero-padded, over H; geometric sum_tau delta^(t-1-tau) u^tau
+    over sum_tau delta^(t-1-tau), tau = 0..t-1."""
+    if kind == "none" or not history:
+        return [0.0] * d
+    if kind == "last":
+        return list(history[-1])
+    if kind == "window":
+        H = int(param)
+        return [sum(u[k] for u in history[-H:]) / H for k in range(d)]
+    seen = [[0.0] * d] + list(history)
+    t = len(seen)
+    weights = [param ** (t - 1 - tau) for tau in range(t)]
+    norm = sum(weights)
+    return [sum(wt * u[k] for wt, u in zip(weights, seen)) / norm for k in range(d)]
+
+
+def optimistic_learner_plays(algorithm, regularizer, eta, kind, param, stream):
+    """Plays of an optimistic learner on a fixed utility stream.
+
+    ftrl: w^t = argmax <w, G^{t-1} + M^t> - R(w)/eta, i.e. softmax (entropy)
+    or simplex projection (euclidean) of eta*(G^{t-1} + M^t).
+    omd:  w^t = prox(M^t, g^{t-1}), g^t = prox(u^t, g^{t-1}), g^0 uniform,
+    with the entropy prox g*exp(eta*x)/Z run as the recursion itself and the
+    euclidean prox the projection of g + eta*x.
+    """
+    d = len(stream[0])
+    cum = [0.0] * d
+    g = [1.0 / d] * d
+    history, plays = [], []
+
+    def prox(x):
+        if regularizer == "entropy":
+            e = [g[k] * math.exp(eta * x[k]) for k in range(d)]
+            z = sum(e)
+            return [v / z for v in e]
+        return project_simplex_loop([g[k] + eta * x[k] for k in range(d)])
+
+    for u in stream:
+        m = predictor_value(kind, param, history, d)
+        if algorithm == "ftrl":
+            z = [eta * (cum[k] + m[k]) for k in range(d)]
+            w = softmax(z) if regularizer == "entropy" else project_simplex_loop(z)
+        else:
+            w = prox(m)
+            g = prox(u)
+        plays.append(w)
+        cum = [cum[k] + u[k] for k in range(d)]
+        history.append(list(u))
+    return plays
 
 
 # ---------------------------------------------------------------------------

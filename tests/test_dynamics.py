@@ -109,8 +109,9 @@ class TestRunChecksPlays:
     is shape-checked as it is made and simplex-checked once after the loop."""
 
     @pytest.mark.parametrize("j", [0, 1])
-    @pytest.mark.parametrize("w", [[0.25, 0.25], [1.5, 0.0], [1.2, -0.2]],
-                             ids=["short", "long", "negative"])
+    @pytest.mark.parametrize("w", [[0.25, 0.25], [1.5, 0.0], [1.2, -0.2], [np.nan, np.nan],
+                                   [np.nan, 1.0], [np.inf, 0.0]],
+                             ids=["short", "long", "negative", "nan", "half-nan", "inf"])
     def test_off_simplex_play_is_rejected(self, j, w):
         specs = [hedge(0.3), hedge(0.3)]
         specs[j] = FixedPlay(np.array(w))
@@ -167,6 +168,19 @@ class TestAgainstSelfplayOracle:
         etas = [0.3 + 0.2 * i for i in range(len(dims))]
         tr = run(g, [LearnerSpec(algorithm, eta, "entropy", "last") for eta in etas], 20)
         plays, utils = orc.dense_selfplay_sim(g.tensors, etas, 20)
+        for i in range(g.n):
+            np.testing.assert_allclose(tr.plays[i], plays[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tr.utilities[i], utils[i], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("responders", [[2], [0, 2]], ids=["one", "two"])
+    def test_dense_game_with_best_responders(self, responders):
+        dims = [2, 3, 2]
+        g = make_random_game(3, dims, seed=43)
+        etas = [0.3, 0.5, 0.7]
+        specs = [LearnerSpec("bestresponse") if i in responders else opt_hedge(etas[i])
+                 for i in range(3)]
+        tr = run(g, specs, 20)
+        plays, utils = orc.dense_selfplay_sim(g.tensors, etas, 20, responders)
         for i in range(g.n):
             np.testing.assert_allclose(tr.plays[i], plays[i], rtol=0, atol=1e-12)
             np.testing.assert_allclose(tr.utilities[i], utils[i], rtol=0, atol=1e-12)

@@ -13,6 +13,8 @@ import pytest
 
 import oracles as orc
 from regretlab import (
+    AuctionGame,
+    AuctionSpec,
     DenseGame,
     EnumerationCapError,
     UtilityRangeError,
@@ -186,6 +188,21 @@ class TestLeadingAxis:
         with pytest.raises(ValueError, match="player 1: strategy is not on the simplex"):
             g.welfare_mixed(prof)
         g.expected_utilities(1, prof)  # a player's own entry gives only the shape
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=["single", "leading"])
+    @pytest.mark.parametrize("game", ["dense", "auction"])
+    def test_a_non_finite_entry_names_the_player(self, game, lead, bad):
+        if game == "dense":
+            g = make_random_game(2, [3, 2], seed=8)
+        else:
+            g = AuctionGame(AuctionSpec(2, 1, [[1.0], [1.0]], [0.5, 1.0, 1.5]))
+        prof = stacked_profile(list(g.dims), lead, seed=4)
+        prof[1][..., 0] = bad
+        with pytest.raises(ValueError, match="^player 1: strategy is not on the simplex$"):
+            g.expected_utilities(0, prof)
+        with pytest.raises(ValueError, match="^player 1: strategy is not on the simplex$"):
+            g.welfare_mixed(prof)
 
 
 class TestBruteForceOpt:

@@ -8,8 +8,10 @@ import pytest
 
 import oracles as orc
 from regretlab import (
+    FtrlLearner,
     LearnerSpec,
     OmdLearner,
+    OnlineLearner,
     VariationBound,
     certify_prox_inequality,
     certify_stability,
@@ -95,6 +97,105 @@ class TestPlayObserveContract:
             make_learner(LearnerSpec("bestresponse"), 2)  # no oracle wired
         with pytest.raises(ValueError):
             make_learner(LearnerSpec("omd", None, "entropy", "last"), 2)
+
+
+PREDICTORS = [("none", None), ("last", None), ("window", 1), ("window", 2), ("window", 5),
+              ("geometric", 0.0), ("geometric", 0.5), ("geometric", 0.9)]
+
+
+def every_learner(d, eta=0.37):
+    """One learner per {ftrl, omd} x {entropy, euclidean} x predictor."""
+    for algorithm in ("ftrl", "omd"):
+        for reg in ("entropy", "euclidean"):
+            for kind, param in PREDICTORS:
+                name = f"{algorithm}/{reg}/{kind}{'' if param is None else param}"
+                yield name, make_learner(LearnerSpec(algorithm, eta, reg, kind, param), d)
+
+
+class TestAgainstLearnerOracle:
+    """Every learner family against the plain-Python recursions in oracles.py
+    (the entropy mirror-descent oracle runs the prox recursion itself)."""
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("kind, param", PREDICTORS)
+    @pytest.mark.parametrize("reg", ["entropy", "euclidean"])
+    @pytest.mark.parametrize("algorithm", ["ftrl", "omd"])
+    def test_plays_match(self, algorithm, reg, kind, param, d):
+        stream = random_stream(d, 300, seed=17 + d)
+        plays, _ = drive(make_learner(LearnerSpec(algorithm, 0.37, reg, kind, param), d),
+                         stream)
+        expected = orc.optimistic_learner_plays(algorithm, reg, 0.37, kind, param,
+                                                [u.tolist() for u in stream])
+        np.testing.assert_allclose(plays, expected, rtol=0, atol=1e-12)
+
+
+class TestInPlaceState:
+    """Learner state is updated in place; none of it is shared with a play
+    already returned or with the caller's utility vectors."""
+
+    def test_returned_plays_are_never_mutated(self):
+        for name, learner in every_learner(3):
+            held = []
+            for u in random_stream(3, 20, seed=23):
+                w = learner.play()
+                held.append((w, w.copy()))
+                learner.observe(u)
+            for t, (w, snapshot) in enumerate(held):
+                assert np.array_equal(w, snapshot), (name, t)
+
+    def test_observe_never_mutates_the_callers_utilities(self):
+        for name, learner in every_learner(3):
+            stream = random_stream(3, 20, seed=29)
+            copies = [u.copy() for u in stream]
+            for u in stream:
+                learner.play()
+                learner.observe(u)
+            for t, (u, c) in enumerate(zip(stream, copies)):
+                assert np.array_equal(u, c), (name, t)
+
+    def test_entropy_omd_plays_ftrls_argmax(self):
+        # g^t is proportional to exp(eta G^t): the two families agree up to rounding
+        for kind, param in PREDICTORS:
+            stream = random_stream(3, 200, seed=31)
+            pf, _ = drive(make_learner(LearnerSpec("ftrl", 0.4, "entropy", kind, param), 3),
+                          stream)
+            po, _ = drive(make_learner(LearnerSpec("omd", 0.4, "entropy", kind, param), 3),
+                          stream)
+            np.testing.assert_allclose(po, pf, rtol=0, atol=1e-14)
+
+
+class TestNonFiniteUtilities:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("reg", ["entropy", "euclidean"])
+    @pytest.mark.parametrize("algorithm", ["ftrl", "omd"])
+    def test_raise_instead_of_playing_nan(self, algorithm, reg, bad):
+        learner = make_learner(LearnerSpec(algorithm, 0.3, reg, "last"), 3)
+        learner.play()
+        learner.observe([0.2, 0.4, 0.6])
+        learner.play()
+        with pytest.raises(ValueError, match="non-finite entries"):
+            learner.observe([0.5, bad, 0.5])
+            learner.play()
+
+
+class TestSpanAttribution:
+    """Profilers attribute play/observe by the learner's class, so subclasses
+    implement _play/_observe only, and each family builds its own class."""
+
+    def test_no_learner_overrides_play_or_observe(self):
+        seen, todo = [], list(OnlineLearner.__subclasses__())
+        while todo:
+            cls = todo.pop()
+            todo += cls.__subclasses__()
+            if cls.__module__.startswith("regretlab."):
+                seen.append(cls)
+                assert "play" not in vars(cls) and "observe" not in vars(cls), cls
+        assert {FtrlLearner, OmdLearner} <= set(seen)
+
+    def test_families_build_their_own_classes(self):
+        for reg in ("entropy", "euclidean"):
+            assert type(make_learner(LearnerSpec("omd", 0.1, reg, "last"), 3)) is OmdLearner
+            assert type(make_learner(LearnerSpec("oftrl", 0.1, reg, "last"), 3)) is FtrlLearner
 
 
 class TestClosedForms:

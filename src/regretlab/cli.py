@@ -58,7 +58,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(1)
 
@@ -83,12 +83,7 @@ def _parse_config_file(path: str):
 def _cmd_simulate(args) -> int:
     from .experiment import run_experiment
 
-    spec = _parse_config_file(args.config)
-    try:
-        manifest = run_experiment(spec, out_dir=args.out)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    manifest = run_experiment(_parse_config_file(args.config), out_dir=args.out)
     summary = manifest["summary"]
     fields = [f"T={summary['T']}", f"mode={summary['mode']}"]
     for key in ("sum_regret", "max_regret", "cce_gap", "avg_welfare",
@@ -107,12 +102,7 @@ def _cmd_report(args) -> int:
     from .dynamics import read_trace_csv
     from .experiment import full_report, write_report_csv
 
-    try:
-        trace = read_trace_csv(args.trace)
-        rep = full_report(trace)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rep = full_report(read_trace_csv(args.trace))
     sys.stdout.write(write_report_csv(rep))
     return 2 if rep.failed() else 0
 
@@ -120,11 +110,7 @@ def _cmd_report(args) -> int:
 def _cmd_lowerbound(args) -> int:
     from .library import lower_bound_experiment
 
-    try:
-        result = lower_bound_experiment(args.eta, args.T)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = lower_bound_experiment(args.eta, args.T)
     print(f"eta={result.eta} T={result.T}")
     print(f"regret_on_identity={result.r_game_A!r}")
     print(f"regret_on_degenerate={result.r_game_Aprime!r}")
@@ -142,15 +128,11 @@ def _cmd_verify_smooth(args) -> int:
         print("error: config claims no smoothness (game.lambda / game.mu missing)",
               file=sys.stderr)
         return 1
-    try:
-        claim = spec.smoothness
-        cert = verify_smoothness(build_game_from_config(spec.game), claim["lambda"],
-                                 claim["mu"], claim["s_star"], mode=spec.mode)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    claim = spec.smoothness
+    cert = verify_smoothness(build_game_from_config(spec.game), claim["lambda"],
+                             claim["mu"], claim["s_star"], mode=spec.mode)
     status = "verified" if cert.verified else "REFUTED"
-    print(f"smoothness ({spec.smoothness['lambda']}, {spec.smoothness['mu']}) {status}")
+    print(f"smoothness ({claim['lambda']}, {claim['mu']}) {status}")
     print(f"s_star={list(cert.s_star)} slack={cert.slack!r} "
           f"worst_profile={list(cert.worst_profile)} opt={cert.opt!r}")
     return 0 if cert.verified else 2
@@ -161,12 +143,8 @@ def _cmd_plot(args) -> int:
     from .experiment import bids_plot, regret_plot
     from .svgplot import write_svg
 
-    try:
-        trace = read_trace_csv(args.trace)
-        svg = regret_plot({"run": trace}) if args.kind == "regret" else bids_plot(trace)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    trace = read_trace_csv(args.trace)
+    svg = regret_plot({"run": trace}) if args.kind == "regret" else bids_plot(trace)
     out = args.out or os.path.join(os.path.dirname(os.path.abspath(args.trace)),
                                    f"{args.kind}.svg")
     write_svg(svg, out)
@@ -183,7 +161,11 @@ def main(argv=None) -> int:
         "verify-smooth": _cmd_verify_smooth,
         "plot": _cmd_plot,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (OSError, ValueError) as exc:  # bad input: a one-line message, no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

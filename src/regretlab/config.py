@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from .learners import LearnerSpec, declares_variation_bound
 
@@ -25,7 +26,6 @@ _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
 _GAME_TYPES = {"auction", "matrix", "random", "dense_csv", "network"}
 _ALGORITHMS = {"hedge", "optimistic_hedge", "oftrl", "omd", "bestresponse",
                "first_order_hedge"}
-_NEEDS_ETA = {"hedge", "optimistic_hedge", "oftrl", "omd"}
 _PREDICTORS = {"none", "last", "window", "geometric"}
 
 
@@ -100,13 +100,14 @@ def _raw_sections(text: str, errors: list) -> dict:
 
 
 class _SectionReader:
-    """Typed key consumption with error collection; leftover keys are
-    reported as unknown by finish()."""
+    """Reads one section's keys, collecting errors.  Every key is consumed
+    through read(); finish() reports the keys nothing read as unknown."""
 
     def __init__(self, name: str, sect: dict, errors: list):
         self.name = name
         self.line = sect["line"]
-        self.items = dict(sect["items"])
+        self.items = sect["items"]
+        self.seen: set[str] = set()
         self.errors = errors
 
     def has(self, key: str) -> bool:
@@ -118,193 +119,160 @@ class _SectionReader:
     def error(self, ln: int, msg: str) -> None:
         self.errors.append(f"line {ln}: {msg}")
 
-    def missing(self, key: str) -> None:
-        self.error(self.line, f"[{self.name}] is missing required key {self.name}.{key}")
-
-    def take(self, key: str):
-        return self.items.pop(key, None)
-
-    def str_(self, key, required=False, choices=None, default=None):
-        pair = self.take(key)
-        if pair is None:
+    def read(self, key: str, parse=None, required=False, default=None):
+        """The key's value through ``parse(text, "section.key")``: a missing
+        key gives ``default`` (an error if required), and the ValueError of a
+        bad value is reported at the key's line, giving None."""
+        self.seen.add(key)
+        if key not in self.items:
             if required:
-                self.missing(key)
+                self.error(self.line, f"[{self.name}] is missing required key {self.name}.{key}")
             return default
-        value, ln = pair
-        if choices is not None and value not in choices:
-            self.error(ln, f"{self.name}.{key} must be one of "
-                           f"{', '.join(sorted(choices))}; got {value!r}")
-            return None
-        return value
-
-    def float_(self, key, required=False, default=None,
-               minimum=None, strict=False, below=None):
-        pair = self.take(key)
-        if pair is None:
-            if required:
-                self.missing(key)
-            return default
-        value, ln = pair
+        value, ln = self.items[key]
+        if parse is None:
+            return value
         try:
-            x = float(value)
-        except ValueError:
-            self.error(ln, f"{self.name}.{key} must be a number, got {value!r}")
+            return parse(value, f"{self.name}.{key}")
+        except ValueError as exc:
+            self.error(ln, str(exc))
             return None
-        if not math.isfinite(x):
-            self.error(ln, f"{self.name}.{key} must be a finite number, got {value}")
-            return None
-        if minimum is not None and (x <= minimum if strict else x < minimum):
-            self.error(ln, f"{self.name}.{key} must be "
-                           f"{'>' if strict else '>='} {minimum}, got {x}")
-            return None
-        if below is not None and x >= below:
-            self.error(ln, f"{self.name}.{key} must be < {below}, got {x}")
-            return None
-        return x
-
-    def int_(self, key, required=False, default=None, minimum=None):
-        pair = self.take(key)
-        if pair is None:
-            if required:
-                self.missing(key)
-            return default
-        value, ln = pair
-        try:
-            x = int(value)
-        except ValueError:
-            self.error(ln, f"{self.name}.{key} must be an integer, got {value!r}")
-            return None
-        if minimum is not None and x < minimum:
-            self.error(ln, f"{self.name}.{key} must be >= {minimum}, got {x}")
-            return None
-        return x
 
     def finish(self) -> None:
         for key, (_value, ln) in self.items.items():
-            self.error(ln, f"unknown key {self.name}.{key}")
+            if key not in self.seen:
+                self.error(ln, f"unknown key {self.name}.{key}")
+
+
+# ---------------------------------------------------------------------------
+# value rules: (text, "section.key") -> value, or ValueError(message)
+
+
+def _choice(text, where, choices):
+    if text not in choices:
+        raise ValueError(f"{where} must be one of {', '.join(sorted(choices))}; "
+                         f"got {text!r}")
+    return text
+
+
+def _number(text, where, minimum=None, strict=False):
+    try:
+        x = float(text)
+    except ValueError:
+        raise ValueError(f"{where} must be a number, got {text!r}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{where} must be a finite number, got {text}")
+    if minimum is not None and (x <= minimum if strict else x < minimum):
+        raise ValueError(f"{where} must be {'>' if strict else '>='} {minimum}, got {x}")
+    return x
+
+
+def _integer(text, where, minimum):
+    try:
+        x = int(text)
+    except ValueError:
+        raise ValueError(f"{where} must be an integer, got {text!r}") from None
+    if x < minimum:
+        raise ValueError(f"{where} must be >= {minimum}, got {x}")
+    return x
+
+
+def _int_list(text, where, minimum, noun="integers", entries="entries"):
+    try:
+        xs = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{where} must be a comma list of {noun}, got {text!r}") from None
+    if any(x < minimum for x in xs):
+        raise ValueError(f"{where} {entries} must be >= {minimum}")
+    return xs
+
+
+def _bids(text, where):
+    m = re.fullmatch(r"\s*(\d+)\s*\.\.\s*(\d+)\s*", text)
+    if m:
+        lo, hi = int(m.group(1)), int(m.group(2))
+        if hi < lo:
+            raise ValueError(f"{where} range {text!r} is empty")
+        levels = [float(b) for b in range(lo, hi + 1)]
+    else:
+        try:
+            levels = [float(part) for part in text.split(",")]
+        except ValueError:
+            raise ValueError(f"{where} must be 'lo..hi' or a comma list, "
+                             f"got {text!r}") from None
+        if not all(map(math.isfinite, levels)):
+            raise ValueError(f"{where} must be finite numbers, got {text!r}")
+    if not levels or any(b <= 0 for b in levels) \
+            or any(b2 <= b1 for b1, b2 in zip(levels, levels[1:])):
+        raise ValueError(f"{where} must be positive and strictly increasing")
+    return levels
+
+
+def _matrix(text, where):
+    rows = []
+    for chunk in text.split(";"):
+        try:
+            rows.append([float(part) for part in chunk.split(",")])
+        except ValueError:
+            raise ValueError(f"{where} has a non-numeric entry in {chunk.strip()!r}") from None
+    if any(len(row) != len(rows[0]) for row in rows) or not rows[0]:
+        raise ValueError(f"{where} rows must be non-empty and equal length")
+    if any(not 0.0 <= x <= 1.0 for row in rows for x in row):
+        raise ValueError(f"{where} entries must lie in [0, 1]")
+    return rows
+
+
+_POSITIVE = partial(_number, minimum=0.0, strict=True)
+_COUNT = partial(_integer, minimum=1)
+_SEED = partial(_integer, minimum=0)
 
 
 # ---------------------------------------------------------------------------
 # section validators
 
 
-def _parse_bids(reader: _SectionReader):
-    pair = reader.take("bids")
-    if pair is None:
-        reader.missing("bids")
-        return None
-    value, ln = pair
-    m = re.fullmatch(r"\s*(\d+)\s*\.\.\s*(\d+)\s*", value)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if hi < lo:
-            reader.error(ln, f"game.bids range {value!r} is empty")
-            return None
-        levels = [float(b) for b in range(lo, hi + 1)]
-    else:
-        try:
-            levels = [float(part) for part in value.split(",")]
-        except ValueError:
-            reader.error(ln, f"game.bids must be 'lo..hi' or a comma list, got {value!r}")
-            return None
-        if not all(map(math.isfinite, levels)):
-            reader.error(ln, f"game.bids must be finite numbers, got {value!r}")
-            return None
-    if not levels or any(b <= 0 for b in levels) \
-            or any(b2 <= b1 for b1, b2 in zip(levels, levels[1:])):
-        reader.error(ln, "game.bids must be positive and strictly increasing")
-        return None
-    return levels
-
-
-def _parse_matrix(reader: _SectionReader):
-    pair = reader.take("matrix")
-    if pair is None:
-        reader.missing("matrix")
-        return None
-    value, ln = pair
-    rows = []
-    for chunk in value.split(";"):
-        try:
-            row = [float(part) for part in chunk.split(",")]
-        except ValueError:
-            reader.error(ln, f"game.matrix has a non-numeric entry in {chunk.strip()!r}")
-            return None
-        rows.append(row)
-    if any(len(row) != len(rows[0]) for row in rows) or not rows[0]:
-        reader.error(ln, "game.matrix rows must be non-empty and equal length")
-        return None
-    if any(not 0.0 <= x <= 1.0 for row in rows for x in row):
-        reader.error(ln, "game.matrix entries must lie in [0, 1]")
-        return None
-    return rows
-
-
-def _parse_int_list(reader: _SectionReader, key: str, minimum: int):
-    pair = reader.take(key)
-    if pair is None:
-        reader.missing(key)
-        return None
-    value, ln = pair
-    try:
-        xs = [int(part) for part in value.split(",")]
-    except ValueError:
-        reader.error(ln, f"{reader.name}.{key} must be a comma list of integers, "
-                         f"got {value!r}")
-        return None
-    if any(x < minimum for x in xs):
-        reader.error(ln, f"{reader.name}.{key} entries must be >= {minimum}")
-        return None
-    return xs
-
-
 def _validate_game(sect, errors):
     if sect is None:
         errors.append("missing required section [game] (needs game.type)")
-        return None, None, None, None
+        return None, None, None
     r = _SectionReader("game", sect, errors)
-    gtype = r.str_("type", required=True, choices=_GAME_TYPES)
+    gtype = r.read("type", partial(_choice, choices=_GAME_TYPES), required=True)
     game: dict = {"type": gtype}
     n = None
     dims = None
     if gtype == "auction":
-        bidders = r.int_("bidders", required=True, minimum=1)
-        items = r.int_("items", required=True, minimum=1)
-        value = r.float_("value", required=True, minimum=0.0, strict=True)
-        bids = _parse_bids(r)
-        mask_seed = r.int_("value_mask_seed", minimum=0)
+        bidders = r.read("bidders", _COUNT, required=True)
+        items = r.read("items", _COUNT, required=True)
+        value = r.read("value", _POSITIVE, required=True)
+        bids = r.read("bids", _bids, required=True)
+        mask_seed = r.read("value_mask_seed", _SEED)
         game.update(bidders=bidders, items=items, value=value, bids=bids,
                     value_mask_seed=mask_seed)
         n = bidders
         if items is not None and bids is not None and bidders is not None:
             dims = [items * len(bids)] * bidders
     elif gtype == "matrix":
-        A = _parse_matrix(r)
+        A = r.read("matrix", _matrix, required=True)
         game["matrix"] = A
         n = 2
         if A is not None:
             dims = [len(A), len(A[0])]
     elif gtype == "random":
-        players = r.int_("players", required=True, minimum=1)
-        dim_list = _parse_int_list(r, "dims", minimum=1)
-        seed = r.int_("seed", required=True, minimum=0)
-        if dim_list is not None and players is not None:
-            if len(dim_list) == 1:
-                dim_list = dim_list * players
-            elif len(dim_list) != players:
-                r.error(r.line_of("players"),
-                        f"game.dims lists {len(dim_list)} sizes for {players} players")
-                dim_list = None
-        game.update(players=players, dims=dim_list, seed=seed)
+        players = r.read("players", _COUNT, required=True)
+        dims = r.read("dims", partial(_int_list, minimum=1), required=True)
+        seed = r.read("seed", _SEED, required=True)
+        if dims is not None and players is not None:
+            if len(dims) == 1:
+                dims = dims * players
+            elif len(dims) != players:
+                r.error(r.line, f"game.dims lists {len(dims)} sizes for {players} players")
+                dims = None
+        game.update(players=players, dims=dims, seed=seed)
         n = players
-        dims = dim_list
-    elif gtype == "dense_csv":
-        game["path"] = r.str_("path", required=True)
-    elif gtype == "network":
-        game["path"] = r.str_("path", required=True)
+    elif gtype in ("dense_csv", "network"):
+        game["path"] = r.read("path", required=True)
     smoothness = _validate_smoothness(r, n, dims)
     r.finish()
-    return game, n, dims, smoothness
+    return game, n, smoothness
 
 
 def _validate_smoothness(r: _SectionReader, n, dims):
@@ -314,28 +282,18 @@ def _validate_smoothness(r: _SectionReader, n, dims):
     if not (has_lam and has_mu):
         r.error(r.line_of("lambda" if has_lam else ("mu" if has_mu else "s_star")),
                 "game.lambda and game.mu must be given together for a smoothness claim")
-    lam = r.float_("lambda", minimum=0.0, strict=True)
-    mu = r.float_("mu", minimum=0.0)
-    s_star = None
-    if has_star:
-        value, ln = r.take("s_star")
-        try:
-            s_star = [int(part) for part in value.split(",")]
-        except ValueError:
-            r.error(ln, f"game.s_star must be a comma list of strategy indices, "
-                        f"got {value!r}")
+    lam = r.read("lambda", _POSITIVE)
+    mu = r.read("mu", partial(_number, minimum=0.0))
+    s_star = r.read("s_star", partial(_int_list, minimum=0, noun="strategy indices",
+                                      entries="indices"))
+    if s_star is not None:
+        if n is not None and len(s_star) != n:
+            r.error(r.line_of("s_star"), f"game.s_star names {len(s_star)} strategies "
+                                         f"for {n} players")
             s_star = None
-        if s_star is not None:
-            if any(x < 0 for x in s_star):
-                r.error(ln, "game.s_star indices must be >= 0")
-                s_star = None
-            elif n is not None and len(s_star) != n:
-                r.error(ln, f"game.s_star names {len(s_star)} strategies "
-                            f"for {n} players")
-                s_star = None
-            elif dims is not None and any(x >= d for x, d in zip(s_star, dims)):
-                r.error(ln, "game.s_star has an out-of-range strategy index")
-                s_star = None
+        elif dims is not None and any(x >= d for x, d in zip(s_star, dims)):
+            r.error(r.line_of("s_star"), "game.s_star has an out-of-range strategy index")
+            s_star = None
     if lam is None or mu is None:
         return None
     return {"lambda": lam, "mu": mu, "s_star": s_star}
@@ -343,59 +301,50 @@ def _validate_smoothness(r: _SectionReader, n, dims):
 
 def _validate_learner(sect, name, errors, eta_optional=False):
     r = _SectionReader(name, sect, errors)
-    algo = r.str_("algorithm", required=True, choices=_ALGORITHMS)
-    present = {k: r.has(k) for k in ("eta", "regularizer", "predictor",
-                                     "predictor_param")}
-    lines = {k: r.line_of(k) for k in present}
-    eta = r.float_("eta", minimum=0.0, strict=True)
-    regularizer = r.str_("regularizer", choices={"entropy", "euclidean"},
+    algo = r.read("algorithm", partial(_choice, choices=_ALGORITHMS), required=True)
+    eta = r.read("eta", _POSITIVE)
+    regularizer = r.read("regularizer", partial(_choice, choices={"entropy", "euclidean"}),
                          default="entropy")
-    predictor = r.str_("predictor", choices=_PREDICTORS, default="none")
-    param = r.float_("predictor_param")
+    predictor = r.read("predictor", partial(_choice, choices=_PREDICTORS), default="none")
+    param = r.read("predictor_param", _number)
     r.finish()
     if algo is None:
         return None
     if algo in ("bestresponse", "first_order_hedge"):
         for key in ("eta", "regularizer", "predictor", "predictor_param"):
-            if present[key]:
-                r.error(lines[key], f"{name}.{key} does not apply to "
-                                    f"algorithm {algo!r}")
+            if r.has(key):
+                r.error(r.line_of(key), f"{name}.{key} does not apply to "
+                                        f"algorithm {algo!r}")
         return LearnerSpec(algo)
-    if algo in _NEEDS_ETA and not present["eta"] and not eta_optional:
-        r.missing("eta")
+    if not r.has("eta") and not eta_optional:
+        r.read("eta", required=True)  # reports it missing
         return None
-    if present["eta"] and eta is None:
+    if r.has("eta") and eta is None:
         return None  # bad value, already reported
     if algo in ("hedge", "optimistic_hedge"):
         for key in ("regularizer", "predictor", "predictor_param"):
-            if present[key]:
-                r.error(lines[key], f"{name}.{key} is fixed by algorithm {algo!r}")
+            if r.has(key):
+                r.error(r.line_of(key), f"{name}.{key} is fixed by algorithm {algo!r}")
         return LearnerSpec(algo, eta)
+    if predictor in ("window", "geometric") and param is None:
+        if not r.has("predictor_param"):
+            size = "window size" if predictor == "window" else "discount"
+            r.error(r.line_of("predictor"), f"{name}.predictor_param ({size}) is "
+                                            f"required for the {predictor} predictor")
+        return None
     if predictor == "window":
-        if param is None:
-            if not present["predictor_param"]:
-                r.error(lines["predictor"],
-                        f"{name}.predictor_param (window size) is required "
-                        f"for the window predictor")
-            return None
         if param != int(param) or param < 1:
-            r.error(lines["predictor_param"],
+            r.error(r.line_of("predictor_param"),
                     f"{name}.predictor_param must be a window size >= 1, got {param}")
             return None
         param = int(param)
     elif predictor == "geometric":
-        if param is None:
-            if not present["predictor_param"]:
-                r.error(lines["predictor"],
-                        f"{name}.predictor_param (discount) is required "
-                        f"for the geometric predictor")
-            return None
         if not 0.0 <= param < 1.0:
-            r.error(lines["predictor_param"],
+            r.error(r.line_of("predictor_param"),
                     f"{name}.predictor_param must be a discount in [0, 1), got {param}")
             return None
-    elif present["predictor_param"]:
-        r.error(lines["predictor_param"],
+    elif r.has("predictor_param"):
+        r.error(r.line_of("predictor_param"),
                 f"{name}.predictor_param only applies to window/geometric predictors")
         return None
     return LearnerSpec(algo, eta, regularizer or "entropy", predictor or "none", param)
@@ -406,9 +355,9 @@ def _validate_run(sect, errors):
         errors.append("missing required section [run] (needs run.T)")
         return None, 0, "utility"
     r = _SectionReader("run", sect, errors)
-    T = r.int_("T", required=True, minimum=1)
-    seed = r.int_("seed", default=0, minimum=0)
-    mode = r.str_("mode", choices={"utility", "cost"}, default="utility")
+    T = r.read("T", _COUNT, required=True)
+    seed = r.read("seed", _SEED, default=0)
+    mode = r.read("mode", partial(_choice, choices={"utility", "cost"}), default="utility")
     r.finish()
     return T, seed, mode or "utility"
 
@@ -417,8 +366,8 @@ def _validate_robust(sect, errors):
     if sect is None:
         return None
     r = _SectionReader("robust", sect, errors)
-    eta_star = r.float_("eta_star", required=True, minimum=0.0, strict=True)
-    alpha = r.float_("alpha", minimum=0.0, strict=True)
+    eta_star = r.read("eta_star", _POSITIVE, required=True)
+    alpha = r.read("alpha", _POSITIVE)
     r.finish()
     if eta_star is None:
         return None
@@ -429,7 +378,7 @@ def _validate_outputs(sect, errors):
     if sect is None:
         return {}
     r = _SectionReader("outputs", sect, errors)
-    out_dir = r.str_("dir")
+    out_dir = r.read("dir")
     r.finish()
     return {"dir": out_dir} if out_dir else {}
 
@@ -445,7 +394,7 @@ def parse_config(text: str) -> ExperimentSpec:
         if name not in known and not re.fullmatch(r"learner\.\d+", name):
             errors.append(f"line {sect['line']}: unknown section [{name}]")
 
-    game, n, _dims, smoothness = _validate_game(sections.get("game"), errors)
+    game, n, smoothness = _validate_game(sections.get("game"), errors)
     is_network = bool(game) and game.get("type") == "network"
     if "learner" in sections:
         learner = _validate_learner(sections["learner"], "learner", errors,
@@ -456,17 +405,22 @@ def parse_config(text: str) -> ExperimentSpec:
     baseline = (_validate_learner(sections["baseline"], "baseline", errors)
                 if "baseline" in sections else None)
     overrides: dict[int, LearnerSpec] = {}
+    owners: dict[int, str] = {}  # player index -> first section naming it
     for name, sect in sections.items():
         m = re.fullmatch(r"learner\.(\d+)", name)
         if not m:
             continue
         idx = int(m.group(1))
         spec = _validate_learner(sect, name, errors)
-        if n is not None and idx >= n:
+        if idx in owners:
+            errors.append(f"line {sect['line']}: [{name}] overrides player {idx} "
+                          f"again; [{owners[idx]}] already does")
+        elif n is not None and idx >= n:
             errors.append(f"line {sect['line']}: [{name}] refers to player {idx} "
                           f"but the game has {n} players")
         elif spec is not None:
             overrides[idx] = spec
+        owners.setdefault(idx, name)
     T, seed, mode = _validate_run(sections.get("run"), errors)
     robust = _validate_robust(sections.get("robust"), errors)
     outputs = _validate_outputs(sections.get("outputs"), errors)
@@ -487,9 +441,9 @@ def parse_config(text: str) -> ExperimentSpec:
                     f"line {sections['learner']['line']}: network games run the "
                     f"optimistic entropy dynamics; use algorithm oftrl with "
                     f"predictor last (or optimistic_hedge)")
-        for section_name, label in (("baseline", "[baseline]"), ("robust", "[robust]")):
+        for section_name in ("baseline", "robust"):
             if section_name in sections:
-                errors.append(f"line {sections[section_name]['line']}: {label} "
+                errors.append(f"line {sections[section_name]['line']}: [{section_name}] "
                               f"is not supported for network games")
         for name in sections:
             if re.fullmatch(r"learner\.\d+", name):

@@ -204,7 +204,7 @@ class DenseGame(NormalFormGame):
         d = {"kind": self.kind, "n": self.n, "dims": self.dims,
              "scale": self.scale, "shift": self.shift}
         d.update(self.meta)
-        if "kind_detail" not in d and "source" not in d:
+        if "kind_detail" not in d:
             # no reconstruction recipe: embed the payoffs so traces stay
             # self-contained
             d["tensors"] = [t.tolist() for t in self.tensors]

@@ -203,7 +203,7 @@ class OnlineLearner:
     def observe(self, u) -> None:
         if self._pending is None:
             raise RuntimeError(f"observe() called before play() in round {self.t + 1}")
-        u = np.asarray(u, dtype=float)
+        u = np.array(u, dtype=float)  # own copy: a caller may reuse its buffer
         if u.shape != (self.d,):
             raise ValueError(
                 f"utility vector has shape {u.shape}, learner expects ({self.d},)"

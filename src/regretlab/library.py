@@ -147,7 +147,7 @@ def build_game(desc: dict) -> NormalFormGame:
         if detail == "random":
             n, dims = desc["n"], desc["dims"]
             return make_random_game(n, dims, desc["seed"])
-        if detail == "dense_csv" or desc.get("source") == "dense_csv":
+        if detail == "dense_csv":
             from .games import load_dense_csv
 
             path = desc.get("path")

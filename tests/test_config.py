@@ -666,6 +666,17 @@ class TestOverrides:
             "line 9: learner.0.eta must be a number, got 'bad'"
         ]
 
+    def test_second_override_of_the_same_player_is_an_error(self):
+        text = lines(*MATRIX_GAME,
+                     "[learner]", "algorithm = hedge", "eta = 0.1",
+                     "[learner.1]", "algorithm = hedge", "eta = 0.2",
+                     "[learner.01]",          # 10
+                     "algorithm = hedge", "eta = 0.3",
+                     *RUN_10)
+        assert errors_of(text) == [
+            "line 10: [learner.01] overrides player 1 again; [learner.1] already does"
+        ]
+
 
 # ---------------------------------------------------------------------------
 # [run], [robust], [outputs]

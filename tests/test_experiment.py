@@ -972,6 +972,15 @@ class TestCliPlot:
         assert excinfo.value.code == 1
 
 
+def run_module(*argv):
+    """``python -m regretlab`` in a subprocess; the package may come from a
+    checkout (PYTHONPATH=src), not an install."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(regretlab.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-m", "regretlab", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestCliUsage:
     def test_no_subcommand_exits_1(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -984,13 +993,37 @@ class TestCliUsage:
         assert excinfo.value.code == 1
 
     def test_python_dash_m_runs_the_cli(self):
-        # the package may come from a checkout (PYTHONPATH=src), not an install
-        src = os.path.dirname(os.path.dirname(os.path.abspath(regretlab.__file__)))
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        done = subprocess.run([sys.executable, "-m", "regretlab", "--help"], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = run_module("--help")
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: regretlab")
+
+
+class TestCliErrorBoundary:
+    """Bad input exits 1 with a one-line message, never a traceback."""
+
+    @staticmethod
+    def assert_one_line_error(done, *fragments):
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: ")
+        for fragment in fragments:
+            assert fragment in line
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-smooth"])
+    def test_non_utf8_config(self, tmp_path, command):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"[game]\ntype = matrix  # caf\xe9\n")
+        self.assert_one_line_error(run_module(command, str(cfg)),
+                                   f"cannot read {cfg}", "codec can't decode")
+
+    def test_plot_to_a_missing_directory(self, tmp_path):
+        manifest = run_experiment(parse_config(MATRIX_SMOOTH_CFG),
+                                  out_dir=str(tmp_path / "arm"))
+        dest = tmp_path / "missing" / "regret.svg"
+        done = run_module("plot", manifest["artifacts"]["trace"], "--out", str(dest))
+        self.assert_one_line_error(done, "No such file or directory")
+        assert not dest.parent.exists()
 
 
 # ---------------------------------------------------------------------------

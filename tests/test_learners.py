@@ -21,6 +21,7 @@ from regretlab import (
     make_learner,
     splitmix64_floats,
     variation_sums,
+    wrap_doubling,
 )
 
 
@@ -152,6 +153,30 @@ class TestInPlaceState:
                 learner.observe(u)
             for t, (u, c) in enumerate(zip(stream, copies)):
                 assert np.array_equal(u, c), (name, t)
+
+    @pytest.mark.parametrize("spec, robust", [
+        (LearnerSpec("ftrl", 0.5, "entropy", "none"), False),
+        (LearnerSpec("ftrl", 0.5, "entropy", "last"), False),
+        (LearnerSpec("ftrl", 0.5, "entropy", "window", 3), False),
+        (LearnerSpec("ftrl", 0.5, "entropy", "geometric", 0.5), False),
+        (LearnerSpec("omd", 0.5, "euclidean", "last"), False),
+        (LearnerSpec("oftrl", 0.5, "entropy", "last"), True),
+        (LearnerSpec("first_order_hedge"), False),
+    ], ids=["ftrl-none", "ftrl-last", "ftrl-window", "ftrl-geometric", "omd", "doubling",
+            "first_order_hedge"])
+    def test_a_reused_utility_buffer_plays_like_fresh_arrays(self, spec, robust):
+        def build():
+            return wrap_doubling(spec, 3, eta_star=0.5) if robust else make_learner(spec, 3)
+
+        fresh, reused, buf = build(), build(), np.empty(3)
+        for t, u in enumerate(random_stream(3, 60, seed=37)):
+            assert np.array_equal(fresh.play(), reused.play()), t
+            fresh.observe(u.copy())
+            buf[:] = u
+            reused.observe(buf)
+            buf[:] = 0.0  # the caller reuses its buffer before the next play
+        assert np.array_equal(fresh.play(), reused.play())
+        assert getattr(fresh, "variation_total", 0) == getattr(reused, "variation_total", 0)
 
     def test_entropy_omd_plays_ftrls_argmax(self):
         # g^t is proportional to exp(eta G^t): the two families agree up to rounding

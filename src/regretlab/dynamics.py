@@ -10,7 +10,6 @@ every certificate the trace's metadata supports.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -359,20 +358,24 @@ def write_trace_rows(meta: dict, value_names, values, vector_name: str, vectors,
     """The layout every trace file shares.  First line carries the metadata as
     a JSON comment; then a header and one row per (round, player): t, player,
     the player's ``values[i][t]`` (one per name in ``value_names``) and its
-    ``vectors[i][t]``, padded with empty cells to the widest player's.  Floats
-    go through repr so reruns are byte-identical."""
-    out = io.StringIO()
-    out.write("# meta=" + json.dumps(meta, sort_keys=True) + "\n")
+    ``vectors[i][t]``, padded with empty cells to the widest player's.  Every
+    cell is the ``repr`` of its float, so reruns are byte-identical.
+
+    Each player's (T, k + d_i) block calls ``repr`` once per distinct bit
+    pattern (``np.unique`` of its int64 view: keying on float values would
+    merge ``-0.0`` with ``0.0``), then gathers the cell strings per row."""
     width = max(v.shape[1] for v in vectors)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["t", "player", *value_names]
-                    + [f"{vector_name}_{k}" for k in range(width)])
-    pads = [[""] * (width - v.shape[1]) for v in vectors]
-    for t in range(len(vectors[0])):
-        for i, (vals, vec) in enumerate(zip(values, vectors)):
-            writer.writerow([t + 1, i, *map(repr, vals[t].tolist()),
-                             *map(repr, vec[t].tolist()), *pads[i]])
-    text = out.getvalue()
+    header = ["t", "player", *value_names, *(f"{vector_name}_{k}" for k in range(width))]
+    rows = []
+    for i, (vals, vec) in enumerate(zip(values, vectors)):
+        block = np.column_stack((vals, vec))
+        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        cells = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
+        pad = "," * (width - vec.shape[1])
+        rows.append([f"{t},{i},{','.join(row)}{pad}" for t, row in
+                     enumerate(cells[inverse.reshape(block.shape)].tolist(), 1)])
+    text = "\n".join(["# meta=" + json.dumps(meta, sort_keys=True), ",".join(header),
+                      *(row for round_rows in zip(*rows) for row in round_rows)]) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -404,10 +407,18 @@ def read_trace_csv(text_or_path) -> Trace:
     object with a ``game`` object that rebuilds the game, an int ``T`` >= 1,
     one ``learners`` object per player and, if given, a ``mode`` of utility or
     cost and a ``smoothness`` object with numeric ``lambda`` and ``mu`` and
-    an optional list of int ``s_star``."""
+    an optional list of int ``s_star``.
+
+    A path is read as UTF-8; a file that is not is a ``ValueError`` naming the
+    path.  The body's row count is checked first, then its rows are parsed one
+    at a time: by ``str.split`` unless a body line holds a quote, the only way
+    a csv row can span lines, in which case ``csv.reader`` parses them."""
     if isinstance(text_or_path, str) and "\n" not in text_or_path:
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text_or_path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"cannot read {text_or_path}: {exc}") from None
     else:
         text = text_or_path
     lines = text.splitlines()
@@ -451,13 +462,17 @@ def read_trace_csv(text_or_path) -> Trace:
     if not isinstance(learners, list) or len(learners) != n \
             or not all(isinstance(x, dict) for x in learners):
         raise ValueError(f"trace line 1: metadata learners must be a list of {n} objects")
-    data = list(csv.reader(lines[2:]))  # lines[1] is the header
-    if len(data) != n * T:
-        raise ValueError(f"expected {n * T} data rows, found {len(data)}")
+    body = lines[2:]  # lines[1] is the header
+    if any('"' in line for line in body):  # only a quoted cell can span lines
+        body = rows = list(csv.reader(body))
+    else:
+        rows = (line.split(",") for line in body)
+    if len(body) != n * T:
+        raise ValueError(f"expected {n * T} data rows, found {len(body)}")
     plays = [np.empty((T, game.dims[i])) for i in range(n)]
     stored = np.empty((T, n, len(_TRACE_VALUES)))
     width = 6 + max(game.dims)
-    for k, row in enumerate(data):
+    for k, row in enumerate(rows):
         t, i = divmod(k, n)
         d = game.dims[i]
         try:

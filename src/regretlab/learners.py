@@ -11,6 +11,7 @@ terms of the two variation sums that every regret certificate consumes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,8 +233,8 @@ class FtrlLearner(OnlineLearner):
 
     def __init__(self, d: int, regularizer, eta: float, predictor):
         super().__init__(d)
-        if eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
+        if not 0.0 < eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {eta}")
         self.reg = regularizer
         self.eta = float(eta)
         self.predictor = predictor
@@ -261,8 +262,8 @@ class OmdLearner(OnlineLearner):
 
     def __init__(self, d: int, regularizer, eta: float, predictor):
         super().__init__(d)
-        if eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
+        if not 0.0 < eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {eta}")
         self.reg = regularizer
         self.eta = float(eta)
         self.predictor = predictor

@@ -104,8 +104,8 @@ class LowerBoundResult:
 def lower_bound_experiment(eta: float, T: int) -> LowerBoundResult:
     """Run Hedge(eta) as the row player against a best-responding column on
     the identity matrix A and on the single-column matrix A' = (1; 0)."""
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     if T < 1 or T % 2:
         raise ValueError(f"T must be a positive even integer, got {T}")
     from .dynamics import regret, run

@@ -9,7 +9,10 @@ values and, where cheap enough, against the oracles directly.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import math
 
 # ---------------------------------------------------------------------------
@@ -541,3 +544,26 @@ def softmax(z):
     exps = [math.exp(v - top) for v in z]
     s = sum(exps)
     return [e / s for e in exps]
+
+
+# ---------------------------------------------------------------------------
+# Trace-file layout, one csv.writer row per (round, player).
+# ---------------------------------------------------------------------------
+
+
+def csv_trace_rows(meta, value_names, values, vector_name, vectors):
+    """The text ``dynamics.write_trace_rows`` must write: the metadata comment,
+    the header, then per round and player ``t, player``, the repr of every
+    value and vector entry and the empty cells that pad to the widest player."""
+    out = io.StringIO()
+    out.write("# meta=" + json.dumps(meta, sort_keys=True) + "\n")
+    width = max(v.shape[1] for v in vectors)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["t", "player", *value_names]
+                    + [f"{vector_name}_{k}" for k in range(width)])
+    pads = [[""] * (width - v.shape[1]) for v in vectors]
+    for t in range(len(vectors[0])):
+        for i, (vals, vec) in enumerate(zip(values, vectors)):
+            writer.writerow([t + 1, i, *map(repr, vals[t].tolist()),
+                             *map(repr, vec[t].tolist()), *pads[i]])
+    return out.getvalue()

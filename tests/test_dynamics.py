@@ -11,7 +11,9 @@ from regretlab import games
 from regretlab.auctions import AuctionGame, AuctionSpec
 from regretlab.costmode import CostHedge
 from regretlab.dynamics import (
+    _TRACE_VALUES,
     Trace,
+    _trace_values,
     coupling_margin,
     read_trace_csv,
     regret,
@@ -20,6 +22,7 @@ from regretlab.dynamics import (
     run,
     variation_terms,
     write_trace_csv,
+    write_trace_rows,
 )
 from regretlab.games import (
     DenseGame,
@@ -631,3 +634,108 @@ class TestTraceCsv:
         back = read_trace_csv(write_trace_csv(tr))
         np.testing.assert_array_equal(back.utilities[0], tr.utilities[0])
         assert back.meta["mode"] == "cost"
+
+    def _lines(self):
+        return write_trace_csv(self._trace()).splitlines()
+
+    @staticmethod
+    def _quote_first_strategy(line):
+        cells = line.split(",")
+        cells[6] = f'"{cells[6]}"'
+        return ",".join(cells)
+
+    def test_quoted_cell_reads_through_the_csv_branch(self):
+        tr = self._trace()
+        lines = write_trace_csv(tr).splitlines()
+        lines[5] = self._quote_first_strategy(lines[5])  # round 2, player 1
+        back = read_trace_csv("\n".join(lines) + "\n")
+        for i in range(2):
+            np.testing.assert_array_equal(back.plays[i], tr.plays[i])
+
+    def test_deleted_middle_row_is_a_row_count_error(self):
+        lines = self._lines()
+        del lines[10]
+        with pytest.raises(ValueError, match=r"^expected 24 data rows, found 23$"):
+            read_trace_csv("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv"])
+    def test_blank_line_is_an_empty_row(self, quoted):
+        lines = self._lines()
+        lines[10] = ""  # round 5, player 0
+        if quoted:
+            lines[4] = self._quote_first_strategy(lines[4])
+        with pytest.raises(ValueError, match=r"^trace line 11: expected round 5, player 0; "
+                                             r"found an empty row$"):
+            read_trace_csv("\n".join(lines) + "\n")
+
+    def test_non_utf8_file_names_its_path(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ValueError, match=rf"^cannot read {re.escape(str(path))}: "
+                                             r"'utf-8' codec can't decode"):
+            read_trace_csv(str(path))
+
+
+# bit patterns of two different quiet NaNs: both print as nan
+NAN_PAYLOADS = tuple(np.array([0x7FF8000000000000, 0x7FF8000000000123],
+                              dtype=np.uint64).view(float))
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0 / 3.0, *NAN_PAYLOADS,
+                  np.inf, -np.inf, 1.0, 0.1 + 0.2, 2.0**-1074 * 3)
+
+
+class TestTraceRowsMatchCsvWriter:
+    """``write_trace_rows`` against ``oracles.csv_trace_rows``, one csv.writer
+    row per line: the same text, byte for byte."""
+
+    @staticmethod
+    def assert_same(values, vectors, names=("a", "b")):
+        args = ({"kind": "test", "T": len(vectors[0])}, names, values, "strategy", vectors)
+        text = write_trace_rows(*args)
+        assert text == orc.csv_trace_rows(*args)
+        return text.splitlines()
+
+    def test_signed_zeros_in_one_block(self):
+        lines = self.assert_same([np.array([[0.0, -0.0], [-0.0, 0.0]])],
+                                 [np.array([[-0.0, 1.0], [0.0, 1.0]])])
+        assert lines[2:] == ["1,0,0.0,-0.0,-0.0,1.0", "2,0,-0.0,0.0,0.0,1.0"]
+
+    def test_denormals_tiny_values_nans_and_infinities(self):
+        vec = np.array([SPECIAL_FLOATS, SPECIAL_FLOATS[::-1]])
+        lines = self.assert_same([np.array([[NAN_PAYLOADS[1], 1e-300],
+                                            [-np.inf, 5e-324]])], [vec])
+        assert lines[2].split(",")[2:4] == ["nan", "1e-300"]
+        assert set(lines[2].split(",")[4:]) >= {"5e-324", "-5e-324", "0.3333333333333333",
+                                                "nan", "inf", "-inf", "-0.0"}
+
+    def test_players_with_two_and_five_strategies_are_padded(self):
+        rng = np.random.default_rng(119)
+        lines = self.assert_same([rng.random((3, 2)), rng.random((3, 2))],
+                                 [rng.random((3, 2)), rng.random((3, 5))])
+        assert lines[2].endswith(",,,") and not lines[3].endswith(",")
+
+    @pytest.mark.parametrize("n, T", [(1, 4), (3, 1), (1, 1)])
+    def test_one_player_or_one_round(self, n, T):
+        rng = np.random.default_rng(120)
+        self.assert_same([rng.random((T, 2)) for _ in range(n)],
+                         [rng.random((T, 3)) for _ in range(n)])
+
+    def test_seeded_random_blocks(self):
+        rng = np.random.default_rng(121)
+        pool = np.array(SPECIAL_FLOATS + tuple(rng.random(8)))
+        for _ in range(40):
+            n, T, k = (int(x) for x in rng.integers(1, 5, size=3))
+            dims = rng.integers(1, 7, size=n)
+            self.assert_same([rng.choice(pool, (T, k)) for _ in range(n)],
+                             [rng.choice(pool, (T, d)) for d in dims],
+                             names=tuple(f"v{j}" for j in range(k)))
+
+    @pytest.mark.parametrize("make_game", [
+        lambda: make_random_game(3, [2, 4, 3], seed=122),
+        lambda: AuctionGame(AuctionSpec(n=2, m=2, values=[[3.0, 1.0], [2.0, 2.0]],
+                                        bid_levels=[1.0, 2.0])),
+    ], ids=["dense", "auction"])
+    def test_trace_files(self, make_game):
+        g = make_game()
+        tr = run(g, [opt_hedge(0.3)] * g.n, 15)
+        assert write_trace_csv(tr) == orc.csv_trace_rows(
+            tr.meta, _TRACE_VALUES, _trace_values(tr), "strategy", tr.plays)

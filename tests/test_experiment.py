@@ -18,6 +18,7 @@ from regretlab.continuous import parse_network, run_continuous
 from regretlab.dynamics import RegretReport, Trace, read_trace_csv, run
 from regretlab.experiment import (
     OUTPUT_ROOT_ENV,
+    _routing_arms,
     bid_trajectory,
     bids_plot,
     build_game_from_config,
@@ -529,6 +530,10 @@ class TestNetworkExperiment:
         assert manifest["exit_code"] == 0
         assert "certificate" not in read(manifest["artifacts"]["report"])
 
+    def test_flows_csv_matches_the_csv_writer_oracle(self, tmp_path):
+        [(_, _, write, _, _)], _ = _routing_arms(network_spec(tmp_path))
+        assert write() == orc.csv_trace_rows(*write.args)
+
     def test_costs_svg_has_player_and_total_series(self, tmp_path):
         spec = network_spec(tmp_path)
         manifest = run_experiment(spec, out_dir=str(tmp_path / "routing"))
@@ -1016,6 +1021,19 @@ class TestCliErrorBoundary:
         cfg.write_bytes(b"[game]\ntype = matrix  # caf\xe9\n")
         self.assert_one_line_error(run_module(command, str(cfg)),
                                    f"cannot read {cfg}", "codec can't decode")
+
+    @pytest.mark.parametrize("command", ["report", "plot"])
+    def test_non_utf8_trace(self, tmp_path, command):
+        trace = tmp_path / "latin1.csv"
+        trace.write_bytes(b"\xff\xfe")
+        self.assert_one_line_error(run_module(command, str(trace)),
+                                   f"cannot read {trace}", "codec can't decode")
+
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_non_finite_lowerbound_eta(self, eta):
+        done = run_module("lowerbound", "--eta", eta, "--T", "10")
+        self.assert_one_line_error(done, "eta must be positive", f"got {eta}")
+        assert "RuntimeWarning" not in done.stderr
 
     def test_plot_to_a_missing_directory(self, tmp_path):
         manifest = run_experiment(parse_config(MATRIX_SMOOTH_CFG),

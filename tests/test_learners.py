@@ -203,6 +203,13 @@ class TestNonFiniteUtilities:
             learner.play()
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.5, math.nan, math.inf])
+@pytest.mark.parametrize("algorithm", ["ftrl", "omd"])
+def test_eta_must_be_positive_and_finite(algorithm, eta):
+    with pytest.raises(ValueError, match=r"^eta must be positive and finite, got "):
+        make_learner(LearnerSpec(algorithm, eta, "entropy", "last"), 3)
+
+
 class TestSpanAttribution:
     """Profilers attribute play/observe by the learner's class, so subclasses
     implement _play/_observe only, and each family builds its own class."""

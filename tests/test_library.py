@@ -165,6 +165,11 @@ class TestLowerBound:
                     f"{r.closed_form_A} (ratio {r.r_game_A / r.closed_form_A})"
                 )
 
+    @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_eta_must_be_positive_and_finite(self, eta):
+        with pytest.raises(ValueError, match=r"^eta must be positive and finite, got "):
+            lower_bound_experiment(eta, 10)
+
     def test_aprime_floor(self):
         for eta in (0.5, 1.0, 2.0):
             for T in (100, 1000):

@@ -7,6 +7,9 @@ are item-major: index = item * len(bid_levels) + bid_index.
 Welfare is the expected allocation value — payments are transfers to a
 strategyless seller, so they cancel out of welfare but do appear in the
 smoothness residual (seller revenue).
+
+Every oracle starts from ``_win_probabilities``, one pass of tail masses for
+all bidders: the engine round and the trace derivation each make one call.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ class AuctionGame(NormalFormGame):
         max_bid = float(spec.bid_levels[-1])
         # raw utilities live in [-max_bid, max_v] (overbidding is allowed)
         super().__init__(spec.n, [d] * spec.n, scale=max_v + max_bid, shift=-max_bid)
+        self._payoff = spec.values[:, :, None] - spec.bid_levels  # (n, m, nb): value - bid
         self._dense_cache: dict | None = None
 
     # -- helpers -------------------------------------------------------------
@@ -77,38 +81,47 @@ class AuctionGame(NormalFormGame):
         j, b = divmod(int(strategy_index), self.nb)
         return j, float(self.spec.bid_levels[b])
 
-    def _loss_mass(self, profile, i: int):
-        """For each opponent k: L + (m, nb) arrays of P[k bids >= level] and
-        P[k bids > level] on each item; returns the win-probability array of
-        player i over (item, bid) cells."""
-        lead = np.shape(profile[i])[:-1]
-        win = np.ones(lead + (self.m, self.nb))
-        for k in range(self.n):
-            if k == i:
-                continue
-            wk = profile[k].reshape(lead + (self.m, self.nb))
-            at_least = np.cumsum(wk[..., ::-1], axis=-1)[..., ::-1]  # P[>= level]
-            if k < i:  # k would win the tie, so any bid >= ours beats us
-                lose = at_least
-            else:  # we win ties against higher indices
-                lose = np.zeros_like(at_least)
-                lose[..., :-1] = at_least[..., 1:]
-            win = win * (1.0 - lose)
+    def _win_probabilities(self, profile) -> np.ndarray:
+        """(n,) + L + (m, nb) win probabilities of every bidder's (item, bid)
+        cells: win_i = lo_0 ... lo_{i-1} hi_{i+1} ... hi_{n-1} with lo_k =
+        1 - P_k[>= level] (k wins ties) and hi_k = 1 - P_k[> level], taken left
+        to right in k (shared prefixes, the per-bidder product's bits)."""
+        shape = np.shape(profile[0])[:-1] + (self.m, self.nb)
+        win = np.ones((self.n,) + shape)
+        tail = np.ones(shape[:-1] + (self.nb + 1,))  # the top column stays 1
+        lo, hi = tail[..., :-1], tail[..., 1:]
+        for k, w in enumerate(profile):
+            np.add.accumulate(w.reshape(shape)[..., ::-1], axis=-1, out=lo[..., ::-1])
+            np.subtract(1.0, lo, out=lo)
+            if k:
+                win[:k] *= hi
+            if k + 1 < self.n:
+                np.multiply(win[k], lo, out=win[k + 1])
         return win
 
     # -- oracles ---------------------------------------------------------------
     def raw_expected_utilities(self, i: int, profile) -> np.ndarray:
-        win = self._loss_mass(profile, i)
-        payoff = self.spec.values[i][:, None] - self.spec.bid_levels[None, :]
-        return (payoff * win).reshape(win.shape[:-2] + (-1,))
+        win = self._win_probabilities(profile)[i]
+        return (self._payoff[i] * win).reshape(win.shape[:-2] + (-1,))
+
+    def _all_normalized_utilities(self, profile) -> list:
+        u = self._win_probabilities(profile)
+        u *= self._payoff.reshape((self.n,) + (1,) * (u.ndim - 3) + self._payoff.shape[1:])
+        u -= self.shift
+        u /= self.scale
+        u = u.reshape(u.shape[:-2] + (-1,))
+        if not (u.min() >= -1e-12 and u.max() <= 1.0 + 1e-12):  # NaN fails too
+            for i in range(self.n):
+                self._check_range(i, u[i])
+        return list(u)
 
     def welfare_mixed(self, profile):
         profile, lead = _check_profile(self, profile)
+        win = self._win_probabilities(profile)
         total = 0.0
         for i in range(self.n):
-            win = self._loss_mass(profile, i)
             wi = profile[i].reshape(lead + (self.m, self.nb))
-            total = total + np.sum(self.spec.values[i][:, None] * wi * win, axis=(-2, -1))
+            total = total + np.sum(self.spec.values[i][:, None] * wi * win[i], axis=(-2, -1))
         return total if lead else float(total)
 
     def _resolve(self, s):

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import games
 from .games import (
     NormalFormGame,
     SmoothnessCertificate,
     UtilityRangeError,
-    _check_profile,
     _check_shape,
     poa_welfare_bound,
 )
@@ -78,10 +78,11 @@ class Trace:
 
 
 def _trace_from_plays(game: NormalFormGame, plays, mode: str, meta: dict) -> Trace:
-    """The trace of (T, d_i) plays: each player's utilities from one oracle
-    call over all T rounds (1 - c in cost mode), welfare from one
-    ``welfare_mixed`` call, and the running variation sums."""
-    utilities = [game.expected_utilities(i, plays) for i in range(game.n)]
+    """The trace of (T, d_i) plays: one profile check, every player's utilities
+    over all T rounds from one all-players call (1 - c in cost mode), welfare
+    from one ``welfare_mixed`` call, and the running variation sums."""
+    plays, _ = games._check_profile(game, plays)
+    utilities = game._all_normalized_utilities(plays)
     if mode == "cost":
         utilities = [1.0 - u for u in utilities]
     steps = [variation_steps(u, w) for u, w in zip(utilities, plays)]
@@ -115,9 +116,9 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     distribution player (and the previous round's strategies of any other
     responder), so the dynamics stay simultaneous and well defined.
 
-    Each play is shape-checked when its learner returns it; the per-round
-    oracle calls skip the profile check, and every row of every play is
-    checked against the simplex once, when the trace is derived from them.
+    Each play is shape-checked when its learner returns it; the round's one
+    all-players oracle call skips the profile check, and every row of every
+    play is checked against the simplex once, when the trace is derived.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -139,11 +140,11 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
         _check_shape(i, w, (game.dims[i],))
         return w
 
-    def oracle(i, prof):
+    def oracle(call, *args):
         try:
-            return game._normalized_utilities(i, prof)
+            return call(*args)
         except UtilityRangeError:
-            _check_profile(game, prof)  # name an off-simplex play, the likelier cause
+            games._check_profile(game, args[-1])  # name an off-simplex play, the likelier cause
             raise
 
     plays = [np.empty((T, game.dims[i])) for i in range(n)]
@@ -158,11 +159,11 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
             for j in responders:
                 if j != i:
                     ref[j] = profile[j]
-            u_now = oracle(i, ref)
+            u_now = oracle(game._normalized_utilities, i, ref)
             slots[i][0] = 1.0 - u_now if mode == "cost" else u_now
             current[i] = play(i)
 
-        raws = [oracle(i, current) for i in range(n)]
+        raws = oracle(game._all_normalized_utilities, current)
         for i in range(n):
             plays[i][t] = current[i]
             learners[i].observe(raws[i] if as_is[i] else 1.0 - raws[i])

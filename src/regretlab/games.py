@@ -143,7 +143,14 @@ class NormalFormGame:
     def _normalized_utilities(self, i: int, profile) -> np.ndarray:
         """``expected_utilities`` past its boundary check: ``profile`` must
         already hold float arrays of the right shapes, unchecked here."""
-        u = self.normalize(self.raw_expected_utilities(i, profile))
+        return self._check_range(i, self.normalize(self.raw_expected_utilities(i, profile)))
+
+    def _all_normalized_utilities(self, profile) -> list:
+        """Every player's ``_normalized_utilities``, bit for bit, in one call."""
+        return [self._normalized_utilities(i, profile) for i in range(self.n)]
+
+    @staticmethod
+    def _check_range(i: int, u: np.ndarray) -> np.ndarray:
         if not (u.min() >= -1e-12 and u.max() <= 1.0 + 1e-12):  # NaN fails too
             raise UtilityRangeError(
                 f"player {i}: normalized utilities escape [0, 1]: [{u.min()}, {u.max()}]"
@@ -204,9 +211,9 @@ class DenseGame(NormalFormGame):
         d = {"kind": self.kind, "n": self.n, "dims": self.dims,
              "scale": self.scale, "shift": self.shift}
         d.update(self.meta)
-        if "kind_detail" not in d:
-            # no reconstruction recipe: embed the payoffs so traces stay
-            # self-contained
+        if d.get("kind_detail") in (None, "dense_csv"):
+            # no recipe, or a file that may change after the run: embed the
+            # payoffs so traces stay self-contained (a path is a label only)
             d["tensors"] = [t.tolist() for t in self.tensors]
         return d
 

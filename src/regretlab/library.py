@@ -141,22 +141,16 @@ def build_game(desc: dict) -> NormalFormGame:
         )
         return AuctionGame(spec)
     if kind == "dense":
+        if "tensors" in desc:
+            return DenseGame(
+                [np.asarray(t, dtype=float) for t in desc["tensors"]],
+                scale=desc.get("scale", 1.0), shift=desc.get("shift", 0.0),
+                meta={k: desc[k] for k in ("kind_detail", "path") if k in desc},
+            )
         detail = desc.get("kind_detail")
         if detail == "matrix":
             return make_matrix_game(np.asarray(desc["matrix"], dtype=float))
         if detail == "random":
             n, dims = desc["n"], desc["dims"]
             return make_random_game(n, dims, desc["seed"])
-        if detail == "dense_csv":
-            from .games import load_dense_csv
-
-            path = desc.get("path")
-            if not path:
-                raise ValueError("dense CSV game metadata is missing its file path")
-            return load_dense_csv(path)
-        if "tensors" in desc:
-            return DenseGame(
-                [np.asarray(t, dtype=float) for t in desc["tensors"]],
-                scale=desc.get("scale", 1.0), shift=desc.get("shift", 0.0),
-            )
     raise ValueError(f"cannot rebuild game from metadata {desc!r}")

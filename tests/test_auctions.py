@@ -1,5 +1,6 @@
 """First-price auction game: fast win-probability oracle vs. brute force,
-tie rule, optimum via assignment, normalization, masked values."""
+the all-players oracle vs. per-bidder products, tie rule, optimum via
+assignment, normalization, masked values."""
 
 import itertools
 
@@ -8,6 +9,10 @@ import pytest
 
 import oracles as orc
 from regretlab import AuctionSpec, brute_force_opt, make_auction, masked_values, uniform_values
+from regretlab.auctions import AuctionGame
+from regretlab.dynamics import run
+from regretlab.games import UtilityRangeError
+from regretlab.learners import LearnerSpec
 
 
 def simple(n=2, m=1, v=3.0, levels=(1.0, 2.0)):
@@ -154,6 +159,106 @@ class TestLeadingAxis:
         np.testing.assert_array_equal(g.welfare_mixed(prof).ravel(),
                                       [g.welfare_mixed(r) for r in rows])
         assert type(g.welfare_mixed(rows[0])) is float
+
+
+def per_bidder_win(g, profile, i):
+    """Bidder i's win probabilities as its own product over opponents in
+    increasing index, one tail-mass cumsum each: the per-bidder computation
+    the shared pass must reproduce bit for bit."""
+    lead = np.shape(profile[i])[:-1]
+    win = np.ones(lead + (g.m, g.nb))
+    for k in range(g.n):
+        if k == i:
+            continue
+        at_least = np.cumsum(profile[k].reshape(lead + (g.m, g.nb))[..., ::-1], axis=-1)[..., ::-1]
+        if k < i:
+            lose = at_least
+        else:
+            lose = np.zeros_like(at_least)
+            lose[..., :-1] = at_least[..., 1:]
+        win = win * (1.0 - lose)
+    return win
+
+
+def assert_same_bits(a, b):
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def sparse_profile(dims, lead, seed):
+    """Random mixed strategies of shape lead + (d,) with about a third of the
+    entries exactly zero."""
+    rng = np.random.default_rng(seed)
+    prof = []
+    for d in dims:
+        x = rng.random(lead + (d,))
+        x[rng.random(x.shape) < 0.35] = 0.0
+        x[..., rng.integers(d)] += 0.25
+        prof.append(x / x.sum(axis=-1, keepdims=True))
+    return prof
+
+
+class TestAllPlayersOracle:
+    """``_win_probabilities`` shares one pass of tail masses across bidders;
+    ``_all_normalized_utilities`` must equal the per-player oracle bitwise
+    and the enumeration oracle to 1e-12."""
+
+    FIG1 = AuctionSpec(4, 4, uniform_values(4, 4, 20.0), list(np.arange(1.0, 21.0)))
+
+    @pytest.mark.parametrize("lead", [(), (50,), (2, 3)], ids=["single", "T", "2x3"])
+    def test_equals_per_bidder_products_bitwise(self, lead):
+        g = make_auction(self.FIG1)
+        prof = sparse_profile(g.dims, lead, seed=11 + len(lead))
+        win = g._win_probabilities(prof)
+        u = g._all_normalized_utilities(prof)
+        assert len(u) == g.n
+        for i in range(g.n):
+            ref = per_bidder_win(g, prof, i)
+            assert_same_bits(win[i], ref)
+            payoff = g.spec.values[i][:, None] - g.spec.bid_levels[None, :]
+            raw = (payoff * ref).reshape(lead + (-1,))
+            assert_same_bits(u[i], g.normalize(raw))
+            assert_same_bits(u[i], g.normalize(g.raw_expected_utilities(i, prof)))
+            assert_same_bits(u[i], g.expected_utilities(i, prof))
+
+    @pytest.mark.parametrize("nb", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_enumeration_oracle(self, n, m, nb):
+        vals = [[1.5 + ((i + 2 * j) % 3) for j in range(m)] for i in range(n)]
+        levels = [float(b + 1) for b in range(nb)]
+        g = make_auction(AuctionSpec(n, m, np.array(vals), levels))
+        d = m * nb
+        profiles = {
+            "sparse": sparse_profile(g.dims, (), seed=100 * n + 10 * m + nb),
+            "uniform": [np.full(d, 1.0 / d)] * n,  # every cell tied with positive mass
+            "same_cell": [np.eye(d)[d - 1]] * n,  # everyone bids the top level on one item
+        }
+        for name, prof in profiles.items():
+            u = g._all_normalized_utilities(prof)
+            for i in range(n):
+                oracle = orc.auction_expected_utilities(vals, m, levels, i, prof)
+                np.testing.assert_allclose(u[i], g.normalize(oracle), rtol=0, atol=1e-12,
+                                           err_msg=f"{name}, bidder {i}")
+            assert g.welfare_mixed(prof) == pytest.approx(
+                orc.auction_expected_welfare(vals, m, levels, prof), abs=1e-12), name
+
+    def test_escaping_bidder_is_named(self):
+        class Leaky(AuctionGame):
+            def _win_probabilities(self, profile):
+                win = super()._win_probabilities(profile)
+                win[2] += 2.0  # bidder 2 wins more than surely
+                return win
+
+        g = Leaky(AuctionSpec(3, 1, uniform_values(3, 1, 3.0), [1.0, 2.0]))
+        prof = [np.full(2, 0.5)] * 3
+        msg = "^player 2: normalized utilities escape"
+        with pytest.raises(UtilityRangeError, match=msg):
+            g._all_normalized_utilities(prof)
+        with pytest.raises(UtilityRangeError, match=msg):
+            run(g, [LearnerSpec("hedge", eta=0.3)] * 3, 5)
+        g.expected_utilities(1, prof)  # the others stay in range
 
 
 class TestOptimum:

@@ -28,6 +28,8 @@ from regretlab.games import (
     DenseGame,
     SmoothnessCertificate,
     UtilityRangeError,
+    dump_dense_csv,
+    load_dense_csv,
     verify_smoothness,
 )
 from regretlab.learners import BestResponseLearner, LearnerSpec, OnlineLearner
@@ -156,8 +158,9 @@ class TestRunChecksPlays:
             calls.clear()
             run(g, specs, T)
             counts.append(len(calls))
-        # n batched expected_utilities calls and one welfare_mixed call
-        assert counts == [g.n + 1, g.n + 1]
+        # the derivation's one check before its all-players utilities call,
+        # and welfare_mixed's own
+        assert counts == [2, 2]
 
 
 class TestAgainstSelfplayOracle:
@@ -627,6 +630,29 @@ class TestTraceCsv:
         back = read_trace_csv(write_trace_csv(tr))
         np.testing.assert_array_equal(back.utilities[0], tr.utilities[0])
         assert back.meta["game"]["kind"] == "auction"
+
+    def test_text_loaded_dense_game_trace_round_trips(self):
+        g = load_dense_csv(dump_dense_csv(make_random_game(2, [2, 3], seed=117)))
+        tr = run(g, [opt_hedge(0.3), hedge(0.4)], 12)
+        text = write_trace_csv(tr)
+        back = read_trace_csv(text)
+        for i in range(2):
+            np.testing.assert_array_equal(back.utilities[i], tr.utilities[i])
+        np.testing.assert_array_equal(back.welfare, tr.welfare)
+        assert write_trace_csv(back) == text
+
+    def test_dense_csv_edited_after_the_run_keeps_the_original_game(self, tmp_path):
+        payoffs = tmp_path / "payoffs.csv"
+        payoffs.write_text(dump_dense_csv(make_random_game(2, [2, 3], seed=117)))
+        tr = run(load_dense_csv(str(payoffs)), [opt_hedge(0.3), hedge(0.4)], 12)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(tr, str(path))
+        payoffs.write_text(dump_dense_csv(make_random_game(2, [2, 3], seed=118)))
+        back = read_trace_csv(str(path))
+        assert back.meta["game"]["path"] == str(payoffs)  # a label, not the source
+        for i in range(2):
+            np.testing.assert_array_equal(back.utilities[i], tr.utilities[i])
+        assert report(back).regrets == report(tr).regrets
 
     def test_cost_mode_round_trips_with_complemented_utilities(self):
         g = make_random_game(2, [2, 2], seed=118)

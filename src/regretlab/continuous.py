@@ -33,6 +33,7 @@ __all__ = [
     "linearized_regret",
     "true_regret",
     "certify_total_regret",
+    "routing_report",
 ]
 
 PATH_CAP = 64
@@ -74,9 +75,7 @@ class CongestionNetwork:
             if not found:
                 raise ValueError(f"no path from {s} to {t}")
             if len(found) > PATH_CAP:
-                raise ValueError(
-                    f"{len(found)} paths from {s} to {t} exceed the cap {PATH_CAP}"
-                )
+                raise ValueError(f"paths from {s} to {t} exceed the cap {PATH_CAP}")
             self.paths.append(sorted(found))
         self.incidence = []
         for paths in self.paths:
@@ -87,10 +86,13 @@ class CongestionNetwork:
         self.coef = np.array([e[2:] for e in self.edges], dtype=float)
 
     def _dfs(self, node, t, out, acc, seen, found):
+        """Append the simple paths from ``node`` to t, up to PATH_CAP + 1."""
         if node == t:
             found.append(tuple(acc))
             return
         for eidx in out.get(node, ()):
+            if len(found) > PATH_CAP:
+                return
             v = self.edges[eidx][1]
             if v in seen:
                 continue
@@ -114,36 +116,34 @@ class CongestionNetwork:
         a, b, c = self.coef.T
         return a * x * x + b * x + c, 2.0 * a * x + b
 
-    def check_feasible(self, i: int, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (len(self.paths[i]),):
-            raise ValueError(
-                f"player {i}: flow vector has shape {w.shape}, "
-                f"expected ({len(self.paths[i])},)"
-            )
-        self._check_flow_rows(i, w)
-        return w
-
-    def _check_flow_rows(self, i: int, w: np.ndarray) -> None:
-        """Every row of player i's flows, shape L + (|P_i|,), is feasible."""
-        f = self.players[i][2]
-        if np.any(w < -1e-9) or np.any(abs(w.sum(axis=-1) - f) > 1e-9):
-            raise ValueError(f"player {i}: path flows must be >= 0 and sum to {f}")
+    def describe(self) -> dict:
+        """The network as trace metadata; ``library.build_game`` rebuilds it."""
+        return {"kind": "network", "edges": [list(e) for e in self.edges],
+                "players": [list(p) for p in self.players]}
 
     def edge_loads(self, profile) -> tuple[np.ndarray, np.ndarray]:
-        """(per-player (n, m) edge flows, total (m,) edge flow)."""
+        """(per-player L + (n, m) edge flows, total L + (m,) edge flow) of n
+        flow arrays of shapes L + (|P_i|,), one leading shape L for all; every
+        row must be nonnegative and sum to the player's flow amount."""
         if len(profile) != self.n:
             raise ValueError(f"profile has {len(profile)} flow vectors, "
                              f"network has {self.n} players")
-        return self._edge_loads([self.check_feasible(i, w) for i, w in enumerate(profile)])
+        profile = [np.asarray(w, dtype=float) for w in profile]
+        lead = profile[0].shape[:-1]
+        for i, (w, (_s, _t, f)) in enumerate(zip(profile, self.players)):
+            if w.shape != lead + (len(self.paths[i]),):
+                raise ValueError(f"player {i}: flow vector has shape {w.shape}, "
+                                 f"expected {lead + (len(self.paths[i]),)}")
+            # negated comparisons, so a NaN entry fails them too
+            if not (np.all(w >= -1e-9) and np.all(abs(w.sum(axis=-1) - f) <= 1e-9)):
+                raise ValueError(f"player {i}: path flows must be >= 0 and sum to {f}")
+        return self._edge_loads(profile)
 
     def _edge_loads(self, profile) -> tuple[np.ndarray, np.ndarray]:
-        """``edge_loads`` past its feasibility check: ``profile`` holds one
-        float (|P_i|,) array per player, unchecked here."""
-        per = np.zeros((self.n, self.m))
-        for i, w in enumerate(profile):
-            per[i] = w @ self.incidence[i]
-        return per, per.sum(axis=0)
+        """``edge_loads`` past its checks: ``profile`` holds one float array
+        per player, unchecked here."""
+        per = np.stack([w @ inc for w, inc in zip(profile, self.incidence)], axis=-2)
+        return per, per.sum(axis=-2)
 
 
 def parse_network(text: str) -> CongestionNetwork:
@@ -169,16 +169,24 @@ def parse_network(text: str) -> CongestionNetwork:
     return CongestionNetwork(edges, players)
 
 
+def _derive(network: CongestionNetwork, flows):
+    """(every player's gradient, L + (|P_i|,); each player's cost, (n,) + L;
+    the total cost, L) of flows with a leading shape L, from one checked
+    ``edge_loads`` pass."""
+    per, total = network.edge_loads(flows)
+    lat, slope = network.latencies(total)
+    grads = [(lat + per[..., i, :] * slope) @ inc.T for i, inc in enumerate(network.incidence)]
+    costs = np.moveaxis(np.sum(per * lat[..., None, :], axis=-1), -1, 0)
+    return grads, costs, np.sum(total * lat, axis=-1)
+
+
 def gradient(network: CongestionNetwork, profile, i: int) -> np.ndarray:
     """Exact gradient of player i's cost in its own path flows."""
-    per, total = network.edge_loads(profile)
-    lat, slope = network.latencies(total)
-    return network.incidence[i] @ (lat + per[i] * slope)
+    return _derive(network, profile)[0][i]
 
 
 def player_cost(network: CongestionNetwork, profile, i: int) -> float:
-    per, total = network.edge_loads(profile)
-    return float(np.sum(per[i] * network.latencies(total)[0]))
+    return float(_derive(network, profile)[1][i])
 
 
 @dataclass
@@ -209,16 +217,23 @@ def lipschitz_constant(network: CongestionNetwork) -> LipschitzBundle:
 
 @dataclass
 class ContinuousTrace:
-    """Per round: flows[i] (T, |P_i|), grads[i] (T, |P_i|), total_cost (T,),
-    and costs (n, T), where costs[i, t] is player i's cost c_i(w^t), equal to
-    ``player_cost`` on round t's flows."""
+    """A run's flows[i] (T, |P_i|) and, derived from them by ``_derive``,
+    grads[i] (T, |P_i|), costs (n, T) with costs[i, t] = c_i(w^t), and
+    total_cost (T,).  ``meta`` holds the network's description, eta, T, mode
+    and seed."""
 
     network: CongestionNetwork
     eta: float
     flows: list
-    grads: list
-    total_cost: np.ndarray
-    costs: np.ndarray
+    meta: dict = field(default_factory=dict)
+    grads: list = field(init=False)
+    costs: np.ndarray = field(init=False)
+    total_cost: np.ndarray = field(init=False)
+    value_names = ("cost", "total_cost")  # the values a trace file stores per row
+    vector_name = "flow"
+
+    def __post_init__(self):
+        self.grads, self.costs, self.total_cost = _derive(self.network, self.flows)
 
     @property
     def T(self) -> int:
@@ -230,7 +245,8 @@ def run_continuous(network: CongestionNetwork, eta: float, T: int) -> Continuous
     ``FtrlLearner(|P_i|, NegativeEntropy(), eta, LastUtility())`` fed its
     negated path gradients, i.e. f_i * softmax(-eta * (sum of past gradients
     + last gradient)), starting from the uniform split.  Each round computes
-    the edge loads once and derives every gradient and cost from them."""
+    the edge loads once and the gradients from them; the flows are checked
+    and everything else derived once, over all T rounds."""
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if T < 1:
@@ -238,23 +254,15 @@ def run_continuous(network: CongestionNetwork, eta: float, T: int) -> Continuous
     learners = [FtrlLearner(len(p), NegativeEntropy(), eta, LastUtility())
                 for p in network.paths]
     flows = [np.empty((T, len(p))) for p in network.paths]
-    grads = [np.empty((T, len(p))) for p in network.paths]
-    total_cost = np.empty(T)
-    costs = np.empty((network.n, T))
     for t in range(T):
         profile = [f * lr.play() for (_s, _t, f), lr in zip(network.players, learners)]
         per, total = network._edge_loads(profile)
         lat, slope = network.latencies(total)
         for i, lr in enumerate(learners):
-            g = network.incidence[i] @ (lat + per[i] * slope)
-            lr.observe(-g)
+            lr.observe(-(network.incidence[i] @ (lat + per[i] * slope)))
             flows[i][t] = profile[i]
-            grads[i][t] = g
-        costs[:, t] = np.sum(per * lat, axis=1)
-        total_cost[t] = np.sum(total * lat)
-    for i, w in enumerate(flows):  # once over all T rounds, not in every round
-        network._check_flow_rows(i, w)
-    return ContinuousTrace(network, eta, flows, grads, total_cost, costs)
+    meta = {"game": network.describe(), "eta": float(eta), "T": T, "mode": "routing"}
+    return ContinuousTrace(network, float(eta), flows, meta)
 
 
 def linearized_regret(trace: ContinuousTrace, i: int) -> float:
@@ -347,3 +355,17 @@ def certify_total_regret(trace: ContinuousTrace, bundle: LipschitzBundle,
         "total_linearized_regret", bool(total <= rhs + tol), total, rhs,
         {"L": bundle.L, "R": R, "eta": trace.eta},
     )
+
+
+def routing_report(trace: ContinuousTrace) -> RoutingReport:
+    """Linearized and true regrets, the average total cost and, at the tuned
+    step size 1/(2Ln), the total-regret certificate."""
+    bundle = lipschitz_constant(trace.network)
+    n = trace.network.n
+    eta_tuned = 1.0 / (2.0 * bundle.L * n)
+    tuned = abs(trace.eta - eta_tuned) <= 1e-12 * max(1.0, eta_tuned)
+    linearized = [linearized_regret(trace, i) for i in range(n)]
+    return RoutingReport(linearized, [true_regret(trace, i) for i in range(n)],
+                         float(sum(linearized)), float(trace.total_cost.mean()),
+                         bundle.L, float(trace.eta),
+                         [certify_total_regret(trace, bundle)] if tuned else [])

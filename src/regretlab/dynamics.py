@@ -13,10 +13,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import games
+from .continuous import CongestionNetwork, ContinuousTrace
 from .games import (
     NormalFormGame,
     SmoothnessCertificate,
@@ -51,6 +53,9 @@ __all__ = [
 ]
 
 
+_TRACE_VALUES = ("regret_to_date", "welfare", "du2_cum", "dw2_cum")  # stored per row
+
+
 @dataclass
 class Trace:
     """Full record of one run.
@@ -67,6 +72,8 @@ class Trace:
     du2_cum: np.ndarray
     dw2_cum: np.ndarray
     meta: dict = field(default_factory=dict)
+    value_names = _TRACE_VALUES
+    vector_name = "strategy"
 
     @property
     def n(self) -> int:
@@ -383,30 +390,33 @@ def write_trace_rows(meta: dict, value_names, values, vector_name: str, vectors,
     return text
 
 
-_TRACE_VALUES = ("regret_to_date", "welfare", "du2_cum", "dw2_cum")
-
-
-def _trace_values(trace: Trace) -> list:
-    """Per player, the (T, 4) derived ``_TRACE_VALUES`` a trace file stores."""
+def _trace_values(trace) -> list:
+    """Per player, the (T, k) values ``trace.value_names`` a trace file stores."""
+    if isinstance(trace, ContinuousTrace):
+        return [np.column_stack((c, trace.total_cost)) for c in trace.costs]
     return [np.column_stack((regret_series(trace, i), trace.welfare,
                              trace.du2_cum[i], trace.dw2_cum[i]))
             for i in range(trace.n)]
 
 
-def write_trace_csv(trace: Trace, path=None) -> str:
-    """Serialize a trace through ``write_trace_rows``: per player and round the
-    regret to date, welfare, du2_cum and dw2_cum, then the strategy."""
-    return write_trace_rows(trace.meta, _TRACE_VALUES, _trace_values(trace),
-                            "strategy", trace.plays, path)
+def write_trace_csv(trace, path=None) -> str:
+    """Serialize a Trace or a ContinuousTrace through ``write_trace_rows``: per
+    player and round its stored values (regret to date, welfare, du2_cum and
+    dw2_cum; or cost and total cost), then the strategy or the path flows."""
+    vectors = trace.flows if isinstance(trace, ContinuousTrace) else trace.plays
+    return write_trace_rows(trace.meta, trace.value_names, _trace_values(trace),
+                            trace.vector_name, vectors, path)
 
 
-def read_trace_csv(text_or_path) -> Trace:
-    """Rebuild a trace from its CSV: everything but the strategies is derived
-    from them through the game in the metadata line, as ``run`` derives it,
-    and a stored value that disagrees with its derivation (beyond rtol 1e-9,
-    atol 1e-12) is an error naming its line.  The metadata must be a JSON
-    object with a ``game`` object that rebuilds the game, an int ``T`` >= 1,
-    one ``learners`` object per player and, if given, a ``mode`` of utility or
+def read_trace_csv(text_or_path):
+    """Rebuild a trace from its CSV: everything but the strategies (or a
+    routing trace's flows) is derived from them through the game in the
+    metadata line, as ``run`` (or ``run_continuous``) derives it, and a stored
+    value that disagrees with its derivation (beyond rtol 1e-9, atol 1e-12) is
+    an error naming its line.  The metadata must be a JSON object with a
+    ``game`` object that rebuilds the game and an int ``T`` >= 1.  A network
+    game needs a positive finite float ``eta``; any other game needs one
+    ``learners`` object per player and, if given, a ``mode`` of utility or
     cost and a ``smoothness`` object with numeric ``lambda`` and ``mu`` and
     an optional list of int ``s_star``.
 
@@ -439,10 +449,56 @@ def read_trace_csv(text_or_path) -> Trace:
         raise ValueError(f"trace line 1: metadata game is missing key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"trace line 1: metadata game: {exc}") from None
-    n = game.n
     T = meta.get("T")
     if type(T) is not int or T < 1:
         raise ValueError(f"trace line 1: metadata T must be an integer >= 1, got {T!r}")
+    if isinstance(game, CongestionNetwork):
+        eta = meta.get("eta")
+        if type(eta) is not float or not 0.0 < eta < math.inf:
+            raise ValueError(f"trace line 1: metadata eta must be a positive finite "
+                             f"float, got {eta!r}")
+        kind, dims, source = ContinuousTrace, [len(p) for p in game.paths], "flows"
+        derive = partial(ContinuousTrace, game, eta)
+    else:
+        _check_game_meta(meta, game.n)
+        kind, dims, source = Trace, game.dims, "plays"
+        derive = partial(_trace_from_plays, game, mode=meta.get("mode", "utility"))
+    n, k = len(dims), len(kind.value_names)
+    body = lines[2:]  # lines[1] is the header
+    if any('"' in line for line in body):  # only a quoted cell can span lines
+        body = rows = list(csv.reader(body))
+    else:
+        rows = (line.split(",") for line in body)
+    if len(body) != n * T:
+        raise ValueError(f"expected {n * T} data rows, found {len(body)}")
+    vectors = [np.empty((T, d)) for d in dims]
+    stored = np.empty((T, n, k))
+    width = 2 + k + max(dims)
+    for r, row in enumerate(rows):
+        t, i = divmod(r, n)
+        d = dims[i]
+        try:
+            if row[:2] != [str(t + 1), str(i)]:
+                raise ValueError(f"expected round {t + 1}, player {i}; "
+                                 f"found {','.join(row[:2]) or 'an empty row'}")
+            if len(row) != width or "" in row[2 : 2 + k + d] or any(row[2 + k + d :]):
+                raise ValueError(f"expected {k} values and {d} {kind.vector_name} entries, "
+                                 f"padded with empty cells to {width} cells")
+            stored[t, i] = [float(x) for x in row[2 : 2 + k]]
+            vectors[i][t] = [float(x) for x in row[2 + k : 2 + k + d]]
+        except ValueError as exc:
+            raise ValueError(f"trace line {r + 3}: {exc}") from None
+    trace = derive(vectors, meta=meta)
+    bad = ~np.isclose(stored, np.stack(_trace_values(trace), axis=1), rtol=1e-9, atol=1e-12)
+    if bad.any():
+        t, i, c = np.argwhere(bad)[0]
+        raise ValueError(f"trace line {t * n + i + 3}: stored {kind.value_names[c]} "
+                         f"{float(stored[t, i, c])!r} does not match the {source}")
+    return trace
+
+
+def _check_game_meta(meta: dict, n: int) -> None:
+    """The mode, smoothness claim and learners of a normal-form trace's meta."""
     if meta.get("mode", "utility") not in ("utility", "cost"):
         raise ValueError(f"trace line 1: metadata mode must be 'utility' or 'cost', "
                          f"got {meta['mode']!r}")
@@ -463,34 +519,3 @@ def read_trace_csv(text_or_path) -> Trace:
     if not isinstance(learners, list) or len(learners) != n \
             or not all(isinstance(x, dict) for x in learners):
         raise ValueError(f"trace line 1: metadata learners must be a list of {n} objects")
-    body = lines[2:]  # lines[1] is the header
-    if any('"' in line for line in body):  # only a quoted cell can span lines
-        body = rows = list(csv.reader(body))
-    else:
-        rows = (line.split(",") for line in body)
-    if len(body) != n * T:
-        raise ValueError(f"expected {n * T} data rows, found {len(body)}")
-    plays = [np.empty((T, game.dims[i])) for i in range(n)]
-    stored = np.empty((T, n, len(_TRACE_VALUES)))
-    width = 6 + max(game.dims)
-    for k, row in enumerate(rows):
-        t, i = divmod(k, n)
-        d = game.dims[i]
-        try:
-            if row[:2] != [str(t + 1), str(i)]:
-                raise ValueError(f"expected round {t + 1}, player {i}; "
-                                 f"found {','.join(row[:2]) or 'an empty row'}")
-            if len(row) != width or "" in row[2 : 6 + d] or any(row[6 + d :]):
-                raise ValueError(f"expected 4 values and {d} strategy entries, "
-                                 f"padded with empty cells to {width} cells")
-            stored[t, i] = [float(x) for x in row[2:6]]
-            plays[i][t] = [float(x) for x in row[6 : 6 + d]]
-        except ValueError as exc:
-            raise ValueError(f"trace line {k + 3}: {exc}") from None
-    trace = _trace_from_plays(game, plays, meta.get("mode", "utility"), meta)
-    bad = ~np.isclose(stored, np.stack(_trace_values(trace), axis=1), rtol=1e-9, atol=1e-12)
-    if bad.any():
-        t, i, c = np.argwhere(bad)[0]
-        raise ValueError(f"trace line {t * n + i + 3}: stored {_TRACE_VALUES[c]} "
-                         f"{float(stored[t, i, c])!r} does not match the plays")
-    return trace

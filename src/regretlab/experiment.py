@@ -4,11 +4,9 @@
 kind runs its arms (the main arm and the optional baseline arm), evaluates
 every certificate the config claims and draws its plots; one writer then
 saves the artifacts of every kind — trace CSVs (``flows.csv`` for routing),
-report CSVs, SVG plots, and a manifest.json.  Everything in the report CSV of
-a normal-form or auction game is recomputable from the matching trace CSV
-alone; ``full_report`` does exactly that for the CLI's ``report``
-subcommand.  A routing ``flows.csv`` cannot be re-reported yet (ROADMAP open
-item 5).
+report CSVs, SVG plots, and a manifest.json.  Everything in a report CSV is
+recomputable from the matching trace CSV alone; ``full_report`` does exactly
+that for the CLI's ``report`` subcommand.
 
 Artifacts land under ``$REGRETLAB_OUT`` (default: the current directory) in
 the subdirectory named by [outputs] dir.
@@ -24,18 +22,17 @@ from functools import partial
 
 import numpy as np
 
+from . import continuous
 from .auctions import AuctionGame, AuctionSpec, masked_values, uniform_values
 from .config import ExperimentSpec
 from .costmode import certify_cost_welfare, fit_first_order_constants
 from .dynamics import (
-    RegretReport,
     Trace,
     regret,
     regret_series,
     report,
     run,
     write_trace_csv,
-    write_trace_rows,
 )
 from .games import load_dense_csv, verify_smoothness
 from .learners import Certificate, declares_variation_bound
@@ -59,8 +56,13 @@ OUTPUT_ROOT_ENV = "REGRETLAB_OUT"
 
 
 def build_game_from_config(game: dict):
-    """Instantiate the game a config's [game] section describes."""
+    """Instantiate the game or routing network a config's [game] section
+    describes; the one place a game file is read."""
     gtype = game["type"]
+    if gtype in ("dense_csv", "network"):
+        with open(game["path"], "r", encoding="utf-8") as fh:
+            text = fh.read()
+        return load_dense_csv(text) if gtype == "dense_csv" else continuous.parse_network(text)
     if gtype == "auction":
         if game.get("value_mask_seed") is not None:
             values = masked_values(game["bidders"], game["items"], game["value"],
@@ -73,8 +75,6 @@ def build_game_from_config(game: dict):
         return make_matrix_game(np.asarray(game["matrix"], dtype=float))
     if gtype == "random":
         return make_random_game(game["players"], game["dims"], game["seed"])
-    if gtype == "dense_csv":
-        return load_dense_csv(game["path"])
     raise ValueError(f"unknown game type {gtype!r}")
 
 
@@ -97,11 +97,14 @@ def _arm_players(game, specs, robust):
 # reporting (trace-only, so the CLI can redo it from the CSV)
 
 
-def full_report(trace: Trace, tol: float = 1e-9) -> RegretReport:
+def full_report(trace, tol: float = 1e-9):
     """dynamics.report plus every certificate the trace's metadata claims:
     the smoothness claim itself, the welfare floor (utility mode) or the
     first-order cost-welfare bound (cost mode), and the wrapped-learner dual
-    bound for doubling-wrapped players."""
+    bound for doubling-wrapped players.  A routing trace gets its
+    ``continuous.routing_report``."""
+    if isinstance(trace, continuous.ContinuousTrace):
+        return continuous.routing_report(trace)
     mode = trace.meta.get("mode", "utility")
     claim = trace.meta.get("smoothness")
     smooth_cert = None
@@ -236,6 +239,8 @@ def regret_plot(traces: dict) -> str:
     per arm.  ``traces`` maps arm label -> Trace."""
     series = []
     for label, trace in traces.items():
+        if not isinstance(trace, Trace):
+            raise ValueError("regret plots need a normal-form or auction trace")
         per_player = np.stack([regret_series(trace, i) for i in range(trace.n)])
         ts = list(range(1, trace.T + 1))
         series.append((f"{label}: sum of regrets", ts, per_player.sum(axis=0)))
@@ -319,45 +324,23 @@ def _game_arms(spec: ExperimentSpec):
 def _routing_arms(spec: ExperimentSpec):
     """Splittable routing: one arm at the configured or the tuned step size
     1/(2Ln), certified only at the tuned one, and its cost plot."""
-    from .continuous import (
-        RoutingReport,
-        certify_total_regret,
-        linearized_regret,
-        lipschitz_constant,
-        parse_network,
-        run_continuous,
-        true_regret,
-    )
-
-    with open(spec.game["path"], "r", encoding="utf-8") as fh:
-        network = parse_network(fh.read())
-    bundle = lipschitz_constant(network)
-    n = network.n
-    eta_tuned = 1.0 / (2.0 * bundle.L * n)
-    eta = spec.learner.eta if spec.learner.eta is not None else eta_tuned
-    trace = run_continuous(network, eta, spec.T)
-    linearized = [linearized_regret(trace, i) for i in range(n)]
-    tuned = abs(eta - eta_tuned) <= 1e-12 * max(1.0, eta_tuned)
-    rep = RoutingReport(linearized, [true_regret(trace, i) for i in range(n)],
-                        float(sum(linearized)), float(trace.total_cost.mean()),
-                        bundle.L, float(eta),
-                        [certify_total_regret(trace, bundle)] if tuned else [])
-
-    meta = {"game": {"kind": "network", "path": spec.game["path"],
-                     "players": n, "paths": [len(p) for p in network.paths]},
-            "eta": eta, "T": spec.T, "seed": spec.seed, "mode": "routing"}
-    values = [np.column_stack((trace.costs[i], trace.total_cost)) for i in range(n)]
-    write = partial(write_trace_rows, meta, ("cost", "total_cost"), values, "flow",
-                    trace.flows)
+    network = build_game_from_config(spec.game)
+    eta = spec.learner.eta
+    if eta is None:
+        eta = 1.0 / (2.0 * continuous.lipschitz_constant(network).L * network.n)
+    trace = continuous.run_continuous(network, eta, spec.T)
+    trace.meta["seed"] = spec.seed
+    rep = continuous.routing_report(trace)
     ts = list(range(1, spec.T + 1))
-    series = [(f"player {i} cost", ts, trace.costs[i]) for i in range(n)]
+    series = [(f"player {i} cost", ts, cost) for i, cost in enumerate(trace.costs)]
     series.append(("total cost", ts, trace.total_cost))
     plot = line_plot(series, title="Routing costs", xlabel="round", ylabel="cost")
     summary = {"T": spec.T, "mode": "routing", "eta": rep.eta,
                "linearized_regrets": rep.regrets, "true_regrets": rep.regrets_raw,
                "sum_linearized_regret": rep.sum_linearized_regret,
                "avg_total_cost": rep.avg_total_cost}
-    return [("main", "flows", write, rep, summary)], {"costs_svg": ("costs.svg", plot)}
+    return [("main", "flows", partial(write_trace_csv, trace), rep, summary)], \
+        {"costs_svg": ("costs.svg", plot)}
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> dict:

@@ -212,8 +212,8 @@ class DenseGame(NormalFormGame):
              "scale": self.scale, "shift": self.shift}
         d.update(self.meta)
         if d.get("kind_detail") in (None, "dense_csv"):
-            # no recipe, or a file that may change after the run: embed the
-            # payoffs so traces stay self-contained (a path is a label only)
+            # no recipe, or parsed from a file's text: embed the payoffs so
+            # traces stay self-contained
             d["tensors"] = [t.tolist() for t in self.tensors]
         return d
 
@@ -323,16 +323,9 @@ def poa_welfare_bound(lam: float, mu: float, opt: float, regrets, T: int) -> flo
 # dense CSV interchange
 
 
-def load_dense_csv(text_or_path) -> DenseGame:
-    """Load a dense game: header line ``n,d1,...,dn`` then one row per pure
-    profile ``s1,...,sn,u1,...,un`` (normalized [0,1] utilities)."""
-    path = None
-    if isinstance(text_or_path, str) and "\n" not in text_or_path:
-        path = text_or_path
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = text_or_path
+def load_dense_csv(text: str) -> DenseGame:
+    """Parse a dense game's text: header line ``n,d1,...,dn`` then one row
+    per pure profile ``s1,...,sn,u1,...,un`` (normalized [0,1] utilities)."""
     rows = [r for r in csv.reader(io.StringIO(text)) if r and any(f.strip() for f in r)]
     if not rows:
         raise ValueError("empty dense-game file")
@@ -354,10 +347,7 @@ def load_dense_csv(text_or_path) -> DenseGame:
         if t.min() < 0.0 or t.max() > 1.0:
             raise ValueError(f"player {i}: utilities must lie in [0,1], got "
                              f"[{t.min()}, {t.max()}]")
-    meta = {"kind_detail": "dense_csv"}
-    if path is not None:
-        meta["path"] = path
-    return DenseGame(tensors, scale=1.0, shift=0.0, meta=meta)
+    return DenseGame(tensors, scale=1.0, shift=0.0, meta={"kind_detail": "dense_csv"})
 
 
 def dump_dense_csv(game: DenseGame) -> str:

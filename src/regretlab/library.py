@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auctions import AuctionGame, AuctionSpec
-from .games import DenseGame, NormalFormGame, SmoothnessCertificate, verify_smoothness
+from .continuous import CongestionNetwork
+from .games import DenseGame, SmoothnessCertificate, verify_smoothness
 
 __all__ = [
     "splitmix64_stream",
@@ -130,8 +131,9 @@ def lower_bound_experiment(eta: float, T: int) -> LowerBoundResult:
 # reconstruction from trace metadata
 
 
-def build_game(desc: dict) -> NormalFormGame:
-    """Rebuild a game from ``describe()`` output (trace metadata)."""
+def build_game(desc: dict):
+    """Rebuild a game or a routing network from ``describe()`` output (trace
+    metadata)."""
     kind = desc.get("kind")
     if kind == "auction":
         spec = AuctionSpec(
@@ -140,12 +142,14 @@ def build_game(desc: dict) -> NormalFormGame:
             bid_levels=np.asarray(desc["bid_levels"], dtype=float),
         )
         return AuctionGame(spec)
+    if kind == "network":
+        return CongestionNetwork(desc["edges"], desc["players"])
     if kind == "dense":
         if "tensors" in desc:
             return DenseGame(
                 [np.asarray(t, dtype=float) for t in desc["tensors"]],
                 scale=desc.get("scale", 1.0), shift=desc.get("shift", 0.0),
-                meta={k: desc[k] for k in ("kind_detail", "path") if k in desc},
+                meta={"kind_detail": desc["kind_detail"]} if "kind_detail" in desc else None,
             )
         detail = desc.get("kind_detail")
         if detail == "matrix":

@@ -1,6 +1,7 @@
 """Tests for splittable routing: parsing, gradients, dynamics, certificates."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from regretlab.continuous import (
     run_continuous,
     true_regret,
 )
+from regretlab.dynamics import read_trace_csv, write_trace_csv
+from regretlab.library import build_game
 
 TWO_EDGE_TWO_PLAYER = """\
 edge s t 0 1 0
@@ -90,6 +93,36 @@ class TestParsing:
     def test_missing_path_is_rejected(self):
         with pytest.raises(ValueError, match="no path"):
             CongestionNetwork([("s", "t", 0.0, 1.0, 0.0)], [("t", "s", 1.0)])
+
+    @staticmethod
+    def layered(layers, direct=False):
+        """``layers`` hops of two parallel edges from v0 to v<layers>: 2^layers
+        paths, plus one when a direct v0 -> v<layers> edge is added."""
+        edges = [(f"v{k}", f"v{k + 1}", 0.0, 1.0, 0.0) for k in range(layers)] * 2
+        edges += [("v0", f"v{layers}", 0.0, 1.0, 0.0)] if direct else []
+        return CongestionNetwork(edges, [("v0", f"v{layers}", 1.0)])
+
+    def test_path_cap_is_inclusive(self):
+        net = self.layered(6)  # 64 paths
+        assert len(net.paths[0]) == continuous.PATH_CAP == 64
+        assert net.incidence[0].shape == (64, 12)
+        with pytest.raises(ValueError, match="^paths from v0 to v6 exceed the cap 64$"):
+            self.layered(6, direct=True)  # 65 paths
+
+    def test_path_search_stops_at_the_cap(self):
+        # 2^40 paths: enumerating them all would not finish
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceed the cap 64"):
+            self.layered(40)
+        assert time.perf_counter() - start < 1.0
+
+    def test_describe_rebuilds_the_network(self):
+        net = parse_network(QUAD_NETWORK)
+        desc = net.describe()
+        assert desc["kind"] == "network"
+        assert desc["players"] == [["s", "t", 1.5], ["s", "t", 0.8]]
+        back = build_game(desc)
+        assert back == net and back.paths == net.paths
 
     def test_path_explosion_is_rejected(self):
         edges = []
@@ -266,7 +299,8 @@ class TestDynamics:
             np.testing.assert_allclose(tr.grads[i], grads[i], rtol=0, atol=1e-12)
 
     def test_edge_loads_once_per_round(self, monkeypatch):
-        # the round loop calls the unchecked core; flows are checked once, after it
+        # the round loop calls the unchecked core; after it, the derivation
+        # checks every round's flows and makes one more, batched, call
         calls = []
         loads = CongestionNetwork._edge_loads
 
@@ -276,7 +310,7 @@ class TestDynamics:
 
         monkeypatch.setattr(CongestionNetwork, "_edge_loads", counting)
         run_continuous(parse_network(QUAD_NETWORK), 0.05, 25)
-        assert len(calls) == 25
+        assert len(calls) == 25 + 1
 
     @pytest.mark.parametrize("bad_round", [0, 9])
     def test_infeasible_flows_are_rejected_after_the_loop(self, monkeypatch, bad_round):
@@ -382,3 +416,26 @@ class TestCertificate:
         tr = run_continuous(net, 0.1, 10)
         with pytest.raises(ValueError, match="eta"):
             certify_total_regret(tr, bun)
+
+
+class TestTraceCsv:
+    @pytest.mark.parametrize("eta", [1.0 / 64.0, 0.05, 0.3])
+    def test_round_trip_is_bitwise(self, eta):
+        net = parse_network(QUAD_NETWORK.replace("player s t 0.8", "player s t 0.8\n"
+                                                 "player a t 0.6\nedge a b 0.4 0.1 0.0"))
+        tr = run_continuous(net, eta, 40)
+        tr.meta["seed"] = 3
+        text = write_trace_csv(tr)
+        back = read_trace_csv(text)
+        assert back.network == net and back.eta == eta and back.meta == tr.meta
+        for i in range(net.n):
+            np.testing.assert_array_equal(back.flows[i], tr.flows[i])
+            np.testing.assert_array_equal(back.grads[i], tr.grads[i])
+        np.testing.assert_array_equal(back.costs, tr.costs)
+        np.testing.assert_array_equal(back.total_cost, tr.total_cost)
+        assert write_trace_csv(back) == text
+
+    def test_meta_describes_the_run(self):
+        net = parse_network(TWO_EDGE_TWO_PLAYER)
+        tr = run_continuous(net, 0.25, 3)
+        assert tr.meta == {"game": net.describe(), "eta": 0.25, "T": 3, "mode": "routing"}

@@ -644,12 +644,12 @@ class TestTraceCsv:
     def test_dense_csv_edited_after_the_run_keeps_the_original_game(self, tmp_path):
         payoffs = tmp_path / "payoffs.csv"
         payoffs.write_text(dump_dense_csv(make_random_game(2, [2, 3], seed=117)))
-        tr = run(load_dense_csv(str(payoffs)), [opt_hedge(0.3), hedge(0.4)], 12)
+        tr = run(load_dense_csv(payoffs.read_text()), [opt_hedge(0.3), hedge(0.4)], 12)
         path = tmp_path / "trace.csv"
         write_trace_csv(tr, str(path))
         payoffs.write_text(dump_dense_csv(make_random_game(2, [2, 3], seed=118)))
         back = read_trace_csv(str(path))
-        assert back.meta["game"]["path"] == str(payoffs)  # a label, not the source
+        assert "path" not in back.meta["game"]  # the payoffs are embedded, no file named
         for i in range(2):
             np.testing.assert_array_equal(back.utilities[i], tr.utilities[i])
         assert report(back).regrets == report(tr).regrets

@@ -3,6 +3,7 @@ and the command-line front end (artifacts, recomputability, exit codes)."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -479,14 +480,15 @@ class TestRunExperiment:
         assert any(f.endswith(".svg") for f in runs[0]), name
         assert any(f.startswith("report") for f in runs[0]), name
         assert runs[0] == runs[1], name
-        # re-reporting each trace reproduces its report file; routing writes
-        # flows.csv, which `report` cannot rebuild yet
-        traces = [f for f in os.listdir(tmp_path / "one") if f.startswith("trace")]
-        assert bool(traces) == (name != "routing.cfg"), name
+        # re-reporting each trace (flows.csv for routing) reproduces its report file
+        traces = [f for f in os.listdir(tmp_path / "one")
+                  if f.startswith("trace") or f == "flows.csv"]
+        assert traces, name
         for f in traces:
             capsys.readouterr()
             assert main(["report", str(tmp_path / "one" / f)]) == 0
-            assert capsys.readouterr().out.encode() == runs[0][f.replace("trace", "report")]
+            report = "report.csv" if f == "flows.csv" else f.replace("trace", "report")
+            assert capsys.readouterr().out.encode() == runs[0][report]
 
 
 class TestNetworkExperiment:
@@ -513,7 +515,7 @@ class TestNetworkExperiment:
         lines = read(manifest["artifacts"]["trace"]).splitlines()
         meta = json.loads(lines[0][len("# meta="):])
         assert meta["game"]["kind"] == "network"
-        assert meta["game"]["players"] == 2
+        assert meta["game"]["players"] == [["s", "t", 1.0], ["s", "t", 1.0]]
         assert lines[1] == "t,player,cost,total_cost,flow_0,flow_1"
         assert len(lines) == 2 + 2 * 50  # header rows + (players x T)
         first = lines[2].split(",")
@@ -532,7 +534,10 @@ class TestNetworkExperiment:
 
     def test_flows_csv_matches_the_csv_writer_oracle(self, tmp_path):
         [(_, _, write, _, _)], _ = _routing_arms(network_spec(tmp_path))
-        assert write() == orc.csv_trace_rows(*write.args)
+        [trace] = write.args
+        values = [np.column_stack((c, trace.total_cost)) for c in trace.costs]
+        assert write() == orc.csv_trace_rows(trace.meta, ("cost", "total_cost"), values,
+                                             "flow", trace.flows)
 
     def test_costs_svg_has_player_and_total_series(self, tmp_path):
         spec = network_spec(tmp_path)
@@ -841,6 +846,70 @@ class TestCliReport:
         assert err.count("\n") == 1
 
 
+class TestCliReportRouting:
+    """`report` on a routing flows.csv: the rebuilt network, the stored cells
+    checked against the flows, and the meta's eta."""
+
+    def report_edited_flows(self, tmp_path, capsys, edit=lambda lines: None):
+        """Run `report` on a 50-round flows.csv of NET_FILE after
+        ``edit(lines)``; return (exit code, stdout, stderr, manifest)."""
+        manifest = run_experiment(network_spec(tmp_path), out_dir=str(tmp_path / "routing"))
+        lines = read(manifest["artifacts"]["trace"]).splitlines(keepends=True)
+        edit(lines)  # lines[0] meta, lines[1] header, lines[2] = round 1 player 0
+        edited = tmp_path / "edited.csv"
+        edited.write_text("".join(lines))
+        capsys.readouterr()
+        code = main(["report", str(edited)])
+        out, err = capsys.readouterr()
+        return code, out, err, manifest
+
+    def test_stdout_matches_the_written_report_exactly(self, tmp_path, capsys):
+        code, out, err, manifest = self.report_edited_flows(tmp_path, capsys)
+        assert (code, err) == (0, "")
+        assert out == read(manifest["artifacts"]["report"])
+
+    @pytest.mark.parametrize("line, column, shown", [
+        (4, 2, "cost"),  # round 1, player 1
+        (5, 3, "total_cost"),  # round 2, player 0
+    ])
+    def test_stored_cell_that_disagrees_with_the_flows_exits_1(self, tmp_path, capsys,
+                                                               line, column, shown):
+        def edit(lines):
+            cells = lines[line - 1].split(",")
+            cells[column] = "1000.0"
+            lines[line - 1] = ",".join(cells)
+        code, _, err, _ = self.report_edited_flows(tmp_path, capsys, edit)
+        assert code == 1
+        assert err == f"error: trace line {line}: stored {shown} 1000.0 does not match the flows\n"
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda m: {**m, "game": {k: v for k, v in m["game"].items() if k != "edges"}},
+         "metadata game is missing key 'edges'"),
+        (meta_with(eta="0.1"), "metadata eta must be a positive finite float, got '0.1'"),
+        (meta_with(eta=True), "metadata eta must be a positive finite float, got True"),
+        (meta_with(eta=-1.0), "metadata eta must be a positive finite float, got -1.0"),
+        (meta_with(eta=float("nan")), "metadata eta must be a positive finite float, got nan"),
+    ], ids=["no-edges", "eta-string", "eta-bool", "eta-negative", "eta-nan"])
+    def test_malformed_network_meta_exits_1(self, tmp_path, capsys, change, message):
+        def edit(lines):
+            meta = json.loads(lines[0][len("# meta="):])
+            lines[0] = "# meta=" + json.dumps(change(meta)) + "\n"
+        code, _, err, _ = self.report_edited_flows(tmp_path, capsys, edit)
+        assert code == 1
+        assert err == f"error: trace line 1: {message}\n"
+
+    def test_flows_csv_bytes_do_not_depend_on_the_checkout(self, tmp_path, capsys):
+        written = []
+        for root in (tmp_path / "a", tmp_path / "b" / "deeper"):
+            shutil.copytree(CONFIG_DIR, root / "configs")
+            out = root / "out"
+            assert main(["simulate", str(root / "configs" / "routing.cfg"),
+                         "--out", str(out)]) == 0
+            written.append((out / "flows.csv").read_bytes())
+        assert written[0] == written[1]
+        assert b"configs" not in written[0].splitlines()[0]
+
+
 class TestCliLowerbound:
     def test_prints_realized_and_closed_forms(self, capsys):
         code = main(["lowerbound", "--eta", "1.0", "--T", "10"])
@@ -1034,6 +1103,16 @@ class TestCliErrorBoundary:
         done = run_module("lowerbound", "--eta", eta, "--T", "10")
         self.assert_one_line_error(done, "eta must be positive", f"got {eta}")
         assert "RuntimeWarning" not in done.stderr
+
+    @pytest.mark.parametrize("kind, message", [
+        ("regret", "regret plots need a normal-form or auction trace"),
+        ("bids", "bid trajectories need an auction trace"),
+    ])
+    def test_plot_of_a_routing_trace(self, tmp_path, kind, message):
+        manifest = run_experiment(network_spec(tmp_path), out_dir=str(tmp_path / "routing"))
+        done = run_module("plot", manifest["artifacts"]["trace"], "--kind", kind)
+        self.assert_one_line_error(done, message)
+        assert not (tmp_path / "routing" / f"{kind}.svg").exists()
 
     def test_plot_to_a_missing_directory(self, tmp_path):
         manifest = run_experiment(parse_config(MATRIX_SMOOTH_CFG),

@@ -1,0 +1,134 @@
+"""The harness the ``tools/bench_*.py`` scripts share.
+
+A script supplies its docstring, what it measures, the names of its timed
+samples, a ``measure(src)`` and a ``child(*args)``; ``main`` does the rest:
+
+- imports the package from ``--src`` and checks that it came from there;
+- ``measure(src)`` returns ``{"samples": {name: [seconds or us, ...]},
+  "peak_rss_mb": float, ...}``, every other key being recorded as is;
+- ``fresh_peak_rss`` reruns the script with ``--child ARGS`` in a fresh
+  process, which calls ``child(*ARGS)`` and prints its own peak RSS;
+- ``merge`` pools the samples under ``--label`` in ``BENCH_<name>.json`` at the
+  repository root (``<name>`` from ``bench_<name>.py``), with the host
+  fingerprint, the checkout's git commit and a SHA-256 of its
+  ``src/regretlab`` sources.  Samples of one label pool across invocations
+  while the sources stay the same; a label whose sources changed starts over.
+  Each summary is the median and the quartiles of the pooled samples.
+
+Only the standard library and numpy are used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+from datetime import datetime, timezone
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KB on Linux
+
+
+def _git(src_root: str, *args) -> str | None:
+    done = subprocess.run(["git", "-C", src_root, *args], capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def _source_digest(src: str) -> str:
+    package = os.path.join(src, "regretlab")
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                h.update(name.encode() + b"\0" + fh.read())
+    return h.hexdigest()
+
+
+def _summary(samples) -> dict:
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3),
+            "iqr": float(q3 - q1), "n": len(samples)}
+
+
+def fresh_peak_rss(script: str, src: str, *args: str) -> float:
+    """Peak RSS in MB of ``script --src SRC --child ARGS`` run in a fresh process."""
+    done = subprocess.run([sys.executable, os.path.abspath(script), "--src", src,
+                           "--child", *args], capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)["peak_rss_mb"]
+
+
+def merge(script: str, what: str, timings, label: str, src: str, result: dict) -> dict:
+    """Pool ``result`` under ``label`` in the script's BENCH file; return the entry."""
+    name = os.path.basename(script)
+    out = os.path.join(ROOT, f"BENCH_{name[len('bench_'):-len('.py')]}.json")
+    try:
+        with open(out, encoding="utf-8") as fh:
+            bench = json.load(fh)
+    except FileNotFoundError:
+        bench = {}
+    bench.setdefault("what", what)
+    bench.setdefault("command", f"python3 tools/{name} --src <checkout>/src --label <name>")
+    src_root = os.path.dirname(os.path.abspath(src))
+    digest = _source_digest(src)
+    entry = bench.setdefault("labels", {}).get(label)
+    if entry is None or entry["src_sha256"] != digest:
+        entry = {"src_sha256": digest, "sessions": []}
+    entry.update(
+        commit=_git(src_root, "rev-parse", "HEAD"),
+        uncommitted_source_changes=bool(_git(src_root, "status", "--porcelain", "--", "src")),
+        fingerprint={"machine": platform.machine(), "platform": platform.platform(),
+                     "cpus": os.cpu_count(), "python": platform.python_version(),
+                     "numpy": np.__version__},
+        **{k: v for k, v in result.items() if k not in ("samples", "peak_rss_mb")},
+    )
+    entry["sessions"].append({
+        "finished": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        **result["samples"], "peak_rss_mb": result["peak_rss_mb"],
+    })
+    pooled = {t: [x for s in entry["sessions"] for x in s[t]] for t in timings}
+    entry["summary"] = {t: _summary(pooled[t]) for t in timings}
+    entry["summary"]["peak_rss_mb"] = _summary([s["peak_rss_mb"] for s in entry["sessions"]])
+    bench["labels"][label] = entry
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(bench, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return entry
+
+
+def main(script: str, doc: str, what: str, timings, measure, child, argv=None) -> int:
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("--src", required=True, help="a checkout's src directory")
+    parser.add_argument("--label", help="name to record the result under")
+    parser.add_argument("--child", nargs="*", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    src = os.path.abspath(args.src)
+    sys.path.insert(0, src)
+    if args.child is not None:
+        child(*args.child)
+        print(json.dumps({"peak_rss_mb": _peak_rss_mb()}))
+        return 0
+    if not args.label:
+        parser.error("--label is required")
+    import regretlab
+
+    if not os.path.abspath(regretlab.__file__).startswith(src + os.sep):
+        raise RuntimeError(f"regretlab was imported from {regretlab.__file__}, not {src}")
+    entry = merge(script, what, timings, args.label, src, measure(src))
+    for name, stats in entry["summary"].items():
+        print(f"{args.label} {name}: median {stats['median']:.4g} "
+              f"IQR {stats['iqr']:.3g} (n={stats['n']})")
+    return 0

@@ -37,13 +37,15 @@ __all__ = [
 ]
 
 PATH_CAP = 64
+SEARCH_CAP = 100_000  # edge steps of one player's path search
 
 
 @dataclass
 class CongestionNetwork:
     """Directed graph with latency a*x^2 + b*x + c per edge and one
     (source, sink, flow) commodity per player.  Path sets are enumerated at
-    construction; instances exceeding PATH_CAP paths per player are rejected.
+    construction; instances exceeding PATH_CAP paths per player, or whose
+    search takes more than SEARCH_CAP steps, are rejected.
     Construction also builds the arrays every evaluation uses: each player's
     (|P_i|, m) path-edge incidence matrix and the (m, 3) coefficients (a, b, c).
     """
@@ -65,18 +67,7 @@ class CongestionNetwork:
         for (s, t, f) in self.players:
             if f <= 0:
                 raise ValueError(f"flow amount must be positive for {s}->{t}")
-        out: dict[str, list[int]] = {}
-        for idx, (u, v, *_rest) in enumerate(self.edges):
-            out.setdefault(u, []).append(idx)
-        self.paths = []
-        for (s, t, _f) in self.players:
-            found: list[tuple[int, ...]] = []
-            self._dfs(s, t, out, [], {s}, found)
-            if not found:
-                raise ValueError(f"no path from {s} to {t}")
-            if len(found) > PATH_CAP:
-                raise ValueError(f"paths from {s} to {t} exceed the cap {PATH_CAP}")
-            self.paths.append(sorted(found))
+        self.paths = [self._simple_paths(s, t) for (s, t, _f) in self.players]
         self.incidence = []
         for paths in self.paths:
             inc = np.zeros((len(paths), self.m))
@@ -85,22 +76,48 @@ class CongestionNetwork:
             self.incidence.append(inc)
         self.coef = np.array([e[2:] for e in self.edges], dtype=float)
 
-    def _dfs(self, node, t, out, acc, seen, found):
-        """Append the simple paths from ``node`` to t, up to PATH_CAP + 1."""
-        if node == t:
-            found.append(tuple(acc))
-            return
-        for eidx in out.get(node, ()):
-            if len(found) > PATH_CAP:
-                return
-            v = self.edges[eidx][1]
-            if v in seen:
+    def _simple_paths(self, s, t) -> list:
+        """The sorted simple paths from s to t.  The search enters only nodes
+        that can reach t (one reverse pass), which bounds it on a DAG; on a
+        graph with cycles SEARCH_CAP bounds it.  It keeps its own stack of
+        out-edge iterators, so a long path cannot exhaust the recursion limit."""
+        into, out = {}, {}  # per node: the tails of its in-edges, its out-edge indices
+        for idx, (u, v, *_rest) in enumerate(self.edges):
+            into.setdefault(v, []).append(u)
+            out.setdefault(u, []).append(idx)
+        reach, todo = {t}, [t]
+        while todo:
+            for u in into.get(todo.pop(), ()):
+                if u not in reach:
+                    reach.add(u)
+                    todo.append(u)
+        found = [()] if s == t else []
+        path, seen, steps = [], {s}, 0  # path: the edges from s to the top node
+        stack = [] if found else [iter(out.get(s, ()))]
+        while stack and len(found) <= PATH_CAP:
+            eidx = next(stack[-1], None)
+            if eidx is None:  # the top node is done: step back from it
+                stack.pop()
+                if path:
+                    seen.discard(self.edges[path.pop()][1])
                 continue
-            acc.append(eidx)
-            seen.add(v)
-            self._dfs(v, t, out, acc, seen, found)
-            seen.discard(v)
-            acc.pop()
+            v = self.edges[eidx][1]
+            if v in seen or v not in reach:
+                continue
+            steps += 1
+            if steps > SEARCH_CAP:
+                raise ValueError(f"path search from {s} to {t} exceeds {SEARCH_CAP} steps")
+            if v == t:
+                found.append((*path, eidx))
+            else:
+                path.append(eidx)
+                seen.add(v)
+                stack.append(iter(out.get(v, ())))
+        if not found:
+            raise ValueError(f"no path from {s} to {t}")
+        if len(found) > PATH_CAP:
+            raise ValueError(f"paths from {s} to {t} exceed the cap {PATH_CAP}")
+        return sorted(found)
 
     @property
     def n(self) -> int:

@@ -163,15 +163,13 @@ def certify_cost_welfare(
     The first-order precondition (each player's regret against its deviation
     strategy s*_i obeys the measured constants) is checked first; when it
     fails the certificate is reported as vacuous (passed None), not failed.
+    Everything comes from the trace: s*_i's costs are column s*_i of 1 - u_i.
     """
     lam, mu = smoothness.lam, smoothness.mu
     if not 0.0 < mu < 1.0:
         raise ValueError(f"the cost-welfare bound needs mu in (0,1), got {mu}")
     if not smoothness.verified:
         raise ValueError("cost-welfare bound requires a verified smoothness certificate")
-    from .library import build_game
-
-    game = build_game(trace.meta["game"])
     if trace.meta.get("mode") != "cost":
         raise ValueError("cost-welfare bound applies to cost-mode traces")
     n, T = trace.n, trace.T
@@ -182,8 +180,7 @@ def certify_cost_welfare(
     details: dict = {}
     for i in range(n):
         costs = 1.0 - trace.utilities[i]  # engine stores 1 - c
-        # in cost mode the game's oracle values are the costs themselves
-        dev_costs = game.expected_utilities(i, trace.plays)[:, s_star[i]]
+        dev_costs = costs[:, s_star[i]]
         realized = float(np.sum(trace.plays[i] * costs))
         r_dev = realized - float(dev_costs.sum())
         cap = constants.bound(trace.plays[i].shape[1], float(dev_costs.sum()))

@@ -98,22 +98,6 @@ def _trace_from_plays(game: NormalFormGame, plays, mode: str, meta: dict) -> Tra
                  np.array([np.cumsum(dw2) for _, dw2 in steps]), meta)
 
 
-def _build_learners(game: NormalFormGame, specs):
-    """Instantiate learners; best-response players, spec-built or prebuilt,
-    read a per-round oracle slot the engine fills before asking them to play."""
-    slots = [[np.zeros(d)] for d in game.dims]
-    sources = [lambda s=slot: s[0] for slot in slots]
-    learners: list[OnlineLearner] = [
-        spec if isinstance(spec, OnlineLearner)
-        else make_learner(spec, game.dims[i], utility_source=sources[i])
-        for i, spec in enumerate(specs)
-    ]
-    for learner, source in zip(learners, sources):
-        if isinstance(learner, BestResponseLearner):
-            learner.utility_source = source
-    return learners, slots
-
-
 def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     """Play T rounds.  ``specs`` holds one LearnerSpec or prebuilt learner per
     player.  In cost mode the game's oracle is read as costs; learners that
@@ -121,7 +105,8 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
 
     Best-response players respond to the current round's strategies of every
     distribution player (and the previous round's strategies of any other
-    responder), so the dynamics stay simultaneous and well defined.
+    responder), so the dynamics stay simultaneous and well defined; the
+    engine sets each responder's ``utilities`` before it plays.
 
     Each play is shape-checked when its learner returns it; the round's one
     all-players oracle call skips the profile check, and every row of every
@@ -133,14 +118,14 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
         raise ValueError(f"{len(specs)} learner specs for {game.n} players")
     if mode not in ("utility", "cost"):
         raise ValueError(f"mode must be 'utility' or 'cost', got {mode!r}")
-    learners, slots = _build_learners(game, specs)
+    learners = [s if isinstance(s, OnlineLearner) else make_learner(s, game.dims[i])
+                for i, s in enumerate(specs)]
     n = game.n
     responders = [i for i, L in enumerate(learners) if isinstance(L, BestResponseLearner)]
     dist_players = [i for i in range(n) if i not in responders]
     # utility learners get 1 - c in cost mode; cost-native learners get the
     # costs: the oracle's value in cost mode, 1 - u otherwise
-    as_is = [(getattr(L, "feedback", "utility") == "cost") == (mode == "cost")
-             for L in learners]
+    as_is = [(L.feedback == "cost") == (mode == "cost") for L in learners]
 
     def play(i):
         w = np.asarray(learners[i].play(), dtype=float)
@@ -167,7 +152,7 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
                 if j != i:
                     ref[j] = profile[j]
             u_now = oracle(game._normalized_utilities, i, ref)
-            slots[i][0] = 1.0 - u_now if mode == "cost" else u_now
+            learners[i].utilities = 1.0 - u_now if mode == "cost" else u_now
             current[i] = play(i)
 
         raws = oracle(game._all_normalized_utilities, current)
@@ -178,20 +163,11 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
 
     meta = {
         "game": game.describe(),
-        "learners": [_spec_dict(s) for s in specs],
+        "learners": [s.to_dict() for s in specs],
         "T": T,
         "mode": mode,
     }
     return _trace_from_plays(game, plays, mode, meta)
-
-
-def _spec_dict(s) -> dict:
-    if isinstance(s, LearnerSpec):
-        return s.to_dict()
-    sp = getattr(s, "spec", None)
-    if sp is not None:
-        return sp.to_dict()
-    return {"algorithm": type(s).__name__}
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +391,8 @@ def read_trace_csv(text_or_path):
     value that disagrees with its derivation (beyond rtol 1e-9, atol 1e-12) is
     an error naming its line.  The metadata must be a JSON object with a
     ``game`` object that rebuilds the game and an int ``T`` >= 1.  A network
-    game needs a positive finite float ``eta``; any other game needs one
+    game needs a positive finite float ``eta`` and, if given, a ``mode`` of
+    routing; any other game needs one
     ``learners`` object per player and, if given, a ``mode`` of utility or
     cost and a ``smoothness`` object with numeric ``lambda`` and ``mu`` and
     an optional list of int ``s_star``.
@@ -453,6 +430,9 @@ def read_trace_csv(text_or_path):
     if type(T) is not int or T < 1:
         raise ValueError(f"trace line 1: metadata T must be an integer >= 1, got {T!r}")
     if isinstance(game, CongestionNetwork):
+        if meta.get("mode", "routing") != "routing":
+            raise ValueError(f"trace line 1: metadata mode must be 'routing', "
+                             f"got {meta['mode']!r}")
         eta = meta.get("eta")
         if type(eta) is not float or not 0.0 < eta < math.inf:
             raise ValueError(f"trace line 1: metadata eta must be a positive finite "

@@ -185,6 +185,7 @@ class OnlineLearner:
     """Base class enforcing the play/observe alternation."""
 
     feedback = "utility"
+    spec = None  # the LearnerSpec ``make_learner`` built it from
 
     def __init__(self, d: int):
         if d < 1:
@@ -212,6 +213,10 @@ class OnlineLearner:
         self._observe(u)
         self._pending = None
         self.t += 1
+
+    def to_dict(self) -> dict:
+        """The learner as trace metadata: its spec's dict, else its class name."""
+        return self.spec.to_dict() if self.spec is not None else {"algorithm": type(self).__name__}
 
     def _play(self) -> np.ndarray:
         raise NotImplementedError
@@ -292,25 +297,19 @@ class OmdLearner(OnlineLearner):
 
 
 class BestResponseLearner(OnlineLearner):
-    """Plays a point mass on the strategy maximizing its current expected
-    utility, supplied each round by ``utility_source`` (wired by the dynamics
-    engine).  Ties break toward the lowest strategy index."""
+    """Plays a point mass on the strategy maximizing ``utilities``, the
+    current expected utilities the dynamics engine sets before each play.
+    Ties break toward the lowest strategy index."""
 
     algorithm = "bestresponse"
-
-    def __init__(self, d: int, utility_source):
-        super().__init__(d)
-        if utility_source is None:
-            raise ValueError(
-                "best-response learner requires an opponent-utility oracle "
-                "(run it through the dynamics engine)"
-            )
-        self.utility_source = utility_source
+    utilities = None
 
     def _play(self) -> np.ndarray:
-        u = np.asarray(self.utility_source(), dtype=float)
+        if self.utilities is None:
+            raise RuntimeError("best-response learner has no utilities to respond to "
+                               "(run it through the dynamics engine)")
         w = np.zeros(self.d)
-        w[int(np.argmax(u))] = 1.0
+        w[int(np.argmax(self.utilities))] = 1.0
         return w
 
     def _observe(self, u: np.ndarray) -> None:
@@ -401,12 +400,12 @@ def declared_variation_bound(spec: LearnerSpec, d: int) -> VariationBound | None
     )
 
 
-def make_learner(spec: LearnerSpec, d: int, utility_source=None) -> OnlineLearner:
+def make_learner(spec: LearnerSpec, d: int) -> OnlineLearner:
     """Instantiate a learner from its spec; the first play is always the
     regularizer's initial (uniform) point."""
     s = spec.resolved()
     if s.algorithm == "bestresponse":
-        learner = BestResponseLearner(d, utility_source)
+        learner = BestResponseLearner(d)
     elif s.algorithm == "first_order_hedge":
         from .costmode import FirstOrderHedge
 

@@ -14,31 +14,39 @@ import math
 
 import numpy as np
 
-from .learners import Certificate, OnlineLearner
+from .learners import (Certificate, LearnerSpec, OnlineLearner, _comparator_regret,
+                       declared_variation_bound, make_learner, variation_sums)
 
 __all__ = ["DoublingWrapper", "wrap_doubling", "parametric_constants",
            "certify_robust", "recommended_eta_star"]
 
 
 class DoublingWrapper(OnlineLearner):
-    """Wrap ``inner_factory(eta) -> learner`` with the doubling schedule.
+    """The doubling schedule around the step-size learner family ``spec``
+    describes (``spec.eta`` is ignored: the wrapper owns the step size).
 
     ``alpha`` is the parametric constant of the inner learner's regret bound
-    (regret <= alpha/eta + ...), ``eta_star`` caps the step size.  Epoch state
-    is exposed for certificates: ``epoch``, ``budget``, ``eta``,
+    (regret <= alpha/eta + ...) and defaults to the family's own (the
+    regularizer's range); ``eta_star`` caps the step size.  Epoch state is
+    exposed for certificates: ``epoch``, ``budget``, ``eta``,
     ``variation_total`` and the ``epoch_log`` of (round, variation_total,
     old_budget) entries at each switch.
     """
 
     algorithm = "robust"
 
-    def __init__(self, inner_factory, alpha: float, eta_star: float, d: int):
+    def __init__(self, spec, d: int, eta_star: float, alpha: float | None = None):
+        if spec.resolved().algorithm not in ("ftrl", "omd"):
+            raise ValueError(
+                f"doubling wrapper needs a step-size learner, got {spec.algorithm!r}")
+        if alpha is None:
+            alpha = parametric_constants(spec, d)[0]
         super().__init__(d)
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         if eta_star <= 0:
             raise ValueError(f"eta_star must be positive, got {eta_star}")
-        self.inner_factory = inner_factory
+        self.inner_spec = spec
         self.alpha = float(alpha)
         self.eta_star = float(eta_star)
         self.epoch = 1
@@ -46,13 +54,21 @@ class DoublingWrapper(OnlineLearner):
         self.variation_total = 0.0
         self._prev_u = np.zeros(d)
         self.epoch_log: list[dict] = []
-        self.eta = self._tuned_eta()
-        self.inner = inner_factory(self.eta)
-        if self.inner.d != d:
-            raise ValueError("inner factory produced a learner of the wrong dimension")
+        self._restart()
 
-    def _tuned_eta(self) -> float:
-        return min(self.alpha / math.sqrt(self.budget), self.eta_star)
+    def _restart(self) -> None:
+        """Retune eta to the budget and start a fresh inner learner."""
+        b = self.inner_spec.resolved()
+        self.eta = min(self.alpha / math.sqrt(self.budget), self.eta_star)
+        self.inner = make_learner(
+            LearnerSpec(b.algorithm, self.eta, b.regularizer, b.predictor, b.predictor_param),
+            self.d)
+
+    def to_dict(self) -> dict:
+        """Metadata without a fixed eta, so the reporter attaches no
+        constant-step certificate to a wrapped learner."""
+        return {"algorithm": "robust", "alpha": self.alpha, "eta_star": self.eta_star,
+                "inner": self.inner_spec.to_dict()}
 
     def _play(self) -> np.ndarray:
         return self.inner.play()
@@ -71,33 +87,15 @@ class DoublingWrapper(OnlineLearner):
             })
             self.epoch += 1
             self.budget *= 2.0
-            self.eta = self._tuned_eta()
-            self.inner = self.inner_factory(self.eta)
+            self._restart()
 
 
-class _RobustSpec:
-    """Metadata stand-in so wrapped learners serialize without a fixed eta
-    (the reporter must not treat them as constant-step learners)."""
-
-    def __init__(self, inner, alpha, eta_star):
-        self.inner = inner
-        self.alpha = alpha
-        self.eta_star = eta_star
-
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": "robust",
-            "alpha": self.alpha,
-            "eta_star": self.eta_star,
-            "inner": self.inner.to_dict(),
-        }
+wrap_doubling = DoublingWrapper
 
 
 def parametric_constants(spec, d: int):
     """The eta-free (alpha, beta, gamma, norm_pair) of a step-size learner's
     variation bound — its declared constants evaluated at eta = 1."""
-    from .learners import LearnerSpec, declared_variation_bound
-
     probe = spec.resolved()
     probe = LearnerSpec(probe.algorithm, 1.0, probe.regularizer,
                         probe.predictor, probe.predictor_param)
@@ -106,31 +104,6 @@ def parametric_constants(spec, d: int):
         raise ValueError(
             f"algorithm {spec.algorithm!r} declares no variation bound to wrap")
     return b.alpha, b.beta, b.gamma, b.norm_pair
-
-
-def wrap_doubling(spec, d: int, eta_star: float, alpha: float | None = None) -> DoublingWrapper:
-    """Build a doubling wrapper around the learner family ``spec`` describes.
-
-    ``spec.eta`` is ignored — the wrapper owns the step size.  ``alpha``
-    defaults to the parametric regret constant (the regularizer's range).
-    """
-    from .learners import LearnerSpec, make_learner
-
-    base = spec.resolved()
-    if base.algorithm not in ("ftrl", "omd"):
-        raise ValueError(
-            f"doubling wrapper needs a step-size learner, got {spec.algorithm!r}")
-    if alpha is None:
-        alpha = parametric_constants(spec, d)[0]
-
-    def factory(eta, _b=base):
-        return make_learner(
-            LearnerSpec(_b.algorithm, eta, _b.regularizer, _b.predictor,
-                        _b.predictor_param), d)
-
-    wrapper = DoublingWrapper(factory, alpha, eta_star, d)
-    wrapper.spec = _RobustSpec(spec, float(alpha), float(eta_star))
-    return wrapper
 
 
 def certify_robust(
@@ -149,8 +122,6 @@ def certify_robust(
     eta-free ones: regret <= alpha/eta + eta*beta*sum_du - (gamma/eta)*sum_dw),
     and ``norm_pair`` picks the norms those constants were derived under.
     """
-    from .learners import _comparator_regret, variation_sums
-
     utilities, plays, lhs = _comparator_regret(utilities, plays, comparator)
     T = len(utilities)
     if T < 2:

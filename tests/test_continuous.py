@@ -1,6 +1,7 @@
 """Tests for splittable routing: parsing, gradients, dynamics, certificates."""
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -115,6 +116,36 @@ class TestParsing:
         with pytest.raises(ValueError, match="exceed the cap 64"):
             self.layered(40)
         assert time.perf_counter() - start < 1.0
+
+    @staticmethod
+    def dead_ends(layers, back_edge=False):
+        """s -> t plus ``layers`` hops of two parallel edges hanging off s:
+        2^layers branches that never reach t, and that reach it only through
+        s itself when a back edge from the last layer to s is added."""
+        edges = [("s", "t", 0.0, 1.0, 0.0)]
+        edges += [("s" if k == 0 else f"v{k}", f"v{k + 1}", 0.0, 1.0, 0.0)
+                  for k in range(layers)] * 2
+        edges += [(f"v{layers}", "s", 0.0, 1.0, 0.0)] if back_edge else []
+        return CongestionNetwork(edges, [("s", "t", 1.0)])
+
+    def test_branches_that_cannot_reach_the_sink_are_not_searched(self):
+        start = time.perf_counter()
+        net = self.dead_ends(40)
+        assert time.perf_counter() - start < 1.0
+        assert net.paths == [[(0,)]]
+
+    def test_a_cyclic_trap_is_rejected_at_the_step_cap(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^path search from s to t exceeds "
+                                             f"{continuous.SEARCH_CAP} steps$"):
+            self.dead_ends(40, back_edge=True)
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_path_longer_than_the_recursion_limit_is_found(self):
+        hops = sys.getrecursionlimit() + 200
+        net = CongestionNetwork([(f"v{k}", f"v{k + 1}", 0.0, 1.0, 0.0) for k in range(hops)],
+                                [("v0", f"v{hops}", 1.0)])
+        assert net.paths == [[tuple(range(hops))]]
 
     def test_describe_rebuilds_the_network(self):
         net = parse_network(QUAD_NETWORK)

@@ -32,8 +32,9 @@ from regretlab.games import (
     load_dense_csv,
     verify_smoothness,
 )
-from regretlab.learners import BestResponseLearner, LearnerSpec, OnlineLearner
+from regretlab.learners import BestResponseLearner, LearnerSpec, OnlineLearner, make_learner
 from regretlab.library import make_matrix_game, make_random_game
+from regretlab.robust import wrap_doubling
 
 A_TILTED = [[0.9, 0.2], [0.3, 0.7]]
 
@@ -61,6 +62,24 @@ class TestRunContract:
         g = make_matrix_game(A_TILTED)
         with pytest.raises(ValueError, match="mode"):
             run(g, [hedge(0.1), hedge(0.1)], 5, mode="loss")
+
+    def test_meta_holds_each_learners_dict(self):
+        g = make_matrix_game(A_TILTED)
+        tr = run(g, [wrap_doubling(LearnerSpec("oftrl", 1.0, "entropy", "last"), 2, 0.5),
+                     LearnerSpec("bestresponse")], 5)
+        assert tr.meta["learners"] == [
+            {"algorithm": "robust", "alpha": math.log(2), "eta_star": 0.5,
+             "inner": {"algorithm": "oftrl", "eta": 1.0, "regularizer": "entropy",
+                       "predictor": "last", "predictor_param": None}},
+            {"algorithm": "bestresponse", "eta": None, "regularizer": "entropy",
+             "predictor": "none", "predictor_param": None},
+        ]
+        tr = run(g, [CostHedge(2, 0.1), make_learner(hedge(0.2), 2)], 5, mode="cost")
+        assert tr.meta["learners"] == [
+            {"algorithm": "CostHedge"},
+            {"algorithm": "hedge", "eta": 0.2, "regularizer": "entropy",
+             "predictor": "none", "predictor_param": None},
+        ]
 
     def test_trace_shapes_and_ranges(self):
         g = make_random_game(3, [2, 3, 2], seed=17)
@@ -490,7 +509,7 @@ class TestBestResponseDynamics:
 
     def test_prebuilt_responder_is_wired_like_a_spec(self):
         g = make_matrix_game([[1.0, 0.0], [0.0, 1.0]])
-        prebuilt = BestResponseLearner(2, utility_source=lambda: np.zeros(2))
+        prebuilt = BestResponseLearner(2)
         tr = run(g, [hedge(0.2), prebuilt], 12)
         ref = run(g, [hedge(0.2), LearnerSpec("bestresponse")], 12)
         for i in range(2):

@@ -889,7 +889,8 @@ class TestCliReportRouting:
         (meta_with(eta=True), "metadata eta must be a positive finite float, got True"),
         (meta_with(eta=-1.0), "metadata eta must be a positive finite float, got -1.0"),
         (meta_with(eta=float("nan")), "metadata eta must be a positive finite float, got nan"),
-    ], ids=["no-edges", "eta-string", "eta-bool", "eta-negative", "eta-nan"])
+        (meta_with(mode="whatever"), "metadata mode must be 'routing', got 'whatever'"),
+    ], ids=["no-edges", "eta-string", "eta-bool", "eta-negative", "eta-nan", "mode-unknown"])
     def test_malformed_network_meta_exits_1(self, tmp_path, capsys, change, message):
         def edit(lines):
             meta = json.loads(lines[0][len("# meta="):])

@@ -8,6 +8,7 @@ import pytest
 
 import oracles as orc
 from regretlab import (
+    BestResponseLearner,
     FtrlLearner,
     LearnerSpec,
     OmdLearner,
@@ -23,6 +24,7 @@ from regretlab import (
     variation_sums,
     wrap_doubling,
 )
+from regretlab.costmode import CostHedge
 
 
 def drive(learner, stream):
@@ -94,8 +96,8 @@ class TestPlayObserveContract:
             make_learner(LearnerSpec("oftrl", 0.1, "entropy", "window", 0), 2)
         with pytest.raises(ValueError):
             make_learner(LearnerSpec("oftrl", 0.1, "entropy", "geometric", 1.0), 2)
-        with pytest.raises(ValueError):
-            make_learner(LearnerSpec("bestresponse"), 2)  # no oracle wired
+        with pytest.raises(RuntimeError, match="dynamics engine"):
+            make_learner(LearnerSpec("bestresponse"), 2).play()  # no utilities set
         with pytest.raises(ValueError):
             make_learner(LearnerSpec("omd", None, "entropy", "last"), 2)
 
@@ -468,12 +470,41 @@ class TestProxInequality:
 
 class TestBestResponse:
     def test_plays_argmax_point_mass(self):
-        state = {"u": np.array([0.1, 0.9, 0.4])}
-        learner = make_learner(LearnerSpec("bestresponse"), 3, utility_source=lambda: state["u"])
+        learner = make_learner(LearnerSpec("bestresponse"), 3)
+        learner.utilities = np.array([0.1, 0.9, 0.4])
         np.testing.assert_allclose(learner.play(), [0.0, 1.0, 0.0], atol=0)
-        learner.observe(state["u"])
-        state["u"] = np.array([0.5, 0.5, 0.4])  # tie breaks to the lowest index
+        learner.observe(learner.utilities)
+        learner.utilities = np.array([0.5, 0.5, 0.4])  # tie breaks to the lowest index
         np.testing.assert_allclose(learner.play(), [1.0, 0.0, 0.0], atol=0)
+
+
+def spec_dict(algorithm, eta=None, regularizer="entropy", predictor="none", param=None):
+    return {"algorithm": algorithm, "eta": eta, "regularizer": regularizer,
+            "predictor": predictor, "predictor_param": param}
+
+
+class TestToDict:
+    """The metadata each kind of learner writes into a trace."""
+
+    @pytest.mark.parametrize("spec, expected", [
+        (LearnerSpec("hedge", 0.1), spec_dict("hedge", 0.1)),
+        (LearnerSpec("oftrl", 0.25, "euclidean", "window", 3),
+         spec_dict("oftrl", 0.25, "euclidean", "window", 3)),
+        (LearnerSpec("omd", 0.5, "entropy", "last"), spec_dict("omd", 0.5, predictor="last")),
+        (LearnerSpec("bestresponse"), spec_dict("bestresponse")),
+        (LearnerSpec("first_order_hedge"), spec_dict("first_order_hedge")),
+    ], ids=["hedge", "oftrl", "omd", "bestresponse", "first_order_hedge"])
+    def test_a_spec_built_learner_writes_its_spec(self, spec, expected):
+        assert make_learner(spec, 2).to_dict() == expected
+
+    def test_a_prebuilt_learner_without_a_spec_writes_its_class_name(self):
+        assert BestResponseLearner(2).to_dict() == {"algorithm": "BestResponseLearner"}
+        assert CostHedge(2, 0.1).to_dict() == {"algorithm": "CostHedge"}
+
+    def test_a_wrapper_writes_its_schedule_and_inner_spec(self):
+        w = wrap_doubling(LearnerSpec("optimistic_hedge"), 2, 0.1)
+        assert w.to_dict() == {"algorithm": "robust", "alpha": math.log(2), "eta_star": 0.1,
+                               "inner": spec_dict("optimistic_hedge")}
 
 
 class TestRegretNonContract:

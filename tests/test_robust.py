@@ -300,7 +300,7 @@ class TestRecommendedEtaStar:
 class TestEngineIntegration:
     def test_wrapped_learners_serialize_without_a_fixed_step_size(self):
         w = wrap_doubling(OPT_HEDGE, 2, eta_star=0.1)
-        d = w.spec.to_dict()
+        d = w.to_dict()
         assert d["algorithm"] == "robust"
         assert "eta" not in d
         assert d["inner"]["algorithm"] == "optimistic_hedge"

@@ -9,7 +9,8 @@ strategyless seller, so they cancel out of welfare but do appear in the
 smoothness residual (seller revenue).
 
 Every oracle starts from ``_win_probabilities``, one pass of tail masses for
-all bidders: the engine round and the trace derivation each make one call.
+all bidders: the engine round and the trace derivation (utilities and
+welfare together) each make one call.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def uniform_values(n: int, m: int, v: float) -> np.ndarray:
 def masked_values(n: int, m: int, v: float, seed: int) -> np.ndarray:
     """Player-specific item subsets: each (player, item) value is v with
     probability 1/2 else 0, from a seeded splitmix64 stream."""
-    from .library import splitmix64_floats
+    from .library import splitmix64_floats  # local: library imports auctions
 
     bits = splitmix64_floats(seed, n * m)
     return np.where(np.asarray(bits).reshape(n, m) < 0.5, float(v), 0.0)
@@ -105,24 +106,35 @@ class AuctionGame(NormalFormGame):
         return (self._payoff[i] * win).reshape(win.shape[:-2] + (-1,))
 
     def _all_normalized_utilities(self, profile) -> list:
-        u = self._win_probabilities(profile)
-        u *= self._payoff.reshape((self.n,) + (1,) * (u.ndim - 3) + self._payoff.shape[1:])
-        u -= self.shift
-        u /= self.scale
-        u = u.reshape(u.shape[:-2] + (-1,))
+        return self._normalized(self._win_probabilities(profile))
+
+    def welfare_mixed(self, profile):
+        profile, _ = _check_profile(self, profile)
+        return self._welfare(profile, self._win_probabilities(profile))
+
+    def _utilities_and_welfare(self, profile) -> tuple:
+        win = self._win_probabilities(profile)
+        welfare = self._welfare(profile, win)  # before _normalized overwrites win
+        return self._normalized(win), welfare
+
+    def _normalized(self, win) -> list:
+        """Every bidder's normalized utilities, computed in place of ``win``."""
+        win *= self._payoff.reshape((self.n,) + (1,) * (win.ndim - 3) + self._payoff.shape[1:])
+        win -= self.shift
+        win /= self.scale
+        u = win.reshape(win.shape[:-2] + (-1,))
         if not (u.min() >= -1e-12 and u.max() <= 1.0 + 1e-12):  # NaN fails too
             for i in range(self.n):
                 self._check_range(i, u[i])
         return list(u)
 
-    def welfare_mixed(self, profile):
-        profile, lead = _check_profile(self, profile)
-        win = self._win_probabilities(profile)
+    def _welfare(self, profile, win):
+        """Expected welfare of a checked profile, given its win probabilities."""
         total = 0.0
-        for i in range(self.n):
-            wi = profile[i].reshape(lead + (self.m, self.nb))
-            total = total + np.sum(self.spec.values[i][:, None] * wi * win[i], axis=(-2, -1))
-        return total if lead else float(total)
+        for i, w in enumerate(profile):
+            total = total + np.sum(self.spec.values[i][:, None] * w.reshape(win.shape[1:])
+                                   * win[i], axis=(-2, -1))
+        return total if win.ndim > 3 else float(total)
 
     def _resolve(self, s):
         """Winner of each item at the pure profile s; returns dict item -> (i, bid)."""

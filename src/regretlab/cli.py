@@ -13,6 +13,14 @@ import argparse
 import os
 import sys
 
+from .config import ConfigError, parse_config
+from .dynamics import read_trace_csv
+from .experiment import (bids_plot, build_game_from_config, full_report, regret_plot,
+                         run_experiment, write_report_csv)
+from .games import verify_smoothness
+from .library import lower_bound_experiment
+from .svgplot import write_svg
+
 __all__ = ["main"]
 
 
@@ -64,8 +72,6 @@ def _read_file(path: str) -> str:
 
 
 def _parse_config_file(path: str):
-    from .config import ConfigError, parse_config
-
     try:
         spec = parse_config(_read_file(path))
     except ConfigError as exc:
@@ -81,8 +87,6 @@ def _parse_config_file(path: str):
 
 
 def _cmd_simulate(args) -> int:
-    from .experiment import run_experiment
-
     manifest = run_experiment(_parse_config_file(args.config), out_dir=args.out)
     summary = manifest["summary"]
     fields = [f"T={summary['T']}", f"mode={summary['mode']}"]
@@ -99,17 +103,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .dynamics import read_trace_csv
-    from .experiment import full_report, write_report_csv
-
     rep = full_report(read_trace_csv(args.trace))
     sys.stdout.write(write_report_csv(rep))
     return 2 if rep.failed() else 0
 
 
 def _cmd_lowerbound(args) -> int:
-    from .library import lower_bound_experiment
-
     result = lower_bound_experiment(args.eta, args.T)
     print(f"eta={result.eta} T={result.T}")
     print(f"regret_on_identity={result.r_game_A!r}")
@@ -120,9 +119,6 @@ def _cmd_lowerbound(args) -> int:
 
 
 def _cmd_verify_smooth(args) -> int:
-    from .experiment import build_game_from_config
-    from .games import verify_smoothness
-
     spec = _parse_config_file(args.config)
     if spec.smoothness is None:
         print("error: config claims no smoothness (game.lambda / game.mu missing)",
@@ -139,10 +135,6 @@ def _cmd_verify_smooth(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    from .dynamics import read_trace_csv
-    from .experiment import bids_plot, regret_plot
-    from .svgplot import write_svg
-
     trace = read_trace_csv(args.trace)
     svg = regret_plot({"run": trace}) if args.kind == "regret" else bids_plot(trace)
     out = args.out or os.path.join(os.path.dirname(os.path.abspath(args.trace)),

@@ -18,7 +18,8 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 
-from .learners import LearnerSpec, declares_variation_bound
+from .learners import _PREDICTORS, LearnerSpec, declares_variation_bound
+from .regularizers import _REGISTRY
 
 __all__ = ["ConfigError", "RobustSettings", "ExperimentSpec", "parse_config"]
 
@@ -26,7 +27,6 @@ _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
 _GAME_TYPES = {"auction", "matrix", "random", "dense_csv", "network"}
 _ALGORITHMS = {"hedge", "optimistic_hedge", "oftrl", "omd", "bestresponse",
                "first_order_hedge"}
-_PREDICTORS = {"none", "last", "window", "geometric"}
 
 
 class ConfigError(ValueError):
@@ -303,8 +303,7 @@ def _validate_learner(sect, name, errors, eta_optional=False):
     r = _SectionReader(name, sect, errors)
     algo = r.read("algorithm", partial(_choice, choices=_ALGORITHMS), required=True)
     eta = r.read("eta", _POSITIVE)
-    regularizer = r.read("regularizer", partial(_choice, choices={"entropy", "euclidean"}),
-                         default="entropy")
+    regularizer = r.read("regularizer", partial(_choice, choices=_REGISTRY), default="entropy")
     predictor = r.read("predictor", partial(_choice, choices=_PREDICTORS), default="none")
     param = r.read("predictor_param", _number)
     r.finish()

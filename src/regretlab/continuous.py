@@ -232,6 +232,12 @@ def lipschitz_constant(network: CongestionNetwork) -> LipschitzBundle:
     return LipschitzBundle(K=K, L_paper=2.0 * K * m, L_derived=K * (1.0 + B) * m)
 
 
+def _tuned_eta(network: CongestionNetwork, bundle: LipschitzBundle, eta: float = math.nan):
+    """The tuned step size 1/(2Ln) and whether ``eta`` (when given) is it."""
+    eta_tuned = 1.0 / (2.0 * bundle.L * network.n)
+    return eta_tuned, abs(eta - eta_tuned) <= 1e-12 * max(1.0, eta_tuned)
+
+
 @dataclass
 class ContinuousTrace:
     """A run's flows[i] (T, |P_i|) and, derived from them by ``_derive``,
@@ -259,7 +265,7 @@ class ContinuousTrace:
 
 def run_continuous(network: CongestionNetwork, eta: float, T: int) -> ContinuousTrace:
     """Optimistic Hedge on costs: player i routes f_i times the play of an
-    ``FtrlLearner(|P_i|, NegativeEntropy(), eta, LastUtility())`` fed its
+    ``FtrlLearner(|P_i|, NegativeEntropy(), eta, LastUtility(|P_i|))`` fed its
     negated path gradients, i.e. f_i * softmax(-eta * (sum of past gradients
     + last gradient)), starting from the uniform split.  Each round computes
     the edge loads once and the gradients from them; the flows are checked
@@ -268,7 +274,7 @@ def run_continuous(network: CongestionNetwork, eta: float, T: int) -> Continuous
         raise ValueError(f"eta must be positive, got {eta}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    learners = [FtrlLearner(len(p), NegativeEntropy(), eta, LastUtility())
+    learners = [FtrlLearner(len(p), NegativeEntropy(), eta, LastUtility(len(p)))
                 for p in network.paths]
     flows = [np.empty((T, len(p))) for p in network.paths]
     for t in range(T):
@@ -360,8 +366,8 @@ def certify_total_regret(trace: ContinuousTrace, bundle: LipschitzBundle,
     eta = 1/(2 L n), with R = max_i f_i * ln |P_i|."""
     net = trace.network
     n = net.n
-    eta_req = 1.0 / (2.0 * bundle.L * n)
-    if abs(trace.eta - eta_req) > 1e-12 * max(1.0, eta_req):
+    eta_req, tuned = _tuned_eta(net, bundle, trace.eta)
+    if not tuned:
         raise ValueError(
             f"trace was run with eta={trace.eta}, bundle prescribes {eta_req}"
         )
@@ -379,8 +385,7 @@ def routing_report(trace: ContinuousTrace) -> RoutingReport:
     step size 1/(2Ln), the total-regret certificate."""
     bundle = lipschitz_constant(trace.network)
     n = trace.network.n
-    eta_tuned = 1.0 / (2.0 * bundle.L * n)
-    tuned = abs(trace.eta - eta_tuned) <= 1e-12 * max(1.0, eta_tuned)
+    tuned = _tuned_eta(trace.network, bundle, trace.eta)[1]
     linearized = [linearized_regret(trace, i) for i in range(n)]
     return RoutingReport(linearized, [true_regret(trace, i) for i in range(n)],
                          float(sum(linearized)), float(trace.total_cost.mean()),

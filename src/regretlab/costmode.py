@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import SmoothnessCertificate
-from .learners import Certificate, OnlineLearner
-from .regularizers import _exp_weights
+from .learners import Certificate, FtrlLearner, OnlineLearner, ZeroPredictor
+from .regularizers import NegativeEntropy, _exp_weights
 
 __all__ = [
     "CostHedge",
@@ -43,9 +43,6 @@ class CostHedge(OnlineLearner):
 
     def __init__(self, d: int, eta: float):
         super().__init__(d)
-        from .learners import FtrlLearner, ZeroPredictor
-        from .regularizers import NegativeEntropy
-
         self.eta = float(eta)
         self.inner = FtrlLearner(d, NegativeEntropy(), eta, ZeroPredictor())
 

@@ -37,6 +37,8 @@ from .learners import (
     make_learner,
     variation_steps,
 )
+from .library import build_game
+from .regularizers import get_regularizer
 
 __all__ = [
     "Trace",
@@ -86,14 +88,14 @@ class Trace:
 
 def _trace_from_plays(game: NormalFormGame, plays, mode: str, meta: dict) -> Trace:
     """The trace of (T, d_i) plays: one profile check, every player's utilities
-    over all T rounds from one all-players call (1 - c in cost mode), welfare
-    from one ``welfare_mixed`` call, and the running variation sums."""
+    over all T rounds (1 - c in cost mode) and the welfare from one game call,
+    and the running variation sums."""
     plays, _ = games._check_profile(game, plays)
-    utilities = game._all_normalized_utilities(plays)
+    utilities, welfare = game._utilities_and_welfare(plays)
     if mode == "cost":
         utilities = [1.0 - u for u in utilities]
     steps = [variation_steps(u, w) for u, w in zip(utilities, plays)]
-    return Trace(plays, utilities, game.welfare_mixed(plays),
+    return Trace(plays, utilities, welfare,
                  np.array([np.cumsum(du2) for du2, _ in steps]),
                  np.array([np.cumsum(dw2) for _, dw2 in steps]), meta)
 
@@ -146,13 +148,10 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
         current = list(profile)  # responders: previous round (uniform at t=0)
         for i in dist_players:
             current[i] = play(i)
-        for i in responders:
-            ref = list(current)
-            for j in responders:
-                if j != i:
-                    ref[j] = profile[j]
-            u_now = oracle(game._normalized_utilities, i, ref)
+        for i in responders:  # all respond before any plays: each sees the others' last round
+            u_now = oracle(game._normalized_utilities, i, current)
             learners[i].utilities = 1.0 - u_now if mode == "cost" else u_now
+        for i in responders:
             current[i] = play(i)
 
         raws = oracle(game._all_normalized_utilities, current)
@@ -281,8 +280,9 @@ def report(trace: Trace, smoothness: SmoothnessCertificate | None = None,
         rs = s.resolved()
         if rs.algorithm != "ftrl" or rs.eta is None:
             continue
-        certificates.append(_renamed(certify_stability(trace.plays[i], rs.eta, tol),
-                                     f"play_stability[{i}]"))
+        cert = certify_stability(trace.plays[i], rs.eta, tol)
+        cert.name = f"play_stability[{i}]"
+        certificates.append(cert)
         b = bounds[i]
         if b is not None:
             kappa = 2.0 * rs.eta
@@ -294,8 +294,6 @@ def report(trace: Trace, smoothness: SmoothnessCertificate | None = None,
             ))
             eta_rate = (n - 1) ** -0.5 * T ** -0.25 if n >= 2 else None
             if eta_rate is not None and abs(rs.eta - eta_rate) <= 1e-9 * max(1.0, eta_rate):
-                from .regularizers import get_regularizer
-
                 R = get_regularizer(rs.regularizer).r_ftrl(trace.plays[i].shape[1])
                 rhs = (R + 4.0) * math.sqrt(n - 1) * T**0.25
                 certificates.append(Certificate(
@@ -326,11 +324,6 @@ def report(trace: Trace, smoothness: SmoothnessCertificate | None = None,
         cce_gap=float(max(regrets)) / T, avg_welfare=avg_welfare,
         certificates=certificates, extras=extras,
     )
-
-
-def _renamed(cert: Certificate, name: str) -> Certificate:
-    cert.name = name
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +411,6 @@ def read_trace_csv(text_or_path):
         raise ValueError(f"trace line 1: metadata is not valid JSON: {exc}") from None
     if not isinstance(meta, dict) or not isinstance(meta.get("game"), dict):
         raise ValueError("trace line 1: metadata must be a JSON object with a 'game' object")
-    from .library import build_game
-
     try:
         game = build_game(meta["game"])
     except KeyError as exc:

@@ -35,7 +35,7 @@ from .dynamics import (
     write_trace_csv,
 )
 from .games import load_dense_csv, verify_smoothness
-from .learners import Certificate, declares_variation_bound
+from .learners import Certificate, LearnerSpec, declares_variation_bound
 from .library import build_game, make_matrix_game, make_random_game
 from .robust import certify_robust, parametric_constants, wrap_doubling
 from .svgplot import line_plot, write_svg
@@ -140,8 +140,6 @@ def full_report(trace, tol: float = 1e-9):
     for i, ls in enumerate(trace.meta.get("learners", [])):
         if not isinstance(ls, dict) or ls.get("algorithm") != "robust":
             continue
-        from .learners import LearnerSpec
-
         inner = LearnerSpec.from_dict(ls["inner"])
         _, beta, gamma, pair = parametric_constants(inner, trace.plays[i].shape[1])
         cert = certify_robust(trace.utilities[i], trace.plays[i], ls["alpha"],
@@ -327,7 +325,7 @@ def _routing_arms(spec: ExperimentSpec):
     network = build_game_from_config(spec.game)
     eta = spec.learner.eta
     if eta is None:
-        eta = 1.0 / (2.0 * continuous.lipschitz_constant(network).L * network.n)
+        eta = continuous._tuned_eta(network, continuous.lipschitz_constant(network))[0]
     trace = continuous.run_continuous(network, eta, spec.T)
     trace.meta["seed"] = spec.seed
     rep = continuous.routing_report(trace)

@@ -149,6 +149,10 @@ class NormalFormGame:
         """Every player's ``_normalized_utilities``, bit for bit, in one call."""
         return [self._normalized_utilities(i, profile) for i in range(self.n)]
 
+    def _utilities_and_welfare(self, profile) -> tuple:
+        """(``_all_normalized_utilities``, ``welfare_mixed``) of a checked profile."""
+        return self._all_normalized_utilities(profile), self.welfare_mixed(profile)
+
     @staticmethod
     def _check_range(i: int, u: np.ndarray) -> np.ndarray:
         if not (u.min() >= -1e-12 and u.max() <= 1.0 + 1e-12):  # NaN fails too

@@ -12,7 +12,7 @@ terms of the two variation sums that every regret certificate consumes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -87,7 +87,7 @@ class VariationBound:
 
 
 class ZeroPredictor:
-    def predict(self, d: int):
+    def predict(self):
         return 0.0
 
     def update(self, u: np.ndarray) -> None:
@@ -95,10 +95,10 @@ class ZeroPredictor:
 
 
 class LastUtility:
-    def __init__(self):
-        self._last = 0.0  # u^0 = 0
+    def __init__(self, d: int):
+        self._last = np.zeros(d)  # u^0 = 0
 
-    def predict(self, d: int):
+    def predict(self):
         return self._last
 
     def update(self, u: np.ndarray) -> None:
@@ -114,22 +114,18 @@ class WindowAverage:
     ``[k + 1, k + 1 + H)`` in arrival order, its zero padding first.
     """
 
-    def __init__(self, H: int):
+    def __init__(self, H: int, d: int):
         if H < 1 or int(H) != H:
             raise ValueError(f"window length must be a positive integer, got {H}")
         self.H = int(H)
-        self._buf = None  # allocated at the first update, when d is known
+        self._buf = np.zeros((2 * self.H, d))
         self._k = -1  # buffer row of the latest utility
 
-    def predict(self, d: int):
-        if self._buf is None:
-            return 0.0
+    def predict(self):
         k = self._k + 1
         return np.add.reduce(self._buf[k : k + self.H], axis=0) / self.H
 
     def update(self, u: np.ndarray) -> None:
-        if self._buf is None:
-            self._buf = np.zeros((2 * self.H, len(u)))
         k = self._k = (self._k + 1) % self.H
         self._buf[k] = self._buf[k + self.H] = u
 
@@ -144,37 +140,29 @@ class GeometricDiscount:
     utility.
     """
 
-    def __init__(self, delta: float):
+    def __init__(self, delta: float, d: int):
         if not 0.0 <= delta < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {delta}")
         self.delta = float(delta)
-        self._num = None  # starts at u^0 = 0
+        self._num = np.zeros(d)  # u^0 = 0
         self._den = 1.0
 
-    def predict(self, d: int):
-        if self._num is None:
-            return 0.0
+    def predict(self):
         return self._num / self._den
 
     def update(self, u: np.ndarray) -> None:
-        if self._num is None:
-            self._num = np.array(u, dtype=float)
-        else:
-            self._num *= self.delta
-            self._num += u
+        self._num *= self.delta
+        self._num += u
         self._den = self.delta * self._den + 1.0
 
 
-def _make_predictor(kind: str, param):
-    if kind == "none":
-        return ZeroPredictor()
-    if kind == "last":
-        return LastUtility()
-    if kind == "window":
-        return WindowAverage(int(param))
-    if kind == "geometric":
-        return GeometricDiscount(float(param))
-    raise ValueError(f"unknown predictor kind {kind!r}")
+# predictor name -> constructor(predictor_param, d)
+_PREDICTORS = {
+    "none": lambda param, d: ZeroPredictor(),
+    "last": lambda param, d: LastUtility(d),
+    "window": lambda H, d: WindowAverage(int(H), d),
+    "geometric": lambda delta, d: GeometricDiscount(float(delta), d),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +234,7 @@ class FtrlLearner(OnlineLearner):
         self.cumulative = np.zeros(d)
 
     def _play(self) -> np.ndarray:
-        return self.reg.ftrl_argmax(self.cumulative + self.predictor.predict(self.d), self.eta)
+        return self.reg.ftrl_argmax(self.cumulative + self.predictor.predict(), self.eta)
 
     def _observe(self, u: np.ndarray) -> None:
         self.cumulative += u
@@ -283,7 +271,7 @@ class OmdLearner(OnlineLearner):
         return self.reg.ftrl_argmax(self.cumulative, self.eta) if self._entropic else self._g
 
     def _play(self) -> np.ndarray:
-        m = self.predictor.predict(self.d)
+        m = self.predictor.predict()
         if self._entropic:
             return self.reg.ftrl_argmax(self.cumulative + m, self.eta)
         return self.reg.prox_step(self._g, m, self.eta)
@@ -342,18 +330,11 @@ class LearnerSpec:
         if self.algorithm == "optimistic_hedge":
             return LearnerSpec("ftrl", self.eta, "entropy", "last", None)
         if self.algorithm == "oftrl":
-            return LearnerSpec("ftrl", self.eta, self.regularizer,
-                               self.predictor, self.predictor_param)
+            return replace(self, algorithm="ftrl")
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "eta": self.eta,
-            "regularizer": self.regularizer,
-            "predictor": self.predictor,
-            "predictor_param": self.predictor_param,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(dd: dict) -> "LearnerSpec":
@@ -363,41 +344,37 @@ class LearnerSpec:
         )
 
 
+# The variation-bound families, keyed by resolved (algorithm, predictor):
+# the regularizer range R, beta(eta, predictor_param) and the c of
+# gamma = 1/(c eta); alpha = R/eta.  Plain (zero-predictor) learners and
+# best response carry none.
+_VARIATION_BOUNDS = {
+    ("ftrl", "last"): ("r_ftrl", lambda eta, _: eta, 4.0),
+    ("ftrl", "window"): ("r_ftrl", lambda eta, H: eta * int(H) * int(H), 4.0),
+    ("ftrl", "geometric"): ("r_ftrl", lambda eta, delta: eta / (1.0 - float(delta)) ** 3, 8.0),
+    ("omd", "last"): ("r_omd", lambda eta, _: eta, 8.0),
+}
+
+
 def declares_variation_bound(spec: LearnerSpec) -> bool:
     """Whether ``spec``'s family carries variation-bound constants (given a
-    step size): ftrl with a last/window/geometric predictor, or omd+last."""
+    step size): a row of ``_VARIATION_BOUNDS``."""
     s = spec.resolved()
-    return (s.algorithm == "ftrl" and s.predictor in ("last", "window", "geometric")) \
-        or (s.algorithm == "omd" and s.predictor == "last")
+    return (s.algorithm, s.predictor) in _VARIATION_BOUNDS
 
 
 def declared_variation_bound(spec: LearnerSpec, d: int) -> VariationBound | None:
-    """The (alpha, beta, gamma) constants each optimistic variant carries.
-
-    ftrl+last:      (R_ftrl/eta, eta,              1/(4 eta))
-    ftrl+window H:  (R_ftrl/eta, eta H^2,          1/(4 eta))
-    ftrl+geometric: (R_ftrl/eta, eta/(1-delta)^3,  1/(8 eta))
-    omd+last:       (R_omd/eta,  eta,              1/(8 eta))
-
-    Plain (zero-predictor) learners and best response carry none.
-    """
+    """The (alpha, beta, gamma) constants of ``spec``'s family at its step
+    size, or None for a family without them or a spec without eta."""
     s = spec.resolved()
-    if s.eta is None or not declares_variation_bound(s):
+    row = _VARIATION_BOUNDS.get((s.algorithm, s.predictor))
+    if s.eta is None or row is None:
         return None
+    r_name, beta, c = row
     reg = get_regularizer(s.regularizer)
-    pair = "l1_linf" if reg.primal_norm == "l1" else "l2_l2"
     eta = float(s.eta)
-    if s.algorithm == "omd":
-        return VariationBound(reg.r_omd(d) / eta, eta, 1.0 / (8.0 * eta), pair)
-    if s.predictor == "last":
-        return VariationBound(reg.r_ftrl(d) / eta, eta, 1.0 / (4.0 * eta), pair)
-    if s.predictor == "window":
-        H = int(s.predictor_param)
-        return VariationBound(reg.r_ftrl(d) / eta, eta * H * H, 1.0 / (4.0 * eta), pair)
-    delta = float(s.predictor_param)
-    return VariationBound(
-        reg.r_ftrl(d) / eta, eta / (1.0 - delta) ** 3, 1.0 / (8.0 * eta), pair
-    )
+    return VariationBound(getattr(reg, r_name)(d) / eta, beta(eta, s.predictor_param),
+                          1.0 / (c * eta), "l1_linf" if reg.primal_norm == "l1" else "l2_l2")
 
 
 def make_learner(spec: LearnerSpec, d: int) -> OnlineLearner:
@@ -407,16 +384,17 @@ def make_learner(spec: LearnerSpec, d: int) -> OnlineLearner:
     if s.algorithm == "bestresponse":
         learner = BestResponseLearner(d)
     elif s.algorithm == "first_order_hedge":
-        from .costmode import FirstOrderHedge
+        from .costmode import FirstOrderHedge  # local: costmode imports learners
 
         learner = FirstOrderHedge(d)
     elif s.algorithm in ("ftrl", "omd"):
         if s.eta is None:
             raise ValueError(f"{spec.algorithm} requires eta")
         reg = get_regularizer(s.regularizer)
-        predictor = _make_predictor(s.predictor, s.predictor_param)
+        if s.predictor not in _PREDICTORS:
+            raise ValueError(f"unknown predictor kind {s.predictor!r}")
         cls = FtrlLearner if s.algorithm == "ftrl" else OmdLearner
-        learner = cls(d, reg, s.eta, predictor)
+        learner = cls(d, reg, s.eta, _PREDICTORS[s.predictor](s.predictor_param, d))
     else:
         raise ValueError(f"unknown algorithm {spec.algorithm!r}")
     learner.declared_bound = declared_variation_bound(spec, d)
@@ -525,7 +503,7 @@ def certify_prox_inequality(utilities, plays, spec: LearnerSpec,
     gs = np.empty((T + 1, d))  # g^0 .. g^T
     gs[0] = learner.g
     for t, u in enumerate(us):
-        ms[t] = learner.predictor.predict(d)
+        ms[t] = learner.predictor.predict()
         learner.play()
         learner.observe(u)
         gs[t + 1] = learner.g

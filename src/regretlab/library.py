@@ -16,6 +16,7 @@ import numpy as np
 from .auctions import AuctionGame, AuctionSpec
 from .continuous import CongestionNetwork
 from .games import DenseGame, SmoothnessCertificate, verify_smoothness
+from .learners import LearnerSpec
 
 __all__ = [
     "splitmix64_stream",
@@ -109,8 +110,7 @@ def lower_bound_experiment(eta: float, T: int) -> LowerBoundResult:
         raise ValueError(f"eta must be positive and finite, got {eta}")
     if T < 1 or T % 2:
         raise ValueError(f"T must be a positive even integer, got {T}")
-    from .dynamics import regret, run
-    from .learners import LearnerSpec
+    from .dynamics import regret, run  # local: dynamics imports library
 
     specs = [LearnerSpec("hedge", eta=eta), LearnerSpec("bestresponse")]
     trace_a = run(make_matrix_game(np.eye(2)), specs, T)

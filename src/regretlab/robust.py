@@ -11,10 +11,11 @@ replaces the old one (its predictor history and cumulative sums start over).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from .learners import (Certificate, LearnerSpec, OnlineLearner, _comparator_regret,
+from .learners import (Certificate, OnlineLearner, _comparator_regret,
                        declared_variation_bound, make_learner, variation_sums)
 
 __all__ = ["DoublingWrapper", "wrap_doubling", "parametric_constants",
@@ -58,11 +59,8 @@ class DoublingWrapper(OnlineLearner):
 
     def _restart(self) -> None:
         """Retune eta to the budget and start a fresh inner learner."""
-        b = self.inner_spec.resolved()
         self.eta = min(self.alpha / math.sqrt(self.budget), self.eta_star)
-        self.inner = make_learner(
-            LearnerSpec(b.algorithm, self.eta, b.regularizer, b.predictor, b.predictor_param),
-            self.d)
+        self.inner = make_learner(replace(self.inner_spec.resolved(), eta=self.eta), self.d)
 
     def to_dict(self) -> dict:
         """Metadata without a fixed eta, so the reporter attaches no
@@ -96,10 +94,7 @@ wrap_doubling = DoublingWrapper
 def parametric_constants(spec, d: int):
     """The eta-free (alpha, beta, gamma, norm_pair) of a step-size learner's
     variation bound — its declared constants evaluated at eta = 1."""
-    probe = spec.resolved()
-    probe = LearnerSpec(probe.algorithm, 1.0, probe.regularizer,
-                        probe.predictor, probe.predictor_param)
-    b = declared_variation_bound(probe, d)
+    b = declared_variation_bound(replace(spec.resolved(), eta=1.0), d)
     if b is None:
         raise ValueError(
             f"algorithm {spec.algorithm!r} declares no variation bound to wrap")

@@ -13,6 +13,7 @@ from regretlab.costmode import CostHedge
 from regretlab.dynamics import (
     _TRACE_VALUES,
     Trace,
+    _trace_from_plays,
     _trace_values,
     coupling_margin,
     read_trace_csv,
@@ -180,6 +181,24 @@ class TestRunChecksPlays:
         # the derivation's one check before its all-players utilities call,
         # and welfare_mixed's own
         assert counts == [2, 2]
+
+    def test_auction_derivation_takes_one_win_probability_pass(self, monkeypatch):
+        g = AuctionGame(AuctionSpec(3, 2, [[3.0, 1.0], [2.0, 2.0], [1.0, 3.0]], [1.0, 2.0]))
+        tr = run(g, [opt_hedge(0.5)] * 3, 12)
+        calls = []
+        win = AuctionGame._win_probabilities
+
+        def counting(self, profile):
+            calls.append(1)
+            return win(self, profile)
+
+        monkeypatch.setattr(AuctionGame, "_win_probabilities", counting)
+        again = _trace_from_plays(g, tr.plays, "utility", tr.meta)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(again.welfare, tr.welfare)
+        np.testing.assert_array_equal(again.welfare, g.welfare_mixed(tr.plays))
+        for i in range(g.n):
+            np.testing.assert_array_equal(again.utilities[i], tr.utilities[i])
 
 
 class TestAgainstSelfplayOracle:

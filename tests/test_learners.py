@@ -25,6 +25,7 @@ from regretlab import (
     wrap_doubling,
 )
 from regretlab.costmode import CostHedge
+from regretlab.learners import GeometricDiscount, WindowAverage
 
 
 def drive(learner, stream):
@@ -249,14 +250,23 @@ class TestClosedForms:
         learner = make_learner(LearnerSpec("oftrl", 0.3, "entropy", "geometric", 0.5), 2)
         learner.play()
         learner.observe(np.array([1.0, 0.0]))
-        np.testing.assert_allclose(learner.predictor.predict(2), [2 / 3, 0.0], atol=1e-15)
+        np.testing.assert_allclose(learner.predictor.predict(), [2 / 3, 0.0], atol=1e-15)
 
     def test_window_zero_pads(self):
         # H = 2 after one observation: (u^1 + 0)/2
         learner = make_learner(LearnerSpec("oftrl", 0.3, "entropy", "window", 2), 2)
         learner.play()
         learner.observe(np.array([1.0, 0.0]))
-        np.testing.assert_allclose(learner.predictor.predict(2), [0.5, 0.0], atol=1e-15)
+        np.testing.assert_allclose(learner.predictor.predict(), [0.5, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("make", [lambda d: WindowAverage(3, d),
+                                      lambda d: GeometricDiscount(0.5, d)],
+                             ids=["window", "geometric"])
+    def test_predictor_state_is_sized_at_construction(self, make):
+        for d in (1, 4):
+            m = make(d).predict()
+            assert isinstance(m, np.ndarray) and m.shape == (d,)
+            np.testing.assert_array_equal(m, np.zeros(d))
 
     def test_omd_secondary_update(self):
         # g^1 = prox(g^0, u^1): uniform times exp(eta*u) at eta = ln 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import DEFAULT_ENUM_CAP, NormalFormGame, _check_profile, brute_force_opt
+from .games import DEFAULT_ENUM_CAP, NormalFormGame, _check_profile
 
 __all__ = ["AuctionSpec", "AuctionGame", "make_auction"]
 
@@ -174,32 +174,6 @@ class AuctionGame(NormalFormGame):
 
     def welfare_tensor(self, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
         return self._densify(cap)["welfare"]
-
-    # -- optimum ---------------------------------------------------------------
-    def assignment_opt(self, cap: int = DEFAULT_ENUM_CAP):
-        """Exact max welfare over pure profiles.
-
-        With >= 2 bid levels (or n <= m) the optimum equals the max-weight
-        bidder-item matching: winners are distinct across items, so every pure
-        profile's welfare is the value of an injective partial assignment, and
-        any such assignment is realizable (matched bidders at the top level,
-        everyone else at the bottom level).  Degenerate single-bid-level
-        crowded auctions fall back to enumeration.
-        """
-        if self.nb < 2 and self.n > self.m:
-            return brute_force_opt(self, cap)
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(self.spec.values, maximize=True)
-        opt = float(self.spec.values[rows, cols].sum())
-        profile = []
-        assigned = dict(zip(rows.tolist(), cols.tolist()))
-        for i in range(self.n):
-            if i in assigned:
-                profile.append(assigned[i] * self.nb + (self.nb - 1))
-            else:
-                profile.append(0)  # item 0 at the lowest level; never wins a tie-free item
-        return opt, tuple(profile)
 
     def describe(self) -> dict:
         return {

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .learners import Certificate, FtrlLearner, LastUtility
-from .regularizers import NegativeEntropy
+from .regularizers import NegativeEntropy, project_simplex
 
 __all__ = [
     "CongestionNetwork",
@@ -60,13 +60,13 @@ class CongestionNetwork:
     def __post_init__(self):
         self.edges = [(str(u), str(v), float(a), float(b), float(c))
                       for (u, v, a, b, c) in self.edges]
-        for (u, v, a, b, c) in self.edges:
-            if a < 0 or b < 0 or c < 0:
-                raise ValueError(f"latency coefficients must be nonnegative on {u}->{v}")
+        for (u, v, *coef) in self.edges:  # NaN fails every comparison
+            if not all(0.0 <= x < math.inf for x in coef):
+                raise ValueError(f"latency coefficients on {u}->{v} must be finite and >= 0")
         self.players = [(str(s), str(t), float(f)) for (s, t, f) in self.players]
         for (s, t, f) in self.players:
-            if f <= 0:
-                raise ValueError(f"flow amount must be positive for {s}->{t}")
+            if not 0.0 < f < math.inf:
+                raise ValueError(f"flow amount must be positive and finite for {s}->{t}")
         self.paths = [self._simple_paths(s, t) for (s, t, _f) in self.players]
         self.incidence = []
         for paths in self.paths:
@@ -233,7 +233,14 @@ def lipschitz_constant(network: CongestionNetwork) -> LipschitzBundle:
 
 
 def _tuned_eta(network: CongestionNetwork, bundle: LipschitzBundle, eta: float = math.nan):
-    """The tuned step size 1/(2Ln) and whether ``eta`` (when given) is it."""
+    """The tuned step size 1/(2Ln) and whether ``eta`` (when given) is it.
+    When every latency is constant, L = 0 and no step is tuned: a given
+    ``eta`` is not tuned, and asking for the tuned step is an error."""
+    if bundle.L == 0.0:
+        if math.isnan(eta):
+            raise ValueError("every latency is constant (L = 0), so there is no tuned "
+                             "step size; set [learner] eta")
+        return math.inf, False
     eta_tuned = 1.0 / (2.0 * bundle.L * network.n)
     return eta_tuned, abs(eta - eta_tuned) <= 1e-12 * max(1.0, eta_tuned)
 
@@ -300,43 +307,43 @@ def linearized_regret(trace: ContinuousTrace, i: int) -> float:
 
 def true_regret(trace: ContinuousTrace, i: int) -> float:
     """sum_t c_i(w^t) - min_w sum_t c_i(w, w_-i^t), the min taken over the
-    scaled simplex (convex program, solved to high accuracy)."""
+    scaled simplex.  Latencies are quadratic, so the opponents' loads o_t
+    enter the cumulative cost of a fixed split only through S1 = sum_t o_t and
+    S2 = sum_t o_t^2: with x = w @ inc it is sum_e x (c1 + c2 x + c3 x^2).
+    Projected gradient with backtracking minimizes that convex cubic from the
+    uniform split; the minimizer is then costed round by round."""
     net = trace.network
-    k = len(net.paths[i])
     f = net.players[i][2]
     inc = net.incidence[i]
     # opponents' per-edge loads each round, (T, m) even with no opponents
     others = sum((trace.flows[j] @ net.incidence[j] for j in range(net.n) if j != i),
                  np.zeros((trace.T, net.m)))
+    a, b, c = net.coef.T
+    s1, s2 = others.sum(axis=0), np.sum(others * others, axis=0)
+    c1, c2, c3 = a * s2 + b * s1 + c * trace.T, 2.0 * a * s1 + b * trace.T, a * trace.T
 
     def cum_cost(w):
-        mine = w @ inc  # (m,) edge flows of player i
-        lat, _ = net.latencies(others + mine)
-        return float(np.sum(lat @ mine))
+        x = w @ inc
+        return float(x @ (c1 + x * (c2 + x * c3)))
 
-    def cum_grad(w):
-        mine = w @ inc
-        lat, slope = net.latencies(others + mine)
-        return inc @ (lat.sum(axis=0) + slope.sum(axis=0) * mine)
-
-    from scipy.optimize import minimize
-
+    w, step = np.full(len(inc), f / len(inc)), 1.0
+    val = cum_cost(w)
+    for _ in range(10_000):
+        x = w @ inc
+        g = inc @ (c1 + x * (2.0 * c2 + 3.0 * c3 * x))
+        cand = f * project_simplex((w - step * g) / f)
+        d = cand - w
+        new = cum_cost(cand)
+        if new > val + g @ d + (d @ d) / (2.0 * step):  # step too long for the curvature
+            step *= 0.5
+        elif new < val:
+            w, val, step = cand, new, 1.5 * step
+        else:  # no further decrease at this precision
+            break
+    mine = w @ inc
+    lat, _ = net.latencies(others + mine)
     realized = sum(trace.costs[i].tolist())  # sequential; pairwise np.sum rounds differently
-    best = None
-    starts = [np.full(k, f / k)]
-    starts += [f * np.eye(k)[p] * (1 - 1e-9) + (f * 1e-9 / k) for p in range(k)]
-    for x0 in starts:
-        res = minimize(
-            cum_cost, x0, jac=cum_grad, method="SLSQP",
-            bounds=[(0.0, f)] * k,
-            constraints=[{"type": "eq", "fun": lambda w: w.sum() - f,
-                          "jac": lambda w: np.ones(k)}],
-            options={"maxiter": 200, "ftol": 1e-12},
-        )
-        val = cum_cost(res.x) if res.x is not None else math.inf
-        if best is None or val < best:
-            best = val
-    return float(realized - best)
+    return float(realized - np.sum(lat @ mine))
 
 
 @dataclass

@@ -113,6 +113,18 @@ class FirstOrderConstants:
         return self.A1**2 * mu / (1.0 - mu) ** 2 + 2.0 * self.A2 / (1.0 - mu)
 
 
+def _nnls2(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """argmin ||A c - y|| over c >= 0 for a two-column A: the smallest
+    residual among the least-squares solution (when nonnegative), each
+    column's own fit clipped at 0, and zero, ties to the first in that order."""
+    cands = [np.linalg.lstsq(A, y, rcond=None)[0]]
+    for j, col in enumerate(A.T):
+        nn = col @ col
+        cands.append(np.eye(2)[j] * (max(col @ y / nn, 0.0) if nn > 0 else 0.0))
+    cands = [c + 0.0 for c in cands + [np.zeros(2)] if np.all(c >= 0)]  # + 0.0: no -0.0
+    return min(cands, key=lambda c: np.linalg.norm(A @ c - y))
+
+
 def fit_first_order_constants(observations) -> FirstOrderConstants:
     """Fit (A1, A2) over (d, best_cumulative_cost, regret) observations.
 
@@ -127,10 +139,7 @@ def fit_first_order_constants(observations) -> FirstOrderConstants:
         targets.append(max(float(reg), 0.0))
     A = np.asarray(rows)
     y = np.asarray(targets)
-    from scipy.optimize import nnls
-
-    coef, _ = nnls(A, y)
-    a1, a2 = float(coef[0]), float(coef[1])
+    a1, a2 = _nnls2(A, y).tolist()
     if a1 == 0.0 and a2 == 0.0:
         a2 = 1e-12
     preds = A @ np.array([a1, a2])

@@ -330,18 +330,24 @@ def poa_welfare_bound(lam: float, mu: float, opt: float, regrets, T: int) -> flo
 def load_dense_csv(text: str) -> DenseGame:
     """Parse a dense game's text: header line ``n,d1,...,dn`` then one row
     per pure profile ``s1,...,sn,u1,...,un`` (normalized [0,1] utilities)."""
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and any(f.strip() for f in r)]
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, r) for r in reader if r and any(f.strip() for f in r)]
     if not rows:
         raise ValueError("empty dense-game file")
-    header = [int(x) for x in rows[0]]
+    header = [int(x) for x in rows[0][1]]
     n, dims = header[0], header[1:]
-    if len(dims) != n:
-        raise ValueError(f"header declares n={n} but lists {len(dims)} strategy counts")
-    tensors = [np.full(dims, np.nan) for _ in range(n)]
-    for r in rows[1:]:
+    if n < 1 or len(dims) != n or min(dims) < 1:
+        raise ValueError(f"dense-game line {rows[0][0]}: header gives n={n} and counts "
+                         f"{dims}; expected n >= 1 and n counts, each >= 1")
+    tensors, seen = [np.full(dims, np.nan) for _ in range(n)], set()
+    for ln, r in rows[1:]:
         if len(r) != 2 * n:
-            raise ValueError(f"row {r} should have {2 * n} fields")
+            raise ValueError(f"dense-game line {ln}: {len(r)} fields, expected {2 * n}")
         s = tuple(int(x) for x in r[:n])
+        if s in seen or not all(0 <= x < d for x, d in zip(s, dims)):
+            what = "appears twice" if s in seen else f"lies outside the dims {dims}"
+            raise ValueError(f"dense-game line {ln}: profile {list(s)} {what}")
+        seen.add(s)
         us = [float(x) for x in r[n:]]
         for i in range(n):
             tensors[i][s] = us[i]

@@ -456,6 +456,59 @@ def routing_player_cost(edges, paths, flows, i):
     return total
 
 
+def routing_best_fixed_split(edges, paths, flows, i, iters=3000):
+    """A fixed split of player ``i``'s flow that nearly minimizes its cost
+    summed over the rounds of ``flows`` (``flows[k][t]``: player k's path
+    flows in round t), by exponentiated gradient with an adaptive step.  A
+    latency is quadratic in the load, so the others enter only through each
+    edge's load sums s1 = sum_t o_t and s2 = sum_t o_t^2.  Whatever split it
+    returns is feasible, so its cost bounds the minimum from above."""
+    m, T, mine = len(edges), len(flows[i]), paths[i]
+    s1, s2 = [0.0] * m, [0.0] * m
+    for t in range(T):
+        loads = [0.0] * m
+        for k in range(len(paths)):
+            if k == i:
+                continue
+            for p, path in enumerate(paths[k]):
+                for e in path:
+                    loads[e] += flows[k][t][p]
+        for e in range(m):
+            s1[e] += loads[e]
+            s2[e] += loads[e] * loads[e]
+
+    def cost_and_gradient(w):
+        x = [0.0] * m
+        for p, path in enumerate(mine):
+            for e in path:
+                x[e] += w[p]
+        cost, slope = 0.0, [0.0] * m
+        for e in range(m):
+            a, b, c = edges[e][2], edges[e][3], edges[e][4]
+            # sum_t latency(o_t + x) = a (s2 + 2 x s1 + T x^2) + b (s1 + T x) + c T
+            lat = a * (s2[e] + 2.0 * x[e] * s1[e] + T * x[e] ** 2) + b * (s1[e] + T * x[e]) + c * T
+            cost += x[e] * lat
+            slope[e] = lat + x[e] * (a * (2.0 * s1[e] + 2.0 * T * x[e]) + b * T)
+        return cost, [sum(slope[e] for e in path) for path in mine]
+
+    f = sum(flows[i][0])
+    w = [f / len(mine)] * len(mine)
+    val, g = cost_and_gradient(w)
+    step = 1.0
+    for _ in range(iters):
+        spread = max(g) - min(g)
+        if spread == 0.0:
+            break
+        z = [wp * math.exp(-step * (gp - min(g)) / spread) for wp, gp in zip(w, g)]
+        cand = [f * zp / sum(z) for zp in z]
+        new, g_new = cost_and_gradient(cand)
+        if new < val:
+            w, val, g, step = cand, new, g_new, min(1.5 * step, 50.0)
+        else:
+            step *= 0.5
+    return w
+
+
 def routing_optimistic_hedge_sim(edges, paths, amounts, eta, T):
     """Optimistic Hedge on path costs: each round player k routes
     amounts[k] * softmax(-eta * (sum of past gradients + last gradient)) and

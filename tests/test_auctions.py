@@ -1,6 +1,6 @@
 """First-price auction game: fast win-probability oracle vs. brute force,
-the all-players oracle vs. per-bidder products, tie rule, optimum via
-assignment, normalization, masked values."""
+the all-players oracle vs. per-bidder products, tie rule, optimum by
+enumeration, normalization, masked values."""
 
 import itertools
 
@@ -35,7 +35,7 @@ class TestResolution:
         g = simple(n=1, m=1, v=20.0, levels=(1.0,))
         assert g.pure_utilities((0,))[0] == pytest.approx(19.0, abs=0)
         assert g.welfare_pure((0,)) == pytest.approx(20.0, abs=0)
-        assert g.assignment_opt()[0] == pytest.approx(20.0, abs=0)
+        assert brute_force_opt(g)[0] == pytest.approx(20.0, abs=0)
 
     def test_tie_goes_to_lowest_index(self):
         g = simple()
@@ -263,10 +263,17 @@ class TestAllPlayersOracle:
 
 class TestOptimum:
     def test_fig_parameters_opt_80(self):
+        # 80^4 profiles exceed the enumeration cap, so the optimum is argued:
+        # a bidder wins at most one item, so the sum of each bidder's best
+        # value bounds every profile, and bidder i alone on item i reaches it
         g = make_auction(AuctionSpec(4, 4, uniform_values(4, 4, 20.0), list(np.arange(1.0, 21.0))))
-        opt, profile = g.assignment_opt()
-        assert opt == pytest.approx(80.0, abs=0)
-        assert g.welfare_pure(profile) == pytest.approx(80.0, abs=0)
+        bound = float(g.spec.values.max(axis=1).sum())
+        assert bound == pytest.approx(80.0, abs=0)
+        top = g.nb - 1
+        assert g.welfare_pure(tuple(i * g.nb + top for i in range(4))) == pytest.approx(bound, abs=0)
+        rng = np.random.default_rng(80)
+        for s in rng.integers(0, g.dims[0], size=(200, 4)):
+            assert g.welfare_pure(tuple(s)) <= bound
 
     def test_matches_brute_force(self):
         for vals, m, levels in [
@@ -275,19 +282,19 @@ class TestOptimum:
             ([[3.0, 0.0], [0.0, 3.0]], 2, [1.0]),
         ]:
             g = make_auction(AuctionSpec(len(vals), m, np.array(vals), levels))
-            a_opt, a_prof = g.assignment_opt()
-            b_opt, _ = brute_force_opt(g)
-            o_opt, _ = orc.auction_opt(vals, m, levels)
-            assert a_opt == pytest.approx(b_opt, abs=1e-12)
-            assert a_opt == pytest.approx(o_opt, abs=1e-12)
-            assert g.welfare_pure(a_prof) == pytest.approx(a_opt, abs=1e-12)
+            b_opt, b_prof = brute_force_opt(g)
+            o_opt, o_prof = orc.auction_opt(vals, m, levels)
+            assert b_opt == pytest.approx(o_opt, abs=1e-12)
+            assert g.welfare_pure(b_prof) == pytest.approx(b_opt, abs=1e-12)
+            assert g.welfare_pure(o_prof) == pytest.approx(o_opt, abs=1e-12)
 
     def test_single_level_crowded_fallback(self):
-        # more bidders than items with one bid level: parking is impossible,
-        # the optimum must come from enumeration
+        # more bidders than items with one bid level: ties go to the lowest
+        # index, so the optimum is bidder 0 alone on the item
         vals = [[5.0], [4.0], [3.0]]
         g = make_auction(AuctionSpec(3, 1, np.array(vals), [1.0]))
-        opt, profile = g.assignment_opt()
+        assert orc.auction_opt(vals, 1, [1.0])[0] == pytest.approx(5.0, abs=0)
+        opt, profile = brute_force_opt(g)
         assert opt == pytest.approx(5.0, abs=0)
         assert g.welfare_pure(profile) == pytest.approx(opt, abs=0)
 

@@ -91,6 +91,17 @@ class TestParsing:
         with pytest.raises(ValueError, match="positive"):
             CongestionNetwork([("s", "t", 0.0, 1.0, 0.0)], [("s", "t", 0.0)])
 
+    @pytest.mark.parametrize("coef", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                      (0.0, 0.0, -math.inf)], ids=["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_names_the_edge(self, coef):
+        with pytest.raises(ValueError, match=r"^latency coefficients on s->t must be finite"):
+            CongestionNetwork([("s", "t", *coef)], [("s", "t", 1.0)])
+
+    @pytest.mark.parametrize("flow", [math.nan, math.inf])
+    def test_non_finite_flow_is_rejected(self, flow):
+        with pytest.raises(ValueError, match=r"^flow amount must be positive and finite"):
+            CongestionNetwork([("s", "t", 0.0, 1.0, 0.0)], [("s", "t", flow)])
+
     def test_missing_path_is_rejected(self):
         with pytest.raises(ValueError, match="no path"):
             CongestionNetwork([("s", "t", 0.0, 1.0, 0.0)], [("t", "s", 1.0)])
@@ -248,6 +259,15 @@ class TestLipschitzBundle:
         bun = lipschitz_constant(net)
         assert bun.K == 0.0 and bun.L == 0.0
 
+    def test_constant_latencies_have_no_tuned_step_size(self):
+        net = CongestionNetwork([("s", "t", 0.0, 0.0, 2.0)] * 2, [("s", "t", 1.0)])
+        bun = lipschitz_constant(net)
+        with pytest.raises(ValueError, match=r"L = 0.*set \[learner\] eta"):
+            continuous._tuned_eta(net, bun)
+        assert continuous._tuned_eta(net, bun, 0.1) == (math.inf, False)
+        rep = continuous.routing_report(run_continuous(net, 0.1, 10))
+        assert rep.certificates == [] and rep.lipschitz_L == 0.0
+
     def test_quadratic_term_enters_through_total_flow(self):
         # K = max(2aF + b, 2a) with F the total flow over all players
         net = CongestionNetwork(
@@ -393,6 +413,59 @@ class TestRegret:
         tr = run_continuous(net, 0.05, 40)
         for i in range(net.n):
             assert true_regret(tr, i) <= linearized_regret(tr, i) + 1e-9
+
+    @staticmethod
+    def cumulative(net, flows, i, split=None):
+        """Player i's cost summed round by round, by the loop oracle; with
+        ``split``, player i routes that fixed split in every round."""
+        total = 0.0
+        for t in range(len(flows[0])):
+            prof = [flows[j][t] for j in range(net.n)]
+            if split is not None:
+                prof[i] = split
+            total += orc.routing_player_cost(net.edges, net.paths, prof, i)
+        return total
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_true_regret_matches_a_ternary_search_on_two_path_players(self, seed):
+        # every player has two paths (two parallel links, or two disjoint
+        # two-hop routes), and the cumulative cost is convex in the split
+        # (x, f - x), so a ternary search over x finds its minimum
+        rng = np.random.default_rng(seed)
+        hops = [("s", "t")] * 2 if seed % 2 else [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t")]
+        net = CongestionNetwork([(u, v, *rng.uniform(0.0, 1.0, 3)) for (u, v) in hops],
+                                [("s", "t", float(f)) for f in rng.uniform(0.5, 2.0, 3)])
+        tr = run_continuous(net, 0.1, 40)
+        flows = [[row.tolist() for row in w] for w in tr.flows]
+        for i in range(net.n):
+            f = net.players[i][2]
+            lo, hi = 0.0, f
+            for _ in range(60):
+                m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+                if self.cumulative(net, flows, i, [m1, f - m1]) <= \
+                        self.cumulative(net, flows, i, [m2, f - m2]):
+                    hi = m2
+                else:
+                    lo = m1
+            best = min(self.cumulative(net, flows, i, [x, f - x]) for x in (0.0, (lo + hi) / 2, f))
+            expect = self.cumulative(net, flows, i) - best
+            assert true_regret(tr, i) == pytest.approx(expect, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_true_regret_is_at_least_the_regret_to_an_oracle_split(self, seed):
+        # players with four paths each: true_regret subtracts the least
+        # cumulative cost of a fixed split, so no split the independent
+        # exponentiated-gradient search finds may cost less
+        rng = np.random.default_rng(seed)
+        hops = [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t"), ("a", "b"), ("s", "t")]
+        net = CongestionNetwork([(u, v, *rng.uniform(0.0, 1.0, 3)) for (u, v) in hops],
+                                [("s", "t", float(f)) for f in rng.uniform(0.5, 2.0, 3)])
+        tr = run_continuous(net, 0.05, 300)
+        flows = [[row.tolist() for row in w] for w in tr.flows]
+        for i in range(net.n):
+            split = orc.routing_best_fixed_split(net.edges, net.paths, flows, i)
+            regret = self.cumulative(net, flows, i) - self.cumulative(net, flows, i, split)
+            assert true_regret(tr, i) >= regret - 1e-9 * abs(regret)
 
     def test_gradient_space_variation_inequality(self):
         # each player's linearized regret obeys the variation bound with

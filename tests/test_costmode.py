@@ -12,6 +12,7 @@ from regretlab.costmode import (
     CostHedge,
     FirstOrderConstants,
     FirstOrderHedge,
+    _nnls2,
     certify_cost_welfare,
     fit_first_order_constants,
 )
@@ -245,6 +246,48 @@ class TestFirstOrderConstants:
         a = fit_first_order_constants(obs)
         b = fit_first_order_constants(obs)
         assert (a.A1, a.A2) == (b.A1, b.A2)
+
+
+class TestTwoColumnNnls:
+    """The two-column solver behind ``fit_first_order_constants`` meets the
+    KKT conditions of min ||A c - y|| over c >= 0: c >= 0, and the gradient
+    A^T (A c - y) is >= 0 everywhere and 0 where c > 0 (both up to rounding)."""
+
+    @staticmethod
+    def assert_kkt(A, y):
+        c = _nnls2(A, y)
+        grad = A.T @ (A @ c - y)
+        scale = np.linalg.norm(A) ** 2 * np.linalg.norm(c) + np.linalg.norm(A) * np.linalg.norm(y)
+        tol = 1e-12 * (1.0 + scale)
+        assert c.shape == (2,) and np.all(c >= 0.0)
+        assert np.all(grad >= -tol), (A, y, c, grad)
+        assert np.all(np.abs(grad[c > 0.0]) <= tol), (A, y, c, grad)
+
+    def test_seeded_random_problems(self):
+        rng = np.random.default_rng(2015)
+        for _ in range(500):
+            rows = int(rng.integers(1, 9))
+            self.assert_kkt(rng.uniform(0.0, 3.0, (rows, 2)), rng.uniform(-1.0, 3.0, rows))
+
+    def test_identical_rows(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            row = rng.uniform(0.0, 3.0, 2)
+            self.assert_kkt(np.tile(row, (4, 1)), rng.uniform(-1.0, 3.0, 4))
+
+    @pytest.mark.parametrize("zero", [0, 1])
+    def test_a_zero_column(self, zero):
+        rng = np.random.default_rng(11 + zero)
+        for _ in range(50):
+            A = rng.uniform(0.0, 3.0, (5, 2))
+            A[:, zero] = 0.0
+            self.assert_kkt(A, rng.uniform(-1.0, 3.0, 5))
+
+    def test_zero_targets_give_zero(self):
+        A = np.array([[math.sqrt(math.log(2) * 250.0), math.log(2)]] * 2)
+        c = _nnls2(A, np.zeros(2))
+        assert [math.copysign(1.0, x) for x in c] == [1.0, 1.0] and c.tolist() == [0.0, 0.0]
+        self.assert_kkt(A, np.zeros(2))
 
 
 class TestCostWelfareCertificate:

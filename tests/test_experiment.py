@@ -683,6 +683,49 @@ class TestCliSimulate:
         assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("rows, message", [
+        ("5,0,0.5,0.5\n", "dense-game line 2: profile [5, 0] lies outside the dims [2, 2]"),
+        ("-1,-1,0.5,0.5\n", "dense-game line 2: profile [-1, -1] lies outside the dims [2, 2]"),
+        ("0,0,0.5,0.5\n0,0,0.1,0.1\n", "dense-game line 3: profile [0, 0] appears twice"),
+    ], ids=["index-past-dims", "negative-index", "duplicate-profile"])
+    def test_bad_dense_csv_row_exits_1(self, tmp_path, capsys, rows, message):
+        (tmp_path / "p.csv").write_text("2,2,2\n" + rows)
+        cfg = write_cfg(tmp_path, "[game]\ntype = dense_csv\npath = p.csv\n"
+                        "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 5\n")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edge, message", [
+        ("edge s t nan 0 0", "latency coefficients on s->t must be finite and >= 0"),
+        ("edge s t inf 0 0", "latency coefficients on s->t must be finite and >= 0"),
+        ("edge s t 1 0 0\nplayer s t inf", "flow amount must be positive and finite for s->t"),
+    ], ids=["nan-coefficient", "inf-coefficient", "inf-flow"])
+    def test_non_finite_network_file_exits_1(self, tmp_path, capsys, edge, message):
+        (tmp_path / "net.txt").write_text(edge + "\nplayer s t 1\n")
+        cfg = write_cfg(tmp_path, NETWORK_CFG)
+        assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_constant_latencies_need_an_explicit_eta(self, tmp_path, capsys):
+        # L = 0 on a constant-latency network: no tuned step size exists, so
+        # an unset eta is an error and a set one runs without the certificate
+        (tmp_path / "net.txt").write_text("edge s t 0 0 1\nedge s t 0 0 2\n"
+                                          "player s t 1\nplayer s t 1\n")
+        cfg = write_cfg(tmp_path, NETWORK_CFG)
+        assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: every latency is constant (L = 0), so there is no tuned step size; "
+            "set [learner] eta\n")
+        cfg = write_cfg(tmp_path, NETWORK_CFG.replace("optimistic_hedge\n",
+                                                      "optimistic_hedge\neta = 0.1\n"))
+        assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "eta=0.1" in out and "certificate" not in out
+        report = (tmp_path / "out" / "report.csv").read_text()
+        assert "summary,lipschitz_L,0.0,," in report and "certificate" not in report
+        assert main(["report", str(tmp_path / "out" / "flows.csv")]) == 0
+        assert capsys.readouterr().out == report
+
     def test_game_path_is_relative_to_the_config(self, tmp_path, capsys,
                                                  monkeypatch):
         (tmp_path / "net.txt").write_text(NET_FILE)
@@ -898,6 +941,18 @@ class TestCliReportRouting:
         code, _, err, _ = self.report_edited_flows(tmp_path, capsys, edit)
         assert code == 1
         assert err == f"error: trace line 1: {message}\n"
+
+    @pytest.mark.parametrize("column, value, message", [
+        (2, float("nan"), "latency coefficients on s->t must be finite and >= 0"),
+        (4, float("inf"), "latency coefficients on s->t must be finite and >= 0"),
+    ], ids=["nan-coefficient", "inf-coefficient"])
+    def test_non_finite_network_meta_exits_1(self, tmp_path, capsys, column, value, message):
+        def edit(lines):
+            meta = json.loads(lines[0][len("# meta="):])
+            meta["game"]["edges"][0][column] = value
+            lines[0] = "# meta=" + json.dumps(meta) + "\n"
+        code, _, err, _ = self.report_edited_flows(tmp_path, capsys, edit)
+        assert (code, err) == (1, f"error: {message}\n")
 
     def test_flows_csv_bytes_do_not_depend_on_the_checkout(self, tmp_path, capsys):
         written = []

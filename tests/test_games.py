@@ -350,6 +350,21 @@ class TestDenseCsv:
         with pytest.raises(ValueError):
             load_dense_csv(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("2,2,2\n5,0,0.5,0.5\n", "line 2: profile [5, 0] lies outside the dims [2, 2]"),
+        ("2,2,2\n0,0,0.5,0.5\n-1,-1,0.5,0.5\n",
+         "line 3: profile [-1, -1] lies outside the dims [2, 2]"),
+        ("2,2,2\n0,0,0.5,0.5\n0,1,0.5,0.5\n\n0,0,0.1,0.1\n",
+         "line 5: profile [0, 0] appears twice"),
+        ("0\n", "line 1: header gives n=0 and counts []"),
+        ("1,0\n", "line 1: header gives n=1 and counts [0]"),
+    ], ids=["index-past-dims", "negative-index", "duplicate-profile", "no-players",
+            "no-strategies"])
+    def test_bad_rows_are_rejected_by_line(self, text, message):
+        with pytest.raises(ValueError) as excinfo:
+            load_dense_csv(text)
+        assert str(excinfo.value).startswith("dense-game " + message)
+
 
 class TestProductDistributionCoupling:
     def test_total_variation_bound(self):

@@ -1,5 +1,5 @@
-"""Package imports sit at module level, except where a cycle or a lazy scipy
-load needs a function-local one."""
+"""Package imports sit at module level, except where an import cycle needs a
+function-local one."""
 
 import ast
 import pathlib
@@ -13,9 +13,6 @@ EXPECTED = {
     ("auctions", ".library"),  # library imports auctions
     ("learners", ".costmode"),  # costmode imports learners
     ("library", ".dynamics"),  # dynamics imports library
-    ("auctions", "scipy.optimize"),  # scipy stays unloaded until needed
-    ("continuous", "scipy.optimize"),
-    ("costmode", "scipy.optimize"),
 }
 
 

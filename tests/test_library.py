@@ -2,6 +2,7 @@
 and the Hedge-versus-best-response lower-bound experiment."""
 
 import importlib
+import json
 import math
 import os
 import subprocess
@@ -229,6 +230,35 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out == "False\n"
+
+    def test_cli_never_loads_scipy(self, tmp_path):
+        # one process simulates every shipped config and reports every trace
+        # it wrote; no step of that path may import scipy
+        configs = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+        code = f"""if True:
+            import contextlib, glob, io, json, os, sys
+            from regretlab.cli import main
+            codes = {{}}
+            with contextlib.redirect_stdout(io.StringIO()):
+                for cfg in sorted(glob.glob(os.path.join({configs!r}, "*.cfg"))):
+                    stem = os.path.basename(cfg)[:-len(".cfg")]
+                    out = os.path.join({str(tmp_path)!r}, stem)
+                    codes[stem] = main(["simulate", cfg, "--out", out])
+                    for name in sorted(os.listdir(out)):
+                        if name.endswith(".csv") and not name.startswith("report"):
+                            codes[stem + "/" + name] = main(["report", os.path.join(out, name)])
+            print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+        """
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(regretlab.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        codes, loaded = json.loads(out)
+        assert set(codes.values()) == {0}, codes
+        stems = {k for k in codes if "/" not in k}
+        assert "routing" in stems and "cost_congestion" in stems
+        assert {k.split("/")[0] for k in codes if "/" in k} == stems
+        assert loaded == []
 
     @pytest.mark.parametrize("module", ["regretlab"] + [
         f"regretlab.{name[:-3]}"

@@ -1,7 +1,8 @@
 """The harness the ``tools/bench_*.py`` scripts share.
 
 A script supplies its docstring, what it measures, the names of its timed
-samples, a ``measure(src)`` and a ``child(*args)``; ``main`` does the rest:
+samples, a ``measure(src)`` and, if it uses ``fresh_peak_rss``, a
+``child(*args)``; ``main`` does the rest:
 
 - imports the package from ``--src`` and checks that it came from there;
 - ``measure(src)`` returns ``{"samples": {name: [seconds or us, ...]},
@@ -109,7 +110,7 @@ def merge(script: str, what: str, timings, label: str, src: str, result: dict) -
     return entry
 
 
-def main(script: str, doc: str, what: str, timings, measure, child, argv=None) -> int:
+def main(script: str, doc: str, what: str, timings, measure, child=None, argv=None) -> int:
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--src", required=True, help="a checkout's src directory")
     parser.add_argument("--label", help="name to record the result under")
@@ -118,6 +119,8 @@ def main(script: str, doc: str, what: str, timings, measure, child, argv=None) -
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
     if args.child is not None:
+        if child is None:
+            parser.error("this script runs no --child process")
         child(*args.child)
         print(json.dumps({"peak_rss_mb": _peak_rss_mb()}))
         return 0

@@ -120,13 +120,7 @@ class AuctionGame(NormalFormGame):
     def _normalized(self, win) -> list:
         """Every bidder's normalized utilities, computed in place of ``win``."""
         win *= self._payoff.reshape((self.n,) + (1,) * (win.ndim - 3) + self._payoff.shape[1:])
-        win -= self.shift
-        win /= self.scale
-        u = win.reshape(win.shape[:-2] + (-1,))
-        if not (u.min() >= -1e-12 and u.max() <= 1.0 + 1e-12):  # NaN fails too
-            for i in range(self.n):
-                self._check_range(i, u[i])
-        return list(u)
+        return self._normalized_block(win, win.reshape(win.shape[:-2] + (-1,)))
 
     def _welfare(self, profile, win):
         """Expected welfare of a checked profile, given its win probabilities."""

@@ -415,7 +415,7 @@ def read_trace_csv(text_or_path):
         game = build_game(meta["game"])
     except KeyError as exc:
         raise ValueError(f"trace line 1: metadata game is missing key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"trace line 1: metadata game: {exc}") from None
     T = meta.get("T")
     if type(T) is not int or T < 1:

@@ -147,7 +147,29 @@ class NormalFormGame:
 
     def _all_normalized_utilities(self, profile) -> list:
         """Every player's ``_normalized_utilities``, bit for bit, in one call."""
-        return [self._normalized_utilities(i, profile) for i in range(self.n)]
+        block = np.concatenate([self.raw_expected_utilities(i, profile).reshape(-1)
+                                for i in range(self.n)])
+        return self._normalized_block(block, self._player_views(block, np.shape(profile[0])[:-1]))
+
+    def _player_views(self, block: np.ndarray, lead: tuple) -> list:
+        """Every player's L + (d_i,) view into a flat block, player after player."""
+        rows, u, end = math.prod(lead), [], 0
+        for d in self.dims:
+            u.append(block[end:end + rows * d].reshape(lead + (d,)))
+            end += rows * d
+        return u
+
+    def _normalized_block(self, block: np.ndarray, u) -> list:
+        """``u``, every player's raw utilities as views into ``block``, once
+        ``block`` is normalized in place and range-checked in one pass; only a
+        block that escapes [0, 1] is checked player by player, so the error
+        names the first player who escapes."""
+        block -= self.shift
+        block /= self.scale
+        if not (block.min() >= -1e-12 and block.max() <= 1.0 + 1e-12):  # NaN fails too
+            for i in range(self.n):
+                self._check_range(i, u[i])
+        return list(u)
 
     def _utilities_and_welfare(self, profile) -> tuple:
         """(``_all_normalized_utilities``, ``welfare_mixed``) of a checked profile."""
@@ -162,8 +184,42 @@ class NormalFormGame:
         return u
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product of (R, p) and (R, q): (R, p * q), C order."""
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
+
+
+def _leave_one_out(ws) -> list:
+    """K_i = w_0 (x) ... (x) w_{i-1} (x) w_{i+1} (x) ... (x) w_{n-1} for every
+    player i of n >= 3, row by row, from shared prefix and suffix products."""
+    n = len(ws)
+    pre, suf = [ws[0]], [ws[-1]]
+    for i in range(1, n - 1):
+        pre.append(_outer(pre[-1], ws[i]))  # pre[i] = w_0 (x) ... (x) w_i
+        suf.append(_outer(ws[n - 1 - i], suf[-1]))
+    suf.reverse()  # suf[i] = w_{i+1} (x) ... (x) w_{n-1}
+    return [suf[0]] + [_outer(pre[i - 1], suf[i]) for i in range(1, n - 1)] + [pre[-1]]
+
+
+# at most this many entries (128 KiB) in one leave-one-out product: the
+# all-players oracle takes a long leading axis in chunks of rows, so its
+# working memory does not grow with T and the products stay in cache
+_KRON_ENTRIES = 1 << 14
+
+
 class DenseGame(NormalFormGame):
-    """Game given by explicit per-player utility tensors (raw units)."""
+    """Game given by explicit per-player utility tensors (raw units).
+
+    The all-players oracle normalizes and range-checks every player's
+    utilities as one block.  With n >= 3 players it takes the raw utilities
+    from the matrices ``M_i`` (player i's tensor, own axis first, flattened
+    to (d_i, prod d_-i)) times the leave-one-out Kronecker products of the
+    other strategies, which share their prefixes and suffixes.  With n <= 2
+    there is nothing to share, so the raw utilities come from each player's
+    ``raw_expected_utilities``, whose bits the shipped 2-player traces keep.
+    A subclass that overrides ``raw_expected_utilities`` keeps that
+    per-player path for every n, so both oracles hear the override.
+    """
 
     kind = "dense"
 
@@ -184,12 +240,29 @@ class DenseGame(NormalFormGame):
         self.tensors = tensors
         # views, not copies: a copy changes the BLAS call and so the last bits
         self._own_axis_first = [np.moveaxis(t, i, 0) for i, t in enumerate(tensors)]
+        self._kron_rhs = None  # the Kronecker path's M_i^T, when it serves
+        if n >= 3 and type(self).raw_expected_utilities is DenseGame.raw_expected_utilities:
+            self._kron_rhs = [t.reshape(t.shape[0], -1).T for t in self._own_axis_first]
+            self._kron_rows = max(1, _KRON_ENTRIES // max(m.shape[0] for m in self._kron_rhs))
         self._welfare = sum(tensors)
         self.meta = dict(meta or {})
 
     def raw_expected_utilities(self, i: int, profile) -> np.ndarray:
         u = _contract(self._own_axis_first[i], [w for j, w in enumerate(profile) if j != i])
         return np.broadcast_to(u, np.shape(profile[i])) if self.n == 1 else u
+
+    def _all_normalized_utilities(self, profile) -> list:
+        if self._kron_rhs is None:
+            return super()._all_normalized_utilities(profile)
+        lead = np.shape(profile[0])[:-1]
+        rows, step = math.prod(lead), self._kron_rows
+        ws = [w.reshape(rows, -1) for w in profile]
+        chunks = []  # u_i = K_i M_i^T, a chunk of rows at a time
+        for r in range(0, rows, step):
+            kron = _leave_one_out([w[r:r + step] for w in ws])
+            chunks.append([k @ mt for k, mt in zip(kron, self._kron_rhs)])
+        block = np.concatenate([c[i].reshape(-1) for i in range(self.n) for c in chunks])
+        return self._normalized_block(block, self._player_views(block, lead))
 
     def welfare_mixed(self, profile):
         profile, lead = _check_profile(self, profile)
@@ -327,6 +400,17 @@ def poa_welfare_bound(lam: float, mu: float, opt: float, regrets, T: int) -> flo
 # dense CSV interchange
 
 
+def _cells(ln: int, cells, parse, what: str, noun: str) -> list:
+    """``parse`` of every cell of line ``ln``; a cell it rejects names the line."""
+    out = []
+    for x in cells:
+        try:
+            out.append(parse(x))
+        except ValueError:
+            raise ValueError(f"dense-game line {ln}: {what} {x!r} is not {noun}") from None
+    return out
+
+
 def load_dense_csv(text: str) -> DenseGame:
     """Parse a dense game's text: header line ``n,d1,...,dn`` then one row
     per pure profile ``s1,...,sn,u1,...,un`` (normalized [0,1] utilities)."""
@@ -334,7 +418,7 @@ def load_dense_csv(text: str) -> DenseGame:
     rows = [(reader.line_num, r) for r in reader if r and any(f.strip() for f in r)]
     if not rows:
         raise ValueError("empty dense-game file")
-    header = [int(x) for x in rows[0][1]]
+    header = _cells(*rows[0], int, "header count", "an integer")
     n, dims = header[0], header[1:]
     if n < 1 or len(dims) != n or min(dims) < 1:
         raise ValueError(f"dense-game line {rows[0][0]}: header gives n={n} and counts "
@@ -343,12 +427,12 @@ def load_dense_csv(text: str) -> DenseGame:
     for ln, r in rows[1:]:
         if len(r) != 2 * n:
             raise ValueError(f"dense-game line {ln}: {len(r)} fields, expected {2 * n}")
-        s = tuple(int(x) for x in r[:n])
+        s = tuple(_cells(ln, r[:n], int, "strategy index", "an integer"))
         if s in seen or not all(0 <= x < d for x, d in zip(s, dims)):
             what = "appears twice" if s in seen else f"lies outside the dims {dims}"
             raise ValueError(f"dense-game line {ln}: profile {list(s)} {what}")
         seen.add(s)
-        us = [float(x) for x in r[n:]]
+        us = _cells(ln, r[n:], float, "utility", "a number")
         for i in range(n):
             tensors[i][s] = us[i]
     for i, t in enumerate(tensors):

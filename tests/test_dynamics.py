@@ -1,5 +1,6 @@
 """Tests for the repeated-play engine: traces, regrets, certificates, CSV."""
 
+import json
 import math
 import re
 
@@ -199,6 +200,26 @@ class TestRunChecksPlays:
         np.testing.assert_array_equal(again.welfare, g.welfare_mixed(tr.plays))
         for i in range(g.n):
             np.testing.assert_array_equal(again.utilities[i], tr.utilities[i])
+
+
+    def test_a_dense_round_makes_one_all_players_oracle_call(self, monkeypatch):
+        g = make_random_game(3, [2, 3, 2], seed=5)
+        calls = {"all players": 0, "one player": 0}
+        all_players, one_player = DenseGame._all_normalized_utilities, DenseGame._normalized_utilities
+
+        def counting_all(self, profile):
+            calls["all players"] += 1
+            return all_players(self, profile)
+
+        def counting_one(self, i, profile):
+            calls["one player"] += 1
+            return one_player(self, i, profile)
+
+        monkeypatch.setattr(DenseGame, "_all_normalized_utilities", counting_all)
+        monkeypatch.setattr(DenseGame, "_normalized_utilities", counting_one)
+        run(g, [opt_hedge(0.2), LearnerSpec("omd", 0.3, predictor="last"), hedge(0.4)], 9)
+        # one per round, one in the derivation over all nine rounds
+        assert calls == {"all players": 10, "one player": 0}
 
 
 class TestAgainstSelfplayOracle:
@@ -678,6 +699,18 @@ class TestTraceCsv:
             np.testing.assert_array_equal(back.utilities[i], tr.utilities[i])
         np.testing.assert_array_equal(back.welfare, tr.welfare)
         assert write_trace_csv(back) == text
+
+    def test_embedded_tensors_out_of_their_range_name_the_meta_line(self):
+        g = load_dense_csv(dump_dense_csv(make_random_game(2, [2, 3], seed=117)))
+        lines = write_trace_csv(run(g, [opt_hedge(0.3), hedge(0.4)], 4)).splitlines()
+        meta = json.loads(lines[0][len("# meta="):])
+        meta["game"]["tensors"][1][0][2] = 1.5
+        lines[0] = "# meta=" + json.dumps(meta)
+        lo = min(np.min(t) for t in meta["game"]["tensors"])
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"trace line 1: metadata game: raw utilities [{lo}, 1.5] escape the "
+                f"declared range [0.0, 1.0]") + "$"):
+            read_trace_csv("\n".join(lines) + "\n")
 
     def test_dense_csv_edited_after_the_run_keeps_the_original_game(self, tmp_path):
         payoffs = tmp_path / "payoffs.csv"

@@ -943,8 +943,10 @@ class TestCliReportRouting:
         assert err == f"error: trace line 1: {message}\n"
 
     @pytest.mark.parametrize("column, value, message", [
-        (2, float("nan"), "latency coefficients on s->t must be finite and >= 0"),
-        (4, float("inf"), "latency coefficients on s->t must be finite and >= 0"),
+        (2, float("nan"), "trace line 1: metadata game: "
+                          "latency coefficients on s->t must be finite and >= 0"),
+        (4, float("inf"), "trace line 1: metadata game: "
+                          "latency coefficients on s->t must be finite and >= 0"),
     ], ids=["nan-coefficient", "inf-coefficient"])
     def test_non_finite_network_meta_exits_1(self, tmp_path, capsys, column, value, message):
         def edit(lines):

@@ -7,11 +7,13 @@ Frozen numbers below come from the plain-loop enumeration oracles in
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 import oracles as orc
+from test_auctions import assert_same_bits
 from regretlab import (
     AuctionGame,
     AuctionSpec,
@@ -205,6 +207,73 @@ class TestLeadingAxis:
             g.welfare_mixed(prof)
 
 
+class TestDenseAllPlayersOracle:
+    """``DenseGame._all_normalized_utilities``: n <= 2 through each player's
+    contraction, n >= 3 through the leave-one-out Kronecker products."""
+
+    CASES = [(1, [4]), (2, [3, 3]), (2, [2, 5]), (3, [3, 3, 3]), (3, [2, 3, 4]),
+             (4, [2, 2, 2, 2]), (4, [3, 1, 2, 2])]
+
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=["single", "leading"])
+    @pytest.mark.parametrize("n, dims", CASES)
+    def test_matches_the_enumeration_oracle(self, n, dims, lead):
+        base = make_random_game(n, dims, seed=50 + sum(dims))
+        # raw range [-1, 2]: the normalization is not the identity
+        g = DenseGame([3.0 * t - 1.0 for t in base.tensors], scale=3.0, shift=-1.0)
+        prof = stacked_profile(dims, lead, seed=n + len(lead))
+        u = g._all_normalized_utilities(prof)
+        assert len(u) == n
+        for i in range(n):
+            assert u[i].shape == lead + (dims[i],)
+            for idx in np.ndindex(*lead):
+                oracle = orc.enum_expected_utilities(g.tensors, i, row(prof, idx))
+                np.testing.assert_allclose(u[i][idx], g.normalize(oracle), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=["single", "leading", "2d"])
+    @pytest.mark.parametrize("n, dims", CASES[:3])
+    def test_one_and_two_players_keep_the_per_player_bits(self, n, dims, lead):
+        g = make_random_game(n, dims, seed=61)
+        prof = stacked_profile(dims, lead, seed=62)
+        u = g._all_normalized_utilities(prof)
+        for i in range(n):
+            assert_same_bits(u[i], g._normalized_utilities(i, prof))
+
+    def test_an_off_simplex_profile_names_the_first_escaping_player(self):
+        # payoffs and strategies in quarters: every utility is exact
+        g = DenseGame([np.fromfunction(lambda a, b, c, i=i: (a + 2 * b + 3 * c + i) % 5 / 4.0,
+                                       (2, 2, 2)) for i in range(3)])
+        prof = [np.array([2.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])]
+        # players 1 and 2 escape; the message is the per-player loop's
+        message = "player 1: normalized utilities escape [0, 1]: [0.5, 1.5]"
+        with pytest.raises(UtilityRangeError, match="^" + re.escape(message) + "$"):
+            g._all_normalized_utilities(prof)
+        g._normalized_utilities(0, prof)
+        with pytest.raises(UtilityRangeError, match="^" + re.escape(message) + "$"):
+            g._normalized_utilities(1, prof)
+
+    def test_a_long_leading_axis_is_taken_in_chunks_of_rows(self):
+        dims = [3, 2, 4, 2]
+        g = make_random_game(4, dims, seed=63)
+        prof = stacked_profile(dims, (7,), seed=64)
+        whole = g._all_normalized_utilities(prof)
+        g._kron_rows = 3  # 7 rows: chunks of 3, 3 and 1
+        for u, v in zip(g._all_normalized_utilities(prof), whole):
+            np.testing.assert_allclose(u, v, rtol=0, atol=1e-15)
+
+    def test_a_subclass_raw_oracle_is_heard_by_every_player_at_once(self):
+        class Halved(DenseGame):
+            def raw_expected_utilities(self, i, profile):
+                return super().raw_expected_utilities(i, profile) / 2
+
+        dims = [2, 3, 2]
+        base = make_random_game(3, dims, seed=65)
+        g = Halved(base.tensors)
+        prof = stacked_profile(dims, (), seed=66)
+        for i, u in enumerate(g._all_normalized_utilities(prof)):
+            assert_same_bits(u, g.expected_utilities(i, prof))
+            np.testing.assert_allclose(u, base.expected_utilities(i, prof) / 2, rtol=0, atol=1e-15)
+
+
 class TestBruteForceOpt:
     def test_constant_half(self):
         g = DenseGame([np.full((2, 2), 0.5), np.full((2, 2), 0.5)])
@@ -358,8 +427,11 @@ class TestDenseCsv:
          "line 5: profile [0, 0] appears twice"),
         ("0\n", "line 1: header gives n=0 and counts []"),
         ("1,0\n", "line 1: header gives n=1 and counts [0]"),
+        ("2,2,2\n0,x,0.5,0.5\n", "line 2: strategy index 'x' is not an integer"),
+        ("a,b\n", "line 1: header count 'a' is not an integer"),
+        ("2,2,2\n0,0,0.5,0.5\n\n0,1,0.5,zz\n", "line 4: utility 'zz' is not a number"),
     ], ids=["index-past-dims", "negative-index", "duplicate-profile", "no-players",
-            "no-strategies"])
+            "no-strategies", "non-integer-index", "non-integer-header", "non-numeric-utility"])
     def test_bad_rows_are_rejected_by_line(self, text, message):
         with pytest.raises(ValueError) as excinfo:
             load_dense_csv(text)

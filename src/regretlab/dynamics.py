@@ -10,6 +10,7 @@ every certificate the trace's metadata supports.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -330,33 +331,46 @@ def report(trace: Trace, smoothness: SmoothnessCertificate | None = None,
 # trace CSV interchange
 
 
+# at most this many rows of a trace file (1,024 rows of auction_fig1: about
+# 1.8 MB of text) in one chunk: the writer builds a file a chunk of rows at a
+# time, so its working memory beside the text does not grow with T
+_TRACE_CHUNK_ROWS = 1 << 10
+
+
 def write_trace_rows(meta: dict, value_names, values, vector_name: str, vectors,
                      path=None) -> str:
     """The layout every trace file shares.  First line carries the metadata as
     a JSON comment; then a header and one row per (round, player): t, player,
     the player's ``values[i][t]`` (one per name in ``value_names``) and its
     ``vectors[i][t]``, padded with empty cells to the widest player's.  Every
-    cell is the ``repr`` of its float, so reruns are byte-identical.
+    cell is the ``repr`` of its float, so reruns are byte-identical.  Returns
+    the text, also written to ``path`` when one is given.
 
-    Each player's (T, k + d_i) block calls ``repr`` once per distinct bit
-    pattern (``np.unique`` of its int64 view: keying on float values would
-    merge ``-0.0`` with ``0.0``), then gathers the cell strings per row."""
+    The rows are built a chunk of rounds at a time (``_TRACE_CHUNK_ROWS``
+    rows), so besides the text only one chunk's cells are held at once.  In
+    each chunk, each player's (rounds, k + d_i) block calls ``repr`` once per
+    distinct bit pattern (``np.unique`` of its int64 view: keying on float
+    values would merge ``-0.0`` with ``0.0``), then gathers the cell strings
+    per row."""
+    n, T = len(vectors), len(vectors[0])
     width = max(v.shape[1] for v in vectors)
     header = ["t", "player", *value_names, *(f"{vector_name}_{k}" for k in range(width))]
-    rows = []
-    for i, (vals, vec) in enumerate(zip(values, vectors)):
-        block = np.column_stack((vals, vec))
-        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-        cells = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
-        pad = "," * (width - vec.shape[1])
-        rows.append([f"{t},{i},{','.join(row)}{pad}" for t, row in
-                     enumerate(cells[inverse.reshape(block.shape)].tolist(), 1)])
-    text = "\n".join(["# meta=" + json.dumps(meta, sort_keys=True), ",".join(header),
-                      *(row for round_rows in zip(*rows) for row in round_rows)]) + "\n"
+    pads = ["," * (width - vec.shape[1]) for vec in vectors]
+    step = max(1, _TRACE_CHUNK_ROWS // n)
+    chunks = [f"# meta={json.dumps(meta, sort_keys=True)}\n{','.join(header)}\n"]
+    for start in range(0, T, step):
+        rows = []
+        for i, (vals, vec) in enumerate(zip(values, vectors)):
+            block = np.column_stack((vals[start:start + step], vec[start:start + step]))
+            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            cells = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
+            rows.append([f"{t},{i},{','.join(row)}{pads[i]}\n" for t, row in
+                         enumerate(cells[inverse.reshape(block.shape)].tolist(), start + 1)])
+        chunks.append("".join(row for round_rows in zip(*rows) for row in round_rows))
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+            fh.writelines(chunks)  # encoded a chunk at a time
+    return "".join(chunks)
 
 
 def _trace_values(trace) -> list:
@@ -391,22 +405,41 @@ def read_trace_csv(text_or_path):
     an optional list of int ``s_star``.
 
     A path is read as UTF-8; a file that is not is a ``ValueError`` naming the
-    path.  The body's row count is checked first, then its rows are parsed one
+    path.  The text is read as a file object, the opened path or a
+    ``io.StringIO`` of the text, with universal newlines: a line ends at
+    ``\\n``, ``\\r\\n`` or ``\\r`` only.  A first pass counts the body's rows,
+    so the row count is checked before any row; a second parses them one line
     at a time: by ``str.split`` unless a body line holds a quote, the only way
-    a csv row can span lines, in which case ``csv.reader`` parses them."""
-    if isinstance(text_or_path, str) and "\n" not in text_or_path:
+    a csv row can span lines, in which case ``csv.reader`` counts and parses
+    them.  Only the parsed arrays grow with T."""
+    path = text_or_path if isinstance(text_or_path, str) and "\n" not in text_or_path else None
+    with open(path, encoding="utf-8") if path is not None \
+            else io.StringIO(text_or_path, newline=None) as fh:
         try:
-            with open(text_or_path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            first = fh.readline().rstrip("\n")
+            fh.readline()  # the header
+            body = fh.tell()
+            count, quoted = 0, False
+            for line in fh:
+                count += 1
+                quoted = quoted or '"' in line
         except UnicodeDecodeError as exc:
-            raise ValueError(f"cannot read {text_or_path}: {exc}") from None
-    else:
-        text = text_or_path
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# meta="):
+            raise ValueError(f"cannot read {path}: {exc}") from None
+        if quoted:  # only a quoted cell can span lines: count csv rows instead
+            fh.seek(body)
+            count = sum(1 for _ in csv.reader(fh))
+        fh.seek(body)
+        rows = csv.reader(fh) if quoted else (line.rstrip("\n").split(",") for line in fh)
+        return _parse_trace(first, count, rows)
+
+
+def _parse_trace(first: str, count: int, rows):
+    """``read_trace_csv`` past its reading: the metadata line ``first``, the
+    number of body rows and an iterator over their cells."""
+    if not first.startswith("# meta="):
         raise ValueError("trace file is missing its metadata line")
     try:
-        meta = json.loads(lines[0][len("# meta="):])
+        meta = json.loads(first[len("# meta="):])
     except ValueError as exc:
         raise ValueError(f"trace line 1: metadata is not valid JSON: {exc}") from None
     if not isinstance(meta, dict) or not isinstance(meta.get("game"), dict):
@@ -435,13 +468,8 @@ def read_trace_csv(text_or_path):
         kind, dims, source = Trace, game.dims, "plays"
         derive = partial(_trace_from_plays, game, mode=meta.get("mode", "utility"))
     n, k = len(dims), len(kind.value_names)
-    body = lines[2:]  # lines[1] is the header
-    if any('"' in line for line in body):  # only a quoted cell can span lines
-        body = rows = list(csv.reader(body))
-    else:
-        rows = (line.split(",") for line in body)
-    if len(body) != n * T:
-        raise ValueError(f"expected {n * T} data rows, found {len(body)}")
+    if count != n * T:
+        raise ValueError(f"expected {n * T} data rows, found {count}")
     vectors = [np.empty((T, d)) for d in dims]
     stored = np.empty((T, n, k))
     width = 2 + k + max(dims)

@@ -171,9 +171,14 @@ class NormalFormGame:
                 self._check_range(i, u[i])
         return list(u)
 
+    def _welfare_mixed(self, profile) -> np.ndarray:
+        """``welfare_mixed`` of a checked profile; a game that can skip the
+        check overrides this."""
+        return self.welfare_mixed(profile)
+
     def _utilities_and_welfare(self, profile) -> tuple:
-        """(``_all_normalized_utilities``, ``welfare_mixed``) of a checked profile."""
-        return self._all_normalized_utilities(profile), self.welfare_mixed(profile)
+        """(``_all_normalized_utilities``, ``_welfare_mixed``) of a checked profile."""
+        return self._all_normalized_utilities(profile), self._welfare_mixed(profile)
 
     @staticmethod
     def _check_range(i: int, u: np.ndarray) -> np.ndarray:
@@ -245,6 +250,8 @@ class DenseGame(NormalFormGame):
             self._kron_rhs = [t.reshape(t.shape[0], -1).T for t in self._own_axis_first]
             self._kron_rows = max(1, _KRON_ENTRIES // max(m.shape[0] for m in self._kron_rhs))
         self._welfare = sum(tensors)
+        # the welfare contraction's largest intermediate: rows x prod d_1..d_{n-1}
+        self._welfare_rows = max(1, _KRON_ENTRIES // math.prod(self.dims[:-1]))
         self.meta = dict(meta or {})
 
     def raw_expected_utilities(self, i: int, profile) -> np.ndarray:
@@ -266,8 +273,19 @@ class DenseGame(NormalFormGame):
 
     def welfare_mixed(self, profile):
         profile, lead = _check_profile(self, profile)
-        w = _contract(self._welfare, profile)
+        w = self._welfare_mixed(profile)
         return w if lead else float(w)
+
+    def _welfare_mixed(self, profile) -> np.ndarray:
+        """The welfare tensor contracted with an unchecked profile along its
+        leading shape L, a chunk of rows at a time (no intermediate above
+        ``_KRON_ENTRIES`` entries); each row is contracted as on its own."""
+        lead = np.shape(profile[0])[:-1]
+        rows, step = math.prod(lead), self._welfare_rows
+        ws = [w.reshape(rows, w.shape[-1]) for w in profile]
+        starts = range(0, max(rows, 1), step)  # an empty L still gets one, empty, chunk
+        return np.concatenate([_contract(self._welfare, [w[r:r + step] for w in ws])
+                               for r in starts]).reshape(lead)
 
     def pure_utilities(self, s) -> np.ndarray:
         s = tuple(int(x) for x in s)

@@ -3,13 +3,15 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles as orc
-from regretlab import games
+from regretlab import dynamics, games
 from regretlab.auctions import AuctionGame, AuctionSpec
+from regretlab.continuous import CongestionNetwork, run_continuous
 from regretlab.costmode import CostHedge
 from regretlab.dynamics import (
     _TRACE_VALUES,
@@ -179,9 +181,9 @@ class TestRunChecksPlays:
             calls.clear()
             run(g, specs, T)
             counts.append(len(calls))
-        # the derivation's one check before its all-players utilities call,
-        # and welfare_mixed's own
-        assert counts == [2, 2]
+        # the derivation's one check, before its all-players utilities and
+        # its unchecked welfare contraction
+        assert counts == [1, 1]
 
     def test_auction_derivation_takes_one_win_probability_pass(self, monkeypatch):
         g = AuctionGame(AuctionSpec(3, 2, [[3.0, 1.0], [2.0, 2.0], [1.0, 3.0]], [1.0, 2.0]))
@@ -772,6 +774,83 @@ class TestTraceCsv:
                                              r"'utf-8' codec can't decode"):
             read_trace_csv(str(path))
 
+    @staticmethod
+    def _file(tmp_path, lines, newline="\n"):
+        path = tmp_path / "edited.csv"
+        path.write_bytes("".join(line + newline for line in lines).encode())
+        return str(path)
+
+    def test_deleted_middle_row_of_a_file_is_a_row_count_error(self, tmp_path):
+        lines = self._lines()
+        del lines[10]  # the rows after it no longer match their rounds either
+        with pytest.raises(ValueError, match=r"^expected 24 data rows, found 23$"):
+            read_trace_csv(self._file(tmp_path, lines))
+
+    def test_quoted_cell_in_a_file_reads_through_the_csv_branch(self, tmp_path):
+        tr = self._trace()
+        lines = write_trace_csv(tr).splitlines()
+        lines[5] = self._quote_first_strategy(lines[5])  # float() rejects the quotes
+        back = read_trace_csv(self._file(tmp_path, lines))
+        for i in range(2):
+            np.testing.assert_array_equal(back.plays[i], tr.plays[i])
+
+    @pytest.mark.parametrize("source", ["path", "text"])
+    def test_crlf_file_reads_like_its_lf_twin(self, tmp_path, source):
+        text = write_trace_csv(self._trace())
+        lines = text.splitlines()
+        back = read_trace_csv(self._file(tmp_path, lines, "\r\n") if source == "path"
+                              else "\r\n".join(lines) + "\r\n")
+        assert write_trace_csv(back) == text
+
+    def test_non_utf8_byte_after_the_first_chunk_names_its_path(self, tmp_path):
+        T = dynamics._TRACE_CHUNK_ROWS  # about 150 kB: far past the decoder's first block
+        data = write_trace_csv(run(make_random_game(2, [2, 3], seed=117),
+                                   [opt_hedge(0.3), hedge(0.4)], T)).encode()
+        path = tmp_path / "late.csv"
+        path.write_bytes(data[:-3] + b"\xff" + data[-2:])  # in the last row's last cell
+        with pytest.raises(ValueError, match=rf"^cannot read {re.escape(str(path))}: "
+                                             r"'utf-8' codec can't decode byte 0xff"):
+            read_trace_csv(str(path))
+
+
+class TestTraceIoMemory:
+    """tracemalloc peaks of trace-file I/O on an auction trace of three chunks
+    (4 bidders, 2 items x 20 bid levels, 600 rounds: 2,400 rows of 46 cells)."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        values = [[2.0, 1.0], [1.5, 1.5], [1.0, 2.0], [1.8, 1.2]]
+        g = AuctionGame(AuctionSpec(4, 2, values, [0.05 * k for k in range(1, 21)]))
+        return run(g, [opt_hedge(0.3)] * 4, 600)
+
+    @staticmethod
+    def traced(call):
+        """(result, bytes still held after the call, peak bytes during it)."""
+        tracemalloc.start()
+        try:
+            result = call()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, held, peak
+
+    def test_writing_holds_the_text_and_one_chunk(self, trace, tmp_path):
+        values = _trace_values(trace)
+        text, _, peak = self.traced(lambda: write_trace_rows(
+            trace.meta, _TRACE_VALUES, values, "strategy", trace.plays, str(tmp_path / "t.csv")))
+        # the chunks' text, its join and one chunk's cells (about 2.3x); rows
+        # built over all T rounds at once held every row string, their join
+        # and whole-T cell arrays (about 4.2x)
+        assert peak < 3 * len(text)
+
+    def test_reading_a_path_holds_one_line_at_a_time(self, trace, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trace_csv(trace, str(path))
+        _, held, peak = self.traced(lambda: read_trace_csv(str(path)))
+        # net of the returned trace's arrays, about 0.3x the file; holding the
+        # text and its list of lines took about 2.4x
+        assert peak - held < 0.5 * path.stat().st_size
+
 
 # bit patterns of two different quiet NaNs: both print as nan
 NAN_PAYLOADS = tuple(np.array([0x7FF8000000000000, 0x7FF8000000000123],
@@ -836,3 +915,37 @@ class TestTraceRowsMatchCsvWriter:
         tr = run(g, [opt_hedge(0.3)] * g.n, 15)
         assert write_trace_csv(tr) == orc.csv_trace_rows(
             tr.meta, _TRACE_VALUES, _trace_values(tr), "strategy", tr.plays)
+
+    # rounds per chunk of a two-player file
+    CHUNK = dynamics._TRACE_CHUNK_ROWS // 2
+
+    @pytest.mark.parametrize("T", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3],
+                             ids=["one", "chunk-1", "chunk", "chunk+1", "2chunk+3"])
+    def test_chunk_boundaries(self, T, tmp_path):
+        rng = np.random.default_rng(123)
+        pool = np.array(SPECIAL_FLOATS + tuple(rng.random(8)))
+        values = [rng.choice(pool, (T, 2)) for _ in range(2)]
+        vectors = [rng.choice(pool, (T, 2)), rng.choice(pool, (T, 5))]
+        # the same special patterns on both sides of every chunk boundary
+        for t in {min(T - 1, c + s) for c in range(self.CHUNK, T + 1, self.CHUNK)
+                  for s in (-1, 0)}:
+            for v in (*values, *vectors):
+                v[t, :2] = (-0.0, NAN_PAYLOADS[t % 2])
+                v[t, -1] = np.inf if t % 2 else -np.inf
+        args = ({"kind": "test", "T": T}, ("a", "b"), values, "strategy", vectors)
+        text = write_trace_rows(*args)
+        assert text == orc.csv_trace_rows(*args)
+        path = tmp_path / "rows.csv"
+        assert write_trace_rows(*args, path=str(path)) == text
+        assert path.read_bytes() == text.encode()
+
+    def test_routing_flows_across_a_chunk_boundary(self, tmp_path):
+        net = CongestionNetwork([("s", "t", 0.5, 0.1, 0.0), ("s", "t", 0.0, 1.0, 0.2)],
+                                [("s", "t", 1.0), ("s", "t", 2.0)])
+        tr = run_continuous(net, 0.05, self.CHUNK + 7)
+        path = tmp_path / "flows.csv"
+        text = write_trace_csv(tr, str(path))
+        assert text == orc.csv_trace_rows(tr.meta, tr.value_names, _trace_values(tr),
+                                          tr.vector_name, tr.flows)
+        assert path.read_bytes() == text.encode()
+        assert write_trace_csv(read_trace_csv(str(path))) == text

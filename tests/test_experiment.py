@@ -1156,6 +1156,33 @@ class TestCliErrorBoundary:
         self.assert_one_line_error(run_module(command, str(trace)),
                                    f"cannot read {trace}", "codec can't decode")
 
+    @pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\u2028"],
+                             ids=["formfeed", "vtab", "file-sep", "line-sep"])
+    def test_line_break_that_is_not_a_newline(self, tmp_path, sep):
+        # a trace line ends only at \n, \r\n or \r: other characters that
+        # str.splitlines breaks at stay inside their line
+        manifest = run_experiment(parse_config(MATRIX_SMOOTH_CFG),
+                                  out_dir=str(tmp_path / "arm"))
+        lines = read(manifest["artifacts"]["trace"]).splitlines(keepends=True)
+        cells = lines[3].split(",")  # round 1, player 1
+        lines[3] = ",".join(cells[:2] + [cells[2] + sep + cells[3]] + cells[4:])
+        bad = tmp_path / "edited.csv"
+        bad.write_text("".join(lines), encoding="utf-8")
+        done = run_module("report", str(bad))
+        self.assert_one_line_error(done)
+        assert done.stderr == ("error: trace line 4: expected 4 values and 2 strategy "
+                               "entries, padded with empty cells to 8 cells\n")
+
+    def test_non_utf8_byte_deep_in_a_trace(self, tmp_path):
+        manifest = run_experiment(parse_config(MATRIX_SMOOTH_CFG),
+                                  out_dir=str(tmp_path / "arm"))
+        with open(manifest["artifacts"]["trace"], "rb") as fh:
+            data = fh.read()
+        trace = tmp_path / "late.csv"
+        trace.write_bytes(data[:-3] + b"\xff" + data[-2:])  # in the last row
+        self.assert_one_line_error(run_module("report", str(trace)),
+                                   f"cannot read {trace}", "codec can't decode byte 0xff")
+
     @pytest.mark.parametrize("eta", ["nan", "inf"])
     def test_non_finite_lowerbound_eta(self, eta):
         done = run_module("lowerbound", "--eta", eta, "--T", "10")

@@ -166,6 +166,17 @@ class TestLeadingAxis:
         g = make_random_game(3, [2, 2, 2], seed=5)
         assert type(g.welfare_mixed(stacked_profile([2, 2, 2], (), seed=1))) is float
 
+    def test_welfare_along_several_chunks_equals_single_calls_bitwise(self):
+        g = make_random_game(4, [5, 5, 5, 5], seed=7)
+        prof = stacked_profile([5, 5, 5, 5], (3 * g._welfare_rows + 1,), seed=3)
+        np.testing.assert_array_equal(g.welfare_mixed(prof),
+                                      [g.welfare_mixed(row(prof, t)) for t in range(len(prof[0]))])
+
+    @pytest.mark.parametrize("lead", [(0,), (2, 0)])
+    def test_welfare_along_an_empty_leading_shape_is_empty(self, lead):
+        g = make_random_game(3, [2, 3, 2], seed=5)
+        assert g.welfare_mixed(stacked_profile([2, 3, 2], lead, seed=1)).shape == lead
+
     def test_lone_player_utilities_broadcast_to_the_leading_shape(self):
         g = make_random_game(1, [3], seed=6)
         u = g.expected_utilities(0, stacked_profile([3], (4,), seed=2))

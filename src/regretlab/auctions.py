@@ -103,7 +103,7 @@ class AuctionGame(NormalFormGame):
     # -- oracles ---------------------------------------------------------------
     def raw_expected_utilities(self, i: int, profile) -> np.ndarray:
         win = self._win_probabilities(profile)[i]
-        return (self._payoff[i] * win).reshape(win.shape[:-2] + (-1,))
+        return (self._payoff[i] * win).reshape(win.shape[:-2] + (self.dims[i],))
 
     def _all_normalized_utilities(self, profile) -> list:
         return self._normalized(self._win_probabilities(profile))
@@ -120,7 +120,7 @@ class AuctionGame(NormalFormGame):
     def _normalized(self, win) -> list:
         """Every bidder's normalized utilities, computed in place of ``win``."""
         win *= self._payoff.reshape((self.n,) + (1,) * (win.ndim - 3) + self._payoff.shape[1:])
-        return self._normalized_block(win, win.reshape(win.shape[:-2] + (-1,)))
+        return self._normalized_block(win.reshape(-1), win.reshape(win.shape[:-2] + (self.dims[0],)))
 
     def _welfare(self, profile, win):
         """Expected welfare of a checked profile, given its win probabilities."""

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .learners import (
     Certificate,
     LearnerSpec,
     OnlineLearner,
+    _regularized_learner,
     certify_stability,
     certify_variation_bound,
     declared_variation_bound,
@@ -101,6 +103,35 @@ def _trace_from_plays(game: NormalFormGame, plays, mode: str, meta: dict) -> Tra
                  np.array([np.cumsum(dw2) for _, dw2 in steps]), meta)
 
 
+def _units(specs, dims) -> list:
+    """(learner, players) for each unit that steps once per engine round.
+    A run of consecutive players whose specs resolve to one FTRL or OMD spec
+    over one strategy count d >= 2 is one group of k learners stepping as one
+    (``learners._regularized_learner``); every other player is a unit of one:
+    a prebuilt learner, a best responder, a first-order Hedge, a lone player
+    or a one-strategy player (whose window sums would reduce pairwise)."""
+
+    def key(i):
+        s = specs[i]
+        if isinstance(s, OnlineLearner) or dims[i] < 2:
+            return i
+        s = s.resolved()
+        return (s, dims[i]) if s.algorithm in ("ftrl", "omd") else i
+
+    units = []
+    for _, run_ in groupby(range(len(specs)), key):
+        players = list(run_)
+        s, d, k = specs[players[0]], dims[players[0]], len(players)
+        if isinstance(s, OnlineLearner):
+            learner = s
+        elif k == 1:
+            learner = make_learner(s, d)
+        else:
+            learner = _regularized_learner(s, d, k)
+        units.append((learner, players))
+    return units
+
+
 def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     """Play T rounds.  ``specs`` holds one LearnerSpec or prebuilt learner per
     player.  In cost mode the game's oracle is read as costs; learners that
@@ -110,6 +141,11 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     distribution player (and the previous round's strategies of any other
     responder), so the dynamics stay simultaneous and well defined; the
     engine sets each responder's ``utilities`` before it plays.
+
+    Consecutive players with one FTRL or OMD spec and one strategy count step
+    as one group (see ``_units``): one play and one observe per round, of
+    (k, d) blocks whose rows are bitwise those of k single learners.  A group
+    observes its slice of the oracle's flat block of normalized utilities.
 
     Each play is shape-checked when its learner returns it; the round's one
     all-players oracle call skips the profile check, and every row of every
@@ -121,19 +157,23 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
         raise ValueError(f"{len(specs)} learner specs for {game.n} players")
     if mode not in ("utility", "cost"):
         raise ValueError(f"mode must be 'utility' or 'cost', got {mode!r}")
-    learners = [s if isinstance(s, OnlineLearner) else make_learner(s, game.dims[i])
-                for i, s in enumerate(specs)]
-    n = game.n
-    responders = [i for i, L in enumerate(learners) if isinstance(L, BestResponseLearner)]
-    dist_players = [i for i in range(n) if i not in responders]
-    # utility learners get 1 - c in cost mode; cost-native learners get the
-    # costs: the oracle's value in cost mode, 1 - u otherwise
-    as_is = [(L.feedback == "cost") == (mode == "cost") for L in learners]
+    n, dims = game.n, game.dims
+    # per unit: (learner, players, play shape, slice of the oracle's block,
+    # as_is); utility learners get 1 - c in cost mode, cost-native learners
+    # get the costs: the oracle's value in cost mode, 1 - u otherwise
+    units = []
+    for learner, players in _units(specs, dims):
+        k, d, lo = len(players), dims[players[0]], sum(dims[:players[0]])
+        units.append((learner, players, (d,) if k == 1 else (k, d), slice(lo, lo + k * d),
+                      (learner.feedback == "cost") == (mode == "cost")))
+    responders = [u for u in units if isinstance(u[0], BestResponseLearner)]
+    movers = [u for u in units if not isinstance(u[0], BestResponseLearner)]
 
-    def play(i):
-        w = np.asarray(learners[i].play(), dtype=float)
-        _check_shape(i, w, (game.dims[i],))
-        return w
+    def play(current, learner, players, shape, *_):
+        w = np.asarray(learner.play(), dtype=float)
+        _check_shape(players[0], w, shape)
+        for i, row in zip(players, w if len(shape) == 2 else (w,)):
+            current[i] = row
 
     def oracle(call, *args):
         try:
@@ -142,23 +182,26 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
             games._check_profile(game, args[-1])  # name an off-simplex play, the likelier cause
             raise
 
-    plays = [np.empty((T, game.dims[i])) for i in range(n)]
+    plays = [np.empty((T, d)) for d in dims]
 
-    profile = [np.full(game.dims[i], 1.0 / game.dims[i]) for i in range(n)]
+    profile = [np.full(d, 1.0 / d) for d in dims]
     for t in range(T):
         current = list(profile)  # responders: previous round (uniform at t=0)
-        for i in dist_players:
-            current[i] = play(i)
-        for i in responders:  # all respond before any plays: each sees the others' last round
-            u_now = oracle(game._normalized_utilities, i, current)
-            learners[i].utilities = 1.0 - u_now if mode == "cost" else u_now
-        for i in responders:
-            current[i] = play(i)
+        for unit in movers:
+            play(current, *unit)
+        # all respond before any plays: each sees the others' last round
+        for learner, players, *_ in responders:
+            u_now = oracle(game._normalized_utilities, players[0], current)
+            learner.utilities = 1.0 - u_now if mode == "cost" else u_now
+        for unit in responders:
+            play(current, *unit)
 
-        raws = oracle(game._all_normalized_utilities, current)
+        block = oracle(game._all_normalized_utilities, current).block
+        for learner, _, shape, rows, as_is in units:
+            u = block[rows].reshape(shape)
+            learner.observe(u if as_is else 1.0 - u)
         for i in range(n):
             plays[i][t] = current[i]
-            learners[i].observe(raws[i] if as_is[i] else 1.0 - raws[i])
         profile = current
 
     meta = {

@@ -11,6 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,6 +61,15 @@ def _check_profile(game: "NormalFormGame", profile, skip: int | None = None):
     return out, lead
 
 
+class _Utilities(list):
+    """Every player's normalized utilities, L + (d_i,) views into ``block``:
+    all of them flat, player after player, so with L = () the players i..j-1
+    of one strategy count d are the (j - i, d) slice ``block[i*d:j*d]``
+    (for the engine, which feeds such a slice to a group of learners)."""
+
+    __slots__ = ("block",)
+
+
 def _contract(t: np.ndarray, strategies) -> np.ndarray:
     """Contract the trailing axes of ``t`` with ``strategies`` (shapes
     L + (d,), one per axis), from the last axis down.  With a strategy for
@@ -87,6 +97,8 @@ class NormalFormGame:
             raise ValueError(f"scale must be positive, got {scale}")
         self.scale = float(scale)
         self.shift = float(shift)
+        # each player's slice of the flat all-players block of one profile
+        self._slices = [slice(end - d, end) for d, end in zip(self.dims, accumulate(self.dims))]
 
     # -- raw-unit oracles (implemented by subclasses), along a leading shape L
     def raw_expected_utilities(self, i: int, profile) -> np.ndarray:
@@ -152,24 +164,30 @@ class NormalFormGame:
         return self._normalized_block(block, self._player_views(block, np.shape(profile[0])[:-1]))
 
     def _player_views(self, block: np.ndarray, lead: tuple) -> list:
-        """Every player's L + (d_i,) view into a flat block, player after player."""
+        """Every player's L + (d_i,) view into a flat block, player after player
+        (an empty L gives empty views)."""
+        if not lead:  # one profile: the players' slices, no reshape
+            return [block[s] for s in self._slices]
         rows, u, end = math.prod(lead), [], 0
         for d in self.dims:
             u.append(block[end:end + rows * d].reshape(lead + (d,)))
             end += rows * d
         return u
 
-    def _normalized_block(self, block: np.ndarray, u) -> list:
-        """``u``, every player's raw utilities as views into ``block``, once
-        ``block`` is normalized in place and range-checked in one pass; only a
-        block that escapes [0, 1] is checked player by player, so the error
-        names the first player who escapes."""
+    def _normalized_block(self, block: np.ndarray, u) -> _Utilities:
+        """``u``, every player's raw utilities as views into the flat
+        ``block``, once ``block`` is normalized in place and range-checked in
+        one pass; only a block that escapes [0, 1] is checked player by
+        player, so the error names the first player who escapes."""
         block -= self.shift
         block /= self.scale
-        if not (block.min() >= -1e-12 and block.max() <= 1.0 + 1e-12):  # NaN fails too
+        # NaN fails the check too; an empty block has nothing to check
+        if block.size and not (block.min() >= -1e-12 and block.max() <= 1.0 + 1e-12):
             for i in range(self.n):
                 self._check_range(i, u[i])
-        return list(u)
+        out = _Utilities(u)
+        out.block = block
+        return out
 
     def _welfare_mixed(self, profile) -> np.ndarray:
         """``welfare_mixed`` of a checked profile; a game that can skip the
@@ -182,7 +200,7 @@ class NormalFormGame:
 
     @staticmethod
     def _check_range(i: int, u: np.ndarray) -> np.ndarray:
-        if not (u.min() >= -1e-12 and u.max() <= 1.0 + 1e-12):  # NaN fails too
+        if u.size and not (u.min() >= -1e-12 and u.max() <= 1.0 + 1e-12):  # NaN fails too
             raise UtilityRangeError(
                 f"player {i}: normalized utilities escape [0, 1]: [{u.min()}, {u.max()}]"
             )
@@ -259,11 +277,11 @@ class DenseGame(NormalFormGame):
         return np.broadcast_to(u, np.shape(profile[i])) if self.n == 1 else u
 
     def _all_normalized_utilities(self, profile) -> list:
-        if self._kron_rhs is None:
-            return super()._all_normalized_utilities(profile)
         lead = np.shape(profile[0])[:-1]
-        rows, step = math.prod(lead), self._kron_rows
-        ws = [w.reshape(rows, -1) for w in profile]
+        rows = math.prod(lead)
+        if self._kron_rhs is None or rows == 0:  # an empty L: nothing to share
+            return super()._all_normalized_utilities(profile)
+        ws, step = [w.reshape(rows, -1) for w in profile], self._kron_rows
         chunks = []  # u_i = K_i M_i^T, a chunk of rows at a time
         for r in range(0, rows, step):
             kron = _leave_one_out([w[r:r + step] for w in ws])

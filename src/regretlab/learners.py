@@ -83,7 +83,8 @@ class VariationBound:
 
 
 # ---------------------------------------------------------------------------
-# predictors
+# predictors: each stateful one keeps its state in the shape it is built
+# with, (d,) for one learner or (k, d) for a group of k learners
 
 
 class ZeroPredictor:
@@ -95,8 +96,8 @@ class ZeroPredictor:
 
 
 class LastUtility:
-    def __init__(self, d: int):
-        self._last = np.zeros(d)  # u^0 = 0
+    def __init__(self, shape):
+        self._last = np.zeros(shape)  # u^0 = 0
 
     def predict(self):
         return self._last
@@ -111,14 +112,17 @@ class WindowAverage:
 
     Each utility is written to rows k and k + H of a (2H, d) buffer, k
     cycling through 0..H-1, so the window is always the one contiguous slice
-    ``[k + 1, k + 1 + H)`` in arrival order, its zero padding first.
+    ``[k + 1, k + 1 + H)`` in arrival order, its zero padding first.  The
+    window sums along its first axis, one entry at a time in arrival order,
+    so a group's rows sum as single learners' do (for d >= 2; numpy sums a
+    (H, 1) window pairwise).
     """
 
-    def __init__(self, H: int, d: int):
+    def __init__(self, H: int, shape):
         if H < 1 or int(H) != H:
             raise ValueError(f"window length must be a positive integer, got {H}")
         self.H = int(H)
-        self._buf = np.zeros((2 * self.H, d))
+        self._buf = np.zeros((2 * self.H, *np.atleast_1d(shape)))
         self._k = -1  # buffer row of the latest utility
 
     def predict(self):
@@ -140,11 +144,11 @@ class GeometricDiscount:
     utility.
     """
 
-    def __init__(self, delta: float, d: int):
+    def __init__(self, delta: float, shape):
         if not 0.0 <= delta < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {delta}")
         self.delta = float(delta)
-        self._num = np.zeros(d)  # u^0 = 0
+        self._num = np.zeros(shape)  # u^0 = 0
         self._den = 1.0
 
     def predict(self):
@@ -156,12 +160,12 @@ class GeometricDiscount:
         self._den = self.delta * self._den + 1.0
 
 
-# predictor name -> constructor(predictor_param, d)
+# predictor name -> constructor(predictor_param, state shape)
 _PREDICTORS = {
-    "none": lambda param, d: ZeroPredictor(),
-    "last": lambda param, d: LastUtility(d),
-    "window": lambda H, d: WindowAverage(int(H), d),
-    "geometric": lambda delta, d: GeometricDiscount(float(delta), d),
+    "none": lambda param, shape: ZeroPredictor(),
+    "last": lambda param, shape: LastUtility(shape),
+    "window": lambda H, shape: WindowAverage(int(H), shape),
+    "geometric": lambda delta, shape: GeometricDiscount(float(delta), shape),
 }
 
 
@@ -170,15 +174,21 @@ _PREDICTORS = {
 
 
 class OnlineLearner:
-    """Base class enforcing the play/observe alternation."""
+    """Base class enforcing the play/observe alternation.
+
+    ``shape`` is that of each play and each observed utility: (d,), or
+    (k, d) for a group of k learners that steps as one (FTRL and OMD only,
+    built by ``_regularized_learner``), row j being learner j's.
+    """
 
     feedback = "utility"
     spec = None  # the LearnerSpec ``make_learner`` built it from
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, *, _rows: int | None = None):
         if d < 1:
             raise ValueError(f"strategy count must be >= 1, got {d}")
         self.d = d
+        self.shape = (d,) if _rows is None else (_rows, d)
         self.t = 0  # completed rounds
         self._pending = None
         self.declared_bound: VariationBound | None = None
@@ -194,10 +204,8 @@ class OnlineLearner:
         if self._pending is None:
             raise RuntimeError(f"observe() called before play() in round {self.t + 1}")
         u = np.array(u, dtype=float)  # own copy: a caller may reuse its buffer
-        if u.shape != (self.d,):
-            raise ValueError(
-                f"utility vector has shape {u.shape}, learner expects ({self.d},)"
-            )
+        if u.shape != self.shape:
+            raise ValueError(f"utility vector has shape {u.shape}, learner expects {self.shape}")
         self._observe(u)
         self._pending = None
         self.t += 1
@@ -224,14 +232,14 @@ class FtrlLearner(OnlineLearner):
 
     algorithm = "ftrl"
 
-    def __init__(self, d: int, regularizer, eta: float, predictor):
-        super().__init__(d)
+    def __init__(self, d: int, regularizer, eta: float, predictor, *, _rows: int | None = None):
+        super().__init__(d, _rows=_rows)
         if not 0.0 < eta < math.inf:
             raise ValueError(f"eta must be positive and finite, got {eta}")
         self.reg = regularizer
         self.eta = float(eta)
         self.predictor = predictor
-        self.cumulative = np.zeros(d)
+        self.cumulative = np.zeros(self.shape)
 
     def _play(self) -> np.ndarray:
         return self.reg.ftrl_argmax(self.cumulative + self.predictor.predict(), self.eta)
@@ -253,8 +261,8 @@ class OmdLearner(OnlineLearner):
 
     algorithm = "omd"
 
-    def __init__(self, d: int, regularizer, eta: float, predictor):
-        super().__init__(d)
+    def __init__(self, d: int, regularizer, eta: float, predictor, *, _rows: int | None = None):
+        super().__init__(d, _rows=_rows)
         if not 0.0 < eta < math.inf:
             raise ValueError(f"eta must be positive and finite, got {eta}")
         self.reg = regularizer
@@ -262,9 +270,9 @@ class OmdLearner(OnlineLearner):
         self.predictor = predictor
         self._entropic = isinstance(regularizer, NegativeEntropy)
         if self._entropic:
-            self.cumulative = np.zeros(d)
+            self.cumulative = np.zeros(self.shape)
         else:
-            self._g = regularizer.initial_point(d)
+            self._g = np.broadcast_to(regularizer.initial_point(d), self.shape).copy()
 
     @property
     def g(self) -> np.ndarray:
@@ -388,15 +396,27 @@ def make_learner(spec: LearnerSpec, d: int) -> OnlineLearner:
 
         learner = FirstOrderHedge(d)
     elif s.algorithm in ("ftrl", "omd"):
-        if s.eta is None:
-            raise ValueError(f"{spec.algorithm} requires eta")
-        reg = get_regularizer(s.regularizer)
-        if s.predictor not in _PREDICTORS:
-            raise ValueError(f"unknown predictor kind {s.predictor!r}")
-        cls = FtrlLearner if s.algorithm == "ftrl" else OmdLearner
-        learner = cls(d, reg, s.eta, _PREDICTORS[s.predictor](s.predictor_param, d))
+        return _regularized_learner(spec, d)
     else:
         raise ValueError(f"unknown algorithm {spec.algorithm!r}")
+    learner.declared_bound = declared_variation_bound(spec, d)
+    learner.spec = spec
+    return learner
+
+
+def _regularized_learner(spec: LearnerSpec, d: int, k: int | None = None) -> OnlineLearner:
+    """The FTRL or OMD learner of ``spec``; with k given, a group of k such
+    learners that steps as one: (k, d) state, plays and utilities, each row
+    bitwise that of a ``make_learner(spec, d)`` fed the same rows (d >= 2)."""
+    s = spec.resolved()
+    if s.eta is None:
+        raise ValueError(f"{spec.algorithm} requires eta")
+    reg = get_regularizer(s.regularizer)
+    if s.predictor not in _PREDICTORS:
+        raise ValueError(f"unknown predictor kind {s.predictor!r}")
+    cls = FtrlLearner if s.algorithm == "ftrl" else OmdLearner
+    shape = (d,) if k is None else (k, d)
+    learner = cls(d, reg, s.eta, _PREDICTORS[s.predictor](s.predictor_param, shape), _rows=k)
     learner.declared_bound = declared_variation_bound(spec, d)
     learner.spec = spec
     return learner

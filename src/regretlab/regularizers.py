@@ -26,35 +26,49 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _exp_weights(z: np.ndarray, what: str = "cumulative utility vector") -> np.ndarray:
-    """Overwrite the fresh float vector ``z`` with exp(z - max z), normalized.
+    """Overwrite the fresh float vector ``z`` with exp(z - max z), normalized;
+    a (k, d) block is taken row by row, each row bitwise as on its own.
 
-    The finiteness check and the max run in Python over ``z.tolist()``, which
-    beats numpy's reductions on the short vectors of a learner step; the sum
-    stays numpy's pairwise one, so the weights are bitwise those of
-    ``e = exp(z - z.max()); e / e.sum()``.
+    For a vector, the finiteness check and the max run in Python over
+    ``z.tolist()``, which beats numpy's reductions on the short vectors of a
+    learner step; the sum stays numpy's pairwise one, so the weights are
+    bitwise those of ``e = exp(z - z.max()); e / e.sum()``.  A block reduces
+    along its last axis, the same pairwise sum per row.
     """
-    vals = z.tolist()
-    if not all(map(math.isfinite, vals)):
+    if z.ndim == 1:
+        vals = z.tolist()
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"{what} contains non-finite entries")
+        z -= max(vals)
+        np.exp(z, out=z)
+        z /= np.add.reduce(z)
+        return z
+    if not np.isfinite(z).all():
         raise ValueError(f"{what} contains non-finite entries")
-    z -= max(vals)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= np.add.reduce(z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of ``v`` onto the probability simplex.
+    """Euclidean projection of ``v`` onto the probability simplex, row by
+    row for a (k, d) block.
 
     Full-sort threshold method: sort descending, find the largest k with
     v_(k) + (1 - sum_{j<=k} v_(j)) / k > 0, clip at that threshold.
     """
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, v.size + 1)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    k = np.arange(1, v.shape[-1] + 1)
     cond = u + (1.0 - css) / k > 0.0
-    rho = k[cond][-1]
-    theta = (css[rho - 1] - 1.0) / rho
+    if v.ndim == 1:
+        rho = k[cond][-1]
+        theta = (css[rho - 1] - 1.0) / rho
+    else:  # each row's largest such k, and its threshold as a column
+        rho = v.shape[-1] - np.argmax(cond[:, ::-1], axis=1)
+        theta = ((css[np.arange(len(v)), rho - 1] - 1.0) / rho)[:, None]
     return np.maximum(v - theta, 0.0)
 
 

@@ -18,6 +18,7 @@ from regretlab.dynamics import (
     Trace,
     _trace_from_plays,
     _trace_values,
+    _units,
     coupling_margin,
     read_trace_csv,
     regret,
@@ -529,6 +530,109 @@ class TestReportCertificates:
         rep = report(tr)
         for i in range(2):
             assert rep.regrets_raw[i] == pytest.approx(rep.regrets[i] * g.scale, abs=1e-12)
+
+
+def trace_bytes(tr):
+    return [p.tobytes() for p in tr.plays] + [u.tobytes() for u in tr.utilities]
+
+
+class TestLearnerGroups:
+    """Consecutive players with one FTRL/OMD spec and one strategy count step
+    as one group; prebuilt learners stay units of one, so a run of prebuilt
+    ``make_learner`` instances is the serial reference, byte for byte."""
+
+    SPECS = [LearnerSpec("oftrl", 0.3, "entropy", "last"),
+             LearnerSpec("omd", 0.25, "entropy", "last"),
+             LearnerSpec("oftrl", 0.4, "euclidean", "window", 9),
+             LearnerSpec("omd", 0.2, "euclidean", "geometric", 0.5),
+             LearnerSpec("hedge", 0.5)]
+
+    @staticmethod
+    def serial(game, specs):
+        return [make_learner(s, game.dims[i]) for i, s in enumerate(specs)]
+
+    @pytest.mark.parametrize("mode", ["utility", "cost"])
+    @pytest.mark.parametrize("spec", SPECS, ids=["oftrl", "omd", "euclid-window", "euclid-omd",
+                                                 "hedge"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_dense_groups_play_like_serial_learners(self, n, spec, mode):
+        g = make_random_game(n, [3] * n, seed=200 + n)
+        grouped = run(g, [spec] * n, 40, mode)
+        assert trace_bytes(grouped) == trace_bytes(run(g, self.serial(g, [spec] * n), 40, mode))
+
+    @pytest.mark.parametrize("mode", ["utility", "cost"])
+    def test_auction_group_plays_like_serial_learners(self, mode):
+        g = AuctionGame(AuctionSpec(4, 2, [[3.0, 1.0], [2.0, 2.0], [1.0, 3.0], [2.0, 1.5]],
+                                    [0.5, 1.0, 2.0]))
+        for spec in self.SPECS[:3]:
+            grouped = run(g, [spec] * 4, 30, mode)
+            assert trace_bytes(grouped) == trace_bytes(run(g, self.serial(g, [spec] * 4), 30,
+                                                           mode))
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_a_best_responder_splits_the_group(self, where):
+        g = make_random_game(5, [3] * 5, seed=209)
+        specs = [self.SPECS[0]] * 5
+        specs[where] = LearnerSpec("bestresponse")
+        for mode in ("utility", "cost"):
+            grouped = run(g, specs, 30, mode)
+            assert trace_bytes(grouped) == trace_bytes(run(g, self.serial(g, specs), 30, mode))
+
+    def test_consecutive_equal_specs_form_the_groups(self):
+        a, b = self.SPECS[0], self.SPECS[1]
+        units = _units([a, a, b, a], [3] * 4)
+        assert [players for _, players in units] == [[0, 1], [2], [3]]
+        assert [learner.shape for learner, _ in units] == [(2, 3), (3,), (3,)]
+        # the hedge shortcut resolves to ftrl with a zero predictor
+        units = _units([LearnerSpec("hedge", 0.3), LearnerSpec("ftrl", 0.3)], [2, 2])
+        assert [players for _, players in units] == [[0, 1]]
+
+    def test_a_rectangular_game_splits_groups_by_strategy_count(self):
+        a = self.SPECS[0]
+        units = _units([a] * 6, [2, 2, 3, 3, 1, 1])
+        # one-strategy players stay single
+        assert [players for _, players in units] == [[0, 1], [2, 3], [4], [5]]
+        g = make_random_game(6, [2, 2, 3, 3, 1, 1], seed=210)
+        assert trace_bytes(run(g, [a] * 6, 25)) == trace_bytes(run(g, self.serial(g, [a] * 6),
+                                                                  25))
+
+    def test_prebuilt_learners_and_other_families_stay_single(self):
+        a = self.SPECS[0]
+        prebuilt = make_learner(a, 3)
+        specs = [a, prebuilt, a, a, LearnerSpec("first_order_hedge"), LearnerSpec("bestresponse")]
+        units = _units(specs, [3] * 6)
+        assert [players for _, players in units] == [[0], [1], [2, 3], [4], [5]]
+        assert units[1][0] is prebuilt
+
+    def test_one_play_and_one_observe_per_group_per_round(self, monkeypatch):
+        a, b = self.SPECS[0], self.SPECS[1]
+        g = make_random_game(5, [2, 2, 2, 2, 2], seed=211)
+        calls = {"play": [], "observe": []}
+        for name in calls:
+            orig = getattr(OnlineLearner, name)
+
+            def counting(self, *args, orig=orig, name=name):
+                calls[name].append(getattr(self, "shape", None))
+                return orig(self, *args)
+
+            monkeypatch.setattr(OnlineLearner, name, counting)
+        run(g, [a, a, b, a, LearnerSpec("bestresponse")], 7)
+        # units {0, 1}, {2}, {3} and the responder, once each per round
+        per_round = sorted([(2, 2), (2,), (2,), (2,)])
+        for name in calls:
+            assert sorted(calls[name]) == sorted(per_round * 7), name
+
+    @pytest.mark.parametrize("dims", [[3, 3, 3], [2, 2, 2, 2], [2, 3, 3, 2]],
+                             ids=["n3", "n4", "n4-two-groups"])
+    @pytest.mark.parametrize("algorithm", ["oftrl", "omd"])
+    def test_groups_match_the_selfplay_oracle(self, dims, algorithm):
+        g = make_random_game(len(dims), dims, seed=212)
+        etas = [0.45] * len(dims)
+        tr = run(g, [LearnerSpec(algorithm, 0.45, "entropy", "last")] * len(dims), 20)
+        plays, utils = orc.dense_selfplay_sim(g.tensors, etas, 20)
+        for i in range(g.n):
+            np.testing.assert_allclose(tr.plays[i], plays[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tr.utilities[i], utils[i], rtol=0, atol=1e-12)
 
 
 class TestBestResponseDynamics:

@@ -177,6 +177,22 @@ class TestLeadingAxis:
         g = make_random_game(3, [2, 3, 2], seed=5)
         assert g.welfare_mixed(stacked_profile([2, 3, 2], lead, seed=1)).shape == lead
 
+    @pytest.mark.parametrize("lead", [(0,), (2, 0)])
+    @pytest.mark.parametrize("game", [
+        lambda: make_random_game(1, [3], seed=5),
+        lambda: make_random_game(2, [2, 2], seed=1),
+        lambda: make_random_game(3, [2, 3, 2], seed=5),
+        lambda: make_random_game(4, [2, 3, 2, 2], seed=5),
+        lambda: AuctionGame(AuctionSpec(3, 2, [[3.0, 1.0], [2.0, 2.0], [1.0, 3.0]], [1.0, 2.0])),
+    ], ids=["dense-n1", "dense-n2", "dense-n3-kron", "dense-n4-kron", "auction"])
+    def test_utilities_along_an_empty_leading_shape_are_empty(self, game, lead):
+        g = game()
+        prof = [np.empty(lead + (d,)) for d in g.dims]
+        for i in range(g.n):
+            assert g.expected_utilities(i, prof).shape == lead + (g.dims[i],)
+        assert [u.shape for u in g._all_normalized_utilities(prof)] == [
+            lead + (d,) for d in g.dims]
+
     def test_lone_player_utilities_broadcast_to_the_leading_shape(self):
         g = make_random_game(1, [3], seed=6)
         u = g.expected_utilities(0, stacked_profile([3], (4,), seed=2))

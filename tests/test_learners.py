@@ -25,7 +25,7 @@ from regretlab import (
     wrap_doubling,
 )
 from regretlab.costmode import CostHedge
-from regretlab.learners import GeometricDiscount, WindowAverage
+from regretlab.learners import GeometricDiscount, WindowAverage, _regularized_learner
 
 
 def drive(learner, stream):
@@ -204,6 +204,92 @@ class TestNonFiniteUtilities:
         with pytest.raises(ValueError, match="non-finite entries"):
             learner.observe([0.5, bad, 0.5])
             learner.play()
+
+
+def random_blocks(k, d, T, seed):
+    """T utility blocks of shape (k, d), each row a random stream's round."""
+    vals = splitmix64_floats(seed, k * d * T)
+    return [np.array(vals[t * k * d : (t + 1) * k * d]).reshape(k, d) for t in range(T)]
+
+
+# ("window", 9): a window of 8 or more rows is where numpy's pairwise
+# summation would part from a sum taken one row at a time
+GROUP_PREDICTORS = PREDICTORS + [("window", 9)]
+
+
+class TestLearnerGroups:
+    """A group of k learners (``_regularized_learner(spec, d, k)``) steps as
+    one on (k, d) blocks; row j plays bit for bit like a single
+    ``make_learner(spec, d)`` fed row j of every block."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("kind, param", GROUP_PREDICTORS)
+    @pytest.mark.parametrize("reg", ["entropy", "euclidean"])
+    @pytest.mark.parametrize("algorithm", ["ftrl", "omd"])
+    def test_rows_play_like_single_learners(self, algorithm, reg, kind, param, k):
+        for d in (2, 3, 8):
+            spec = LearnerSpec(algorithm, 0.37 if d < 8 else 2.5, reg, kind, param)
+            group = _regularized_learner(spec, d, k)
+            singles = [make_learner(spec, d) for _ in range(k)]
+            for t, block in enumerate(random_blocks(k, d, 80, seed=61 + d + k)):
+                w = group.play()
+                assert w.shape == (k, d)
+                for j, single in enumerate(singles):
+                    assert w[j].tobytes() == single.play().tobytes(), (d, t, j)
+                    single.observe(block[j])
+                group.observe(block)
+            assert type(group) is type(singles[0]) and group.t == singles[0].t == 80
+
+    @pytest.mark.parametrize("reg", ["entropy", "euclidean"])
+    @pytest.mark.parametrize("algorithm", ["ftrl", "omd"])
+    def test_a_non_finite_row_raises_the_single_learners_error(self, algorithm, reg):
+        spec = LearnerSpec(algorithm, 0.3, reg, "last")
+        bad = np.array([[0.2, 0.4, 0.6], [0.5, np.inf, 0.5]])
+
+        def error(learner, u):
+            learner.play()
+            learner.observe(np.full(u.shape, 0.5))
+            learner.play()
+            with pytest.raises(ValueError, match="non-finite entries") as err:
+                learner.observe(u)
+                learner.play()
+            return str(err.value)
+
+        assert error(_regularized_learner(spec, 3, 2), bad) == error(make_learner(spec, 3), bad[1])
+
+    def test_a_block_of_the_wrong_shape_is_rejected(self):
+        group = _regularized_learner(SPECS["optimistic_hedge"], 3, 2)
+        group.play()
+        with pytest.raises(ValueError, match=r"shape \(3,\), learner expects \(2, 3\)"):
+            group.observe(np.full(3, 0.5))
+
+    @pytest.mark.parametrize("kind, param", GROUP_PREDICTORS)
+    @pytest.mark.parametrize("reg", ["entropy", "euclidean"])
+    @pytest.mark.parametrize("algorithm", ["ftrl", "omd"])
+    def test_returned_block_plays_are_never_written_again(self, algorithm, reg, kind, param):
+        group = _regularized_learner(LearnerSpec(algorithm, 0.37, reg, kind, param), 3, 4)
+        held = []
+        for block in random_blocks(4, 3, 20, seed=67):
+            w = group.play()
+            held.append((w, w.copy()))
+            group.observe(block)
+        for t, (w, snapshot) in enumerate(held):
+            assert np.array_equal(w, snapshot), t
+
+    @pytest.mark.parametrize("kind, param", GROUP_PREDICTORS)
+    @pytest.mark.parametrize("reg", ["entropy", "euclidean"])
+    @pytest.mark.parametrize("algorithm", ["ftrl", "omd"])
+    def test_a_reused_utility_block_plays_like_fresh_blocks(self, algorithm, reg, kind, param):
+        spec = LearnerSpec(algorithm, 0.5, reg, kind, param)
+        fresh, reused = _regularized_learner(spec, 3, 4), _regularized_learner(spec, 3, 4)
+        buf = np.empty((4, 3))
+        for t, block in enumerate(random_blocks(4, 3, 60, seed=71)):
+            assert np.array_equal(fresh.play(), reused.play()), t
+            fresh.observe(block.copy())
+            buf[:] = block
+            reused.observe(buf)
+            buf[:] = 0.0  # the caller reuses its block before the next play
+        assert np.array_equal(fresh.play(), reused.play())
 
 
 @pytest.mark.parametrize("eta", [0.0, -0.5, math.nan, math.inf])

@@ -12,6 +12,8 @@ any checkout.  Each of ``REPEATS`` runs times:
 - ``dense_n4_d5_us_per_round``: ``dynamics.run`` with oftrl self-play
   (entropy, last-utility predictor, eta = 1/(2(n - 1))) on a seeded dense
   game, n = 4, d = 5, T = 1000, per round;
+- ``dense_n2_d3_us_per_round``: the same on a seeded dense game with n = 2,
+  d = 3, where the oracle outweighs the two players' learner steps;
 - ``run_experiment_s``: ``run_experiment`` of ``auction_fig1.cfg`` into a
   temporary directory (both arms, traces, reports and plots).
 
@@ -33,9 +35,11 @@ import benchlib
 
 CONFIG = os.path.join(benchlib.ROOT, "configs", "auction_fig1.cfg")
 WHAT = ("dynamics.run per round on configs/auction_fig1.cfg's main arm (T = 2000) and on "
-        "dense n = 4, d = 5 oftrl self-play (T = 1000), microseconds; run_experiment of "
-        "auction_fig1.cfg, seconds; all wall clock; peak RSS of fresh processes")
-TIMINGS = ("auction_fig1_us_per_round", "dense_n4_d5_us_per_round", "run_experiment_s")
+        "dense n = 4, d = 5 and n = 2, d = 3 oftrl self-play (T = 1000), microseconds; "
+        "run_experiment of auction_fig1.cfg, seconds; all wall clock; peak RSS of fresh "
+        "processes")
+TIMINGS = ("auction_fig1_us_per_round", "dense_n4_d5_us_per_round", "dense_n2_d3_us_per_round",
+           "run_experiment_s")
 REPEATS = 3
 DENSE_T = 1000
 ARTIFACTS = ("trace.csv", "trace_baseline.csv", "report.csv", "report_baseline.csv")
@@ -72,13 +76,16 @@ def measure(src: str) -> dict:
     spec = _config()
     auction = build_game_from_config(spec.game)
     auction_specs = spec.specs_for(auction.n)
-    dense = make_random_game(4, [5] * 4, seed=7)
-    dense_specs = [LearnerSpec("oftrl", 1.0 / 6.0, "entropy", "last")] * 4
+    dense = [(name, make_random_game(n, [d] * n, seed=7),
+              [LearnerSpec("oftrl", 1.0 / (2.0 * (n - 1)), "entropy", "last")] * n)
+             for name, n, d in (("dense_n4_d5_us_per_round", 4, 5),
+                                ("dense_n2_d3_us_per_round", 2, 3))]
     samples = {name: [] for name in TIMINGS}
     digests = None
     for _ in range(REPEATS):
         samples["auction_fig1_us_per_round"].append(_us_per_round(auction, auction_specs, spec.T))
-        samples["dense_n4_d5_us_per_round"].append(_us_per_round(dense, dense_specs, DENSE_T))
+        for name, game, specs in dense:
+            samples[name].append(_us_per_round(game, specs, DENSE_T))
         with tempfile.TemporaryDirectory() as tmp:
             start = time.perf_counter()
             run_experiment(spec, out_dir=tmp)

@@ -81,8 +81,10 @@ def merge(script: str, what: str, timings, label: str, src: str, result: dict) -
             bench = json.load(fh)
     except FileNotFoundError:
         bench = {}
-    bench.setdefault("what", what)
-    bench.setdefault("command", f"python3 tools/{name} --src <checkout>/src --label <name>")
+    # the script's current description: rows it added since a label was
+    # recorded are absent from that label's summary
+    bench["what"] = what
+    bench["command"] = f"python3 tools/{name} --src <checkout>/src --label <name>"
     src_root = os.path.dirname(os.path.abspath(src))
     digest = _source_digest(src)
     entry = bench.setdefault("labels", {}).get(label)

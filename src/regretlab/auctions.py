@@ -105,8 +105,13 @@ class AuctionGame(NormalFormGame):
         win = self._win_probabilities(profile)[i]
         return (self._payoff[i] * win).reshape(win.shape[:-2] + (self.dims[i],))
 
-    def _all_normalized_utilities(self, profile) -> list:
-        return self._normalized(self._win_probabilities(profile))
+    def _raw_block(self, profile, win=None) -> tuple:
+        """Every bidder's raw utilities, computed in place of ``win`` (the
+        profile's ``_win_probabilities`` unless given)."""
+        if win is None:
+            win = self._win_probabilities(profile)
+        win *= self._payoff.reshape((self.n,) + (1,) * (win.ndim - 3) + self._payoff.shape[1:])
+        return win.reshape(-1), win.reshape(win.shape[:-2] + (self.dims[0],))
 
     def welfare_mixed(self, profile):
         profile, _ = _check_profile(self, profile)
@@ -114,13 +119,8 @@ class AuctionGame(NormalFormGame):
 
     def _utilities_and_welfare(self, profile) -> tuple:
         win = self._win_probabilities(profile)
-        welfare = self._welfare(profile, win)  # before _normalized overwrites win
-        return self._normalized(win), welfare
-
-    def _normalized(self, win) -> list:
-        """Every bidder's normalized utilities, computed in place of ``win``."""
-        win *= self._payoff.reshape((self.n,) + (1,) * (win.ndim - 3) + self._payoff.shape[1:])
-        return self._normalized_block(win.reshape(-1), win.reshape(win.shape[:-2] + (self.dims[0],)))
+        welfare = self._welfare(profile, win)  # before _raw_block overwrites win
+        return self._normalized_block(*self._raw_block(profile, win)), welfare
 
     def _welfare(self, profile, win):
         """Expected welfare of a checked profile, given its win probabilities."""

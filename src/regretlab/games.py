@@ -71,20 +71,25 @@ class _Utilities(list):
 
 
 def _contract(t: np.ndarray, strategies) -> np.ndarray:
-    """Contract the trailing axes of ``t`` with ``strategies`` (shapes
-    L + (d,), one per axis), from the last axis down.  With a strategy for
-    every axis the result has shape L, otherwise L + t.shape[:1]."""
+    """Contract every axis of ``t`` but the first with ``strategies`` (shapes
+    L + (d,), one per trailing axis), from the last axis down: shape
+    L + t.shape[:1], or ``t`` itself when there are none."""
     k = t.ndim
     for w in reversed(strategies):
-        if k == 1:
-            return (t[..., None, :] @ w[..., :, None])[..., 0, 0]
         t = (t @ w.reshape(w.shape[:-1] + (1,) * (k - 2) + (w.shape[-1], 1)))[..., 0]
         k -= 1
     return t
 
 
+def _utility_sum(profile, raw) -> np.ndarray:
+    """sum_i <w_i, u_i> of strategies and raw utilities along their leading
+    shape L, each row on its own: the welfare when it is the utility sum."""
+    dots = [(u[..., None, :] @ w[..., :, None])[..., 0, 0] for w, u in zip(profile, raw)]
+    return sum(dots[1:], dots[0])
+
+
 class NormalFormGame:
-    """Base interface; concrete games implement the raw-unit oracles."""
+    """Base interface; concrete games implement the raw oracles and ``_utilities_and_welfare``."""
 
     kind = "abstract"
 
@@ -159,9 +164,14 @@ class NormalFormGame:
 
     def _all_normalized_utilities(self, profile) -> list:
         """Every player's ``_normalized_utilities``, bit for bit, in one call."""
+        return self._normalized_block(*self._raw_block(profile))
+
+    def _raw_block(self, profile) -> tuple:
+        """(flat block, L + (d_i,) views): every player's raw utilities, player
+        after player; here each player's ``raw_expected_utilities``."""
         block = np.concatenate([self.raw_expected_utilities(i, profile).reshape(-1)
                                 for i in range(self.n)])
-        return self._normalized_block(block, self._player_views(block, np.shape(profile[0])[:-1]))
+        return block, self._player_views(block, np.shape(profile[0])[:-1])
 
     def _player_views(self, block: np.ndarray, lead: tuple) -> list:
         """Every player's L + (d_i,) view into a flat block, player after player
@@ -188,15 +198,6 @@ class NormalFormGame:
         out = _Utilities(u)
         out.block = block
         return out
-
-    def _welfare_mixed(self, profile) -> np.ndarray:
-        """``welfare_mixed`` of a checked profile; a game that can skip the
-        check overrides this."""
-        return self.welfare_mixed(profile)
-
-    def _utilities_and_welfare(self, profile) -> tuple:
-        """(``_all_normalized_utilities``, ``_welfare_mixed``) of a checked profile."""
-        return self._all_normalized_utilities(profile), self._welfare_mixed(profile)
 
     @staticmethod
     def _check_range(i: int, u: np.ndarray) -> np.ndarray:
@@ -233,21 +234,25 @@ _KRON_ENTRIES = 1 << 14
 class DenseGame(NormalFormGame):
     """Game given by explicit per-player utility tensors (raw units).
 
-    The all-players oracle normalizes and range-checks every player's
-    utilities as one block.  With n >= 3 players it takes the raw utilities
+    With n >= 3 players ``_raw_block`` takes every player's raw utilities
     from the matrices ``M_i`` (player i's tensor, own axis first, flattened
     to (d_i, prod d_-i)) times the leave-one-out Kronecker products of the
     other strategies, which share their prefixes and suffixes.  With n <= 2
-    there is nothing to share, so the raw utilities come from each player's
+    there is nothing to share, so they come from each player's
     ``raw_expected_utilities``, whose bits the shipped 2-player traces keep.
     A subclass that overrides ``raw_expected_utilities`` keeps that
-    per-player path for every n, so both oracles hear the override.
+    per-player path for every n, so every oracle hears the override.
+    Welfare is the utility sum, sum_i <w_i, raw u_i>, read off the raw block
+    before it is normalized in place (``welfare_mixed``: off each player's
+    ``raw_expected_utilities``).
     """
 
     kind = "dense"
 
     def __init__(self, tensors, scale: float = 1.0, shift: float = 0.0, meta: dict | None = None):
         tensors = [np.asarray(t, dtype=float) for t in tensors]
+        if not tensors:
+            raise ValueError("a dense game needs at least one utility tensor")
         n = len(tensors)
         dims = tensors[0].shape
         for t in tensors:
@@ -268,42 +273,34 @@ class DenseGame(NormalFormGame):
             self._kron_rhs = [t.reshape(t.shape[0], -1).T for t in self._own_axis_first]
             self._kron_rows = max(1, _KRON_ENTRIES // max(m.shape[0] for m in self._kron_rhs))
         self._welfare = sum(tensors)
-        # the welfare contraction's largest intermediate: rows x prod d_1..d_{n-1}
-        self._welfare_rows = max(1, _KRON_ENTRIES // math.prod(self.dims[:-1]))
         self.meta = dict(meta or {})
 
     def raw_expected_utilities(self, i: int, profile) -> np.ndarray:
         u = _contract(self._own_axis_first[i], [w for j, w in enumerate(profile) if j != i])
         return np.broadcast_to(u, np.shape(profile[i])) if self.n == 1 else u
 
-    def _all_normalized_utilities(self, profile) -> list:
+    def _raw_block(self, profile) -> tuple:
         lead = np.shape(profile[0])[:-1]
         rows = math.prod(lead)
         if self._kron_rhs is None or rows == 0:  # an empty L: nothing to share
-            return super()._all_normalized_utilities(profile)
+            return super()._raw_block(profile)
         ws, step = [w.reshape(rows, -1) for w in profile], self._kron_rows
         chunks = []  # u_i = K_i M_i^T, a chunk of rows at a time
         for r in range(0, rows, step):
             kron = _leave_one_out([w[r:r + step] for w in ws])
             chunks.append([k @ mt for k, mt in zip(kron, self._kron_rhs)])
         block = np.concatenate([c[i].reshape(-1) for i in range(self.n) for c in chunks])
-        return self._normalized_block(block, self._player_views(block, lead))
+        return block, self._player_views(block, lead)
+
+    def _utilities_and_welfare(self, profile) -> tuple:
+        block, u = self._raw_block(profile)
+        welfare = _utility_sum(profile, u)  # before the block is normalized in place
+        return self._normalized_block(block, u), welfare
 
     def welfare_mixed(self, profile):
         profile, lead = _check_profile(self, profile)
-        w = self._welfare_mixed(profile)
+        w = _utility_sum(profile, [self.raw_expected_utilities(i, profile) for i in range(self.n)])
         return w if lead else float(w)
-
-    def _welfare_mixed(self, profile) -> np.ndarray:
-        """The welfare tensor contracted with an unchecked profile along its
-        leading shape L, a chunk of rows at a time (no intermediate above
-        ``_KRON_ENTRIES`` entries); each row is contracted as on its own."""
-        lead = np.shape(profile[0])[:-1]
-        rows, step = math.prod(lead), self._welfare_rows
-        ws = [w.reshape(rows, w.shape[-1]) for w in profile]
-        starts = range(0, max(rows, 1), step)  # an empty L still gets one, empty, chunk
-        return np.concatenate([_contract(self._welfare, [w[r:r + step] for w in ws])
-                               for r in starts]).reshape(lead)
 
     def pure_utilities(self, s) -> np.ndarray:
         s = tuple(int(x) for x in s)

@@ -9,13 +9,20 @@ construction whose regret grows with sqrt(T).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .auctions import AuctionGame, AuctionSpec
 from .continuous import CongestionNetwork
-from .games import DenseGame, SmoothnessCertificate, verify_smoothness
+from .games import (
+    DEFAULT_ENUM_CAP,
+    DenseGame,
+    EnumerationCapError,
+    SmoothnessCertificate,
+    verify_smoothness,
+)
 from .learners import LearnerSpec
 
 __all__ = [
@@ -61,9 +68,19 @@ def make_matrix_game(A) -> DenseGame:
 
 def make_random_game(n: int, dims, seed: int) -> DenseGame:
     """Dense game with independent uniform [0,1) utilities from a seeded
-    splitmix64 stream (player-major order)."""
+    splitmix64 stream (player-major order).  Refuses, before drawing, more
+    than ``DEFAULT_ENUM_CAP`` utilities in all."""
+    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (n, *dims)):
+        raise ValueError(f"a random game needs an integer n and integer dims, "
+                         f"got n={n!r}, dims={dims!r}")
     dims = [int(d) for d in dims]
-    count = n * int(np.prod(dims))
+    if n < 1 or len(dims) != n or min(dims) < 1:
+        raise ValueError(f"a random game needs n >= 1 and n dims, each >= 1, "
+                         f"got n={n}, dims={dims}")
+    count = n * math.prod(dims)
+    if count > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(f"a random game with {count} utilities exceeds the "
+                                  f"enumeration cap {DEFAULT_ENUM_CAP}; refusing to draw them")
     vals = splitmix64_floats(seed, count)
     per = count // n
     tensors = [np.array(vals[i * per : (i + 1) * per]).reshape(dims) for i in range(n)]

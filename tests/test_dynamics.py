@@ -182,8 +182,8 @@ class TestRunChecksPlays:
             calls.clear()
             run(g, specs, T)
             counts.append(len(calls))
-        # the derivation's one check, before its all-players utilities and
-        # its unchecked welfare contraction
+        # the derivation's one check, before its one raw block of every
+        # player's utilities, which also gives the welfare
         assert counts == [1, 1]
 
     def test_auction_derivation_takes_one_win_probability_pass(self, monkeypatch):
@@ -208,7 +208,7 @@ class TestRunChecksPlays:
     def test_a_dense_round_makes_one_all_players_oracle_call(self, monkeypatch):
         g = make_random_game(3, [2, 3, 2], seed=5)
         calls = {"all players": 0, "one player": 0}
-        all_players, one_player = DenseGame._all_normalized_utilities, DenseGame._normalized_utilities
+        all_players, one_player = DenseGame._raw_block, DenseGame._normalized_utilities
 
         def counting_all(self, profile):
             calls["all players"] += 1
@@ -218,7 +218,7 @@ class TestRunChecksPlays:
             calls["one player"] += 1
             return one_player(self, i, profile)
 
-        monkeypatch.setattr(DenseGame, "_all_normalized_utilities", counting_all)
+        monkeypatch.setattr(DenseGame, "_raw_block", counting_all)
         monkeypatch.setattr(DenseGame, "_normalized_utilities", counting_one)
         run(g, [opt_hedge(0.2), LearnerSpec("omd", 0.3, predictor="last"), hedge(0.4)], 9)
         # one per round, one in the derivation over all nine rounds

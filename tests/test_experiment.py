@@ -3,9 +3,11 @@ and the command-line front end (artifacts, recomputability, exit codes)."""
 
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -16,7 +18,7 @@ import regretlab
 from regretlab.cli import main
 from regretlab.config import parse_config
 from regretlab.continuous import parse_network, run_continuous
-from regretlab.dynamics import RegretReport, Trace, read_trace_csv, run
+from regretlab.dynamics import RegretReport, Trace, read_trace_csv, run, write_trace_csv
 from regretlab.experiment import (
     OUTPUT_ROOT_ENV,
     _routing_arms,
@@ -30,7 +32,7 @@ from regretlab.experiment import (
     write_report_csv,
 )
 from regretlab.learners import Certificate, LearnerSpec
-from regretlab.library import make_matrix_game
+from regretlab.library import make_matrix_game, make_random_game
 from regretlab.robust import wrap_doubling
 from regretlab.svgplot import line_plot, write_svg
 
@@ -1104,13 +1106,20 @@ class TestCliPlot:
         assert excinfo.value.code == 1
 
 
-def run_module(*argv):
+def run_module(*argv, max_bytes=None):
     """``python -m regretlab`` in a subprocess; the package may come from a
-    checkout (PYTHONPATH=src), not an install."""
+    checkout (PYTHONPATH=src), not an install.  With ``max_bytes`` the child's
+    address space is capped there (one BLAS thread, so numpy fits)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(regretlab.__file__)))
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    limit = None
+    if max_bytes is not None:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
     return subprocess.run([sys.executable, "-m", "regretlab", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit)
 
 
 class TestCliUsage:
@@ -1188,6 +1197,50 @@ class TestCliErrorBoundary:
         done = run_module("lowerbound", "--eta", eta, "--T", "10")
         self.assert_one_line_error(done, "eta must be positive", f"got {eta}")
         assert "RuntimeWarning" not in done.stderr
+
+    @staticmethod
+    def random_game_trace(tmp_path, change):
+        """A 5-round trace of a 2 x 2 random game whose meta game is
+        ``change(game)``, written to a file; returns its path."""
+        tr = run(make_random_game(2, [2, 2], seed=1), [LearnerSpec("hedge", 0.1)] * 2, 5)
+        tr.meta["game"] = change(tr.meta["game"])
+        path = tmp_path / "edited.csv"
+        path.write_text(write_trace_csv(tr), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda g: {"kind": "dense", "tensors": []},
+         "a dense game needs at least one utility tensor"),
+        (lambda g: {**g, "n": 0, "dims": []},
+         "a random game needs n >= 1 and n dims, each >= 1, got n=0, dims=[]"),
+        (lambda g: {**g, "dims": [2.5, 2]},
+         "a random game needs an integer n and integer dims, got n=2, dims=[2.5, 2]"),
+    ], ids=["no-tensors", "no-players", "fractional-dims"])
+    def test_meta_game_that_cannot_be_built(self, tmp_path, change, message):
+        done = run_module("report", self.random_game_trace(tmp_path, change))
+        self.assert_one_line_error(done, f"trace line 1: metadata game: {message}")
+
+    CAP_MESSAGE = ("a random game with 2000000000000 utilities exceeds the enumeration "
+                   "cap 10000000; refusing to draw them")
+
+    def assert_refused_at_once(self, *argv):
+        # a refusal that failed would draw 2e12 floats: the child gets 2 GiB
+        start = time.perf_counter()
+        done = run_module(*argv, max_bytes=2 << 30)
+        self.assert_one_line_error(done, self.CAP_MESSAGE)
+        assert time.perf_counter() - start < 20.0
+
+    def test_random_game_above_the_cap_in_a_trace(self, tmp_path):
+        self.assert_refused_at_once("report", self.random_game_trace(
+            tmp_path, lambda g: {**g, "dims": [1000000, 1000000]}))
+
+    def test_random_game_above_the_cap_in_a_config(self, tmp_path):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("[game]\ntype = random\nplayers = 2\ndims = 1000000\nseed = 1\n"
+                       "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 10\n"
+                       f"[outputs]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
+        self.assert_refused_at_once("simulate", str(cfg))
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind, message", [
         ("regret", "regret plots need a normal-form or auction trace"),

@@ -168,7 +168,8 @@ class TestLeadingAxis:
 
     def test_welfare_along_several_chunks_equals_single_calls_bitwise(self):
         g = make_random_game(4, [5, 5, 5, 5], seed=7)
-        prof = stacked_profile([5, 5, 5, 5], (3 * g._welfare_rows + 1,), seed=3)
+        # 394 rows: a long axis (once three chunks and one row of a welfare contraction)
+        prof = stacked_profile([5, 5, 5, 5], (394,), seed=3)
         np.testing.assert_array_equal(g.welfare_mixed(prof),
                                       [g.welfare_mixed(row(prof, t)) for t in range(len(prof[0]))])
 
@@ -299,6 +300,56 @@ class TestDenseAllPlayersOracle:
         for i, u in enumerate(g._all_normalized_utilities(prof)):
             assert_same_bits(u, g.expected_utilities(i, prof))
             np.testing.assert_allclose(u, base.expected_utilities(i, prof) / 2, rtol=0, atol=1e-15)
+
+
+class TestDenseWelfare:
+    """The trace derivation's welfare, ``DenseGame._utilities_and_welfare``:
+    sum_i <w_i, raw u_i> read off the raw block of every player's utilities."""
+
+    CASES = [(1, [4]), (2, [3, 3]), (2, [2, 5]), (3, [3, 3, 3]), (3, [2, 3, 4]),
+             (4, [2, 2, 2, 2]), (4, [3, 1, 2, 2])]
+
+    @staticmethod
+    def shifted(n, dims):
+        base = make_random_game(n, dims, seed=70 + sum(dims))
+        # raw range [-1, 2]: the normalization is not the identity
+        return base, DenseGame([3.0 * t - 1.0 for t in base.tensors], scale=3.0, shift=-1.0)
+
+    @pytest.mark.parametrize("lead", [(), (5,), (7,)], ids=["single", "leading", "chunks"])
+    @pytest.mark.parametrize("n, dims", CASES)
+    def test_matches_the_enumeration_oracle(self, n, dims, lead):
+        _, g = self.shifted(n, dims)
+        if lead == (7,) and n >= 3:
+            g._kron_rows = 3  # the Kronecker products in chunks of 3, 3 and 1 rows
+        prof = stacked_profile(dims, lead, seed=n + len(lead))
+        _, welfare = g._utilities_and_welfare(prof)
+        assert np.shape(welfare) == lead
+        for idx in np.ndindex(*lead):
+            assert welfare[idx] == pytest.approx(orc.enum_welfare(g.tensors, row(prof, idx)),
+                                                 abs=1e-12)
+
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=["single", "leading"])
+    @pytest.mark.parametrize("n, dims", CASES)
+    def test_matches_the_public_welfare(self, n, dims, lead):
+        _, g = self.shifted(n, dims)
+        prof = stacked_profile(dims, lead, seed=2 * n)
+        _, welfare = g._utilities_and_welfare(prof)
+        if n <= 2:  # one raw path: each player's raw_expected_utilities
+            assert_same_bits(welfare, g.welfare_mixed(prof))
+        else:  # the Kronecker products against the per-player contractions
+            np.testing.assert_allclose(welfare, g.welfare_mixed(prof), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, dims", [(2, [3, 2]), (3, [2, 3, 2])])
+    def test_the_welfare_is_read_before_the_block_is_normalized(self, n, dims):
+        base, g = self.shifted(n, dims)
+        prof = stacked_profile(dims, (5,), seed=9)
+        u, welfare = g._utilities_and_welfare(prof)
+        for i in range(n):
+            np.testing.assert_allclose(u[i], g._normalized_utilities(i, prof), rtol=0, atol=1e-12)
+        # raw = 3 * normalized - 1 for each player, whose strategy sums to 1
+        normalized = sum((w * ui).sum(axis=-1) for w, ui in zip(prof, u))
+        np.testing.assert_allclose(welfare, 3.0 * normalized - n, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(welfare, 3.0 * base.welfare_mixed(prof) - n, rtol=0, atol=1e-12)
 
 
 class TestBruteForceOpt:

@@ -14,6 +14,10 @@ any checkout.  Each of ``REPEATS`` runs times:
   game, n = 4, d = 5, T = 1000, per round;
 - ``dense_n2_d3_us_per_round``: the same on a seeded dense game with n = 2,
   d = 3, where the oracle outweighs the two players' learner steps;
+- ``dense_n4_d5_derive_ms``: the trace derivation
+  (``dynamics._trace_from_plays``: utilities, welfare and variation sums) of
+  the T = 1000 plays of the n = 4, d = 5 run, milliseconds per call, the mean
+  of ``DERIVATIONS`` calls;
 - ``run_experiment_s``: ``run_experiment`` of ``auction_fig1.cfg`` into a
   temporary directory (both arms, traces, reports and plots).
 
@@ -36,12 +40,13 @@ import benchlib
 CONFIG = os.path.join(benchlib.ROOT, "configs", "auction_fig1.cfg")
 WHAT = ("dynamics.run per round on configs/auction_fig1.cfg's main arm (T = 2000) and on "
         "dense n = 4, d = 5 and n = 2, d = 3 oftrl self-play (T = 1000), microseconds; "
-        "run_experiment of auction_fig1.cfg, seconds; all wall clock; peak RSS of fresh "
-        "processes")
+        "the trace derivation of the n = 4, d = 5 plays, milliseconds; run_experiment of "
+        "auction_fig1.cfg, seconds; all wall clock; peak RSS of fresh processes")
 TIMINGS = ("auction_fig1_us_per_round", "dense_n4_d5_us_per_round", "dense_n2_d3_us_per_round",
-           "run_experiment_s")
+           "dense_n4_d5_derive_ms", "run_experiment_s")
 REPEATS = 3
 DENSE_T = 1000
+DERIVATIONS = 20
 ARTIFACTS = ("trace.csv", "trace_baseline.csv", "report.csv", "report_baseline.csv")
 
 
@@ -68,7 +73,17 @@ def _us_per_round(game, specs, T: int) -> float:
     return (time.perf_counter() - start) / T * 1e6
 
 
+def _derive_ms(game, trace) -> float:
+    from regretlab.dynamics import _trace_from_plays
+
+    start = time.perf_counter()
+    for _ in range(DERIVATIONS):
+        _trace_from_plays(game, trace.plays, "utility", trace.meta)
+    return (time.perf_counter() - start) / DERIVATIONS * 1e3
+
+
 def measure(src: str) -> dict:
+    from regretlab.dynamics import run
     from regretlab.experiment import build_game_from_config, run_experiment
     from regretlab.learners import LearnerSpec
     from regretlab.library import make_random_game
@@ -80,12 +95,15 @@ def measure(src: str) -> dict:
               [LearnerSpec("oftrl", 1.0 / (2.0 * (n - 1)), "entropy", "last")] * n)
              for name, n, d in (("dense_n4_d5_us_per_round", 4, 5),
                                 ("dense_n2_d3_us_per_round", 2, 3))]
+    n4_game, n4_specs = dense[0][1:]
+    n4_trace = run(n4_game, n4_specs, DENSE_T)
     samples = {name: [] for name in TIMINGS}
     digests = None
     for _ in range(REPEATS):
         samples["auction_fig1_us_per_round"].append(_us_per_round(auction, auction_specs, spec.T))
         for name, game, specs in dense:
             samples[name].append(_us_per_round(game, specs, DENSE_T))
+        samples["dense_n4_d5_derive_ms"].append(_derive_ms(n4_game, n4_trace))
         with tempfile.TemporaryDirectory() as tmp:
             start = time.perf_counter()
             run_experiment(spec, out_dir=tmp)

@@ -127,7 +127,7 @@ def _units(specs, dims) -> list:
         elif k == 1:
             learner = make_learner(s, d)
         else:
-            learner = _regularized_learner(s, d, k)
+            learner = _regularized_learner(s, d, (k,))
         units.append((learner, players))
     return units
 
@@ -172,7 +172,7 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     def play(current, learner, players, shape, *_):
         w = np.asarray(learner.play(), dtype=float)
         _check_shape(players[0], w, shape)
-        for i, row in zip(players, w if len(shape) == 2 else (w,)):
+        for i, row in zip(players, w.reshape(len(players), -1)):
             current[i] = row
 
     def oracle(call, *args):

@@ -84,7 +84,7 @@ class VariationBound:
 
 # ---------------------------------------------------------------------------
 # predictors: each stateful one keeps its state in the shape it is built
-# with, (d,) for one learner or (k, d) for a group of k learners
+# with, (d,) for one learner or (*lead, d) for a group of learners
 
 
 class ZeroPredictor:
@@ -177,21 +177,20 @@ class OnlineLearner:
     """Base class enforcing the play/observe alternation.
 
     ``shape`` is that of each play and each observed utility: (d,), or
-    (k, d) for a group of k learners that steps as one (FTRL and OMD only,
-    built by ``_regularized_learner``), row j being learner j's.
+    (*lead, d) for a group of learners that steps as one (FTRL and OMD
+    only, built by ``_regularized_learner``), row j being learner j's.
     """
 
     feedback = "utility"
     spec = None  # the LearnerSpec ``make_learner`` built it from
 
-    def __init__(self, d: int, *, _rows: int | None = None):
+    def __init__(self, d: int, *, _lead: tuple = ()):
         if d < 1:
             raise ValueError(f"strategy count must be >= 1, got {d}")
         self.d = d
-        self.shape = (d,) if _rows is None else (_rows, d)
+        self.shape = (*_lead, d)
         self.t = 0  # completed rounds
         self._pending = None
-        self.declared_bound: VariationBound | None = None
 
     def play(self) -> np.ndarray:
         if self._pending is not None:
@@ -221,19 +220,13 @@ class OnlineLearner:
         raise NotImplementedError
 
 
-class FtrlLearner(OnlineLearner):
-    """Optimistic follow-the-regularized-leader.
+class _RegularizedLearner(OnlineLearner):
+    """The step FTRL and OMD share: play argmax_w <w, G + M^t> - R(w)/eta,
+    where G is the cumulative utility (updated in place) and M^t the
+    predictor's value, then add the observed utility to G."""
 
-    Plays argmax_w <w, G + M^t> - R(w)/eta where G is the cumulative utility
-    and M^t the predictor.  With a zero predictor this is plain Hedge (for the
-    entropy regularizer) / lazy projected ascent (Euclidean).  ``cumulative``
-    is updated in place.
-    """
-
-    algorithm = "ftrl"
-
-    def __init__(self, d: int, regularizer, eta: float, predictor, *, _rows: int | None = None):
-        super().__init__(d, _rows=_rows)
+    def __init__(self, d: int, regularizer, eta: float, predictor, *, _lead: tuple = ()):
+        super().__init__(d, _lead=_lead)
         if not 0.0 < eta < math.inf:
             raise ValueError(f"eta must be positive and finite, got {eta}")
         self.reg = regularizer
@@ -249,46 +242,49 @@ class FtrlLearner(OnlineLearner):
         self.predictor.update(u)
 
 
-class OmdLearner(OnlineLearner):
+class FtrlLearner(_RegularizedLearner):
+    """Optimistic follow-the-regularized-leader.
+
+    With a zero predictor this is plain Hedge (for the entropy regularizer)
+    / lazy projected ascent (Euclidean).
+    """
+
+    algorithm = "ftrl"
+
+
+class OmdLearner(_RegularizedLearner):
     """Optimistic mirror descent with secondary sequence g^t.
 
     Plays w^t = prox(M^t, g^{t-1}); updates g^t = prox(u^t, g^{t-1}).  The
     entropy instance's chained prox steps telescope to exponential weights,
-    g^t = softmax(eta G^t) and w^t = softmax(eta (G^{t-1} + M^t)) with G the
-    cumulative utility, so it keeps G alone (in place) and plays FTRL's
-    entropy argmax; the Euclidean instance stores g directly.
+    g^t = softmax(eta G^t) and w^t = softmax(eta (G^{t-1} + M^t)), which is
+    FTRL's step, so it runs that step unchanged.  The Euclidean instance
+    keeps g itself (``_g``, None for the entropy) in place of G and steps it
+    by the projected prox.
     """
 
     algorithm = "omd"
 
-    def __init__(self, d: int, regularizer, eta: float, predictor, *, _rows: int | None = None):
-        super().__init__(d, _rows=_rows)
-        if not 0.0 < eta < math.inf:
-            raise ValueError(f"eta must be positive and finite, got {eta}")
-        self.reg = regularizer
-        self.eta = float(eta)
-        self.predictor = predictor
-        self._entropic = isinstance(regularizer, NegativeEntropy)
-        if self._entropic:
-            self.cumulative = np.zeros(self.shape)
-        else:
-            self._g = np.broadcast_to(regularizer.initial_point(d), self.shape).copy()
+    def __init__(self, d: int, regularizer, eta: float, predictor, *, _lead: tuple = ()):
+        super().__init__(d, regularizer, eta, predictor, _lead=_lead)
+        self._g = (None if isinstance(regularizer, NegativeEntropy)
+                   else np.broadcast_to(regularizer.initial_point(d), self.shape).copy())
 
     @property
     def g(self) -> np.ndarray:
-        return self.reg.ftrl_argmax(self.cumulative, self.eta) if self._entropic else self._g
+        return self.reg.ftrl_argmax(self.cumulative, self.eta) if self._g is None else self._g
 
+    # FTRL's step is called by its class, not through super(), whose lookup
+    # would cost the entropy instance a measurable share of its step
     def _play(self) -> np.ndarray:
-        m = self.predictor.predict()
-        if self._entropic:
-            return self.reg.ftrl_argmax(self.cumulative + m, self.eta)
-        return self.reg.prox_step(self._g, m, self.eta)
+        if self._g is None:
+            return _RegularizedLearner._play(self)
+        return self.reg.prox_step(self._g, self.predictor.predict(), self.eta)
 
     def _observe(self, u: np.ndarray) -> None:
-        if self._entropic:
-            self.cumulative += u
-        else:
-            self._g = self.reg.prox_step(self._g, u, self.eta)
+        if self._g is None:
+            return _RegularizedLearner._observe(self, u)
+        self._g = self.reg.prox_step(self._g, u, self.eta)
         self.predictor.update(u)
 
 
@@ -399,15 +395,15 @@ def make_learner(spec: LearnerSpec, d: int) -> OnlineLearner:
         return _regularized_learner(spec, d)
     else:
         raise ValueError(f"unknown algorithm {spec.algorithm!r}")
-    learner.declared_bound = declared_variation_bound(spec, d)
     learner.spec = spec
     return learner
 
 
-def _regularized_learner(spec: LearnerSpec, d: int, k: int | None = None) -> OnlineLearner:
-    """The FTRL or OMD learner of ``spec``; with k given, a group of k such
-    learners that steps as one: (k, d) state, plays and utilities, each row
-    bitwise that of a ``make_learner(spec, d)`` fed the same rows (d >= 2)."""
+def _regularized_learner(spec: LearnerSpec, d: int, lead: tuple = ()) -> OnlineLearner:
+    """The FTRL or OMD learner of ``spec``; with a leading shape, say (k,), a
+    group of k such learners that steps as one: (*lead, d) state, plays and
+    utilities, each row bitwise that of a ``make_learner(spec, d)`` fed the
+    same rows (d >= 2)."""
     s = spec.resolved()
     if s.eta is None:
         raise ValueError(f"{spec.algorithm} requires eta")
@@ -415,9 +411,8 @@ def _regularized_learner(spec: LearnerSpec, d: int, k: int | None = None) -> Onl
     if s.predictor not in _PREDICTORS:
         raise ValueError(f"unknown predictor kind {s.predictor!r}")
     cls = FtrlLearner if s.algorithm == "ftrl" else OmdLearner
-    shape = (d,) if k is None else (k, d)
-    learner = cls(d, reg, s.eta, _PREDICTORS[s.predictor](s.predictor_param, shape), _rows=k)
-    learner.declared_bound = declared_variation_bound(spec, d)
+    predictor = _PREDICTORS[s.predictor](s.predictor_param, (*lead, d))
+    learner = cls(d, reg, s.eta, predictor, _lead=lead)
     learner.spec = spec
     return learner
 
@@ -508,11 +503,13 @@ def certify_prox_inequality(utilities, plays, spec: LearnerSpec,
                             tol: float = 1e-9) -> Certificate:
     """Mirror-descent intermediate bound on an OMD learner's trajectory:
 
-        regret <= R_omd/eta + sum ||u-M||_inf ||w-g||_1
-                  - (1/2eta) sum (||w-g^t||_1^2 + ||w-g^{t-1}||_1^2)
+        regret <= R_omd/eta + sum ||u-M||_* ||w-g^t||
+                  - (1/2eta) sum (||w-g^t||^2 + ||w-g^{t-1}||^2)
 
-    The secondary sequence g^t and the predictions M^t depend on the utility
-    stream alone, so a fresh learner built from ``spec`` replays them.
+    in the regularizer's norm pair: l1 with dual l-infinity for the entropy,
+    l2 (self-dual) for the Euclidean.  The secondary sequence g^t and the
+    predictions M^t depend on the utility stream alone, so a fresh learner
+    built from ``spec`` replays them.
     """
     if spec.resolved().algorithm != "omd":
         raise TypeError("prox inequality applies to mirror-descent learners only")
@@ -527,9 +524,11 @@ def certify_prox_inequality(utilities, plays, spec: LearnerSpec,
         learner.play()
         learner.observe(u)
         gs[t + 1] = learner.g
-    w_minus_g = np.sum(np.abs(ws - gs[1:]), axis=1)
-    w_minus_gprev = np.sum(np.abs(ws - gs[:T]), axis=1)
-    cross = float(np.sum(np.max(np.abs(us - ms), axis=1) * w_minus_g))
+    order = {"l1": 1, "linf": np.inf, "l2": 2}
+    primal, dual = order[learner.reg.primal_norm], order[learner.reg.dual_norm]
+    w_minus_g = np.linalg.norm(ws - gs[1:], primal, axis=1)
+    w_minus_gprev = np.linalg.norm(ws - gs[:T], primal, axis=1)
+    cross = float(np.sum(np.linalg.norm(us - ms, dual, axis=1) * w_minus_g))
     quad = float(np.sum(w_minus_g**2 + w_minus_gprev**2))
     rhs = learner.reg.r_omd(d) / learner.eta + cross - quad / (2.0 * learner.eta)
     return Certificate("prox_inequality", bool(lhs <= rhs + tol), lhs, rhs,

@@ -16,13 +16,7 @@ __all__ = [
     "SquaredEuclidean",
     "get_regularizer",
     "project_simplex",
-    "softmax",
 ]
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax (max-subtraction) of a copy of ``z``."""
-    return _exp_weights(np.array(z, dtype=float), "softmax input")
 
 
 def _exp_weights(z: np.ndarray, what: str = "cumulative utility vector") -> np.ndarray:
@@ -105,19 +99,6 @@ class NegativeEntropy:
             raise ValueError(f"eta must be positive, got {eta}")
         return _exp_weights(eta * np.asarray(G, dtype=float))
 
-    def prox_step(self, g, u, eta: float) -> np.ndarray:
-        """Prox point: argmax of eta*<w, u> - D(w, g); closed form g*exp(eta*u)."""
-        if eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
-        g = np.asarray(g, dtype=float)
-        zeros = np.flatnonzero(g <= 0.0)
-        if zeros.size:
-            raise ValueError(
-                f"entropy prox requires an interior point; coordinate {zeros[0]} is zero"
-            )
-        u = _check_finite(u, "utility vector")
-        return softmax(np.log(g) + eta * u)
-
     def bregman(self, w, g) -> float:
         """KL divergence of w from g (g interior)."""
         g = np.asarray(g, dtype=float)
@@ -164,6 +145,9 @@ class SquaredEuclidean:
         return project_simplex(eta * G)
 
     def prox_step(self, g, u, eta: float) -> np.ndarray:
+        """Prox point argmax of eta*<w, u> - ||w - g||^2/2: the projection of
+        g + eta*u.  (The entropy has none: its chained prox steps are FTRL's
+        argmax, which ``OmdLearner`` runs.)"""
         if eta <= 0.0:
             raise ValueError(f"eta must be positive, got {eta}")
         g = np.asarray(g, dtype=float)

@@ -427,6 +427,34 @@ def entropy_omd_prox_terms(utilities, plays, eta):
     return best - realized, math.log(d) / eta + cross - quad / (2.0 * eta)
 
 
+def euclidean_omd_prox_terms(utilities, plays, eta):
+    """(lhs, rhs) of the mirror-descent prox inequality for Euclidean OMD
+    with the last-utility predictor, in the l2 norm (self-dual): g^t the
+    projection of g^{t-1} + eta u^t (g^0 uniform), M^t = u^{t-1} (M^1 = 0),
+    R = max_f ||f - uniform||^2 / 2 = (d - 1) / (2d).
+
+        lhs = max_x sum_t u^t_x - sum_t <w^t, u^t>
+        rhs = R / eta + sum_t ||u^t - M^t||_2 ||w^t - g^t||_2
+              - (1/2eta) sum_t (||w^t - g^t||_2^2 + ||w^t - g^{t-1}||_2^2)
+    """
+    T = len(utilities)
+    d = len(utilities[0])
+    g_prev = [1.0 / d] * d
+    m = [0.0] * d
+    realized = cross = quad = 0.0
+    for t in range(T):
+        u, w = utilities[t], plays[t]
+        g = project_simplex_loop([g_prev[k] + eta * u[k] for k in range(d)])
+        w_g2 = sum((w[k] - g[k]) ** 2 for k in range(d))
+        w_gprev2 = sum((w[k] - g_prev[k]) ** 2 for k in range(d))
+        cross += math.sqrt(sum((u[k] - m[k]) ** 2 for k in range(d))) * math.sqrt(w_g2)
+        quad += w_g2 + w_gprev2
+        realized += sum(w[k] * u[k] for k in range(d))
+        g_prev, m = g, list(u)
+    best = max(sum(utilities[t][x] for t in range(T)) for x in range(d))
+    return best - realized, (d - 1.0) / (2.0 * d) / eta + cross - quad / (2.0 * eta)
+
+
 # ---------------------------------------------------------------------------
 # Routing-game oracle: independent cost evaluation + finite differences.
 # ---------------------------------------------------------------------------

@@ -1242,6 +1242,19 @@ class TestCliErrorBoundary:
         self.assert_refused_at_once("simulate", str(cfg))
         assert not (tmp_path / "out").exists()
 
+    def test_dense_csv_header_above_the_cap(self, tmp_path):
+        # a refusal that failed would NaN-fill 2e10 cells: the child gets 2 GiB
+        (tmp_path / "p.csv").write_text("2,100000,100000\n0,0,0.5,0.5\n")
+        cfg = write_cfg(tmp_path, "[game]\ntype = dense_csv\npath = p.csv\n"
+                        "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 10\n"
+                        f"[outputs]\ndir = {tmp_path / 'out'}\n")
+        start = time.perf_counter()
+        done = run_module("simulate", cfg, max_bytes=2 << 30)
+        self.assert_one_line_error(done, "dense-game line 1: header asks for 20000000000 "
+                                   "utilities, above the enumeration cap 10000000")
+        assert time.perf_counter() - start < 20.0
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind, message", [
         ("regret", "regret plots need a normal-form or auction trace"),
         ("bids", "bid trajectories need an auction trace"),

@@ -182,14 +182,21 @@ class TestInPlaceState:
         assert getattr(fresh, "variation_total", 0) == getattr(reused, "variation_total", 0)
 
     def test_entropy_omd_plays_ftrls_argmax(self):
-        # g^t is proportional to exp(eta G^t): the two families agree up to rounding
+        # g^t is proportional to exp(eta G^t): entropic OMD runs FTRL's step,
+        # so the two families play the same bits, alone and as a (4, 5) group
         for kind, param in PREDICTORS:
             stream = random_stream(3, 200, seed=31)
             pf, _ = drive(make_learner(LearnerSpec("ftrl", 0.4, "entropy", kind, param), 3),
                           stream)
             po, _ = drive(make_learner(LearnerSpec("omd", 0.4, "entropy", kind, param), 3),
                           stream)
-            np.testing.assert_allclose(po, pf, rtol=0, atol=1e-14)
+            assert np.array_equal(po, pf), (kind, param)
+            blocks = random_blocks(4, 5, 100, seed=33)
+            gf, _ = drive(_regularized_learner(
+                LearnerSpec("ftrl", 0.4, "entropy", kind, param), 5, (4,)), blocks)
+            go, _ = drive(_regularized_learner(
+                LearnerSpec("omd", 0.4, "entropy", kind, param), 5, (4,)), blocks)
+            assert gf.shape == (100, 4, 5) and np.array_equal(go, gf), (kind, param)
 
 
 class TestNonFiniteUtilities:
@@ -218,7 +225,7 @@ GROUP_PREDICTORS = PREDICTORS + [("window", 9)]
 
 
 class TestLearnerGroups:
-    """A group of k learners (``_regularized_learner(spec, d, k)``) steps as
+    """A group of k learners (``_regularized_learner(spec, d, (k,))``) steps as
     one on (k, d) blocks; row j plays bit for bit like a single
     ``make_learner(spec, d)`` fed row j of every block."""
 
@@ -229,7 +236,7 @@ class TestLearnerGroups:
     def test_rows_play_like_single_learners(self, algorithm, reg, kind, param, k):
         for d in (2, 3, 8):
             spec = LearnerSpec(algorithm, 0.37 if d < 8 else 2.5, reg, kind, param)
-            group = _regularized_learner(spec, d, k)
+            group = _regularized_learner(spec, d, (k,))
             singles = [make_learner(spec, d) for _ in range(k)]
             for t, block in enumerate(random_blocks(k, d, 80, seed=61 + d + k)):
                 w = group.play()
@@ -255,10 +262,10 @@ class TestLearnerGroups:
                 learner.play()
             return str(err.value)
 
-        assert error(_regularized_learner(spec, 3, 2), bad) == error(make_learner(spec, 3), bad[1])
+        assert error(_regularized_learner(spec, 3, (2,)), bad) == error(make_learner(spec, 3), bad[1])
 
     def test_a_block_of_the_wrong_shape_is_rejected(self):
-        group = _regularized_learner(SPECS["optimistic_hedge"], 3, 2)
+        group = _regularized_learner(SPECS["optimistic_hedge"], 3, (2,))
         group.play()
         with pytest.raises(ValueError, match=r"shape \(3,\), learner expects \(2, 3\)"):
             group.observe(np.full(3, 0.5))
@@ -267,7 +274,7 @@ class TestLearnerGroups:
     @pytest.mark.parametrize("reg", ["entropy", "euclidean"])
     @pytest.mark.parametrize("algorithm", ["ftrl", "omd"])
     def test_returned_block_plays_are_never_written_again(self, algorithm, reg, kind, param):
-        group = _regularized_learner(LearnerSpec(algorithm, 0.37, reg, kind, param), 3, 4)
+        group = _regularized_learner(LearnerSpec(algorithm, 0.37, reg, kind, param), 3, (4,))
         held = []
         for block in random_blocks(4, 3, 20, seed=67):
             w = group.play()
@@ -281,7 +288,7 @@ class TestLearnerGroups:
     @pytest.mark.parametrize("algorithm", ["ftrl", "omd"])
     def test_a_reused_utility_block_plays_like_fresh_blocks(self, algorithm, reg, kind, param):
         spec = LearnerSpec(algorithm, 0.5, reg, kind, param)
-        fresh, reused = _regularized_learner(spec, 3, 4), _regularized_learner(spec, 3, 4)
+        fresh, reused = _regularized_learner(spec, 3, (4,)), _regularized_learner(spec, 3, (4,))
         buf = np.empty((4, 3))
         for t, block in enumerate(random_blocks(4, 3, 60, seed=71)):
             assert np.array_equal(fresh.play(), reused.play()), t
@@ -312,6 +319,11 @@ class TestSpanAttribution:
                 seen.append(cls)
                 assert "play" not in vars(cls) and "observe" not in vars(cls), cls
         assert {FtrlLearner, OmdLearner} <= set(seen)
+
+    def test_omd_is_not_an_ftrl_subclass(self):
+        # a profiler that takes the first matching family would count OMD as FTRL
+        assert not issubclass(OmdLearner, FtrlLearner)
+        assert not issubclass(FtrlLearner, OmdLearner)
 
     def test_families_build_their_own_classes(self):
         for reg in ("entropy", "euclidean"):
@@ -459,7 +471,7 @@ class TestVariationBoundCertificate:
     def certify(self, spec, stream, d):
         learner = make_learner(spec, d)
         plays, seen = drive(learner, stream)
-        bound = learner.declared_bound
+        bound = declared_variation_bound(spec, d)
         assert bound is not None
         return certify_variation_bound(seen, plays, bound)
 
@@ -497,7 +509,8 @@ class TestVariationBoundCertificate:
         plays, seen = drive(learner, random_stream(3, 100, seed=71))
         for k in range(5):
             x = np.array(splitmix64_floats(800 + k, 3)) + 1e-9
-            cert = certify_variation_bound(seen, plays, learner.declared_bound, comparator=x / x.sum())
+            cert = certify_variation_bound(seen, plays, declared_variation_bound(spec, 3),
+                                           comparator=x / x.sum())
             assert cert.passed
 
     def test_shape_mismatch(self):
@@ -562,6 +575,24 @@ class TestProxInequality:
         lhs, rhs = orc.entropy_omd_prox_terms(seen.tolist(), plays.tolist(), spec.eta)
         assert cert.lhs == pytest.approx(lhs, abs=1e-12)
         assert cert.rhs == pytest.approx(rhs, abs=1e-12)
+
+    def test_euclidean_matches_the_closed_form_l2_recursion(self):
+        spec = LearnerSpec("omd", 0.3, "euclidean", "last")
+        plays, seen = drive(make_learner(spec, 3), random_stream(3, 200, seed=92))
+        cert = certify_prox_inequality(seen, plays, spec)
+        lhs, rhs = orc.euclidean_omd_prox_terms(seen.tolist(), plays.tolist(), spec.eta)
+        assert cert.lhs == pytest.approx(lhs, abs=1e-12)
+        assert cert.rhs == pytest.approx(rhs, abs=1e-12)
+        assert cert.passed, (cert.lhs, cert.rhs)
+
+    @pytest.mark.parametrize("seed, eta", [(0, 0.3), (3, 0.05)])
+    def test_euclidean_is_measured_in_l2(self, seed, eta):
+        # in l1 and l-infinity, the entropy's pair, these runs broke the bound
+        spec = LearnerSpec("omd", eta, "euclidean", "last")
+        stream = np.random.default_rng(seed).random((200, 3))
+        plays, seen = drive(make_learner(spec, 3), stream)
+        cert = certify_prox_inequality(seen, plays, spec)
+        assert cert.passed, (cert.lhs, cert.rhs)
 
 
 class TestBestResponse:

@@ -80,22 +80,16 @@ class TestFtrlArgmax:
 
 
 class TestProxStep:
-    def test_entropy_multiplicative(self):
-        w = ENTROPY.prox_step(np.array([0.5, 0.5]), np.array([1.0, 0.0]), math.log(2.0))
-        np.testing.assert_allclose(w, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+    """Only the Euclidean regularizer has a prox step: the entropy's chained
+    prox steps are FTRL's argmax (see ``OmdLearner``)."""
 
     def test_zero_utility_identity(self):
         g = np.array([0.3, 0.1, 0.6])
-        for reg in (ENTROPY, EUCLID):
-            np.testing.assert_allclose(reg.prox_step(g, np.zeros(3), 0.8), g, atol=1e-12)
+        np.testing.assert_allclose(EUCLID.prox_step(g, np.zeros(3), 0.8), g, atol=1e-12)
 
     def test_euclid_projected_step(self):
         w = EUCLID.prox_step(np.array([0.5, 0.5]), np.array([0.2, 0.0]), 1.0)
         np.testing.assert_allclose(w, [0.6, 0.4], atol=1e-15)
-
-    def test_entropy_boundary_error_names_coordinate(self):
-        with pytest.raises(ValueError, match="coordinate 1"):
-            ENTROPY.prox_step(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 1.0)
 
 
 class TestBregman:

@@ -8,7 +8,7 @@ rates, adversarially robust doubling-wrapper bounds, and smooth-game welfare
 floors.
 """
 
-from .auctions import AuctionGame, AuctionSpec, make_auction, masked_values, uniform_values
+from .auctions import AuctionGame, AuctionSpec, masked_values, uniform_values
 from .config import ConfigError, ExperimentSpec, RobustSettings, parse_config
 from .continuous import (
     CongestionNetwork,
@@ -95,7 +95,7 @@ from .robust import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuctionGame", "AuctionSpec", "make_auction", "masked_values", "uniform_values",
+    "AuctionGame", "AuctionSpec", "masked_values", "uniform_values",
     "ConfigError", "ExperimentSpec", "RobustSettings", "parse_config",
     "CongestionNetwork", "certify_total_regret", "gradient", "linearized_regret",
     "lipschitz_constant", "parse_network", "run_continuous", "true_regret",

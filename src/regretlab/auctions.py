@@ -15,13 +15,14 @@ welfare together) each make one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import DEFAULT_ENUM_CAP, NormalFormGame, _check_profile
+from .games import DEFAULT_ENUM_CAP, EnumerationCapError, NormalFormGame, _check_profile
 
-__all__ = ["AuctionSpec", "AuctionGame", "make_auction"]
+__all__ = ["AuctionSpec", "AuctionGame"]
 
 
 @dataclass
@@ -74,7 +75,7 @@ class AuctionGame(NormalFormGame):
         # raw utilities live in [-max_bid, max_v] (overbidding is allowed)
         super().__init__(spec.n, [d] * spec.n, scale=max_v + max_bid, shift=-max_bid)
         self._payoff = spec.values[:, :, None] - spec.bid_levels  # (n, m, nb): value - bid
-        self._dense_cache: dict | None = None
+        self._dense = None  # (utility tensors, welfare tensor), built on first use
 
     # -- helpers -------------------------------------------------------------
     def decode(self, strategy_index: int) -> tuple[int, float]:
@@ -150,9 +151,14 @@ class AuctionGame(NormalFormGame):
         winners = self._resolve(s)
         return float(sum(self.spec.values[i, j] for j, (i, _) in winners.items()))
 
-    def _densify(self, cap: int):
-        self.check_cap(cap)
-        if self._dense_cache is None:
+    def utility_tensors(self) -> list[np.ndarray]:
+        """Every bidder's raw utility tensor, enumerated once with the welfare
+        tensor and kept; refused above ``DEFAULT_ENUM_CAP`` pure profiles."""
+        if self._dense is None:
+            if math.prod(self.dims) > DEFAULT_ENUM_CAP:
+                raise EnumerationCapError(
+                    f"{math.prod(self.dims)} pure profiles exceed the enumeration cap "
+                    f"{DEFAULT_ENUM_CAP}; refusing to approximate")
             tensors = [np.zeros(self.dims) for _ in range(self.n)]
             welfare = np.zeros(self.dims)
             for s in np.ndindex(*self.dims):
@@ -160,14 +166,12 @@ class AuctionGame(NormalFormGame):
                 for i in range(self.n):
                     tensors[i][s] = u[i]
                 welfare[s] = self.welfare_pure(s)
-            self._dense_cache = {"tensors": tensors, "welfare": welfare}
-        return self._dense_cache
+            self._dense = tensors, welfare
+        return self._dense[0]
 
-    def utility_tensors(self, cap: int = DEFAULT_ENUM_CAP) -> list[np.ndarray]:
-        return self._densify(cap)["tensors"]
-
-    def welfare_tensor(self, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-        return self._densify(cap)["welfare"]
+    def welfare_tensor(self) -> np.ndarray:
+        self.utility_tensors()
+        return self._dense[1]
 
     def describe(self) -> dict:
         return {
@@ -176,7 +180,3 @@ class AuctionGame(NormalFormGame):
             "values": self.spec.values.tolist(),
             "bid_levels": self.spec.bid_levels.tolist(),
         }
-
-
-def make_auction(spec: AuctionSpec) -> AuctionGame:
-    return AuctionGame(spec)

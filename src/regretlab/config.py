@@ -18,15 +18,13 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 
-from .learners import _PREDICTORS, LearnerSpec, declares_variation_bound
+from .learners import _ALGORITHMS, _PREDICTORS, LearnerSpec, _choice, declares_variation_bound
 from .regularizers import _REGISTRY
 
 __all__ = ["ConfigError", "RobustSettings", "ExperimentSpec", "parse_config"]
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
 _GAME_TYPES = {"auction", "matrix", "random", "dense_csv", "network"}
-_ALGORITHMS = {"hedge", "optimistic_hedge", "oftrl", "omd", "bestresponse",
-               "first_order_hedge"}
 
 
 class ConfigError(ValueError):
@@ -55,7 +53,6 @@ class ExperimentSpec:
     robust: RobustSettings | None = None
     outputs: dict = field(default_factory=dict)
     smoothness: dict | None = None
-    n_players: int | None = None  # None only for dense_csv games
 
     def specs_for(self, n: int) -> list[LearnerSpec]:
         return [self.overrides.get(i, self.learner) for i in range(n)]
@@ -145,13 +142,6 @@ class _SectionReader:
 
 # ---------------------------------------------------------------------------
 # value rules: (text, "section.key") -> value, or ValueError(message)
-
-
-def _choice(text, where, choices):
-    if text not in choices:
-        raise ValueError(f"{where} must be one of {', '.join(sorted(choices))}; "
-                         f"got {text!r}")
-    return text
 
 
 def _number(text, where, minimum=None, strict=False):
@@ -325,28 +315,17 @@ def _validate_learner(sect, name, errors, eta_optional=False):
             if r.has(key):
                 r.error(r.line_of(key), f"{name}.{key} is fixed by algorithm {algo!r}")
         return LearnerSpec(algo, eta)
-    if predictor in ("window", "geometric") and param is None:
-        if not r.has("predictor_param"):
-            size = "window size" if predictor == "window" else "discount"
-            r.error(r.line_of("predictor"), f"{name}.predictor_param ({size}) is "
-                                            f"required for the {predictor} predictor")
-        return None
-    if predictor == "window":
-        if param != int(param) or param < 1:
-            r.error(r.line_of("predictor_param"),
-                    f"{name}.predictor_param must be a window size >= 1, got {param}")
+    if r.has("predictor_param") and param is None:  # a bad value, already reported
+        if predictor in ("window", "geometric"):
             return None
-        param = int(param)
-    elif predictor == "geometric":
-        if not 0.0 <= param < 1.0:
-            r.error(r.line_of("predictor_param"),
-                    f"{name}.predictor_param must be a discount in [0, 1), got {param}")
-            return None
-    elif r.has("predictor_param"):
-        r.error(r.line_of("predictor_param"),
-                f"{name}.predictor_param only applies to window/geometric predictors")
+        param = r.items["predictor_param"][0]  # for the spec to say it does not apply
+    try:
+        return LearnerSpec(algo, eta, regularizer or "entropy", predictor or "none", param)
+    except ValueError as exc:
+        # at the line of the key the spec names, or the predictor's if it is absent
+        key = str(exc).split(" ", 1)[0]
+        r.error(r.line_of(key if r.has(key) else "predictor"), f"{name}.{exc}")
         return None
-    return LearnerSpec(algo, eta, regularizer or "entropy", predictor or "none", param)
 
 
 def _validate_run(sect, errors):
@@ -432,14 +411,12 @@ def parse_config(text: str) -> ExperimentSpec:
                           f"with predictor {learner.predictor!r}")
 
     if is_network:
-        if learner is not None:
-            rs = learner.resolved()
-            if not (rs.algorithm == "ftrl" and rs.regularizer == "entropy"
-                    and rs.predictor == "last"):
-                errors.append(
-                    f"line {sections['learner']['line']}: network games run the "
-                    f"optimistic entropy dynamics; use algorithm oftrl with "
-                    f"predictor last (or optimistic_hedge)")
+        if learner is not None \
+                and learner.resolved() != LearnerSpec("ftrl", learner.eta, "entropy", "last"):
+            errors.append(
+                f"line {sections['learner']['line']}: network games run the "
+                f"optimistic entropy dynamics; use algorithm oftrl with "
+                f"predictor last (or optimistic_hedge)")
         for section_name in ("baseline", "robust"):
             if section_name in sections:
                 errors.append(f"line {sections[section_name]['line']}: [{section_name}] "
@@ -460,5 +437,5 @@ def parse_config(text: str) -> ExperimentSpec:
     return ExperimentSpec(
         game=game, learner=learner, overrides=overrides, baseline=baseline,
         T=T, seed=seed, mode=mode, robust=robust, outputs=outputs,
-        smoothness=smoothness, n_players=n,
+        smoothness=smoothness,
     )

@@ -9,8 +9,7 @@ every certificate the trace's metadata supports.
 
 from __future__ import annotations
 
-import csv
-import io
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,6 +32,7 @@ from .learners import (
     Certificate,
     LearnerSpec,
     OnlineLearner,
+    _real,
     _regularized_learner,
     certify_stability,
     certify_variation_bound,
@@ -291,8 +291,8 @@ def report(trace: Trace, smoothness: SmoothnessCertificate | None = None,
     certificates: list[Certificate] = []
     extras: dict = {}
 
-    specs = [LearnerSpec.from_dict(s) if s and "eta" in s else None
-             for s in trace.meta.get("learners", [None] * n)]
+    specs = [spec if isinstance(spec, LearnerSpec) else None
+             for spec in map(_learner_meta, trace.meta.get("learners", [None] * n))]
     bounds = [declared_variation_bound(s, trace.plays[i].shape[1]) if s else None
               for i, s in enumerate(specs)]
 
@@ -434,7 +434,7 @@ def write_trace_csv(trace, path=None) -> str:
                             trace.vector_name, vectors, path)
 
 
-def read_trace_csv(text_or_path):
+def read_trace_csv(source):
     """Rebuild a trace from its CSV: everything but the strategies (or a
     routing trace's flows) is derived from them through the game in the
     metadata line, as ``run`` (or ``run_continuous``) derives it, and a stored
@@ -442,38 +442,28 @@ def read_trace_csv(text_or_path):
     an error naming its line.  The metadata must be a JSON object with a
     ``game`` object that rebuilds the game and an int ``T`` >= 1.  A network
     game needs a positive finite float ``eta`` and, if given, a ``mode`` of
-    routing; any other game needs one
-    ``learners`` object per player and, if given, a ``mode`` of utility or
-    cost and a ``smoothness`` object with numeric ``lambda`` and ``mu`` and
-    an optional list of int ``s_star``.
+    routing; any other game needs one ``learners`` object per player (see
+    ``_learner_meta``) and, if given, a ``mode`` of utility or cost and a
+    ``smoothness`` object with numeric ``lambda`` and ``mu`` and an optional
+    list of int ``s_star``.
 
-    A path is read as UTF-8; a file that is not is a ``ValueError`` naming the
-    path.  The text is read as a file object, the opened path or a
-    ``io.StringIO`` of the text, with universal newlines: a line ends at
-    ``\\n``, ``\\r\\n`` or ``\\r`` only.  A first pass counts the body's rows,
-    so the row count is checked before any row; a second parses them one line
-    at a time: by ``str.split`` unless a body line holds a quote, the only way
-    a csv row can span lines, in which case ``csv.reader`` counts and parses
-    them.  Only the parsed arrays grow with T."""
-    path = text_or_path if isinstance(text_or_path, str) and "\n" not in text_or_path else None
-    with open(path, encoding="utf-8") if path is not None \
-            else io.StringIO(text_or_path, newline=None) as fh:
+    ``source`` is a path, read as UTF-8 (a file that is not is a ``ValueError``
+    naming it), or an open text file such as ``io.StringIO(text,
+    newline=None)``; a line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only.  A first
+    pass counts the body's rows, so the row count is checked before any row; a
+    second splits them one line at a time.  The writer quotes no cell, so a
+    quoted one is an error naming its line.  Only the parsed arrays grow with T."""
+    with contextlib.nullcontext(source) if hasattr(source, "readline") \
+            else open(source, encoding="utf-8") as fh:
         try:
             first = fh.readline().rstrip("\n")
             fh.readline()  # the header
             body = fh.tell()
-            count, quoted = 0, False
-            for line in fh:
-                count += 1
-                quoted = quoted or '"' in line
+            count = sum(1 for _ in fh)
         except UnicodeDecodeError as exc:
-            raise ValueError(f"cannot read {path}: {exc}") from None
-        if quoted:  # only a quoted cell can span lines: count csv rows instead
-            fh.seek(body)
-            count = sum(1 for _ in csv.reader(fh))
+            raise ValueError(f"cannot read {source}: {exc}") from None
         fh.seek(body)
-        rows = csv.reader(fh) if quoted else (line.rstrip("\n").split(",") for line in fh)
-        return _parse_trace(first, count, rows)
+        return _parse_trace(first, count, (line.rstrip("\n").split(",") for line in fh))
 
 
 def _parse_trace(first: str, count: int, rows):
@@ -561,3 +551,29 @@ def _check_game_meta(meta: dict, n: int) -> None:
     if not isinstance(learners, list) or len(learners) != n \
             or not all(isinstance(x, dict) for x in learners):
         raise ValueError(f"trace line 1: metadata learners must be a list of {n} objects")
+    for i, entry in enumerate(learners):
+        try:
+            _learner_meta(entry)
+        except ValueError as exc:
+            raise ValueError(f"trace line 1: metadata learners[{i}]: {exc}") from None
+
+
+def _learner_meta(entry):
+    """A ``learners`` entry of a trace's meta, by the one rule the reader,
+    ``report`` and ``full_report`` share: None for none or a prebuilt learner
+    (``algorithm`` its only key), ``(inner spec, alpha, eta_star)`` for a
+    doubling wrapper (``algorithm`` robust), else the entry's LearnerSpec."""
+    if not entry or entry.keys() == {"algorithm"}:
+        return None
+    if entry.get("algorithm") != "robust":
+        return LearnerSpec.from_dict(entry)
+    inner = entry.get("inner")
+    if not isinstance(inner, dict):
+        raise ValueError(f"inner must be a learner spec object, got {inner!r}")
+    for key in ("alpha", "eta_star"):
+        if not (_real(entry.get(key)) and 0.0 < entry[key] < math.inf):
+            raise ValueError(f"{key} must be a positive finite number, got {entry.get(key)!r}")
+    try:
+        return LearnerSpec.from_dict(inner), entry["alpha"], entry["eta_star"]
+    except ValueError as exc:
+        raise ValueError(f"inner.{exc}") from None

@@ -28,6 +28,7 @@ from .config import ExperimentSpec
 from .costmode import certify_cost_welfare, fit_first_order_constants
 from .dynamics import (
     Trace,
+    _learner_meta,
     regret,
     regret_series,
     report,
@@ -35,7 +36,7 @@ from .dynamics import (
     write_trace_csv,
 )
 from .games import load_dense_csv, verify_smoothness
-from .learners import Certificate, LearnerSpec, declares_variation_bound
+from .learners import Certificate, declares_variation_bound
 from .library import build_game, make_matrix_game, make_random_game
 from .robust import certify_robust, parametric_constants, wrap_doubling
 from .svgplot import line_plot, write_svg
@@ -137,13 +138,13 @@ def full_report(trace, tol: float = 1e-9):
         rep.extras["first_order_A1"] = constants.A1
         rep.extras["first_order_A2"] = constants.A2
 
-    for i, ls in enumerate(trace.meta.get("learners", [])):
-        if not isinstance(ls, dict) or ls.get("algorithm") != "robust":
+    for i, entry in enumerate(map(_learner_meta, trace.meta.get("learners", []))):
+        if not isinstance(entry, tuple):
             continue
-        inner = LearnerSpec.from_dict(ls["inner"])
+        inner, alpha, eta_star = entry
         _, beta, gamma, pair = parametric_constants(inner, trace.plays[i].shape[1])
-        cert = certify_robust(trace.utilities[i], trace.plays[i], ls["alpha"],
-                              beta, gamma, ls["eta_star"], tol=tol, norm_pair=pair)
+        cert = certify_robust(trace.utilities[i], trace.plays[i], alpha,
+                              beta, gamma, eta_star, tol=tol, norm_pair=pair)
         cert.name = f"robust_bound[{i}]"
         rep.certificates.append(cert)
     return rep

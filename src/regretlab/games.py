@@ -120,28 +120,17 @@ class NormalFormGame:
     def welfare_pure(self, s) -> float:
         raise NotImplementedError
 
-    def utility_tensors(self, cap: int = DEFAULT_ENUM_CAP) -> list[np.ndarray]:
-        """Per-player raw utility tensors over all pure profiles (capped)."""
+    def utility_tensors(self) -> list[np.ndarray]:
+        """Per-player raw utility tensors over all pure profiles."""
         raise NotImplementedError
 
-    def welfare_tensor(self, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    def welfare_tensor(self) -> np.ndarray:
         raise NotImplementedError
 
     def describe(self) -> dict:
         raise NotImplementedError
 
     # -- shared machinery ----------------------------------------------------
-    @property
-    def profile_count(self) -> int:
-        return math.prod(self.dims)
-
-    def check_cap(self, cap: int) -> None:
-        if self.profile_count > cap:
-            raise EnumerationCapError(
-                f"{self.profile_count} pure profiles exceed the enumeration cap {cap}; "
-                f"refusing to approximate"
-            )
-
     def normalize(self, raw):
         return (np.asarray(raw, dtype=float) - self.shift) / self.scale
 
@@ -311,12 +300,10 @@ class DenseGame(NormalFormGame):
     def welfare_pure(self, s) -> float:
         return float(self._welfare[tuple(int(x) for x in s)])
 
-    def utility_tensors(self, cap: int = DEFAULT_ENUM_CAP) -> list[np.ndarray]:
-        self.check_cap(cap)
+    def utility_tensors(self) -> list[np.ndarray]:
         return self.tensors
 
-    def welfare_tensor(self, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-        self.check_cap(cap)
+    def welfare_tensor(self) -> np.ndarray:
         return self._welfare
 
     def describe(self) -> dict:
@@ -360,13 +347,12 @@ class SmoothnessCertificate:
         }
 
 
-def brute_force_opt(game: NormalFormGame, cap: int = DEFAULT_ENUM_CAP, mode: str = "utility"):
+def brute_force_opt(game: NormalFormGame, mode: str = "utility"):
     """Exact optimum over pure profiles (raw units) and its lexicographically
-    first optimizer: max welfare, or in cost mode min total cost.  Refuses
-    above the cap."""
+    first optimizer: max welfare, or in cost mode min total cost."""
     if mode not in ("utility", "cost"):
         raise ValueError(f"unknown mode {mode!r}; expected 'utility' or 'cost'")
-    w = game.welfare_tensor(cap)
+    w = game.welfare_tensor()
     # first optimizer in C order = lexicographically first
     flat = int(np.argmax(w) if mode == "utility" else np.argmin(w))
     return float(w.flat[flat]), tuple(int(x) for x in np.unravel_index(flat, w.shape))
@@ -374,7 +360,7 @@ def brute_force_opt(game: NormalFormGame, cap: int = DEFAULT_ENUM_CAP, mode: str
 
 def verify_smoothness(
     game: NormalFormGame, lam: float, mu: float, s_star=None,
-    cap: int = DEFAULT_ENUM_CAP, tol: float = 1e-9, mode: str = "utility",
+    tol: float = 1e-9, mode: str = "utility",
 ) -> SmoothnessCertificate:
     """Brute-force check of (lam, mu)-smoothness (raw units) at the deviation
     profile ``s_star`` or, without one, at every pure profile in lexicographic
@@ -382,13 +368,13 @@ def verify_smoothness(
     with the largest slack (unverified, never an exception)."""
     if lam <= 0 or mu < 0:
         raise ValueError(f"need lambda > 0 and mu >= 0, got ({lam}, {mu})")
-    opt, _ = brute_force_opt(game, cap, mode)
+    opt, _ = brute_force_opt(game, mode)
     if s_star is not None:
         s_star = tuple(int(x) for x in s_star)
         if len(s_star) != game.n or any(not 0 <= x < d for x, d in zip(s_star, game.dims)):
             raise ValueError(f"s_star {list(s_star)} is not a pure profile of this game")
-    tensors = game.utility_tensors(cap)
-    welfare = game.welfare_tensor(cap)
+    tensors = game.utility_tensors()
+    welfare = game.welfare_tensor()
     residual = welfare - sum(tensors)
     best = None
     for cand in [s_star] if s_star is not None else np.ndindex(*game.dims):

@@ -12,11 +12,12 @@ terms of the two variation sums that every regret certificate consumes:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .regularizers import NegativeEntropy, get_regularizer
+from .regularizers import _REGISTRY, NegativeEntropy, get_regularizer
 
 __all__ = [
     "Certificate",
@@ -119,9 +120,7 @@ class WindowAverage:
     """
 
     def __init__(self, H: int, shape):
-        if H < 1 or int(H) != H:
-            raise ValueError(f"window length must be a positive integer, got {H}")
-        self.H = int(H)
+        self.H = H
         self._buf = np.zeros((2 * self.H, *np.atleast_1d(shape)))
         self._k = -1  # buffer row of the latest utility
 
@@ -145,9 +144,7 @@ class GeometricDiscount:
     """
 
     def __init__(self, delta: float, shape):
-        if not 0.0 <= delta < 1.0:
-            raise ValueError(f"discount must lie in [0, 1), got {delta}")
-        self.delta = float(delta)
+        self.delta = delta
         self._num = np.zeros(shape)  # u^0 = 0
         self._den = 1.0
 
@@ -164,8 +161,8 @@ class GeometricDiscount:
 _PREDICTORS = {
     "none": lambda param, shape: ZeroPredictor(),
     "last": lambda param, shape: LastUtility(shape),
-    "window": lambda H, shape: WindowAverage(int(H), shape),
-    "geometric": lambda delta, shape: GeometricDiscount(float(delta), shape),
+    "window": WindowAverage,
+    "geometric": GeometricDiscount,
 }
 
 
@@ -312,20 +309,56 @@ class BestResponseLearner(OnlineLearner):
 # specs and construction
 
 
+# the config-file vocabulary of algorithms; a resolved spec names ftrl
+_ALGORITHMS = {"hedge", "optimistic_hedge", "oftrl", "omd", "bestresponse", "first_order_hedge"}
+
+
+def _choice(value, where, choices):
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"{where} must be one of {', '.join(sorted(choices))}; "
+                         f"got {value!r}")
+    return value
+
+
+def _real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass
 class LearnerSpec:
     """Declarative learner description (also the config-file vocabulary).
 
     ``algorithm``: hedge | optimistic_hedge | oftrl | omd | bestresponse |
-    first_order_hedge.  ``predictor``: none | last | window | geometric with
-    ``predictor_param`` carrying H or the discount.
-    """
+    first_order_hedge, or ftrl (resolved).  ``predictor``: none | last |
+    window | geometric, ``predictor_param`` carrying H (an int) or the discount
+    (a float).  Construction checks each value; a ValueError names the field."""
 
     algorithm: str
     eta: float | None = None
     regularizer: str = "entropy"
     predictor: str = "none"
     predictor_param: float | None = None
+
+    def __post_init__(self):
+        if self.algorithm != "ftrl":
+            _choice(self.algorithm, "algorithm", _ALGORITHMS)
+        if self.eta is not None and not (_real(self.eta) and 0.0 < self.eta < math.inf):
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        _choice(self.regularizer, "regularizer", _REGISTRY)
+        _choice(self.predictor, "predictor", _PREDICTORS)
+        p, kind = self.predictor_param, self.predictor
+        if kind not in ("window", "geometric"):
+            if p is not None:
+                raise ValueError("predictor_param only applies to window/geometric predictors")
+            return
+        if p is None:
+            size = "window size" if kind == "window" else "discount"
+            raise ValueError(f"predictor_param ({size}) is required for the {kind} predictor")
+        if kind == "window" and not (_real(p) and 1 <= p < math.inf and p == int(p)):
+            raise ValueError(f"predictor_param must be a window size >= 1, got {p}")
+        if kind == "geometric" and not (_real(p) and 0.0 <= p < 1.0):
+            raise ValueError(f"predictor_param must be a discount in [0, 1), got {p}")
+        self.predictor_param = int(p) if kind == "window" else float(p)
 
     def resolved(self) -> "LearnerSpec":
         """Expand the hedge shortcuts into their ftrl form."""
@@ -343,7 +376,7 @@ class LearnerSpec:
     @staticmethod
     def from_dict(dd: dict) -> "LearnerSpec":
         return LearnerSpec(
-            dd["algorithm"], dd.get("eta"), dd.get("regularizer", "entropy"),
+            dd.get("algorithm"), dd.get("eta"), dd.get("regularizer", "entropy"),
             dd.get("predictor", "none"), dd.get("predictor_param"),
         )
 
@@ -354,8 +387,8 @@ class LearnerSpec:
 # best response carry none.
 _VARIATION_BOUNDS = {
     ("ftrl", "last"): ("r_ftrl", lambda eta, _: eta, 4.0),
-    ("ftrl", "window"): ("r_ftrl", lambda eta, H: eta * int(H) * int(H), 4.0),
-    ("ftrl", "geometric"): ("r_ftrl", lambda eta, delta: eta / (1.0 - float(delta)) ** 3, 8.0),
+    ("ftrl", "window"): ("r_ftrl", lambda eta, H: eta * H * H, 4.0),
+    ("ftrl", "geometric"): ("r_ftrl", lambda eta, delta: eta / (1.0 - delta) ** 3, 8.0),
     ("omd", "last"): ("r_omd", lambda eta, _: eta, 8.0),
 }
 
@@ -385,16 +418,11 @@ def make_learner(spec: LearnerSpec, d: int) -> OnlineLearner:
     """Instantiate a learner from its spec; the first play is always the
     regularizer's initial (uniform) point."""
     s = spec.resolved()
-    if s.algorithm == "bestresponse":
-        learner = BestResponseLearner(d)
-    elif s.algorithm == "first_order_hedge":
-        from .costmode import FirstOrderHedge  # local: costmode imports learners
-
-        learner = FirstOrderHedge(d)
-    elif s.algorithm in ("ftrl", "omd"):
+    if s.algorithm in ("ftrl", "omd"):
         return _regularized_learner(spec, d)
-    else:
-        raise ValueError(f"unknown algorithm {spec.algorithm!r}")
+    from .costmode import FirstOrderHedge  # local: costmode imports learners
+
+    learner = BestResponseLearner(d) if s.algorithm == "bestresponse" else FirstOrderHedge(d)
     learner.spec = spec
     return learner
 
@@ -408,8 +436,6 @@ def _regularized_learner(spec: LearnerSpec, d: int, lead: tuple = ()) -> OnlineL
     if s.eta is None:
         raise ValueError(f"{spec.algorithm} requires eta")
     reg = get_regularizer(s.regularizer)
-    if s.predictor not in _PREDICTORS:
-        raise ValueError(f"unknown predictor kind {s.predictor!r}")
     cls = FtrlLearner if s.algorithm == "ftrl" else OmdLearner
     predictor = _PREDICTORS[s.predictor](s.predictor_param, (*lead, d))
     learner = cls(d, reg, s.eta, predictor, _lead=lead)

@@ -123,13 +123,11 @@ class LowerBoundResult:
 def lower_bound_experiment(eta: float, T: int) -> LowerBoundResult:
     """Run Hedge(eta) as the row player against a best-responding column on
     the identity matrix A and on the single-column matrix A' = (1; 0)."""
-    if not 0.0 < eta < math.inf:
-        raise ValueError(f"eta must be positive and finite, got {eta}")
+    specs = [LearnerSpec("hedge", eta=eta), LearnerSpec("bestresponse")]  # checks eta
     if T < 1 or T % 2:
         raise ValueError(f"T must be a positive even integer, got {T}")
     from .dynamics import regret, run  # local: dynamics imports library
 
-    specs = [LearnerSpec("hedge", eta=eta), LearnerSpec("bestresponse")]
     trace_a = run(make_matrix_game(np.eye(2)), specs, T)
     trace_ap = run(make_matrix_game(np.array([[1.0], [0.0]])), specs, T)
     e = float(np.exp(eta))

@@ -2,7 +2,8 @@
 
 Both regularizers are 1-strongly convex with respect to their associated
 norm (l1 for negative entropy, l2 for squared Euclidean); every regret
-certificate in this package leans on that property.
+certificate in this package leans on that property.  The step sizes they take
+are not re-checked: a learner checks its own once, when it is built.
 """
 
 from __future__ import annotations
@@ -95,8 +96,6 @@ class NegativeEntropy:
 
     def ftrl_argmax(self, G, eta: float) -> np.ndarray:
         """argmax over the simplex of <w, G> - R(w)/eta (softmax of eta*G)."""
-        if eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
         return _exp_weights(eta * np.asarray(G, dtype=float))
 
     def bregman(self, w, g) -> float:
@@ -139,8 +138,6 @@ class SquaredEuclidean:
 
     def ftrl_argmax(self, G, eta: float) -> np.ndarray:
         """argmax of <w, G> - ||w||^2/(2 eta): projection of eta*G onto the simplex."""
-        if eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
         G = _check_finite(G, "cumulative utility vector")
         return project_simplex(eta * G)
 
@@ -148,8 +145,6 @@ class SquaredEuclidean:
         """Prox point argmax of eta*<w, u> - ||w - g||^2/2: the projection of
         g + eta*u.  (The entropy has none: its chained prox steps are FTRL's
         argmax, which ``OmdLearner`` runs.)"""
-        if eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
         g = np.asarray(g, dtype=float)
         u = _check_finite(u, "utility vector")
         return project_simplex(g + eta * u)

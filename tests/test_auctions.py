@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from regretlab import AuctionSpec, brute_force_opt, make_auction, masked_values, uniform_values
+from regretlab import AuctionSpec, brute_force_opt, masked_values, uniform_values
 from regretlab.auctions import AuctionGame
 from regretlab.dynamics import run
 from regretlab.games import UtilityRangeError
@@ -16,7 +16,7 @@ from regretlab.learners import LearnerSpec
 
 
 def simple(n=2, m=1, v=3.0, levels=(1.0, 2.0)):
-    return make_auction(AuctionSpec(n, m, uniform_values(n, m, v), list(levels)))
+    return AuctionGame(AuctionSpec(n, m, uniform_values(n, m, v), list(levels)))
 
 
 def random_profile(dims, seed):
@@ -77,7 +77,7 @@ class TestFastOracle:
     def test_frozen_three_player_values(self):
         # frozen from the plain-loop auction enumeration oracle
         vals3 = [[4.0, 2.0], [3.0, 5.0], [2.0, 2.0]]
-        g = make_auction(AuctionSpec(3, 2, np.array(vals3), [1.0, 2.0, 3.0]))
+        g = AuctionGame(AuctionSpec(3, 2, np.array(vals3), [1.0, 2.0, 3.0]))
         rng = np.random.default_rng(7)
         prof = []
         for _ in range(3):
@@ -97,7 +97,7 @@ class TestFastOracle:
                 [[1.0 + ((i * m + j) % 3) for j in range(m)] for i in range(n)]
             ) + 2.0
             levels = [float(b + 1) for b in range(nb)]
-            g = make_auction(AuctionSpec(n, m, vals, levels))
+            g = AuctionGame(AuctionSpec(n, m, vals, levels))
             prof = random_profile([m * nb] * n, seed)
             for i in range(n):
                 oracle = orc.auction_expected_utilities(vals.tolist(), m, levels, i, prof)
@@ -106,7 +106,7 @@ class TestFastOracle:
                 )
 
     def test_matches_dense_tensor_oracle(self):
-        g = make_auction(AuctionSpec(3, 2, np.array([[4.0, 2.0], [3.0, 5.0], [2.0, 2.0]]),
+        g = AuctionGame(AuctionSpec(3, 2, np.array([[4.0, 2.0], [3.0, 5.0], [2.0, 2.0]]),
                                      [1.0, 2.0, 3.0]))
         tensors = g.utility_tensors()
         prof = random_profile([6, 6, 6], 105)
@@ -116,7 +116,7 @@ class TestFastOracle:
 
     def test_welfare_matches_enumeration(self):
         vals = [[4.0, 2.0], [3.0, 5.0]]
-        g = make_auction(AuctionSpec(2, 2, np.array(vals), [1.0, 2.0]))
+        g = AuctionGame(AuctionSpec(2, 2, np.array(vals), [1.0, 2.0]))
         prof = random_profile([4, 4], 106)
         total = 0.0
         for s in itertools.product(range(4), repeat=2):
@@ -131,7 +131,7 @@ class TestLeadingAxis:
     def test_every_row_matches_the_loop_oracle(self, n, m, nb):
         vals = np.array([[2.0 + ((i + 2 * j) % 3) for j in range(m)] for i in range(n)])
         levels = [float(b + 1) for b in range(nb)]
-        g = make_auction(AuctionSpec(n, m, vals, levels))
+        g = AuctionGame(AuctionSpec(n, m, vals, levels))
         rows = [random_profile([m * nb] * n, 200 + 10 * n + t) for t in range(5)]
         prof = [np.array([r[k] for r in rows]) for k in range(n)]
         welfare = g.welfare_mixed(prof)
@@ -148,7 +148,7 @@ class TestLeadingAxis:
                 orc.auction_expected_welfare(vals.tolist(), m, levels, r), abs=1e-12)
 
     def test_equals_stacked_single_calls_bitwise(self):
-        g = make_auction(AuctionSpec(3, 2, np.array([[4.0, 2.0], [3.0, 5.0], [2.0, 2.0]]),
+        g = AuctionGame(AuctionSpec(3, 2, np.array([[4.0, 2.0], [3.0, 5.0], [2.0, 2.0]]),
                                      [1.0, 2.0, 3.0]))
         rows = [random_profile([6, 6, 6], 300 + t) for t in range(6)]
         prof = [np.array([r[k] for r in rows]).reshape(2, 3, 6) for k in range(3)]
@@ -208,7 +208,7 @@ class TestAllPlayersOracle:
 
     @pytest.mark.parametrize("lead", [(), (50,), (2, 3)], ids=["single", "T", "2x3"])
     def test_equals_per_bidder_products_bitwise(self, lead):
-        g = make_auction(self.FIG1)
+        g = AuctionGame(self.FIG1)
         prof = sparse_profile(g.dims, lead, seed=11 + len(lead))
         win = g._win_probabilities(prof)
         u = g._all_normalized_utilities(prof)
@@ -228,7 +228,7 @@ class TestAllPlayersOracle:
     def test_matches_the_enumeration_oracle(self, n, m, nb):
         vals = [[1.5 + ((i + 2 * j) % 3) for j in range(m)] for i in range(n)]
         levels = [float(b + 1) for b in range(nb)]
-        g = make_auction(AuctionSpec(n, m, np.array(vals), levels))
+        g = AuctionGame(AuctionSpec(n, m, np.array(vals), levels))
         d = m * nb
         profiles = {
             "sparse": sparse_profile(g.dims, (), seed=100 * n + 10 * m + nb),
@@ -266,7 +266,7 @@ class TestOptimum:
         # 80^4 profiles exceed the enumeration cap, so the optimum is argued:
         # a bidder wins at most one item, so the sum of each bidder's best
         # value bounds every profile, and bidder i alone on item i reaches it
-        g = make_auction(AuctionSpec(4, 4, uniform_values(4, 4, 20.0), list(np.arange(1.0, 21.0))))
+        g = AuctionGame(AuctionSpec(4, 4, uniform_values(4, 4, 20.0), list(np.arange(1.0, 21.0))))
         bound = float(g.spec.values.max(axis=1).sum())
         assert bound == pytest.approx(80.0, abs=0)
         top = g.nb - 1
@@ -281,7 +281,7 @@ class TestOptimum:
             ([[1.0], [5.0], [2.0]], 1, [1.0, 2.0]),
             ([[3.0, 0.0], [0.0, 3.0]], 2, [1.0]),
         ]:
-            g = make_auction(AuctionSpec(len(vals), m, np.array(vals), levels))
+            g = AuctionGame(AuctionSpec(len(vals), m, np.array(vals), levels))
             b_opt, b_prof = brute_force_opt(g)
             o_opt, o_prof = orc.auction_opt(vals, m, levels)
             assert b_opt == pytest.approx(o_opt, abs=1e-12)
@@ -292,7 +292,7 @@ class TestOptimum:
         # more bidders than items with one bid level: ties go to the lowest
         # index, so the optimum is bidder 0 alone on the item
         vals = [[5.0], [4.0], [3.0]]
-        g = make_auction(AuctionSpec(3, 1, np.array(vals), [1.0]))
+        g = AuctionGame(AuctionSpec(3, 1, np.array(vals), [1.0]))
         assert orc.auction_opt(vals, 1, [1.0])[0] == pytest.approx(5.0, abs=0)
         opt, profile = brute_force_opt(g)
         assert opt == pytest.approx(5.0, abs=0)
@@ -309,13 +309,13 @@ class TestNormalization:
         np.testing.assert_allclose(g.denormalize(g.normalize(raw)), raw, atol=1e-12)
 
     def test_normalized_in_unit_interval(self):
-        g = make_auction(AuctionSpec(2, 1, uniform_values(2, 1, 1.0), [1.0, 2.0, 5.0]))
+        g = AuctionGame(AuctionSpec(2, 1, uniform_values(2, 1, 1.0), [1.0, 2.0, 5.0]))
         prof = random_profile([3, 3], 107)
         u = g.expected_utilities(0, prof)
         assert u.min() >= -1e-12 and u.max() <= 1.0 + 1e-12
 
     def test_overbidding_allowed(self):
-        g = make_auction(AuctionSpec(1, 1, uniform_values(1, 1, 1.0), [1.0, 5.0]))
+        g = AuctionGame(AuctionSpec(1, 1, uniform_values(1, 1, 1.0), [1.0, 5.0]))
         assert g.pure_utilities((1,))[0] == pytest.approx(-4.0, abs=0)
 
 

@@ -230,7 +230,6 @@ class TestGameSection:
         assert spec.game == {"type": "auction", "bidders": 3, "items": 2,
                              "value": 7.5, "bids": [1.0, 2.0, 3.0, 4.0],
                              "value_mask_seed": None}
-        assert spec.n_players == 3
 
     def test_auction_missing_keys_each_reported(self):
         text = lines("[game]", "type = auction",
@@ -331,7 +330,6 @@ class TestGameSection:
         spec = parse_config(text)
         assert spec.game == {"type": "random", "players": 3,
                              "dims": [4, 4, 4], "seed": 11}
-        assert spec.n_players == 3
 
     def test_random_game_dims_count_mismatch(self):
         text = lines("[game]", "type = random", "players = 3", "dims = 2,2",
@@ -366,7 +364,6 @@ class TestGameSection:
                      *RUN_10)
         spec = parse_config(text)
         assert spec.game == {"type": "dense_csv", "path": "payoffs.csv"}
-        assert spec.n_players is None
         assert spec.overrides[7] == LearnerSpec("hedge", 0.2)
 
 
@@ -796,7 +793,6 @@ class TestNetworkGames:
                      *RUN_10)
         spec = parse_config(text)
         assert spec.learner == LearnerSpec("oftrl", None, "entropy", "last")
-        assert spec.n_players is None
 
     def test_explicit_eta_is_kept(self):
         text = lines(*NETWORK_GAME,
@@ -873,7 +869,6 @@ class TestShippedConfigs:
         assert spec.baseline == LearnerSpec("hedge", 0.1)
         assert (spec.T, spec.seed, spec.mode) == (2000, 0, "utility")
         assert spec.outputs == {"dir": "auction_fig1"}
-        assert spec.n_players == 4
         assert spec.overrides == {} and spec.robust is None
         assert spec.smoothness is None
 
@@ -885,7 +880,6 @@ class TestShippedConfigs:
         assert spec.learner == LearnerSpec("first_order_hedge")
         assert (spec.T, spec.mode) == (500, "cost")
         assert spec.outputs == {"dir": "cost_congestion"}
-        assert spec.n_players == 2
 
     def test_matrix_smooth(self):
         spec = parse_config(load("matrix_smooth.cfg"))
@@ -903,4 +897,3 @@ class TestShippedConfigs:
         assert spec.learner == LearnerSpec("oftrl", None, "entropy", "last")
         assert spec.T == 1000
         assert spec.outputs == {"dir": "routing"}
-        assert spec.n_players is None

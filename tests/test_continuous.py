@@ -1,5 +1,6 @@
 """Tests for splittable routing: parsing, gradients, dynamics, certificates."""
 
+import io
 import math
 import sys
 import time
@@ -530,7 +531,7 @@ class TestTraceCsv:
         tr = run_continuous(net, eta, 40)
         tr.meta["seed"] = 3
         text = write_trace_csv(tr)
-        back = read_trace_csv(text)
+        back = read_trace_csv(io.StringIO(text, newline=None))
         assert back.network == net and back.eta == eta and back.meta == tr.meta
         for i in range(net.n):
             np.testing.assert_array_equal(back.flows[i], tr.flows[i])

@@ -1,5 +1,6 @@
 """Tests for the repeated-play engine: traces, regrets, certificates, CSV."""
 
+import io
 import json
 import math
 import re
@@ -50,6 +51,11 @@ def hedge(eta):
 
 def opt_hedge(eta):
     return LearnerSpec("optimistic_hedge", eta=eta)
+
+
+def read_text(text):
+    """``read_trace_csv`` of a trace's text, as an open text file."""
+    return read_trace_csv(io.StringIO(text, newline=None))
 
 
 class TestRunContract:
@@ -736,7 +742,7 @@ class TestTraceCsv:
 
     def test_round_trip_recovers_every_array_exactly(self):
         tr = self._trace()
-        back = read_trace_csv(write_trace_csv(tr))
+        back = read_text(write_trace_csv(tr))
         for i in range(2):
             np.testing.assert_array_equal(back.plays[i], tr.plays[i])
             np.testing.assert_array_equal(back.utilities[i], tr.utilities[i])
@@ -746,7 +752,7 @@ class TestTraceCsv:
 
     def test_stored_regret_series_matches_recomputation(self):
         text = write_trace_csv(self._trace())
-        back = read_trace_csv(text)
+        back = read_text(text)
         rows = [line.split(",") for line in text.splitlines()[2:]]
         for i in range(2):
             stored = [float(r[2]) for r in rows if r[1] == str(i)]
@@ -755,14 +761,14 @@ class TestTraceCsv:
 
     def test_write_read_write_is_byte_identical(self):
         text = write_trace_csv(self._trace())
-        assert write_trace_csv(read_trace_csv(text)) == text
+        assert write_trace_csv(read_text(text)) == text
 
     def test_two_runs_serialize_byte_identically(self):
         assert write_trace_csv(self._trace()) == write_trace_csv(self._trace())
 
     def test_report_is_recomputable_after_round_trip(self):
         tr = self._trace()
-        back = read_trace_csv(write_trace_csv(tr))
+        back = read_text(write_trace_csv(tr))
         a, b = report(tr), report(back)
         assert a.regrets == b.regrets
         assert a.sum_regret == b.sum_regret
@@ -778,13 +784,13 @@ class TestTraceCsv:
 
     def test_missing_metadata_line_is_rejected(self):
         with pytest.raises(ValueError, match="metadata"):
-            read_trace_csv("t,player\n1,0\n")
+            read_text("t,player\n1,0\n")
 
     def test_truncated_file_is_rejected(self):
         text = write_trace_csv(self._trace())
         lines = text.splitlines()
         with pytest.raises(ValueError, match="rows"):
-            read_trace_csv("\n".join(lines[:-3]) + "\n")
+            read_text("\n".join(lines[:-3]) + "\n")
 
     def test_auction_trace_round_trips(self):
         from regretlab.auctions import AuctionGame, AuctionSpec
@@ -792,7 +798,7 @@ class TestTraceCsv:
         g = AuctionGame(AuctionSpec(n=2, m=2, values=[[3.0, 1.0], [2.0, 2.0]],
                                     bid_levels=[1.0, 2.0]))
         tr = run(g, [opt_hedge(0.2), opt_hedge(0.2)], 6)
-        back = read_trace_csv(write_trace_csv(tr))
+        back = read_text(write_trace_csv(tr))
         np.testing.assert_array_equal(back.utilities[0], tr.utilities[0])
         assert back.meta["game"]["kind"] == "auction"
 
@@ -800,7 +806,7 @@ class TestTraceCsv:
         g = load_dense_csv(dump_dense_csv(make_random_game(2, [2, 3], seed=117)))
         tr = run(g, [opt_hedge(0.3), hedge(0.4)], 12)
         text = write_trace_csv(tr)
-        back = read_trace_csv(text)
+        back = read_text(text)
         for i in range(2):
             np.testing.assert_array_equal(back.utilities[i], tr.utilities[i])
         np.testing.assert_array_equal(back.welfare, tr.welfare)
@@ -816,7 +822,7 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"trace line 1: metadata game: raw utilities [{lo}, 1.5] escape the "
                 f"declared range [0.0, 1.0]") + "$"):
-            read_trace_csv("\n".join(lines) + "\n")
+            read_text("\n".join(lines) + "\n")
 
     def test_dense_csv_edited_after_the_run_keeps_the_original_game(self, tmp_path):
         payoffs = tmp_path / "payoffs.csv"
@@ -834,42 +840,25 @@ class TestTraceCsv:
     def test_cost_mode_round_trips_with_complemented_utilities(self):
         g = make_random_game(2, [2, 2], seed=118)
         tr = run(g, [hedge(0.3), hedge(0.3)], 5, mode="cost")
-        back = read_trace_csv(write_trace_csv(tr))
+        back = read_text(write_trace_csv(tr))
         np.testing.assert_array_equal(back.utilities[0], tr.utilities[0])
         assert back.meta["mode"] == "cost"
 
     def _lines(self):
         return write_trace_csv(self._trace()).splitlines()
 
-    @staticmethod
-    def _quote_first_strategy(line):
-        cells = line.split(",")
-        cells[6] = f'"{cells[6]}"'
-        return ",".join(cells)
-
-    def test_quoted_cell_reads_through_the_csv_branch(self):
-        tr = self._trace()
-        lines = write_trace_csv(tr).splitlines()
-        lines[5] = self._quote_first_strategy(lines[5])  # round 2, player 1
-        back = read_trace_csv("\n".join(lines) + "\n")
-        for i in range(2):
-            np.testing.assert_array_equal(back.plays[i], tr.plays[i])
-
     def test_deleted_middle_row_is_a_row_count_error(self):
         lines = self._lines()
         del lines[10]
         with pytest.raises(ValueError, match=r"^expected 24 data rows, found 23$"):
-            read_trace_csv("\n".join(lines) + "\n")
+            read_text("\n".join(lines) + "\n")
 
-    @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv"])
-    def test_blank_line_is_an_empty_row(self, quoted):
+    def test_blank_line_is_an_empty_row(self):
         lines = self._lines()
         lines[10] = ""  # round 5, player 0
-        if quoted:
-            lines[4] = self._quote_first_strategy(lines[4])
         with pytest.raises(ValueError, match=r"^trace line 11: expected round 5, player 0; "
                                              r"found an empty row$"):
-            read_trace_csv("\n".join(lines) + "\n")
+            read_text("\n".join(lines) + "\n")
 
     def test_non_utf8_file_names_its_path(self, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -890,20 +879,12 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=r"^expected 24 data rows, found 23$"):
             read_trace_csv(self._file(tmp_path, lines))
 
-    def test_quoted_cell_in_a_file_reads_through_the_csv_branch(self, tmp_path):
-        tr = self._trace()
-        lines = write_trace_csv(tr).splitlines()
-        lines[5] = self._quote_first_strategy(lines[5])  # float() rejects the quotes
-        back = read_trace_csv(self._file(tmp_path, lines))
-        for i in range(2):
-            np.testing.assert_array_equal(back.plays[i], tr.plays[i])
-
     @pytest.mark.parametrize("source", ["path", "text"])
     def test_crlf_file_reads_like_its_lf_twin(self, tmp_path, source):
         text = write_trace_csv(self._trace())
         lines = text.splitlines()
-        back = read_trace_csv(self._file(tmp_path, lines, "\r\n") if source == "path"
-                              else "\r\n".join(lines) + "\r\n")
+        back = (read_trace_csv(self._file(tmp_path, lines, "\r\n")) if source == "path"
+                else read_text("\r\n".join(lines) + "\r\n"))
         assert write_trace_csv(back) == text
 
     def test_non_utf8_byte_after_the_first_chunk_names_its_path(self, tmp_path):

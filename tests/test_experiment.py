@@ -748,6 +748,14 @@ def meta_with(**entries):
     return lambda meta: {**meta, **entries}
 
 
+def meta_with_learner(entry):
+    """The meta with ``entry`` as player 1's learner."""
+    return lambda meta: {**meta, "learners": [meta["learners"][0], entry]}
+
+
+ALGORITHMS = "bestresponse, first_order_hedge, hedge, oftrl, omd, optimistic_hedge"
+
+
 class TestCliReport:
     def test_stdout_matches_the_written_report_exactly(self, tmp_path, capsys):
         manifest = run_experiment(parse_config(MATRIX_SMOOTH_CFG),
@@ -822,6 +830,17 @@ class TestCliReport:
         assert err.startswith("error: trace line 4: could not convert string to "
                               "float: 'abc'")
 
+    def test_quoted_cell_exits_1_naming_its_line(self, tmp_path, capsys):
+        def edit(lines):  # the writer never quotes a cell
+            cells = lines[3].split(",")
+            cells[6] = f'"{cells[6]}"'
+            lines[3] = ",".join(cells)
+        code, err = self.report_edited_trace(tmp_path, capsys, edit)
+        assert code == 1
+        assert err.startswith("error: trace line 4: could not convert string to "
+                              "float: '\"")
+        assert err.count("\n") == 1
+
     def test_utilities_escaping_the_unit_range_exit_1(self, tmp_path, capsys):
         # a column strategy summing to 1 + 5e-10 passes the simplex check but
         # lifts the row player's utility above 1
@@ -871,9 +890,41 @@ class TestCliReport:
          "metadata smoothness must be an object, got [1.0, 1.0]"),
         (lambda m: {**m, "smoothness": {**m["smoothness"], "s_star": 5}},
          "metadata smoothness s_star must be a list of integers, got 5"),
+        (meta_with_learner({"algorithm": "oftrl", "eta": 0.25, "predictor": "window"}),
+         "metadata learners[1]: predictor_param (window size) is required for the "
+         "window predictor"),
+        (meta_with_learner({"algorithm": "oftrl", "eta": 0.25, "predictor": "geometric"}),
+         "metadata learners[1]: predictor_param (discount) is required for the "
+         "geometric predictor"),
+        (meta_with_learner({"algorithm": "oftrl", "eta": [1], "predictor": "last"}),
+         "metadata learners[1]: eta must be positive and finite, got [1]"),
+        (meta_with_learner({"algorithm": "robust", "alpha": 1.0, "eta_star": 0.5}),
+         "metadata learners[1]: inner must be a learner spec object, got None"),
+        (meta_with_learner({"eta": 0.25}),
+         f"metadata learners[1]: algorithm must be one of {ALGORITHMS}; got None"),
+        (meta_with_learner({"algorithm": "oftrl", "eta": True, "predictor": "last"}),
+         "metadata learners[1]: eta must be positive and finite, got True"),
+        (meta_with_learner({"algorithm": "zzz", "eta": 0.25}),
+         f"metadata learners[1]: algorithm must be one of {ALGORITHMS}; got 'zzz'"),
+        (meta_with_learner({"algorithm": "oftrl", "eta": 0.25, "predictor": "zz"}),
+         "metadata learners[1]: predictor must be one of geometric, last, none, window; "
+         "got 'zz'"),
+        (meta_with_learner({"algorithm": "oftrl", "eta": 0.25, "predictor": "window",
+                            "predictor_param": 2.5}),
+         "metadata learners[1]: predictor_param must be a window size >= 1, got 2.5"),
+        (meta_with_learner({"algorithm": "robust", "alpha": 1.0, "eta_star": 0.5,
+                            "inner": {"algorithm": "oftrl", "eta": 0.1, "predictor": "zz"}}),
+         "metadata learners[1]: inner.predictor must be one of geometric, last, none, "
+         "window; got 'zz'"),
+        (meta_with_learner({"algorithm": "robust", "alpha": 1.0, "eta_star": "0.5",
+                            "inner": {"algorithm": "oftrl", "eta": 0.1, "predictor": "last"}}),
+         "metadata learners[1]: eta_star must be a positive finite number, got '0.5'"),
     ], ids=["no-T", "no-game", "T-string", "T-bool", "no-learners", "short-learners",
             "bad-mode", "list", "game-no-matrix", "matrix-dict", "smoothness-no-lambda",
-            "mu-string", "smoothness-list", "s_star-int"])
+            "mu-string", "smoothness-list", "s_star-int", "window-no-param",
+            "geometric-no-param", "eta-list", "robust-no-inner", "no-algorithm",
+            "eta-bool", "algorithm-unknown", "predictor-unknown", "window-fraction",
+            "robust-bad-inner", "robust-eta_star-string"])
     def test_malformed_meta_exits_1(self, tmp_path, capsys, change, message):
         def edit(lines):
             meta = json.loads(lines[0][len("# meta="):])

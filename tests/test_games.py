@@ -26,6 +26,7 @@ from regretlab import (
     make_matrix_game,
     make_random_game,
     poa_welfare_bound,
+    uniform_values,
     verify_smoothness,
 )
 
@@ -366,9 +367,12 @@ class TestBruteForceOpt:
         assert arg == (1, 2, 2)
 
     def test_cap_refusal(self):
-        g = make_random_game(2, [4, 4], seed=1)
-        with pytest.raises(EnumerationCapError):
-            brute_force_opt(g, cap=15)
+        # 4 bidders x 80 strategies: 80^4 = 40,960,000 profiles, refused before
+        # any tensor is built
+        g = AuctionGame(AuctionSpec(4, 4, uniform_values(4, 4, 20.0),
+                                    [float(b) for b in range(1, 21)]))
+        with pytest.raises(EnumerationCapError, match="^40960000 pure profiles exceed"):
+            brute_force_opt(g)
 
 
 class TestVerifySmoothness:

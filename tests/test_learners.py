@@ -2,6 +2,7 @@
 declared variation-bound constants, certificates, stability, bit-identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,16 +91,62 @@ class TestPlayObserveContract:
             assert np.all(np.abs(plays.sum(axis=1) - 1.0) <= 1e-9), name
             assert plays.min() >= -1e-15, name
 
-    def test_invalid_hyperparameters(self):
-        with pytest.raises(ValueError):
-            make_learner(LearnerSpec("hedge", -0.1), 2)
-        with pytest.raises(ValueError):
-            make_learner(LearnerSpec("oftrl", 0.1, "entropy", "window", 0), 2)
-        with pytest.raises(ValueError):
-            make_learner(LearnerSpec("oftrl", 0.1, "entropy", "geometric", 1.0), 2)
+    @pytest.mark.parametrize("args, outcome", [
+        (("hedge", -0.1), "eta must be positive and finite, got -0.1"),
+        (("hedge", math.inf), "eta must be positive and finite, got inf"),
+        (("hedge", True), "eta must be positive and finite, got True"),
+        (("hedge", "0.1"), "eta must be positive and finite, got 0.1"),
+        (("hedge", np.float64(0.25)), {"eta": np.float64(0.25)}),
+        (("sarsa", 0.1), "algorithm must be one of bestresponse, first_order_hedge, "
+                         "hedge, oftrl, omd, optimistic_hedge; got 'sarsa'"),
+        ((None, 0.1), "algorithm must be one of bestresponse, first_order_hedge, "
+                      "hedge, oftrl, omd, optimistic_hedge; got None"),
+        (("ftrl", 0.1, "entropy", "last"), {"algorithm": "ftrl"}),
+        (("omd", None, "entropy", "last"), {"eta": None}),
+        (("oftrl", 0.1, "l1"), "regularizer must be one of entropy, euclidean; got 'l1'"),
+        (("oftrl", 0.1, "entropy", "zz"),
+         "predictor must be one of geometric, last, none, window; got 'zz'"),
+        (("oftrl", 0.1, "entropy", "window"),
+         "predictor_param (window size) is required for the window predictor"),
+        (("oftrl", 0.1, "entropy", "window", 0),
+         "predictor_param must be a window size >= 1, got 0"),
+        (("oftrl", 0.1, "entropy", "window", 2.5),
+         "predictor_param must be a window size >= 1, got 2.5"),
+        (("oftrl", 0.1, "entropy", "window", math.inf),
+         "predictor_param must be a window size >= 1, got inf"),
+        (("oftrl", 0.1, "entropy", "window", True),
+         "predictor_param must be a window size >= 1, got True"),
+        (("oftrl", 0.1, "entropy", "window", 3.0), {"predictor_param": 3}),
+        (("oftrl", 0.1, "entropy", "geometric"),
+         "predictor_param (discount) is required for the geometric predictor"),
+        (("oftrl", 0.1, "entropy", "geometric", 1.0),
+         "predictor_param must be a discount in [0, 1), got 1.0"),
+        (("oftrl", 0.1, "entropy", "geometric", math.nan),
+         "predictor_param must be a discount in [0, 1), got nan"),
+        (("oftrl", 0.1, "entropy", "geometric", 0), {"predictor_param": 0.0}),
+        (("oftrl", 0.1, "entropy", "last", 2),
+         "predictor_param only applies to window/geometric predictors"),
+    ], ids=["eta-negative", "eta-inf", "eta-bool", "eta-str", "eta-numpy", "algorithm",
+            "algorithm-none", "ftrl", "eta-none", "regularizer", "predictor",
+            "window-missing", "window-0", "window-2.5", "window-inf", "window-bool",
+            "window-3.0", "geometric-missing", "geometric-1", "geometric-nan",
+            "geometric-0", "param-unused"])
+    def test_invalid_hyperparameters(self, args, outcome):
+        """Each rule of a spec's values: a str outcome is the refusal's
+        message, a dict the fields (values and types) of the accepted spec."""
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError, match="^" + re.escape(outcome) + "$"):
+                LearnerSpec(*args)
+            return
+        spec = LearnerSpec(*args)
+        for key, value in outcome.items():
+            assert getattr(spec, key) == value
+            assert type(getattr(spec, key)) is type(value)
+
+    def test_learner_refusals_past_the_spec(self):
         with pytest.raises(RuntimeError, match="dynamics engine"):
             make_learner(LearnerSpec("bestresponse"), 2).play()  # no utilities set
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^omd requires eta$"):
             make_learner(LearnerSpec("omd", None, "entropy", "last"), 2)
 
 

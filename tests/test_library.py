@@ -16,7 +16,6 @@ import regretlab
 from regretlab import (
     build_game,
     lower_bound_experiment,
-    make_auction,
     make_matrix_game,
     make_random_game,
     make_random_smooth_game,
@@ -24,7 +23,7 @@ from regretlab import (
     splitmix64_stream,
     verify_smoothness,
 )
-from regretlab.auctions import AuctionSpec, uniform_values
+from regretlab.auctions import AuctionGame, AuctionSpec, uniform_values
 
 
 class TestSplitmix64:
@@ -116,7 +115,7 @@ class TestAuctionSmoothness:
         # the seller's revenue on the deviating side (the auctioneer is a
         # strategyless player, so its "deviation" utility is just its revenue
         # at s); the scan finds a witness among the pure bid pairs
-        g = make_auction(self.AUCTION)
+        g = AuctionGame(self.AUCTION)
         cert = verify_smoothness(g, 1.0 - 1.0 / math.e, 0.0)
         assert cert.verified
         assert cert.slack >= -1e-9
@@ -125,7 +124,7 @@ class TestAuctionSmoothness:
         # s* = both bid 1 fails at s = (bid 1, bid 2): both deviations lose
         # the tie-or-price fight (sum 0), the revenue residual is only 2, and
         # lam*Opt = 20(1 - 1/e) = 12.64, so the slack is 2 - 12.64
-        g = make_auction(self.AUCTION)
+        g = AuctionGame(self.AUCTION)
         cert = verify_smoothness(g, 1.0 - 1.0 / math.e, 0.0, (0, 0))
         assert not cert.verified
         assert cert.slack == pytest.approx(2.0 - 20.0 * (1.0 - 1.0 / math.e), abs=1e-12)
@@ -201,7 +200,7 @@ class TestBuildGame:
         games = [
             make_matrix_game([[1.0, 0.0], [0.0, 1.0]]),
             make_random_game(2, [3, 3], seed=8),
-            make_auction(AuctionSpec(2, 1, uniform_values(2, 1, 3.0), [1.0, 2.0])),
+            AuctionGame(AuctionSpec(2, 1, uniform_values(2, 1, 3.0), [1.0, 2.0])),
         ]
         prof2 = [np.array([0.25, 0.75]), np.array([0.5, 0.5])]
         for g in games:

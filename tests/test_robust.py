@@ -1,5 +1,6 @@
 """Tests for the doubling wrapper: epoch schedule, dual regret bound, tunings."""
 
+import io
 import math
 
 import numpy as np
@@ -320,6 +321,6 @@ class TestEngineIntegration:
         g = make_matrix_game(A_TILTED)
         tr = run(g, [wrap_doubling(OPT_HEDGE, 2, 0.05),
                      wrap_doubling(OPT_HEDGE, 2, 0.05)], 16)
-        back = read_trace_csv(write_trace_csv(tr))
+        back = read_trace_csv(io.StringIO(write_trace_csv(tr), newline=None))
         np.testing.assert_array_equal(back.plays[0], tr.plays[0])
         assert back.meta["learners"][0]["eta_star"] == 0.05

@@ -37,6 +37,7 @@ from .learners import (
     certify_stability,
     certify_variation_bound,
     declared_variation_bound,
+    declares_variation_bound,
     make_learner,
     variation_steps,
 )
@@ -150,6 +151,8 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     Each play is shape-checked when its learner returns it; the round's one
     all-players oracle call skips the profile check, and every row of every
     play is checked against the simplex once, when the trace is derived.
+    A run of more than ``games.DEFAULT_ENUM_CAP`` play cells (T * sum(d_i))
+    is refused before anything is allocated.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -158,6 +161,10 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     if mode not in ("utility", "cost"):
         raise ValueError(f"mode must be 'utility' or 'cost', got {mode!r}")
     n, dims = game.n, game.dims
+    if T * sum(dims) > games.DEFAULT_ENUM_CAP:
+        raise games.EnumerationCapError(
+            f"T = {T} rounds of {sum(dims)} strategies make {T * sum(dims)} play cells, "
+            f"above the enumeration cap {games.DEFAULT_ENUM_CAP}; refusing to allocate them")
     # per unit: (learner, players, play shape, slice of the oracle's block,
     # as_is); utility learners get 1 - c in cost mode, cost-native learners
     # get the costs: the oracle's value in cost mode, 1 - u otherwise
@@ -378,6 +385,9 @@ def report(trace: Trace, smoothness: SmoothnessCertificate | None = None,
 # 1.8 MB of text) in one chunk: the writer builds a file a chunk of rows at a
 # time, so its working memory beside the text does not grow with T
 _TRACE_CHUNK_ROWS = 1 << 10
+# rounds of parsed rows the reader holds before it writes them into the
+# trace's arrays as one block per player
+_READ_BLOCK_ROUNDS = 64
 
 
 def write_trace_rows(meta: dict, value_names, values, vector_name: str, vectors,
@@ -451,8 +461,10 @@ def read_trace_csv(source):
     naming it), or an open text file such as ``io.StringIO(text,
     newline=None)``; a line ends at ``\\n``, ``\\r\\n`` or ``\\r`` only.  A first
     pass counts the body's rows, so the row count is checked before any row; a
-    second splits them one line at a time.  The writer quotes no cell, so a
-    quoted one is an error naming its line.  Only the parsed arrays grow with T."""
+    second splits them one line at a time, parses each distinct cell of a row
+    once and fills the arrays a block of rounds at a time (``_parse_rows``).
+    The writer quotes no cell, so a quoted one is an error naming its line.
+    Only the parsed arrays grow with T."""
     with contextlib.nullcontext(source) if hasattr(source, "readline") \
             else open(source, encoding="utf-8") as fh:
         try:
@@ -503,23 +515,7 @@ def _parse_trace(first: str, count: int, rows):
     n, k = len(dims), len(kind.value_names)
     if count != n * T:
         raise ValueError(f"expected {n * T} data rows, found {count}")
-    vectors = [np.empty((T, d)) for d in dims]
-    stored = np.empty((T, n, k))
-    width = 2 + k + max(dims)
-    for r, row in enumerate(rows):
-        t, i = divmod(r, n)
-        d = dims[i]
-        try:
-            if row[:2] != [str(t + 1), str(i)]:
-                raise ValueError(f"expected round {t + 1}, player {i}; "
-                                 f"found {','.join(row[:2]) or 'an empty row'}")
-            if len(row) != width or "" in row[2 : 2 + k + d] or any(row[2 + k + d :]):
-                raise ValueError(f"expected {k} values and {d} {kind.vector_name} entries, "
-                                 f"padded with empty cells to {width} cells")
-            stored[t, i] = [float(x) for x in row[2 : 2 + k]]
-            vectors[i][t] = [float(x) for x in row[2 + k : 2 + k + d]]
-        except ValueError as exc:
-            raise ValueError(f"trace line {r + 3}: {exc}") from None
+    stored, vectors = _parse_rows(rows, T, k, dims, kind.vector_name)
     trace = derive(vectors, meta=meta)
     bad = ~np.isclose(stored, np.stack(_trace_values(trace), axis=1), rtol=1e-9, atol=1e-12)
     if bad.any():
@@ -527,6 +523,53 @@ def _parse_trace(first: str, count: int, rows):
         raise ValueError(f"trace line {t * n + i + 3}: stored {kind.value_names[c]} "
                          f"{float(stored[t, i, c])!r} does not match the {source}")
     return trace
+
+
+def _parse_rows(rows, T: int, k: int, dims, vector_name: str):
+    """The (T, n, k) stored values and the (T, d_i) vectors of a trace's
+    ``n * T`` body rows, each a list of cells: ``t, player``, k values and
+    d_i vector entries, padded with empty cells to the widest player's.
+
+    Each row parses each distinct cell string once (tied strategies repeat
+    their probabilities), in order of first appearance, so the first bad cell
+    is the one a cell-by-cell parse would meet; a row that repeats nothing
+    parses straight.  Parsed rows go into the arrays ``_READ_BLOCK_ROUNDS``
+    rounds at a time."""
+    n, width = len(dims), 2 + k + max(dims)
+    stored = np.empty((T, n, k))
+    vectors = [np.empty((T, d)) for d in dims]
+    # per player: its index, the text of its player cell and the end of its
+    # row's value cells
+    players = [(i, str(i), 2 + k + d) for i, d in enumerate(dims)]
+    rows = iter(rows)
+    for t0 in range(0, T, _READ_BLOCK_ROUNDS):
+        t1 = min(T, t0 + _READ_BLOCK_ROUNDS)
+        parsed = [[] for _ in dims]
+        for t in range(t0, t1):
+            round_ = str(t + 1)
+            for (i, player, end), row in zip(players, rows):
+                try:
+                    if row[:2] != [round_, player]:
+                        raise ValueError(f"expected round {t + 1}, player {i}; "
+                                         f"found {','.join(row[:2]) or 'an empty row'}")
+                    cells = row[2:end]
+                    memo = dict.fromkeys(cells)
+                    if len(row) != width or "" in memo or any(row[end:]):
+                        raise ValueError(f"expected {k} values and {dims[i]} {vector_name} "
+                                         f"entries, padded with empty cells to {width} cells")
+                    if len(memo) == len(cells):
+                        parsed[i].append(list(map(float, cells)))
+                    else:
+                        for x in memo:
+                            memo[x] = float(x)
+                        parsed[i].append(list(map(memo.__getitem__, cells)))
+                except ValueError as exc:
+                    raise ValueError(f"trace line {t * n + i + 3}: {exc}") from None
+        for i, block in enumerate(parsed):
+            block = np.array(block)
+            stored[t0:t1, i] = block[:, :k]
+            vectors[i][t0:t1] = block[:, k:]
+    return stored, vectors
 
 
 def _check_game_meta(meta: dict, n: int) -> None:
@@ -562,7 +605,8 @@ def _learner_meta(entry):
     """A ``learners`` entry of a trace's meta, by the one rule the reader,
     ``report`` and ``full_report`` share: None for none or a prebuilt learner
     (``algorithm`` its only key), ``(inner spec, alpha, eta_star)`` for a
-    doubling wrapper (``algorithm`` robust), else the entry's LearnerSpec."""
+    doubling wrapper (``algorithm`` robust, its inner spec declaring a
+    variation bound), else the entry's LearnerSpec."""
     if not entry or entry.keys() == {"algorithm"}:
         return None
     if entry.get("algorithm") != "robust":
@@ -574,6 +618,10 @@ def _learner_meta(entry):
         if not (_real(entry.get(key)) and 0.0 < entry[key] < math.inf):
             raise ValueError(f"{key} must be a positive finite number, got {entry.get(key)!r}")
     try:
-        return LearnerSpec.from_dict(inner), entry["alpha"], entry["eta_star"]
+        inner = LearnerSpec.from_dict(inner)
     except ValueError as exc:
         raise ValueError(f"inner.{exc}") from None
+    if not declares_variation_bound(inner):
+        raise ValueError(f"inner.algorithm {inner.algorithm!r} with predictor "
+                         f"{inner.predictor!r} declares no variation bound to wrap")
+    return inner, entry["alpha"], entry["eta_star"]

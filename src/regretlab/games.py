@@ -29,6 +29,9 @@ __all__ = [
     "DEFAULT_ENUM_CAP",
 ]
 
+# the one size cap on what an input may make the package enumerate or
+# allocate: a game's pure profiles or stored utilities, a run's T * sum(d_i)
+# play cells
 DEFAULT_ENUM_CAP = 10**7
 
 

@@ -648,3 +648,25 @@ def csv_trace_rows(meta, value_names, values, vector_name, vectors):
             writer.writerow([t + 1, i, *map(repr, vals[t].tolist()),
                              *map(repr, vec[t].tolist()), *pads[i]])
     return out.getvalue()
+
+
+def float_per_cell_trace(text, k, dims):
+    """The numbers of a trace file's body rows, one ``float()`` per cell in a
+    plain loop: ``stored[t][i]``, the k values of round t + 1's row of player
+    i, and ``vectors[i][t]``, the row's d_i vector entries."""
+    n = len(dims)
+    body = text.splitlines()[2:]
+    T = len(body) // n
+    stored = [[None] * n for _ in range(T)]
+    vectors = [[None] * T for _ in range(n)]
+    for r, line in enumerate(body):
+        t, i = divmod(r, n)
+        cells = line.split(",")
+        if cells[:2] != [str(t + 1), str(i)]:
+            raise ValueError(f"line {r + 3} is not round {t + 1}, player {i}")
+        numbers = []
+        for cell in cells[2:2 + k + dims[i]]:
+            numbers.append(float(cell))
+        stored[t][i] = numbers[:k]
+        vectors[i][t] = numbers[k:]
+    return stored, vectors

@@ -1034,3 +1034,122 @@ class TestTraceRowsMatchCsvWriter:
                                           tr.vector_name, tr.flows)
         assert path.read_bytes() == text.encode()
         assert write_trace_csv(read_trace_csv(str(path))) == text
+
+
+def bits(a):
+    """The int64 bit patterns of a float array: equal bits, not equal values."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestTraceReaderAgainstCellOracle:
+    """The reader's row loop (``dynamics._parse_rows``: each distinct cell of a
+    row parsed once, the arrays filled a block of rounds at a time) and
+    ``read_trace_csv`` against ``oracles.float_per_cell_trace``, one
+    ``float()`` per cell: the same bits."""
+
+    BLOCK = dynamics._READ_BLOCK_ROUNDS
+    CHUNK = dynamics._TRACE_CHUNK_ROWS // 2  # rounds per chunk of a two-player file
+
+    @staticmethod
+    def parse(text, k, dims):
+        """``_parse_rows`` of a trace text's body, checked against the oracle."""
+        body = text.splitlines()[2:]
+        stored, vectors = dynamics._parse_rows(
+            (line.split(",") for line in body), len(body) // len(dims), k, dims, "strategy")
+        want_stored, want_vectors = orc.float_per_cell_trace(text, k, dims)
+        np.testing.assert_array_equal(bits(stored), bits(want_stored))
+        for got, want in zip(vectors, want_vectors):
+            np.testing.assert_array_equal(bits(got), bits(want))
+        return stored, vectors
+
+    @staticmethod
+    def assert_reads_like_the_oracle(tr, text, back):
+        dims = [v.shape[1] for v in tr.plays]
+        _, want = orc.float_per_cell_trace(text, len(_TRACE_VALUES), dims)
+        for i in range(tr.n):
+            np.testing.assert_array_equal(bits(back.plays[i]), bits(want[i]))
+            np.testing.assert_array_equal(bits(back.plays[i]), bits(tr.plays[i]))
+            np.testing.assert_array_equal(bits(back.utilities[i]), bits(tr.utilities[i]))
+        np.testing.assert_array_equal(bits(back.welfare), bits(tr.welfare))
+        assert write_trace_csv(back) == text
+
+    @pytest.mark.parametrize("T", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3],
+                             ids=["one", "block-1", "block", "block+1", "2block+3"])
+    def test_repeated_signed_zeros_nans_infinities_and_denormals(self, T):
+        rng = np.random.default_rng(124)
+        # few distinct values, so most rows repeat cells; 0.0 and -0.0 are
+        # equal floats but different cells
+        pool = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 0.25])
+        values = [rng.choice(pool, (T, 3)) for _ in range(2)]
+        vectors = [rng.choice(pool, (T, 2)), rng.choice(pool, (T, 6))]
+        vectors[0][0] = (0.0, -0.0)
+        vectors[1][-1] = (-0.0, 0.0, -0.0, 0.0, np.inf, -np.inf)
+        text = write_trace_rows({"kind": "test", "T": T}, ("a", "b", "c"), values,
+                                "strategy", vectors)
+        stored, back = self.parse(text, 3, [2, 6])
+        np.testing.assert_array_equal(bits(stored), bits(np.stack(values, axis=1)))
+        for got, want in zip(back, vectors):
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("T", [1, BLOCK - 1, BLOCK + 1, CHUNK - 1, CHUNK + 1],
+                             ids=["one", "block-1", "block+1", "chunk-1", "chunk+1"])
+    def test_dense_trace_across_block_and_chunk_boundaries(self, T, tmp_path):
+        tr = run(make_random_game(2, [2, 3], seed=117), [opt_hedge(0.3), hedge(0.4)], T)
+        path = tmp_path / "trace.csv"
+        text = write_trace_csv(tr, str(path))
+        self.assert_reads_like_the_oracle(tr, text, read_trace_csv(str(path)))
+
+    def test_rectangular_padded_dense_trace(self):
+        tr = run(make_random_game(3, [2, 4, 3], seed=122), [opt_hedge(0.3)] * 3,
+                 self.BLOCK + 6)
+        text = write_trace_csv(tr)
+        assert text.splitlines()[2].endswith(",,")  # player 0 pads two cells
+        self.assert_reads_like_the_oracle(tr, text, read_text(text))
+
+    def test_auction_trace_of_tied_strategies(self):
+        g = AuctionGame(AuctionSpec(n=2, m=2, values=[[3.0, 1.0], [2.0, 2.0]],
+                                    bid_levels=[1.0, 2.0]))
+        tr = run(g, [opt_hedge(0.2), opt_hedge(0.2)], self.BLOCK + 1)
+        text = write_trace_csv(tr)
+        row = text.splitlines()[2].split(",")[6:]
+        assert len(set(row)) < len(row)  # round 1 plays uniformly
+        self.assert_reads_like_the_oracle(tr, text, read_text(text))
+
+    def test_routing_flows(self, tmp_path):
+        net = CongestionNetwork([("s", "t", 0.5, 0.1, 0.0), ("s", "t", 0.0, 1.0, 0.2)],
+                                [("s", "t", 1.0), ("s", "t", 2.0)])
+        tr = run_continuous(net, 0.05, self.BLOCK + 7)
+        path = tmp_path / "flows.csv"
+        text = write_trace_csv(tr, str(path))
+        back = read_trace_csv(str(path))
+        _, want = orc.float_per_cell_trace(text, len(tr.value_names),
+                                           [f.shape[1] for f in tr.flows])
+        for got, flows, oracle in zip(back.flows, tr.flows, want):
+            np.testing.assert_array_equal(bits(got), bits(oracle))
+            np.testing.assert_array_equal(bits(got), bits(flows))
+
+    @staticmethod
+    def read_edited(line, edit):
+        """``read_trace_csv`` of a 12-round, 2 x 3 strategy trace whose
+        ``line`` (1-based) had its cells replaced by ``edit(cells)``."""
+        tr = run(make_random_game(2, [2, 3], seed=117), [opt_hedge(0.3), hedge(0.4)], 12)
+        lines = write_trace_csv(tr).splitlines()
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        return read_text("\n".join(lines) + "\n")
+
+    def test_bad_cell_repeated_in_a_row_is_named_once(self):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "trace line 5: could not convert string to float: 'abc'") + "$"):
+            self.read_edited(5, lambda c: c[:6] + ["abc", "abc"] + c[8:])
+
+    def test_first_bad_cell_of_a_row_with_repeats_is_named(self):
+        # 'xyz' comes first in the row; 'abc' sorts first and repeats
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "trace line 6: could not convert string to float: 'xyz'") + "$"):
+            self.read_edited(6, lambda c: c[:5] + ["xyz", "abc", "abc", c[6]])
+
+    def test_empty_cell_among_repeats_is_a_width_error(self):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "trace line 4: expected 4 values and 3 strategy entries, padded with "
+                "empty cells to 9 cells") + "$"):
+            self.read_edited(4, lambda c: c[:6] + [c[6], c[6], ""])

@@ -31,6 +31,7 @@ from regretlab.experiment import (
     run_experiment,
     write_report_csv,
 )
+from regretlab.games import DEFAULT_ENUM_CAP
 from regretlab.learners import Certificate, LearnerSpec
 from regretlab.library import make_matrix_game, make_random_game
 from regretlab.robust import wrap_doubling
@@ -919,12 +920,16 @@ class TestCliReport:
         (meta_with_learner({"algorithm": "robust", "alpha": 1.0, "eta_star": "0.5",
                             "inner": {"algorithm": "oftrl", "eta": 0.1, "predictor": "last"}}),
          "metadata learners[1]: eta_star must be a positive finite number, got '0.5'"),
+        (meta_with_learner({"algorithm": "robust", "alpha": 1.0, "eta_star": 0.5,
+                            "inner": {"algorithm": "hedge", "eta": 0.1}}),
+         "metadata learners[1]: inner.algorithm 'hedge' with predictor 'none' declares "
+         "no variation bound to wrap"),
     ], ids=["no-T", "no-game", "T-string", "T-bool", "no-learners", "short-learners",
             "bad-mode", "list", "game-no-matrix", "matrix-dict", "smoothness-no-lambda",
             "mu-string", "smoothness-list", "s_star-int", "window-no-param",
             "geometric-no-param", "eta-list", "robust-no-inner", "no-algorithm",
             "eta-bool", "algorithm-unknown", "predictor-unknown", "window-fraction",
-            "robust-bad-inner", "robust-eta_star-string"])
+            "robust-bad-inner", "robust-eta_star-string", "robust-inner-without-bound"])
     def test_malformed_meta_exits_1(self, tmp_path, capsys, change, message):
         def edit(lines):
             meta = json.loads(lines[0][len("# meta="):])
@@ -1292,6 +1297,26 @@ class TestCliErrorBoundary:
                        f"[outputs]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
         self.assert_refused_at_once("simulate", str(cfg))
         assert not (tmp_path / "out").exists()
+
+    def test_run_above_the_cap(self, tmp_path):
+        # a refusal that failed would allocate 3.2 TB of plays: the child gets 2 GiB
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("[game]\ntype = matrix\nmatrix = 0.9,0.2;0.3,0.7\n"
+                       "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 100000000000\n"
+                       f"[outputs]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
+        start = time.perf_counter()
+        done = run_module("simulate", str(cfg), max_bytes=2 << 30)
+        self.assert_one_line_error(done, "T = 100000000000 rounds of 4 strategies make "
+                                   "400000000000 play cells, above the enumeration cap "
+                                   "10000000; refusing to allocate them")
+        assert time.perf_counter() - start < 20.0
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", [c for c in SHIPPED_CONFIGS if c != "routing.cfg"])
+    def test_shipped_runs_sit_far_below_the_cap(self, name):
+        spec = parse_config(read(os.path.join(CONFIG_DIR, name)))
+        game = build_game_from_config(spec.game)
+        assert spec.T * sum(game.dims) * 10 <= DEFAULT_ENUM_CAP
 
     def test_dense_csv_header_above_the_cap(self, tmp_path):
         # a refusal that failed would NaN-fill 2e10 cells: the child gets 2 GiB

@@ -7,9 +7,13 @@ The package is imported from ``--src``, so one copy of this script measures
 any checkout.  It runs ``configs/auction_fig1.cfg`` (of this repository) once
 through ``run_experiment`` into a temporary directory, then times, in each of
 ``REPEATS`` runs, ``write_trace_csv`` of the main-arm trace to a file,
-``read_trace_csv`` of that file and ``full_report`` of what was read.  A
-fresh process that reads, reports and writes the trace once reports its peak
-RSS.
+``read_trace_csv`` of that file and ``full_report`` of what was read.  Its
+rows repeat most cells: tied strategies play bit-identical probabilities.
+``dense_read_s`` times ``read_trace_csv`` of a trace whose rows repeat almost
+no cell: oftrl self-play (entropy, last-utility predictor, eta = 1/(2(n - 1)))
+on a seeded dense game, n = 4, d = 5, T = 5000, so 20,000 rows.  A fresh
+process that reads, reports and writes the auction trace once reports its
+peak RSS.
 
 The samples are merged under ``--label`` into ``BENCH_trace_io.json`` at the
 repository root by ``benchlib``, with the SHA-256 of the trace this checkout
@@ -26,10 +30,12 @@ import time
 import benchlib
 
 CONFIG = os.path.join(benchlib.ROOT, "configs", "auction_fig1.cfg")
-WHAT = ("trace CSV I/O on configs/auction_fig1.cfg's main-arm trace, wall-clock seconds; "
+WHAT = ("trace CSV I/O on configs/auction_fig1.cfg's main-arm trace, and read_trace_csv of "
+        "a dense n = 4, d = 5, T = 5000 oftrl self-play trace, wall-clock seconds; "
         "peak RSS of fresh processes")
-TIMINGS = ("write_s", "read_s", "full_report_s")
+TIMINGS = ("write_s", "read_s", "full_report_s", "dense_read_s")
 REPEATS = 7
+DENSE_T = 5000
 
 
 def _child(trace_path: str) -> None:
@@ -44,14 +50,20 @@ def _child(trace_path: str) -> None:
 
 def measure(src: str) -> dict:
     from regretlab.config import parse_config
-    from regretlab.dynamics import read_trace_csv, write_trace_csv
+    from regretlab.dynamics import read_trace_csv, run, write_trace_csv
     from regretlab.experiment import full_report, run_experiment
+    from regretlab.learners import LearnerSpec
+    from regretlab.library import make_random_game
 
     with open(CONFIG, encoding="utf-8") as fh:
         spec = parse_config(fh.read())
     samples = {name: [] for name in TIMINGS}
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = run_experiment(spec, out_dir=tmp)["artifacts"]["trace"]
+        dense_path = os.path.join(tmp, "dense.csv")
+        write_trace_csv(run(make_random_game(4, [5] * 4, seed=7),
+                            [LearnerSpec("oftrl", 1.0 / 6.0, "entropy", "last")] * 4, DENSE_T),
+                        dense_path)
         with open(trace_path, "rb") as fh:
             written = fh.read()
         trace = read_trace_csv(trace_path)
@@ -66,6 +78,9 @@ def measure(src: str) -> dict:
             start = time.perf_counter()
             full_report(back)
             samples["full_report_s"].append(time.perf_counter() - start)
+            start = time.perf_counter()
+            read_trace_csv(dense_path)
+            samples["dense_read_s"].append(time.perf_counter() - start)
         with open(copy, "rb") as fh:
             if fh.read() != written:
                 raise RuntimeError("write_trace_csv did not reproduce simulate's trace bytes")

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import DEFAULT_ENUM_CAP, EnumerationCapError, NormalFormGame, _check_profile
+from .games import (DEFAULT_ENUM_CAP, EnumerationCapError, NormalFormGame, _check_cap,
+                    _check_profile)
 
 __all__ = ["AuctionSpec", "AuctionGame"]
 
@@ -69,6 +70,8 @@ class AuctionGame(NormalFormGame):
         self.spec = spec
         self.m = spec.m
         self.nb = len(spec.bid_levels)
+        _check_cap(spec.n * self.m * self.nb, f"an auction of {spec.n} bidders, {self.m} "
+                   f"items and {self.nb} bid levels stores", "payoffs")
         d = self.m * self.nb
         max_v = float(spec.values.max())
         max_bid = float(spec.bid_levels[-1])

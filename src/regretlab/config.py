@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 
+from .games import _check_cap
 from .learners import _ALGORITHMS, _PREDICTORS, LearnerSpec, _choice, declares_variation_bound
 from .regularizers import _REGISTRY
 
@@ -182,6 +183,7 @@ def _bids(text, where):
         lo, hi = int(m.group(1)), int(m.group(2))
         if hi < lo:
             raise ValueError(f"{where} range {text!r} is empty")
+        _check_cap(hi - lo + 1, f"{where} range {text!r} has", "levels")
         levels = [float(b) for b in range(lo, hi + 1)]
     else:
         try:

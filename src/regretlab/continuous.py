@@ -4,7 +4,7 @@ Players divide a fixed flow amount across explicitly enumerated simple paths;
 costs are edge latency integrals c_i(w) = sum_e f_{i,e} * latency_e(f_e), and
 the per-path gradient is grad_{i,p} = sum_{e in p} [latency_e(f_e) +
 f_{i,e} * latency_e'(f_e)].  Each player runs the package's optimistic Hedge
-learner (``FtrlLearner`` with the entropy regularizer and the last-utility
+learner (the regularized step with the entropy and the last-utility
 predictor) on its negated gradients and routes its flow amount times that
 learner's play.  The certificate bounds the sum of linearized regrets, which
 dominates every player's true regret by convexity.
@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .learners import Certificate, FtrlLearner, LastUtility
-from .regularizers import NegativeEntropy, project_simplex
+from .games import _check_cap
+from .learners import Certificate, LearnerSpec, make_learner
+from .regularizers import project_simplex
 
 __all__ = [
     "CongestionNetwork",
@@ -271,18 +272,19 @@ class ContinuousTrace:
 
 
 def run_continuous(network: CongestionNetwork, eta: float, T: int) -> ContinuousTrace:
-    """Optimistic Hedge on costs: player i routes f_i times the play of an
-    ``FtrlLearner(|P_i|, NegativeEntropy(), eta, LastUtility(|P_i|))`` fed its
+    """Optimistic Hedge on costs: player i routes f_i times the play of a
+    ``make_learner(LearnerSpec("optimistic_hedge", eta), |P_i|)`` fed its
     negated path gradients, i.e. f_i * softmax(-eta * (sum of past gradients
     + last gradient)), starting from the uniform split.  Each round computes
     the edge loads once and the gradients from them; the flows are checked
-    and everything else derived once, over all T rounds."""
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    and everything else derived once, over all T rounds.  More than
+    ``DEFAULT_ENUM_CAP`` flow cells (T * sum |P_i|) are refused up front."""
+    spec = LearnerSpec("optimistic_hedge", eta)  # checks eta
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    learners = [FtrlLearner(len(p), NegativeEntropy(), eta, LastUtility(len(p)))
-                for p in network.paths]
+    width = sum(map(len, network.paths))
+    _check_cap(T * width, f"T = {T} rounds of {width} paths make", "play cells")
+    learners = [make_learner(spec, len(p)) for p in network.paths]
     flows = [np.empty((T, len(p))) for p in network.paths]
     for t in range(T):
         profile = [f * lr.play() for (_s, _t, f), lr in zip(network.players, learners)]

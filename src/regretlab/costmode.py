@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import SmoothnessCertificate
-from .learners import Certificate, FtrlLearner, OnlineLearner, ZeroPredictor
-from .regularizers import NegativeEntropy, _exp_weights
+from .learners import Certificate, ZeroPredictor, _RegularizedLearner
+from .regularizers import NegativeEntropy
 
 __all__ = [
     "CostHedge",
@@ -27,39 +27,30 @@ __all__ = [
 ]
 
 
-class CostHedge(OnlineLearner):
-    """Fixed-step Hedge over costs.
-
-    Implemented as the exact complement adapter around the utility-side
-    entropy leader: observing cost c feeds 1 - c to the inner learner, whose
-    play softmax(eta * sum(1 - c)) equals exponential weights on cumulative
-    cost by the shift invariance of softmax.  Because the complement is the
-    same float expression the dynamics engine applies for utility learners in
-    cost mode, the two produce bit-identical iterates.
-    """
+class CostHedge(_RegularizedLearner):
+    """Fixed-step Hedge over costs: the entropy step on the complements 1 - c,
+    whose play softmax(eta * sum(1 - c)) is exponential weights on cumulative
+    cost by the shift invariance of softmax.  The engine feeds utility
+    learners the same 1 - c in cost mode, so the two iterate bit for bit."""
 
     algorithm = "cost_hedge"
     feedback = "cost"
 
     def __init__(self, d: int, eta: float):
-        super().__init__(d)
-        self.eta = float(eta)
-        self.inner = FtrlLearner(d, NegativeEntropy(), eta, ZeroPredictor())
-
-    def _play(self) -> np.ndarray:
-        return self.inner.play()
+        super().__init__(d, NegativeEntropy(), eta, ZeroPredictor())
 
     def _observe(self, c: np.ndarray) -> None:
-        self.inner.observe(1.0 - c)
+        _RegularizedLearner._observe(self, 1.0 - c)
 
 
-class FirstOrderHedge(OnlineLearner):
+class FirstOrderHedge(_RegularizedLearner):
     """Cost-native Hedge with a first-order doubling schedule.
 
-    Weights are proportional to exp(-eta_r * cumulative epoch cost).  The
+    Weights are proportional to exp(-eta_r * cumulative epoch cost): the
+    entropy step on ``cumulative``, which holds minus the epoch's cost.  The
     budget L_r starts at 1 and doubles whenever the globally best strategy's
     cumulative cost exceeds it; each breach retunes eta_r = sqrt(ln d / L_r)
-    and restarts the epoch sums.  On a stream with a zero-cost strategy the
+    and restarts the epoch sum.  On a stream with a zero-cost strategy the
     budget never breaks, so regret stays bounded independent of T.
     """
 
@@ -67,31 +58,27 @@ class FirstOrderHedge(OnlineLearner):
     feedback = "cost"
 
     def __init__(self, d: int):
-        super().__init__(d)
-        self.budget = 1.0
+        super().__init__(d, NegativeEntropy(), 1.0, ZeroPredictor())  # eta: tuned below
+        self.budget, self.epoch = 1.0, 1
         self.global_cum = np.zeros(d)
-        self.epoch_cum = np.zeros(d)
-        self.epoch = 1
         self.eta = self._tuned_eta()
 
     def _tuned_eta(self) -> float:
         return math.sqrt(max(math.log(self.d), 1e-12) / self.budget)
 
-    def _play(self) -> np.ndarray:
-        return _exp_weights(-self.eta * self.epoch_cum, "cumulative cost vector")
-
     def _observe(self, c: np.ndarray) -> None:
-        if c.min() < -1e-12 or c.max() > 1.0 + 1e-12:
-            raise ValueError(f"costs must lie in [0,1], got [{c.min()}, {c.max()}]")
-        self.global_cum = self.global_cum + c
-        self.epoch_cum = self.epoch_cum + c
+        bad = [x for x in c.tolist() if not -1e-12 <= x <= 1.0 + 1e-12]  # NaN too
+        if bad:
+            raise ValueError(f"costs must lie in [0,1], got {bad[0]}")
+        self.cumulative -= c
+        self.global_cum += c
         best = float(self.global_cum.min())
         if best > self.budget:
             while best > self.budget:
                 self.budget *= 2.0
             self.epoch += 1
             self.eta = self._tuned_eta()
-            self.epoch_cum = np.zeros(self.d)
+            self.cumulative.fill(0.0)
 
 
 @dataclass

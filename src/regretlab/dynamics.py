@@ -32,7 +32,7 @@ from .learners import (
     Certificate,
     LearnerSpec,
     OnlineLearner,
-    _real,
+    _positive_finite,
     _regularized_learner,
     certify_stability,
     certify_variation_bound,
@@ -161,10 +161,8 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     if mode not in ("utility", "cost"):
         raise ValueError(f"mode must be 'utility' or 'cost', got {mode!r}")
     n, dims = game.n, game.dims
-    if T * sum(dims) > games.DEFAULT_ENUM_CAP:
-        raise games.EnumerationCapError(
-            f"T = {T} rounds of {sum(dims)} strategies make {T * sum(dims)} play cells, "
-            f"above the enumeration cap {games.DEFAULT_ENUM_CAP}; refusing to allocate them")
+    games._check_cap(T * sum(dims), f"T = {T} rounds of {sum(dims)} strategies make",
+                     "play cells")
     # per unit: (learner, players, play shape, slice of the oracle's block,
     # as_is); utility learners get 1 - c in cost mode, cost-native learners
     # get the costs: the oracle's value in cost mode, 1 - u otherwise
@@ -615,8 +613,7 @@ def _learner_meta(entry):
     if not isinstance(inner, dict):
         raise ValueError(f"inner must be a learner spec object, got {inner!r}")
     for key in ("alpha", "eta_star"):
-        if not (_real(entry.get(key)) and 0.0 < entry[key] < math.inf):
-            raise ValueError(f"{key} must be a positive finite number, got {entry.get(key)!r}")
+        _positive_finite(key, entry.get(key))
     try:
         inner = LearnerSpec.from_dict(inner)
     except ValueError as exc:

@@ -40,6 +40,13 @@ class EnumerationCapError(ValueError):
     exceed the enumeration cap (a ValueError: the input is too large)."""
 
 
+def _check_cap(count: int, head: str, noun: str) -> None:
+    """The size rule: refuse ``count`` cells above the cap before allocating."""
+    if count > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(f"{head} {count} {noun}, above the enumeration cap "
+                                  f"{DEFAULT_ENUM_CAP}; refusing to allocate them")
+
+
 class UtilityRangeError(ValueError):
     """A player's normalized expected utilities escape [0, 1]."""
 
@@ -449,10 +456,8 @@ def load_dense_csv(text: str) -> DenseGame:
     if n < 1 or len(dims) != n or min(dims) < 1:
         raise ValueError(f"dense-game line {rows[0][0]}: header gives n={n} and counts "
                          f"{dims}; expected n >= 1 and n counts, each >= 1")
-    if n * math.prod(dims) > DEFAULT_ENUM_CAP:
-        raise EnumerationCapError(f"dense-game line {rows[0][0]}: header asks for "
-                                  f"{n * math.prod(dims)} utilities, above the enumeration "
-                                  f"cap {DEFAULT_ENUM_CAP}; refusing to allocate them")
+    _check_cap(n * math.prod(dims), f"dense-game line {rows[0][0]}: header asks for",
+               "utilities")
     tensors, seen = [np.full(dims, np.nan) for _ in range(n)], set()
     for ln, r in rows[1:]:
         if len(r) != 2 * n:

@@ -218,9 +218,9 @@ class OnlineLearner:
 
 
 class _RegularizedLearner(OnlineLearner):
-    """The step FTRL and OMD share: play argmax_w <w, G + M^t> - R(w)/eta,
-    where G is the cumulative utility (updated in place) and M^t the
-    predictor's value, then add the observed utility to G."""
+    """The step FTRL, OMD and the cost learners share: play argmax_w <w, G +
+    M^t> - R(w)/eta, where G is the cumulative utility (updated in place) and
+    M^t the predictor's value, then add the observed utility to G."""
 
     def __init__(self, d: int, regularizer, eta: float, predictor, *, _lead: tuple = ()):
         super().__init__(d, _lead=_lead)
@@ -322,6 +322,12 @@ def _choice(value, where, choices):
 
 def _real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _positive_finite(key: str, x) -> None:
+    """A doubling wrapper's rule for alpha and eta_star, built or read back."""
+    if not (_real(x) and 0.0 < x < math.inf):
+        raise ValueError(f"{key} must be a positive finite number, got {x!r}")
 
 
 @dataclass

@@ -130,15 +130,14 @@ def lower_bound_experiment(eta: float, T: int) -> LowerBoundResult:
 
     trace_a = run(make_matrix_game(np.eye(2)), specs, T)
     trace_ap = run(make_matrix_game(np.array([[1.0], [0.0]])), specs, T)
-    e = float(np.exp(eta))
+    q = math.exp(-eta)  # (e^eta - 1)/(e^eta + 1) as (1 - q)/(1 + q): no overflow
     return LowerBoundResult(
         eta=eta,
         T=T,
         r_game_A=regret(trace_a, 0),
         r_game_Aprime=regret(trace_ap, 0),
-        closed_form_A=(T / 2.0) * (e - 1.0) / (e + 1.0),
-        closed_form_Aprime_lb=float(
-            (1.0 - math.exp(-T * eta)) / (2.0 * (1.0 - math.exp(-eta)))),
+        closed_form_A=(T / 2.0) * (1.0 - q) / (1.0 + q),
+        closed_form_Aprime_lb=(1.0 - math.exp(-T * eta)) / (2.0 * (1.0 - q)),
     )
 
 

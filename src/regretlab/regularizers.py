@@ -20,7 +20,7 @@ __all__ = [
 ]
 
 
-def _exp_weights(z: np.ndarray, what: str = "cumulative utility vector") -> np.ndarray:
+def _exp_weights(z: np.ndarray) -> np.ndarray:
     """Overwrite the fresh float vector ``z`` with exp(z - max z), normalized;
     a (k, d) block is taken row by row, each row bitwise as on its own.
 
@@ -33,13 +33,13 @@ def _exp_weights(z: np.ndarray, what: str = "cumulative utility vector") -> np.n
     if z.ndim == 1:
         vals = z.tolist()
         if not all(map(math.isfinite, vals)):
-            raise ValueError(f"{what} contains non-finite entries")
+            raise ValueError("cumulative utility vector contains non-finite entries")
         z -= max(vals)
         np.exp(z, out=z)
         z /= np.add.reduce(z)
         return z
     if not np.isfinite(z).all():
-        raise ValueError(f"{what} contains non-finite entries")
+        raise ValueError("cumulative utility vector contains non-finite entries")
     z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis=-1, keepdims=True)

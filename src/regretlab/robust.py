@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .learners import (Certificate, OnlineLearner, _comparator_regret,
+from .learners import (Certificate, OnlineLearner, _comparator_regret, _positive_finite,
                        declared_variation_bound, make_learner, variation_sums)
 
 __all__ = ["DoublingWrapper", "wrap_doubling", "parametric_constants",
@@ -43,10 +43,8 @@ class DoublingWrapper(OnlineLearner):
         if alpha is None:
             alpha = parametric_constants(spec, d)[0]
         super().__init__(d)
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        if eta_star <= 0:
-            raise ValueError(f"eta_star must be positive, got {eta_star}")
+        for key, x in (("alpha", alpha), ("eta_star", eta_star)):
+            _positive_finite(key, x)
         self.inner_spec = spec
         self.alpha = float(alpha)
         self.eta_star = float(eta_star)

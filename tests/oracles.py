@@ -363,6 +363,60 @@ def optimistic_learner_plays(algorithm, regularizer, eta, kind, param, stream):
 
 
 # ---------------------------------------------------------------------------
+# Cost-native Hedge: the schedules as plain loops over lists, two fresh sums a
+# round.  Only the weights go through numpy, as exp(z - max z) / sum, the
+# expression the library's exponential weights are bitwise equal to, so plays
+# compare bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def numpy_exp_weights(z):
+    import numpy as np  # local: the rest of this module is numpy-free
+
+    z = np.array(z, dtype=float)
+    e = np.exp(z - z.max())
+    return (e / e.sum()).tolist()
+
+
+def first_order_hedge_reference(costs):
+    """First-order Hedge on a cost stream.  Each round plays the weights of
+    -eta * (the epoch's summed cost), then adds the cost to the global and the
+    epoch sums; when the best global sum exceeds the budget (first 1), the
+    budget doubles until it does not, eta becomes sqrt(max(ln d, 1e-12) /
+    budget) and the epoch sum restarts at zero.  Returns the plays and the
+    (budget, epoch, eta) after each round."""
+    d = len(costs[0])
+    budget, epoch = 1.0, 1
+    eta = math.sqrt(max(math.log(d), 1e-12) / budget)
+    total, epoch_sum = [0.0] * d, [0.0] * d
+    plays, states = [], []
+    for c in costs:
+        plays.append(numpy_exp_weights([-eta * x for x in epoch_sum]))
+        total = [a + b for a, b in zip(total, c)]
+        epoch_sum = [a + b for a, b in zip(epoch_sum, c)]
+        best = min(total)
+        if best > budget:
+            while best > budget:
+                budget *= 2.0
+            epoch += 1
+            eta = math.sqrt(max(math.log(d), 1e-12) / budget)
+            epoch_sum = [0.0] * d
+        states.append((budget, epoch, eta))
+    return plays, states
+
+
+def cost_hedge_reference(costs, eta):
+    """Fixed-step Hedge on a cost stream: each round plays the weights of
+    eta * (the summed complements 1 - c of the costs seen so far)."""
+    cum = [0.0] * len(costs[0])
+    plays = []
+    for c in costs:
+        plays.append(numpy_exp_weights([eta * x for x in cum]))
+        cum = [a + (1.0 - b) for a, b in zip(cum, c)]
+    return plays
+
+
+# ---------------------------------------------------------------------------
 # Regret / variation recomputation from raw trace arrays.
 # ---------------------------------------------------------------------------
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from regretlab import continuous
+from regretlab import continuous, learners
 from regretlab.continuous import (
     CongestionNetwork,
     certify_total_regret,
@@ -368,12 +368,12 @@ class TestDynamics:
     def test_infeasible_flows_are_rejected_after_the_loop(self, monkeypatch, bad_round):
         # a learner that drifts off the simplex in one round: its flows no
         # longer sum to the player's amount, and run_continuous must say so
-        class Drifting(continuous.FtrlLearner):
+        class Drifting(learners.FtrlLearner):
             def _play(self):
                 w = super()._play()
                 return w * 1.5 if self.t == bad_round else w
 
-        monkeypatch.setattr(continuous, "FtrlLearner", Drifting)
+        monkeypatch.setattr(learners, "FtrlLearner", Drifting)
         with pytest.raises(ValueError,
                            match=r"^player 0: path flows must be >= 0 and sum to 1\.5$"):
             run_continuous(parse_network(QUAD_NETWORK), 0.05, 10)

@@ -93,6 +93,14 @@ class TestFirstOrderHedge:
         with pytest.raises(ValueError, match=r"\[0,1\]"):
             h.observe(np.array([1.5, 0.0]))
 
+    @pytest.mark.parametrize("c", [[math.nan, 0.5], [0.5, math.nan], [0.2, 0.3, math.nan],
+                                   [0.0, math.inf]])
+    def test_rejects_a_non_finite_cost_at_any_position(self, c):
+        h = FirstOrderHedge(len(c))
+        h.play()
+        with pytest.raises(ValueError, match=r"^costs must lie in \[0,1\], got (nan|inf)$"):
+            h.observe(c)
+
     def test_adversarial_streams_stay_within_a_first_order_envelope(self):
         # regret / sqrt(ln d * best cumulative cost) bounded by a small
         # constant across deterministic pseudo-random streams
@@ -127,6 +135,50 @@ class TestCostHedge:
         h = CostHedge(2, 0.5)
         plays = drive(h, np.tile([0.1, 0.9], (30, 1)))
         assert plays[-1][0] > 0.95
+
+
+def reference_streams(d, seed, T=240):
+    """Seeded uniform [0, 1) costs, the same with about 30% exact zeros, and
+    the same with arm 0 free in every round."""
+    rng = np.random.default_rng(seed)
+    costs = rng.random((T, d))
+    zeros = np.where(rng.random((T, d)) < 0.3, 0.0, costs)
+    free = costs.copy()
+    free[:, 0] = 0.0
+    return {"uniform": costs, "exact_zeros": zeros, "zero_cost_arm": free}
+
+
+class TestAgainstReferences:
+    """Both cost learners against the plain-loop references in ``oracles``:
+    bitwise equal plays, and for first-order Hedge the same budget, epoch and
+    eta after every round, over d = 1..8."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_first_order_hedge_matches_its_reference_bitwise(self, d):
+        breaches = 0
+        for seed in (d, 100 + d):
+            for name, costs in reference_streams(d, seed).items():
+                plays, states = orc.first_order_hedge_reference(costs.tolist())
+                h = FirstOrderHedge(d)
+                for t, c in enumerate(costs):
+                    np.testing.assert_array_equal(h.play(), plays[t],
+                                                  err_msg=f"{name}, seed {seed}, round {t + 1}")
+                    h.observe(c)
+                    assert (h.budget, h.epoch, h.eta) == states[t], (name, seed, t + 1)
+                if name == "zero_cost_arm" and d > 1:
+                    assert h.epoch == 1  # the free arm keeps the best sum at 0
+                breaches += h.epoch - 1
+        assert breaches >= 20  # several per breaking stream
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("eta", [0.05, 0.4, 3.0])
+    def test_cost_hedge_matches_its_reference_bitwise(self, d, eta):
+        for name, costs in reference_streams(d, 7 * d).items():
+            plays = orc.cost_hedge_reference(costs.tolist(), eta)
+            h = CostHedge(d, eta)
+            for t, c in enumerate(costs):
+                np.testing.assert_array_equal(h.play(), plays[t], err_msg=f"{name}, round {t + 1}")
+                h.observe(c)
 
 
 class TestOptMinCost:

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -1044,6 +1045,15 @@ class TestCliLowerbound:
         assert code == 1
         assert "positive even integer" in capsys.readouterr().err
 
+    def test_large_eta_closed_forms_stay_finite(self, capsys):
+        # (e^eta - 1)/(e^eta + 1) overflowed to nan at eta = 1000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["lowerbound", "--eta", "1000", "--T", "10"]) == 0
+        out = capsys.readouterr().out
+        assert "closed_form_identity=5.0\n" in out
+        assert "closed_form_degenerate_floor=0.5\n" in out
+
     def test_nonpositive_eta_exits_1(self, capsys):
         code = main(["lowerbound", "--eta", "-1", "--T", "10"])
         assert code == 1
@@ -1311,6 +1321,59 @@ class TestCliErrorBoundary:
                                    "10000000; refusing to allocate them")
         assert time.perf_counter() - start < 20.0
         assert not (tmp_path / "out").exists()
+
+    def test_routing_run_above_the_cap(self, tmp_path):
+        # a refusal that failed would allocate 1.46 TiB of flows: the child gets 2 GiB
+        shutil.copy(os.path.join(CONFIG_DIR, "network_parallel.txt"), tmp_path)
+        cfg = write_cfg(tmp_path, "[game]\ntype = network\npath = network_parallel.txt\n"
+                        "[learner]\nalgorithm = oftrl\npredictor = last\n"
+                        f"[run]\nT = 100000000000\n[outputs]\ndir = {tmp_path / 'out'}\n")
+        start = time.perf_counter()
+        done = run_module("simulate", cfg, max_bytes=2 << 30)
+        self.assert_one_line_error(done, "T = 100000000000 rounds of 4 paths make "
+                                   "400000000000 play cells, above the enumeration cap "
+                                   "10000000; refusing to allocate them")
+        assert time.perf_counter() - start < 20.0
+        assert not (tmp_path / "out").exists()
+
+    AUCTION_CFG = ("[game]\ntype = auction\nbidders = {}\nitems = {}\nvalue = 20\n"
+                   "bids = {}\n[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 10\n")
+
+    def test_bid_range_above_the_cap(self, tmp_path):
+        # a refusal that failed would list 1e11 bid levels: the child gets 2 GiB
+        cfg = write_cfg(tmp_path, self.AUCTION_CFG.format(2, 1, "1..100000000000")
+                        + f"[outputs]\ndir = {tmp_path / 'out'}\n")
+        start = time.perf_counter()
+        done = run_module("simulate", cfg, max_bytes=2 << 30)
+        assert done.returncode == 1 and "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == [
+            f"error: {cfg} is not a valid config:",
+            "  line 6: game.bids range '1..100000000000' has 100000000000 levels, above "
+            "the enumeration cap 10000000; refusing to allocate them"]
+        assert time.perf_counter() - start < 20.0
+        assert not (tmp_path / "out").exists()
+
+    AUCTION_CAP_MESSAGE = ("an auction of 400 bidders, 400 items and 2000 bid levels stores "
+                           "320000000 payoffs, above the enumeration cap 10000000; refusing "
+                           "to allocate them")
+
+    def test_auction_payoffs_above_the_cap(self, tmp_path):
+        # a refusal that failed would store 2.38 GiB of payoffs: the child gets 2 GiB
+        cfg = write_cfg(tmp_path, self.AUCTION_CFG.format(400, 400, "1..2000")
+                        + f"[outputs]\ndir = {tmp_path / 'out'}\n")
+        start = time.perf_counter()
+        done = run_module("simulate", cfg, max_bytes=2 << 30)
+        self.assert_one_line_error(done, self.AUCTION_CAP_MESSAGE)
+        assert time.perf_counter() - start < 20.0
+        assert not (tmp_path / "out").exists()
+
+    def test_auction_payoffs_above_the_cap_in_a_trace(self, tmp_path):
+        trace = self.random_game_trace(tmp_path, lambda g: {
+            "kind": "auction", "n": 400, "m": 400, "values": [[20.0] * 400] * 400,
+            "bid_levels": [float(b) for b in range(1, 2001)]})
+        done = run_module("report", trace, max_bytes=2 << 30)
+        self.assert_one_line_error(done, f"trace line 1: metadata game: "
+                                   f"{self.AUCTION_CAP_MESSAGE}")
 
     @pytest.mark.parametrize("name", [c for c in SHIPPED_CONFIGS if c != "routing.cfg"])
     def test_shipped_runs_sit_far_below_the_cap(self, name):

@@ -73,6 +73,20 @@ class TestWrapperConstruction:
         with pytest.raises(ValueError, match="eta_star"):
             wrap_doubling(OPT_HEDGE, 2, eta_star=-1.0)
 
+    @pytest.mark.parametrize("key, kwargs", [
+        ("eta_star", {"eta_star": math.nan}),
+        ("eta_star", {"eta_star": math.inf}),
+        ("alpha", {"eta_star": 0.1, "alpha": math.inf}),
+        ("alpha", {"eta_star": 0.1, "alpha": math.nan}),
+    ])
+    def test_rejects_non_finite_parameters(self, key, kwargs):
+        # by the rule and the words of a trace's metadata, which would refuse
+        # the trace such a wrapper writes
+        bad = kwargs[key]
+        with pytest.raises(ValueError,
+                           match=rf"^{key} must be a positive finite number, got {bad}$"):
+            wrap_doubling(OPT_HEDGE, 2, **kwargs)
+
     def test_rejects_non_step_size_learners(self):
         with pytest.raises(ValueError, match="step-size"):
             wrap_doubling(LearnerSpec("bestresponse"), 2, eta_star=0.1)

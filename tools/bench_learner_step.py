@@ -16,9 +16,11 @@ wall clock per step in microseconds:
 - ``group_oftrl_entropy_last_4x5_us``: the one learner the engine builds for
   four players who share an optimistic Hedge spec over 5 strategies
   (``dynamics._units``), stepping on (4, 5) blocks; one step is one play and
-  one observe of the whole group.
+  one observe of the whole group;
+- ``first_order_hedge_us``: ``make_learner(LearnerSpec("first_order_hedge"),
+  3)``, which reads the stream as costs and tunes its own step size.
 
-Every learner runs at eta = 0.1.  A fresh process that runs one sample of
+Every other learner runs at eta = 0.1.  A fresh process that runs one sample of
 each reports its peak RSS.  The samples are merged under ``--label`` into
 ``BENCH_learner_step.json`` at the repository root by ``benchlib``.  Only
 the standard library and numpy are used.
@@ -35,10 +37,11 @@ import benchlib
 
 WHAT = ("one play + observe of make_learner(spec, 3) for oftrl/entropy/window-5, "
         "omd/entropy/last and omd/euclidean/last, and of the engine's group of four "
-        "optimistic Hedge players over 5 strategies, microseconds per step, wall clock; "
+        "optimistic Hedge players over 5 strategies, and of first-order Hedge over 3 "
+        "strategies, microseconds per step, wall clock; "
         "peak RSS of a fresh process")
 TIMINGS = ("oftrl_entropy_window5_us", "omd_entropy_last_us", "omd_euclidean_last_us",
-           "group_oftrl_entropy_last_4x5_us")
+           "group_oftrl_entropy_last_4x5_us", "first_order_hedge_us")
 REPEATS = 5
 STEPS = 20000
 ETA = 0.1
@@ -61,6 +64,7 @@ def _builders() -> dict:
         "omd_entropy_last_us": single("omd", ETA, "entropy", "last"),
         "omd_euclidean_last_us": single("omd", ETA, "euclidean", "last"),
         "group_oftrl_entropy_last_4x5_us": (group, (4, 5)),
+        "first_order_hedge_us": single("first_order_hedge"),
     }
 
 

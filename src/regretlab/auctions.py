@@ -105,10 +105,6 @@ class AuctionGame(NormalFormGame):
         return win
 
     # -- oracles ---------------------------------------------------------------
-    def raw_expected_utilities(self, i: int, profile) -> np.ndarray:
-        win = self._win_probabilities(profile)[i]
-        return (self._payoff[i] * win).reshape(win.shape[:-2] + (self.dims[i],))
-
     def _raw_block(self, profile, win=None) -> tuple:
         """Every bidder's raw utilities, computed in place of ``win`` (the
         profile's ``_win_probabilities`` unless given)."""

@@ -452,8 +452,8 @@ def read_trace_csv(source):
     game needs a positive finite float ``eta`` and, if given, a ``mode`` of
     routing; any other game needs one ``learners`` object per player (see
     ``_learner_meta``) and, if given, a ``mode`` of utility or cost and a
-    ``smoothness`` object with numeric ``lambda`` and ``mu`` and an optional
-    list of int ``s_star``.
+    ``smoothness`` object with finite numbers ``lambda`` > 0 and ``mu`` >= 0
+    and an optional list of int ``s_star``.
 
     ``source`` is a path, read as UTF-8 (a file that is not is a ``ValueError``
     naming it), or an open text file such as ``io.StringIO(text,
@@ -578,10 +578,14 @@ def _check_game_meta(meta: dict, n: int) -> None:
     claim = meta.get("smoothness") or {}
     if not isinstance(claim, dict):
         raise ValueError(f"trace line 1: metadata smoothness must be an object, got {claim!r}")
-    for key in ("lambda", "mu") if claim else ():
+    rules = {"lambda": "positive and finite", "mu": "finite and >= 0"}  # as in a config
+    for key, rule in rules.items() if claim else ():
         value = claim.get(key)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"trace line 1: metadata smoothness {key} must be a number, "
+                             f"got {value!r}")
+        if not (math.isfinite(value) and (value > 0 if key == "lambda" else value >= 0)):
+            raise ValueError(f"trace line 1: metadata smoothness {key} must be {rule}, "
                              f"got {value!r}")
     s_star = claim.get("s_star")
     if s_star is not None and not (isinstance(s_star, list)

@@ -81,17 +81,14 @@ def build_game_from_config(game: dict):
 
 def _arm_players(game, specs, robust):
     """Per-player learner list for the engine; wrapped when [robust] asks and
-    the player's family declares variation-bound constants."""
+    the player's family declares variation-bound constants.  A player with
+    one strategy stays unwrapped: its regret is 0, and its alpha (ln 1) is
+    no step-size scale."""
     if robust is None:
         return list(specs)
-    players = []
-    for i, s in enumerate(specs):
-        if declares_variation_bound(s):
-            players.append(wrap_doubling(s, game.dims[i], robust.eta_star,
-                                         robust.alpha))
-        else:
-            players.append(s)
-    return players
+    return [wrap_doubling(s, d, robust.eta_star, robust.alpha)
+            if d >= 2 and declares_variation_bound(s) else s
+            for s, d in zip(specs, game.dims)]
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +99,7 @@ def full_report(trace, tol: float = 1e-9):
     """dynamics.report plus every certificate the trace's metadata claims:
     the smoothness claim itself, the welfare floor (utility mode) or the
     first-order cost-welfare bound (cost mode), and the wrapped-learner dual
-    bound for doubling-wrapped players.  A routing trace gets its
+    bound for doubling-wrapped players (T >= 2).  A routing trace gets its
     ``continuous.routing_report``."""
     if isinstance(trace, continuous.ContinuousTrace):
         return continuous.routing_report(trace)
@@ -113,9 +110,9 @@ def full_report(trace, tol: float = 1e-9):
     if claim:
         smooth_cert = verify_smoothness(build_game(trace.meta["game"]), claim["lambda"],
                                         claim["mu"], claim.get("s_star"), mode=mode)
-        claim_cert = Certificate(
+        claim_cert = Certificate(  # 0 <= slack is the claim
             "smoothness_claim", bool(smooth_cert.verified),
-            smooth_cert.slack, 0.0,
+            0.0, smooth_cert.slack,
             {"lambda": claim["lambda"], "mu": claim["mu"],
              "s_star": list(smooth_cert.s_star),
              "worst_profile": list(smooth_cert.worst_profile),
@@ -139,7 +136,7 @@ def full_report(trace, tol: float = 1e-9):
         rep.extras["first_order_A2"] = constants.A2
 
     for i, entry in enumerate(map(_learner_meta, trace.meta.get("learners", []))):
-        if not isinstance(entry, tuple):
+        if not isinstance(entry, tuple) or trace.T < 2:  # the bound needs T >= 2
             continue
         inner, alpha, eta_star = entry
         _, beta, gamma, pair = parametric_constants(inner, trace.plays[i].shape[1])

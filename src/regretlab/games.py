@@ -80,17 +80,6 @@ class _Utilities(list):
     __slots__ = ("block",)
 
 
-def _contract(t: np.ndarray, strategies) -> np.ndarray:
-    """Contract every axis of ``t`` but the first with ``strategies`` (shapes
-    L + (d,), one per trailing axis), from the last axis down: shape
-    L + t.shape[:1], or ``t`` itself when there are none."""
-    k = t.ndim
-    for w in reversed(strategies):
-        t = (t @ w.reshape(w.shape[:-1] + (1,) * (k - 2) + (w.shape[-1], 1)))[..., 0]
-        k -= 1
-    return t
-
-
 def _utility_sum(profile, raw) -> np.ndarray:
     """sum_i <w_i, u_i> of strategies and raw utilities along their leading
     shape L, each row on its own: the welfare when it is the utility sum."""
@@ -99,7 +88,8 @@ def _utility_sum(profile, raw) -> np.ndarray:
 
 
 class NormalFormGame:
-    """Base interface; concrete games implement the raw oracles and ``_utilities_and_welfare``."""
+    """Base interface; concrete games implement ``_raw_block``, the raw oracles
+    and ``_utilities_and_welfare``."""
 
     kind = "abstract"
 
@@ -116,8 +106,14 @@ class NormalFormGame:
         self._slices = [slice(end - d, end) for d, end in zip(self.dims, accumulate(self.dims))]
 
     # -- raw-unit oracles (implemented by subclasses), along a leading shape L
-    def raw_expected_utilities(self, i: int, profile) -> np.ndarray:
+    def _raw_block(self, profile) -> tuple:
+        """(flat block, L + (d_i,) views): every player's raw utilities, player
+        after player."""
         raise NotImplementedError
+
+    def raw_expected_utilities(self, i: int, profile) -> np.ndarray:
+        """Player i's raw utilities, shape L + (d_i,): its view of the raw block."""
+        return self._raw_block(profile)[1][i]
 
     def welfare_mixed(self, profile):
         """Expected raw welfare under the product distribution (float if L = ())."""
@@ -162,17 +158,9 @@ class NormalFormGame:
         return self._check_range(i, self.normalize(self.raw_expected_utilities(i, profile)))
 
     def _all_normalized_utilities(self, profile) -> list:
-        """Every player's ``_normalized_utilities`` in one call: bit for bit for
-        n <= 2 and auctions, within a few ulp on ``DenseGame``'s n >= 3
-        Kronecker path (its matmuls sum in another order)."""
+        """Every player's ``_normalized_utilities`` in one call, bit for bit,
+        each row of L bit for bit as it is on its own."""
         return self._normalized_block(*self._raw_block(profile))
-
-    def _raw_block(self, profile) -> tuple:
-        """(flat block, L + (d_i,) views): every player's raw utilities, player
-        after player; here each player's ``raw_expected_utilities``."""
-        block = np.concatenate([self.raw_expected_utilities(i, profile).reshape(-1)
-                                for i in range(self.n)])
-        return block, self._player_views(block, np.shape(profile[0])[:-1])
 
     def _player_views(self, block: np.ndarray, lead: tuple) -> list:
         """Every player's L + (d_i,) view into a flat block, player after player
@@ -214,38 +202,39 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
 
 
-def _leave_one_out(ws) -> list:
-    """K_i = w_0 (x) ... (x) w_{i-1} (x) w_{i+1} (x) ... (x) w_{n-1} for every
-    player i of n >= 3, row by row, from shared prefix and suffix products."""
+def _leave_one_out(ws, players) -> list:
+    """K_i = w_0 (x) ... (x) w_{i-1} (x) w_{i+1} (x) ... (x) w_{n-1} for each
+    player i in ``players``, row by row, a (rows, 1) column of ones for n = 1:
+    prefix (x) suffix, from prefixes taken left to right and suffixes right to
+    left, shared by the players, so K_i's bits do not depend on who else asks."""
     n = len(ws)
-    pre, suf = [ws[0]], [ws[-1]]
-    for i in range(1, n - 1):
-        pre.append(_outer(pre[-1], ws[i]))  # pre[i] = w_0 (x) ... (x) w_i
-        suf.append(_outer(ws[n - 1 - i], suf[-1]))
-    suf.reverse()  # suf[i] = w_{i+1} (x) ... (x) w_{n-1}
-    return [suf[0]] + [_outer(pre[i - 1], suf[i]) for i in range(1, n - 1)] + [pre[-1]]
+    if n == 1:
+        return [np.ones((len(ws[0]), 1))]
+    pre, suf = {0: ws[0]}, {n - 1: ws[-1]}  # w_0 (x) ... (x) w_j, w_j (x) ... (x) w_{n-1}
+    for j in range(1, max(players)):
+        pre[j] = _outer(pre[j - 1], ws[j])
+    for j in range(n - 2, min(players), -1):
+        suf[j] = _outer(ws[j], suf[j + 1])
+    return [suf[1] if i == 0 else pre[n - 2] if i == n - 1 else _outer(pre[i - 1], suf[i + 1])
+            for i in players]
 
 
-# at most this many entries (128 KiB) in one leave-one-out product: the
-# all-players oracle takes a long leading axis in chunks of rows, so its
-# working memory does not grow with T and the products stay in cache
+# at most this many entries (128 KiB) in one leave-one-out product: a long
+# leading axis is taken in chunks of rows, so an oracle's working memory does
+# not grow with T and the products stay in cache
 _KRON_ENTRIES = 1 << 14
 
 
 class DenseGame(NormalFormGame):
     """Game given by explicit per-player utility tensors (raw units).
 
-    With n >= 3 players ``_raw_block`` takes every player's raw utilities
-    from the matrices ``M_i`` (player i's tensor, own axis first, flattened
-    to (d_i, prod d_-i)) times the leave-one-out Kronecker products of the
-    other strategies, which share their prefixes and suffixes.  With n <= 2
-    there is nothing to share, so they come from each player's
-    ``raw_expected_utilities``, whose bits the shipped 2-player traces keep.
-    A subclass that overrides ``raw_expected_utilities`` keeps that
-    per-player path for every n, so every oracle hears the override.
-    Welfare is the utility sum, sum_i <w_i, raw u_i>, read off the raw block
-    before it is normalized in place (``welfare_mixed``: off each player's
-    ``raw_expected_utilities``).
+    Player i's raw utilities are u_i = M_i K_i for every n: ``M_i`` is its
+    tensor, own axis first, as a (d_i, prod d_-i) matrix, and ``K_i`` the
+    leave-one-out Kronecker product of the other strategies.
+    Each row of a leading shape is its own matrix-vector product, so it keeps
+    the bits it has on its own, and a per-player call keeps the all-players
+    call's bits.  Welfare is the utility sum, sum_i <w_i, raw u_i>, read off
+    the raw block (before it is normalized in place, in the derivation).
     """
 
     kind = "dense"
@@ -267,31 +256,33 @@ class DenseGame(NormalFormGame):
                 f"[{shift}, {shift + scale}]"
             )
         self.tensors = tensors
-        # views, not copies: a copy changes the BLAS call and so the last bits
-        self._own_axis_first = [np.moveaxis(t, i, 0) for i, t in enumerate(tensors)]
-        self._kron_rhs = None  # the Kronecker path's M_i^T, when it serves
-        if n >= 3 and type(self).raw_expected_utilities is DenseGame.raw_expected_utilities:
-            self._kron_rhs = [t.reshape(t.shape[0], -1).T for t in self._own_axis_first]
-            self._kron_rows = max(1, _KRON_ENTRIES // max(m.shape[0] for m in self._kron_rhs))
+        # views for n <= 2, not copies: a copy changes the BLAS call and so the bits
+        self._m = [np.moveaxis(t, i, 0).reshape(dims[i], -1) for i, t in enumerate(tensors)]
+        self._kron_rows = max(1, _KRON_ENTRIES // max(m.shape[1] for m in self._m))
         self._welfare = sum(tensors)
         self.meta = dict(meta or {})
 
+    def _products(self, profile, players, out) -> None:
+        """``out[k]`` (L + (d_i,)) = M_i K_i for i = players[k], row by row as the
+        stacked ``M_i @ K_i[:, :, None]``, a chunk of rows at a time."""
+        rows = math.prod(np.shape(profile[0])[:-1])
+        ws, step = [w.reshape(rows, w.shape[-1]) for w in profile], self._kron_rows
+        for r in range(0, rows, step):
+            kron = _leave_one_out([w[r:r + step] for w in ws], players)
+            for i, k, u in zip(players, kron, out):
+                np.matmul(self._m[i], k[:, :, None], out=u.reshape(rows, -1, 1)[r:r + step])
+
     def raw_expected_utilities(self, i: int, profile) -> np.ndarray:
-        u = _contract(self._own_axis_first[i], [w for j, w in enumerate(profile) if j != i])
-        return np.broadcast_to(u, np.shape(profile[i])) if self.n == 1 else u
+        u = np.empty(np.shape(profile[i])[:-1] + (self.dims[i],))
+        self._products(profile, [i], [u])
+        return u
 
     def _raw_block(self, profile) -> tuple:
         lead = np.shape(profile[0])[:-1]
-        rows = math.prod(lead)
-        if self._kron_rhs is None or rows == 0:  # an empty L: nothing to share
-            return super()._raw_block(profile)
-        ws, step = [w.reshape(rows, -1) for w in profile], self._kron_rows
-        chunks = []  # u_i = K_i M_i^T, a chunk of rows at a time
-        for r in range(0, rows, step):
-            kron = _leave_one_out([w[r:r + step] for w in ws])
-            chunks.append([k @ mt for k, mt in zip(kron, self._kron_rhs)])
-        block = np.concatenate([c[i].reshape(-1) for i in range(self.n) for c in chunks])
-        return block, self._player_views(block, lead)
+        block = np.empty(math.prod(lead) * sum(self.dims))
+        u = self._player_views(block, lead)
+        self._products(profile, range(self.n), u)
+        return block, u
 
     def _utilities_and_welfare(self, profile) -> tuple:
         block, u = self._raw_block(profile)
@@ -300,7 +291,7 @@ class DenseGame(NormalFormGame):
 
     def welfare_mixed(self, profile):
         profile, lead = _check_profile(self, profile)
-        w = _utility_sum(profile, [self.raw_expected_utilities(i, profile) for i in range(self.n)])
+        w = _utility_sum(profile, self._raw_block(profile)[1])
         return w if lead else float(w)
 
     def pure_utilities(self, s) -> np.ndarray:

@@ -47,8 +47,8 @@ def _exp_weights(z: np.ndarray) -> np.ndarray:
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of ``v`` onto the probability simplex, row by
-    row for a (k, d) block.
+    """Euclidean projection of ``v`` onto the probability simplex along its
+    last axis, each row of any leading shape on its own.
 
     Full-sort threshold method: sort descending, find the largest k with
     v_(k) + (1 - sum_{j<=k} v_(j)) / k > 0, clip at that threshold.
@@ -58,12 +58,9 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     css = np.cumsum(u, axis=-1)
     k = np.arange(1, v.shape[-1] + 1)
     cond = u + (1.0 - css) / k > 0.0
-    if v.ndim == 1:
-        rho = k[cond][-1]
-        theta = (css[rho - 1] - 1.0) / rho
-    else:  # each row's largest such k, and its threshold as a column
-        rho = v.shape[-1] - np.argmax(cond[:, ::-1], axis=1)
-        theta = ((css[np.arange(len(v)), rho - 1] - 1.0) / rho)[:, None]
+    # each row's largest such k (its last True), and its threshold
+    rho = v.shape[-1] - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)
+    theta = (np.take_along_axis(css, rho - 1, axis=-1) - 1.0) / rho
     return np.maximum(v - theta, 0.0)
 
 

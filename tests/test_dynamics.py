@@ -164,8 +164,10 @@ class TestRunChecksPlays:
 
     def test_utilities_escaping_the_unit_range_are_rejected(self):
         class Leaky(DenseGame):
-            def raw_expected_utilities(self, i, profile):
-                return super().raw_expected_utilities(i, profile) + 0.5
+            def _raw_block(self, profile):
+                block, u = super()._raw_block(profile)
+                block += 0.5  # u views the block
+                return block, u
 
         A = np.array(A_TILTED)
         with pytest.raises(UtilityRangeError, match="player 0: normalized utilities escape"):

@@ -2,7 +2,9 @@
 and the command-line front end (artifacts, recomputability, exit codes)."""
 
 import json
+import math
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -32,7 +34,7 @@ from regretlab.experiment import (
     run_experiment,
     write_report_csv,
 )
-from regretlab.games import DEFAULT_ENUM_CAP
+from regretlab.games import DEFAULT_ENUM_CAP, verify_smoothness
 from regretlab.learners import Certificate, LearnerSpec
 from regretlab.library import make_matrix_game, make_random_game
 from regretlab.robust import wrap_doubling
@@ -340,6 +342,16 @@ class TestFullReport:
         assert "welfare_floor" not in names
         assert [c.name for c in rep.failed()] == ["smoothness_claim"]
 
+    @pytest.mark.parametrize("mu, passed", [(1.0, True), (0.0, False)])
+    def test_the_claim_is_lhs_0_at_most_rhs_the_slack(self, mu, passed):
+        g = make_matrix_game(np.eye(2))
+        tr = run(g, [LearnerSpec("optimistic_hedge", 0.25)] * 2, 30)
+        tr.meta["smoothness"] = {"lambda": 1.0, "mu": mu, "s_star": [0, 0]}
+        claim = {c.name: c for c in full_report(tr).certificates}["smoothness_claim"]
+        slack = verify_smoothness(g, 1.0, mu, (0, 0)).slack
+        assert (claim.lhs, claim.rhs) == (0.0, slack)
+        assert claim.passed is passed is (claim.lhs <= claim.rhs)
+
     def test_claim_without_s_star_searches_for_one(self):
         g = make_matrix_game(np.eye(2))
         tr = run(g, [LearnerSpec("hedge", 0.25)] * 2, 10)
@@ -636,7 +648,7 @@ class TestCliSimulate:
         assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "certificate smoothness_claim: fail" in capsys.readouterr().out
         assert main(["report", str(tmp_path / "out" / "trace.csv")]) == 2
-        assert "certificate,smoothness_claim,-5.0,0.0,fail" in capsys.readouterr().out
+        assert "certificate,smoothness_claim,0.0,-5.0,fail" in capsys.readouterr().out
 
     def test_cost_claim_without_s_star_searches(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, COST_CFG.replace("s_star = 0,0\n", ""))
@@ -892,6 +904,16 @@ class TestCliReport:
          "metadata smoothness must be an object, got [1.0, 1.0]"),
         (lambda m: {**m, "smoothness": {**m["smoothness"], "s_star": 5}},
          "metadata smoothness s_star must be a list of integers, got 5"),
+        (lambda m: {**m, "smoothness": {**m["smoothness"], "mu": math.inf}},
+         "metadata smoothness mu must be finite and >= 0, got inf"),
+        (lambda m: {**m, "smoothness": {**m["smoothness"], "mu": -0.5}},
+         "metadata smoothness mu must be finite and >= 0, got -0.5"),
+        (lambda m: {**m, "smoothness": {**m["smoothness"], "lambda": math.nan}},
+         "metadata smoothness lambda must be positive and finite, got nan"),
+        (lambda m: {**m, "smoothness": {**m["smoothness"], "lambda": -1}},
+         "metadata smoothness lambda must be positive and finite, got -1"),
+        (lambda m: {**m, "smoothness": {**m["smoothness"], "lambda": 0.0}},
+         "metadata smoothness lambda must be positive and finite, got 0.0"),
         (meta_with_learner({"algorithm": "oftrl", "eta": 0.25, "predictor": "window"}),
          "metadata learners[1]: predictor_param (window size) is required for the "
          "window predictor"),
@@ -927,7 +949,8 @@ class TestCliReport:
          "no variation bound to wrap"),
     ], ids=["no-T", "no-game", "T-string", "T-bool", "no-learners", "short-learners",
             "bad-mode", "list", "game-no-matrix", "matrix-dict", "smoothness-no-lambda",
-            "mu-string", "smoothness-list", "s_star-int", "window-no-param",
+            "mu-string", "smoothness-list", "s_star-int", "mu-inf", "mu-negative",
+            "lambda-nan", "lambda-negative", "lambda-zero", "window-no-param",
             "geometric-no-param", "eta-list", "robust-no-inner", "no-algorithm",
             "eta-bool", "algorithm-unknown", "predictor-unknown", "window-fraction",
             "robust-bad-inner", "robust-eta_star-string", "robust-inner-without-bound"])
@@ -1393,6 +1416,21 @@ class TestCliErrorBoundary:
                                    "utilities, above the enumeration cap 10000000")
         assert time.perf_counter() - start < 20.0
         assert not (tmp_path / "out").exists()
+
+    ROBUST_CFG = ("[game]\ntype = random\nplayers = 2\ndims = {}\nseed = 3\n"
+                  "[learner]\nalgorithm = oftrl\neta = 0.3\npredictor = last\n"
+                  "[run]\nT = {}\n[robust]\neta_star = 0.2\n[outputs]\ndir = {}\n")
+
+    @pytest.mark.parametrize("dims, T, wrapped", [("1,3", 20, [1]), ("2,3", 1, [])],
+                             ids=["one-strategy-player", "one-round"])
+    def test_a_robust_config_that_validates_runs(self, tmp_path, dims, T, wrapped):
+        # a player with one strategy stays unwrapped (alpha = ln 1 = 0), and
+        # the wrapped-learner bound, which needs T >= 2, is left out at T = 1
+        out = tmp_path / "out"
+        done = run_module("simulate", write_cfg(tmp_path, self.ROBUST_CFG.format(dims, T, out)))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert re.findall(r"robust_bound\[(\d)\]", done.stdout) == [str(i) for i in wrapped]
+        assert os.path.exists(out / "trace.csv") and os.path.exists(out / "report.csv")
 
     @pytest.mark.parametrize("kind, message", [
         ("regret", "regret plots need a normal-form or auction trace"),

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from regretlab import games
 from test_auctions import assert_same_bits
 from regretlab import (
     AuctionGame,
@@ -237,8 +238,9 @@ class TestLeadingAxis:
 
 
 class TestDenseAllPlayersOracle:
-    """``DenseGame._all_normalized_utilities``: n <= 2 through each player's
-    contraction, n >= 3 through the leave-one-out Kronecker products."""
+    """``DenseGame._all_normalized_utilities``: every player's M_i K_i, with
+    K_i the leave-one-out Kronecker product of the other strategies, for
+    every n."""
 
     CASES = [(1, [4]), (2, [3, 3]), (2, [2, 5]), (3, [3, 3, 3]), (3, [2, 3, 4]),
              (4, [2, 2, 2, 2]), (4, [3, 1, 2, 2])]
@@ -259,13 +261,25 @@ class TestDenseAllPlayersOracle:
                 np.testing.assert_allclose(u[i][idx], g.normalize(oracle), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=["single", "leading", "2d"])
-    @pytest.mark.parametrize("n, dims", CASES[:3])
-    def test_one_and_two_players_keep_the_per_player_bits(self, n, dims, lead):
+    @pytest.mark.parametrize("n, dims", CASES + [(5, [2, 3, 2, 1, 2])])
+    def test_every_player_count_keeps_the_per_player_bits(self, n, dims, lead):
         g = make_random_game(n, dims, seed=61)
         prof = stacked_profile(dims, lead, seed=62)
         u = g._all_normalized_utilities(prof)
         for i in range(n):
             assert_same_bits(u[i], g._normalized_utilities(i, prof))
+
+    @pytest.mark.parametrize("n, dims", CASES + [(5, [2, 3, 2, 1, 2])])
+    def test_every_row_keeps_its_single_profile_bits(self, n, dims, monkeypatch):
+        # 64 entries per Kronecker chunk: 150 rows cross a chunk for every n
+        monkeypatch.setattr(games, "_KRON_ENTRIES", 64)
+        g = make_random_game(n, dims, seed=67)
+        assert g._kron_rows < 150
+        prof = stacked_profile(dims, (150,), seed=68)
+        u = g._all_normalized_utilities(prof)
+        for r in range(150):
+            for i, v in enumerate(g._all_normalized_utilities(row(prof, r))):
+                assert_same_bits(u[i][r], v)
 
     def test_an_off_simplex_profile_names_the_first_escaping_player(self):
         # payoffs and strategies in quarters: every utility is exact
@@ -288,19 +302,6 @@ class TestDenseAllPlayersOracle:
         g._kron_rows = 3  # 7 rows: chunks of 3, 3 and 1
         for u, v in zip(g._all_normalized_utilities(prof), whole):
             np.testing.assert_allclose(u, v, rtol=0, atol=1e-15)
-
-    def test_a_subclass_raw_oracle_is_heard_by_every_player_at_once(self):
-        class Halved(DenseGame):
-            def raw_expected_utilities(self, i, profile):
-                return super().raw_expected_utilities(i, profile) / 2
-
-        dims = [2, 3, 2]
-        base = make_random_game(3, dims, seed=65)
-        g = Halved(base.tensors)
-        prof = stacked_profile(dims, (), seed=66)
-        for i, u in enumerate(g._all_normalized_utilities(prof)):
-            assert_same_bits(u, g.expected_utilities(i, prof))
-            np.testing.assert_allclose(u, base.expected_utilities(i, prof) / 2, rtol=0, atol=1e-15)
 
 
 class TestDenseWelfare:
@@ -335,10 +336,7 @@ class TestDenseWelfare:
         _, g = self.shifted(n, dims)
         prof = stacked_profile(dims, lead, seed=2 * n)
         _, welfare = g._utilities_and_welfare(prof)
-        if n <= 2:  # one raw path: each player's raw_expected_utilities
-            assert_same_bits(welfare, g.welfare_mixed(prof))
-        else:  # the Kronecker products against the per-player contractions
-            np.testing.assert_allclose(welfare, g.welfare_mixed(prof), rtol=0, atol=1e-12)
+        assert_same_bits(welfare, g.welfare_mixed(prof))  # one raw block
 
     @pytest.mark.parametrize("n, dims", [(2, [3, 2]), (3, [2, 3, 2])])
     def test_the_welfare_is_read_before_the_block_is_normalized(self, n, dims):

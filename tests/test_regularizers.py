@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import oracles as orc
 from regretlab import NegativeEntropy, SquaredEuclidean, get_regularizer
+from regretlab.regularizers import project_simplex
 from regretlab.library import splitmix64_floats
+from test_auctions import assert_same_bits
 
 ENTROPY = NegativeEntropy()
 EUCLID = SquaredEuclidean()
@@ -90,6 +93,23 @@ class TestProxStep:
     def test_euclid_projected_step(self):
         w = EUCLID.prox_step(np.array([0.5, 0.5]), np.array([0.2, 0.0]), 1.0)
         np.testing.assert_allclose(w, [0.6, 0.4], atol=1e-15)
+
+
+class TestProjectSimplex:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_a_block_is_projected_row_by_row(self, d):
+        # (B, k, d): every row bitwise as on its own, and on the loop oracle
+        rng = np.random.default_rng(d)
+        block = (rng.random((3, 4, d)) - 0.3) * 5.0
+        w = project_simplex(block)
+        assert w.shape == (3, 4, d)
+        for idx in np.ndindex(3, 4):
+            assert_same_bits(w[idx], project_simplex(block[idx]))
+            np.testing.assert_allclose(w[idx], orc.project_simplex_loop(list(block[idx])),
+                                       rtol=0, atol=1e-12)
+
+    def test_an_empty_block_has_no_rows(self):
+        assert project_simplex(np.empty((0, 2, 3))).shape == (0, 2, 3)
 
 
 class TestBregman:

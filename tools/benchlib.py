@@ -14,7 +14,9 @@ samples, a ``measure(src)`` and, if it uses ``fresh_peak_rss``, a
   fingerprint, the checkout's git commit and a SHA-256 of its
   ``src/regretlab`` sources.  Samples of one label pool across invocations
   while the sources stay the same; a label whose sources changed starts over.
-  Each summary is the median and the quartiles of the pooled samples.
+  Each summary is the median, the quartiles and the minimum of the pooled
+  samples: on a host whose speed drifts, the minimum resolves a change
+  smaller than the IQR.
 
 Only the standard library and numpy are used.
 """
@@ -62,7 +64,7 @@ def _source_digest(src: str) -> str:
 def _summary(samples) -> dict:
     q1, median, q3 = np.percentile(samples, [25, 50, 75])
     return {"median": float(median), "q1": float(q1), "q3": float(q3),
-            "iqr": float(q3 - q1), "n": len(samples)}
+            "iqr": float(q3 - q1), "min": float(np.min(samples)), "n": len(samples)}
 
 
 def fresh_peak_rss(script: str, src: str, *args: str) -> float:
@@ -135,5 +137,5 @@ def main(script: str, doc: str, what: str, timings, measure, child=None, argv=No
     entry = merge(script, what, timings, args.label, src, measure(src))
     for name, stats in entry["summary"].items():
         print(f"{args.label} {name}: median {stats['median']:.4g} "
-              f"IQR {stats['iqr']:.3g} (n={stats['n']})")
+              f"IQR {stats['iqr']:.3g} min {stats['min']:.4g} (n={stats['n']})")
     return 0

@@ -578,15 +578,16 @@ def _check_game_meta(meta: dict, n: int) -> None:
     claim = meta.get("smoothness") or {}
     if not isinstance(claim, dict):
         raise ValueError(f"trace line 1: metadata smoothness must be an object, got {claim!r}")
-    rules = {"lambda": "positive and finite", "mu": "finite and >= 0"}  # as in a config
-    for key, rule in rules.items() if claim else ():
+    for key in ("lambda", "mu") if claim else ():
         value = claim.get(key)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"trace line 1: metadata smoothness {key} must be a number, "
                              f"got {value!r}")
-        if not (math.isfinite(value) and (value > 0 if key == "lambda" else value >= 0)):
-            raise ValueError(f"trace line 1: metadata smoothness {key} must be {rule}, "
-                             f"got {value!r}")
+    if claim:
+        try:
+            games._check_smoothness(claim["lambda"], claim["mu"])
+        except ValueError as exc:
+            raise ValueError(f"trace line 1: metadata smoothness: {exc}") from None
     s_star = claim.get("s_star")
     if s_star is not None and not (isinstance(s_star, list)
                                    and all(type(x) is int for x in s_star)):

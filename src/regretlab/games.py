@@ -359,6 +359,13 @@ def brute_force_opt(game: NormalFormGame, mode: str = "utility"):
     return float(w.flat[flat]), tuple(int(x) for x in np.unravel_index(flat, w.shape))
 
 
+def _check_smoothness(lam, mu) -> None:
+    """The rule for a (lambda, mu) smoothness claim: lambda > 0 and mu >= 0,
+    both finite, as a config states it."""
+    if not (0 < lam < math.inf and 0 <= mu < math.inf):
+        raise ValueError(f"need finite lambda > 0 and mu >= 0, got ({lam}, {mu})")
+
+
 def verify_smoothness(
     game: NormalFormGame, lam: float, mu: float, s_star=None,
     tol: float = 1e-9, mode: str = "utility",
@@ -367,8 +374,7 @@ def verify_smoothness(
     profile ``s_star`` or, without one, at every pure profile in lexicographic
     order.  Returns the first candidate that verifies, else the candidate
     with the largest slack (unverified, never an exception)."""
-    if lam <= 0 or mu < 0:
-        raise ValueError(f"need lambda > 0 and mu >= 0, got ({lam}, {mu})")
+    _check_smoothness(lam, mu)
     opt, _ = brute_force_opt(game, mode)
     if s_star is not None:
         s_star = tuple(int(x) for x in s_star)
@@ -412,8 +418,7 @@ def poa_welfare_bound(lam: float, mu: float, opt: float, regrets, T: int) -> flo
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if lam <= 0 or mu < 0:
-        raise ValueError(f"need lambda > 0 and mu >= 0, got ({lam}, {mu})")
+    _check_smoothness(lam, mu)
     total = float(np.sum(regrets))
     return (lam / (1.0 + mu)) * opt - total / ((1.0 + mu) * T)
 

@@ -48,7 +48,7 @@ def _exp_weights(z: np.ndarray) -> np.ndarray:
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of ``v`` onto the probability simplex along its
-    last axis, each row of any leading shape on its own.
+    last axis, each row of a leading shape such as (k,) or (B, k) on its own.
 
     Full-sort threshold method: sort descending, find the largest k with
     v_(k) + (1 - sum_{j<=k} v_(j)) / k > 0, clip at that threshold.
@@ -58,9 +58,12 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     css = np.cumsum(u, axis=-1)
     k = np.arange(1, v.shape[-1] + 1)
     cond = u + (1.0 - css) / k > 0.0
-    # each row's largest such k (its last True), and its threshold
-    rho = v.shape[-1] - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)
-    theta = (np.take_along_axis(css, rho - 1, axis=-1) - 1.0) / rho
+    if v.ndim == 1:  # a vector's plain indexing costs a fraction of the block path
+        rho = k[cond][-1]
+        theta = (css[rho - 1] - 1.0) / rho
+    else:  # each row's largest such k (its last True), and its threshold
+        rho = v.shape[-1] - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)
+        theta = (np.take_along_axis(css, rho - 1, axis=-1) - 1.0) / rho
     return np.maximum(v - theta, 0.0)
 
 

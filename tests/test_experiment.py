@@ -905,15 +905,15 @@ class TestCliReport:
         (lambda m: {**m, "smoothness": {**m["smoothness"], "s_star": 5}},
          "metadata smoothness s_star must be a list of integers, got 5"),
         (lambda m: {**m, "smoothness": {**m["smoothness"], "mu": math.inf}},
-         "metadata smoothness mu must be finite and >= 0, got inf"),
+         "metadata smoothness: need finite lambda > 0 and mu >= 0, got (1.0, inf)"),
         (lambda m: {**m, "smoothness": {**m["smoothness"], "mu": -0.5}},
-         "metadata smoothness mu must be finite and >= 0, got -0.5"),
+         "metadata smoothness: need finite lambda > 0 and mu >= 0, got (1.0, -0.5)"),
         (lambda m: {**m, "smoothness": {**m["smoothness"], "lambda": math.nan}},
-         "metadata smoothness lambda must be positive and finite, got nan"),
+         "metadata smoothness: need finite lambda > 0 and mu >= 0, got (nan, 1.0)"),
         (lambda m: {**m, "smoothness": {**m["smoothness"], "lambda": -1}},
-         "metadata smoothness lambda must be positive and finite, got -1"),
+         "metadata smoothness: need finite lambda > 0 and mu >= 0, got (-1, 1.0)"),
         (lambda m: {**m, "smoothness": {**m["smoothness"], "lambda": 0.0}},
-         "metadata smoothness lambda must be positive and finite, got 0.0"),
+         "metadata smoothness: need finite lambda > 0 and mu >= 0, got (0.0, 1.0)"),
         (meta_with_learner({"algorithm": "oftrl", "eta": 0.25, "predictor": "window"}),
          "metadata learners[1]: predictor_param (window size) is required for the "
          "window predictor"),

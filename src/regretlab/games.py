@@ -202,26 +202,24 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
 
 
-def _leave_one_out(ws, players) -> list:
-    """K_i = w_0 (x) ... (x) w_{i-1} (x) w_{i+1} (x) ... (x) w_{n-1} for each
-    player i in ``players``, row by row, a (rows, 1) column of ones for n = 1:
-    prefix (x) suffix, from prefixes taken left to right and suffixes right to
-    left, shared by the players, so K_i's bits do not depend on who else asks."""
+def _leave_one_out(ws) -> list:
+    """K_i = w_0 (x) ... (x) w_{i-1} (x) w_{i+1} (x) ... (x) w_{n-1} for every
+    player i, row by row, from shared prefix and suffix products (a (rows, 1)
+    column of ones for n = 1)."""
     n = len(ws)
     if n == 1:
         return [np.ones((len(ws[0]), 1))]
-    pre, suf = {0: ws[0]}, {n - 1: ws[-1]}  # w_0 (x) ... (x) w_j, w_j (x) ... (x) w_{n-1}
-    for j in range(1, max(players)):
-        pre[j] = _outer(pre[j - 1], ws[j])
-    for j in range(n - 2, min(players), -1):
-        suf[j] = _outer(ws[j], suf[j + 1])
-    return [suf[1] if i == 0 else pre[n - 2] if i == n - 1 else _outer(pre[i - 1], suf[i + 1])
-            for i in players]
+    pre, suf = [ws[0]], [ws[-1]]
+    for i in range(1, n - 1):
+        pre.append(_outer(pre[-1], ws[i]))  # pre[i] = w_0 (x) ... (x) w_i
+        suf.append(_outer(ws[n - 1 - i], suf[-1]))
+    suf.reverse()  # suf[i] = w_{i+1} (x) ... (x) w_{n-1}
+    return [suf[0]] + [_outer(pre[i - 1], suf[i]) for i in range(1, n - 1)] + [pre[-1]]
 
 
-# at most this many entries (128 KiB) in one leave-one-out product: a long
-# leading axis is taken in chunks of rows, so an oracle's working memory does
-# not grow with T and the products stay in cache
+# at most this many entries (128 KiB) in one leave-one-out product: the
+# all-players oracle takes a long leading axis in chunks of rows, so its
+# working memory does not grow with T and the products stay in cache
 _KRON_ENTRIES = 1 << 14
 
 
@@ -262,26 +260,18 @@ class DenseGame(NormalFormGame):
         self._welfare = sum(tensors)
         self.meta = dict(meta or {})
 
-    def _products(self, profile, players, out) -> None:
-        """``out[k]`` (L + (d_i,)) = M_i K_i for i = players[k], row by row as the
-        stacked ``M_i @ K_i[:, :, None]``, a chunk of rows at a time."""
-        rows = math.prod(np.shape(profile[0])[:-1])
+    def _raw_block(self, profile) -> tuple:
+        """Every player's M_i K_i, row by row as the stacked ``M_i @ K_i[:, :, None]``,
+        a chunk of rows at a time."""
+        lead = np.shape(profile[0])[:-1]
+        rows = math.prod(lead)
+        block = np.empty(rows * sum(self.dims))
+        u = self._player_views(block, lead)
         ws, step = [w.reshape(rows, w.shape[-1]) for w in profile], self._kron_rows
         for r in range(0, rows, step):
-            kron = _leave_one_out([w[r:r + step] for w in ws], players)
-            for i, k, u in zip(players, kron, out):
-                np.matmul(self._m[i], k[:, :, None], out=u.reshape(rows, -1, 1)[r:r + step])
-
-    def raw_expected_utilities(self, i: int, profile) -> np.ndarray:
-        u = np.empty(np.shape(profile[i])[:-1] + (self.dims[i],))
-        self._products(profile, [i], [u])
-        return u
-
-    def _raw_block(self, profile) -> tuple:
-        lead = np.shape(profile[0])[:-1]
-        block = np.empty(math.prod(lead) * sum(self.dims))
-        u = self._player_views(block, lead)
-        self._products(profile, range(self.n), u)
+            kron = _leave_one_out([w[r:r + step] for w in ws])
+            for m, k, ui in zip(self._m, kron, u):
+                np.matmul(m, k[:, :, None], out=ui.reshape(rows, -1, 1)[r:r + step])
         return block, u
 
     def _utilities_and_welfare(self, profile) -> tuple:

@@ -44,10 +44,11 @@ class AuctionSpec:
             raise ValueError(
                 f"values must have shape ({self.n}, {self.m}), got {self.values.shape}"
             )
-        if np.any(self.values < 0):
-            raise ValueError("item values must be nonnegative")
-        if np.any(np.diff(self.bid_levels) <= 0) or self.bid_levels[0] <= 0:
-            raise ValueError("bid levels must be sorted, positive and distinct")
+        if not np.all((self.values >= 0) & (self.values < np.inf)):
+            raise ValueError("item values must be nonnegative and finite")
+        levels = self.bid_levels
+        if not (np.all(np.diff(levels) > 0) and 0 < levels[0] and levels[-1] < np.inf):
+            raise ValueError("bid levels must be sorted, positive, finite and distinct")
 
 
 def uniform_values(n: int, m: int, v: float) -> np.ndarray:

@@ -144,9 +144,9 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     engine sets each responder's ``utilities`` before it plays.
 
     Consecutive players with one FTRL or OMD spec and one strategy count step
-    as one group (see ``_units``): one play and one observe per round, of
-    (k, d) blocks whose rows are bitwise those of k single learners.  A group
-    observes its slice of the oracle's flat block of normalized utilities.
+    as one group (see ``_units``): one play, one write of it and one observe
+    per round, of (k, d) blocks whose rows are bitwise those of k single
+    learners.  A group observes its slice of the oracle's flat block.
 
     Each play is shape-checked when its learner returns it; the round's one
     all-players oracle call skips the profile check, and every row of every
@@ -160,23 +160,25 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
         raise ValueError(f"{len(specs)} learner specs for {game.n} players")
     if mode not in ("utility", "cost"):
         raise ValueError(f"mode must be 'utility' or 'cost', got {mode!r}")
-    n, dims = game.n, game.dims
+    dims = game.dims
     games._check_cap(T * sum(dims), f"T = {T} rounds of {sum(dims)} strategies make",
                      "play cells")
-    # per unit: (learner, players, play shape, slice of the oracle's block,
-    # as_is); utility learners get 1 - c in cost mode, cost-native learners
-    # get the costs: the oracle's value in cost mode, 1 - u otherwise
+    # per unit: (learner, players, play shape, (T, *shape) plays, slice of the
+    # oracle's block, as_is); utility learners get 1 - c in cost mode, cost-native
+    # learners get the costs: the oracle's value in cost mode, 1 - u otherwise
     units = []
     for learner, players in _units(specs, dims):
         k, d, lo = len(players), dims[players[0]], sum(dims[:players[0]])
-        units.append((learner, players, (d,) if k == 1 else (k, d), slice(lo, lo + k * d),
-                      (learner.feedback == "cost") == (mode == "cost")))
+        shape = (d,) if k == 1 else (k, d)
+        units.append((learner, players, shape, np.empty((T,) + shape),
+                      slice(lo, lo + k * d), (learner.feedback == "cost") == (mode == "cost")))
     responders = [u for u in units if isinstance(u[0], BestResponseLearner)]
     movers = [u for u in units if not isinstance(u[0], BestResponseLearner)]
 
-    def play(current, learner, players, shape, *_):
+    def play(current, t, learner, players, shape, record, *_):
         w = np.asarray(learner.play(), dtype=float)
         _check_shape(players[0], w, shape)
+        record[t] = w
         for i, row in zip(players, w.reshape(len(players), -1)):
             current[i] = row
 
@@ -187,27 +189,28 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
             games._check_profile(game, args[-1])  # name an off-simplex play, the likelier cause
             raise
 
-    plays = [np.empty((T, d)) for d in dims]
-
     profile = [np.full(d, 1.0 / d) for d in dims]
     for t in range(T):
         current = list(profile)  # responders: previous round (uniform at t=0)
         for unit in movers:
-            play(current, *unit)
+            play(current, t, *unit)
         # all respond before any plays: each sees the others' last round
         for learner, players, *_ in responders:
             u_now = oracle(game._normalized_utilities, players[0], current)
             learner.utilities = 1.0 - u_now if mode == "cost" else u_now
         for unit in responders:
-            play(current, *unit)
+            play(current, t, *unit)
 
         block = oracle(game._all_normalized_utilities, current).block
-        for learner, _, shape, rows, as_is in units:
+        for learner, _, shape, _, rows, as_is in units:
             u = block[rows].reshape(shape)
             learner.observe(u if as_is else 1.0 - u)
-        for i in range(n):
-            plays[i][t] = current[i]
         profile = current
+
+    # every player's own C-contiguous (T, d) plays, a group's split off once
+    plays = []
+    for _, _, _, record, *_ in units:  # in player order
+        plays += [record] if record.ndim == 2 else [p.copy() for p in record.swapaxes(0, 1)]
 
     meta = {
         "game": game.describe(),

@@ -98,10 +98,14 @@ class NormalFormGame:
         self.dims = [int(d) for d in dims]
         if self.n < 1 or len(self.dims) != self.n or min(self.dims) < 1:
             raise ValueError(f"bad game shape: n={n}, dims={dims}")
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        # negated comparisons, so NaN fails them too
+        if not (0 < scale < math.inf and -math.inf < shift < math.inf):
+            raise ValueError(f"need a positive finite scale and a finite shift, "
+                             f"got scale={scale}, shift={shift}")
         self.scale = float(scale)
         self.shift = float(shift)
+        # x - (+0.0) and x / 1.0 keep x's bits, NaN and -0.0 too (a -0.0 shift would not)
+        self._identity = (self.scale, self.shift, math.copysign(1.0, self.shift)) == (1, 0, 1)
         # each player's slice of the flat all-players block of one profile
         self._slices = [slice(end - d, end) for d, end in zip(self.dims, accumulate(self.dims))]
 
@@ -178,8 +182,9 @@ class NormalFormGame:
         ``block``, once ``block`` is normalized in place and range-checked in
         one pass; only a block that escapes [0, 1] is checked player by
         player, so the error names the first player who escapes."""
-        block -= self.shift
-        block /= self.scale
+        if not self._identity:
+            block -= self.shift
+            block /= self.scale
         # NaN fails the check too; an empty block has nothing to check
         if block.size and not (block.min() >= -1e-12 and block.max() <= 1.0 + 1e-12):
             for i in range(self.n):
@@ -202,19 +207,21 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
 
 
-def _leave_one_out(ws) -> list:
+def _leave_one_out(ws, outer=_outer) -> list:
     """K_i = w_0 (x) ... (x) w_{i-1} (x) w_{i+1} (x) ... (x) w_{n-1} for every
-    player i, row by row, from shared prefix and suffix products (a (rows, 1)
-    column of ones for n = 1)."""
+    player i, from shared prefix and suffix products taken by ``outer``: row
+    by row (``_outer``), or ``np.multiply.outer`` of single strategies, whose
+    products keep one axis per factor until raveled; ones, one entry per row,
+    for n = 1."""
     n = len(ws)
     if n == 1:
-        return [np.ones((len(ws[0]), 1))]
+        return [np.ones(ws[0].shape[:-1] + (1,))]
     pre, suf = [ws[0]], [ws[-1]]
     for i in range(1, n - 1):
-        pre.append(_outer(pre[-1], ws[i]))  # pre[i] = w_0 (x) ... (x) w_i
-        suf.append(_outer(ws[n - 1 - i], suf[-1]))
+        pre.append(outer(pre[-1], ws[i]))  # pre[i] = w_0 (x) ... (x) w_i
+        suf.append(outer(ws[n - 1 - i], suf[-1]))
     suf.reverse()  # suf[i] = w_{i+1} (x) ... (x) w_{n-1}
-    return [suf[0]] + [_outer(pre[i - 1], suf[i]) for i in range(1, n - 1)] + [pre[-1]]
+    return [suf[0]] + [outer(pre[i - 1], suf[i]) for i in range(1, n - 1)] + [pre[-1]]
 
 
 # at most this many entries (128 KiB) in one leave-one-out product: the
@@ -247,8 +254,9 @@ class DenseGame(NormalFormGame):
             if t.shape != dims or t.ndim != n:
                 raise ValueError("all utility tensors must share the shape d_1 x ... x d_n")
         super().__init__(n, dims, scale, shift)
-        lo, hi = min(t.min() for t in tensors), max(t.max() for t in tensors)
-        if lo < shift - 1e-12 or hi > shift + scale + 1e-12:
+        # np.min and np.max keep a NaN entry, which fails the negated check
+        lo, hi = np.min([t.min() for t in tensors]), np.max([t.max() for t in tensors])
+        if not (lo >= shift - 1e-12 and hi <= shift + scale + 1e-12):
             raise ValueError(
                 f"raw utilities [{lo}, {hi}] escape the declared range "
                 f"[{shift}, {shift + scale}]"
@@ -262,11 +270,16 @@ class DenseGame(NormalFormGame):
 
     def _raw_block(self, profile) -> tuple:
         """Every player's M_i K_i, row by row as the stacked ``M_i @ K_i[:, :, None]``,
-        a chunk of rows at a time."""
+        a chunk of rows at a time; of one profile, as the same matrix-vector
+        call (so the same bits) on 1-D products, straight into its slice."""
         lead = np.shape(profile[0])[:-1]
         rows = math.prod(lead)
         block = np.empty(rows * sum(self.dims))
         u = self._player_views(block, lead)
+        if not lead:
+            for m, k, ui in zip(self._m, _leave_one_out(profile, np.multiply.outer), u):
+                np.matmul(m, k.ravel(), out=ui)
+            return block, u
         ws, step = [w.reshape(rows, w.shape[-1]) for w in profile], self._kron_rows
         for r in range(0, rows, step):
             kron = _leave_one_out([w[r:r + step] for w in ws])

@@ -61,7 +61,7 @@ def make_matrix_game(A) -> DenseGame:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.size == 0:
         raise ValueError("matrix must be nonempty")
-    if A.min() < 0.0 or A.max() > 1.0:
+    if not (A.min() >= 0.0 and A.max() <= 1.0):  # NaN fails it too
         raise ValueError(f"matrix entries must lie in [0,1], got [{A.min()}, {A.max()}]")
     return DenseGame([A, 1.0 - A], meta={"kind_detail": "matrix", "matrix": A.tolist()})
 

@@ -7,7 +7,6 @@ is a complete standalone SVG document; write_svg saves it to disk.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 __all__ = ["line_plot", "write_svg"]
 
@@ -18,6 +17,10 @@ _PALETTE = [
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 16, 34, 46
+
+
+def escape(text: str) -> str:  # XML entities for &, < and >, & first
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:

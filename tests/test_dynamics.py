@@ -643,6 +643,47 @@ class TestLearnerGroups:
             np.testing.assert_allclose(tr.utilities[i], utils[i], rtol=0, atol=1e-12)
 
 
+class TestRunPlays:
+    """Each unit records its plays once per round; each player's (T, d) plays
+    are then split off as an array of its own."""
+
+    SPEC = LearnerSpec("oftrl", 0.3, "entropy", "last")
+    BR = LearnerSpec("bestresponse")
+
+    @pytest.mark.parametrize("mode", ["utility", "cost"])
+    @pytest.mark.parametrize("dims, specs", [
+        ([3], [SPEC]),
+        ([3, 3], [SPEC] * 2),
+        ([2, 2, 3, 3, 1], [SPEC] * 5),
+        ([4, 4, 4, 4], [SPEC] * 4),
+        ([3, 3, 3, 3], [SPEC, SPEC, BR, SPEC]),
+    ], ids=["n1", "n2", "rectangular", "n4", "split-by-a-responder"])
+    def test_plays_are_contiguous_owned_and_serial_bitwise(self, dims, specs, mode):
+        g = make_random_game(len(dims), dims, seed=213)
+        grouped = run(g, specs, 23, mode)
+        for i, p in enumerate(grouped.plays):
+            assert p.shape == (23, dims[i])
+            assert p.flags.c_contiguous and p.flags.owndata
+        serial = [make_learner(s, d) for s, d in zip(specs, dims)]
+        assert trace_bytes(grouped) == trace_bytes(run(g, serial, 23, mode))
+
+    def test_a_player_s_plays_are_its_rows_of_the_group_s_play(self, monkeypatch):
+        g = make_random_game(3, [2, 2, 2], seed=214)
+        seen = []
+        orig = OnlineLearner.play
+
+        def recording(self):
+            w = orig(self)
+            seen.append(np.array(w))
+            return w
+
+        monkeypatch.setattr(OnlineLearner, "play", recording)
+        tr = run(g, [self.SPEC] * 3, 5)
+        assert [w.shape for w in seen] == [(3, 2)] * 5
+        for i in range(3):
+            assert [p.tobytes() for p in tr.plays[i]] == [w[i].tobytes() for w in seen]
+
+
 class TestBestResponseDynamics:
     def test_responder_plays_pure_best_responses(self):
         g = make_matrix_game([[1.0, 0.0], [0.0, 1.0]])

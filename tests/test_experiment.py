@@ -962,6 +962,43 @@ class TestCliReport:
         assert code == 1
         assert err == f"error: trace line 1: {message}\n"
 
+    DENSE = {"kind": "dense", "n": 2, "dims": [2, 2], "scale": 1.0, "shift": 0.0,
+             "tensors": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]}
+    AUCTION = {"kind": "auction", "n": 2, "m": 1, "values": [[3.0], [2.0]],
+               "bid_levels": [1.0, 2.0]}
+    FINITE_SCALE = "need a positive finite scale and a finite shift, got "
+    AUCTION_VALUES = "item values must be nonnegative and finite"
+    BID_LEVELS = "bid levels must be sorted, positive, finite and distinct"
+
+    @pytest.mark.parametrize("game, message", [
+        ({"matrix": [[math.nan, 0.0], [0.0, 1.0]]},
+         "matrix entries must lie in [0,1], got [nan, nan]"),
+        ({"matrix": [[math.inf, 0.0], [0.0, 1.0]]},
+         "matrix entries must lie in [0,1], got [0.0, inf]"),
+        ({**DENSE, "tensors": [[[1.0, math.nan], [0.0, 1.0]], DENSE["tensors"][1]]},
+         "raw utilities [nan, nan] escape the declared range [0.0, 1.0]"),
+        ({**DENSE, "scale": math.nan}, FINITE_SCALE + "scale=nan, shift=0.0"),
+        ({**DENSE, "scale": math.inf}, FINITE_SCALE + "scale=inf, shift=0.0"),
+        ({**DENSE, "shift": math.nan}, FINITE_SCALE + "scale=1.0, shift=nan"),
+        ({**DENSE, "shift": -math.inf}, FINITE_SCALE + "scale=1.0, shift=-inf"),
+        ({**AUCTION, "values": [[math.nan], [2.0]]}, AUCTION_VALUES),
+        ({**AUCTION, "values": [[3.0], [math.inf]]}, AUCTION_VALUES),
+        ({**AUCTION, "bid_levels": [1.0, math.nan]}, BID_LEVELS),
+        ({**AUCTION, "bid_levels": [math.nan, 2.0]}, BID_LEVELS),
+        ({**AUCTION, "bid_levels": [1.0, math.inf]}, BID_LEVELS),
+    ], ids=["matrix-nan", "matrix-inf", "tensor-nan", "scale-nan", "scale-inf", "shift-nan",
+            "shift-minus-inf", "value-nan", "value-inf", "bid-nan", "first-bid-nan",
+            "bid-inf"])
+    def test_non_finite_game_meta_exits_1(self, tmp_path, capsys, recwarn, game, message):
+        def edit(lines):
+            meta = json.loads(lines[0][len("# meta="):])
+            edited = game if "kind" in game else {**meta["game"], **game}
+            lines[0] = "# meta=" + json.dumps({**meta, "game": edited}) + "\n"
+        code, err = self.report_edited_trace(tmp_path, capsys, edit)
+        assert code == 1
+        assert err == f"error: trace line 1: metadata game: {message}\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_meta_that_is_not_json_exits_1(self, tmp_path, capsys):
         def edit(lines):
             lines[0] = "# meta={not json\n"

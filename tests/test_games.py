@@ -294,6 +294,35 @@ class TestDenseAllPlayersOracle:
         with pytest.raises(UtilityRangeError, match="^" + re.escape(message) + "$"):
             g._normalized_utilities(1, prof)
 
+    @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (3.0, -1.0)],
+                             ids=["identity", "affine"])
+    @pytest.mark.parametrize("dims", [[1], [5], [1, 4], [3, 1], [2, 5], [3, 1, 4],
+                                      [2, 3, 2, 1], [2, 1, 3, 2, 2], [1, 1, 1, 1, 1]])
+    def test_a_single_profile_matches_the_enumeration_oracle(self, dims, scale, shift):
+        n = len(dims)
+        base = make_random_game(n, dims, seed=70 + sum(dims))
+        g = DenseGame([scale * t + shift for t in base.tensors], scale=scale, shift=shift)
+        prof = stacked_profile(dims, (), seed=71 + n)
+        u = g._all_normalized_utilities(prof)
+        for i in range(n):
+            oracle = g.normalize(orc.enum_expected_utilities(g.tensors, i, prof))
+            np.testing.assert_allclose(u[i], oracle, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g.expected_utilities(i, prof), oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shift, bits", [(-0.0, 0.0), (0.0, -0.0)],
+                             ids=["negative-zero-shift", "identity"])
+    def test_a_negative_zero_shift_still_normalizes(self, shift, bits):
+        class RawNegativeZero(DenseGame):
+            def _raw_block(self, profile):
+                block, u = super()._raw_block(profile)
+                block[0] = -0.0
+                return block, u
+
+        g = RawNegativeZero([np.zeros((2, 2)), np.zeros((2, 2))], shift=shift)
+        u = g._all_normalized_utilities([np.array([0.5, 0.5])] * 2)
+        # -0.0 - (-0.0) is +0.0; only a +0.0 shift and a unit scale keep -0.0
+        assert_same_bits(u.block[:1], np.array([bits]))
+
     def test_a_long_leading_axis_is_taken_in_chunks_of_rows(self):
         dims = [3, 2, 4, 2]
         g = make_random_game(4, dims, seed=63)

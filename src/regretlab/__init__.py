@@ -29,13 +29,11 @@ from .costmode import (
 from .dynamics import (
     RegretReport,
     Trace,
-    coupling_margin,
     read_trace_csv,
     regret,
     regret_series,
     report,
     run,
-    variation_terms,
     write_trace_csv,
 )
 from .experiment import (
@@ -88,7 +86,6 @@ from .robust import (
     DoublingWrapper,
     certify_robust,
     parametric_constants,
-    recommended_eta_star,
     wrap_doubling,
 )
 
@@ -101,8 +98,8 @@ __all__ = [
     "lipschitz_constant", "parse_network", "run_continuous", "true_regret",
     "FirstOrderConstants", "FirstOrderHedge", "certify_cost_welfare",
     "fit_first_order_constants",
-    "RegretReport", "Trace", "coupling_margin", "read_trace_csv", "regret",
-    "regret_series", "report", "run", "variation_terms", "write_trace_csv",
+    "RegretReport", "Trace", "read_trace_csv", "regret", "regret_series", "report",
+    "run", "write_trace_csv",
     "OUTPUT_ROOT_ENV", "bid_trajectory", "build_game_from_config", "full_report",
     "mean_bid_oscillation", "run_experiment",
     "DenseGame", "EnumerationCapError", "NormalFormGame", "SmoothnessCertificate",
@@ -115,7 +112,6 @@ __all__ = [
     "build_game", "lower_bound_experiment", "make_matrix_game", "make_random_game",
     "make_random_smooth_game", "splitmix64_floats", "splitmix64_stream",
     "NegativeEntropy", "SquaredEuclidean", "get_regularizer",
-    "DoublingWrapper", "certify_robust", "parametric_constants",
-    "recommended_eta_star", "wrap_doubling",
+    "DoublingWrapper", "certify_robust", "parametric_constants", "wrap_doubling",
     "__version__",
 ]

@@ -49,6 +49,11 @@ class AuctionSpec:
         levels = self.bid_levels
         if not (np.all(np.diff(levels) > 0) and 0 < levels[0] and levels[-1] < np.inf):
             raise ValueError("bid levels must be sorted, positive, finite and distinct")
+        # the raw utilities span max value + max bid (Python floats: no overflow warning)
+        top_value, top_bid = float(self.values.max()), float(levels[-1])
+        if not top_value + top_bid < math.inf:
+            raise ValueError(f"the largest item value plus the largest bid level must be "
+                             f"finite, got {top_value} + {top_bid}")
 
 
 def uniform_values(n: int, m: int, v: float) -> np.ndarray:

@@ -240,6 +240,14 @@ def _validate_game(sect, errors):
         game.update(bidders=bidders, items=items, value=value, bids=bids,
                     value_mask_seed=mask_seed)
         n = bidders
+        if items is not None and bidders is not None:
+            # the (bidders, items) values are drawn before the game caps its payoffs
+            try:
+                _check_cap(bidders * items, f"game.items: {bidders} bidders and {items} "
+                           f"items make", "item values")
+            except ValueError as exc:
+                r.error(r.line_of("items"), str(exc))
+                items = None
         if items is not None and bids is not None and bidders is not None:
             dims = [items * len(bids)] * bidders
     elif gtype == "matrix":

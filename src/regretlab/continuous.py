@@ -28,7 +28,6 @@ __all__ = [
     "RoutingReport",
     "parse_network",
     "gradient",
-    "player_cost",
     "lipschitz_constant",
     "run_continuous",
     "linearized_regret",
@@ -201,10 +200,6 @@ def _derive(network: CongestionNetwork, flows):
 def gradient(network: CongestionNetwork, profile, i: int) -> np.ndarray:
     """Exact gradient of player i's cost in its own path flows."""
     return _derive(network, profile)[0][i]
-
-
-def player_cost(network: CongestionNetwork, profile, i: int) -> float:
-    return float(_derive(network, profile)[1][i])
 
 
 @dataclass

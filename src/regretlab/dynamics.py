@@ -50,8 +50,6 @@ __all__ = [
     "run",
     "regret",
     "regret_series",
-    "variation_terms",
-    "coupling_margin",
     "report",
     "write_trace_rows",
     "write_trace_csv",
@@ -141,15 +139,16 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     Best-response players respond to the current round's strategies of every
     distribution player (and the previous round's strategies of any other
     responder), so the dynamics stay simultaneous and well defined; the
-    engine sets each responder's ``utilities`` before it plays.
+    engine sets each responder's ``utilities`` before it plays, its row of one
+    all-players oracle call that the round's responders share.
 
     Consecutive players with one FTRL or OMD spec and one strategy count step
     as one group (see ``_units``): one play, one write of it and one observe
     per round, of (k, d) blocks whose rows are bitwise those of k single
     learners.  A group observes its slice of the oracle's flat block.
 
-    Each play is shape-checked when its learner returns it; the round's one
-    all-players oracle call skips the profile check, and every row of every
+    Each play is shape-checked when its learner returns it; the round's
+    all-players oracle calls skip the profile check, and every row of every
     play is checked against the simplex once, when the trace is derived.
     A run of more than ``games.DEFAULT_ENUM_CAP`` play cells (T * sum(d_i))
     is refused before anything is allocated.
@@ -182,11 +181,11 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
         for i, row in zip(players, w.reshape(len(players), -1)):
             current[i] = row
 
-    def oracle(call, *args):
+    def oracle(profile):
         try:
-            return call(*args)
+            return game._all_normalized_utilities(profile)
         except UtilityRangeError:
-            games._check_profile(game, args[-1])  # name an off-simplex play, the likelier cause
+            games._check_profile(game, profile)  # name an off-simplex play, the likelier cause
             raise
 
     profile = [np.full(d, 1.0 / d) for d in dims]
@@ -194,14 +193,17 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
         current = list(profile)  # responders: previous round (uniform at t=0)
         for unit in movers:
             play(current, t, *unit)
-        # all respond before any plays: each sees the others' last round
+        # all respond before any plays: each sees the others' last round, its
+        # row of one all-players call
+        if responders:
+            u_now = oracle(current)
         for learner, players, *_ in responders:
-            u_now = oracle(game._normalized_utilities, players[0], current)
-            learner.utilities = 1.0 - u_now if mode == "cost" else u_now
+            u = u_now[players[0]]
+            learner.utilities = 1.0 - u if mode == "cost" else u
         for unit in responders:
             play(current, t, *unit)
 
-        block = oracle(game._all_normalized_utilities, current).block
+        block = oracle(current).block
         for learner, _, shape, _, rows, as_is in units:
             u = block[rows].reshape(shape)
             learner.observe(u if as_is else 1.0 - u)
@@ -239,29 +241,6 @@ def regret_series(trace: Trace, i: int) -> np.ndarray:
     cum = np.cumsum(u, axis=0)
     realized = np.cumsum(np.sum(trace.plays[i] * u, axis=1))
     return cum.max(axis=1) - realized
-
-
-def variation_terms(trace: Trace, i: int) -> tuple[float, float]:
-    """(sum ||du_i||_inf^2, sum ||dw_i||_1^2) over the whole trace."""
-    return float(trace.du2_cum[i, -1]), float(trace.dw2_cum[i, -1])
-
-
-def coupling_margin(trace: Trace) -> float:
-    """min over players and rounds t >= 2 of
-    sum_{j != i} ||dw_j||_1 - ||du_i||_inf  (nonnegative when the coupling
-    between utility variation and opponent strategy variation holds)."""
-    n, T = trace.n, trace.T
-    if T < 2:
-        return 0.0
-    dw = np.stack([
-        np.sum(np.abs(np.diff(trace.plays[j], axis=0)), axis=1) for j in range(n)
-    ])  # (n, T-1), rounds 2..T
-    margin = np.inf
-    for i in range(n):
-        du = np.max(np.abs(np.diff(trace.utilities[i], axis=0)), axis=1)
-        others = dw.sum(axis=0) - dw[i]
-        margin = min(margin, float((others - du).min()))
-    return margin
 
 
 @dataclass

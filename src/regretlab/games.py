@@ -144,9 +144,6 @@ class NormalFormGame:
     def normalize(self, raw):
         return (np.asarray(raw, dtype=float) - self.shift) / self.scale
 
-    def denormalize(self, norm):
-        return np.asarray(norm, dtype=float) * self.scale + self.shift
-
     def expected_utilities(self, i: int, profile) -> np.ndarray:
         """Exact expected utility of each of player i's strategies against the
         opponents' mixed profile (entry i gives only the leading shape),
@@ -154,16 +151,12 @@ class NormalFormGame:
         if not 0 <= i < self.n:
             raise ValueError(f"player index {i} out of range for n={self.n}")
         profile, _ = _check_profile(self, profile, skip=i)
-        return self._normalized_utilities(i, profile)
-
-    def _normalized_utilities(self, i: int, profile) -> np.ndarray:
-        """``expected_utilities`` past its boundary check: ``profile`` must
-        already hold float arrays of the right shapes, unchecked here."""
         return self._check_range(i, self.normalize(self.raw_expected_utilities(i, profile)))
 
     def _all_normalized_utilities(self, profile) -> list:
-        """Every player's ``_normalized_utilities`` in one call, bit for bit,
-        each row of L bit for bit as it is on its own."""
+        """Every player's ``expected_utilities`` in one call, bit for bit, each
+        row of L bit for bit as it is on its own; ``profile`` must already hold
+        float arrays of the right shapes, unchecked here."""
         return self._normalized_block(*self._raw_block(profile))
 
     def _player_views(self, block: np.ndarray, lead: tuple) -> list:

@@ -86,10 +86,6 @@ class NegativeEntropy:
     primal_norm = "l1"
     dual_norm = "linf"
 
-    def value(self, w) -> float:
-        w = np.asarray(w, dtype=float)
-        return float(np.sum(np.where(w > 0.0, w * np.log(np.where(w > 0.0, w, 1.0)), 0.0)))
-
     def initial_point(self, d: int) -> np.ndarray:
         _check_dim(d)
         return np.full(d, 1.0 / d)
@@ -97,18 +93,6 @@ class NegativeEntropy:
     def ftrl_argmax(self, G, eta: float) -> np.ndarray:
         """argmax over the simplex of <w, G> - R(w)/eta (softmax of eta*G)."""
         return _exp_weights(eta * np.asarray(G, dtype=float))
-
-    def bregman(self, w, g) -> float:
-        """KL divergence of w from g (g interior)."""
-        g = np.asarray(g, dtype=float)
-        zeros = np.flatnonzero(g <= 0.0)
-        if zeros.size:
-            raise ValueError(
-                f"KL divergence needs an interior base point; coordinate {zeros[0]} is zero"
-            )
-        w = np.asarray(w, dtype=float)
-        safe = np.where(w > 0.0, w, 1.0)
-        return float(np.sum(np.where(w > 0.0, w * (np.log(safe) - np.log(g)), 0.0)))
 
     def r_ftrl(self, d: int) -> float:
         """Range of R over the d-simplex: 0 - (-ln d) = ln d."""
@@ -128,10 +112,6 @@ class SquaredEuclidean:
     primal_norm = "l2"
     dual_norm = "l2"
 
-    def value(self, w) -> float:
-        w = np.asarray(w, dtype=float)
-        return 0.5 * float(w @ w)
-
     def initial_point(self, d: int) -> np.ndarray:
         _check_dim(d)
         return np.full(d, 1.0 / d)
@@ -148,12 +128,6 @@ class SquaredEuclidean:
         g = np.asarray(g, dtype=float)
         u = _check_finite(u, "utility vector")
         return project_simplex(g + eta * u)
-
-    def bregman(self, w, g) -> float:
-        w = np.asarray(w, dtype=float)
-        g = np.asarray(g, dtype=float)
-        diff = w - g
-        return 0.5 * float(diff @ diff)
 
     def r_ftrl(self, d: int) -> float:
         """Range of ||w||^2/2 on the simplex: (1 - 1/d) / 2 (vertex minus uniform)."""

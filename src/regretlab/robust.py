@@ -18,8 +18,7 @@ import numpy as np
 from .learners import (Certificate, OnlineLearner, _comparator_regret, _positive_finite,
                        declared_variation_bound, make_learner, variation_sums)
 
-__all__ = ["DoublingWrapper", "wrap_doubling", "parametric_constants",
-           "certify_robust", "recommended_eta_star"]
+__all__ = ["DoublingWrapper", "wrap_doubling", "parametric_constants", "certify_robust"]
 
 
 class DoublingWrapper(OnlineLearner):
@@ -135,16 +134,3 @@ def certify_robust(
         },
     )
 
-
-def recommended_eta_star(mode: str, n: int, beta: float, gamma: float, T: int) -> float:
-    """Step-size cap for the wrapper: 'sum_regret' keeps self-play sum of
-    regrets logarithmic, 'individual' targets the T^{1/4} individual rate."""
-    if n < 2:
-        raise ValueError(f"need at least two players, got n={n}")
-    if T < 2:
-        raise ValueError(f"T must be >= 2, got {T}")
-    if mode == "sum_regret":
-        return gamma / ((2.0 + beta) * (n - 1) ** 2 * math.log(T))
-    if mode == "individual":
-        return float(T) ** -0.25
-    raise ValueError(f"mode must be 'sum_regret' or 'individual', got {mode!r}")

@@ -451,6 +451,32 @@ def independent_variation_sums(utilities_i, plays_i):
     return sum_du, sum_dw
 
 
+def coupling_margin(plays, utilities):
+    """min over players i and rounds t >= 2 of
+    sum_{j != i} ||w_j^t - w_j^{t-1}||_1 - ||u_i^t - u_i^{t-1}||_inf, 0.0 for a
+    single round: nonnegative when each player's utility variation is bounded
+    by the opponents' strategy variation."""
+    n, T = len(plays), len(plays[0])
+    margin = math.inf if T >= 2 else 0.0
+    for t in range(1, T):
+        for i in range(n):
+            dw = sum(sum(abs(a - b) for a, b in zip(plays[j][t], plays[j][t - 1]))
+                     for j in range(n) if j != i)
+            du = max(abs(a - b) for a, b in zip(utilities[i][t], utilities[i][t - 1]))
+            margin = min(margin, dw - du)
+    return margin
+
+
+def entropy_value(w):
+    """R(w) = sum_k w_k ln w_k, with 0 ln 0 = 0."""
+    return sum(x * math.log(x) for x in w if x > 0.0)
+
+
+def euclidean_value(w):
+    """R(w) = ||w||_2^2 / 2."""
+    return 0.5 * sum(x * x for x in w)
+
+
 def entropy_omd_prox_terms(utilities, plays, eta):
     """(lhs, rhs) of the mirror-descent prox inequality for entropy OMD with
     the last-utility predictor, from its closed form: g^t = softmax(eta *

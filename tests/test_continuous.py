@@ -17,7 +17,6 @@ from regretlab.continuous import (
     linearized_regret,
     lipschitz_constant,
     parse_network,
-    player_cost,
     run_continuous,
     true_regret,
 )
@@ -205,8 +204,7 @@ class TestGradient:
     def test_profile_of_the_wrong_length_is_rejected(self, count):
         net = parse_network(TWO_EDGE_TWO_PLAYER)
         prof = [np.array([0.5, 0.5])] * count
-        for fn in (net.edge_loads, lambda p: gradient(net, p, 0),
-                   lambda p: player_cost(net, p, 0)):
+        for fn in (net.edge_loads, lambda p: gradient(net, p, 0)):
             with pytest.raises(ValueError, match=f"profile has {count} flow vectors, "
                                                  "network has 2 players"):
                 fn(prof)
@@ -232,7 +230,7 @@ class TestGradient:
             expect = orc.routing_player_cost(
                 net.edges, net.paths, [p.tolist() for p in prof], i
             )
-            assert player_cost(net, prof, i) == pytest.approx(expect, abs=1e-12)
+            assert continuous._derive(net, prof)[1][i] == pytest.approx(expect, abs=1e-12)
 
 
 class TestLipschitzBundle:
@@ -383,7 +381,9 @@ class TestDynamics:
         tr = run_continuous(net, 0.05, 10)
         for t in (0, 4, 9):
             prof = [tr.flows[i][t] for i in range(net.n)]
-            expect = sum(player_cost(net, prof, i) for i in range(net.n))
+            expect = sum(orc.routing_player_cost(net.edges, net.paths,
+                                                 [p.tolist() for p in prof], i)
+                         for i in range(net.n))
             assert tr.total_cost[t] == pytest.approx(expect, abs=1e-12)
 
 

@@ -20,13 +20,11 @@ from regretlab.dynamics import (
     _trace_from_plays,
     _trace_values,
     _units,
-    coupling_margin,
     read_trace_csv,
     regret,
     regret_series,
     report,
     run,
-    variation_terms,
     write_trace_csv,
     write_trace_rows,
 )
@@ -215,22 +213,17 @@ class TestRunChecksPlays:
 
     def test_a_dense_round_makes_one_all_players_oracle_call(self, monkeypatch):
         g = make_random_game(3, [2, 3, 2], seed=5)
-        calls = {"all players": 0, "one player": 0}
-        all_players, one_player = DenseGame._raw_block, DenseGame._normalized_utilities
+        calls = []
+        all_players = DenseGame._raw_block
 
         def counting_all(self, profile):
-            calls["all players"] += 1
+            calls.append(1)
             return all_players(self, profile)
 
-        def counting_one(self, i, profile):
-            calls["one player"] += 1
-            return one_player(self, i, profile)
-
         monkeypatch.setattr(DenseGame, "_raw_block", counting_all)
-        monkeypatch.setattr(DenseGame, "_normalized_utilities", counting_one)
         run(g, [opt_hedge(0.2), LearnerSpec("omd", 0.3, predictor="last"), hedge(0.4)], 9)
         # one per round, one in the derivation over all nine rounds
-        assert calls == {"all players": 10, "one player": 0}
+        assert len(calls) == 10
 
 
 class TestAgainstSelfplayOracle:
@@ -304,13 +297,14 @@ class TestAgainstIndependentSimulator:
 
     def test_variation_terms_match_frozen_oracle_values(self):
         tr = self._trace()
-        du2, dw2 = variation_terms(tr, 0)
+        du2, dw2 = tr.du2_cum[0, -1], tr.dw2_cum[0, -1]
         assert du2 == pytest.approx(self.VAR0[0], abs=1e-9)
         assert dw2 == pytest.approx(self.VAR0[1], abs=1e-9)
 
     def test_coupling_margin_matches_frozen_oracle_value(self):
         tr = self._trace()
-        assert coupling_margin(tr) == pytest.approx(self.MARGIN, abs=1e-9)
+        assert orc.coupling_margin(tr.plays, tr.utilities) == pytest.approx(self.MARGIN,
+                                                                            abs=1e-9)
 
 
 class TestRegretMachinery:
@@ -352,7 +346,7 @@ class TestRegretMachinery:
             expect = orc.independent_variation_sums(
                 tr.utilities[i].tolist(), tr.plays[i].tolist()
             )
-            got = variation_terms(tr, i)
+            got = tr.du2_cum[i, -1], tr.dw2_cum[i, -1]
             assert got[0] == pytest.approx(expect[0], abs=1e-12)
             assert got[1] == pytest.approx(expect[1], abs=1e-12)
 
@@ -373,22 +367,7 @@ class TestCouplingMargin:
         ]
         for g, specs in cases:
             tr = run(g, specs, 40)
-            assert coupling_margin(tr) >= -1e-12
-
-    def test_single_round_margin_is_zero(self):
-        tr = run(make_matrix_game(A_TILTED), [hedge(0.1), hedge(0.1)], 1)
-        assert coupling_margin(tr) == 0.0
-
-    def test_matches_hand_recomputation(self):
-        tr = run(make_random_game(2, [2, 3], seed=106), [opt_hedge(0.3), hedge(0.4)], 12)
-        margin = math.inf
-        for t in range(1, 12):
-            for i in range(2):
-                j = 1 - i
-                dw = float(np.abs(tr.plays[j][t] - tr.plays[j][t - 1]).sum())
-                du = float(np.abs(tr.utilities[i][t] - tr.utilities[i][t - 1]).max())
-                margin = min(margin, dw - du)
-        assert coupling_margin(tr) == pytest.approx(margin, abs=1e-15)
+            assert orc.coupling_margin(tr.plays, tr.utilities) >= -1e-12
 
 
 class TestCceGap:
@@ -666,6 +645,40 @@ class TestRunPlays:
             assert p.flags.c_contiguous and p.flags.owndata
         serial = [make_learner(s, d) for s, d in zip(specs, dims)]
         assert trace_bytes(grouped) == trace_bytes(run(g, serial, 23, mode))
+
+    @pytest.mark.parametrize("mode", ["utility", "cost"])
+    def test_responders_read_their_rows_of_one_shared_call(self, monkeypatch, mode):
+        dims, T = [3, 2, 3, 2], 17
+        g = make_random_game(4, dims, seed=215)
+        specs = [self.SPEC, self.BR, self.SPEC, self.BR]
+        calls, seen = [], []
+        raw_block, respond = DenseGame._raw_block, BestResponseLearner._play
+
+        def counting(self, profile):
+            calls.append(1)
+            return raw_block(self, profile)
+
+        def recording(self):
+            seen.append(np.array(self.utilities))
+            return respond(self)
+
+        monkeypatch.setattr(DenseGame, "_raw_block", counting)
+        monkeypatch.setattr(BestResponseLearner, "_play", recording)
+        tr = run(g, specs, T, mode)
+        # one call a round for both responders, one for the observations, one
+        # in the derivation
+        assert len(calls) == 2 * T + 1
+        serial = [make_learner(s, d) for s, d in zip(specs, dims)]
+        assert trace_bytes(tr) == trace_bytes(run(g, serial, T, mode))
+        # each responder's row keeps the per-player oracle's bits: movers'
+        # current plays, the other responder's previous play (uniform at t = 0)
+        for t in range(T):
+            for k, i in enumerate((1, 3)):
+                prof = [tr.plays[j][t] if j in (0, 2) else
+                        tr.plays[j][t - 1] if t else np.full(dims[j], 1.0 / dims[j])
+                        for j in range(4)]
+                u = g.expected_utilities(i, prof)
+                assert seen[2 * t + k].tobytes() == (1.0 - u if mode == "cost" else u).tobytes()
 
     def test_a_player_s_plays_are_its_rows_of_the_group_s_play(self, monkeypatch):
         g = make_random_game(3, [2, 2, 2], seed=214)

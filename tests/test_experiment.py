@@ -986,9 +986,12 @@ class TestCliReport:
         ({**AUCTION, "bid_levels": [1.0, math.nan]}, BID_LEVELS),
         ({**AUCTION, "bid_levels": [math.nan, 2.0]}, BID_LEVELS),
         ({**AUCTION, "bid_levels": [1.0, math.inf]}, BID_LEVELS),
+        ({**AUCTION, "values": [[1e308], [1.0]], "bid_levels": [1.0, 1.7e308]},
+         "the largest item value plus the largest bid level must be finite, "
+         "got 1e+308 + 1.7e+308"),
     ], ids=["matrix-nan", "matrix-inf", "tensor-nan", "scale-nan", "scale-inf", "shift-nan",
             "shift-minus-inf", "value-nan", "value-inf", "bid-nan", "first-bid-nan",
-            "bid-inf"])
+            "bid-inf", "value-plus-bid-overflows"])
     def test_non_finite_game_meta_exits_1(self, tmp_path, capsys, recwarn, game, message):
         def edit(lines):
             meta = json.loads(lines[0][len("# meta="):])
@@ -1410,6 +1413,20 @@ class TestCliErrorBoundary:
             f"error: {cfg} is not a valid config:",
             "  line 6: game.bids range '1..100000000000' has 100000000000 levels, above "
             "the enumeration cap 10000000; refusing to allocate them"]
+        assert time.perf_counter() - start < 20.0
+        assert not (tmp_path / "out").exists()
+
+    def test_auction_items_above_the_cap(self, tmp_path):
+        # a refusal that failed would draw 4e11 item values: the child gets 2 GiB
+        cfg = write_cfg(tmp_path, self.AUCTION_CFG.format(4, 100000000000, "1..20")
+                        + f"[outputs]\ndir = {tmp_path / 'out'}\n")
+        start = time.perf_counter()
+        done = run_module("simulate", cfg, max_bytes=2 << 30)
+        assert done.returncode == 1 and "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == [
+            f"error: {cfg} is not a valid config:",
+            "  line 4: game.items: 4 bidders and 100000000000 items make 400000000000 item "
+            "values, above the enumeration cap 10000000; refusing to allocate them"]
         assert time.perf_counter() - start < 20.0
         assert not (tmp_path / "out").exists()
 

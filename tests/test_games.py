@@ -267,7 +267,7 @@ class TestDenseAllPlayersOracle:
         prof = stacked_profile(dims, lead, seed=62)
         u = g._all_normalized_utilities(prof)
         for i in range(n):
-            assert_same_bits(u[i], g._normalized_utilities(i, prof))
+            assert_same_bits(u[i], g.expected_utilities(i, prof))
 
     @pytest.mark.parametrize("n, dims", CASES + [(5, [2, 3, 2, 1, 2])])
     def test_every_row_keeps_its_single_profile_bits(self, n, dims, monkeypatch):
@@ -290,9 +290,10 @@ class TestDenseAllPlayersOracle:
         message = "player 1: normalized utilities escape [0, 1]: [0.5, 1.5]"
         with pytest.raises(UtilityRangeError, match="^" + re.escape(message) + "$"):
             g._all_normalized_utilities(prof)
-        g._normalized_utilities(0, prof)
+        g.expected_utilities(0, prof)  # player 0's own entry gives only the shape
+        # expected_utilities past its profile check, which player 0's entry fails
         with pytest.raises(UtilityRangeError, match="^" + re.escape(message) + "$"):
-            g._normalized_utilities(1, prof)
+            g._check_range(1, g.normalize(g.raw_expected_utilities(1, prof)))
 
     @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (3.0, -1.0)],
                              ids=["identity", "affine"])
@@ -373,7 +374,7 @@ class TestDenseWelfare:
         prof = stacked_profile(dims, (5,), seed=9)
         u, welfare = g._utilities_and_welfare(prof)
         for i in range(n):
-            np.testing.assert_allclose(u[i], g._normalized_utilities(i, prof), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(u[i], g.expected_utilities(i, prof), rtol=0, atol=1e-12)
         # raw = 3 * normalized - 1 for each player, whose strategy sums to 1
         normalized = sum((w * ui).sum(axis=-1) for w, ui in zip(prof, u))
         np.testing.assert_allclose(welfare, 3.0 * normalized - n, rtol=0, atol=1e-12)

@@ -1,5 +1,5 @@
-"""Regularizer contracts: initial points, argmax/prox closed forms, Bregman
-divergences, diameter constants, and 1-strong-convexity."""
+"""Regularizer contracts: initial points, argmax/prox closed forms, diameter
+constants, and 1-strong-convexity."""
 
 import math
 
@@ -112,28 +112,6 @@ class TestProjectSimplex:
         assert project_simplex(np.empty((0, 2, 3))).shape == (0, 2, 3)
 
 
-class TestBregman:
-    def test_zero_at_equal(self):
-        g = np.array([0.25, 0.75])
-        assert ENTROPY.bregman(g, g) == pytest.approx(0.0, abs=1e-15)
-        assert EUCLID.bregman(g, g) == pytest.approx(0.0, abs=1e-15)
-
-    def test_entropy_point_mass_vs_uniform(self):
-        val = ENTROPY.bregman(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-        assert val == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_euclid_is_half_squared_distance(self):
-        w = np.array([0.7, 0.3])
-        g = np.array([0.4, 0.6])
-        assert EUCLID.bregman(w, g) == pytest.approx(0.5 * np.sum((w - g) ** 2), abs=1e-15)
-
-    def test_dominates_half_squared_norm(self):
-        # strong convexity in integral form: D(w, g) >= ||w - g||^2 / 2
-        for w, g in random_simplex_pairs(3, 200, seed=21):
-            assert ENTROPY.bregman(w, g) >= np.abs(w - g).sum() ** 2 / 2.0 - 1e-12
-            assert EUCLID.bregman(w, g) >= np.sum((w - g) ** 2) / 2.0 - 1e-12
-
-
 class TestDiameterConstants:
     def test_entropy_r_ftrl_is_log_d(self):
         for d in (2, 3, 5, 17):
@@ -158,13 +136,15 @@ class TestDiameterConstants:
 class TestStrongConvexity:
     def test_midpoint_inequality_entropy(self):
         # R((u+v)/2) <= (R(u) + R(v))/2 - ||u - v||^2 / 8 in the l1 norm
+        R = orc.entropy_value
         for u, v in random_simplex_pairs(4, 10000, seed=31):
-            gap = (ENTROPY.value(u) + ENTROPY.value(v)) / 2.0 - ENTROPY.value((u + v) / 2.0)
+            gap = (R(u) + R(v)) / 2.0 - R((u + v) / 2.0)
             assert gap >= np.abs(u - v).sum() ** 2 / 8.0 - 1e-12
 
     def test_midpoint_inequality_euclid(self):
+        R = orc.euclidean_value
         for u, v in random_simplex_pairs(4, 10000, seed=32):
-            gap = (EUCLID.value(u) + EUCLID.value(v)) / 2.0 - EUCLID.value((u + v) / 2.0)
+            gap = (R(u) + R(v)) / 2.0 - R((u + v) / 2.0)
             assert gap >= np.sum((u - v) ** 2) / 8.0 - 1e-12
 
 

@@ -467,6 +467,21 @@ def coupling_margin(plays, utilities):
     return margin
 
 
+def recommended_eta_star(mode, n, beta, gamma, T):
+    """Step-size cap for the doubling wrapper: 'sum_regret' is
+    gamma / ((2 + beta) (n - 1)^2 ln T), which keeps the self-play sum of
+    regrets logarithmic; 'individual' is T^{-1/4}, the individual-rate tuning."""
+    if n < 2:
+        raise ValueError(f"need at least two players, got n={n}")
+    if T < 2:
+        raise ValueError(f"T must be >= 2, got {T}")
+    if mode == "sum_regret":
+        return gamma / ((2.0 + beta) * (n - 1) ** 2 * math.log(T))
+    if mode == "individual":
+        return float(T) ** -0.25
+    raise ValueError(f"mode must be 'sum_regret' or 'individual', got {mode!r}")
+
+
 def entropy_value(w):
     """R(w) = sum_k w_k ln w_k, with 0 ln 0 = 0."""
     return sum(x * math.log(x) for x in w if x > 0.0)

@@ -369,6 +369,21 @@ class TestCouplingMargin:
             tr = run(g, specs, 40)
             assert orc.coupling_margin(tr.plays, tr.utilities) >= -1e-12
 
+    def test_single_round_margin_is_zero(self):
+        tr = run(make_matrix_game(A_TILTED), [hedge(0.1), hedge(0.1)], 1)
+        assert orc.coupling_margin(tr.plays, tr.utilities) == 0.0
+
+    def test_matches_hand_recomputation(self):
+        tr = run(make_random_game(2, [2, 3], seed=106), [opt_hedge(0.3), hedge(0.4)], 12)
+        margin = math.inf
+        for t in range(1, 12):
+            for i in range(2):
+                j = 1 - i
+                dw = float(np.abs(tr.plays[j][t] - tr.plays[j][t - 1]).sum())
+                du = float(np.abs(tr.utilities[i][t] - tr.utilities[i][t - 1]).max())
+                margin = min(margin, dw - du)
+        assert orc.coupling_margin(tr.plays, tr.utilities) == pytest.approx(margin, abs=1e-15)
+
 
 class TestCceGap:
     def test_gap_is_max_regret_over_horizon(self):

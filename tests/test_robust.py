@@ -190,9 +190,6 @@ class TestEpochSchedule:
 
 class TestRobustCertificate:
     ALPHA, BETA, GAMMA = math.log(2), 1.0, 0.25
-    # the step-size cap that keeps the self-play sum of regrets logarithmic,
-    # gamma / ((2 + beta) (n - 1)^2 ln T), at n = 2 and T = 256
-    ETA_STAR = GAMMA / ((2.0 + BETA) * math.log(256))
 
     def certify(self, stream, plays, eta_star, **kw):
         return certify_robust(stream, plays, self.ALPHA, self.BETA, self.GAMMA,
@@ -252,7 +249,7 @@ class TestRobustCertificate:
     def test_self_play_both_players_certified(self):
         T = 256
         g = make_matrix_game(A_TILTED)
-        eta_star = self.ETA_STAR
+        eta_star = orc.recommended_eta_star("sum_regret", 2, self.BETA, self.GAMMA, T)
         specs = [wrap_doubling(OPT_HEDGE, 2, eta_star), wrap_doubling(OPT_HEDGE, 2, eta_star)]
         tr = run(g, specs, T)
         for i in range(2):
@@ -262,7 +259,7 @@ class TestRobustCertificate:
     def test_versus_best_response_certified(self):
         T = 256
         g = make_matrix_game(A_TILTED)
-        eta_star = self.ETA_STAR
+        eta_star = orc.recommended_eta_star("sum_regret", 2, self.BETA, self.GAMMA, T)
         tr = run(g, [wrap_doubling(OPT_HEDGE, 2, eta_star), LearnerSpec("bestresponse")], T)
         cert = self.certify(tr.utilities[0], tr.plays[0], eta_star)
         assert cert.passed is True
@@ -273,7 +270,7 @@ class TestRobustCertificate:
         # self-play bound
         T = 256
         g = make_random_game(2, [2, 2], seed=260)
-        eta_star = self.ETA_STAR
+        eta_star = orc.recommended_eta_star("sum_regret", 2, self.BETA, self.GAMMA, T)
         tr = run(g, [wrap_doubling(OPT_HEDGE, 2, eta_star),
                      wrap_doubling(OPT_HEDGE, 2, eta_star)], T)
         total = sum(regret(tr, i) for i in range(2))
@@ -290,6 +287,28 @@ class TestRobustCertificate:
         du2, dw2 = variation_sums(stream, plays, "l2_l2")
         assert cert.details["sum_du2"] == pytest.approx(du2, abs=1e-12)
         assert cert.details["sum_dw2"] == pytest.approx(dw2, abs=1e-12)
+
+
+class TestRecommendedEtaStar:
+    def test_sum_regret_formula(self):
+        # beta = 1, gamma = 1/4, n = 4, ln T = 9: 0.25 / (3 * 9 * 9)
+        assert orc.recommended_eta_star("sum_regret", 4, 1.0, 0.25, math.exp(9)) == \
+            pytest.approx(0.00102880658436214, abs=1e-15)
+
+    def test_sum_regret_two_players_unit_log(self):
+        assert orc.recommended_eta_star("sum_regret", 2, 1.0, 0.25, math.e) == \
+            pytest.approx(1.0 / 12.0, abs=1e-15)
+
+    def test_individual_rate_tuning(self):
+        assert orc.recommended_eta_star("individual", 2, 1.0, 0.25, 4096) == 0.125
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="two players"):
+            orc.recommended_eta_star("sum_regret", 1, 1.0, 0.25, 100)
+        with pytest.raises(ValueError, match="T"):
+            orc.recommended_eta_star("sum_regret", 2, 1.0, 0.25, 1)
+        with pytest.raises(ValueError, match="mode"):
+            orc.recommended_eta_star("best", 2, 1.0, 0.25, 100)
 
 
 class TestEngineIntegration:

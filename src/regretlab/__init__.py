@@ -64,7 +64,6 @@ from .learners import (
     OmdLearner,
     OnlineLearner,
     VariationBound,
-    certify_prox_inequality,
     certify_stability,
     certify_variation_bound,
     declared_variation_bound,
@@ -106,9 +105,9 @@ __all__ = [
     "brute_force_opt", "dump_dense_csv", "load_dense_csv", "poa_welfare_bound",
     "verify_smoothness", "UtilityRangeError",
     "BestResponseLearner", "Certificate", "FtrlLearner", "LearnerSpec",
-    "OmdLearner", "OnlineLearner", "VariationBound", "certify_prox_inequality",
-    "certify_stability", "certify_variation_bound", "declared_variation_bound",
-    "declares_variation_bound", "make_learner", "variation_sums",
+    "OmdLearner", "OnlineLearner", "VariationBound", "certify_stability",
+    "certify_variation_bound", "declared_variation_bound", "declares_variation_bound",
+    "make_learner", "variation_sums",
     "build_game", "lower_bound_experiment", "make_matrix_game", "make_random_game",
     "make_random_smooth_game", "splitmix64_floats", "splitmix64_stream",
     "NegativeEntropy", "SquaredEuclidean", "get_regularizer",

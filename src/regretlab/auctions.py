@@ -69,6 +69,13 @@ def masked_values(n: int, m: int, v: float, seed: int) -> np.ndarray:
     return np.where(np.asarray(bits).reshape(n, m) < 0.5, float(v), 0.0)
 
 
+def _check_payoff_cap(n: int, m: int, nb: int) -> None:
+    """Refuse an auction of n bidders, m items and nb bid levels whose
+    n * m * nb payoffs exceed the enumeration cap, before anything is drawn."""
+    _check_cap(n * m * nb, f"an auction of {n} bidders, {m} items and {nb} bid levels stores",
+               "payoffs")
+
+
 class AuctionGame(NormalFormGame):
     kind = "auction"
 
@@ -76,8 +83,7 @@ class AuctionGame(NormalFormGame):
         self.spec = spec
         self.m = spec.m
         self.nb = len(spec.bid_levels)
-        _check_cap(spec.n * self.m * self.nb, f"an auction of {spec.n} bidders, {self.m} "
-                   f"items and {self.nb} bid levels stores", "payoffs")
+        _check_payoff_cap(spec.n, self.m, self.nb)
         d = self.m * self.nb
         max_v = float(spec.values.max())
         max_bid = float(spec.bid_levels[-1])

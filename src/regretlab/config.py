@@ -241,7 +241,7 @@ def _validate_game(sect, errors):
                     value_mask_seed=mask_seed)
         n = bidders
         if items is not None and bidders is not None:
-            # the (bidders, items) values are drawn before the game caps its payoffs
+            # named at its line here; the builder caps the payoffs before any value draw
             try:
                 _check_cap(bidders * items, f"game.items: {bidders} bidders and {items} "
                            f"items make", "item values")

@@ -32,6 +32,7 @@ from .learners import (
     Certificate,
     LearnerSpec,
     OnlineLearner,
+    _best_vertex_regret,
     _positive_finite,
     _regularized_learner,
     certify_stability,
@@ -228,11 +229,8 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
 
 
 def regret(trace: Trace, i: int) -> float:
-    """max over pure strategies of the comparator gain, normalized units."""
-    u = trace.utilities[i]
-    best = float(u.sum(axis=0).max())
-    realized = float(np.sum(trace.plays[i] * u))
-    return best - realized
+    """Player i's regret against the best pure strategy, normalized units."""
+    return _best_vertex_regret(trace.utilities[i], trace.plays[i])
 
 
 def regret_series(trace: Trace, i: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from . import continuous
-from .auctions import AuctionGame, AuctionSpec, masked_values, uniform_values
+from .auctions import AuctionGame, AuctionSpec, _check_payoff_cap, masked_values, uniform_values
 from .config import ExperimentSpec
 from .costmode import certify_cost_welfare, fit_first_order_constants
 from .dynamics import (
@@ -65,6 +65,7 @@ def build_game_from_config(game: dict):
             text = fh.read()
         return load_dense_csv(text) if gtype == "dense_csv" else continuous.parse_network(text)
     if gtype == "auction":
+        _check_payoff_cap(game["bidders"], game["items"], len(game["bids"]))
         if game.get("value_mask_seed") is not None:
             values = masked_values(game["bidders"], game["items"], game["value"],
                                    game["value_mask_seed"])

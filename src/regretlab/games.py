@@ -434,6 +434,14 @@ def _cells(ln: int, cells, parse, what: str, noun: str) -> list:
     return out
 
 
+def _unit_float(x: str) -> float:
+    """A float in [0, 1]; nan and the infinities are refused like text."""
+    v = float(x)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(x)
+    return v
+
+
 def load_dense_csv(text: str) -> DenseGame:
     """Parse a dense game's text: header line ``n,d1,...,dn`` then one row
     per pure profile ``s1,...,sn,u1,...,un`` (normalized [0,1] utilities).
@@ -459,15 +467,12 @@ def load_dense_csv(text: str) -> DenseGame:
             what = "appears twice" if s in seen else f"lies outside the dims {dims}"
             raise ValueError(f"dense-game line {ln}: profile {list(s)} {what}")
         seen.add(s)
-        us = _cells(ln, r[n:], float, "utility", "a number")
+        us = _cells(ln, r[n:], _unit_float, "utility", "a number in [0, 1]")
         for i in range(n):
             tensors[i][s] = us[i]
     for i, t in enumerate(tensors):
         if np.isnan(t).any():
             raise ValueError(f"player {i}: some pure profiles are missing a utility")
-        if t.min() < 0.0 or t.max() > 1.0:
-            raise ValueError(f"player {i}: utilities must lie in [0,1], got "
-                             f"[{t.min()}, {t.max()}]")
     return DenseGame(tensors, scale=1.0, shift=0.0, meta={"kind_detail": "dense_csv"})
 
 

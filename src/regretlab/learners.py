@@ -31,7 +31,6 @@ __all__ = [
     "declares_variation_bound",
     "certify_variation_bound",
     "certify_stability",
-    "certify_prox_inequality",
 ]
 
 
@@ -267,10 +266,6 @@ class OmdLearner(_RegularizedLearner):
         self._g = (None if isinstance(regularizer, NegativeEntropy)
                    else np.broadcast_to(regularizer.initial_point(d), self.shape).copy())
 
-    @property
-    def g(self) -> np.ndarray:
-        return self.reg.ftrl_argmax(self.cumulative, self.eta) if self._g is None else self._g
-
     # FTRL's step is called by its class, not through super(), whose lookup
     # would cost the entropy instance a measurable share of its step
     def _play(self) -> np.ndarray:
@@ -482,31 +477,20 @@ def variation_sums(
     return float(np.sum(du2)), float(np.sum(dw2[1:]))
 
 
-def _comparator_regret(utilities, plays, comparator=None):
-    """(utilities, plays, regret) with both sequences as float arrays of equal
-    shape and regret = sum_t <comparator - w^t, u^t>, the comparator being the
-    best vertex in hindsight when none is given."""
+def _best_vertex_regret(utilities, plays) -> float:
+    """max_k sum_t u^t_k - sum_t <w^t, u^t>: the regret against the best
+    vertex in hindsight of two equal-shape (T, d) sequences."""
     utilities = np.asarray(utilities, dtype=float)
-    plays = np.asarray(plays, dtype=float)
-    if utilities.shape != plays.shape:
+    if utilities.shape != np.shape(plays):
         raise ValueError("utility and play sequences must have equal shapes")
-    if len(utilities) == 0:
-        return utilities, plays, 0.0
-    total = utilities.sum(axis=0)
-    if comparator is None:
-        comparator = np.zeros(utilities.shape[1])
-        comparator[int(np.argmax(total))] = 1.0
-    else:
-        comparator = np.asarray(comparator, dtype=float)
-    return utilities, plays, float(comparator @ total - np.sum(plays * utilities))
+    return float(utilities.sum(axis=0).max()) - float(np.sum(plays * utilities))
 
 
-def certify_variation_bound(
-    utilities, plays, bound: VariationBound, comparator=None, tol: float = 1e-9
-) -> Certificate:
-    """Check regret <= alpha + beta*sum||du||^2 - gamma*sum||dw||^2 against a
-    fixed comparator (best vertex when none is given)."""
-    utilities, plays, lhs = _comparator_regret(utilities, plays, comparator)
+def certify_variation_bound(utilities, plays, bound: VariationBound,
+                            tol: float = 1e-9) -> Certificate:
+    """Check regret <= alpha + beta*sum||du||^2 - gamma*sum||dw||^2, the
+    regret taken against the best vertex in hindsight."""
+    lhs = _best_vertex_regret(utilities, plays)
     if len(utilities) == 0:
         return Certificate("variation_bound", True, 0.0, bound.alpha,
                            {"sum_du2": 0.0, "sum_dw2": 0.0, **bound.to_dict()})
@@ -529,39 +513,3 @@ def certify_stability(plays, eta: float, tol: float = 1e-9) -> Certificate:
         "play_stability", bool(worst <= 2.0 * eta + tol), worst, 2.0 * eta,
         {"argmax_round": int(steps.argmax()) + 1},
     )
-
-
-def certify_prox_inequality(utilities, plays, spec: LearnerSpec,
-                            tol: float = 1e-9) -> Certificate:
-    """Mirror-descent intermediate bound on an OMD learner's trajectory:
-
-        regret <= R_omd/eta + sum ||u-M||_* ||w-g^t||
-                  - (1/2eta) sum (||w-g^t||^2 + ||w-g^{t-1}||^2)
-
-    in the regularizer's norm pair: l1 with dual l-infinity for the entropy,
-    l2 (self-dual) for the Euclidean.  The secondary sequence g^t and the
-    predictions M^t depend on the utility stream alone, so a fresh learner
-    built from ``spec`` replays them.
-    """
-    if spec.resolved().algorithm != "omd":
-        raise TypeError("prox inequality applies to mirror-descent learners only")
-    us, ws, lhs = _comparator_regret(utilities, plays)
-    T, d = us.shape
-    learner = make_learner(spec, d)
-    ms = np.empty((T, d))
-    gs = np.empty((T + 1, d))  # g^0 .. g^T
-    gs[0] = learner.g
-    for t, u in enumerate(us):
-        ms[t] = learner.predictor.predict()
-        learner.play()
-        learner.observe(u)
-        gs[t + 1] = learner.g
-    order = {"l1": 1, "linf": np.inf, "l2": 2}
-    primal, dual = order[learner.reg.primal_norm], order[learner.reg.dual_norm]
-    w_minus_g = np.linalg.norm(ws - gs[1:], primal, axis=1)
-    w_minus_gprev = np.linalg.norm(ws - gs[:T], primal, axis=1)
-    cross = float(np.sum(np.linalg.norm(us - ms, dual, axis=1) * w_minus_g))
-    quad = float(np.sum(w_minus_g**2 + w_minus_gprev**2))
-    rhs = learner.reg.r_omd(d) / learner.eta + cross - quad / (2.0 * learner.eta)
-    return Certificate("prox_inequality", bool(lhs <= rhs + tol), lhs, rhs,
-                       {"cross_term": cross, "quadratic_term": quad})

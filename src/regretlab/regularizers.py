@@ -84,7 +84,6 @@ class NegativeEntropy:
 
     name = "entropy"
     primal_norm = "l1"
-    dual_norm = "linf"
 
     def initial_point(self, d: int) -> np.ndarray:
         _check_dim(d)
@@ -110,7 +109,6 @@ class SquaredEuclidean:
 
     name = "euclidean"
     primal_norm = "l2"
-    dual_norm = "l2"
 
     def initial_point(self, d: int) -> np.ndarray:
         _check_dim(d)

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .learners import (Certificate, OnlineLearner, _comparator_regret, _positive_finite,
+from .learners import (Certificate, OnlineLearner, _best_vertex_regret, _positive_finite,
                        declared_variation_bound, make_learner, variation_sums)
 
 __all__ = ["DoublingWrapper", "wrap_doubling", "parametric_constants", "certify_robust"]
@@ -100,7 +100,7 @@ def parametric_constants(spec, d: int):
 
 def certify_robust(
     utilities, plays, alpha: float, beta: float, gamma: float, eta_star: float,
-    comparator=None, tol: float = 1e-9, norm_pair: str = "l1_linf",
+    tol: float = 1e-9, norm_pair: str = "l1_linf",
 ) -> Certificate:
     """Dual bound for a doubling-wrapped learner: regret must not exceed the
     minimum of
@@ -114,7 +114,7 @@ def certify_robust(
     eta-free ones: regret <= alpha/eta + eta*beta*sum_du - (gamma/eta)*sum_dw),
     and ``norm_pair`` picks the norms those constants were derived under.
     """
-    utilities, plays, lhs = _comparator_regret(utilities, plays, comparator)
+    lhs = _best_vertex_regret(utilities, plays)
     T = len(utilities)
     if T < 2:
         raise ValueError("the wrapped-learner bound needs T >= 2")

@@ -413,6 +413,12 @@ def cert_named(rep, name):
 
 
 class TestReportCertificates:
+    def test_one_round_oftrl_trace_has_zero_play_stability(self):
+        tr = run(make_matrix_game(A_TILTED), [opt_hedge(0.5), opt_hedge(0.5)], 1)
+        for i in range(2):
+            cert = cert_named(report(tr), f"play_stability[{i}]")
+            assert cert.passed is True and cert.lhs == 0.0
+
     def test_sum_regret_bound_for_optimistic_hedge_pair(self):
         # two optimistic-Hedge players at eta = 1/(2(n-1)) = 0.5: the sum of
         # regrets is bounded by n * ln(d) / eta = 4 ln 2, at every horizon.
@@ -845,6 +851,18 @@ class TestTraceCsv:
         assert a.sum_regret == b.sum_regret
         assert [(c.name, c.passed) for c in a.certificates] == \
                [(c.name, c.passed) for c in b.certificates]
+
+    def test_a_prebuilt_learners_class_name_reaches_report_and_reader(self):
+        tr = run(make_random_game(2, [2, 3], seed=117), [BestResponseLearner(2), opt_hedge(0.3)],
+                 12)
+        assert tr.meta["learners"][0] == {"algorithm": "BestResponseLearner"}
+        back = read_text(write_trace_csv(tr))
+        assert back.meta["learners"] == tr.meta["learners"]
+        a, b = report(tr), report(back)
+        assert a.regrets == b.regrets
+        names = [c.name for c in b.certificates]
+        assert names == [c.name for c in a.certificates]
+        assert "variation_bound[1]" in names and "variation_bound[0]" not in names
 
     def test_file_path_round_trip(self, tmp_path):
         tr = self._trace()

@@ -18,6 +18,7 @@ import pytest
 
 import oracles as orc
 import regretlab
+from regretlab.auctions import masked_values
 from regretlab.cli import main
 from regretlab.config import parse_config
 from regretlab.continuous import parse_network, run_continuous
@@ -482,6 +483,15 @@ class TestRunExperiment:
         assert "[learner.5] refers to player 5 but the game has 2 players" in msg
         assert "game.s_star names 3 strategies for 2 players" in msg
 
+    def test_masked_auction_values_and_report_round_trip(self, tmp_path, capsys):
+        spec = parse_config(AUCTION_CFG.replace("items = 1\nvalue = 4\n",
+                                                "items = 3\nvalue = 4\nvalue_mask_seed = 7\n"))
+        game = build_game_from_config(spec.game)
+        np.testing.assert_array_equal(game.spec.values, masked_values(2, 3, 4.0, 7))
+        manifest = run_experiment(spec, out_dir=str(tmp_path / "auc"))
+        assert main(["report", manifest["artifacts"]["trace"]]) == manifest["exit_code"]
+        assert capsys.readouterr().out == read(manifest["artifacts"]["report"])
+
 
     @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
     def test_shipped_config_reports_and_plots_rerun_byte_identical(self, tmp_path, capsys,
@@ -686,6 +696,17 @@ class TestCliSimulate:
         code = main(["simulate", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
         assert "refers to player 9" in capsys.readouterr().err
+
+    def test_out_of_range_s_star_on_a_dense_game_exits_1(self, tmp_path, capsys):
+        (tmp_path / "p.csv").write_text("2,2,2\n0,0,0.1,0.2\n0,1,0.3,0.4\n"
+                                        "1,0,0.5,0.6\n1,1,0.7,0.8\n")
+        cfg = write_cfg(tmp_path, "[game]\ntype = dense_csv\npath = p.csv\n"
+                        "lambda = 1\nmu = 1\ns_star = 0,2\n"
+                        "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 5\n")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            "error: game.s_star has an out-of-range strategy index\n"
+        assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("cfg_text", [
         NETWORK_CFG.replace("net.txt", "missing.txt"),
@@ -1442,6 +1463,22 @@ class TestCliErrorBoundary:
         done = run_module("simulate", cfg, max_bytes=2 << 30)
         self.assert_one_line_error(done, self.AUCTION_CAP_MESSAGE)
         assert time.perf_counter() - start < 20.0
+        assert not (tmp_path / "out").exists()
+
+    def test_auction_payoffs_are_capped_before_any_value_is_drawn(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def draw(*args):
+            raise AssertionError("item values drawn before the payoff cap")
+
+        for name in ("masked_values", "uniform_values"):
+            monkeypatch.setattr(regretlab.experiment, name, draw)
+        cfg = write_cfg(tmp_path, self.AUCTION_CFG.format(10000, 1000, "1..20").replace(
+            "value = 20\n", "value = 20\nvalue_mask_seed = 3\n")
+            + f"[outputs]\ndir = {tmp_path / 'out'}\n")
+        assert main(["simulate", cfg]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: an auction of 10000 bidders, 1000 items and 20 bid levels stores "
+            "200000000 payoffs, above the enumeration cap 10000000; refusing to allocate them"]
         assert not (tmp_path / "out").exists()
 
     def test_auction_payoffs_above_the_cap_in_a_trace(self, tmp_path):

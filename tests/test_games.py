@@ -540,8 +540,13 @@ class TestDenseCsv:
         ("2,2,2\n0,x,0.5,0.5\n", "line 2: strategy index 'x' is not an integer"),
         ("a,b\n", "line 1: header count 'a' is not an integer"),
         ("2,2,2\n0,0,0.5,0.5\n\n0,1,0.5,zz\n", "line 4: utility 'zz' is not a number"),
+        ("2,2,2\n0,0,0.5,nan\n", "line 2: utility 'nan' is not a number in [0, 1]"),
+        ("2,2,2\n0,0,0.5,0.5\n0,1,inf,0.5\n", "line 3: utility 'inf' is not a number in [0, 1]"),
+        ("2,2,2\n0,0,1.5,0.5\n", "line 2: utility '1.5' is not a number in [0, 1]"),
+        ("2,2,2\n0,0,0.5,-0.1\n", "line 2: utility '-0.1' is not a number in [0, 1]"),
     ], ids=["index-past-dims", "negative-index", "duplicate-profile", "no-players",
-            "no-strategies", "non-integer-index", "non-integer-header", "non-numeric-utility"])
+            "no-strategies", "non-integer-index", "non-integer-header", "non-numeric-utility",
+            "nan-utility", "infinite-utility", "utility-above-one", "negative-utility"])
     def test_bad_rows_are_rejected_by_line(self, text, message):
         with pytest.raises(ValueError) as excinfo:
             load_dense_csv(text)

@@ -15,7 +15,6 @@ from regretlab import (
     OmdLearner,
     OnlineLearner,
     VariationBound,
-    certify_prox_inequality,
     certify_stability,
     certify_variation_bound,
     declared_variation_bound,
@@ -419,7 +418,8 @@ class TestClosedForms:
         learner.eta = math.log(2.0)
         learner.play()
         learner.observe(np.array([1.0, 0.0]))
-        np.testing.assert_allclose(learner.g, [2 / 3, 1 / 3], atol=1e-14)
+        g = learner.reg.ftrl_argmax(learner.cumulative, learner.eta)
+        np.testing.assert_allclose(g, [2 / 3, 1 / 3], atol=1e-14)
 
     def test_hedge_is_ftrl_zero_predictor_bitwise(self):
         a = make_learner(LearnerSpec("hedge", 0.37), 3)
@@ -550,15 +550,15 @@ class TestVariationBoundCertificate:
                 cert = self.certify(spec, random_stream(3, 120, seed=700 + seed), 3)
                 assert cert.passed, (name, seed, cert.lhs, cert.rhs)
 
-    def test_random_comparators(self):
-        spec = LearnerSpec("oftrl", 0.2, "entropy", "last")
-        learner = make_learner(spec, 3)
-        plays, seen = drive(learner, random_stream(3, 100, seed=71))
-        for k in range(5):
-            x = np.array(splitmix64_floats(800 + k, 3)) + 1e-9
-            cert = certify_variation_bound(seen, plays, declared_variation_bound(spec, 3),
-                                           comparator=x / x.sum())
-            assert cert.passed
+    def test_lhs_is_the_best_vertex_regret(self):
+        for name, spec in SPECS.items():
+            if declared_variation_bound(spec, 3) is None:
+                continue
+            for seed in range(3):
+                plays, seen = drive(make_learner(spec, 3), random_stream(3, 100, seed=71 + seed))
+                cert = certify_variation_bound(seen, plays, declared_variation_bound(spec, 3))
+                expect = orc.independent_regret(plays.tolist(), seen.tolist())
+                assert cert.lhs == pytest.approx(expect, abs=1e-12), (name, seed)
 
     def test_shape_mismatch(self):
         bound = declared_variation_bound(LearnerSpec("oftrl", 0.1, "entropy", "last"), 2)
@@ -591,23 +591,27 @@ class TestStability:
 
 
 class TestProxInequality:
+    """OMD trajectories satisfy the mirror-descent prox inequality of their
+    own norm pair, its terms recomputed by the closed-form oracles."""
+
+    @staticmethod
+    def assert_holds(terms, spec, stream, d):
+        plays, seen = drive(make_learner(spec, d), stream)
+        lhs, rhs = terms(seen.tolist(), plays.tolist(), spec.eta)
+        assert lhs <= rhs + 1e-9, (lhs, rhs)
+        return plays, seen, lhs
+
     def test_holds_on_random_streams(self):
-        learner = make_learner(SPECS["omd_last"], 3)
-        plays, seen = drive(learner, random_stream(3, 200, seed=91))
-        cert = certify_prox_inequality(seen, plays, SPECS["omd_last"])
-        assert cert.passed, (cert.lhs, cert.rhs)
+        self.assert_holds(orc.entropy_omd_prox_terms, SPECS["omd_last"],
+                          random_stream(3, 200, seed=91), 3)
 
     def test_holds_on_alternating(self):
-        learner = make_learner(SPECS["omd_last"], 2)
-        plays, seen = drive(learner, alternating_stream(2, 500))
-        cert = certify_prox_inequality(seen, plays, SPECS["omd_last"])
-        assert cert.passed
+        self.assert_holds(orc.entropy_omd_prox_terms, SPECS["omd_last"],
+                          alternating_stream(2, 500), 2)
 
-    def test_rejects_non_omd(self):
-        plays, seen = drive(make_learner(SPECS["hedge"], 2), alternating_stream(2, 4))
-        for spec in (SPECS["hedge"], LearnerSpec("bestresponse")):
-            with pytest.raises(TypeError):
-                certify_prox_inequality(seen, plays, spec)
+    def test_euclidean_holds_on_alternating(self):
+        spec = LearnerSpec("omd", 0.3, "euclidean", "last")
+        self.assert_holds(orc.euclidean_omd_prox_terms, spec, alternating_stream(2, 500), 2)
 
     def test_learner_keeps_no_per_round_lists(self):
         learner = make_learner(SPECS["omd_last"], 3)
@@ -615,31 +619,27 @@ class TestProxInequality:
         assert isinstance(learner, OmdLearner)
         assert [k for k, v in vars(learner).items() if isinstance(v, list)] == []
 
+    # the prox inequality's left side is the variation certificate's regret
     def test_matches_the_closed_form_entropy_recursion(self):
         spec = SPECS["omd_last"]
-        plays, seen = drive(make_learner(spec, 3), random_stream(3, 200, seed=92))
-        cert = certify_prox_inequality(seen, plays, spec)
-        lhs, rhs = orc.entropy_omd_prox_terms(seen.tolist(), plays.tolist(), spec.eta)
+        plays, seen, lhs = self.assert_holds(orc.entropy_omd_prox_terms, spec,
+                                             random_stream(3, 200, seed=92), 3)
+        cert = certify_variation_bound(seen, plays, declared_variation_bound(spec, 3))
         assert cert.lhs == pytest.approx(lhs, abs=1e-12)
-        assert cert.rhs == pytest.approx(rhs, abs=1e-12)
 
     def test_euclidean_matches_the_closed_form_l2_recursion(self):
         spec = LearnerSpec("omd", 0.3, "euclidean", "last")
-        plays, seen = drive(make_learner(spec, 3), random_stream(3, 200, seed=92))
-        cert = certify_prox_inequality(seen, plays, spec)
-        lhs, rhs = orc.euclidean_omd_prox_terms(seen.tolist(), plays.tolist(), spec.eta)
+        plays, seen, lhs = self.assert_holds(orc.euclidean_omd_prox_terms, spec,
+                                             random_stream(3, 200, seed=92), 3)
+        cert = certify_variation_bound(seen, plays, declared_variation_bound(spec, 3))
         assert cert.lhs == pytest.approx(lhs, abs=1e-12)
-        assert cert.rhs == pytest.approx(rhs, abs=1e-12)
-        assert cert.passed, (cert.lhs, cert.rhs)
 
     @pytest.mark.parametrize("seed, eta", [(0, 0.3), (3, 0.05)])
     def test_euclidean_is_measured_in_l2(self, seed, eta):
         # in l1 and l-infinity, the entropy's pair, these runs broke the bound
         spec = LearnerSpec("omd", eta, "euclidean", "last")
-        stream = np.random.default_rng(seed).random((200, 3))
-        plays, seen = drive(make_learner(spec, 3), stream)
-        cert = certify_prox_inequality(seen, plays, spec)
-        assert cert.passed, (cert.lhs, cert.rhs)
+        self.assert_holds(orc.euclidean_omd_prox_terms, spec,
+                          np.random.default_rng(seed).random((200, 3)), 3)
 
 
 class TestBestResponse:

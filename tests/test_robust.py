@@ -8,7 +8,8 @@ import pytest
 
 import oracles as orc
 from regretlab.dynamics import regret, report, run
-from regretlab.learners import LearnerSpec, variation_sums
+from regretlab.learners import (LearnerSpec, VariationBound, certify_variation_bound,
+                                variation_sums)
 from regretlab.library import make_matrix_game, make_random_game, splitmix64_floats
 from regretlab.robust import (
     certify_robust,
@@ -236,15 +237,20 @@ class TestRobustCertificate:
             plays = drive(w, stream)
             assert self.certify(stream, plays, 0.2).passed is True
 
-    def test_explicit_comparator(self):
-        T = 50
-        w = wrap_doubling(OPT_HEDGE, 2, eta_star=0.1)
-        stream = random_stream(250, T, 2)
-        plays = drive(w, stream)
-        worst = self.certify(stream, plays, 0.1)
-        uniform = self.certify(stream, plays, 0.1, comparator=np.array([0.5, 0.5]))
-        assert uniform.lhs <= worst.lhs + 1e-12
-        assert uniform.passed is True
+    def test_lhs_is_the_engine_and_variation_regret(self):
+        # one best-vertex regret: the engine's and both certificates' left sides
+        g = make_random_game(3, [2, 3, 4], seed=250)
+        specs = [wrap_doubling(OPT_HEDGE, 2, eta_star=0.1),
+                 LearnerSpec("oftrl", 0.2, "entropy", "last"),
+                 LearnerSpec("omd", 0.3, "euclidean", "last")]
+        tr = run(g, specs, 50)
+        for i in range(3):
+            u, w = tr.utilities[i], tr.plays[i]
+            lhs = self.certify(u, w, 0.1).lhs
+            assert lhs == regret(tr, i)
+            assert lhs == certify_variation_bound(u, w, VariationBound(1.0, 1.0, 1.0)).lhs
+            assert lhs == pytest.approx(orc.independent_regret(w.tolist(), u.tolist()),
+                                        abs=1e-12)
 
     def test_self_play_both_players_certified(self):
         T = 256

@@ -11,7 +11,7 @@ from ``--src``, each in a fresh interpreter.  Per config it records:
   interpreter start-up and every import the command pays for are included;
 - ``<config>_rss_mb``: that process's own peak RSS, read from ``os.wait4``.
 
-The session's ``peak_rss_mb`` is the largest of them.  The samples are merged
+The invocation's ``peak_rss_mb`` is the largest of them.  The samples are merged
 under ``--label`` into ``BENCH_simulate.json`` at the repository root by
 ``benchlib``.  Compare two checkouts by alternating their labelled runs.
 Only the standard library and numpy are used.

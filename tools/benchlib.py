@@ -9,14 +9,14 @@ samples, a ``measure(src)`` and, if it uses ``fresh_peak_rss``, a
   "peak_rss_mb": float, ...}``, every other key being recorded as is;
 - ``fresh_peak_rss`` reruns the script with ``--child ARGS`` in a fresh
   process, which calls ``child(*ARGS)`` and prints its own peak RSS;
-- ``merge`` pools the samples under ``--label`` in ``BENCH_<name>.json`` at the
-  repository root (``<name>`` from ``bench_<name>.py``), with the host
+- ``merge`` records the samples under ``--label`` in ``BENCH_<name>.json`` at
+  the repository root (``<name>`` from ``bench_<name>.py``), with the host
   fingerprint, the checkout's git commit and a SHA-256 of its
-  ``src/regretlab`` sources.  Samples of one label pool across invocations
-  while the sources stay the same; a label whose sources changed starts over.
-  Each summary is the median, the quartiles and the minimum of the pooled
-  samples: on a host whose speed drifts, the minimum resolves a change
-  smaller than the IQR.
+  ``src/regretlab`` sources.  A label holds one invocation: a rerun replaces
+  its samples and summary, never pools them, so a label never mixes hours
+  whose host speeds differ.  Each summary is the median, the quartiles and
+  the minimum of the samples: on a host whose speed drifts, the minimum
+  resolves a change smaller than the IQR.
 
 Only the standard library and numpy are used.
 """
@@ -75,7 +75,8 @@ def fresh_peak_rss(script: str, src: str, *args: str) -> float:
 
 
 def merge(script: str, what: str, timings, label: str, src: str, result: dict) -> dict:
-    """Pool ``result`` under ``label`` in the script's BENCH file; return the entry."""
+    """Record ``result`` under ``label`` in the script's BENCH file, replacing
+    any earlier entry of that label; return the entry."""
     name = os.path.basename(script)
     out = os.path.join(ROOT, f"BENCH_{name[len('bench_'):-len('.py')]}.json")
     try:
@@ -88,26 +89,18 @@ def merge(script: str, what: str, timings, label: str, src: str, result: dict) -
     bench["what"] = what
     bench["command"] = f"python3 tools/{name} --src <checkout>/src --label <name>"
     src_root = os.path.dirname(os.path.abspath(src))
-    digest = _source_digest(src)
-    entry = bench.setdefault("labels", {}).get(label)
-    if entry is None or entry["src_sha256"] != digest:
-        entry = {"src_sha256": digest, "sessions": []}
-    entry.update(
-        commit=_git(src_root, "rev-parse", "HEAD"),
-        uncommitted_source_changes=bool(_git(src_root, "status", "--porcelain", "--", "src")),
-        fingerprint={"machine": platform.machine(), "platform": platform.platform(),
-                     "cpus": os.cpu_count(), "python": platform.python_version(),
-                     "numpy": np.__version__},
-        **{k: v for k, v in result.items() if k not in ("samples", "peak_rss_mb")},
-    )
-    entry["sessions"].append({
+    entry = {
+        "src_sha256": _source_digest(src),
+        "commit": _git(src_root, "rev-parse", "HEAD"),
+        "uncommitted_source_changes": bool(_git(src_root, "status", "--porcelain", "--", "src")),
+        "fingerprint": {"machine": platform.machine(), "platform": platform.platform(),
+                        "cpus": os.cpu_count(), "python": platform.python_version(),
+                        "numpy": np.__version__},
         "finished": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        **result["samples"], "peak_rss_mb": result["peak_rss_mb"],
-    })
-    pooled = {t: [x for s in entry["sessions"] for x in s[t]] for t in timings}
-    entry["summary"] = {t: _summary(pooled[t]) for t in timings}
-    entry["summary"]["peak_rss_mb"] = _summary([s["peak_rss_mb"] for s in entry["sessions"]])
-    bench["labels"][label] = entry
+        **result,
+        "summary": {t: _summary(result["samples"][t]) for t in timings},
+    }
+    bench.setdefault("labels", {})[label] = entry
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -138,4 +131,5 @@ def main(script: str, doc: str, what: str, timings, measure, child=None, argv=No
     for name, stats in entry["summary"].items():
         print(f"{args.label} {name}: median {stats['median']:.4g} "
               f"IQR {stats['iqr']:.3g} min {stats['min']:.4g} (n={stats['n']})")
+    print(f"{args.label} peak_rss_mb: {entry['peak_rss_mb']:.4g}")
     return 0

@@ -40,7 +40,6 @@ from .experiment import (
     OUTPUT_ROOT_ENV,
     bid_trajectory,
     build_game_from_config,
-    full_report,
     mean_bid_oscillation,
     run_experiment,
 )
@@ -78,7 +77,6 @@ from .library import (
     make_random_game,
     make_random_smooth_game,
     splitmix64_floats,
-    splitmix64_stream,
 )
 from .regularizers import NegativeEntropy, SquaredEuclidean, get_regularizer
 from .robust import (
@@ -99,7 +97,7 @@ __all__ = [
     "fit_first_order_constants",
     "RegretReport", "Trace", "read_trace_csv", "regret", "regret_series", "report",
     "run", "write_trace_csv",
-    "OUTPUT_ROOT_ENV", "bid_trajectory", "build_game_from_config", "full_report",
+    "OUTPUT_ROOT_ENV", "bid_trajectory", "build_game_from_config",
     "mean_bid_oscillation", "run_experiment",
     "DenseGame", "EnumerationCapError", "NormalFormGame", "SmoothnessCertificate",
     "brute_force_opt", "dump_dense_csv", "load_dense_csv", "poa_welfare_bound",
@@ -109,7 +107,7 @@ __all__ = [
     "certify_variation_bound", "declared_variation_bound", "declares_variation_bound",
     "make_learner", "variation_sums",
     "build_game", "lower_bound_experiment", "make_matrix_game", "make_random_game",
-    "make_random_smooth_game", "splitmix64_floats", "splitmix64_stream",
+    "make_random_smooth_game", "splitmix64_floats",
     "NegativeEntropy", "SquaredEuclidean", "get_regularizer",
     "DoublingWrapper", "certify_robust", "parametric_constants", "wrap_doubling",
     "__version__",

@@ -14,9 +14,9 @@ import os
 import sys
 
 from .config import ConfigError, parse_config
-from .dynamics import read_trace_csv
-from .experiment import (bids_plot, build_game_from_config, full_report, regret_plot,
-                         run_experiment, write_report_csv)
+from .dynamics import read_trace_csv, report
+from .experiment import (bids_plot, build_game_from_config, regret_plot, run_experiment,
+                         write_report_csv)
 from .games import verify_smoothness
 from .library import lower_bound_experiment
 from .svgplot import write_svg
@@ -103,7 +103,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    rep = full_report(read_trace_csv(args.trace))
+    rep = report(read_trace_csv(args.trace))
     sys.stdout.write(write_report_csv(rep))
     return 2 if rep.failed() else 0
 

@@ -19,13 +19,14 @@ from itertools import groupby
 import numpy as np
 
 from . import games
-from .continuous import CongestionNetwork, ContinuousTrace
+from .continuous import CongestionNetwork, ContinuousTrace, routing_report
+from .costmode import certify_cost_welfare, fit_first_order_constants
 from .games import (
     NormalFormGame,
-    SmoothnessCertificate,
     UtilityRangeError,
     _check_shape,
     poa_welfare_bound,
+    verify_smoothness,
 )
 from .learners import (
     BestResponseLearner,
@@ -44,6 +45,7 @@ from .learners import (
 )
 from .library import build_game
 from .regularizers import get_regularizer
+from .robust import certify_robust, parametric_constants
 
 __all__ = [
     "Trace",
@@ -258,26 +260,35 @@ class RegretReport:
         return [c for c in self.certificates if c.passed is False]
 
 
-def report(trace: Trace, smoothness: SmoothnessCertificate | None = None,
-           tol: float = 1e-9) -> RegretReport:
-    """Compute regrets and evaluate every certificate the trace supports.
+def report(trace, tol: float = 1e-9):
+    """Compute regrets and evaluate every certificate the trace supports; a
+    ContinuousTrace gets its ``continuous.routing_report``.
 
     Certificates are attached when their preconditions hold: the per-player
     variation bound whenever a learner declares constants; the sum-regret
     bound when every player declares constants with beta <= gamma/(n-1)^2
     (beta <= gamma/(d (n-1)^2) for l2 constants); the individual T^{1/4} rate
-    when eta matches its tuning; play stability for optimistic-FTRL players;
-    the welfare floor when a verified smoothness certificate is supplied.
+    when eta matches its tuning; play stability for optimistic-FTRL players.
+    A ``smoothness`` claim in the metadata is verified on the rebuilt game and
+    attached as ``smoothness_claim``; once verified it also gives the welfare
+    floor (utility mode) or, for mu in (0, 1), the first-order cost-welfare
+    bound (cost mode).  Doubling-wrapped players get their dual bound
+    ``robust_bound[i]`` when T >= 2.
     """
-    n, T = trace.n, trace.T
-    scale = trace.meta.get("game", {}).get("scale", 1.0)
+    if isinstance(trace, ContinuousTrace):
+        return routing_report(trace)
+    n, T, meta = trace.n, trace.T, trace.meta
+    mode = meta.get("mode", "utility")
+    scale = meta.get("game", {}).get("scale", 1.0)
     regrets = [regret(trace, i) for i in range(n)]
     regrets_raw = [r * scale for r in regrets]
     certificates: list[Certificate] = []
     extras: dict = {}
 
-    specs = [spec if isinstance(spec, LearnerSpec) else None
-             for spec in map(_learner_meta, trace.meta.get("learners", [None] * n))]
+    # per player: its LearnerSpec, and (inner spec, alpha, eta_star) when wrapped
+    entries = [_learner_meta(e) for e in meta.get("learners", [None] * n)]
+    specs = [e if isinstance(e, LearnerSpec) else None for e in entries]
+    wrapped = [(i, *e) for i, e in enumerate(entries) if isinstance(e, tuple)]
     bounds = [declared_variation_bound(s, trace.plays[i].shape[1]) if s else None
               for i, s in enumerate(specs)]
 
@@ -337,15 +348,36 @@ def report(trace: Trace, smoothness: SmoothnessCertificate | None = None,
             extras[f"omd_max_step[{i}]"] = float(steps.max())
 
     avg_welfare = float(trace.welfare.mean())
-    if smoothness is not None:
-        if not smoothness.verified:
-            raise ValueError("welfare floor requires a verified smoothness certificate")
-        floor = poa_welfare_bound(smoothness.lam, smoothness.mu, smoothness.opt,
-                                  regrets_raw, T)
-        certificates.append(Certificate(
-            "welfare_floor", bool(avg_welfare >= floor - tol), floor, avg_welfare,
-            {"lambda": smoothness.lam, "mu": smoothness.mu, "opt": smoothness.opt},
+    claim = meta.get("smoothness")
+    if claim:
+        smooth = verify_smoothness(build_game(meta["game"]), claim["lambda"], claim["mu"],
+                                   claim.get("s_star"), mode=mode)
+        if smooth.verified and mode == "utility":
+            floor = poa_welfare_bound(smooth.lam, smooth.mu, smooth.opt, regrets_raw, T)
+            certificates.append(Certificate(
+                "welfare_floor", bool(avg_welfare >= floor - tol), floor, avg_welfare,
+                {"lambda": smooth.lam, "mu": smooth.mu, "opt": smooth.opt},
+            ))
+        certificates.append(Certificate(  # 0 <= slack is the claim
+            "smoothness_claim", bool(smooth.verified), 0.0, smooth.slack,
+            {"lambda": claim["lambda"], "mu": claim["mu"], "s_star": list(smooth.s_star),
+             "worst_profile": list(smooth.worst_profile), "opt": smooth.opt},
         ))
+        if smooth.verified and mode == "cost" and 0.0 < smooth.mu < 1.0:
+            # measured (A1, A2) over each player's (d, best cumulative cost, regret)
+            constants = fit_first_order_constants(
+                [(u.shape[1], float((1.0 - u).sum(axis=0).min()), r)
+                 for u, r in zip(trace.utilities, regrets)])
+            certificates.append(certify_cost_welfare(trace, smooth, constants, tol=tol))
+            extras["first_order_A1"] = constants.A1
+            extras["first_order_A2"] = constants.A2
+
+    for i, inner, alpha, eta_star in wrapped if T >= 2 else []:  # the bound needs T >= 2
+        _, beta, gamma, pair = parametric_constants(inner, trace.plays[i].shape[1])
+        cert = certify_robust(trace.utilities[i], trace.plays[i], alpha, beta, gamma,
+                              eta_star, tol=tol, norm_pair=pair)
+        cert.name = f"robust_bound[{i}]"
+        certificates.append(cert)
 
     return RegretReport(
         regrets=regrets, regrets_raw=regrets_raw,
@@ -487,7 +519,7 @@ def _parse_trace(first: str, count: int, rows):
         kind, dims, source = ContinuousTrace, [len(p) for p in game.paths], "flows"
         derive = partial(ContinuousTrace, game, eta)
     else:
-        _check_game_meta(meta, game.n)
+        _check_game_meta(meta, game.dims)
         kind, dims, source = Trace, game.dims, "plays"
         derive = partial(_trace_from_plays, game, mode=meta.get("mode", "utility"))
     n, k = len(dims), len(kind.value_names)
@@ -550,8 +582,9 @@ def _parse_rows(rows, T: int, k: int, dims, vector_name: str):
     return stored, vectors
 
 
-def _check_game_meta(meta: dict, n: int) -> None:
-    """The mode, smoothness claim and learners of a normal-form trace's meta."""
+def _check_game_meta(meta: dict, dims) -> None:
+    """The mode, smoothness claim and learners of the meta of a normal-form
+    trace whose players have ``dims`` strategies."""
     if meta.get("mode", "utility") not in ("utility", "cost"):
         raise ValueError(f"trace line 1: metadata mode must be 'utility' or 'cost', "
                          f"got {meta['mode']!r}")
@@ -573,6 +606,11 @@ def _check_game_meta(meta: dict, n: int) -> None:
                                    and all(type(x) is int for x in s_star)):
         raise ValueError(f"trace line 1: metadata smoothness s_star must be a list of "
                          f"integers, got {s_star!r}")
+    if s_star is not None and (len(s_star) != len(dims)
+                               or any(not 0 <= x < d for x, d in zip(s_star, dims))):
+        raise ValueError(f"trace line 1: metadata smoothness s_star {s_star} is not a "
+                         f"pure profile of a game with dims {list(dims)}")
+    n = len(dims)
     learners = meta.get("learners")
     if not isinstance(learners, list) or len(learners) != n \
             or not all(isinstance(x, dict) for x in learners):
@@ -585,8 +623,8 @@ def _check_game_meta(meta: dict, n: int) -> None:
 
 
 def _learner_meta(entry):
-    """A ``learners`` entry of a trace's meta, by the one rule the reader,
-    ``report`` and ``full_report`` share: None for none or a prebuilt learner
+    """A ``learners`` entry of a trace's meta, by the one rule the reader and
+    ``report`` share: None for none or a prebuilt learner
     (``algorithm`` its only key), ``(inner spec, alpha, eta_star)`` for a
     doubling wrapper (``algorithm`` robust, its inner spec declaring a
     variation bound), else the entry's LearnerSpec."""

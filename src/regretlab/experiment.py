@@ -4,9 +4,9 @@
 kind runs its arms (the main arm and the optional baseline arm), evaluates
 every certificate the config claims and draws its plots; one writer then
 saves the artifacts of every kind — trace CSVs (``flows.csv`` for routing),
-report CSVs, SVG plots, and a manifest.json.  Everything in a report CSV is
-recomputable from the matching trace CSV alone; ``full_report`` does exactly
-that for the CLI's ``report`` subcommand.
+report CSVs, SVG plots, and a manifest.json.  Every report CSV is
+``dynamics.report`` of its arm's trace, so it is recomputable from the
+matching trace CSV alone, as the CLI's ``report`` subcommand does.
 
 Artifacts land under ``$REGRETLAB_OUT`` (default: the current directory) in
 the subdirectory named by [outputs] dir.
@@ -25,27 +25,19 @@ import numpy as np
 from . import continuous
 from .auctions import AuctionGame, AuctionSpec, _check_payoff_cap, masked_values, uniform_values
 from .config import ExperimentSpec
-from .costmode import certify_cost_welfare, fit_first_order_constants
-from .dynamics import (
-    Trace,
-    _learner_meta,
-    regret,
-    regret_series,
-    report,
-    run,
-    write_trace_csv,
-)
-from .games import load_dense_csv, verify_smoothness
+from .dynamics import Trace, regret_series, report, run, write_trace_csv
+# perfbench times report under this name; the alias goes once it calls report
+from .dynamics import report as full_report
+from .games import load_dense_csv
 from .learners import Certificate, declares_variation_bound
-from .library import build_game, make_matrix_game, make_random_game
-from .robust import certify_robust, parametric_constants, wrap_doubling
+from .library import make_matrix_game, make_random_game
+from .robust import wrap_doubling
 from .svgplot import line_plot, write_svg
 
 __all__ = [
     "OUTPUT_ROOT_ENV",
     "build_game_from_config",
     "run_experiment",
-    "full_report",
     "write_report_csv",
     "bid_trajectory",
     "mean_bid_oscillation",
@@ -94,67 +86,6 @@ def _arm_players(game, specs, robust):
 
 # ---------------------------------------------------------------------------
 # reporting (trace-only, so the CLI can redo it from the CSV)
-
-
-def full_report(trace, tol: float = 1e-9):
-    """dynamics.report plus every certificate the trace's metadata claims:
-    the smoothness claim itself, the welfare floor (utility mode) or the
-    first-order cost-welfare bound (cost mode), and the wrapped-learner dual
-    bound for doubling-wrapped players (T >= 2).  A routing trace gets its
-    ``continuous.routing_report``."""
-    if isinstance(trace, continuous.ContinuousTrace):
-        return continuous.routing_report(trace)
-    mode = trace.meta.get("mode", "utility")
-    claim = trace.meta.get("smoothness")
-    smooth_cert = None
-    claim_cert = None
-    if claim:
-        smooth_cert = verify_smoothness(build_game(trace.meta["game"]), claim["lambda"],
-                                        claim["mu"], claim.get("s_star"), mode=mode)
-        claim_cert = Certificate(  # 0 <= slack is the claim
-            "smoothness_claim", bool(smooth_cert.verified),
-            0.0, smooth_cert.slack,
-            {"lambda": claim["lambda"], "mu": claim["mu"],
-             "s_star": list(smooth_cert.s_star),
-             "worst_profile": list(smooth_cert.worst_profile),
-             "opt": smooth_cert.opt},
-        )
-
-    rep = report(trace,
-                 smoothness=smooth_cert
-                 if (smooth_cert is not None and smooth_cert.verified
-                     and mode == "utility") else None,
-                 tol=tol)
-    if claim_cert is not None:
-        rep.certificates.append(claim_cert)
-
-    if mode == "cost" and smooth_cert is not None and smooth_cert.verified \
-            and 0.0 < smooth_cert.mu < 1.0:
-        constants = _fit_cost_constants(trace)
-        rep.certificates.append(certify_cost_welfare(trace, smooth_cert, constants,
-                                                     tol=tol))
-        rep.extras["first_order_A1"] = constants.A1
-        rep.extras["first_order_A2"] = constants.A2
-
-    for i, entry in enumerate(map(_learner_meta, trace.meta.get("learners", []))):
-        if not isinstance(entry, tuple) or trace.T < 2:  # the bound needs T >= 2
-            continue
-        inner, alpha, eta_star = entry
-        _, beta, gamma, pair = parametric_constants(inner, trace.plays[i].shape[1])
-        cert = certify_robust(trace.utilities[i], trace.plays[i], alpha,
-                              beta, gamma, eta_star, tol=tol, norm_pair=pair)
-        cert.name = f"robust_bound[{i}]"
-        rep.certificates.append(cert)
-    return rep
-
-
-def _fit_cost_constants(trace: Trace):
-    observations = []
-    for i in range(trace.n):
-        costs = 1.0 - trace.utilities[i]
-        best = float(costs.sum(axis=0).min())
-        observations.append((trace.plays[i].shape[1], best, regret(trace, i)))
-    return fit_first_order_constants(observations)
 
 
 def _status(cert: Certificate) -> str:
@@ -301,7 +232,7 @@ def _game_arms(spec: ExperimentSpec):
         if spec.smoothness:
             trace.meta["smoothness"] = spec.smoothness
         traces[label] = trace
-        rep = full_report(trace)
+        rep = report(trace)
         summary = {"regrets": rep.regrets, "sum_regret": rep.sum_regret}
         if label == "main":
             summary.update(T=spec.T, mode=spec.mode, max_regret=rep.max_regret,
@@ -327,7 +258,7 @@ def _routing_arms(spec: ExperimentSpec):
         eta = continuous._tuned_eta(network, continuous.lipschitz_constant(network))[0]
     trace = continuous.run_continuous(network, eta, spec.T)
     trace.meta["seed"] = spec.seed
-    rep = continuous.routing_report(trace)
+    rep = report(trace)
     ts = list(range(1, spec.T + 1))
     series = [(f"player {i} cost", ts, cost) for i, cost in enumerate(trace.costs)]
     series.append(("total cost", ts, trace.total_cost))

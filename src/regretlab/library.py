@@ -26,7 +26,6 @@ from .games import (
 from .learners import LearnerSpec
 
 __all__ = [
-    "splitmix64_stream",
     "splitmix64_floats",
     "make_matrix_game",
     "make_random_game",
@@ -39,21 +38,21 @@ __all__ = [
 _MASK = (1 << 64) - 1
 
 
-def splitmix64_stream(seed: int):
-    """Infinite stream of 64-bit splitmix64 outputs."""
-    state = seed & _MASK
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        yield z ^ (z >> 31)
-
-
-def splitmix64_floats(seed: int, count: int) -> list[float]:
-    """``count`` floats in [0, 1) using the top 53 bits of each output."""
-    gen = splitmix64_stream(seed)
-    return [(next(gen) >> 11) / float(1 << 53) for _ in range(count)]
+def splitmix64_floats(seed: int, count: int) -> np.ndarray:
+    """``count`` floats in [0, 1): the top 53 bits of each splitmix64 output
+    (Steele, Lea & Vigna), in numpy ``uint64`` arithmetic, which wraps mod
+    2^64 as the published algorithm does.  Output k mixes the state
+    seed + k * 0x9E3779B97F4A7C15 (k = 1, 2, ...)."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed & _MASK)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z / float(1 << 53)
 
 
 def make_matrix_game(A) -> DenseGame:

@@ -322,7 +322,9 @@ def test_08_welfare_floor_holds_for_every_learner_family():
     for game, cert in fixtures:
         for label, team in teams.items():
             tr = run(game, team(game.n), 150)
-            rep = report(tr, smoothness=cert, tol=TOL)
+            tr.meta["smoothness"] = {"lambda": cert.lam, "mu": cert.mu,
+                                     "s_star": list(cert.s_star)}
+            rep = report(tr, tol=TOL)
             floor = [c for c in rep.certificates if c.name == "welfare_floor"]
             assert len(floor) == 1
             assert floor[0].passed is True, (game.kind, game.n, label,

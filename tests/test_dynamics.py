@@ -12,7 +12,7 @@ import pytest
 import oracles as orc
 from regretlab import dynamics, games
 from regretlab.auctions import AuctionGame, AuctionSpec
-from regretlab.continuous import CongestionNetwork, run_continuous
+from regretlab.continuous import CongestionNetwork, routing_report, run_continuous
 from regretlab.costmode import CostHedge
 from regretlab.dynamics import (
     _TRACE_VALUES,
@@ -28,6 +28,7 @@ from regretlab.dynamics import (
     write_trace_csv,
     write_trace_rows,
 )
+from regretlab.experiment import write_report_csv
 from regretlab.games import (
     DenseGame,
     SmoothnessCertificate,
@@ -495,21 +496,59 @@ class TestReportCertificates:
         cert = verify_smoothness(g, 1.0, 0.0, (0, 0))
         assert cert.verified
         tr = run(g, [hedge(0.2), hedge(0.2)], 30)
-        rep = report(tr, smoothness=cert)
+        tr.meta["smoothness"] = {"lambda": 1.0, "mu": 0.0, "s_star": [0, 0]}
+        rep = report(tr)
         floor = cert_named(rep, "welfare_floor")
         assert floor.passed is True
         assert rep.avg_welfare == pytest.approx(1.2, abs=1e-12)
         # constant game: zero regret, so the floor is exactly lam * Opt
         assert floor.lhs == pytest.approx(1.2, abs=1e-9)
 
-    def test_welfare_floor_rejects_unverified_certificate(self):
-        bad = SmoothnessCertificate(
-            lam=2.0, mu=0.0, s_star=(0, 0), verified=False,
-            worst_profile=(0, 0), slack=-1.0, opt=1.0, poa_factor=0.5,
-        )
-        tr = run(make_matrix_game(A_TILTED), [hedge(0.2), hedge(0.2)], 5)
-        with pytest.raises(ValueError, match="verified"):
-            report(tr, smoothness=bad)
+    @pytest.mark.parametrize("mode, lam, mu", [("utility", 2.0, 0.0), ("cost", 0.5, 0.5)])
+    def test_refuted_claim_fails_and_attaches_no_welfare_floor(self, mode, lam, mu):
+        # identity game, s* = (0, 0): against s = (1, 1) the players' utilities
+        # sum to 0 + 1 < lam * Opt = 2; against s = (1, 0) their costs sum to
+        # 1 + 1 > lam * Opt + mu * C(s) = 1
+        tr = run(make_matrix_game(np.eye(2)), [hedge(0.2), hedge(0.2)], 5, mode)
+        tr.meta["smoothness"] = {"lambda": lam, "mu": mu, "s_star": [0, 0]}
+        rep = report(tr)
+        names = [c.name for c in rep.certificates]
+        assert "welfare_floor" not in names and "cost_welfare" not in names
+        assert [c.name for c in rep.failed()] == ["smoothness_claim"]
+
+    def test_verified_claim_attaches_the_floor_then_the_claim(self):
+        tr = run(make_matrix_game(np.eye(2)), [opt_hedge(0.25)] * 2, 30)
+        tr.meta["smoothness"] = {"lambda": 1.0, "mu": 1.0, "s_star": [0, 0]}
+        rep = report(tr)
+        assert [c.name for c in rep.certificates][-2:] == ["welfare_floor",
+                                                          "smoothness_claim"]
+        assert rep.failed() == []
+        claim = cert_named(rep, "smoothness_claim")
+        assert (claim.lhs, claim.details["s_star"], claim.details["opt"]) == (0.0, [0, 0], 1.0)
+
+    @pytest.mark.parametrize("mu, attached", [(0.5, True), (1.0, False)])
+    def test_cost_claim_with_mu_below_1_attaches_the_cost_welfare_bound(self, mu, attached):
+        tr = run(make_matrix_game(np.full((2, 2), 0.5)),
+                 [LearnerSpec("first_order_hedge")] * 2, 40, "cost")
+        tr.meta["smoothness"] = {"lambda": 1.0, "mu": mu, "s_star": [0, 0]}
+        rep = report(tr)
+        names = [c.name for c in rep.certificates]
+        assert names == ["smoothness_claim", "cost_welfare"][:1 + attached]
+        assert rep.failed() == []
+        assert ("first_order_A1" in rep.extras) is ("first_order_A2" in rep.extras) is attached
+
+    @pytest.mark.parametrize("T, names", [(1, []), (2, ["robust_bound[0]", "robust_bound[1]"])])
+    def test_wrapped_players_get_their_robust_bound_from_two_rounds(self, T, names):
+        players = [wrap_doubling(opt_hedge(0.1), 2, 0.5) for _ in range(2)]
+        rep = report(run(make_matrix_game(A_TILTED), players, T))
+        assert [c.name for c in rep.certificates] == names
+        assert rep.failed() == []
+
+    def test_a_routing_trace_gets_its_routing_report(self):
+        net = CongestionNetwork([("s", "t", 1.0, 0.0, 0.0), ("s", "t", 0.0, 0.0, 1.0)],
+                                [("s", "t", 1.0)] * 2)
+        tr = run_continuous(net, 1.0 / 64.0, 20)
+        assert write_report_csv(report(tr)) == write_report_csv(routing_report(tr))
 
     def test_failed_certificates_are_reported_not_hidden(self):
         # a hand-built trace that violates the declared variation bound:

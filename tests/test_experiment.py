@@ -19,17 +19,16 @@ import pytest
 import oracles as orc
 import regretlab
 from regretlab.auctions import masked_values
-from regretlab.cli import main
+from regretlab.cli import _parse_config_file, main
 from regretlab.config import parse_config
-from regretlab.continuous import parse_network, run_continuous
-from regretlab.dynamics import RegretReport, Trace, read_trace_csv, run, write_trace_csv
+from regretlab.continuous import _tuned_eta, lipschitz_constant, parse_network, run_continuous
+from regretlab.dynamics import RegretReport, Trace, read_trace_csv, report, run, write_trace_csv
 from regretlab.experiment import (
     OUTPUT_ROOT_ENV,
     _routing_arms,
     bid_trajectory,
     bids_plot,
     build_game_from_config,
-    full_report,
     mean_bid_oscillation,
     regret_plot,
     run_experiment,
@@ -306,7 +305,7 @@ class TestReportCsv:
     def test_values_round_trip_through_repr(self, tmp_path):
         g = make_matrix_game(np.array([[0.9, 0.2], [0.3, 0.7]]))
         tr = run(g, [LearnerSpec("optimistic_hedge", 0.3)] * 2, 25)
-        rep = full_report(tr)
+        rep = report(tr)
         path = tmp_path / "report.csv"
         text = write_report_csv(rep, str(path))
         assert read(str(path)) == text
@@ -318,15 +317,19 @@ class TestReportCsv:
 
 
 # ---------------------------------------------------------------------------
-# full_report: every certificate the metadata claims
+# report: every certificate the metadata claims
 
 
 class TestFullReport:
+    def test_full_report_is_an_alias_of_report(self):
+        assert regretlab.experiment.full_report is regretlab.dynamics.report
+        assert "full_report" not in regretlab.__all__
+
     def test_verified_smoothness_adds_claim_and_welfare_floor(self):
         g = make_matrix_game(np.eye(2))
         tr = run(g, [LearnerSpec("optimistic_hedge", 0.25)] * 2, 30)
         tr.meta["smoothness"] = {"lambda": 1.0, "mu": 1.0, "s_star": [0, 0]}
-        rep = full_report(tr)
+        rep = report(tr)
         names = {c.name: c for c in rep.certificates}
         assert names["smoothness_claim"].passed is True
         assert names["smoothness_claim"].details["opt"] == 1.0
@@ -337,7 +340,7 @@ class TestFullReport:
         g = make_matrix_game(np.eye(2))
         tr = run(g, [LearnerSpec("optimistic_hedge", 0.25)] * 2, 30)
         tr.meta["smoothness"] = {"lambda": 1.0, "mu": 0.0, "s_star": [0, 0]}
-        rep = full_report(tr)
+        rep = report(tr)
         names = {c.name: c for c in rep.certificates}
         assert names["smoothness_claim"].passed is False
         assert "welfare_floor" not in names
@@ -348,7 +351,7 @@ class TestFullReport:
         g = make_matrix_game(np.eye(2))
         tr = run(g, [LearnerSpec("optimistic_hedge", 0.25)] * 2, 30)
         tr.meta["smoothness"] = {"lambda": 1.0, "mu": mu, "s_star": [0, 0]}
-        claim = {c.name: c for c in full_report(tr).certificates}["smoothness_claim"]
+        claim = {c.name: c for c in report(tr).certificates}["smoothness_claim"]
         slack = verify_smoothness(g, 1.0, mu, (0, 0)).slack
         assert (claim.lhs, claim.rhs) == (0.0, slack)
         assert claim.passed is passed is (claim.lhs <= claim.rhs)
@@ -357,7 +360,7 @@ class TestFullReport:
         g = make_matrix_game(np.eye(2))
         tr = run(g, [LearnerSpec("hedge", 0.25)] * 2, 10)
         tr.meta["smoothness"] = {"lambda": 1.0, "mu": 1.0, "s_star": None}
-        rep = full_report(tr)
+        rep = report(tr)
         claim = {c.name: c for c in rep.certificates}["smoothness_claim"]
         assert claim.passed is True
         assert len(claim.details["s_star"]) == 2
@@ -367,7 +370,7 @@ class TestFullReport:
         players = [wrap_doubling(LearnerSpec("optimistic_hedge"), 2, 0.5, None)
                    for _ in range(2)]
         tr = run(g, players, 40)
-        rep = full_report(tr)
+        rep = report(tr)
         names = {c.name: c for c in rep.certificates}
         assert names["robust_bound[0]"].passed is True
         assert names["robust_bound[1]"].passed is True
@@ -380,7 +383,7 @@ class TestFullReport:
         g = build_game_from_config(spec.game)
         tr = run(g, spec.specs_for(2), spec.T, "cost")
         tr.meta["smoothness"] = spec.smoothness
-        rep = full_report(tr)
+        rep = report(tr)
         names = {c.name: c for c in rep.certificates}
         assert names["smoothness_claim"].passed is True
         cert = names["cost_welfare"]
@@ -427,7 +430,7 @@ class TestRunExperiment:
         for trace_key, report_key in (("trace", "report"),
                                       ("trace_baseline", "report_baseline")):
             trace = read_trace_csv(manifest["artifacts"][trace_key])
-            rebuilt = write_report_csv(full_report(trace))
+            rebuilt = write_report_csv(report(trace))
             assert rebuilt == read(manifest["artifacts"][report_key])
 
     def test_two_runs_are_byte_identical(self, tmp_path):
@@ -800,6 +803,22 @@ class TestCliReport:
         assert code == 0
         assert capsys.readouterr().out == read(manifest["artifacts"]["report"])
 
+    @pytest.mark.parametrize("name", ["matrix_smooth.cfg", "cost_congestion.cfg",
+                                      "routing.cfg"])
+    def test_stdout_is_the_report_of_the_in_memory_trace(self, tmp_path, capsys, name):
+        spec = _parse_config_file(os.path.join(CONFIG_DIR, name))
+        game = build_game_from_config(spec.game)
+        if spec.game["type"] == "network":
+            trace = run_continuous(game, _tuned_eta(game, lipschitz_constant(game))[0], spec.T)
+        else:
+            trace = run(game, spec.specs_for(game.n), spec.T, spec.mode)
+            trace.meta["smoothness"] = spec.smoothness
+        path = str(tmp_path / "trace.csv")
+        write_trace_csv(trace, path)
+        capsys.readouterr()
+        assert main(["report", path]) == 0
+        assert capsys.readouterr().out == write_report_csv(report(trace))
+
     def test_failing_certificates_exit_2(self, tmp_path, capsys):
         manifest = run_experiment(parse_config(REFUTED_CFG),
                                   out_dir=str(tmp_path / "bad"))
@@ -968,13 +987,20 @@ class TestCliReport:
                             "inner": {"algorithm": "hedge", "eta": 0.1}}),
          "metadata learners[1]: inner.algorithm 'hedge' with predictor 'none' declares "
          "no variation bound to wrap"),
+        (lambda m: {**m, "smoothness": {**m["smoothness"], "s_star": [0]}},
+         "metadata smoothness s_star [0] is not a pure profile of a game with dims [2, 2]"),
+        (lambda m: {**m, "smoothness": {**m["smoothness"], "s_star": [0, 5]}},
+         "metadata smoothness s_star [0, 5] is not a pure profile of a game with dims [2, 2]"),
+        (lambda m: {**m, "smoothness": {**m["smoothness"], "s_star": [-1, 0]}},
+         "metadata smoothness s_star [-1, 0] is not a pure profile of a game with dims [2, 2]"),
     ], ids=["no-T", "no-game", "T-string", "T-bool", "no-learners", "short-learners",
             "bad-mode", "list", "game-no-matrix", "matrix-dict", "smoothness-no-lambda",
             "mu-string", "smoothness-list", "s_star-int", "mu-inf", "mu-negative",
             "lambda-nan", "lambda-negative", "lambda-zero", "window-no-param",
             "geometric-no-param", "eta-list", "robust-no-inner", "no-algorithm",
             "eta-bool", "algorithm-unknown", "predictor-unknown", "window-fraction",
-            "robust-bad-inner", "robust-eta_star-string", "robust-inner-without-bound"])
+            "robust-bad-inner", "robust-eta_star-string", "robust-inner-without-bound",
+            "s_star-short", "s_star-out-of-range", "s_star-negative"])
     def test_malformed_meta_exits_1(self, tmp_path, capsys, change, message):
         def edit(lines):
             meta = json.loads(lines[0][len("# meta="):])
@@ -1479,6 +1505,20 @@ class TestCliErrorBoundary:
         assert capsys.readouterr().err.splitlines() == [
             "error: an auction of 10000 bidders, 1000 items and 20 bid levels stores "
             "200000000 payoffs, above the enumeration cap 10000000; refusing to allocate them"]
+        assert not (tmp_path / "out").exists()
+
+    def test_masked_values_within_the_caps_are_drawn_in_a_second(self, tmp_path):
+        # 10^7 masked item values pass the reader's and the payoff cap, so they
+        # are drawn before the run cap refuses the run (8 to 13.5 s of pure-Python
+        # draws on a 2-vCPU x86_64 host; 0.8 s drawn with numpy)
+        cfg = write_cfg(tmp_path, self.AUCTION_CFG.format(10000, 1000, "1..1").replace(
+            "value = 20\n", "value = 20\nvalue_mask_seed = 3\n")
+            + f"[outputs]\ndir = {tmp_path / 'out'}\n")
+        start = time.perf_counter()
+        done = run_module("simulate", cfg, max_bytes=2 << 30)
+        self.assert_one_line_error(done, "T = 10 rounds of 10000000 strategies make "
+                                   "100000000 play cells, above the enumeration cap")
+        assert time.perf_counter() - start < 5.0
         assert not (tmp_path / "out").exists()
 
     def test_auction_payoffs_above_the_cap_in_a_trace(self, tmp_path):

@@ -20,28 +20,31 @@ from regretlab import (
     make_random_game,
     make_random_smooth_game,
     splitmix64_floats,
-    splitmix64_stream,
     verify_smoothness,
 )
 from regretlab.auctions import AuctionGame, AuctionSpec, uniform_values
 
 
+def top_53_bits(outputs):
+    return [(x >> 11) / float(1 << 53) for x in outputs]
+
+
 class TestSplitmix64:
     def test_published_vectors(self):
         # reference outputs of the published mixing constants
-        gen = splitmix64_stream(0)
-        assert [next(gen) for _ in range(3)] == [
-            16294208416658607535, 7960286522194355700, 487617019471545679,
-        ]
-        gen = splitmix64_stream(1234567)
-        assert [next(gen) for _ in range(3)] == [
-            6457827717110365317, 3203168211198807973, 9817491932198370423,
-        ]
+        vectors = {0: [16294208416658607535, 7960286522194355700, 487617019471545679],
+                   1234567: [6457827717110365317, 3203168211198807973, 9817491932198370423]}
+        for seed, outputs in vectors.items():
+            assert orc.splitmix64_reference(seed, 3) == outputs
+            assert splitmix64_floats(seed, 3).tolist() == top_53_bits(outputs)
 
     def test_matches_reference_reimplementation(self):
-        for seed in (0, 1, 42, 2**63):
-            gen = splitmix64_stream(seed)
-            assert [next(gen) for _ in range(20)] == orc.splitmix64_reference(seed, 20)
+        # seeds at and past 2^64 wrap as the reference's masked state does
+        for seed in (0, 1, 42, 2**63, 2**64 - 1, 2**70 + 5):
+            vals = splitmix64_floats(seed, 5000)
+            assert vals.dtype == np.float64
+            expected = np.array(top_53_bits(orc.splitmix64_reference(seed, 5000)))
+            np.testing.assert_array_equal(vals.view(np.int64), expected.view(np.int64))
 
     def test_floats_in_unit_interval(self):
         vals = splitmix64_floats(7, 1000)

@@ -331,7 +331,8 @@ class TestEngineIntegration:
         tr = run(g, [wrap_doubling(OPT_HEDGE, 2, eta_star),
                      wrap_doubling(OPT_HEDGE, 2, eta_star)], 64)
         rep = report(tr)
-        assert rep.certificates == []
+        # the wrapped-learner dual bounds only: no certificate of a constant step
+        assert [c.name for c in rep.certificates] == ["robust_bound[0]", "robust_bound[1]"]
         assert tr.meta["learners"][0]["algorithm"] == "robust"
 
     def test_trace_round_trips_through_csv(self):

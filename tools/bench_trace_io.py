@@ -7,8 +7,9 @@ The package is imported from ``--src``, so one copy of this script measures
 any checkout.  It runs ``configs/auction_fig1.cfg`` (of this repository) once
 through ``run_experiment`` into a temporary directory, then times, in each of
 ``REPEATS`` runs, ``write_trace_csv`` of the main-arm trace to a file,
-``read_trace_csv`` of that file and ``full_report`` of what was read.  Its
-rows repeat most cells: tied strategies play bit-identical probabilities.
+``read_trace_csv`` of that file and ``dynamics.report`` of what was read
+(its samples keep the key ``full_report_s``, so earlier labels still
+compare).  Its rows repeat most cells: tied strategies play bit-identical probabilities.
 ``dense_read_s`` times ``read_trace_csv`` of a trace whose rows repeat almost
 no cell: oftrl self-play (entropy, last-utility predictor, eta = 1/(2(n - 1)))
 on a seeded dense game, n = 4, d = 5, T = 5000, so 20,000 rows.  A fresh
@@ -40,18 +41,17 @@ DENSE_T = 5000
 
 def _child(trace_path: str) -> None:
     """The fresh process: read, report and write the trace once."""
-    from regretlab.dynamics import read_trace_csv, write_trace_csv
-    from regretlab.experiment import full_report
+    from regretlab.dynamics import read_trace_csv, report, write_trace_csv
 
     trace = read_trace_csv(trace_path)
-    full_report(trace)
+    report(trace)
     write_trace_csv(trace, trace_path + ".again")
 
 
 def measure(src: str) -> dict:
     from regretlab.config import parse_config
-    from regretlab.dynamics import read_trace_csv, run, write_trace_csv
-    from regretlab.experiment import full_report, run_experiment
+    from regretlab.dynamics import read_trace_csv, report, run, write_trace_csv
+    from regretlab.experiment import run_experiment
     from regretlab.learners import LearnerSpec
     from regretlab.library import make_random_game
 
@@ -76,7 +76,7 @@ def measure(src: str) -> dict:
             back = read_trace_csv(copy)
             samples["read_s"].append(time.perf_counter() - start)
             start = time.perf_counter()
-            full_report(back)
+            report(back)
             samples["full_report_s"].append(time.perf_counter() - start)
             start = time.perf_counter()
             read_trace_csv(dense_path)

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 
-from .games import _check_cap
+from .games import _check_cap, _is_pure_profile
 from .learners import _ALGORITHMS, _PREDICTORS, LearnerSpec, _choice, declares_variation_bound
 from .regularizers import _REGISTRY
 
@@ -290,10 +290,8 @@ def _validate_smoothness(r: _SectionReader, n, dims):
         if n is not None and len(s_star) != n:
             r.error(r.line_of("s_star"), f"game.s_star names {len(s_star)} strategies "
                                          f"for {n} players")
-            s_star = None
-        elif dims is not None and any(x >= d for x, d in zip(s_star, dims)):
+        elif n is not None and dims is not None and not _is_pure_profile(s_star, dims):
             r.error(r.line_of("s_star"), "game.s_star has an out-of-range strategy index")
-            s_star = None
     if lam is None or mu is None:
         return None
     return {"lambda": lam, "mu": mu, "s_star": s_star}

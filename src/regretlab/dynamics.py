@@ -400,27 +400,16 @@ _TRACE_CHUNK_ROWS = 1 << 10
 _READ_BLOCK_ROUNDS = 64
 
 
-def write_trace_rows(meta: dict, value_names, values, vector_name: str, vectors,
-                     path=None) -> str:
-    """The layout every trace file shares.  First line carries the metadata as
-    a JSON comment; then a header and one row per (round, player): t, player,
-    the player's ``values[i][t]`` (one per name in ``value_names``) and its
-    ``vectors[i][t]``, padded with empty cells to the widest player's.  Every
-    cell is the ``repr`` of its float, so reruns are byte-identical.  Returns
-    the text, also written to ``path`` when one is given.
-
-    The rows are built a chunk of rounds at a time (``_TRACE_CHUNK_ROWS``
-    rows), so besides the text only one chunk's cells are held at once.  In
-    each chunk, each player's (rounds, k + d_i) block calls ``repr`` once per
-    distinct bit pattern (``np.unique`` of its int64 view: keying on float
-    values would merge ``-0.0`` with ``0.0``), then gathers the cell strings
-    per row."""
+def _trace_chunks(meta: dict, value_names, values, vector_name: str, vectors):
+    """``write_trace_rows``'s text, ``_TRACE_CHUNK_ROWS`` rows at a time; each
+    player's block calls ``repr`` once per distinct bit pattern (``np.unique``
+    of its int64 view: keying on float values would merge -0.0 with 0.0)."""
     n, T = len(vectors), len(vectors[0])
     width = max(v.shape[1] for v in vectors)
     header = ["t", "player", *value_names, *(f"{vector_name}_{k}" for k in range(width))]
     pads = ["," * (width - vec.shape[1]) for vec in vectors]
     step = max(1, _TRACE_CHUNK_ROWS // n)
-    chunks = [f"# meta={json.dumps(meta, sort_keys=True)}\n{','.join(header)}\n"]
+    yield f"# meta={json.dumps(meta, sort_keys=True)}\n{','.join(header)}\n"
     for start in range(0, T, step):
         rows = []
         for i, (vals, vec) in enumerate(zip(values, vectors)):
@@ -429,7 +418,18 @@ def write_trace_rows(meta: dict, value_names, values, vector_name: str, vectors,
             cells = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
             rows.append([f"{t},{i},{','.join(row)}{pads[i]}\n" for t, row in
                          enumerate(cells[inverse.reshape(block.shape)].tolist(), start + 1)])
-        chunks.append("".join(row for round_rows in zip(*rows) for row in round_rows))
+        yield "".join(row for round_rows in zip(*rows) for row in round_rows)
+
+
+def write_trace_rows(meta: dict, value_names, values, vector_name: str, vectors,
+                     path=None) -> str:
+    """The layout every trace file shares.  First line carries the metadata as
+    a JSON comment; then a header and one row per (round, player): t, player,
+    the player's ``values[i][t]`` (one per name in ``value_names``) and its
+    ``vectors[i][t]``, padded with empty cells to the widest player's.  Every
+    cell is the ``repr`` of its float, so reruns are byte-identical.  Returns
+    the text (``_trace_chunks`` joined), also written to ``path`` if given."""
+    chunks = list(_trace_chunks(meta, value_names, values, vector_name, vectors))
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)  # encoded a chunk at a time
@@ -445,13 +445,23 @@ def _trace_values(trace) -> list:
             for i in range(trace.n)]
 
 
+def _trace_layout(trace) -> tuple:
+    """The arguments of ``write_trace_rows`` (path aside) for a trace."""
+    vectors = trace.flows if isinstance(trace, ContinuousTrace) else trace.plays
+    return trace.meta, trace.value_names, _trace_values(trace), trace.vector_name, vectors
+
+
 def write_trace_csv(trace, path=None) -> str:
     """Serialize a Trace or a ContinuousTrace through ``write_trace_rows``: per
     player and round its stored values (regret to date, welfare, du2_cum and
     dw2_cum; or cost and total cost), then the strategy or the path flows."""
-    vectors = trace.flows if isinstance(trace, ContinuousTrace) else trace.plays
-    return write_trace_rows(trace.meta, trace.value_names, _trace_values(trace),
-                            trace.vector_name, vectors, path)
+    return write_trace_rows(*_trace_layout(trace), path)
+
+
+def _write_trace_file(trace, path) -> None:
+    """``write_trace_csv(trace, path)``, holding one chunk of text at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_trace_chunks(*_trace_layout(trace)))
 
 
 def read_trace_csv(source):
@@ -606,8 +616,7 @@ def _check_game_meta(meta: dict, dims) -> None:
                                    and all(type(x) is int for x in s_star)):
         raise ValueError(f"trace line 1: metadata smoothness s_star must be a list of "
                          f"integers, got {s_star!r}")
-    if s_star is not None and (len(s_star) != len(dims)
-                               or any(not 0 <= x < d for x, d in zip(s_star, dims))):
+    if s_star is not None and not games._is_pure_profile(s_star, dims):
         raise ValueError(f"trace line 1: metadata smoothness s_star {s_star} is not a "
                          f"pure profile of a game with dims {list(dims)}")
     n = len(dims)

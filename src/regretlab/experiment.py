@@ -1,12 +1,12 @@
 """Config-driven experiment runner.
 
 ``run_experiment`` executes a parsed ExperimentSpec end to end.  Each game
-kind runs its arms (the main arm and the optional baseline arm), evaluates
-every certificate the config claims and draws its plots; one writer then
-saves the artifacts of every kind — trace CSVs (``flows.csv`` for routing),
-report CSVs, SVG plots, and a manifest.json.  Every report CSV is
-``dynamics.report`` of its arm's trace, so it is recomputable from the
-matching trace CSV alone, as the CLI's ``report`` subcommand does.
+kind runs its arms (the main arm and the optional baseline arm) one at a
+time and hands each to one writer, which saves its trace CSV (``flows.csv``
+for routing) and report CSV before the next arm runs; the SVG plots and a
+manifest.json follow.  Every report CSV is ``dynamics.report`` of its arm's
+trace, so it is recomputable from the matching trace CSV alone, as the
+CLI's ``report`` subcommand does.
 
 Artifacts land under ``$REGRETLAB_OUT`` (default: the current directory) in
 the subdirectory named by [outputs] dir.
@@ -18,17 +18,16 @@ import csv
 import io
 import json
 import os
-from functools import partial
 
 import numpy as np
 
 from . import continuous
 from .auctions import AuctionGame, AuctionSpec, _check_payoff_cap, masked_values, uniform_values
 from .config import ExperimentSpec
-from .dynamics import Trace, regret_series, report, run, write_trace_csv
+from .dynamics import Trace, _write_trace_file, regret_series, report, run
 # perfbench times report under this name; the alias goes once it calls report
 from .dynamics import report as full_report
-from .games import load_dense_csv
+from .games import _is_pure_profile, load_dense_csv
 from .learners import Certificate, declares_variation_bound
 from .library import make_matrix_game, make_random_game
 from .robust import wrap_doubling
@@ -162,19 +161,28 @@ def mean_bid_oscillation(trace: Trace, player: int) -> float:
 # plots
 
 
+def _regret_series(trace) -> np.ndarray:
+    """The (n, T) regrets to date of a normal-form or auction trace."""
+    if not isinstance(trace, Trace):
+        raise ValueError("regret plots need a normal-form or auction trace")
+    return np.stack([regret_series(trace, i) for i in range(trace.n)])
+
+
+def _regret_lines(series: dict) -> str:
+    """The regret plot of arm label -> (n, T) regrets to date."""
+    lines = []
+    for label, per_player in series.items():
+        ts = list(range(1, per_player.shape[1] + 1))
+        lines.append((f"{label}: sum of regrets", ts, per_player.sum(axis=0)))
+        lines.append((f"{label}: max regret", ts, per_player.max(axis=0)))
+    return line_plot(lines, title="Regret growth", xlabel="round",
+                     ylabel="cumulative regret (normalized)")
+
+
 def regret_plot(traces: dict) -> str:
     """Sum-of-regrets and max-individual-regret vs t, one pair of polylines
     per arm.  ``traces`` maps arm label -> Trace."""
-    series = []
-    for label, trace in traces.items():
-        if not isinstance(trace, Trace):
-            raise ValueError("regret plots need a normal-form or auction trace")
-        per_player = np.stack([regret_series(trace, i) for i in range(trace.n)])
-        ts = list(range(1, trace.T + 1))
-        series.append((f"{label}: sum of regrets", ts, per_player.sum(axis=0)))
-        series.append((f"{label}: max regret", ts, per_player.max(axis=0)))
-    return line_plot(series, title="Regret growth", xlabel="round",
-                     ylabel="cumulative regret (normalized)")
+    return _regret_lines({label: _regret_series(t) for label, t in traces.items()})
 
 
 def bids_plot(trace: Trace) -> str:
@@ -199,9 +207,7 @@ def bids_plot(trace: Trace) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the runner: each game kind returns (arms, plots), one writer saves them.  An
-# arm is (label, trace file stem, trace writer, report, manifest summary
-# fields); plots map an artifact key to (file name, SVG text).
+# the runner: a game kind hands each arm to run_experiment's writer in turn
 
 
 def _out_dir(spec: ExperimentSpec) -> str:
@@ -209,47 +215,43 @@ def _out_dir(spec: ExperimentSpec) -> str:
     return os.path.join(root, spec.outputs.get("dir") or "experiment")
 
 
-def _game_arms(spec: ExperimentSpec):
+def _game_arms(spec: ExperimentSpec, write_arm) -> dict:
     """Normal-form and auction games: the main arm, the optional baseline arm,
     the regret plot of both, and the bid plot of an auction's main arm."""
     game = build_game_from_config(spec.game)
     n = game.n
     problems = [f"[learner.{i}] refers to player {i} but the game has {n} players"
                 for i in spec.overrides if i >= n]
-    if spec.smoothness and spec.smoothness.get("s_star") is not None:
-        s_star = spec.smoothness["s_star"]
-        if len(s_star) != n:
-            problems.append(f"game.s_star names {len(s_star)} strategies for "
-                            f"{n} players")
-        elif any(x >= d for x, d in zip(s_star, game.dims)):
-            problems.append("game.s_star has an out-of-range strategy index")
+    s_star = (spec.smoothness or {}).get("s_star")
+    if s_star is not None and not _is_pure_profile(s_star, game.dims):
+        problems.append(f"game.s_star names {len(s_star)} strategies for {n} players"
+                        if len(s_star) != n else "game.s_star has an out-of-range strategy index")
     if problems:
         raise ValueError("; ".join(problems))
 
-    def arm(label, players):
+    arms = [("main", _arm_players(game, spec.specs_for(n), spec.robust))]
+    if spec.baseline is not None:
+        arms.append(("baseline", [spec.baseline] * n))
+    series, plots = {}, {}
+    for label, players in arms:
         trace = run(game, players, spec.T, spec.mode)
         trace.meta["seed"] = spec.seed
         if spec.smoothness:
             trace.meta["smoothness"] = spec.smoothness
-        traces[label] = trace
         rep = report(trace)
         summary = {"regrets": rep.regrets, "sum_regret": rep.sum_regret}
         if label == "main":
             summary.update(T=spec.T, mode=spec.mode, max_regret=rep.max_regret,
                            cce_gap=rep.cce_gap, avg_welfare=rep.avg_welfare)
-        return label, "trace", partial(write_trace_csv, trace), rep, summary
-
-    traces = {}
-    arms = [arm("main", _arm_players(game, spec.specs_for(n), spec.robust))]
-    if spec.baseline is not None:
-        arms.append(arm("baseline", [spec.baseline] * n))
-    plots = {"regret_svg": ("regret.svg", regret_plot(traces))}
-    if spec.game["type"] == "auction":
-        plots["bids_svg"] = ("bids.svg", bids_plot(traces["main"]))
-    return arms, plots
+            if spec.game["type"] == "auction":
+                plots["bids_svg"] = ("bids.svg", bids_plot(trace))
+        write_arm(label, "trace", trace, rep, summary)
+        series[label] = _regret_series(trace)
+        del trace  # only its (n, T) regrets stay while the next arm runs
+    return {"regret_svg": ("regret.svg", _regret_lines(series)), **plots}
 
 
-def _routing_arms(spec: ExperimentSpec):
+def _routing_arms(spec: ExperimentSpec, write_arm) -> dict:
     """Splittable routing: one arm at the configured or the tuned step size
     1/(2Ln), certified only at the tuned one, and its cost plot."""
     network = build_game_from_config(spec.game)
@@ -263,12 +265,11 @@ def _routing_arms(spec: ExperimentSpec):
     series = [(f"player {i} cost", ts, cost) for i, cost in enumerate(trace.costs)]
     series.append(("total cost", ts, trace.total_cost))
     plot = line_plot(series, title="Routing costs", xlabel="round", ylabel="cost")
-    summary = {"T": spec.T, "mode": "routing", "eta": rep.eta,
-               "linearized_regrets": rep.regrets, "true_regrets": rep.regrets_raw,
-               "sum_linearized_regret": rep.sum_linearized_regret,
-               "avg_total_cost": rep.avg_total_cost}
-    return [("main", "flows", partial(write_trace_csv, trace), rep, summary)], \
-        {"costs_svg": ("costs.svg", plot)}
+    write_arm("main", "flows", trace, rep, {
+        "T": spec.T, "mode": "routing", "eta": rep.eta, "linearized_regrets": rep.regrets,
+        "true_regrets": rep.regrets_raw, "sum_linearized_regret": rep.sum_linearized_regret,
+        "avg_total_cost": rep.avg_total_cost})
+    return {"costs_svg": ("costs.svg", plot)}
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> dict:
@@ -276,26 +277,29 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> dict:
 
     Returns the manifest (also written as manifest.json).  The manifest's
     exit_code is 0 on success and 2 when any claimed certificate fails;
-    artifacts are written either way."""
-    kind_arms = _routing_arms if spec.game["type"] == "network" else _game_arms
-    arms, plots = kind_arms(spec)
+    artifacts are written either way, each arm's before the next arm runs
+    and manifest.json last, into a directory created at the first write."""
     out = out_dir or _out_dir(spec)
-    os.makedirs(out, exist_ok=True)
     artifacts = {}
     manifest = {"out_dir": out, "artifacts": artifacts, "exit_code": 0}
-    for label, trace_stem, write_trace, rep, summary in arms:
+
+    def save(key, name, write, *args):
+        os.makedirs(out, exist_ok=True)
+        artifacts[key] = os.path.join(out, name)
+        write(*args, artifacts[key])
+
+    def write_arm(label, trace_stem, trace, rep, summary):
         if rep.failed():
             manifest["exit_code"] = 2
         suffix = "" if label == "main" else f"_{label}"
-        artifacts["trace" + suffix] = os.path.join(out, f"{trace_stem}{suffix}.csv")
-        write_trace(artifacts["trace" + suffix])
-        artifacts["report" + suffix] = os.path.join(out, f"report{suffix}.csv")
-        write_report_csv(rep, artifacts["report" + suffix])
+        save("trace" + suffix, f"{trace_stem}{suffix}.csv", _write_trace_file, trace)
+        save("report" + suffix, f"report{suffix}.csv", write_report_csv, rep)
         manifest["summary" if label == "main" else f"{label}_summary"] = dict(
             summary, certificates={c.name: _status(c) for c in rep.certificates})
-    for key, (name, svg) in plots.items():
-        artifacts[key] = os.path.join(out, name)
-        write_svg(svg, artifacts[key])
+
+    kind_arms = _routing_arms if spec.game["type"] == "network" else _game_arms
+    for key, (name, svg) in kind_arms(spec, write_arm).items():
+        save(key, name, write_svg, svg)
     artifacts["manifest"] = os.path.join(out, "manifest.json")
     with open(artifacts["manifest"], "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -362,6 +362,11 @@ def _check_smoothness(lam, mu) -> None:
         raise ValueError(f"need finite lambda > 0 and mu >= 0, got ({lam}, {mu})")
 
 
+def _is_pure_profile(s, dims) -> bool:
+    """Whether ``s`` holds one strategy index in [0, d_i) per player."""
+    return len(s) == len(dims) and all(0 <= x < d for x, d in zip(s, dims))
+
+
 def verify_smoothness(
     game: NormalFormGame, lam: float, mu: float, s_star=None,
     tol: float = 1e-9, mode: str = "utility",
@@ -374,7 +379,7 @@ def verify_smoothness(
     opt, _ = brute_force_opt(game, mode)
     if s_star is not None:
         s_star = tuple(int(x) for x in s_star)
-        if len(s_star) != game.n or any(not 0 <= x < d for x, d in zip(s_star, game.dims)):
+        if not _is_pure_profile(s_star, game.dims):
             raise ValueError(f"s_star {list(s_star)} is not a pure profile of this game")
     tensors = game.utility_tensors()
     welfare = game.welfare_tensor()

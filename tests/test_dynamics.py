@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import re
 import tracemalloc
 
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from regretlab import dynamics, games
+import regretlab
+from regretlab import dynamics, experiment, games
 from regretlab.auctions import AuctionGame, AuctionSpec
+from regretlab.config import parse_config
 from regretlab.continuous import CongestionNetwork, routing_report, run_continuous
 from regretlab.costmode import CostHedge
 from regretlab.dynamics import (
@@ -42,6 +45,7 @@ from regretlab.library import make_matrix_game, make_random_game
 from regretlab.robust import wrap_doubling
 
 A_TILTED = [[0.9, 0.2], [0.3, 0.7]]
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
 
 def hedge(eta):
@@ -550,6 +554,57 @@ class TestReportCertificates:
         tr = run_continuous(net, 1.0 / 64.0, 20)
         assert write_report_csv(report(tr)) == write_report_csv(routing_report(tr))
 
+    def test_full_report_is_an_alias_of_report(self):
+        assert experiment.full_report is dynamics.report
+        assert "full_report" not in regretlab.__all__
+
+    @pytest.mark.parametrize("mu, passed", [(1.0, True), (0.0, False)])
+    def test_the_claim_is_lhs_0_at_most_rhs_the_slack(self, mu, passed):
+        g = make_matrix_game(np.eye(2))
+        tr = run(g, [LearnerSpec("optimistic_hedge", 0.25)] * 2, 30)
+        tr.meta["smoothness"] = {"lambda": 1.0, "mu": mu, "s_star": [0, 0]}
+        claim = {c.name: c for c in report(tr).certificates}["smoothness_claim"]
+        slack = verify_smoothness(g, 1.0, mu, (0, 0)).slack
+        assert (claim.lhs, claim.rhs) == (0.0, slack)
+        assert claim.passed is passed is (claim.lhs <= claim.rhs)
+
+    def test_claim_without_s_star_searches_for_one(self):
+        g = make_matrix_game(np.eye(2))
+        tr = run(g, [LearnerSpec("hedge", 0.25)] * 2, 10)
+        tr.meta["smoothness"] = {"lambda": 1.0, "mu": 1.0, "s_star": None}
+        rep = report(tr)
+        claim = {c.name: c for c in rep.certificates}["smoothness_claim"]
+        assert claim.passed is True
+        assert len(claim.details["s_star"]) == 2
+
+    def test_wrapped_players_get_robust_bound_certificates(self):
+        g = make_matrix_game(np.array([[0.8, 0.1], [0.2, 0.9]]))
+        players = [wrap_doubling(LearnerSpec("optimistic_hedge"), 2, 0.5, None)
+                   for _ in range(2)]
+        tr = run(g, players, 40)
+        rep = report(tr)
+        names = {c.name: c for c in rep.certificates}
+        assert names["robust_bound[0]"].passed is True
+        assert names["robust_bound[1]"].passed is True
+        # wrapped learners have no fixed step size, so no per-round
+        # variation-bound certificate applies
+        assert not any(n.startswith("variation_bound") for n in names)
+
+    def test_cost_mode_adds_first_order_welfare_certificate(self):
+        # both players pay a flat 0.5 per round, and (1, 0.5) verifies with slack 0.5
+        g = make_matrix_game(np.full((2, 2), 0.5))
+        tr = run(g, [LearnerSpec("first_order_hedge")] * 2, 80, "cost")
+        tr.meta["smoothness"] = {"lambda": 1.0, "mu": 0.5, "s_star": [0, 0]}
+        rep = report(tr)
+        names = {c.name: c for c in rep.certificates}
+        assert names["smoothness_claim"].passed is True
+        cert = names["cost_welfare"]
+        assert cert.passed is True
+        assert cert.lhs == pytest.approx(1.0, abs=1e-12)  # flat 0.5 + 0.5 cost
+        # a zero-regret trace fits zero constants; they must never be negative
+        assert rep.extras["first_order_A1"] >= 0.0
+        assert rep.extras["first_order_A2"] >= 0.0
+
     def test_failed_certificates_are_reported_not_hidden(self):
         # a hand-built trace that violates the declared variation bound:
         # play hops between vertices while utilities sit still, so the
@@ -1028,13 +1083,18 @@ class TestTraceCsv:
 
 class TestTraceIoMemory:
     """tracemalloc peaks of trace-file I/O on an auction trace of three chunks
-    (4 bidders, 2 items x 20 bid levels, 600 rounds: 2,400 rows of 46 cells)."""
+    (4 bidders, 2 items x 20 bid levels, 600 rounds: 2,400 rows of 46 cells),
+    and of the experiment runner that writes trace files."""
+
+    @staticmethod
+    def auction(T):
+        values = [[2.0, 1.0], [1.5, 1.5], [1.0, 2.0], [1.8, 1.2]]
+        g = AuctionGame(AuctionSpec(4, 2, values, [0.05 * k for k in range(1, 21)]))
+        return run(g, [opt_hedge(0.3)] * 4, T)
 
     @pytest.fixture(scope="class")
     def trace(self):
-        values = [[2.0, 1.0], [1.5, 1.5], [1.0, 2.0], [1.8, 1.2]]
-        g = AuctionGame(AuctionSpec(4, 2, values, [0.05 * k for k in range(1, 21)]))
-        return run(g, [opt_hedge(0.3)] * 4, 600)
+        return self.auction(600)
 
     @staticmethod
     def traced(call):
@@ -1055,6 +1115,28 @@ class TestTraceIoMemory:
         # built over all T rounds at once held every row string, their join
         # and whole-T cell arrays (about 4.2x)
         assert peak < 3 * len(text)
+
+    def test_streaming_a_file_holds_one_chunk_of_text(self, tmp_path):
+        # twelve chunks (3,000 rounds, 256 a chunk): the stored values plus one
+        # chunk's rows, cells and text peak at 0.40x the file; joining every
+        # chunk before writing held the whole text at once (above 1x)
+        path = tmp_path / "t.csv"
+        long = self.auction(3000)
+        result, _, peak = self.traced(lambda: dynamics._write_trace_file(long, str(path)))
+        assert result is None
+        assert peak < 0.5 * path.stat().st_size
+
+    def test_an_auction_experiment_holds_one_arm_at_a_time(self, tmp_path):
+        with open(os.path.join(CONFIG_DIR, "auction_fig1.cfg"), encoding="utf-8") as fh:
+            spec = parse_config(fh.read())
+        game = experiment.build_game_from_config(spec.game)
+        arm = 2 * 8 * spec.T * sum(game.dims)  # one arm's plays plus utilities, in bytes
+        _, _, peak = self.traced(lambda: experiment.run_experiment(spec, str(tmp_path)))
+        # 1.92x: the peak is one arm's own run (its plays, the group record they
+        # are split from, its utilities and the derivation's temporaries); the
+        # first arm's trace kept through the second run read 2.9x, and both
+        # traces kept beside each trace file's whole text 5.1x
+        assert peak < 2 * arm
 
     def test_reading_a_path_holds_one_line_at_a_time(self, trace, tmp_path):
         path = tmp_path / "t.csv"

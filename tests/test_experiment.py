@@ -18,6 +18,7 @@ import pytest
 
 import oracles as orc
 import regretlab
+from regretlab import dynamics
 from regretlab.auctions import masked_values
 from regretlab.cli import _parse_config_file, main
 from regretlab.config import parse_config
@@ -25,7 +26,7 @@ from regretlab.continuous import _tuned_eta, lipschitz_constant, parse_network, 
 from regretlab.dynamics import RegretReport, Trace, read_trace_csv, report, run, write_trace_csv
 from regretlab.experiment import (
     OUTPUT_ROOT_ENV,
-    _routing_arms,
+    _arm_players,
     bid_trajectory,
     bids_plot,
     build_game_from_config,
@@ -34,10 +35,9 @@ from regretlab.experiment import (
     run_experiment,
     write_report_csv,
 )
-from regretlab.games import DEFAULT_ENUM_CAP, verify_smoothness
+from regretlab.games import DEFAULT_ENUM_CAP
 from regretlab.learners import Certificate, LearnerSpec
 from regretlab.library import make_matrix_game, make_random_game
-from regretlab.robust import wrap_doubling
 from regretlab.svgplot import line_plot, write_svg
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -317,84 +317,6 @@ class TestReportCsv:
 
 
 # ---------------------------------------------------------------------------
-# report: every certificate the metadata claims
-
-
-class TestFullReport:
-    def test_full_report_is_an_alias_of_report(self):
-        assert regretlab.experiment.full_report is regretlab.dynamics.report
-        assert "full_report" not in regretlab.__all__
-
-    def test_verified_smoothness_adds_claim_and_welfare_floor(self):
-        g = make_matrix_game(np.eye(2))
-        tr = run(g, [LearnerSpec("optimistic_hedge", 0.25)] * 2, 30)
-        tr.meta["smoothness"] = {"lambda": 1.0, "mu": 1.0, "s_star": [0, 0]}
-        rep = report(tr)
-        names = {c.name: c for c in rep.certificates}
-        assert names["smoothness_claim"].passed is True
-        assert names["smoothness_claim"].details["opt"] == 1.0
-        assert names["welfare_floor"].passed is True
-        assert rep.failed() == []
-
-    def test_refuted_claim_fails_and_suppresses_the_floor(self):
-        g = make_matrix_game(np.eye(2))
-        tr = run(g, [LearnerSpec("optimistic_hedge", 0.25)] * 2, 30)
-        tr.meta["smoothness"] = {"lambda": 1.0, "mu": 0.0, "s_star": [0, 0]}
-        rep = report(tr)
-        names = {c.name: c for c in rep.certificates}
-        assert names["smoothness_claim"].passed is False
-        assert "welfare_floor" not in names
-        assert [c.name for c in rep.failed()] == ["smoothness_claim"]
-
-    @pytest.mark.parametrize("mu, passed", [(1.0, True), (0.0, False)])
-    def test_the_claim_is_lhs_0_at_most_rhs_the_slack(self, mu, passed):
-        g = make_matrix_game(np.eye(2))
-        tr = run(g, [LearnerSpec("optimistic_hedge", 0.25)] * 2, 30)
-        tr.meta["smoothness"] = {"lambda": 1.0, "mu": mu, "s_star": [0, 0]}
-        claim = {c.name: c for c in report(tr).certificates}["smoothness_claim"]
-        slack = verify_smoothness(g, 1.0, mu, (0, 0)).slack
-        assert (claim.lhs, claim.rhs) == (0.0, slack)
-        assert claim.passed is passed is (claim.lhs <= claim.rhs)
-
-    def test_claim_without_s_star_searches_for_one(self):
-        g = make_matrix_game(np.eye(2))
-        tr = run(g, [LearnerSpec("hedge", 0.25)] * 2, 10)
-        tr.meta["smoothness"] = {"lambda": 1.0, "mu": 1.0, "s_star": None}
-        rep = report(tr)
-        claim = {c.name: c for c in rep.certificates}["smoothness_claim"]
-        assert claim.passed is True
-        assert len(claim.details["s_star"]) == 2
-
-    def test_wrapped_players_get_robust_bound_certificates(self):
-        g = make_matrix_game(np.array([[0.8, 0.1], [0.2, 0.9]]))
-        players = [wrap_doubling(LearnerSpec("optimistic_hedge"), 2, 0.5, None)
-                   for _ in range(2)]
-        tr = run(g, players, 40)
-        rep = report(tr)
-        names = {c.name: c for c in rep.certificates}
-        assert names["robust_bound[0]"].passed is True
-        assert names["robust_bound[1]"].passed is True
-        # wrapped learners have no fixed step size, so no per-round
-        # variation-bound certificate applies
-        assert not any(n.startswith("variation_bound") for n in names)
-
-    def test_cost_mode_adds_first_order_welfare_certificate(self):
-        spec = parse_config(COST_CFG)
-        g = build_game_from_config(spec.game)
-        tr = run(g, spec.specs_for(2), spec.T, "cost")
-        tr.meta["smoothness"] = spec.smoothness
-        rep = report(tr)
-        names = {c.name: c for c in rep.certificates}
-        assert names["smoothness_claim"].passed is True
-        cert = names["cost_welfare"]
-        assert cert.passed is True
-        assert cert.lhs == pytest.approx(1.0, abs=1e-12)  # flat 0.5 + 0.5 cost
-        # a zero-regret trace fits zero constants; they must never be negative
-        assert rep.extras["first_order_A1"] >= 0.0
-        assert rep.extras["first_order_A2"] >= 0.0
-
-
-# ---------------------------------------------------------------------------
 # run_experiment artifacts
 
 
@@ -520,6 +442,38 @@ class TestRunExperiment:
             assert capsys.readouterr().out.encode() == runs[0][report]
 
 
+def shipped_arm_traces(spec, T):
+    """Every arm of a shipped config's spec, run for T rounds as
+    ``run_experiment`` runs it: (label, trace)."""
+    game = build_game_from_config(spec.game)
+    if spec.game["type"] == "network":
+        eta = _tuned_eta(game, lipschitz_constant(game))[0]
+        return [("main", run_continuous(game, eta, T))]
+    arms = [("main", _arm_players(game, spec.specs_for(game.n), spec.robust))]
+    if spec.baseline is not None:
+        arms.append(("baseline", [spec.baseline] * game.n))
+    return [(label, run(game, players, T, spec.mode)) for label, players in arms]
+
+
+class TestStreamedTraceFile:
+    """``dynamics._write_trace_file``, the runner's trace writer, writes the
+    bytes of ``write_trace_csv``'s text for every arm of every shipped config
+    (routing's ``flows.csv`` among them), at one round, on both sides of a
+    write chunk (``_TRACE_CHUNK_ROWS // n`` rounds) and at the config's T."""
+
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_bytes_equal_the_text_of_write_trace_csv(self, name, tmp_path):
+        spec = parse_config(read(os.path.join(CONFIG_DIR, name)))
+        if "path" in spec.game:
+            spec.game["path"] = os.path.join(CONFIG_DIR, spec.game["path"])
+        step = dynamics._TRACE_CHUNK_ROWS // build_game_from_config(spec.game).n
+        for T in sorted({1, step - 1, step, step + 1, spec.T}):
+            for label, trace in shipped_arm_traces(spec, T):
+                path = tmp_path / f"{label}-{T}.csv"
+                assert dynamics._write_trace_file(trace, str(path)) is None
+                assert path.read_bytes() == write_trace_csv(trace).encode(), (label, T)
+
+
 class TestNetworkExperiment:
     def test_artifacts_and_tuned_step_size(self, tmp_path):
         spec = network_spec(tmp_path)
@@ -562,11 +516,15 @@ class TestNetworkExperiment:
         assert "certificate" not in read(manifest["artifacts"]["report"])
 
     def test_flows_csv_matches_the_csv_writer_oracle(self, tmp_path):
-        [(_, _, write, _, _)], _ = _routing_arms(network_spec(tmp_path))
-        [trace] = write.args
+        spec = network_spec(tmp_path)
+        manifest = run_experiment(spec, out_dir=str(tmp_path / "routing"))
+        net = build_game_from_config(spec.game)
+        trace = run_continuous(net, _tuned_eta(net, lipschitz_constant(net))[0], spec.T)
+        trace.meta["seed"] = spec.seed
         values = [np.column_stack((c, trace.total_cost)) for c in trace.costs]
-        assert write() == orc.csv_trace_rows(trace.meta, ("cost", "total_cost"), values,
-                                             "flow", trace.flows)
+        with open(manifest["artifacts"]["trace"], "rb") as fh:
+            assert fh.read() == orc.csv_trace_rows(
+                trace.meta, ("cost", "total_cost"), values, "flow", trace.flows).encode()
 
     def test_costs_svg_has_player_and_total_series(self, tmp_path):
         spec = network_spec(tmp_path)

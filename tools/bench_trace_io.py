@@ -9,12 +9,16 @@ through ``run_experiment`` into a temporary directory, then times, in each of
 ``REPEATS`` runs, ``write_trace_csv`` of the main-arm trace to a file,
 ``read_trace_csv`` of that file and ``dynamics.report`` of what was read
 (its samples keep the key ``full_report_s``, so earlier labels still
-compare).  Its rows repeat most cells: tied strategies play bit-identical probabilities.
+compare), and ``stream_write_s``, the runner's write of the same trace to a
+file (``dynamics._write_trace_file``, which holds one chunk of text at a
+time; ``write_trace_csv`` to a path in a checkout that predates it).  Its
+rows repeat most cells: tied strategies play bit-identical probabilities.
 ``dense_read_s`` times ``read_trace_csv`` of a trace whose rows repeat almost
 no cell: oftrl self-play (entropy, last-utility predictor, eta = 1/(2(n - 1)))
 on a seeded dense game, n = 4, d = 5, T = 5000, so 20,000 rows.  A fresh
 process that reads, reports and writes the auction trace once reports its
-peak RSS.
+peak RSS (``peak_rss_mb``); another that runs the main arm and writes its
+trace with the runner's writer reports ``stream_write_rss_mb``.
 
 The samples are merged under ``--label`` into ``BENCH_trace_io.json`` at the
 repository root by ``benchlib``, with the SHA-256 of the trace this checkout
@@ -34,15 +38,34 @@ CONFIG = os.path.join(benchlib.ROOT, "configs", "auction_fig1.cfg")
 WHAT = ("trace CSV I/O on configs/auction_fig1.cfg's main-arm trace, and read_trace_csv of "
         "a dense n = 4, d = 5, T = 5000 oftrl self-play trace, wall-clock seconds; "
         "peak RSS of fresh processes")
-TIMINGS = ("write_s", "read_s", "full_report_s", "dense_read_s")
+TIMINGS = ("write_s", "read_s", "full_report_s", "dense_read_s", "stream_write_s")
 REPEATS = 7
 DENSE_T = 5000
 
 
-def _child(trace_path: str) -> None:
-    """The fresh process: read, report and write the trace once."""
-    from regretlab.dynamics import read_trace_csv, report, write_trace_csv
+def _stream_writer():
+    """The writer ``run_experiment`` uses for trace files in this checkout."""
+    from regretlab import dynamics
 
+    return getattr(dynamics, "_write_trace_file", dynamics.write_trace_csv)
+
+
+def _child(trace_path: str, mode: str = "full") -> None:
+    """The fresh process: read, report and write the trace once; with mode
+    ``stream``, run the main arm (cheaper in memory than reading its file)
+    and write it with the runner's writer only."""
+    from regretlab.dynamics import read_trace_csv, report, run, write_trace_csv
+
+    if mode == "stream":
+        from regretlab.config import parse_config
+        from regretlab.experiment import build_game_from_config
+
+        with open(CONFIG, encoding="utf-8") as fh:
+            spec = parse_config(fh.read())
+        game = build_game_from_config(spec.game)
+        trace = run(game, spec.specs_for(game.n), spec.T, spec.mode)
+        _stream_writer()(trace, trace_path + ".streamed")
+        return
     trace = read_trace_csv(trace_path)
     report(trace)
     write_trace_csv(trace, trace_path + ".again")
@@ -58,6 +81,7 @@ def measure(src: str) -> dict:
     with open(CONFIG, encoding="utf-8") as fh:
         spec = parse_config(fh.read())
     samples = {name: [] for name in TIMINGS}
+    stream_write = _stream_writer()
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = run_experiment(spec, out_dir=tmp)["artifacts"]["trace"]
         dense_path = os.path.join(tmp, "dense.csv")
@@ -68,6 +92,7 @@ def measure(src: str) -> dict:
             written = fh.read()
         trace = read_trace_csv(trace_path)
         copy = os.path.join(tmp, "copy.csv")
+        streamed = os.path.join(tmp, "streamed.csv")
         for _ in range(REPEATS):
             start = time.perf_counter()
             write_trace_csv(trace, copy)
@@ -81,11 +106,17 @@ def measure(src: str) -> dict:
             start = time.perf_counter()
             read_trace_csv(dense_path)
             samples["dense_read_s"].append(time.perf_counter() - start)
-        with open(copy, "rb") as fh:
-            if fh.read() != written:
-                raise RuntimeError("write_trace_csv did not reproduce simulate's trace bytes")
+            start = time.perf_counter()
+            stream_write(trace, streamed)
+            samples["stream_write_s"].append(time.perf_counter() - start)
+        for path, writer in ((copy, "write_trace_csv"), (streamed, stream_write.__name__)):
+            with open(path, "rb") as fh:
+                if fh.read() != written:
+                    raise RuntimeError(f"{writer} did not reproduce simulate's trace bytes")
         peak = benchlib.fresh_peak_rss(__file__, src, trace_path)
-    return {"samples": samples, "peak_rss_mb": peak, "trace_bytes": len(written),
+        stream_peak = benchlib.fresh_peak_rss(__file__, src, trace_path, "stream")
+    return {"samples": samples, "peak_rss_mb": peak, "stream_write_rss_mb": stream_peak,
+            "stream_writer": stream_write.__name__, "trace_bytes": len(written),
             "trace_sha256": benchlib.sha256(written)}
 
 

@@ -8,7 +8,8 @@ samples, a ``measure(src)`` and, if it uses ``fresh_peak_rss``, a
 - ``measure(src)`` returns ``{"samples": {name: [seconds or us, ...]},
   "peak_rss_mb": float, ...}``, every other key being recorded as is;
 - ``fresh_peak_rss`` reruns the script with ``--child ARGS`` in a fresh
-  process, which calls ``child(*ARGS)`` and prints its own peak RSS;
+  process, which calls ``child(*ARGS)`` and prints its own peak RSS
+  (``VmHWM``, not ``ru_maxrss``, which would include this process's peak);
 - ``merge`` records the samples under ``--label`` in ``BENCH_<name>.json`` at
   the repository root (``<name>`` from ``bench_<name>.py``), with the host
   fingerprint, the checkout's git commit and a SHA-256 of its
@@ -43,6 +44,16 @@ def sha256(data: bytes) -> str:
 
 
 def _peak_rss_mb() -> float:
+    """This process's own peak RSS in MB: ``VmHWM`` where /proc/self/status
+    has it.  On Linux, ``ru_maxrss`` (the fallback) of a process started by
+    another also counts the starter's peak, carried across exec."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0  # kB
+    except OSError:
+        pass
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KB on Linux
 
 

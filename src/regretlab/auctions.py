@@ -8,9 +8,11 @@ Welfare is the expected allocation value — payments are transfers to a
 strategyless seller, so they cancel out of welfare but do appear in the
 smoothness residual (seller revenue).
 
-Every oracle starts from ``_win_probabilities``, one pass of tail masses for
-all bidders: the engine round and the trace derivation (utilities and
-welfare together) each make one call.
+Every mixed-profile oracle starts from ``_win_probabilities``, one pass of
+tail masses for all bidders: the engine round and the trace derivation
+(utilities and welfare together) each make one call.  The pure payoffs are
+``utility_tensors`` and ``welfare_tensor`` only, built in numpy from index
+grids (item ``s // nb``, bid index ``s % nb`` along each bidder's axis).
 """
 
 from __future__ import annotations
@@ -93,11 +95,6 @@ class AuctionGame(NormalFormGame):
         self._dense = None  # (utility tensors, welfare tensor), built on first use
 
     # -- helpers -------------------------------------------------------------
-    def decode(self, strategy_index: int) -> tuple[int, float]:
-        """(item, bid) for a pure strategy index."""
-        j, b = divmod(int(strategy_index), self.nb)
-        return j, float(self.spec.bid_levels[b])
-
     def _win_probabilities(self, profile) -> np.ndarray:
         """(n,) + L + (m, nb) win probabilities of every bidder's (item, bid)
         cells: win_i = lo_0 ... lo_{i-1} hi_{i+1} ... hi_{n-1} with lo_k =
@@ -142,41 +139,31 @@ class AuctionGame(NormalFormGame):
                                    * win[i], axis=(-2, -1))
         return total if win.ndim > 3 else float(total)
 
-    def _resolve(self, s):
-        """Winner of each item at the pure profile s; returns dict item -> (i, bid)."""
-        winners: dict[int, tuple[int, float]] = {}
-        for i, si in enumerate(s):
-            j, bid = self.decode(si)
-            if j not in winners or bid > winners[j][1]:
-                winners[j] = (i, bid)  # ties keep the earlier (lower) index
-        return winners
-
-    def pure_utilities(self, s) -> np.ndarray:
-        winners = self._resolve(s)
-        u = np.zeros(self.n)
-        for j, (i, bid) in winners.items():
-            u[i] = self.spec.values[i, j] - bid
-        return u
-
-    def welfare_pure(self, s) -> float:
-        winners = self._resolve(s)
-        return float(sum(self.spec.values[i, j] for j, (i, _) in winners.items()))
-
     def utility_tensors(self) -> list[np.ndarray]:
-        """Every bidder's raw utility tensor, enumerated once with the welfare
-        tensor and kept; refused above ``DEFAULT_ENUM_CAP`` pure profiles."""
+        """Every bidder's raw utility tensor, built once with the welfare
+        tensor from index grids and kept; refused above ``DEFAULT_ENUM_CAP``
+        pure profiles.  Bidder i wins where every lower-index bidder on its
+        item bids less and every higher-index one at most as much; it earns
+        value - bid there and 0 elsewhere, and the welfare sums the winners'
+        values."""
         if self._dense is None:
             if math.prod(self.dims) > DEFAULT_ENUM_CAP:
                 raise EnumerationCapError(
                     f"{math.prod(self.dims)} pure profiles exceed the enumeration cap "
                     f"{DEFAULT_ENUM_CAP}; refusing to approximate")
-            tensors = [np.zeros(self.dims) for _ in range(self.n)]
-            welfare = np.zeros(self.dims)
-            for s in np.ndindex(*self.dims):
-                u = self.pure_utilities(s)
-                for i in range(self.n):
-                    tensors[i][s] = u[i]
-                welfare[s] = self.welfare_pure(s)
+            # bidder i's strategy index, item and bid index along its own axis
+            grid = [np.arange(self.dims[i]).reshape((-1,) + (1,) * (self.n - 1 - i))
+                    for i in range(self.n)]
+            item, bid = zip(*(np.divmod(s, self.nb) for s in grid))
+            tensors, welfare = [], np.zeros(self.dims)
+            for i in range(self.n):
+                wins = True
+                for k in range(self.n):
+                    if k != i:
+                        beaten = bid[k] < bid[i] if k < i else bid[k] <= bid[i]
+                        wins = wins & ((item[k] != item[i]) | beaten)
+                tensors.append(np.where(wins, self._payoff[i].reshape(grid[i].shape), 0.0))
+                np.add(welfare, self.spec.values[i][item[i]], out=welfare, where=wins)
             self._dense = tensors, welfare
         return self._dense[0]
 

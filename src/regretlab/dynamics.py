@@ -216,6 +216,7 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     plays = []
     for _, _, _, record, *_ in units:  # in player order
         plays += [record] if record.ndim == 2 else [p.copy() for p in record.swapaxes(0, 1)]
+    del units, movers, responders, unit, record  # a group's record, now split
 
     meta = {
         "game": game.describe(),
@@ -606,12 +607,13 @@ def _check_game_meta(meta: dict, dims) -> None:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"trace line 1: metadata smoothness {key} must be a number, "
                              f"got {value!r}")
+    s_star = claim.get("s_star")
     if claim:
         try:
             games._check_smoothness(claim["lambda"], claim["mu"])
+            games._check_search(dims, s_star)
         except ValueError as exc:
             raise ValueError(f"trace line 1: metadata smoothness: {exc}") from None
-    s_star = claim.get("s_star")
     if s_star is not None and not (isinstance(s_star, list)
                                    and all(type(x) is int for x in s_star)):
         raise ValueError(f"trace line 1: metadata smoothness s_star must be a list of "

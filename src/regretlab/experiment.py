@@ -27,7 +27,7 @@ from .config import ExperimentSpec
 from .dynamics import Trace, _write_trace_file, regret_series, report, run
 # perfbench times report under this name; the alias goes once it calls report
 from .dynamics import report as full_report
-from .games import _is_pure_profile, load_dense_csv
+from .games import _check_search, _is_pure_profile, load_dense_csv
 from .learners import Certificate, declares_variation_bound
 from .library import make_matrix_game, make_random_game
 from .robust import wrap_doubling
@@ -228,6 +228,8 @@ def _game_arms(spec: ExperimentSpec, write_arm) -> dict:
                         if len(s_star) != n else "game.s_star has an out-of-range strategy index")
     if problems:
         raise ValueError("; ".join(problems))
+    if spec.smoothness:
+        _check_search(game.dims, s_star)
 
     arms = [("main", _arm_players(game, spec.specs_for(n), spec.robust))]
     if spec.baseline is not None:

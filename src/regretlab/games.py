@@ -123,13 +123,6 @@ class NormalFormGame:
         """Expected raw welfare under the product distribution (float if L = ())."""
         raise NotImplementedError
 
-    def pure_utilities(self, s) -> np.ndarray:
-        """Raw utility of every player at the pure profile s."""
-        raise NotImplementedError
-
-    def welfare_pure(self, s) -> float:
-        raise NotImplementedError
-
     def utility_tensors(self) -> list[np.ndarray]:
         """Per-player raw utility tensors over all pure profiles."""
         raise NotImplementedError
@@ -290,13 +283,6 @@ class DenseGame(NormalFormGame):
         w = _utility_sum(profile, self._raw_block(profile)[1])
         return w if lead else float(w)
 
-    def pure_utilities(self, s) -> np.ndarray:
-        s = tuple(int(x) for x in s)
-        return np.array([t[s] for t in self.tensors])
-
-    def welfare_pure(self, s) -> float:
-        return float(self._welfare[tuple(int(x) for x in s)])
-
     def utility_tensors(self) -> list[np.ndarray]:
         return self.tensors
 
@@ -367,15 +353,27 @@ def _is_pure_profile(s, dims) -> bool:
     return len(s) == len(dims) and all(0 <= x < d for x, d in zip(s, dims))
 
 
+def _check_search(dims, s_star) -> None:
+    """The search rule: without ``s_star``, ``verify_smoothness`` tries each of
+    the N pure profiles as a candidate against all N, so N * N checks above
+    the cap are refused (N itself above it is the utility tensors' refusal)."""
+    profiles = math.prod(dims)
+    if s_star is None and profiles <= DEFAULT_ENUM_CAP:
+        _check_cap(profiles * profiles, f"give s_star: a smoothness search without it over "
+                   f"{profiles} pure profiles makes", "candidate-profile checks")
+
+
 def verify_smoothness(
     game: NormalFormGame, lam: float, mu: float, s_star=None,
     tol: float = 1e-9, mode: str = "utility",
 ) -> SmoothnessCertificate:
     """Brute-force check of (lam, mu)-smoothness (raw units) at the deviation
     profile ``s_star`` or, without one, at every pure profile in lexicographic
-    order.  Returns the first candidate that verifies, else the candidate
-    with the largest slack (unverified, never an exception)."""
+    order, refused above ``DEFAULT_ENUM_CAP`` checks (``_check_search``).
+    Returns the first candidate that verifies, else the candidate with the
+    largest slack (unverified, never an exception)."""
     _check_smoothness(lam, mu)
+    _check_search(game.dims, s_star)
     opt, _ = brute_force_opt(game, mode)
     if s_star is not None:
         s_star = tuple(int(x) for x in s_star)
@@ -485,7 +483,7 @@ def dump_dense_csv(game: DenseGame) -> str:
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow([game.n] + list(game.dims))
-    for s in np.ndindex(*game.dims):
-        u = game.normalize(game.pure_utilities(s))
-        w.writerow([*map(int, s), *[repr(float(x)) for x in u]])
+    u = game.normalize(np.stack(game.tensors, axis=-1)).reshape(-1, game.n)
+    for s, row in zip(np.ndindex(*game.dims), u):
+        w.writerow([*map(int, s), *[repr(float(x)) for x in row]])
     return out.getvalue()

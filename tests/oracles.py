@@ -745,6 +745,19 @@ def csv_trace_rows(meta, value_names, values, vector_name, vectors):
     return out.getvalue()
 
 
+def dense_csv_text(tensors, scale, shift):
+    """The text ``games.dump_dense_csv`` must write: the header ``n,d1,...,dn``
+    then, per pure profile in lexicographic order, its indices and the repr
+    of every player's normalized utility (raw - shift) / scale."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    dims = list(tensors[0].shape)
+    writer.writerow([len(tensors), *dims])
+    for s in itertools.product(*(range(d) for d in dims)):
+        writer.writerow([*s, *(repr((float(t[s]) - shift) / scale) for t in tensors)])
+    return out.getvalue()
+
+
 def float_per_cell_trace(text, k, dims):
     """The numbers of a trace file's body rows, one ``float()`` per cell in a
     plain loop: ``stored[t][i]``, the k values of round t + 1's row of player

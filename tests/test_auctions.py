@@ -33,23 +33,23 @@ def random_profile(dims, seed):
 class TestResolution:
     def test_uncontested(self):
         g = simple(n=1, m=1, v=20.0, levels=(1.0,))
-        assert g.pure_utilities((0,))[0] == pytest.approx(19.0, abs=0)
-        assert g.welfare_pure((0,)) == pytest.approx(20.0, abs=0)
+        assert g.utility_tensors()[0][0] == pytest.approx(19.0, abs=0)
+        assert g.welfare_tensor()[0] == pytest.approx(20.0, abs=0)
         assert brute_force_opt(g)[0] == pytest.approx(20.0, abs=0)
 
     def test_tie_goes_to_lowest_index(self):
         g = simple()
         # both bid level 2 (index 1) on the single item
-        u = g.pure_utilities((1, 1))
-        assert u[0] == pytest.approx(1.0, abs=0)
-        assert u[1] == pytest.approx(0.0, abs=0)
+        u0, u1 = g.utility_tensors()
+        assert u0[1, 1] == pytest.approx(1.0, abs=0)
+        assert u1[1, 1] == pytest.approx(0.0, abs=0)
 
-    def test_decode_layout(self):
-        g = simple(n=2, m=2, levels=(1.0, 2.0, 3.0))
-        assert g.decode(0) == (0, 1.0)
-        assert g.decode(2) == (0, 3.0)
-        assert g.decode(3) == (1, 1.0)
-        assert g.decode(5) == (1, 3.0)
+    def test_item_major_layout(self):
+        # a lone bidder always wins, so its tensor is value - bid by strategy
+        # index = item * len(levels) + bid index
+        g = AuctionGame(AuctionSpec(1, 2, np.array([[10.0, 20.0]]), [1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(g.utility_tensors()[0], [9.0, 8.0, 7.0, 19.0, 18.0, 17.0])
+        np.testing.assert_array_equal(g.welfare_tensor(), [10.0] * 3 + [20.0] * 3)
 
 
 class TestFastOracle:
@@ -121,7 +121,8 @@ class TestFastOracle:
         total = 0.0
         for s in itertools.product(range(4), repeat=2):
             p = prof[0][s[0]] * prof[1][s[1]]
-            _, w = orc.auction_resolve(vals, 2, [g.decode(s[0]), g.decode(s[1])])
+            choices = [(j, g.spec.bid_levels[b]) for j, b in (divmod(x, g.nb) for x in s)]
+            _, w = orc.auction_resolve(vals, 2, choices)
             total += p * w
         assert g.welfare_mixed(prof) == pytest.approx(total, abs=1e-12)
 
@@ -261,6 +262,43 @@ class TestAllPlayersOracle:
         g.expected_utilities(1, prof)  # the others stay in range
 
 
+class TestGridTensors:
+    """``utility_tensors`` and ``welfare_tensor``, built from index grids,
+    against ``orc.auction_resolve`` at every pure profile: each utility cell
+    bitwise (value - bid in both), the welfare to 1e-12 abs (it sums the
+    winners in bidder order, the oracle in item order)."""
+
+    @staticmethod
+    def values(kind, n, m, rng):
+        if kind == "uniform":  # every bidder values every item alike: ties decide
+            return np.full((n, m), 3.0)
+        if kind == "masked":
+            return masked_values(n, m, 4.0, seed=int(rng.integers(1 << 30)))
+        return rng.random((n, m)) * 7.0
+
+    @pytest.mark.parametrize("kind", ["uniform", "masked", "float"])
+    @pytest.mark.parametrize("nb", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_cell_matches_the_resolve_oracle(self, n, nb, kind):
+        rng = np.random.default_rng(1000 * n + 10 * nb + len(kind))
+        m = 2
+        vals = self.values(kind, n, m, rng)
+        levels = np.sort(rng.choice(np.arange(1, 30) * 0.37, nb, replace=False))
+        g = AuctionGame(AuctionSpec(n, m, vals, levels))
+        tensors, welfare = g.utility_tensors(), g.welfare_tensor()
+        assert [t.shape for t in tensors] == [welfare.shape] * n == [tuple(g.dims)] * n
+        strategies = [(j, float(levels[b])) for j in range(m) for b in range(nb)]
+        for s in itertools.product(range(m * nb), repeat=n):
+            utils, w = orc.auction_resolve(vals.tolist(), m, [strategies[x] for x in s])
+            assert_same_bits([t[s] for t in tensors], utils)
+            assert welfare[s] == pytest.approx(w, abs=1e-12)
+
+    def test_tensors_are_built_once(self):
+        g = simple(n=3, m=2, levels=(1.0, 2.0))
+        assert g.utility_tensors() is g.utility_tensors()
+        assert g.welfare_tensor() is g.welfare_tensor()
+
+
 class TestOptimum:
     def test_fig_parameters_opt_80(self):
         # 80^4 profiles exceed the enumeration cap, so the optimum is argued:
@@ -270,10 +308,13 @@ class TestOptimum:
         bound = float(g.spec.values.max(axis=1).sum())
         assert bound == pytest.approx(80.0, abs=0)
         top = g.nb - 1
-        assert g.welfare_pure(tuple(i * g.nb + top for i in range(4))) == pytest.approx(bound, abs=0)
         rng = np.random.default_rng(80)
-        for s in rng.integers(0, g.dims[0], size=(200, 4)):
-            assert g.welfare_pure(tuple(s)) <= bound
+        profiles = [tuple(i * g.nb + top for i in range(4))]
+        profiles += [tuple(s) for s in rng.integers(0, g.dims[0], size=(200, 4))]
+        # welfare_mixed at one-hot strategies is the welfare of the pure profile
+        welfare = [g.welfare_mixed([np.eye(g.dims[0])[x] for x in s]) for s in profiles]
+        assert welfare[0] == pytest.approx(bound, abs=0)
+        assert max(welfare) <= bound
 
     def test_matches_brute_force(self):
         for vals, m, levels in [
@@ -285,8 +326,8 @@ class TestOptimum:
             b_opt, b_prof = brute_force_opt(g)
             o_opt, o_prof = orc.auction_opt(vals, m, levels)
             assert b_opt == pytest.approx(o_opt, abs=1e-12)
-            assert g.welfare_pure(b_prof) == pytest.approx(b_opt, abs=1e-12)
-            assert g.welfare_pure(o_prof) == pytest.approx(o_opt, abs=1e-12)
+            assert g.welfare_tensor()[b_prof] == pytest.approx(b_opt, abs=1e-12)
+            assert g.welfare_tensor()[o_prof] == pytest.approx(o_opt, abs=1e-12)
 
     def test_single_level_crowded_fallback(self):
         # more bidders than items with one bid level: ties go to the lowest
@@ -296,7 +337,7 @@ class TestOptimum:
         assert orc.auction_opt(vals, 1, [1.0])[0] == pytest.approx(5.0, abs=0)
         opt, profile = brute_force_opt(g)
         assert opt == pytest.approx(5.0, abs=0)
-        assert g.welfare_pure(profile) == pytest.approx(opt, abs=0)
+        assert g.welfare_tensor()[profile] == pytest.approx(opt, abs=0)
 
 
 class TestNormalization:
@@ -315,7 +356,7 @@ class TestNormalization:
 
     def test_overbidding_allowed(self):
         g = AuctionGame(AuctionSpec(1, 1, uniform_values(1, 1, 1.0), [1.0, 5.0]))
-        assert g.pure_utilities((1,))[0] == pytest.approx(-4.0, abs=0)
+        assert g.utility_tensors()[0][1] == pytest.approx(-4.0, abs=0)
 
 
 class TestValues:

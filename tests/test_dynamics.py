@@ -1138,6 +1138,17 @@ class TestTraceIoMemory:
         # traces kept beside each trace file's whole text 5.1x
         assert peak < 2 * arm
 
+    def test_an_auction_arm_run_frees_its_group_record(self):
+        with open(os.path.join(CONFIG_DIR, "auction_fig1.cfg"), encoding="utf-8") as fh:
+            spec = parse_config(fh.read())
+        game = experiment.build_game_from_config(spec.game)
+        arm = 2 * 8 * spec.T * sum(game.dims)  # one arm's plays plus utilities, in bytes
+        players = experiment._arm_players(game, spec.specs_for(game.n), spec.robust)
+        _, _, peak = self.traced(lambda: run(game, players, spec.T, spec.mode))
+        # 1.39x: the plays, the utilities and the derivation's temporaries; the
+        # (T, 4, d) group record kept through the derivation read 1.89x
+        assert peak < 1.5 * arm
+
     def test_reading_a_path_holds_one_line_at_a_time(self, trace, tmp_path):
         path = tmp_path / "t.csv"
         write_trace_csv(trace, str(path))

@@ -1199,6 +1199,17 @@ class TestCliVerifySmooth:
         assert main(["verify-smooth", cfg]) == 0
         assert "smoothness (1.0, 0.5) verified\ns_star=[0, 0]" in capsys.readouterr().out
 
+    def test_auction_of_a_million_profiles_is_checked_in_seconds(self, tmp_path, capsys):
+        # 3 bidders x (10 items x 10 bids): 10^6 pure profiles; a per-profile
+        # tensor loop took about 9 s
+        cfg = write_cfg(tmp_path, "[game]\ntype = auction\nbidders = 3\nitems = 10\n"
+                        "value = 20\nbids = 1..10\nlambda = 0.5\nmu = 1\ns_star = 9,19,29\n"
+                        "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 5\n")
+        start = time.perf_counter()
+        assert main(["verify-smooth", cfg]) in (0, 2)
+        assert time.perf_counter() - start < 5.0
+        assert "s_star=[9, 19, 29]" in capsys.readouterr().out
+
     def test_claim_beyond_the_enumeration_cap_exits_1(self, tmp_path, capsys):
         # 4 bidders x 80 strategies: 80^4 pure profiles, above the 10^7 cap
         cfg = write_cfg(tmp_path, "[game]\ntype = auction\nbidders = 4\nitems = 4\n"
@@ -1492,6 +1503,35 @@ class TestCliErrorBoundary:
         spec = parse_config(read(os.path.join(CONFIG_DIR, name)))
         game = build_game_from_config(spec.game)
         assert spec.T * sum(game.dims) * 10 <= DEFAULT_ENUM_CAP
+
+    SEARCH_CFG = ("[game]\ntype = random\nplayers = 2\ndims = 300\nseed = 1\nlambda = 100\n"
+                  "mu = 0\n[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 1\n")
+    SEARCH_MESSAGE = ("give s_star: a smoothness search without it over 90000 pure profiles "
+                      "makes 8100000000 candidate-profile checks, above the enumeration cap "
+                      "10000000; refusing to allocate them")
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-smooth"])
+    def test_search_without_s_star_above_the_cap(self, tmp_path, command):
+        # the search would try 90,000 candidates against 90,000 profiles (about
+        # 50 s); with s_star it checks one
+        cfg = write_cfg(tmp_path, self.SEARCH_CFG + f"[outputs]\ndir = {tmp_path / 'out'}\n")
+        start = time.perf_counter()
+        done = run_module(command, cfg)
+        self.assert_one_line_error(done, self.SEARCH_MESSAGE)
+        assert time.perf_counter() - start < 1.0
+        assert not (tmp_path / "out").exists()
+
+    def test_search_without_s_star_above_the_cap_in_a_trace(self, tmp_path):
+        tr = run(make_random_game(2, [2, 2], seed=1), [LearnerSpec("hedge", 0.1)] * 2, 5)
+        tr.meta["game"] = {**tr.meta["game"], "dims": [300, 300]}
+        tr.meta["smoothness"] = {"lambda": 100.0, "mu": 0.0}
+        path = tmp_path / "edited.csv"
+        path.write_text(write_trace_csv(tr), encoding="utf-8")
+        start = time.perf_counter()
+        done = run_module("report", str(path))
+        self.assert_one_line_error(done, f"trace line 1: metadata smoothness: "
+                                   f"{self.SEARCH_MESSAGE}")
+        assert time.perf_counter() - start < 1.0
 
     def test_dense_csv_header_above_the_cap(self, tmp_path):
         # a refusal that failed would NaN-fill 2e10 cells: the child gets 2 GiB

@@ -109,7 +109,7 @@ class TestWelfare:
     def test_pure_profile_point_mass(self):
         g = make_random_game(2, [3, 3], seed=17)
         point = [np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])]
-        assert g.welfare_mixed(point) == pytest.approx(g.welfare_pure((1, 2)), abs=1e-12)
+        assert g.welfare_mixed(point) == pytest.approx(g.welfare_tensor()[1, 2], abs=1e-12)
 
     def test_random_2x2_matches_enumeration(self):
         g = make_random_game(2, [2, 2], seed=23)
@@ -519,6 +519,17 @@ class TestDenseCsv:
         for a, b in zip(g.utility_tensors(), back.utility_tensors()):
             np.testing.assert_allclose(a, b, atol=0)
         assert back.describe()["dims"] == [2, 3, 2]
+
+    def test_dump_writes_one_row_per_profile(self):
+        # seeded games, unit and affine normalizations: the oracle writes each
+        # row from one profile's utilities
+        games = [make_random_game(n, dims, seed=seed) for n, dims, seed in
+                 [(1, [4], 30), (2, [3, 2], 31), (3, [2, 3, 2], 32), (4, [2, 2, 1, 3], 33)]]
+        rng = np.random.default_rng(34)
+        games.append(DenseGame([rng.random((3, 4)) * 3.0 - 1.0 for _ in range(2)],
+                               scale=3.0, shift=-1.0))
+        for g in games:
+            assert dump_dense_csv(g) == orc.dense_csv_text(g.tensors, g.scale, g.shift)
 
     def test_bad_header(self):
         with pytest.raises(ValueError):

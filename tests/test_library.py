@@ -56,13 +56,14 @@ class TestSplitmix64:
 class TestMatrixGame:
     def test_identity_payoffs(self):
         g = make_matrix_game([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(g.pure_utilities((0, 0)), [1.0, 0.0], atol=0)
-        np.testing.assert_allclose(g.pure_utilities((0, 1)), [0.0, 1.0], atol=0)
+        u0, u1 = g.utility_tensors()
+        np.testing.assert_allclose([u0[0, 0], u1[0, 0]], [1.0, 0.0], atol=0)
+        np.testing.assert_allclose([u0[0, 1], u1[0, 1]], [0.0, 1.0], atol=0)
 
     def test_zero_sum_embedding(self):
         g = make_matrix_game([[0.3, 0.8], [0.1, 0.5]])
         for s in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            assert g.pure_utilities(s).sum() == pytest.approx(1.0, abs=1e-15)
+            assert sum(t[s] for t in g.utility_tensors()) == pytest.approx(1.0, abs=1e-15)
 
     def test_column_vector_game(self):
         g = make_matrix_game([[1.0], [0.0]])

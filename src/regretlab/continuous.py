@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .games import _check_cap
-from .learners import Certificate, LearnerSpec, make_learner
+from .learners import Certificate, LearnerSpec, RegretReport, make_learner
 from .regularizers import project_simplex
 
 __all__ = [
     "CongestionNetwork",
     "LipschitzBundle",
     "ContinuousTrace",
-    "RoutingReport",
     "parse_network",
     "gradient",
     "lipschitz_constant",
@@ -343,27 +342,6 @@ def true_regret(trace: ContinuousTrace, i: int) -> float:
     return float(realized - np.sum(lat @ mine))
 
 
-@dataclass
-class RoutingReport:
-    """A routing run's report, laid out by ``experiment.write_report_csv``
-    like a RegretReport: per-player linearized regrets (``regrets``) and true
-    regrets (``regrets_raw``), the summary figures named in ``summary_names``,
-    and the total-regret certificate when the run used the tuned step size."""
-
-    regrets: list
-    regrets_raw: list
-    sum_linearized_regret: float
-    avg_total_cost: float
-    lipschitz_L: float
-    eta: float
-    certificates: list
-    extras: dict = field(default_factory=dict)
-    summary_names = ("sum_linearized_regret", "avg_total_cost", "lipschitz_L", "eta")
-
-    def failed(self) -> list:
-        return [c for c in self.certificates if c.passed is False]
-
-
 def certify_total_regret(trace: ContinuousTrace, bundle: LipschitzBundle,
                          tol: float = 1e-6) -> Certificate:
     """Sum of linearized regrets <= n*R/eta at the prescribed step size
@@ -378,20 +356,20 @@ def certify_total_regret(trace: ContinuousTrace, bundle: LipschitzBundle,
     R = max(net.players[i][2] * math.log(len(net.paths[i])) for i in range(n))
     total = sum(linearized_regret(trace, i) for i in range(n))
     rhs = n * R / trace.eta
-    return Certificate(
-        "total_linearized_regret", bool(total <= rhs + tol), total, rhs,
-        {"L": bundle.L, "R": R, "eta": trace.eta},
-    )
+    return Certificate.check("total_linearized_regret", total, rhs, tol,
+                             {"L": bundle.L, "R": R, "eta": trace.eta})
 
 
-def routing_report(trace: ContinuousTrace) -> RoutingReport:
-    """Linearized and true regrets, the average total cost and, at the tuned
-    step size 1/(2Ln), the total-regret certificate."""
+def routing_report(trace: ContinuousTrace) -> RegretReport:
+    """Linearized (``regrets``) and true (``regrets_raw``) regrets, the
+    summary figures and, at the tuned step size 1/(2Ln), the total-regret
+    certificate."""
     bundle = lipschitz_constant(trace.network)
     n = trace.network.n
     tuned = _tuned_eta(trace.network, bundle, trace.eta)[1]
     linearized = [linearized_regret(trace, i) for i in range(n)]
-    return RoutingReport(linearized, [true_regret(trace, i) for i in range(n)],
-                         float(sum(linearized)), float(trace.total_cost.mean()),
-                         bundle.L, float(trace.eta),
-                         [certify_total_regret(trace, bundle)] if tuned else [])
+    return RegretReport(linearized, [true_regret(trace, i) for i in range(n)], {
+        "sum_linearized_regret": float(sum(linearized)),
+        "avg_total_cost": float(trace.total_cost.mean()),
+        "lipschitz_L": bundle.L, "eta": float(trace.eta),
+    }, [certify_total_regret(trace, bundle)] if tuned else [])

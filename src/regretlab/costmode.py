@@ -186,4 +186,4 @@ def certify_cost_welfare(
     if not precondition_ok:
         return Certificate("cost_welfare", None, avg_cost, rhs,
                            {"vacuous": "first-order precondition failed", **details})
-    return Certificate("cost_welfare", bool(avg_cost <= rhs + tol), avg_cost, rhs, details)
+    return Certificate.check("cost_welfare", avg_cost, rhs, tol, details)

@@ -33,6 +33,7 @@ from .learners import (
     Certificate,
     LearnerSpec,
     OnlineLearner,
+    RegretReport,
     _best_vertex_regret,
     _positive_finite,
     _regularized_learner,
@@ -244,24 +245,7 @@ def regret_series(trace: Trace, i: int) -> np.ndarray:
     return cum.max(axis=1) - realized
 
 
-@dataclass
-class RegretReport:
-    regrets: list  # normalized units
-    regrets_raw: list
-    sum_regret: float
-    max_regret: float
-    cce_gap: float
-    avg_welfare: float  # raw units
-    certificates: list
-    extras: dict = field(default_factory=dict)
-    # the summary rows of experiment.write_report_csv, in order
-    summary_names = ("sum_regret", "max_regret", "cce_gap", "avg_welfare")
-
-    def failed(self) -> list:
-        return [c for c in self.certificates if c.passed is False]
-
-
-def report(trace, tol: float = 1e-9):
+def report(trace, tol: float = 1e-9) -> RegretReport:
     """Compute regrets and evaluate every certificate the trace supports; a
     ContinuousTrace gets its ``continuous.routing_report``.
 
@@ -309,10 +293,8 @@ def report(trace, tol: float = 1e-9):
         )
         if ok:
             alpha = max(b.alpha for b in bounds)
-            certificates.append(Certificate(
-                "sum_regret_bound", bool(sum(regrets) <= n * alpha + tol),
-                float(sum(regrets)), n * alpha, {"alpha": alpha},
-            ))
+            certificates.append(Certificate.check(
+                "sum_regret_bound", sum(regrets), n * alpha, tol, {"alpha": alpha}))
 
     # per-player stability and the T^{1/4} individual rate
     for i, s in enumerate(specs):
@@ -326,21 +308,16 @@ def report(trace, tol: float = 1e-9):
         certificates.append(cert)
         b = bounds[i]
         if b is not None:
-            kappa = 2.0 * rs.eta
-            certificates.append(Certificate(
-                f"regret_vs_stability[{i}]",
-                bool(regrets[i] <= b.alpha + b.beta * kappa**2 * (n - 1) ** 2 * T + tol),
-                regrets[i], b.alpha + b.beta * kappa**2 * (n - 1) ** 2 * T,
-                {"kappa": kappa},
-            ))
+            kappa = 2.0 * rs.eta  # kappa * kappa is inf where kappa**2 would raise
+            certificates.append(Certificate.check(
+                f"regret_vs_stability[{i}]", regrets[i],
+                b.alpha + b.beta * (kappa * kappa) * (n - 1) ** 2 * T, tol, {"kappa": kappa}))
             eta_rate = (n - 1) ** -0.5 * T ** -0.25 if n >= 2 else None
             if eta_rate is not None and abs(rs.eta - eta_rate) <= 1e-9 * max(1.0, eta_rate):
                 R = get_regularizer(rs.regularizer).r_ftrl(trace.plays[i].shape[1])
                 rhs = (R + 4.0) * math.sqrt(n - 1) * T**0.25
-                certificates.append(Certificate(
-                    f"individual_rate[{i}]", bool(regrets[i] <= rhs + tol),
-                    regrets[i], rhs, {"eta": rs.eta},
-                ))
+                certificates.append(Certificate.check(
+                    f"individual_rate[{i}]", regrets[i], rhs, tol, {"eta": rs.eta}))
 
     # mirror-descent players: report the largest play step (informational)
     for i, s in enumerate(specs):
@@ -352,15 +329,14 @@ def report(trace, tol: float = 1e-9):
     claim = meta.get("smoothness")
     if claim:
         smooth = verify_smoothness(build_game(meta["game"]), claim["lambda"], claim["mu"],
-                                   claim.get("s_star"), mode=mode)
+                                   claim.get("s_star"), tol=tol, mode=mode)
         if smooth.verified and mode == "utility":
             floor = poa_welfare_bound(smooth.lam, smooth.mu, smooth.opt, regrets_raw, T)
-            certificates.append(Certificate(
-                "welfare_floor", bool(avg_welfare >= floor - tol), floor, avg_welfare,
-                {"lambda": smooth.lam, "mu": smooth.mu, "opt": smooth.opt},
-            ))
-        certificates.append(Certificate(  # 0 <= slack is the claim
-            "smoothness_claim", bool(smooth.verified), 0.0, smooth.slack,
+            certificates.append(Certificate.check(
+                "welfare_floor", floor, avg_welfare, tol,
+                {"lambda": smooth.lam, "mu": smooth.mu, "opt": smooth.opt}))
+        certificates.append(Certificate.check(  # 0 <= slack + tol is also verified's rule
+            "smoothness_claim", 0.0, smooth.slack, tol,
             {"lambda": claim["lambda"], "mu": claim["mu"], "s_star": list(smooth.s_star),
              "worst_profile": list(smooth.worst_profile), "opt": smooth.opt},
         ))
@@ -380,22 +356,20 @@ def report(trace, tol: float = 1e-9):
         cert.name = f"robust_bound[{i}]"
         certificates.append(cert)
 
-    return RegretReport(
-        regrets=regrets, regrets_raw=regrets_raw,
-        sum_regret=float(sum(regrets)), max_regret=float(max(regrets)),
-        cce_gap=float(max(regrets)) / T, avg_welfare=avg_welfare,
-        certificates=certificates, extras=extras,
-    )
+    return RegretReport(regrets, regrets_raw, {
+        "sum_regret": float(sum(regrets)), "max_regret": float(max(regrets)),
+        "cce_gap": float(max(regrets)) / T, "avg_welfare": avg_welfare,
+    }, certificates, extras)
 
 
 # ---------------------------------------------------------------------------
 # trace CSV interchange
 
 
-# at most this many rows of a trace file (1,024 rows of auction_fig1: about
-# 1.8 MB of text) in one chunk: the writer builds a file a chunk of rows at a
+# at most this many rows of a trace file (256 rows of auction_fig1: about
+# 0.45 MB of text) in one chunk: the writer builds a file a chunk of rows at a
 # time, so its working memory beside the text does not grow with T
-_TRACE_CHUNK_ROWS = 1 << 10
+_TRACE_CHUNK_ROWS = 1 << 8
 # rounds of parsed rows the reader holds before it writes them into the
 # trace's arrays as one block per player
 _READ_BLOCK_ROUNDS = 64

@@ -28,7 +28,7 @@ from .dynamics import Trace, _write_trace_file, regret_series, report, run
 # perfbench times report under this name; the alias goes once it calls report
 from .dynamics import report as full_report
 from .games import _check_search, _is_pure_profile, load_dense_csv
-from .learners import Certificate, declares_variation_bound
+from .learners import declares_variation_bound
 from .library import make_matrix_game, make_random_game
 from .robust import wrap_doubling
 from .svgplot import line_plot, write_svg
@@ -87,24 +87,20 @@ def _arm_players(game, specs, robust):
 # reporting (trace-only, so the CLI can redo it from the CSV)
 
 
-def _status(cert: Certificate) -> str:
-    return "vacuous" if cert.passed is None else ("pass" if cert.passed else "fail")
-
-
 def write_report_csv(rep, path=None) -> str:
-    """Stable five-column summary: kind,name,value,value2,status.  ``rep`` is
-    a RegretReport or a continuous.RoutingReport; its ``summary_names`` pick
-    the summary rows."""
+    """Stable five-column summary: kind,name,value,value2,status, a row per
+    regret, per ``summary`` entry in order, per certificate and per extra of
+    a RegretReport of any game kind."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["kind", "name", "value", "value2", "status"])
     for i, (r_norm, r_raw) in enumerate(zip(rep.regrets, rep.regrets_raw)):
         writer.writerow(["regret", f"player_{i}", repr(r_norm), repr(r_raw), ""])
-    for name in rep.summary_names:
-        writer.writerow(["summary", name, repr(getattr(rep, name)), "", ""])
+    for name, value in rep.summary.items():
+        writer.writerow(["summary", name, repr(value), "", ""])
     for cert in rep.certificates:
         writer.writerow(["certificate", cert.name, repr(float(cert.lhs)),
-                         repr(float(cert.rhs)), _status(cert)])
+                         repr(float(cert.rhs)), cert.status])
     for key in sorted(rep.extras):
         writer.writerow(["extra", key, repr(float(rep.extras[key])), "", ""])
     text = out.getvalue()
@@ -241,10 +237,9 @@ def _game_arms(spec: ExperimentSpec, write_arm) -> dict:
         if spec.smoothness:
             trace.meta["smoothness"] = spec.smoothness
         rep = report(trace)
-        summary = {"regrets": rep.regrets, "sum_regret": rep.sum_regret}
+        summary = {"regrets": rep.regrets, "sum_regret": rep.summary["sum_regret"]}
         if label == "main":
-            summary.update(T=spec.T, mode=spec.mode, max_regret=rep.max_regret,
-                           cce_gap=rep.cce_gap, avg_welfare=rep.avg_welfare)
+            summary.update(rep.summary, T=spec.T, mode=spec.mode)
             if spec.game["type"] == "auction":
                 plots["bids_svg"] = ("bids.svg", bids_plot(trace))
         write_arm(label, "trace", trace, rep, summary)
@@ -268,9 +263,9 @@ def _routing_arms(spec: ExperimentSpec, write_arm) -> dict:
     series.append(("total cost", ts, trace.total_cost))
     plot = line_plot(series, title="Routing costs", xlabel="round", ylabel="cost")
     write_arm("main", "flows", trace, rep, {
-        "T": spec.T, "mode": "routing", "eta": rep.eta, "linearized_regrets": rep.regrets,
-        "true_regrets": rep.regrets_raw, "sum_linearized_regret": rep.sum_linearized_regret,
-        "avg_total_cost": rep.avg_total_cost})
+        "T": spec.T, "mode": "routing", "linearized_regrets": rep.regrets,
+        "true_regrets": rep.regrets_raw,
+        **{k: rep.summary[k] for k in ("eta", "sum_linearized_regret", "avg_total_cost")}})
     return {"costs_svg": ("costs.svg", plot)}
 
 
@@ -297,7 +292,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> dict:
         save("trace" + suffix, f"{trace_stem}{suffix}.csv", _write_trace_file, trace)
         save("report" + suffix, f"report{suffix}.csv", write_report_csv, rep)
         manifest["summary" if label == "main" else f"{label}_summary"] = dict(
-            summary, certificates={c.name: _status(c) for c in rep.certificates})
+            summary, certificates={c.name: c.status for c in rep.certificates})
 
     kind_arms = _routing_arms if spec.game["type"] == "network" else _game_arms
     for key, (name, svg) in kind_arms(spec, write_arm).items():

@@ -21,6 +21,7 @@ from .regularizers import _REGISTRY, NegativeEntropy, get_regularizer
 
 __all__ = [
     "Certificate",
+    "RegretReport",
     "VariationBound",
     "LearnerSpec",
     "OnlineLearner",
@@ -36,10 +37,11 @@ __all__ = [
 
 @dataclass
 class Certificate:
-    """Outcome of one mechanically checked inequality.
+    """Outcome of one mechanically checked inequality ``lhs <= rhs + tol``.
 
-    ``passed`` is None when the check's precondition did not apply
-    (vacuous), True/False otherwise.  ``lhs <= rhs + tol`` is the claim.
+    ``check`` builds every checked certificate and owns the pass rule;
+    ``passed`` is None only when the check's precondition did not apply
+    (vacuous), and ``status`` names the three outcomes.
     """
 
     name: str
@@ -47,6 +49,31 @@ class Certificate:
     lhs: float
     rhs: float
     details: dict = field(default_factory=dict)
+
+    @classmethod
+    def check(cls, name: str, lhs: float, rhs: float, tol: float,
+              details: dict) -> Certificate:
+        return cls(name, bool(lhs <= rhs + tol), lhs, rhs, details)
+
+    @property
+    def status(self) -> str:
+        return "vacuous" if self.passed is None else ("pass" if self.passed else "fail")
+
+
+@dataclass
+class RegretReport:
+    """Per-player regrets in normalized and raw units (a routing run's
+    linearized and true regrets), the ordered ``summary`` rows of
+    ``experiment.write_report_csv``, and every certificate the trace supports."""
+
+    regrets: list
+    regrets_raw: list
+    summary: dict
+    certificates: list
+    extras: dict = field(default_factory=dict)
+
+    def failed(self) -> list:
+        return [c for c in self.certificates if c.passed is False]
 
 
 @dataclass
@@ -491,25 +518,17 @@ def certify_variation_bound(utilities, plays, bound: VariationBound,
     """Check regret <= alpha + beta*sum||du||^2 - gamma*sum||dw||^2, the
     regret taken against the best vertex in hindsight."""
     lhs = _best_vertex_regret(utilities, plays)
-    if len(utilities) == 0:
-        return Certificate("variation_bound", True, 0.0, bound.alpha,
-                           {"sum_du2": 0.0, "sum_dw2": 0.0, **bound.to_dict()})
     sum_du2, sum_dw2 = variation_sums(utilities, plays, bound.norm_pair)
     rhs = bound.alpha + bound.beta * sum_du2 - bound.gamma * sum_dw2
-    return Certificate(
-        "variation_bound", bool(lhs <= rhs + tol), lhs, rhs,
-        {"sum_du2": sum_du2, "sum_dw2": sum_dw2, **bound.to_dict()},
-    )
+    return Certificate.check("variation_bound", lhs, rhs, tol,
+                             {"sum_du2": sum_du2, "sum_dw2": sum_dw2, **bound.to_dict()})
 
 
 def certify_stability(plays, eta: float, tol: float = 1e-9) -> Certificate:
     """Consecutive-play stability ||w^{t+1} - w^t||_1 <= 2*eta, every round."""
     plays = np.asarray(plays, dtype=float)
     if len(plays) < 2:
-        return Certificate("play_stability", True, 0.0, 2.0 * eta, {})
+        return Certificate.check("play_stability", 0.0, 2.0 * eta, tol, {})
     steps = np.sum(np.abs(np.diff(plays, axis=0)), axis=1)
-    worst = float(steps.max())
-    return Certificate(
-        "play_stability", bool(worst <= 2.0 * eta + tol), worst, 2.0 * eta,
-        {"argmax_round": int(steps.argmax()) + 1},
-    )
+    return Certificate.check("play_stability", float(steps.max()), 2.0 * eta, tol,
+                             {"argmax_round": int(steps.argmax()) + 1})

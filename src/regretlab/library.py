@@ -136,7 +136,8 @@ def lower_bound_experiment(eta: float, T: int) -> LowerBoundResult:
         r_game_A=regret(trace_a, 0),
         r_game_Aprime=regret(trace_ap, 0),
         closed_form_A=(T / 2.0) * (1.0 - q) / (1.0 + q),
-        closed_form_Aprime_lb=(1.0 - math.exp(-T * eta)) / (2.0 * (1.0 - q)),
+        # (1 - e^{-T eta}) / (2 (1 - e^{-eta})) through expm1: q is 1.0 below eta = 2^-53
+        closed_form_Aprime_lb=math.expm1(-T * eta) / (2.0 * math.expm1(-eta)),
     )
 
 

@@ -125,12 +125,9 @@ def certify_robust(
     rhs_sqrt = log_t * (1.0 + alpha / eta_star
                         + (1.0 + alpha * beta) * math.sqrt(2.0 * sum_du2))
     rhs = min(rhs_variation, rhs_sqrt)
-    return Certificate(
-        "robust_bound", bool(lhs <= rhs + tol), lhs, rhs,
-        {
-            "rhs_variation": rhs_variation, "rhs_sqrt": rhs_sqrt,
-            "sum_du2": sum_du2, "sum_dw2": sum_dw2,
-            "alpha": alpha, "beta": beta, "gamma": gamma, "eta_star": eta_star,
-        },
-    )
+    return Certificate.check("robust_bound", lhs, rhs, tol, {
+        "rhs_variation": rhs_variation, "rhs_sqrt": rhs_sqrt,
+        "sum_du2": sum_du2, "sum_dw2": sum_dw2,
+        "alpha": alpha, "beta": beta, "gamma": gamma, "eta_star": eta_star,
+    })
 

@@ -265,7 +265,7 @@ class TestLipschitzBundle:
             continuous._tuned_eta(net, bun)
         assert continuous._tuned_eta(net, bun, 0.1) == (math.inf, False)
         rep = continuous.routing_report(run_continuous(net, 0.1, 10))
-        assert rep.certificates == [] and rep.lipschitz_L == 0.0
+        assert rep.certificates == [] and rep.summary["lipschitz_L"] == 0.0
 
     def test_quadratic_term_enters_through_total_flow(self):
         # K = max(2aF + b, 2a) with F the total flow over all players

@@ -27,6 +27,8 @@ from regretlab.dynamics import RegretReport, Trace, read_trace_csv, report, run,
 from regretlab.experiment import (
     OUTPUT_ROOT_ENV,
     _arm_players,
+    _game_arms,
+    _routing_arms,
     bid_trajectory,
     bids_plot,
     build_game_from_config,
@@ -38,6 +40,7 @@ from regretlab.experiment import (
 from regretlab.games import DEFAULT_ENUM_CAP
 from regretlab.learners import Certificate, LearnerSpec
 from regretlab.library import make_matrix_game, make_random_game
+from regretlab.robust import wrap_doubling
 from regretlab.svgplot import line_plot, write_svg
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -283,8 +286,9 @@ class TestMeanBidOscillation:
 class TestReportCsv:
     def test_layout_and_statuses(self):
         rep = RegretReport(
-            regrets=[0.5, 0.25], regrets_raw=[1.0, 0.5], sum_regret=0.75,
-            max_regret=0.5, cce_gap=0.5, avg_welfare=1.25,
+            regrets=[0.5, 0.25], regrets_raw=[1.0, 0.5],
+            summary={"sum_regret": 0.75, "max_regret": 0.5, "cce_gap": 0.5,
+                     "avg_welfare": 1.25},
             certificates=[
                 Certificate("good", True, 1.0, 2.0, {}),
                 Certificate("bad", False, 3.0, 2.0, {}),
@@ -296,7 +300,8 @@ class TestReportCsv:
         assert lines[0] == "kind,name,value,value2,status"
         assert lines[1] == "regret,player_0,0.5,1.0,"
         assert lines[2] == "regret,player_1,0.25,0.5,"
-        assert "summary,sum_regret,0.75,," in lines
+        assert lines[3:7] == ["summary,sum_regret,0.75,,", "summary,max_regret,0.5,,",
+                              "summary,cce_gap,0.5,,", "summary,avg_welfare,1.25,,"]
         assert "certificate,good,1.0,2.0,pass" in lines
         assert "certificate,bad,3.0,2.0,fail" in lines
         assert "certificate,maybe,0.0,0.0,vacuous" in lines
@@ -311,9 +316,48 @@ class TestReportCsv:
         assert read(str(path)) == text
         rows = [line.split(",") for line in text.splitlines()[1:]]
         by_name = {(r[0], r[1]): r for r in rows}
-        assert float(by_name[("summary", "sum_regret")][2]) == rep.sum_regret
+        assert float(by_name[("summary", "sum_regret")][2]) == rep.summary["sum_regret"]
         for i in (0, 1):
             assert float(by_name[("regret", f"player_{i}")][2]) == rep.regrets[i]
+
+
+class TestOnePassRule:
+    """Every certificate the package emits passes exactly when lhs <= rhs +
+    tol, or is vacuous; on runs its guarantee covers it passes, so a site
+    that stores its lhs and rhs the wrong way round shows."""
+
+    NAMES = ["variation_bound", "sum_regret_bound", "play_stability", "regret_vs_stability",
+             "individual_rate", "welfare_floor", "smoothness_claim", "cost_welfare",
+             "robust_bound", "total_linearized_regret"]
+
+    @pytest.fixture(scope="class")
+    def certificates(self):
+        """Every arm of every shipped config, reported in memory, plus seeded
+        cost, doubling-wrapped and rate-tuned (eta = T^-1/4) self-play."""
+        reports = []
+        for name in SHIPPED_CONFIGS:
+            spec = _parse_config_file(os.path.join(CONFIG_DIR, name))
+            arms = _routing_arms if spec.game["type"] == "network" else _game_arms
+            arms(spec, lambda _label, _stem, _trace, rep, _summary: reports.append(rep))
+        g = make_random_game(2, [3, 3], seed=5)
+        cost = run(g, [LearnerSpec("first_order_hedge")] * 2, 200, "cost")
+        cost.meta["smoothness"] = {"lambda": 5.0, "mu": 0.5, "s_star": None}
+        wrapped = [wrap_doubling(LearnerSpec("optimistic_hedge"), 3, 0.5, None),
+                   wrap_doubling(LearnerSpec("optimistic_hedge"), 3, 0.5, None)]
+        for tr in (cost, run(g, wrapped, 60),
+                   run(g, [LearnerSpec("optimistic_hedge", 0.5)] * 2, 16)):
+            reports.append(report(tr))
+        return [c for rep in reports for c in rep.certificates]
+
+    def test_the_names_are_every_name_emitted(self, certificates):
+        assert {c.name.split("[")[0] for c in certificates} == set(self.NAMES)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_passed_is_lhs_at_most_rhs_plus_tol(self, certificates, name):
+        tol = 1e-6 if name == "total_linearized_regret" else 1e-9
+        for c in [c for c in certificates if c.name.split("[")[0] == name]:
+            assert c.passed is None or c.passed is bool(c.lhs <= c.rhs + tol), c
+            assert c.passed is not False, c
 
 
 # ---------------------------------------------------------------------------
@@ -1122,6 +1166,15 @@ class TestCliLowerbound:
         assert "closed_form_identity=5.0\n" in out
         assert "closed_form_degenerate_floor=0.5\n" in out
 
+    def test_tiny_eta_closed_forms_stay_finite(self, capsys):
+        # e^-eta rounds to 1.0 below 2^-53: 1 - q divided by zero at eta = 5e-17
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["lowerbound", "--eta", "5e-17", "--T", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "closed_form_identity=0.0\n" in out
+        assert "closed_form_degenerate_floor=1.0\n" in out  # its limit T/2
+
     def test_nonpositive_eta_exits_1(self, capsys):
         code = main(["lowerbound", "--eta", "-1", "--T", "10"])
         assert code == 1
@@ -1342,6 +1395,16 @@ class TestCliErrorBoundary:
         done = run_module("lowerbound", "--eta", eta, "--T", "10")
         self.assert_one_line_error(done, "eta must be positive", f"got {eta}")
         assert "RuntimeWarning" not in done.stderr
+
+    def test_huge_eta_is_certified_without_a_traceback(self, tmp_path):
+        # kappa**2 in regret_vs_stability raised OverflowError from eta ~ 6.7e153
+        cfg = write_cfg(tmp_path, "[game]\ntype = matrix\nmatrix = 1,0; 0,1\n"
+                        "[learner]\nalgorithm = oftrl\neta = 1e300\npredictor = last\n"
+                        f"[run]\nT = 4\n[outputs]\ndir = {tmp_path / 'out'}\n")
+        for argv in (["simulate", cfg], ["report", str(tmp_path / "out" / "trace.csv")]):
+            done = run_module(*argv)
+            assert done.returncode in (0, 2) and done.stderr == "", (argv, done.stderr)
+            assert "regret_vs_stability[0]" in done.stdout
 
     @staticmethod
     def random_game_trace(tmp_path, change):

@@ -25,7 +25,6 @@ Only the standard library and numpy are used.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -40,6 +39,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def sha256(data: bytes) -> str:
+    """``hashlib`` is imported here and in ``_source_digest``, which only the
+    parent calls: at module level it loads OpenSSL into every ``--child``
+    process, about 3.5 MB of the ``VmHWM`` it reports."""
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()
 
 
@@ -63,6 +67,8 @@ def _git(src_root: str, *args) -> str | None:
 
 
 def _source_digest(src: str) -> str:
+    import hashlib
+
     package = os.path.join(src, "regretlab")
     h = hashlib.sha256()
     for name in sorted(os.listdir(package)):

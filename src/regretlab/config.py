@@ -6,7 +6,7 @@ an ExperimentSpec ready for the runner.
 
 Sections: [game] (type + parameters + optional smoothness claim), [learner]
 (shared spec) with optional per-player [learner.N] overrides, [baseline]
-(optional comparison arm), [run] (T, seed, mode), [robust] (doubling wrapper),
+(optional comparison arm), [run] (T, mode), [robust] (doubling wrapper),
 [outputs] (artifact directory).  ``#`` starts a comment; unknown sections and
 keys are errors.
 """
@@ -49,7 +49,6 @@ class ExperimentSpec:
     overrides: dict = field(default_factory=dict)  # player index -> LearnerSpec
     baseline: LearnerSpec | None = None
     T: int = 1
-    seed: int = 0
     mode: str = "utility"
     robust: RobustSettings | None = None
     outputs: dict = field(default_factory=dict)
@@ -339,13 +338,12 @@ def _validate_learner(sect, name, errors, eta_optional=False):
 def _validate_run(sect, errors):
     if sect is None:
         errors.append("missing required section [run] (needs run.T)")
-        return None, 0, "utility"
+        return None, "utility"
     r = _SectionReader("run", sect, errors)
     T = r.read("T", _COUNT, required=True)
-    seed = r.read("seed", _SEED, default=0)
     mode = r.read("mode", partial(_choice, choices={"utility", "cost"}), default="utility")
     r.finish()
-    return T, seed, mode or "utility"
+    return T, mode or "utility"
 
 
 def _validate_robust(sect, errors):
@@ -407,7 +405,7 @@ def parse_config(text: str) -> ExperimentSpec:
         elif spec is not None:
             overrides[idx] = spec
         owners.setdefault(idx, name)
-    T, seed, mode = _validate_run(sections.get("run"), errors)
+    T, mode = _validate_run(sections.get("run"), errors)
     robust = _validate_robust(sections.get("robust"), errors)
     outputs = _validate_outputs(sections.get("outputs"), errors)
 
@@ -444,6 +442,6 @@ def parse_config(text: str) -> ExperimentSpec:
         raise ConfigError(errors)
     return ExperimentSpec(
         game=game, learner=learner, overrides=overrides, baseline=baseline,
-        T=T, seed=seed, mode=mode, robust=robust, outputs=outputs,
+        T=T, mode=mode, robust=robust, outputs=outputs,
         smoothness=smoothness,
     )

@@ -37,6 +37,7 @@ __all__ = [
 
 PATH_CAP = 64
 SEARCH_CAP = 100_000  # edge steps of one player's path search
+_TOTAL_REGRET_TOL = 1e-6  # the total-regret certificate's own tolerance, above learners.TOL
 
 
 @dataclass
@@ -342,8 +343,7 @@ def true_regret(trace: ContinuousTrace, i: int) -> float:
     return float(realized - np.sum(lat @ mine))
 
 
-def certify_total_regret(trace: ContinuousTrace, bundle: LipschitzBundle,
-                         tol: float = 1e-6) -> Certificate:
+def certify_total_regret(trace: ContinuousTrace, bundle: LipschitzBundle) -> Certificate:
     """Sum of linearized regrets <= n*R/eta at the prescribed step size
     eta = 1/(2 L n), with R = max_i f_i * ln |P_i|."""
     net = trace.network
@@ -356,8 +356,8 @@ def certify_total_regret(trace: ContinuousTrace, bundle: LipschitzBundle,
     R = max(net.players[i][2] * math.log(len(net.paths[i])) for i in range(n))
     total = sum(linearized_regret(trace, i) for i in range(n))
     rhs = n * R / trace.eta
-    return Certificate.check("total_linearized_regret", total, rhs, tol,
-                             {"L": bundle.L, "R": R, "eta": trace.eta})
+    return Certificate.check("total_linearized_regret", total, rhs,
+                             {"L": bundle.L, "R": R, "eta": trace.eta}, _TOTAL_REGRET_TOL)
 
 
 def routing_report(trace: ContinuousTrace) -> RegretReport:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import SmoothnessCertificate
-from .learners import Certificate, ZeroPredictor, _RegularizedLearner
+from .learners import TOL, Certificate, ZeroPredictor, _RegularizedLearner
 from .regularizers import NegativeEntropy
 
 __all__ = [
@@ -147,7 +147,6 @@ def fit_first_order_constants(observations) -> FirstOrderConstants:
 
 def certify_cost_welfare(
     trace, smoothness: SmoothnessCertificate, constants: FirstOrderConstants,
-    tol: float = 1e-9,
 ) -> Certificate:
     """Average-cost bound for smooth cost games with mu in (0, 1):
 
@@ -178,7 +177,7 @@ def certify_cost_welfare(
         r_dev = realized - float(dev_costs.sum())
         cap = constants.bound(trace.plays[i].shape[1], float(dev_costs.sum()))
         details[f"player_{i}"] = {"regret_vs_s_star": r_dev, "first_order_cap": cap}
-        if r_dev > cap + tol:
+        if r_dev > cap + TOL:
             precondition_ok = False
     avg_cost = float(trace.welfare.mean())
     rhs = (lam * (1.0 + mu) / (mu * (1.0 - mu))) * smoothness.opt \
@@ -186,4 +185,4 @@ def certify_cost_welfare(
     if not precondition_ok:
         return Certificate("cost_welfare", None, avg_cost, rhs,
                            {"vacuous": "first-order precondition failed", **details})
-    return Certificate.check("cost_welfare", avg_cost, rhs, tol, details)
+    return Certificate.check("cost_welfare", avg_cost, rhs, details)

@@ -245,7 +245,7 @@ def regret_series(trace: Trace, i: int) -> np.ndarray:
     return cum.max(axis=1) - realized
 
 
-def report(trace, tol: float = 1e-9) -> RegretReport:
+def report(trace) -> RegretReport:
     """Compute regrets and evaluate every certificate the trace supports; a
     ContinuousTrace gets its ``continuous.routing_report``.
 
@@ -253,7 +253,7 @@ def report(trace, tol: float = 1e-9) -> RegretReport:
     variation bound whenever a learner declares constants; the sum-regret
     bound when every player declares constants with beta <= gamma/(n-1)^2
     (beta <= gamma/(d (n-1)^2) for l2 constants); the individual T^{1/4} rate
-    when eta matches its tuning; play stability for optimistic-FTRL players.
+    when eta matches its tuning; optimistic-FTRL play stability and, n >= 2, its bound.
     A ``smoothness`` claim in the metadata is verified on the rebuilt game and
     attached as ``smoothness_claim``; once verified it also gives the welfare
     floor (utility mode) or, for mu in (0, 1), the first-order cost-welfare
@@ -280,7 +280,7 @@ def report(trace, tol: float = 1e-9) -> RegretReport:
     for i, b in enumerate(bounds):
         if b is None:
             continue
-        cert = certify_variation_bound(trace.utilities[i], trace.plays[i], b, tol=tol)
+        cert = certify_variation_bound(trace.utilities[i], trace.plays[i], b)
         cert.name = f"variation_bound[{i}]"
         certificates.append(cert)
 
@@ -294,7 +294,7 @@ def report(trace, tol: float = 1e-9) -> RegretReport:
         if ok:
             alpha = max(b.alpha for b in bounds)
             certificates.append(Certificate.check(
-                "sum_regret_bound", sum(regrets), n * alpha, tol, {"alpha": alpha}))
+                "sum_regret_bound", sum(regrets), n * alpha, {"alpha": alpha}))
 
     # per-player stability and the T^{1/4} individual rate
     for i, s in enumerate(specs):
@@ -303,21 +303,21 @@ def report(trace, tol: float = 1e-9) -> RegretReport:
         rs = s.resolved()
         if rs.algorithm != "ftrl" or rs.eta is None:
             continue
-        cert = certify_stability(trace.plays[i], rs.eta, tol)
+        cert = certify_stability(trace.plays[i], rs.eta)
         cert.name = f"play_stability[{i}]"
         certificates.append(cert)
         b = bounds[i]
-        if b is not None:
+        if b is not None and n >= 2:  # alone, a player's one variation u^1 has no kappa bound
             kappa = 2.0 * rs.eta  # kappa * kappa is inf where kappa**2 would raise
             certificates.append(Certificate.check(
                 f"regret_vs_stability[{i}]", regrets[i],
-                b.alpha + b.beta * (kappa * kappa) * (n - 1) ** 2 * T, tol, {"kappa": kappa}))
+                b.alpha + b.beta * (kappa * kappa) * (n - 1) ** 2 * T, {"kappa": kappa}))
             eta_rate = (n - 1) ** -0.5 * T ** -0.25 if n >= 2 else None
             if eta_rate is not None and abs(rs.eta - eta_rate) <= 1e-9 * max(1.0, eta_rate):
                 R = get_regularizer(rs.regularizer).r_ftrl(trace.plays[i].shape[1])
                 rhs = (R + 4.0) * math.sqrt(n - 1) * T**0.25
                 certificates.append(Certificate.check(
-                    f"individual_rate[{i}]", regrets[i], rhs, tol, {"eta": rs.eta}))
+                    f"individual_rate[{i}]", regrets[i], rhs, {"eta": rs.eta}))
 
     # mirror-descent players: report the largest play step (informational)
     for i, s in enumerate(specs):
@@ -329,30 +329,29 @@ def report(trace, tol: float = 1e-9) -> RegretReport:
     claim = meta.get("smoothness")
     if claim:
         smooth = verify_smoothness(build_game(meta["game"]), claim["lambda"], claim["mu"],
-                                   claim.get("s_star"), tol=tol, mode=mode)
+                                   claim.get("s_star"), mode=mode)
         if smooth.verified and mode == "utility":
             floor = poa_welfare_bound(smooth.lam, smooth.mu, smooth.opt, regrets_raw, T)
             certificates.append(Certificate.check(
-                "welfare_floor", floor, avg_welfare, tol,
+                "welfare_floor", floor, avg_welfare,
                 {"lambda": smooth.lam, "mu": smooth.mu, "opt": smooth.opt}))
-        certificates.append(Certificate.check(  # 0 <= slack + tol is also verified's rule
-            "smoothness_claim", 0.0, smooth.slack, tol,
+        certificates.append(Certificate.check(  # 0 <= slack + TOL is also verified's rule
+            "smoothness_claim", 0.0, smooth.slack,
             {"lambda": claim["lambda"], "mu": claim["mu"], "s_star": list(smooth.s_star),
-             "worst_profile": list(smooth.worst_profile), "opt": smooth.opt},
-        ))
+             "worst_profile": list(smooth.worst_profile), "opt": smooth.opt}))
         if smooth.verified and mode == "cost" and 0.0 < smooth.mu < 1.0:
             # measured (A1, A2) over each player's (d, best cumulative cost, regret)
             constants = fit_first_order_constants(
                 [(u.shape[1], float((1.0 - u).sum(axis=0).min()), r)
                  for u, r in zip(trace.utilities, regrets)])
-            certificates.append(certify_cost_welfare(trace, smooth, constants, tol=tol))
+            certificates.append(certify_cost_welfare(trace, smooth, constants))
             extras["first_order_A1"] = constants.A1
             extras["first_order_A2"] = constants.A2
 
     for i, inner, alpha, eta_star in wrapped if T >= 2 else []:  # the bound needs T >= 2
         _, beta, gamma, pair = parametric_constants(inner, trace.plays[i].shape[1])
         cert = certify_robust(trace.utilities[i], trace.plays[i], alpha, beta, gamma,
-                              eta_star, tol=tol, norm_pair=pair)
+                              eta_star, norm_pair=pair)
         cert.name = f"robust_bound[{i}]"
         certificates.append(cert)
 

@@ -233,7 +233,6 @@ def _game_arms(spec: ExperimentSpec, write_arm) -> dict:
     series, plots = {}, {}
     for label, players in arms:
         trace = run(game, players, spec.T, spec.mode)
-        trace.meta["seed"] = spec.seed
         if spec.smoothness:
             trace.meta["smoothness"] = spec.smoothness
         rep = report(trace)
@@ -256,7 +255,6 @@ def _routing_arms(spec: ExperimentSpec, write_arm) -> dict:
     if eta is None:
         eta = continuous._tuned_eta(network, continuous.lipschitz_constant(network))[0]
     trace = continuous.run_continuous(network, eta, spec.T)
-    trace.meta["seed"] = spec.seed
     rep = report(trace)
     ts = list(range(1, spec.T + 1))
     series = [(f"player {i} cost", ts, cost) for i, cost in enumerate(trace.costs)]

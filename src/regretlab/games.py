@@ -15,6 +15,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .learners import TOL
+
 __all__ = [
     "EnumerationCapError",
     "UtilityRangeError",
@@ -310,7 +312,7 @@ class SmoothnessCertificate:
     where residual(s) = W(s) - sum_i u_i(s) (zero whenever welfare is exactly
     the utility sum; for auctions it is the seller's revenue) and Opt' is the
     minimum total cost.  ``slack`` is the minimum over s of the side that must
-    be >= 0, attained first at ``worst_profile``; verified iff slack >= -tol.
+    be >= 0, attained first at ``worst_profile``; verified iff slack >= -TOL.
     """
 
     lam: float
@@ -364,8 +366,7 @@ def _check_search(dims, s_star) -> None:
 
 
 def verify_smoothness(
-    game: NormalFormGame, lam: float, mu: float, s_star=None,
-    tol: float = 1e-9, mode: str = "utility",
+    game: NormalFormGame, lam: float, mu: float, s_star=None, mode: str = "utility",
 ) -> SmoothnessCertificate:
     """Brute-force check of (lam, mu)-smoothness (raw units) at the deviation
     profile ``s_star`` or, without one, at every pure profile in lexicographic
@@ -395,7 +396,7 @@ def verify_smoothness(
         value = float(slack.flat[flat])
         if best is None or value > best[0]:
             best = (value, cand, flat)
-        if value >= -tol:
+        if value >= -TOL:
             break
     value, cand, flat = best
     if mode == "utility":
@@ -404,7 +405,7 @@ def verify_smoothness(
         poa_factor = lam * (1.0 + mu) / (mu * (1.0 - mu)) if 0 < mu < 1 else math.inf
     return SmoothnessCertificate(
         lam=float(lam), mu=float(mu), s_star=cand,
-        verified=bool(value >= -tol),
+        verified=bool(value >= -TOL),
         worst_profile=tuple(int(x) for x in np.unravel_index(flat, welfare.shape)),
         slack=value, opt=opt, poa_factor=poa_factor,
     )

@@ -32,7 +32,10 @@ __all__ = [
     "declares_variation_bound",
     "certify_variation_bound",
     "certify_stability",
+    "TOL",
 ]
+
+TOL = 1e-9  # the tol of every certificate's ``lhs <= rhs + tol`` rule but routing's
 
 
 @dataclass
@@ -51,8 +54,8 @@ class Certificate:
     details: dict = field(default_factory=dict)
 
     @classmethod
-    def check(cls, name: str, lhs: float, rhs: float, tol: float,
-              details: dict) -> Certificate:
+    def check(cls, name: str, lhs: float, rhs: float, details: dict,
+              tol: float = TOL) -> Certificate:
         return cls(name, bool(lhs <= rhs + tol), lhs, rhs, details)
 
     @property
@@ -513,22 +516,28 @@ def _best_vertex_regret(utilities, plays) -> float:
     return float(utilities.sum(axis=0).max()) - float(np.sum(plays * utilities))
 
 
+def _term(constant: float, factor: float) -> float:
+    """constant * factor of a bound, where a measured factor of exactly 0
+    contributes 0 whatever the constant (an infinite one would give nan)."""
+    return constant * factor if factor else 0.0
+
+
 def certify_variation_bound(utilities, plays, bound: VariationBound,
-                            tol: float = 1e-9) -> Certificate:
+                            tol: float = TOL) -> Certificate:
     """Check regret <= alpha + beta*sum||du||^2 - gamma*sum||dw||^2, the
     regret taken against the best vertex in hindsight."""
     lhs = _best_vertex_regret(utilities, plays)
     sum_du2, sum_dw2 = variation_sums(utilities, plays, bound.norm_pair)
-    rhs = bound.alpha + bound.beta * sum_du2 - bound.gamma * sum_dw2
-    return Certificate.check("variation_bound", lhs, rhs, tol,
-                             {"sum_du2": sum_du2, "sum_dw2": sum_dw2, **bound.to_dict()})
+    rhs = bound.alpha + _term(bound.beta, sum_du2) - _term(bound.gamma, sum_dw2)
+    return Certificate.check("variation_bound", lhs, rhs,
+                             {"sum_du2": sum_du2, "sum_dw2": sum_dw2, **bound.to_dict()}, tol)
 
 
-def certify_stability(plays, eta: float, tol: float = 1e-9) -> Certificate:
+def certify_stability(plays, eta: float) -> Certificate:
     """Consecutive-play stability ||w^{t+1} - w^t||_1 <= 2*eta, every round."""
     plays = np.asarray(plays, dtype=float)
     if len(plays) < 2:
-        return Certificate.check("play_stability", 0.0, 2.0 * eta, tol, {})
+        return Certificate.check("play_stability", 0.0, 2.0 * eta, {})
     steps = np.sum(np.abs(np.diff(plays, axis=0)), axis=1)
-    return Certificate.check("play_stability", float(steps.max()), 2.0 * eta, tol,
+    return Certificate.check("play_stability", float(steps.max()), 2.0 * eta,
                              {"argmax_round": int(steps.argmax()) + 1})

@@ -15,8 +15,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .learners import (Certificate, OnlineLearner, _best_vertex_regret, _positive_finite,
-                       declared_variation_bound, make_learner, variation_sums)
+from .learners import (TOL, Certificate, OnlineLearner, _best_vertex_regret, _positive_finite,
+                       _term, declared_variation_bound, declares_variation_bound, make_learner,
+                       variation_sums)
 
 __all__ = ["DoublingWrapper", "wrap_doubling", "parametric_constants", "certify_robust"]
 
@@ -36,9 +37,10 @@ class DoublingWrapper(OnlineLearner):
     algorithm = "robust"
 
     def __init__(self, spec, d: int, eta_star: float, alpha: float | None = None):
-        if spec.resolved().algorithm not in ("ftrl", "omd"):
+        if not declares_variation_bound(spec):
             raise ValueError(
-                f"doubling wrapper needs a step-size learner, got {spec.algorithm!r}")
+                f"doubling wrapper needs a step-size learner with declared variation-bound "
+                f"constants, got {spec.algorithm!r} with predictor {spec.predictor!r}")
         if alpha is None:
             alpha = parametric_constants(spec, d)[0]
         super().__init__(d)
@@ -100,7 +102,7 @@ def parametric_constants(spec, d: int):
 
 def certify_robust(
     utilities, plays, alpha: float, beta: float, gamma: float, eta_star: float,
-    tol: float = 1e-9, norm_pair: str = "l1_linf",
+    tol: float = TOL, norm_pair: str = "l1_linf",
 ) -> Certificate:
     """Dual bound for a doubling-wrapped learner: regret must not exceed the
     minimum of
@@ -120,14 +122,14 @@ def certify_robust(
         raise ValueError("the wrapped-learner bound needs T >= 2")
     sum_du2, sum_dw2 = variation_sums(utilities, plays, norm_pair)
     log_t = math.log(T)
-    rhs_variation = log_t * (2.0 + alpha / eta_star + (2.0 + eta_star * beta) * sum_du2) \
-        - (gamma / eta_star) * sum_dw2
+    rhs_variation = log_t * (2.0 + alpha / eta_star + _term(2.0 + eta_star * beta, sum_du2)) \
+        - _term(gamma / eta_star, sum_dw2)
     rhs_sqrt = log_t * (1.0 + alpha / eta_star
-                        + (1.0 + alpha * beta) * math.sqrt(2.0 * sum_du2))
+                        + _term(1.0 + alpha * beta, math.sqrt(2.0 * sum_du2)))
     rhs = min(rhs_variation, rhs_sqrt)
-    return Certificate.check("robust_bound", lhs, rhs, tol, {
+    return Certificate.check("robust_bound", lhs, rhs, {
         "rhs_variation": rhs_variation, "rhs_sqrt": rhs_sqrt,
         "sum_du2": sum_du2, "sum_dw2": sum_dw2,
         "alpha": alpha, "beta": beta, "gamma": gamma, "eta_star": eta_star,
-    })
+    }, tol)
 

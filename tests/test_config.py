@@ -682,7 +682,8 @@ class TestOverrides:
 class TestRunSection:
     def test_defaults(self):
         spec = parse_config(GOOD)
-        assert (spec.T, spec.seed, spec.mode) == (10, 0, "utility")
+        assert (spec.T, spec.mode) == (10, "utility")
+        assert not hasattr(spec, "seed")
         assert spec.baseline is None
         assert spec.robust is None
         assert spec.outputs == {}
@@ -691,9 +692,9 @@ class TestRunSection:
     def test_run_values_parse(self):
         text = lines(*MATRIX_GAME,
                      "[learner]", "algorithm = hedge", "eta = 0.1",
-                     "[run]", "T = 250", "seed = 9", "mode = cost")
+                     "[run]", "T = 250", "mode = cost")
         spec = parse_config(text)
-        assert (spec.T, spec.seed, spec.mode) == (250, 9, "cost")
+        assert (spec.T, spec.mode) == (250, "cost")
 
     def test_T_is_required(self):
         text = lines(*MATRIX_GAME,
@@ -711,11 +712,11 @@ class TestRunSection:
             "line 8: run.T must be an integer, got '2.5'"
         ]
 
-    def test_seed_must_be_nonnegative(self):
+    def test_seed_is_an_unknown_key(self):
         text = lines(*MATRIX_GAME,
                      "[learner]", "algorithm = hedge", "eta = 0.1",
-                     "[run]", "T = 10", "seed = -1")  # 9
-        assert errors_of(text) == ["line 9: run.seed must be >= 0, got -1"]
+                     "[run]", "T = 10", "seed = 3")  # 9
+        assert errors_of(text) == ["line 9: unknown key run.seed"]
 
 
 class TestRobustSection:
@@ -867,7 +868,7 @@ class TestShippedConfigs:
                              "value_mask_seed": None}
         assert spec.learner == LearnerSpec("optimistic_hedge", 0.1)
         assert spec.baseline == LearnerSpec("hedge", 0.1)
-        assert (spec.T, spec.seed, spec.mode) == (2000, 0, "utility")
+        assert (spec.T, spec.mode) == (2000, "utility")
         assert spec.outputs == {"dir": "auction_fig1"}
         assert spec.overrides == {} and spec.robust is None
         assert spec.smoothness is None

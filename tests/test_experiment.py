@@ -564,7 +564,6 @@ class TestNetworkExperiment:
         manifest = run_experiment(spec, out_dir=str(tmp_path / "routing"))
         net = build_game_from_config(spec.game)
         trace = run_continuous(net, _tuned_eta(net, lipschitz_constant(net))[0], spec.T)
-        trace.meta["seed"] = spec.seed
         values = [np.column_stack((c, trace.total_cost)) for c in trace.costs]
         with open(manifest["artifacts"]["trace"], "rb") as fh:
             assert fh.read() == orc.csv_trace_rows(
@@ -1405,6 +1404,25 @@ class TestCliErrorBoundary:
             done = run_module(*argv)
             assert done.returncode in (0, 2) and done.stderr == "", (argv, done.stderr)
             assert "regret_vs_stability[0]" in done.stdout
+
+    @pytest.mark.parametrize("game, learner", [
+        ("type = matrix\nmatrix = 0,0; 0,0",
+         "eta = 1e300\npredictor = window\npredictor_param = 100000"),
+        ("type = matrix\nmatrix = 1,1; 1,1", "eta = 1e-320\npredictor = last"),
+        ("type = random\nplayers = 1\ndims = 3\nseed = 2", "eta = 1e300\npredictor = last"),
+        ("type = matrix\nmatrix = 1,1; 1,1", "eta = 0.1\npredictor = last\n"
+         "[robust]\neta_star = 1e-320"),
+    ], ids=["inf-beta-zero-du", "inf-gamma-zero-dw", "one-player", "robust-inf-gamma"])
+    def test_an_infinite_constant_times_a_zero_sum_is_no_nan(self, tmp_path, game, learner):
+        # inf * 0 made a nan bound and a false fail: a zero sum now adds 0, and a
+        # lone player gets no regret_vs_stability row, whose (n - 1)**2 was the 0
+        cfg = write_cfg(tmp_path, f"[game]\n{game}\n[learner]\nalgorithm = oftrl\n{learner}\n"
+                        f"[run]\nT = 4\n[outputs]\ndir = {tmp_path / 'out'}\n")
+        for argv in (["simulate", cfg], ["report", str(tmp_path / "out" / "trace.csv")]):
+            done = run_module(*argv)
+            assert done.returncode == 0 and done.stderr == "", (argv, done.stderr)
+            assert "nan" not in done.stdout
+        assert "nan" not in read(str(tmp_path / "out" / "report.csv"))
 
     @staticmethod
     def random_game_trace(tmp_path, change):

@@ -91,6 +91,12 @@ class TestWrapperConstruction:
         with pytest.raises(ValueError, match="step-size"):
             wrap_doubling(LearnerSpec("bestresponse"), 2, eta_star=0.1)
 
+    def test_rejects_a_learner_without_a_variation_bound_even_with_alpha(self):
+        # the trace reader refuses such a wrapper, so the wrapper refuses it first
+        with pytest.raises(ValueError, match="step-size learner with declared variation-bound "
+                                             "constants, got 'hedge' with predictor 'none'"):
+            wrap_doubling(LearnerSpec("hedge", 0.1), 2, 0.5, alpha=1.0)
+
     def test_alpha_defaults_to_the_parametric_regret_constant(self):
         w = wrap_doubling(OPT_HEDGE, 2, eta_star=0.1)
         assert w.alpha == pytest.approx(math.log(2), abs=1e-15)

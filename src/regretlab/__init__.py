@@ -35,6 +35,7 @@ from .dynamics import (
     report,
     run,
     write_trace_csv,
+    write_trace_file,
 )
 from .experiment import (
     OUTPUT_ROOT_ENV,
@@ -96,7 +97,7 @@ __all__ = [
     "FirstOrderConstants", "FirstOrderHedge", "certify_cost_welfare",
     "fit_first_order_constants",
     "RegretReport", "Trace", "read_trace_csv", "regret", "regret_series", "report",
-    "run", "write_trace_csv",
+    "run", "write_trace_csv", "write_trace_file",
     "OUTPUT_ROOT_ENV", "bid_trajectory", "build_game_from_config",
     "mean_bid_oscillation", "run_experiment",
     "DenseGame", "EnumerationCapError", "NormalFormGame", "SmoothnessCertificate",

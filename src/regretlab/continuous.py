@@ -245,8 +245,8 @@ def _tuned_eta(network: CongestionNetwork, bundle: LipschitzBundle, eta: float =
 class ContinuousTrace:
     """A run's flows[i] (T, |P_i|) and, derived from them by ``_derive``,
     grads[i] (T, |P_i|), costs (n, T) with costs[i, t] = c_i(w^t), and
-    total_cost (T,).  ``meta`` holds the network's description, eta, T, mode
-    and seed."""
+    total_cost (T,).  ``meta`` holds the network's description, eta, T and
+    mode."""
 
     network: CongestionNetwork
     eta: float

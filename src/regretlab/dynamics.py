@@ -55,8 +55,8 @@ __all__ = [
     "regret",
     "regret_series",
     "report",
-    "write_trace_rows",
     "write_trace_csv",
+    "write_trace_file",
     "read_trace_csv",
 ]
 
@@ -312,8 +312,8 @@ def report(trace) -> RegretReport:
             certificates.append(Certificate.check(
                 f"regret_vs_stability[{i}]", regrets[i],
                 b.alpha + b.beta * (kappa * kappa) * (n - 1) ** 2 * T, {"kappa": kappa}))
-            eta_rate = (n - 1) ** -0.5 * T ** -0.25 if n >= 2 else None
-            if eta_rate is not None and abs(rs.eta - eta_rate) <= 1e-9 * max(1.0, eta_rate):
+            eta_rate = (n - 1) ** -0.5 * T ** -0.25
+            if abs(rs.eta - eta_rate) <= 1e-9 * max(1.0, eta_rate):
                 R = get_regularizer(rs.regularizer).r_ftrl(trace.plays[i].shape[1])
                 rhs = (R + 4.0) * math.sqrt(n - 1) * T**0.25
                 certificates.append(Certificate.check(
@@ -375,9 +375,12 @@ _READ_BLOCK_ROUNDS = 64
 
 
 def _trace_chunks(meta: dict, value_names, values, vector_name: str, vectors):
-    """``write_trace_rows``'s text, ``_TRACE_CHUNK_ROWS`` rows at a time; each
-    player's block calls ``repr`` once per distinct bit pattern (``np.unique``
-    of its int64 view: keying on float values would merge -0.0 with 0.0)."""
+    """The layout every trace file shares, ``_TRACE_CHUNK_ROWS`` rows at a time:
+    a JSON metadata comment, a header, then per (round, player) t, player,
+    ``values[i][t]`` (one per name in ``value_names``) and ``vectors[i][t]``,
+    padded to the widest player's.  Each cell is its float's ``repr``, so reruns
+    are byte-identical, formed once per distinct bit pattern of a player's block
+    (``np.unique`` of its int64 view: float keys would merge -0.0 with 0.0)."""
     n, T = len(vectors), len(vectors[0])
     width = max(v.shape[1] for v in vectors)
     header = ["t", "player", *value_names, *(f"{vector_name}_{k}" for k in range(width))]
@@ -395,21 +398,6 @@ def _trace_chunks(meta: dict, value_names, values, vector_name: str, vectors):
         yield "".join(row for round_rows in zip(*rows) for row in round_rows)
 
 
-def write_trace_rows(meta: dict, value_names, values, vector_name: str, vectors,
-                     path=None) -> str:
-    """The layout every trace file shares.  First line carries the metadata as
-    a JSON comment; then a header and one row per (round, player): t, player,
-    the player's ``values[i][t]`` (one per name in ``value_names``) and its
-    ``vectors[i][t]``, padded with empty cells to the widest player's.  Every
-    cell is the ``repr`` of its float, so reruns are byte-identical.  Returns
-    the text (``_trace_chunks`` joined), also written to ``path`` if given."""
-    chunks = list(_trace_chunks(meta, value_names, values, vector_name, vectors))
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)  # encoded a chunk at a time
-    return "".join(chunks)
-
-
 def _trace_values(trace) -> list:
     """Per player, the (T, k) values ``trace.value_names`` a trace file stores."""
     if isinstance(trace, ContinuousTrace):
@@ -420,20 +408,20 @@ def _trace_values(trace) -> list:
 
 
 def _trace_layout(trace) -> tuple:
-    """The arguments of ``write_trace_rows`` (path aside) for a trace."""
+    """The arguments of ``_trace_chunks`` for a trace."""
     vectors = trace.flows if isinstance(trace, ContinuousTrace) else trace.plays
     return trace.meta, trace.value_names, _trace_values(trace), trace.vector_name, vectors
 
 
-def write_trace_csv(trace, path=None) -> str:
-    """Serialize a Trace or a ContinuousTrace through ``write_trace_rows``: per
-    player and round its stored values (regret to date, welfare, du2_cum and
-    dw2_cum; or cost and total cost), then the strategy or the path flows."""
-    return write_trace_rows(*_trace_layout(trace), path)
+def write_trace_csv(trace) -> str:
+    """A Trace or a ContinuousTrace as trace-file text: per player and round
+    its stored values (regret to date, welfare, du2_cum and dw2_cum; or cost
+    and total cost), then the strategy or the path flows."""
+    return "".join(_trace_chunks(*_trace_layout(trace)))
 
 
-def _write_trace_file(trace, path) -> None:
-    """``write_trace_csv(trace, path)``, holding one chunk of text at a time."""
+def write_trace_file(trace, path) -> None:
+    """``write_trace_csv(trace)`` into ``path``, holding one chunk at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_trace_chunks(*_trace_layout(trace)))
 

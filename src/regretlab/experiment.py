@@ -24,7 +24,7 @@ import numpy as np
 from . import continuous
 from .auctions import AuctionGame, AuctionSpec, _check_payoff_cap, masked_values, uniform_values
 from .config import ExperimentSpec
-from .dynamics import Trace, _write_trace_file, regret_series, report, run
+from .dynamics import Trace, regret_series, report, run, write_trace_file
 # perfbench times report under this name; the alias goes once it calls report
 from .dynamics import report as full_report
 from .games import _check_search, _is_pure_profile, load_dense_csv
@@ -287,7 +287,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> dict:
         if rep.failed():
             manifest["exit_code"] = 2
         suffix = "" if label == "main" else f"_{label}"
-        save("trace" + suffix, f"{trace_stem}{suffix}.csv", _write_trace_file, trace)
+        save("trace" + suffix, f"{trace_stem}{suffix}.csv", write_trace_file, trace)
         save("report" + suffix, f"report{suffix}.csv", write_report_csv, rep)
         manifest["summary" if label == "main" else f"{label}_summary"] = dict(
             summary, certificates={c.name: c.status for c in rep.certificates})

@@ -104,12 +104,7 @@ class VariationBound:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "norm_pair": self.norm_pair,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +408,13 @@ class LearnerSpec:
 
 
 # The variation-bound families, keyed by resolved (algorithm, predictor):
-# the regularizer range R, beta(eta, predictor_param) and the c of
-# gamma = 1/(c eta); alpha = R/eta.  Plain (zero-predictor) learners and
-# best response carry none.
+# beta(eta, predictor_param) and the c of gamma = 1/(c eta); alpha = R/eta with
+# R = ``r_ftrl``.  Plain (zero-predictor) learners and best response carry none.
 _VARIATION_BOUNDS = {
-    ("ftrl", "last"): ("r_ftrl", lambda eta, _: eta, 4.0),
-    ("ftrl", "window"): ("r_ftrl", lambda eta, H: eta * H * H, 4.0),
-    ("ftrl", "geometric"): ("r_ftrl", lambda eta, delta: eta / (1.0 - delta) ** 3, 8.0),
-    ("omd", "last"): ("r_omd", lambda eta, _: eta, 8.0),
+    ("ftrl", "last"): (lambda eta, _: eta, 4.0),
+    ("ftrl", "window"): (lambda eta, H: eta * H * H, 4.0),
+    ("ftrl", "geometric"): (lambda eta, delta: eta / (1.0 - delta) ** 3, 8.0),
+    ("omd", "last"): (lambda eta, _: eta, 8.0),
 }
 
 
@@ -438,10 +432,10 @@ def declared_variation_bound(spec: LearnerSpec, d: int) -> VariationBound | None
     row = _VARIATION_BOUNDS.get((s.algorithm, s.predictor))
     if s.eta is None or row is None:
         return None
-    r_name, beta, c = row
+    beta, c = row
     reg = get_regularizer(s.regularizer)
     eta = float(s.eta)
-    return VariationBound(getattr(reg, r_name)(d) / eta, beta(eta, s.predictor_param),
+    return VariationBound(reg.r_ftrl(d) / eta, beta(eta, s.predictor_param),
                           1.0 / (c * eta), "l1_linf" if reg.primal_norm == "l1" else "l2_l2")
 
 

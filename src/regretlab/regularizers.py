@@ -94,12 +94,8 @@ class NegativeEntropy:
         return _exp_weights(eta * np.asarray(G, dtype=float))
 
     def r_ftrl(self, d: int) -> float:
-        """Range of R over the d-simplex: 0 - (-ln d) = ln d."""
-        _check_dim(d)
-        return float(np.log(d))
-
-    def r_omd(self, d: int) -> float:
-        """sup_f D(f, uniform) = ln d, attained at a vertex."""
+        """Range of R over the d-simplex: 0 - (-ln d) = ln d; from the uniform
+        start it is also sup_f D(f, uniform), mirror descent's constant."""
         _check_dim(d)
         return float(np.log(d))
 
@@ -128,14 +124,10 @@ class SquaredEuclidean:
         return project_simplex(g + eta * u)
 
     def r_ftrl(self, d: int) -> float:
-        """Range of ||w||^2/2 on the simplex: (1 - 1/d) / 2 (vertex minus uniform)."""
+        """Range of ||w||^2/2 on the simplex: (1 - 1/d) / 2; from the uniform start
+        also sup_f ||f - uniform||^2 / 2 (at a vertex), mirror descent's constant."""
         _check_dim(d)
         return 0.5 * (1.0 - 1.0 / d)
-
-    def r_omd(self, d: int) -> float:
-        """max_f ||f - uniform||^2 / 2 = (d - 1) / (2d), attained at a vertex."""
-        _check_dim(d)
-        return (d - 1.0) / (2.0 * d)
 
 
 _REGISTRY = {

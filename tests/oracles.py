@@ -728,7 +728,7 @@ def softmax(z):
 
 
 def csv_trace_rows(meta, value_names, values, vector_name, vectors):
-    """The text ``dynamics.write_trace_rows`` must write: the metadata comment,
+    """The text ``dynamics._trace_chunks`` must yield: the metadata comment,
     the header, then per round and player ``t, player``, the repr of every
     value and vector entry and the empty cells that pad to the widest player."""
     out = io.StringIO()

@@ -293,6 +293,16 @@ class TestFirstOrderConstants:
         c = fit_first_order_constants([(2, 0.0, 0.7), (2, 4.0, 0.1)])
         assert c.bound(2, 0.0) >= 0.7 - 1e-9
 
+    def test_per_term_fallback_when_a_positive_regret_is_predicted_zero(self):
+        # the non-negative fit keeps A2 = 0, so the zero-cost player's positive
+        # regret has a zero prediction: each constant becomes its own envelope
+        obs = [(2, 100.0, 10.0), (2, 400.0, 30.0), (2, 0.0, 0.01)]
+        c = fit_first_order_constants(obs)
+        assert c.A1 == pytest.approx(30.0 / math.sqrt(400.0 * math.log(2)), rel=1e-12)
+        assert c.A2 == pytest.approx(30.0 / math.log(2), rel=1e-12)
+        for (d, best, reg) in obs:
+            assert c.bound(d, best) >= reg
+
     def test_fit_is_deterministic(self):
         obs = [(3, 2.0, 0.9), (3, 8.0, 1.7), (5, 1.0, 0.8)]
         a = fit_first_order_constants(obs)

@@ -12,7 +12,7 @@ import pytest
 
 from regretlab import (AuctionGame, AuctionSpec, LearnerSpec, make_random_game, read_trace_csv,
                        report, run, uniform_values, wrap_doubling)
-from regretlab.dynamics import _READ_BLOCK_ROUNDS, _TRACE_CHUNK_ROWS, _write_trace_file
+from regretlab.dynamics import _READ_BLOCK_ROUNDS, _TRACE_CHUNK_ROWS, write_trace_file
 from regretlab.experiment import write_report_csv
 
 SEED = 3407
@@ -61,7 +61,7 @@ def cases():
 
 def round_trip(trace, path):
     """The report CSV of ``trace`` written by the runner's writer and read back."""
-    _write_trace_file(trace, str(path))
+    write_trace_file(trace, str(path))
     return write_report_csv(report(read_trace_csv(str(path))))
 
 
@@ -93,7 +93,7 @@ class TestTraceRoundTrip:
         trace = run(game, [LearnerSpec("hedge", 0.4), LearnerSpec("optimistic_hedge", 0.3),
                            LearnerSpec("bestresponse")], 30)
         path = tmp_path / "t.csv"
-        _write_trace_file(trace, str(path))
+        write_trace_file(trace, str(path))
         with open(path, encoding="utf-8") as fh:
             fh.readline()  # the metadata
             rows = list(csv.DictReader(fh))

@@ -29,7 +29,7 @@ from regretlab.dynamics import (
     report,
     run,
     write_trace_csv,
-    write_trace_rows,
+    write_trace_file,
 )
 from regretlab.experiment import write_report_csv
 from regretlab.games import (
@@ -961,7 +961,7 @@ class TestTraceCsv:
     def test_file_path_round_trip(self, tmp_path):
         tr = self._trace()
         path = tmp_path / "trace.csv"
-        write_trace_csv(tr, str(path))
+        write_trace_file(tr, str(path))
         back = read_trace_csv(str(path))
         np.testing.assert_array_equal(back.plays[0], tr.plays[0])
 
@@ -1012,7 +1012,7 @@ class TestTraceCsv:
         payoffs.write_text(dump_dense_csv(make_random_game(2, [2, 3], seed=117)))
         tr = run(load_dense_csv(payoffs.read_text()), [opt_hedge(0.3), hedge(0.4)], 12)
         path = tmp_path / "trace.csv"
-        write_trace_csv(tr, str(path))
+        write_trace_file(tr, str(path))
         payoffs.write_text(dump_dense_csv(make_random_game(2, [2, 3], seed=118)))
         back = read_trace_csv(str(path))
         assert "path" not in back.meta["game"]  # the payoffs are embedded, no file named
@@ -1107,11 +1107,9 @@ class TestTraceIoMemory:
             tracemalloc.stop()
         return result, held, peak
 
-    def test_writing_holds_the_text_and_one_chunk(self, trace, tmp_path):
-        values = _trace_values(trace)
-        text, _, peak = self.traced(lambda: write_trace_rows(
-            trace.meta, _TRACE_VALUES, values, "strategy", trace.plays, str(tmp_path / "t.csv")))
-        # the chunks' text, its join and one chunk's cells (about 2.3x); rows
+    def test_writing_holds_the_text_and_one_chunk(self, trace):
+        text, _, peak = self.traced(lambda: write_trace_csv(trace))
+        # the chunks' text, its join and one chunk's cells (about 2.0x); rows
         # built over all T rounds at once held every row string, their join
         # and whole-T cell arrays (about 4.2x)
         assert peak < 3 * len(text)
@@ -1123,7 +1121,7 @@ class TestTraceIoMemory:
         # whole text at once (above 1x)
         path = tmp_path / "t.csv"
         long = self.auction(3000)
-        result, _, peak = self.traced(lambda: dynamics._write_trace_file(long, str(path)))
+        result, _, peak = self.traced(lambda: write_trace_file(long, str(path)))
         assert result is None
         assert peak < 0.25 * path.stat().st_size
 
@@ -1152,7 +1150,7 @@ class TestTraceIoMemory:
 
     def test_reading_a_path_holds_one_line_at_a_time(self, trace, tmp_path):
         path = tmp_path / "t.csv"
-        write_trace_csv(trace, str(path))
+        write_trace_file(trace, str(path))
         _, held, peak = self.traced(lambda: read_trace_csv(str(path)))
         # net of the returned trace's arrays, about 0.3x the file; holding the
         # text and its list of lines took about 2.4x
@@ -1167,13 +1165,13 @@ SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0 / 3.0, *NAN_PAYLOADS,
 
 
 class TestTraceRowsMatchCsvWriter:
-    """``write_trace_rows`` against ``oracles.csv_trace_rows``, one csv.writer
+    """``_trace_chunks`` joined against ``oracles.csv_trace_rows``, one csv.writer
     row per line: the same text, byte for byte."""
 
     @staticmethod
     def assert_same(values, vectors, names=("a", "b")):
         args = ({"kind": "test", "T": len(vectors[0])}, names, values, "strategy", vectors)
-        text = write_trace_rows(*args)
+        text = "".join(dynamics._trace_chunks(*args))
         assert text == orc.csv_trace_rows(*args)
         return text.splitlines()
 
@@ -1228,7 +1226,7 @@ class TestTraceRowsMatchCsvWriter:
 
     @pytest.mark.parametrize("T", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3],
                              ids=["one", "chunk-1", "chunk", "chunk+1", "2chunk+3"])
-    def test_chunk_boundaries(self, T, tmp_path):
+    def test_chunk_boundaries(self, T):
         rng = np.random.default_rng(123)
         pool = np.array(SPECIAL_FLOATS + tuple(rng.random(8)))
         values = [rng.choice(pool, (T, 2)) for _ in range(2)]
@@ -1240,18 +1238,15 @@ class TestTraceRowsMatchCsvWriter:
                 v[t, :2] = (-0.0, NAN_PAYLOADS[t % 2])
                 v[t, -1] = np.inf if t % 2 else -np.inf
         args = ({"kind": "test", "T": T}, ("a", "b"), values, "strategy", vectors)
-        text = write_trace_rows(*args)
-        assert text == orc.csv_trace_rows(*args)
-        path = tmp_path / "rows.csv"
-        assert write_trace_rows(*args, path=str(path)) == text
-        assert path.read_bytes() == text.encode()
+        assert "".join(dynamics._trace_chunks(*args)) == orc.csv_trace_rows(*args)
 
     def test_routing_flows_across_a_chunk_boundary(self, tmp_path):
         net = CongestionNetwork([("s", "t", 0.5, 0.1, 0.0), ("s", "t", 0.0, 1.0, 0.2)],
                                 [("s", "t", 1.0), ("s", "t", 2.0)])
         tr = run_continuous(net, 0.05, self.CHUNK + 7)
         path = tmp_path / "flows.csv"
-        text = write_trace_csv(tr, str(path))
+        write_trace_file(tr, str(path))
+        text = write_trace_csv(tr)
         assert text == orc.csv_trace_rows(tr.meta, tr.value_names, _trace_values(tr),
                                           tr.vector_name, tr.flows)
         assert path.read_bytes() == text.encode()
@@ -1306,8 +1301,8 @@ class TestTraceReaderAgainstCellOracle:
         vectors = [rng.choice(pool, (T, 2)), rng.choice(pool, (T, 6))]
         vectors[0][0] = (0.0, -0.0)
         vectors[1][-1] = (-0.0, 0.0, -0.0, 0.0, np.inf, -np.inf)
-        text = write_trace_rows({"kind": "test", "T": T}, ("a", "b", "c"), values,
-                                "strategy", vectors)
+        text = "".join(dynamics._trace_chunks({"kind": "test", "T": T}, ("a", "b", "c"),
+                                              values, "strategy", vectors))
         stored, back = self.parse(text, 3, [2, 6])
         np.testing.assert_array_equal(bits(stored), bits(np.stack(values, axis=1)))
         for got, want in zip(back, vectors):
@@ -1318,7 +1313,8 @@ class TestTraceReaderAgainstCellOracle:
     def test_dense_trace_across_block_and_chunk_boundaries(self, T, tmp_path):
         tr = run(make_random_game(2, [2, 3], seed=117), [opt_hedge(0.3), hedge(0.4)], T)
         path = tmp_path / "trace.csv"
-        text = write_trace_csv(tr, str(path))
+        write_trace_file(tr, str(path))
+        text = write_trace_csv(tr)
         self.assert_reads_like_the_oracle(tr, text, read_trace_csv(str(path)))
 
     def test_rectangular_padded_dense_trace(self):
@@ -1342,7 +1338,8 @@ class TestTraceReaderAgainstCellOracle:
                                 [("s", "t", 1.0), ("s", "t", 2.0)])
         tr = run_continuous(net, 0.05, self.BLOCK + 7)
         path = tmp_path / "flows.csv"
-        text = write_trace_csv(tr, str(path))
+        write_trace_file(tr, str(path))
+        text = write_trace_csv(tr)
         back = read_trace_csv(str(path))
         _, want = orc.float_per_cell_trace(text, len(tr.value_names),
                                            [f.shape[1] for f in tr.flows])

@@ -23,7 +23,15 @@ from regretlab.auctions import masked_values
 from regretlab.cli import _parse_config_file, main
 from regretlab.config import parse_config
 from regretlab.continuous import _tuned_eta, lipschitz_constant, parse_network, run_continuous
-from regretlab.dynamics import RegretReport, Trace, read_trace_csv, report, run, write_trace_csv
+from regretlab.dynamics import (
+    RegretReport,
+    Trace,
+    read_trace_csv,
+    report,
+    run,
+    write_trace_csv,
+    write_trace_file,
+)
 from regretlab.experiment import (
     OUTPUT_ROOT_ENV,
     _arm_players,
@@ -500,7 +508,7 @@ def shipped_arm_traces(spec, T):
 
 
 class TestStreamedTraceFile:
-    """``dynamics._write_trace_file``, the runner's trace writer, writes the
+    """``write_trace_file``, the runner's trace writer, writes the
     bytes of ``write_trace_csv``'s text for every arm of every shipped config
     (routing's ``flows.csv`` among them), at one round, on both sides of a
     write chunk (``_TRACE_CHUNK_ROWS // n`` rounds) and at the config's T."""
@@ -514,7 +522,7 @@ class TestStreamedTraceFile:
         for T in sorted({1, step - 1, step, step + 1, spec.T}):
             for label, trace in shipped_arm_traces(spec, T):
                 path = tmp_path / f"{label}-{T}.csv"
-                assert dynamics._write_trace_file(trace, str(path)) is None
+                assert write_trace_file(trace, str(path)) is None
                 assert path.read_bytes() == write_trace_csv(trace).encode(), (label, T)
 
 
@@ -724,13 +732,17 @@ class TestCliSimulate:
         assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
         assert not os.path.exists(tmp_path / "out")
 
-    @pytest.mark.parametrize("rows, message", [
-        ("5,0,0.5,0.5\n", "dense-game line 2: profile [5, 0] lies outside the dims [2, 2]"),
-        ("-1,-1,0.5,0.5\n", "dense-game line 2: profile [-1, -1] lies outside the dims [2, 2]"),
-        ("0,0,0.5,0.5\n0,0,0.1,0.1\n", "dense-game line 3: profile [0, 0] appears twice"),
-    ], ids=["index-past-dims", "negative-index", "duplicate-profile"])
-    def test_bad_dense_csv_row_exits_1(self, tmp_path, capsys, rows, message):
-        (tmp_path / "p.csv").write_text("2,2,2\n" + rows)
+    @pytest.mark.parametrize("text, message", [
+        ("2,2,2\n5,0,0.5,0.5\n",
+         "dense-game line 2: profile [5, 0] lies outside the dims [2, 2]"),
+        ("2,2,2\n-1,-1,0.5,0.5\n",
+         "dense-game line 2: profile [-1, -1] lies outside the dims [2, 2]"),
+        ("2,2,2\n0,0,0.5,0.5\n0,0,0.1,0.1\n", "dense-game line 3: profile [0, 0] appears twice"),
+        ("", "empty dense-game file"),
+        ("2,2,2\n0,0,0.5,0.5\n0,1,0.5\n", "dense-game line 3: 3 fields, expected 4"),
+    ], ids=["index-past-dims", "negative-index", "duplicate-profile", "empty-file", "short-row"])
+    def test_bad_dense_csv_row_exits_1(self, tmp_path, capsys, text, message):
+        (tmp_path / "p.csv").write_text(text)
         cfg = write_cfg(tmp_path, "[game]\ntype = dense_csv\npath = p.csv\n"
                         "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 5\n")
         assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -815,7 +827,7 @@ class TestCliReport:
             trace = run(game, spec.specs_for(game.n), spec.T, spec.mode)
             trace.meta["smoothness"] = spec.smoothness
         path = str(tmp_path / "trace.csv")
-        write_trace_csv(trace, path)
+        write_trace_file(trace, path)
         capsys.readouterr()
         assert main(["report", path]) == 0
         assert capsys.readouterr().out == write_report_csv(report(trace))
@@ -1441,7 +1453,15 @@ class TestCliErrorBoundary:
          "a random game needs n >= 1 and n dims, each >= 1, got n=0, dims=[]"),
         (lambda g: {**g, "dims": [2.5, 2]},
          "a random game needs an integer n and integer dims, got n=2, dims=[2.5, 2]"),
-    ], ids=["no-tensors", "no-players", "fractional-dims"])
+        (lambda g: {"kind": "dense", "tensors": [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5, 0.5]]]},
+         "all utility tensors must share the shape d_1 x ... x d_n"),
+        (lambda g: {"kind": "auction", "n": 0, "m": 1, "values": [[1.0]], "bid_levels": [1.0]},
+         "need n >= 1, m >= 1 and at least one bid level"),
+        (lambda g: {"kind": "auction", "n": 2, "m": 1, "values": [[1.0], [1.0]],
+                    "bid_levels": []},
+         "need n >= 1, m >= 1 and at least one bid level"),
+    ], ids=["no-tensors", "no-players", "fractional-dims", "unequal-tensors",
+            "auction-no-bidders", "auction-no-bid-levels"])
     def test_meta_game_that_cannot_be_built(self, tmp_path, change, message):
         done = run_module("report", self.random_game_trace(tmp_path, change))
         self.assert_one_line_error(done, f"trace line 1: metadata game: {message}")

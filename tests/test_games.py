@@ -100,6 +100,14 @@ class TestExpectedUtilities:
         with pytest.raises(ValueError, match="player 1"):
             g.expected_utilities(0, [np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])])
 
+    @pytest.mark.parametrize("i, profile, message", [
+        (5, [np.array([1.0, 0.0]), np.array([0.5, 0.5])], "player index 5 out of range for n=2"),
+        (0, [np.array([1.0, 0.0])], "profile has 1 strategies, game has 2 players"),
+    ], ids=["player-past-n", "short-profile"])
+    def test_bad_player_index_or_profile_length(self, i, profile, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            pennies().expected_utilities(i, profile)
+
 
 class TestWelfare:
     def test_constant_half_game(self):

@@ -25,7 +25,12 @@ from regretlab import (
     wrap_doubling,
 )
 from regretlab.costmode import CostHedge
-from regretlab.learners import GeometricDiscount, WindowAverage, _regularized_learner
+from regretlab.learners import (
+    GeometricDiscount,
+    WindowAverage,
+    _regularized_learner,
+    variation_steps,
+)
 
 
 def drive(learner, stream):
@@ -512,6 +517,10 @@ class TestInstrumentation:
             lib_du, lib_dw = variation_sums(seen, plays)
             assert lib_du == pytest.approx(du, abs=1e-10), name
             assert lib_dw == pytest.approx(dw, abs=1e-10), name
+
+    def test_unknown_norm_pair_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown norm pair 'l3'$"):
+            variation_steps(np.ones((2, 3)), np.full((2, 3), 1.0 / 3.0), "l3")
 
 
 class TestVariationBoundCertificate:

@@ -117,20 +117,26 @@ class TestDiameterConstants:
         for d in (2, 3, 5, 17):
             assert ENTROPY.r_ftrl(d) == pytest.approx(math.log(d), abs=1e-12)
 
-    def test_entropy_r_omd_is_log_d(self):
-        # sup_w D(w, uniform) = KL(point mass || uniform) = ln d
-        for d in (2, 3, 5):
-            assert ENTROPY.r_omd(d) == pytest.approx(math.log(d), abs=1e-12)
+    @pytest.mark.parametrize("reg, divergence", [
+        (ENTROPY, lambda f, u: sum(a * math.log(a / b) for a, b in zip(f, u) if a > 0)),
+        (EUCLID, lambda f, u: 0.5 * sum((a - b) ** 2 for a, b in zip(f, u))),
+    ], ids=["entropy", "euclidean"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 17])
+    def test_r_ftrl_is_the_largest_divergence_from_uniform(self, reg, divergence, d):
+        # mirror descent's constant sup_f D(f, uniform), attained at a vertex:
+        # from the uniform start, the same number as the range
+        uniform = [1.0 / d] * d
+        vertices = [[float(j == k) for j in range(d)] for k in range(d)]
+        assert reg.r_ftrl(d) == pytest.approx(
+            max(divergence(e, uniform) for e in vertices), abs=1e-12)
 
     def test_euclid_constants(self):
         for d in (2, 3, 5):
             assert EUCLID.r_ftrl(d) == pytest.approx((1.0 - 1.0 / d) / 2.0, abs=1e-12)
-            assert EUCLID.r_omd(d) == pytest.approx((d - 1.0) / (2.0 * d), abs=1e-12)
 
     def test_nonnegative(self):
         for reg in (ENTROPY, EUCLID):
             assert reg.r_ftrl(4) >= 0.0
-            assert reg.r_omd(4) >= 0.0
 
 
 class TestStrongConvexity:

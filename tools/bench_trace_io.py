@@ -6,19 +6,23 @@
 The package is imported from ``--src``, so one copy of this script measures
 any checkout.  It runs ``configs/auction_fig1.cfg`` (of this repository) once
 through ``run_experiment`` into a temporary directory, then times, in each of
-``REPEATS`` runs, ``write_trace_csv`` of the main-arm trace to a file,
+``REPEATS`` runs, ``write_s``, ``write_trace_csv`` of the main-arm trace as
+text; ``stream_write_s``, the runner's write of the same trace to a file
+(``dynamics.write_trace_file``, which holds one chunk of text at a time);
 ``read_trace_csv`` of that file and ``dynamics.report`` of what was read
 (its samples keep the key ``full_report_s``, so earlier labels still
-compare), and ``stream_write_s``, the runner's write of the same trace to a
-file (``dynamics._write_trace_file``, which holds one chunk of text at a
-time; ``write_trace_csv`` to a path in a checkout that predates it).  Its
-rows repeat most cells: tied strategies play bit-identical probabilities.
+compare).  Labels recorded before ``write_trace_csv`` lost its ``path``
+parameter timed, as ``write_s``, a write of the text to a file.  Checkouts
+that predate ``write_trace_file`` write files with ``_write_trace_file`` or,
+older still, ``write_trace_csv(trace, path)``.  The auction trace's rows
+repeat most cells: tied strategies play bit-identical probabilities.
 ``dense_read_s`` times ``read_trace_csv`` of a trace whose rows repeat almost
 no cell: oftrl self-play (entropy, last-utility predictor, eta = 1/(2(n - 1)))
 on a seeded dense game, n = 4, d = 5, T = 5000, so 20,000 rows.  A fresh
-process that reads, reports and writes the auction trace once reports its
-peak RSS (``peak_rss_mb``); another that runs the main arm and writes its
-trace with the runner's writer reports ``stream_write_rss_mb``.
+process that reads, reports and writes the auction trace once (to a file,
+through the runner's writer) reports its peak RSS (``peak_rss_mb``); another
+that runs the main arm and writes its trace with the runner's writer reports
+``stream_write_rss_mb``.
 
 The samples are merged under ``--label`` into ``BENCH_trace_io.json`` at the
 repository root by ``benchlib``, with the SHA-256 of the trace this checkout
@@ -47,14 +51,15 @@ def _stream_writer():
     """The writer ``run_experiment`` uses for trace files in this checkout."""
     from regretlab import dynamics
 
-    return getattr(dynamics, "_write_trace_file", dynamics.write_trace_csv)
+    return (getattr(dynamics, "write_trace_file", None)
+            or getattr(dynamics, "_write_trace_file", dynamics.write_trace_csv))
 
 
 def _child(trace_path: str, mode: str = "full") -> None:
     """The fresh process: read, report and write the trace once; with mode
     ``stream``, run the main arm (cheaper in memory than reading its file)
     and write it with the runner's writer only."""
-    from regretlab.dynamics import read_trace_csv, report, run, write_trace_csv
+    from regretlab.dynamics import read_trace_csv, report, run
 
     if mode == "stream":
         from regretlab.config import parse_config
@@ -68,7 +73,7 @@ def _child(trace_path: str, mode: str = "full") -> None:
         return
     trace = read_trace_csv(trace_path)
     report(trace)
-    write_trace_csv(trace, trace_path + ".again")
+    _stream_writer()(trace, trace_path + ".again")
 
 
 def measure(src: str) -> dict:
@@ -85,20 +90,22 @@ def measure(src: str) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         trace_path = run_experiment(spec, out_dir=tmp)["artifacts"]["trace"]
         dense_path = os.path.join(tmp, "dense.csv")
-        write_trace_csv(run(make_random_game(4, [5] * 4, seed=7),
-                            [LearnerSpec("oftrl", 1.0 / 6.0, "entropy", "last")] * 4, DENSE_T),
-                        dense_path)
+        stream_write(run(make_random_game(4, [5] * 4, seed=7),
+                         [LearnerSpec("oftrl", 1.0 / 6.0, "entropy", "last")] * 4, DENSE_T),
+                     dense_path)
         with open(trace_path, "rb") as fh:
             written = fh.read()
         trace = read_trace_csv(trace_path)
-        copy = os.path.join(tmp, "copy.csv")
         streamed = os.path.join(tmp, "streamed.csv")
         for _ in range(REPEATS):
             start = time.perf_counter()
-            write_trace_csv(trace, copy)
+            text = write_trace_csv(trace)
             samples["write_s"].append(time.perf_counter() - start)
             start = time.perf_counter()
-            back = read_trace_csv(copy)
+            stream_write(trace, streamed)
+            samples["stream_write_s"].append(time.perf_counter() - start)
+            start = time.perf_counter()
+            back = read_trace_csv(streamed)
             samples["read_s"].append(time.perf_counter() - start)
             start = time.perf_counter()
             report(back)
@@ -106,12 +113,10 @@ def measure(src: str) -> dict:
             start = time.perf_counter()
             read_trace_csv(dense_path)
             samples["dense_read_s"].append(time.perf_counter() - start)
-            start = time.perf_counter()
-            stream_write(trace, streamed)
-            samples["stream_write_s"].append(time.perf_counter() - start)
-        for path, writer in ((copy, "write_trace_csv"), (streamed, stream_write.__name__)):
-            with open(path, "rb") as fh:
-                if fh.read() != written:
+        with open(streamed, "rb") as fh:
+            for writer, data in (("write_trace_csv", text.encode()),
+                                 (stream_write.__name__, fh.read())):
+                if data != written:
                     raise RuntimeError(f"{writer} did not reproduce simulate's trace bytes")
         peak = benchlib.fresh_peak_rss(__file__, src, trace_path)
         stream_peak = benchlib.fresh_peak_rss(__file__, src, trace_path, "stream")

@@ -51,7 +51,6 @@ from .games import (
     SmoothnessCertificate,
     UtilityRangeError,
     brute_force_opt,
-    dump_dense_csv,
     load_dense_csv,
     poa_welfare_bound,
     verify_smoothness,
@@ -101,7 +100,7 @@ __all__ = [
     "OUTPUT_ROOT_ENV", "bid_trajectory", "build_game_from_config",
     "mean_bid_oscillation", "run_experiment",
     "DenseGame", "EnumerationCapError", "NormalFormGame", "SmoothnessCertificate",
-    "brute_force_opt", "dump_dense_csv", "load_dense_csv", "poa_welfare_bound",
+    "brute_force_opt", "load_dense_csv", "poa_welfare_bound",
     "verify_smoothness", "UtilityRangeError",
     "BestResponseLearner", "Certificate", "FtrlLearner", "LearnerSpec",
     "OmdLearner", "OnlineLearner", "VariationBound", "certify_stability",

@@ -361,15 +361,7 @@ def certify_total_regret(trace: ContinuousTrace, bundle: LipschitzBundle) -> Cer
 
 
 def routing_report(trace: ContinuousTrace) -> RegretReport:
-    """Linearized (``regrets``) and true (``regrets_raw``) regrets, the
-    summary figures and, at the tuned step size 1/(2Ln), the total-regret
-    certificate."""
-    bundle = lipschitz_constant(trace.network)
-    n = trace.network.n
-    tuned = _tuned_eta(trace.network, bundle, trace.eta)[1]
-    linearized = [linearized_regret(trace, i) for i in range(n)]
-    return RegretReport(linearized, [true_regret(trace, i) for i in range(n)], {
-        "sum_linearized_regret": float(sum(linearized)),
-        "avg_total_cost": float(trace.total_cost.mean()),
-        "lipschitz_L": bundle.L, "eta": float(trace.eta),
-    }, [certify_total_regret(trace, bundle)] if tuned else [])
+    """``dynamics.report`` of a routing trace."""
+    from .dynamics import report  # dynamics imports this module
+
+    return report(trace)

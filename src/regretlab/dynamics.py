@@ -12,14 +12,15 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby
+from itertools import groupby, product
 
 import numpy as np
 
-from . import games
-from .continuous import CongestionNetwork, ContinuousTrace, routing_report
+from . import continuous, games
+from .continuous import CongestionNetwork, ContinuousTrace
 from .costmode import certify_cost_welfare, fit_first_order_constants
 from .games import (
     NormalFormGame,
@@ -229,7 +230,7 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
 
 
 # ---------------------------------------------------------------------------
-# regret machinery
+# regrets, and the certificate rules of ``report``
 
 
 def regret(trace: Trace, i: int) -> float:
@@ -245,120 +246,127 @@ def regret_series(trace: Trace, i: int) -> np.ndarray:
     return cum.max(axis=1) - realized
 
 
+class _Facts:
+    """What the rules read of a trace: regrets, report rows, extras; by player,
+    declared bounds, FTRL specs with an eta and wrappers' constants; a claim's
+    verification; a routing trace's Lipschitz bundle at its tuned eta."""
+
+    def __init__(self, trace):
+        self.trace, self.T, self.extras = trace, trace.T, {}
+        self.bounds, self.ftrl, self.wrapped, self.smooth, self.bundle = {}, {}, {}, None, None
+        if isinstance(trace, ContinuousTrace):
+            net, self.n, self.mode = trace.network, trace.network.n, "routing"
+            bundle = continuous.lipschitz_constant(net)
+            self.regrets = [continuous.linearized_regret(trace, i) for i in range(self.n)]
+            self.regrets_raw = [continuous.true_regret(trace, i) for i in range(self.n)]
+            self.summary = {"sum_linearized_regret": float(sum(self.regrets)),
+                            "avg_total_cost": float(trace.total_cost.mean()),
+                            "lipschitz_L": bundle.L, "eta": float(trace.eta)}
+            self.bundle = bundle if continuous._tuned_eta(net, bundle, trace.eta)[1] else None
+            return
+        meta, self.n = trace.meta, trace.n
+        self.mode, claim = meta.get("mode", "utility"), meta.get("smoothness")
+        self.regrets = regrets = [regret(trace, i) for i in range(self.n)]
+        self.regrets_raw = [r * meta.get("game", {}).get("scale", 1.0) for r in regrets]
+        self.summary = {"sum_regret": float(sum(regrets)), "max_regret": float(max(regrets)),
+                        "cce_gap": float(max(regrets)) / self.T,
+                        "avg_welfare": float(trace.welfare.mean())}
+        if claim:
+            self.smooth = verify_smoothness(build_game(meta["game"]), claim["lambda"],
+                                            claim["mu"], claim.get("s_star"), mode=self.mode)
+        for i, e in enumerate(_learner_meta(e) for e in meta.get("learners", [None] * self.n)):
+            d = trace.plays[i].shape[1]
+            if isinstance(e, tuple):  # certify_robust's alpha, beta, gamma, eta_star, pair
+                _, beta, gamma, pair = parametric_constants(e[0], d)
+                self.wrapped[i] = (e[1], beta, gamma, e[2], pair)
+            elif isinstance(e, LearnerSpec):
+                s = e.resolved()
+                if (b := declared_variation_bound(s, d)) is not None:
+                    self.bounds[i] = b
+                if s.algorithm == "ftrl" and s.eta is not None:
+                    self.ftrl[i] = s
+                if s.algorithm == "omd" and self.T >= 2:  # its largest step (informational)
+                    steps = np.sum(np.abs(np.diff(trace.plays[i], axis=0)), axis=1)
+                    self.extras[f"omd_max_step[{i}]"] = float(steps.max())
+
+
+def _regret_vs_stability(f: _Facts, i: int) -> tuple:
+    b, kappa = f.bounds[i], 2.0 * f.ftrl[i].eta  # kappa * kappa is inf where kappa**2 raises
+    return f.regrets[i], b.alpha + b.beta * (kappa * kappa) * (f.n - 1) ** 2 * f.T, {"kappa": kappa}
+
+
+def _cost_welfare(f: _Facts, _) -> Certificate:
+    # measured (A1, A2) over each player's (d, best cumulative cost, regret)
+    constants = fit_first_order_constants(
+        [(u.shape[1], float((1.0 - u).sum(axis=0).min()), r)
+         for u, r in zip(f.trace.utilities, f.regrets)])
+    f.extras.update(first_order_A1=constants.A1, first_order_A2=constants.A2)
+    return certify_cost_welfare(f.trace, f.smooth, constants)
+
+
+# A rule names a certificate (``name[i]`` per player when per_player), its
+# kind, the precondition ``applies(facts, i)`` under which it attaches and
+# ``check(facts, i)``, giving (lhs, rhs, details) for ``Certificate.check`` or a
+# ``certify_*`` helper's certificate.  A learner claim can fail on plays its
+# learner did not produce, a game claim on a game without the property; a
+# consistency check follows from a verified claim and the same plays' regrets.
+_Rule = namedtuple("_Rule", "name kind per_player applies check")
+LEARNER, GAME, CONSISTENCY = "learner claim", "game claim", "consistency check"
+_RULES = (
+    _Rule("variation_bound", LEARNER, True, lambda f, i: i in f.bounds,
+          lambda f, i: certify_variation_bound(f.trace.utilities[i], f.trace.plays[i],
+                                               f.bounds[i])),
+    _Rule("sum_regret_bound", LEARNER, False,  # beta <= gamma/(n-1)^2, over d too for l2
+          lambda f, _: f.n >= 2 and len(f.bounds) == f.n and all(
+              b.beta <= b.gamma / ((f.trace.plays[i].shape[1] if b.norm_pair == "l2_l2" else 1)
+                                   * (f.n - 1) ** 2) + 1e-12 for i, b in f.bounds.items()),
+          lambda f, _: (sum(f.regrets), f.n * max(b.alpha for b in f.bounds.values()),
+                        {"alpha": max(b.alpha for b in f.bounds.values())})),
+    _Rule("play_stability", LEARNER, True, lambda f, i: i in f.ftrl,
+          lambda f, i: certify_stability(f.trace.plays[i], f.ftrl[i].eta)),
+    _Rule("regret_vs_stability", LEARNER, True,  # alone, u^1 has no kappa bound
+          lambda f, i: i in f.ftrl and i in f.bounds and f.n >= 2, _regret_vs_stability),
+    # regret_vs_stability's precondition, at eta (n-1)^(-1/2) T^(-1/4) (<= 1) to 1e-9
+    _Rule("individual_rate", LEARNER, True,
+          lambda f, i: i in f.ftrl and i in f.bounds and f.n >= 2
+          and abs(f.ftrl[i].eta - (f.n - 1) ** -0.5 * f.T ** -0.25) <= 1e-9,
+          lambda f, i: (f.regrets[i], (get_regularizer(f.ftrl[i].regularizer).r_ftrl(
+              f.trace.plays[i].shape[1]) + 4.0) * math.sqrt(f.n - 1) * f.T**0.25,
+                        {"eta": f.ftrl[i].eta})),
+    _Rule("welfare_floor", CONSISTENCY, False,
+          lambda f, _: f.smooth and f.smooth.verified and f.mode == "utility",
+          lambda f, _: (poa_welfare_bound(f.smooth.lam, f.smooth.mu, f.smooth.opt,
+                                          f.regrets_raw, f.T), f.summary["avg_welfare"],
+                        {"lambda": f.smooth.lam, "mu": f.smooth.mu, "opt": f.smooth.opt})),
+    _Rule("smoothness_claim", GAME, False, lambda f, _: f.smooth,
+          lambda f, _: (0.0, f.smooth.slack, {  # 0 <= slack + TOL is also verified's rule
+              "lambda": f.smooth.lam, "mu": f.smooth.mu, "s_star": list(f.smooth.s_star),
+              "worst_profile": list(f.smooth.worst_profile), "opt": f.smooth.opt})),
+    _Rule("cost_welfare", CONSISTENCY, False,
+          lambda f, _: f.smooth and f.smooth.verified and f.mode == "cost"
+          and 0.0 < f.smooth.mu < 1.0, _cost_welfare),
+    _Rule("robust_bound", LEARNER, True, lambda f, i: i in f.wrapped and f.T >= 2,
+          lambda f, i: certify_robust(f.trace.utilities[i], f.trace.plays[i],
+                                      *f.wrapped[i][:4], norm_pair=f.wrapped[i][4])),
+    _Rule("total_linearized_regret", LEARNER, False, lambda f, _: f.bundle,
+          lambda f, _: continuous.certify_total_regret(f.trace, f.bundle)),
+)
+
+
 def report(trace) -> RegretReport:
-    """Compute regrets and evaluate every certificate the trace supports; a
-    ContinuousTrace gets its ``continuous.routing_report``.
-
-    Certificates are attached when their preconditions hold: the per-player
-    variation bound whenever a learner declares constants; the sum-regret
-    bound when every player declares constants with beta <= gamma/(n-1)^2
-    (beta <= gamma/(d (n-1)^2) for l2 constants); the individual T^{1/4} rate
-    when eta matches its tuning; optimistic-FTRL play stability and, n >= 2, its bound.
-    A ``smoothness`` claim in the metadata is verified on the rebuilt game and
-    attached as ``smoothness_claim``; once verified it also gives the welfare
-    floor (utility mode) or, for mu in (0, 1), the first-order cost-welfare
-    bound (cost mode).  Doubling-wrapped players get their dual bound
-    ``robust_bound[i]`` when T >= 2.
-    """
-    if isinstance(trace, ContinuousTrace):
-        return routing_report(trace)
-    n, T, meta = trace.n, trace.T, trace.meta
-    mode = meta.get("mode", "utility")
-    scale = meta.get("game", {}).get("scale", 1.0)
-    regrets = [regret(trace, i) for i in range(n)]
-    regrets_raw = [r * scale for r in regrets]
-    certificates: list[Certificate] = []
-    extras: dict = {}
-
-    # per player: its LearnerSpec, and (inner spec, alpha, eta_star) when wrapped
-    entries = [_learner_meta(e) for e in meta.get("learners", [None] * n)]
-    specs = [e if isinstance(e, LearnerSpec) else None for e in entries]
-    wrapped = [(i, *e) for i, e in enumerate(entries) if isinstance(e, tuple)]
-    bounds = [declared_variation_bound(s, trace.plays[i].shape[1]) if s else None
-              for i, s in enumerate(specs)]
-
-    for i, b in enumerate(bounds):
-        if b is None:
-            continue
-        cert = certify_variation_bound(trace.utilities[i], trace.plays[i], b)
-        cert.name = f"variation_bound[{i}]"
-        certificates.append(cert)
-
-    # constant sum-of-regrets bound
-    if all(b is not None for b in bounds) and n >= 2:
-        ok = all(
-            b.beta <= b.gamma / (((trace.plays[i].shape[1] if b.norm_pair == "l2_l2" else 1))
-                                 * (n - 1) ** 2) + 1e-12
-            for i, b in enumerate(bounds)
-        )
-        if ok:
-            alpha = max(b.alpha for b in bounds)
-            certificates.append(Certificate.check(
-                "sum_regret_bound", sum(regrets), n * alpha, {"alpha": alpha}))
-
-    # per-player stability and the T^{1/4} individual rate
-    for i, s in enumerate(specs):
-        if s is None:
-            continue
-        rs = s.resolved()
-        if rs.algorithm != "ftrl" or rs.eta is None:
-            continue
-        cert = certify_stability(trace.plays[i], rs.eta)
-        cert.name = f"play_stability[{i}]"
-        certificates.append(cert)
-        b = bounds[i]
-        if b is not None and n >= 2:  # alone, a player's one variation u^1 has no kappa bound
-            kappa = 2.0 * rs.eta  # kappa * kappa is inf where kappa**2 would raise
-            certificates.append(Certificate.check(
-                f"regret_vs_stability[{i}]", regrets[i],
-                b.alpha + b.beta * (kappa * kappa) * (n - 1) ** 2 * T, {"kappa": kappa}))
-            eta_rate = (n - 1) ** -0.5 * T ** -0.25
-            if abs(rs.eta - eta_rate) <= 1e-9 * max(1.0, eta_rate):
-                R = get_regularizer(rs.regularizer).r_ftrl(trace.plays[i].shape[1])
-                rhs = (R + 4.0) * math.sqrt(n - 1) * T**0.25
-                certificates.append(Certificate.check(
-                    f"individual_rate[{i}]", regrets[i], rhs, {"eta": rs.eta}))
-
-    # mirror-descent players: report the largest play step (informational)
-    for i, s in enumerate(specs):
-        if s is not None and s.resolved().algorithm == "omd" and T >= 2:
-            steps = np.sum(np.abs(np.diff(trace.plays[i], axis=0)), axis=1)
-            extras[f"omd_max_step[{i}]"] = float(steps.max())
-
-    avg_welfare = float(trace.welfare.mean())
-    claim = meta.get("smoothness")
-    if claim:
-        smooth = verify_smoothness(build_game(meta["game"]), claim["lambda"], claim["mu"],
-                                   claim.get("s_star"), mode=mode)
-        if smooth.verified and mode == "utility":
-            floor = poa_welfare_bound(smooth.lam, smooth.mu, smooth.opt, regrets_raw, T)
-            certificates.append(Certificate.check(
-                "welfare_floor", floor, avg_welfare,
-                {"lambda": smooth.lam, "mu": smooth.mu, "opt": smooth.opt}))
-        certificates.append(Certificate.check(  # 0 <= slack + TOL is also verified's rule
-            "smoothness_claim", 0.0, smooth.slack,
-            {"lambda": claim["lambda"], "mu": claim["mu"], "s_star": list(smooth.s_star),
-             "worst_profile": list(smooth.worst_profile), "opt": smooth.opt}))
-        if smooth.verified and mode == "cost" and 0.0 < smooth.mu < 1.0:
-            # measured (A1, A2) over each player's (d, best cumulative cost, regret)
-            constants = fit_first_order_constants(
-                [(u.shape[1], float((1.0 - u).sum(axis=0).min()), r)
-                 for u, r in zip(trace.utilities, regrets)])
-            certificates.append(certify_cost_welfare(trace, smooth, constants))
-            extras["first_order_A1"] = constants.A1
-            extras["first_order_A2"] = constants.A2
-
-    for i, inner, alpha, eta_star in wrapped if T >= 2 else []:  # the bound needs T >= 2
-        _, beta, gamma, pair = parametric_constants(inner, trace.plays[i].shape[1])
-        cert = certify_robust(trace.utilities[i], trace.plays[i], alpha, beta, gamma,
-                              eta_star, norm_pair=pair)
-        cert.name = f"robust_bound[{i}]"
-        certificates.append(cert)
-
-    return RegretReport(regrets, regrets_raw, {
-        "sum_regret": float(sum(regrets)), "max_regret": float(max(regrets)),
-        "cce_gap": float(max(regrets)) / T, "avg_welfare": avg_welfare,
-    }, certificates, extras)
+    """Regrets and, in ``_RULES``' order (a run of per-player rules player by
+    player), every certificate whose precondition the trace meets; a claim in
+    the metadata is verified on the game rebuilt from it.  A routing trace's
+    regrets are linearized (``regrets``) and true (``regrets_raw``)."""
+    f, certificates = _Facts(trace), []
+    for per_player, rules in groupby(_RULES, lambda rule: rule.per_player):
+        for i, rule in product(range(f.n) if per_player else [None], rules):
+            if rule.applies(f, i):
+                out = rule.check(f, i)
+                cert = out if isinstance(out, Certificate) else Certificate.check(rule.name, *out)
+                cert.name = rule.name if i is None else f"{rule.name}[{i}]"
+                certificates.append(cert)
+    return RegretReport(f.regrets, f.regrets_raw, f.summary, certificates, f.extras)
 
 
 # ---------------------------------------------------------------------------

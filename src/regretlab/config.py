@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .games import _check_cap, _is_pure_profile
-from .learners import _ALGORITHMS, _PREDICTORS, LearnerSpec, _choice, declares_variation_bound
+from .learners import (_ALGORITHMS, _FIXED_FIELDS, _PREDICTORS, LearnerSpec, _choice,
+                       declares_variation_bound)
 from .regularizers import _REGISTRY
 
 __all__ = ["ConfigError", "RobustSettings", "ExperimentSpec", "parse_config"]
@@ -306,21 +307,17 @@ def _validate_learner(sect, name, errors, eta_optional=False):
     r.finish()
     if algo is None:
         return None
-    if algo in ("bestresponse", "first_order_hedge"):
-        for key in ("eta", "regularizer", "predictor", "predictor_param"):
-            if r.has(key):
-                r.error(r.line_of(key), f"{name}.{key} does not apply to "
-                                        f"algorithm {algo!r}")
+    fixed = _FIXED_FIELDS.get(algo, {})
+    for key in filter(r.has, fixed):
+        r.error(r.line_of(key), f"{name}.{key} {fixed[key]} algorithm {algo!r}")
+    if "eta" in fixed:
         return LearnerSpec(algo)
     if not r.has("eta") and not eta_optional:
         r.read("eta", required=True)  # reports it missing
         return None
     if r.has("eta") and eta is None:
         return None  # bad value, already reported
-    if algo in ("hedge", "optimistic_hedge"):
-        for key in ("regularizer", "predictor", "predictor_param"):
-            if r.has(key):
-                r.error(r.line_of(key), f"{name}.{key} is fixed by algorithm {algo!r}")
+    if fixed:
         return LearnerSpec(algo, eta)
     if r.has("predictor_param") and param is None:  # a bad value, already reported
         if predictor in ("window", "geometric"):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .games import _check_cap
-from .learners import Certificate, LearnerSpec, RegretReport, make_learner
+from .learners import Certificate, LearnerSpec, make_learner
 from .regularizers import project_simplex
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "linearized_regret",
     "true_regret",
     "certify_total_regret",
-    "routing_report",
 ]
 
 PATH_CAP = 64
@@ -243,15 +242,15 @@ def _tuned_eta(network: CongestionNetwork, bundle: LipschitzBundle, eta: float =
 
 @dataclass
 class ContinuousTrace:
-    """A run's flows[i] (T, |P_i|) and, derived from them by ``_derive``,
-    grads[i] (T, |P_i|), costs (n, T) with costs[i, t] = c_i(w^t), and
-    total_cost (T,).  ``meta`` holds the network's description, eta, T and
-    mode."""
+    """A routing run: the ``network``, every player's (T, |P_i|) ``flows`` and
+    the ``meta`` (the network's description, eta, T and mode), with the rest
+    derived from the flows on construction by ``_derive``: grads[i]
+    (T, |P_i|), costs (n, T) with costs[i, t] = c_i(w^t), and total_cost
+    (T,).  ``eta`` is the metadata's."""
 
     network: CongestionNetwork
-    eta: float
     flows: list
-    meta: dict = field(default_factory=dict)
+    meta: dict
     grads: list = field(init=False)
     costs: np.ndarray = field(init=False)
     total_cost: np.ndarray = field(init=False)
@@ -264,6 +263,10 @@ class ContinuousTrace:
     @property
     def T(self) -> int:
         return len(self.total_cost)
+
+    @property
+    def eta(self) -> float:
+        return self.meta["eta"]
 
 
 def run_continuous(network: CongestionNetwork, eta: float, T: int) -> ContinuousTrace:
@@ -289,7 +292,7 @@ def run_continuous(network: CongestionNetwork, eta: float, T: int) -> Continuous
             lr.observe(-(network.incidence[i] @ (lat + per[i] * slope)))
             flows[i][t] = profile[i]
     meta = {"game": network.describe(), "eta": float(eta), "T": T, "mode": "routing"}
-    return ContinuousTrace(network, float(eta), flows, meta)
+    return ContinuousTrace(network, flows, meta)
 
 
 def linearized_regret(trace: ContinuousTrace, i: int) -> float:
@@ -358,10 +361,3 @@ def certify_total_regret(trace: ContinuousTrace, bundle: LipschitzBundle) -> Cer
     rhs = n * R / trace.eta
     return Certificate.check("total_linearized_regret", total, rhs,
                              {"L": bundle.L, "R": R, "eta": trace.eta}, _TOTAL_REGRET_TOL)
-
-
-def routing_report(trace: ContinuousTrace) -> RegretReport:
-    """``dynamics.report`` of a routing trace."""
-    from .dynamics import report  # dynamics imports this module
-
-    return report(trace)

@@ -1,10 +1,11 @@
 """Repeated simultaneous play with exact expected-utility feedback.
 
-``run`` drives T rounds and records every mixed strategy; the rest of a
-trace (utilities in normalized units, raw welfare, the per-player variation
-sums) is a function of those plays, derived by the one routine that also
-rebuilds a trace read from CSV.  ``report`` turns a trace into regrets plus
-every certificate the trace's metadata supports.
+``run`` drives T rounds and records every mixed strategy.  A trace of either
+kind is its game, its strategy vectors and its metadata; the rest
+(utilities in normalized units, raw welfare, the per-player variation sums;
+a routing trace's gradients and costs) is derived from them on
+construction, by ``run`` and by the reader alike.  ``report`` turns a trace
+into regrets plus every certificate its game and metadata support.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import groupby, product
 
 import numpy as np
@@ -67,22 +67,34 @@ _TRACE_VALUES = ("regret_to_date", "welfare", "du2_cum", "dw2_cum")  # stored pe
 
 @dataclass
 class Trace:
-    """Full record of one run.
-
-    plays[i] and utilities[i] are (T, d_i) arrays (normalized units);
-    welfare is (T,) in raw units; du2_cum / dw2_cum are (n, T) running sums of
+    """A run of a normal-form or auction game: the ``game``, every player's
+    (T, d_i) ``plays`` and the ``meta`` (the game's description, the learners,
+    T and mode), with the rest derived on construction from one profile check
+    and one ``_utilities_and_welfare`` call over all T rounds: utilities[i]
+    (T, d_i) in normalized units (1 - c in cost mode), welfare (T,) in raw
+    units, and du2_cum / dw2_cum (n, T), the running sums of
     ||u^t - u^{t-1}||_inf^2 (u^0 = 0) and ||w^t - w^{t-1}||_1^2 (w^0 = w^1),
     the ``np.cumsum`` of ``learners.variation_steps`` of plays and utilities.
     """
 
+    game: NormalFormGame
     plays: list
-    utilities: list
-    welfare: np.ndarray
-    du2_cum: np.ndarray
-    dw2_cum: np.ndarray
     meta: dict = field(default_factory=dict)
+    utilities: list = field(init=False)
+    welfare: np.ndarray = field(init=False)
+    du2_cum: np.ndarray = field(init=False)
+    dw2_cum: np.ndarray = field(init=False)
     value_names = _TRACE_VALUES
     vector_name = "strategy"
+
+    def __post_init__(self):
+        self.plays, _ = games._check_profile(self.game, self.plays)
+        self.utilities, self.welfare = self.game._utilities_and_welfare(self.plays)
+        if self.meta.get("mode") == "cost":
+            self.utilities = [1.0 - u for u in self.utilities]
+        steps = [variation_steps(u, w) for u, w in zip(self.utilities, self.plays)]
+        self.du2_cum = np.array([np.cumsum(du2) for du2, _ in steps])
+        self.dw2_cum = np.array([np.cumsum(dw2) for _, dw2 in steps])
 
     @property
     def n(self) -> int:
@@ -91,20 +103,6 @@ class Trace:
     @property
     def T(self) -> int:
         return len(self.welfare)
-
-
-def _trace_from_plays(game: NormalFormGame, plays, mode: str, meta: dict) -> Trace:
-    """The trace of (T, d_i) plays: one profile check, every player's utilities
-    over all T rounds (1 - c in cost mode) and the welfare from one game call,
-    and the running variation sums."""
-    plays, _ = games._check_profile(game, plays)
-    utilities, welfare = game._utilities_and_welfare(plays)
-    if mode == "cost":
-        utilities = [1.0 - u for u in utilities]
-    steps = [variation_steps(u, w) for u, w in zip(utilities, plays)]
-    return Trace(plays, utilities, welfare,
-                 np.array([np.cumsum(du2) for du2, _ in steps]),
-                 np.array([np.cumsum(dw2) for _, dw2 in steps]), meta)
 
 
 def _units(specs, dims) -> list:
@@ -226,7 +224,7 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
         "T": T,
         "mode": mode,
     }
-    return _trace_from_plays(game, plays, mode, meta)
+    return Trace(game, plays, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +265,13 @@ class _Facts:
         meta, self.n = trace.meta, trace.n
         self.mode, claim = meta.get("mode", "utility"), meta.get("smoothness")
         self.regrets = regrets = [regret(trace, i) for i in range(self.n)]
-        self.regrets_raw = [r * meta.get("game", {}).get("scale", 1.0) for r in regrets]
+        self.regrets_raw = [r * trace.game.scale for r in regrets]
         self.summary = {"sum_regret": float(sum(regrets)), "max_regret": float(max(regrets)),
                         "cce_gap": float(max(regrets)) / self.T,
                         "avg_welfare": float(trace.welfare.mean())}
         if claim:
-            self.smooth = verify_smoothness(build_game(meta["game"]), claim["lambda"],
-                                            claim["mu"], claim.get("s_star"), mode=self.mode)
+            self.smooth = verify_smoothness(trace.game, claim["lambda"], claim["mu"],
+                                            claim.get("s_star"), mode=self.mode)
         for i, e in enumerate(_learner_meta(e) for e in meta.get("learners", [None] * self.n)):
             d = trace.plays[i].shape[1]
             if isinstance(e, tuple):  # certify_robust's alpha, beta, gamma, eta_star, pair
@@ -356,7 +354,7 @@ _RULES = (
 def report(trace) -> RegretReport:
     """Regrets and, in ``_RULES``' order (a run of per-player rules player by
     player), every certificate whose precondition the trace meets; a claim in
-    the metadata is verified on the game rebuilt from it.  A routing trace's
+    the metadata is verified on the trace's own game.  A routing trace's
     regrets are linearized (``regrets``) and true (``regrets_raw``)."""
     f, certificates = _Facts(trace), []
     for per_player, rules in groupby(_RULES, lambda rule: rule.per_player):
@@ -435,17 +433,17 @@ def write_trace_file(trace, path) -> None:
 
 
 def read_trace_csv(source):
-    """Rebuild a trace from its CSV: everything but the strategies (or a
-    routing trace's flows) is derived from them through the game in the
-    metadata line, as ``run`` (or ``run_continuous``) derives it, and a stored
-    value that disagrees with its derivation (beyond rtol 1e-9, atol 1e-12) is
-    an error naming its line.  The metadata must be a JSON object with a
-    ``game`` object that rebuilds the game and an int ``T`` >= 1.  A network
-    game needs a positive finite float ``eta`` and, if given, a ``mode`` of
-    routing; any other game needs one ``learners`` object per player (see
-    ``_learner_meta``) and, if given, a ``mode`` of utility or cost and a
-    ``smoothness`` object with finite numbers ``lambda`` > 0 and ``mu`` >= 0
-    and an optional list of int ``s_star``.
+    """Rebuild a trace from its CSV as ``kind(game, vectors, meta)``, a
+    ``Trace`` or ``ContinuousTrace`` of the game the metadata line describes,
+    the strategies (or a routing trace's flows) and the metadata, so the rest
+    is derived as in a run; a stored value that disagrees with its derivation
+    (beyond rtol 1e-9, atol 1e-12) is an error naming its line.  The metadata
+    must be a JSON object with a ``game`` object that rebuilds the game and an
+    int ``T`` >= 1.  A network game needs a positive finite float ``eta`` and,
+    if given, a ``mode`` of routing; any other game needs one ``learners``
+    object per player (see ``_learner_meta``) and, if given, a ``mode`` of
+    utility or cost and a ``smoothness`` object with finite numbers
+    ``lambda`` > 0 and ``mu`` >= 0 and an optional list of int ``s_star``.
 
     ``source`` is a path, read as UTF-8 (a file that is not is a ``ValueError``
     naming it), or an open text file such as ``io.StringIO(text,
@@ -497,16 +495,14 @@ def _parse_trace(first: str, count: int, rows):
             raise ValueError(f"trace line 1: metadata eta must be a positive finite "
                              f"float, got {eta!r}")
         kind, dims, source = ContinuousTrace, [len(p) for p in game.paths], "flows"
-        derive = partial(ContinuousTrace, game, eta)
     else:
         _check_game_meta(meta, game.dims)
         kind, dims, source = Trace, game.dims, "plays"
-        derive = partial(_trace_from_plays, game, mode=meta.get("mode", "utility"))
     n, k = len(dims), len(kind.value_names)
     if count != n * T:
         raise ValueError(f"expected {n * T} data rows, found {count}")
     stored, vectors = _parse_rows(rows, T, k, dims, kind.vector_name)
-    trace = derive(vectors, meta=meta)
+    trace = kind(game, vectors, meta)
     bad = ~np.isclose(stored, np.stack(_trace_values(trace), axis=1), rtol=1e-9, atol=1e-12)
     if bad.any():
         t, i, c = np.argwhere(bad)[0]

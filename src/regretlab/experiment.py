@@ -115,11 +115,10 @@ def write_report_csv(rep, path=None) -> str:
 
 
 def _auction_layout(trace: Trace):
-    game = trace.meta.get("game", {})
-    if game.get("kind") != "auction":
+    """The (item count, bid levels) of an auction trace's game."""
+    if not (isinstance(trace, Trace) and isinstance(trace.game, AuctionGame)):
         raise ValueError("bid trajectories need an auction trace")
-    levels = np.asarray(game["bid_levels"], dtype=float)
-    return int(game["m"]), levels
+    return trace.game.m, trace.game.spec.bid_levels
 
 
 def bid_trajectory(trace: Trace, player: int, item: int):
@@ -186,8 +185,7 @@ def bids_plot(trace: Trace) -> str:
     per-round raw expected utility."""
     m, levels = _auction_layout(trace)
     nb = len(levels)
-    game = trace.meta["game"]
-    scale, shift = float(game.get("scale", 1.0)), float(game.get("shift", 0.0))
+    scale, shift = trace.game.scale, trace.game.shift
     ts = list(range(1, trace.T + 1))
     series = []
     for i in range(trace.n):

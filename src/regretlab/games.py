@@ -323,13 +323,6 @@ class SmoothnessCertificate:
     opt: float
     poa_factor: float
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam, "mu": self.mu, "s_star": list(self.s_star),
-            "verified": self.verified, "worst_profile": list(self.worst_profile),
-            "slack": self.slack, "opt": self.opt, "poa_factor": self.poa_factor,
-        }
-
 
 def brute_force_opt(game: NormalFormGame, mode: str = "utility"):
     """Exact optimum over pure profiles (raw units) and its lexicographically

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -331,6 +331,16 @@ class BestResponseLearner(OnlineLearner):
 
 # the config-file vocabulary of algorithms; a resolved spec names ftrl
 _ALGORITHMS = {"hedge", "optimistic_hedge", "oftrl", "omd", "bestresponse", "first_order_hedge"}
+# per algorithm, the spec fields it fixes (a spec of it leaves them at their
+# defaults) and how a message says so: a Hedge fixes its regularizer and
+# predictor; best response and first-order Hedge take no step size either
+_PREDICTION = ("regularizer", "predictor", "predictor_param")
+_FIXED_FIELDS = {
+    "hedge": dict.fromkeys(_PREDICTION, "is fixed by"),
+    "optimistic_hedge": dict.fromkeys(_PREDICTION, "is fixed by"),
+    "bestresponse": dict.fromkeys(("eta", *_PREDICTION), "does not apply to"),
+    "first_order_hedge": dict.fromkeys(("eta", *_PREDICTION), "does not apply to"),
+}
 
 
 def _choice(value, where, choices):
@@ -357,7 +367,8 @@ class LearnerSpec:
     ``algorithm``: hedge | optimistic_hedge | oftrl | omd | bestresponse |
     first_order_hedge, or ftrl (resolved).  ``predictor``: none | last |
     window | geometric, ``predictor_param`` carrying H (an int) or the discount
-    (a float).  Construction checks each value; a ValueError names the field."""
+    (a float).  Construction checks each value, and that a field the algorithm
+    fixes (``_FIXED_FIELDS``) keeps its default; a ValueError names the field."""
 
     algorithm: str
     eta: float | None = None
@@ -368,6 +379,9 @@ class LearnerSpec:
     def __post_init__(self):
         if self.algorithm != "ftrl":
             _choice(self.algorithm, "algorithm", _ALGORITHMS)
+        for key, verb in _FIXED_FIELDS.get(self.algorithm, {}).items():
+            if getattr(self, key) != _DEFAULTS[key]:
+                raise ValueError(f"{key} {verb} algorithm {self.algorithm!r}")
         if self.eta is not None and not (_real(self.eta) and 0.0 < self.eta < math.inf):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
         _choice(self.regularizer, "regularizer", _REGISTRY)
@@ -401,10 +415,10 @@ class LearnerSpec:
 
     @staticmethod
     def from_dict(dd: dict) -> "LearnerSpec":
-        return LearnerSpec(
-            dd.get("algorithm"), dd.get("eta"), dd.get("regularizer", "entropy"),
-            dd.get("predictor", "none"), dd.get("predictor_param"),
-        )
+        return LearnerSpec(dd.get("algorithm"), **{k: dd.get(k, v) for k, v in _DEFAULTS.items()})
+
+
+_DEFAULTS = {f.name: f.default for f in fields(LearnerSpec)[1:]}  # every field but algorithm
 
 
 # The variation-bound families, keyed by resolved (algorithm, predictor):

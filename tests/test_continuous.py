@@ -20,7 +20,7 @@ from regretlab.continuous import (
     run_continuous,
     true_regret,
 )
-from regretlab.dynamics import read_trace_csv, write_trace_csv
+from regretlab.dynamics import read_trace_csv, report, write_trace_csv
 from regretlab.library import build_game
 
 TWO_EDGE_TWO_PLAYER = """\
@@ -264,7 +264,7 @@ class TestLipschitzBundle:
         with pytest.raises(ValueError, match=r"L = 0.*set \[learner\] eta"):
             continuous._tuned_eta(net, bun)
         assert continuous._tuned_eta(net, bun, 0.1) == (math.inf, False)
-        rep = continuous.routing_report(run_continuous(net, 0.1, 10))
+        rep = report(run_continuous(net, 0.1, 10))
         assert rep.certificates == [] and rep.summary["lipschitz_L"] == 0.0
 
     def test_quadratic_term_enters_through_total_flow(self):

@@ -15,12 +15,11 @@ import regretlab
 from regretlab import dynamics, experiment, games
 from regretlab.auctions import AuctionGame, AuctionSpec
 from regretlab.config import parse_config
-from regretlab.continuous import CongestionNetwork, routing_report, run_continuous
+from regretlab.continuous import CongestionNetwork, run_continuous
 from regretlab.costmode import CostHedge
 from regretlab.dynamics import (
     _TRACE_VALUES,
     Trace,
-    _trace_from_plays,
     _trace_values,
     _units,
     read_trace_csv,
@@ -212,7 +211,7 @@ class TestRunChecksPlays:
             return win(self, profile)
 
         monkeypatch.setattr(AuctionGame, "_win_probabilities", counting)
-        again = _trace_from_plays(g, tr.plays, "utility", tr.meta)
+        again = Trace(g, tr.plays, tr.meta)
         assert len(calls) == 1
         np.testing.assert_array_equal(again.welfare, tr.welfare)
         np.testing.assert_array_equal(again.welfare, g.welfare_mixed(tr.plays))
@@ -318,12 +317,10 @@ class TestAgainstIndependentSimulator:
 
 class TestRegretMachinery:
     def test_uniform_play_against_one_hot_utilities(self):
-        # one d=2 player, uniform forever, utilities pinned at (1, 0):
-        # best column earns T, realized is T/2.
+        # one d=2 player, uniform forever, utilities pinned at (1, 0) by a
+        # one-player game: best column earns T, realized is T/2.
         T = 10
-        plays = [np.full((T, 2), 0.5)]
-        utils = [np.tile([1.0, 0.0], (T, 1))]
-        tr = Trace(plays, utils, np.zeros(T), np.zeros((1, T)), np.zeros((1, T)))
+        tr = Trace(DenseGame([np.array([1.0, 0.0])]), [np.full((T, 2), 0.5)])
         assert regret(tr, 0) == 5.0
         np.testing.assert_array_equal(regret_series(tr, 0), np.arange(1, 11) * 0.5)
 
@@ -342,10 +339,7 @@ class TestRegretMachinery:
         tr = run(g, [opt_hedge(0.4), hedge(0.4)], 20)
         series = regret_series(tr, 0)
         for t in (1, 7, 20):
-            sub = Trace(
-                [p[:t] for p in tr.plays], [u[:t] for u in tr.utilities],
-                tr.welfare[:t], tr.du2_cum[:, :t], tr.dw2_cum[:, :t],
-            )
+            sub = Trace(g, [p[:t] for p in tr.plays], tr.meta)
             assert series[t - 1] == pytest.approx(regret(sub, 0), abs=1e-12)
 
     def test_variation_terms_match_loop_oracle(self):
@@ -553,10 +547,13 @@ class TestReportCertificates:
         assert rep.failed() == []
 
     def test_a_routing_trace_gets_its_routing_report(self):
+        # 1/64 is the network's tuned step 1/(2Ln), so the total-regret bound attaches
         net = CongestionNetwork([("s", "t", 1.0, 0.0, 0.0), ("s", "t", 0.0, 0.0, 1.0)],
                                 [("s", "t", 1.0)] * 2)
         tr = run_continuous(net, 1.0 / 64.0, 20)
-        assert write_report_csv(report(tr)) == write_report_csv(routing_report(tr))
+        rep = report(tr)
+        assert [c.name for c in rep.certificates] == ["total_linearized_regret"]
+        assert rep.summary["eta"] == 1.0 / 64.0 and rep.failed() == []
 
     def test_full_report_is_an_alias_of_report(self):
         assert experiment.full_report is dynamics.report
@@ -611,19 +608,16 @@ class TestReportCertificates:
 
     def test_failed_certificates_are_reported_not_hidden(self):
         # a hand-built trace that violates the declared variation bound:
-        # play hops between vertices while utilities sit still, so the
-        # - gamma * sum ||dw||^2 term drives the bound negative
+        # play hops between vertices while a one-player game pins the
+        # utilities at (0, 1), so the - gamma * sum ||dw||^2 term drives the
+        # bound negative
         T = 10
         plays = np.zeros((T, 2))
         plays[::2, 0] = 1.0
         plays[1::2, 1] = 1.0
-        utils = np.tile([0.0, 1.0], (T, 1))
-        meta = {
-            "game": {"scale": 1.0},
-            "learners": [LearnerSpec("optimistic_hedge", eta=0.1).to_dict()],
-            "T": T, "mode": "utility",
-        }
-        tr = Trace([plays], [utils], np.zeros(T), np.zeros((1, T)), np.zeros((1, T)), meta)
+        meta = {"learners": [LearnerSpec("optimistic_hedge", eta=0.1).to_dict()],
+                "T": T, "mode": "utility"}
+        tr = Trace(DenseGame([np.array([0.0, 1.0])]), [plays], meta)
         rep = report(tr)
         failed = [c.name for c in rep.failed()]
         assert "variation_bound[0]" in failed
@@ -657,12 +651,13 @@ class TestCertificateRules:
     def test_a_consistency_check_fails_on_welfare_its_plays_do_not_give(
             self, mode, mu, welfare, name):
         # every player gets (or pays) 0.5 whatever is played: zero regret, and
-        # (1, mu) verifies at s* = (0, 0)
+        # (1, mu) verifies at s* = (0, 0); the welfare is then overwritten
         T = 10
-        meta = {"game": make_matrix_game(np.full((2, 2), 0.5)).describe(), "T": T,
-                "mode": mode, "smoothness": {"lambda": 1.0, "mu": mu, "s_star": [0, 0]}}
-        tr = Trace([np.full((T, 2), 0.5)] * 2, [np.full((T, 2), 0.5)] * 2,
-                   np.full(T, welfare), np.zeros((2, T)), np.zeros((2, T)), meta)
+        g = make_matrix_game(np.full((2, 2), 0.5))
+        meta = {"game": g.describe(), "T": T, "mode": mode,
+                "smoothness": {"lambda": 1.0, "mu": mu, "s_star": [0, 0]}}
+        tr = Trace(g, [np.full((T, 2), 0.5)] * 2, meta)
+        tr.welfare = np.full(T, welfare)
         assert [c.name for c in report(tr).failed()] == [name]
 
 

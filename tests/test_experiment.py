@@ -19,10 +19,11 @@ import pytest
 import oracles as orc
 import regretlab
 from regretlab import dynamics
-from regretlab.auctions import masked_values
+from regretlab.auctions import AuctionGame, AuctionSpec, masked_values
 from regretlab.cli import _parse_config_file, main
 from regretlab.config import parse_config
-from regretlab.continuous import _tuned_eta, lipschitz_constant, parse_network, run_continuous
+from regretlab.continuous import (CongestionNetwork, ContinuousTrace, _tuned_eta,
+                                  lipschitz_constant, parse_network, run_continuous)
 from regretlab.dynamics import (
     RegretReport,
     Trace,
@@ -201,11 +202,9 @@ LEVELS_20 = [float(b) for b in range(1, 21)]
 
 
 def auction_trace(plays_rows, m, levels):
-    plays = np.asarray(plays_rows, dtype=float)
-    T = plays.shape[0]
-    meta = {"game": {"kind": "auction", "m": m, "bid_levels": list(levels)}}
-    return Trace([plays], [np.zeros_like(plays)], np.zeros(T),
-                 np.zeros((1, T)), np.zeros((1, T)), meta)
+    """A one-bidder auction trace of the given plays, every item worth 1."""
+    game = AuctionGame(AuctionSpec(1, m, np.ones((1, m)), levels))
+    return Trace(game, [np.asarray(plays_rows, dtype=float)])
 
 
 class TestBidTrajectory:
@@ -366,6 +365,57 @@ class TestOnePassRule:
         for c in [c for c in certificates if c.name.split("[")[0] == name]:
             assert c.passed is None or c.passed is bool(c.lhs <= c.rhs + tol), c
             assert c.passed is not False, c
+
+
+def _stuck_trace(T: int, learner: dict, rows) -> Trace:
+    """A T-round trace of the identity matrix game whose column player stays
+    on column 0 while the row player plays ``rows[t % len(rows)]``, both
+    declared as ``learner``: row 1 is the row player's worst vertex."""
+    g = make_matrix_game(np.eye(2))
+    row = np.eye(2)[[rows[t % len(rows)] for t in range(T)]]
+    meta = {"game": g.describe(), "learners": [learner] * 2, "T": T, "mode": "utility"}
+    return Trace(g, [row, np.tile([1.0, 0.0], (T, 1))], meta)
+
+
+def _congested_trace(T: int) -> ContinuousTrace:
+    """A T-round routing trace at the tuned step 1/64 whose two players both
+    route all their flow on the quadratic path, whose gradient (8) is 7 above
+    the constant path's: 14 linearized regret a round."""
+    net = CongestionNetwork([("s", "t", 1.0, 0.0, 0.0), ("s", "t", 0.0, 0.0, 1.0)],
+                            [("s", "t", 1.0)] * 2)
+    meta = {"game": net.describe(), "eta": 1.0 / 64.0, "T": T, "mode": "routing"}
+    return ContinuousTrace(net, [np.tile([1.0, 0.0], (T, 1))] * 2, meta)
+
+
+OPT_HEDGE = LearnerSpec("optimistic_hedge", 0.5).to_dict()  # 0.5 = 16^(-1/4), the rate's eta
+
+
+class TestLearnerClaimsFail:
+    """Each learner claim fails on a trace whose plays its declared learner
+    did not produce, read back through ``regretlab report``: at T = 16 the
+    row player's regret 16 on its worst vertex exceeds every loose bound, a
+    row player hopping between vertices moves 2 > 2 eta a round, and routing
+    flow stuck on the costly path exceeds n R / eta."""
+
+    TRACES = {
+        "variation_bound": lambda: _stuck_trace(16, OPT_HEDGE, [1]),
+        "sum_regret_bound": lambda: _stuck_trace(16, OPT_HEDGE, [1]),
+        "play_stability": lambda: _stuck_trace(16, OPT_HEDGE, [0, 1]),
+        "regret_vs_stability": lambda: _stuck_trace(16, OPT_HEDGE, [1]),
+        "individual_rate": lambda: _stuck_trace(16, OPT_HEDGE, [1]),
+        "robust_bound": lambda: _stuck_trace(16, {
+            "algorithm": "robust", "alpha": math.log(2.0), "eta_star": 1.0,
+            "inner": LearnerSpec("optimistic_hedge").to_dict()}, [1]),
+        "total_linearized_regret": lambda: _congested_trace(16),
+    }
+
+    @pytest.mark.parametrize("name", TRACES)
+    def test_a_claim_fails_on_plays_its_learner_did_not_produce(self, tmp_path, capsys, name):
+        path = str(tmp_path / "trace.csv")
+        write_trace_file(self.TRACES[name](), path)
+        assert main(["report", path]) == 2
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        assert "fail" in [row[4] for row in rows if row[1].split("[")[0] == name]
 
 
 def test_the_rule_table_names_each_certificate_once_with_its_kind():
@@ -1630,6 +1680,22 @@ class TestCliErrorBoundary:
         self.assert_one_line_error(done, self.SEARCH_MESSAGE)
         assert time.perf_counter() - start < 1.0
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"regularizer": "euclidean"}, "regularizer is fixed by algorithm 'optimistic_hedge'"),
+        ({"predictor": "window", "predictor_param": 3},
+         "predictor is fixed by algorithm 'optimistic_hedge'"),
+    ], ids=["euclidean", "window"])
+    def test_a_field_its_algorithm_fixes_in_a_trace(self, tmp_path, fields, message):
+        # read before, such a trace was certified under the entropy and
+        # last-utility constants of optimistic Hedge
+        tr = run(make_random_game(2, [2, 2], seed=1),
+                 [LearnerSpec("optimistic_hedge", 0.1)] * 2, 5)
+        tr.meta["learners"][0].update(fields)
+        path = tmp_path / "edited.csv"
+        path.write_text(write_trace_csv(tr), encoding="utf-8")
+        self.assert_one_line_error(run_module("report", str(path)),
+                                   f"trace line 1: metadata learners[0]: {message}")
 
     def test_search_without_s_star_above_the_cap_in_a_trace(self, tmp_path):
         tr = run(make_random_game(2, [2, 2], seed=1), [LearnerSpec("hedge", 0.1)] * 2, 5)

@@ -470,7 +470,7 @@ class TestSmoothnessScan:
             g = make_random_game(n, [d] * n, seed=seed)
             found = verify_smoothness(g, lam, mu, mode=mode)
             again = verify_smoothness(g, lam, mu, found.s_star, mode=mode)
-            assert found.to_dict() == again.to_dict()  # bitwise, floats included
+            assert found == again  # every field, floats included
 
     @pytest.mark.parametrize("mode, oracle, lam, mu", [
         ("utility", orc.enum_smoothness_slack, 5.0, 0.1),

@@ -11,7 +11,6 @@ PACKAGE = pathlib.Path(regretlab.__file__).parent
 # (module, imported module) of every import inside a function body
 EXPECTED = {
     ("auctions", ".library"),  # library imports auctions
-    ("continuous", ".dynamics"),  # dynamics imports continuous
     ("learners", ".costmode"),  # costmode imports learners
     ("library", ".dynamics"),  # dynamics imports library
 }

@@ -130,11 +130,25 @@ class TestPlayObserveContract:
         (("oftrl", 0.1, "entropy", "geometric", 0), {"predictor_param": 0.0}),
         (("oftrl", 0.1, "entropy", "last", 2),
          "predictor_param only applies to window/geometric predictors"),
+        # a field the algorithm fixes keeps its default
+        (("bestresponse", 0.5), "eta does not apply to algorithm 'bestresponse'"),
+        (("first_order_hedge", 2.0, "euclidean"),
+         "eta does not apply to algorithm 'first_order_hedge'"),
+        (("first_order_hedge", None, "euclidean"),
+         "regularizer does not apply to algorithm 'first_order_hedge'"),
+        (("optimistic_hedge", 0.1, "euclidean"),
+         "regularizer is fixed by algorithm 'optimistic_hedge'"),
+        (("optimistic_hedge", 0.1, "entropy", "window", 3),
+         "predictor is fixed by algorithm 'optimistic_hedge'"),
+        (("hedge", 0.1, "entropy", "last"), "predictor is fixed by algorithm 'hedge'"),
+        (("bestresponse", None, "entropy", "none"), {"algorithm": "bestresponse"}),
     ], ids=["eta-negative", "eta-inf", "eta-bool", "eta-str", "eta-numpy", "algorithm",
             "algorithm-none", "ftrl", "eta-none", "regularizer", "predictor",
             "window-missing", "window-0", "window-2.5", "window-inf", "window-bool",
             "window-3.0", "geometric-missing", "geometric-1", "geometric-nan",
-            "geometric-0", "param-unused"])
+            "geometric-0", "param-unused", "bestresponse-eta", "first-order-eta",
+            "first-order-regularizer", "optimistic-regularizer", "optimistic-window",
+            "hedge-last", "bestresponse-defaults"])
     def test_invalid_hyperparameters(self, args, outcome):
         """Each rule of a spec's values: a str outcome is the refusal's
         message, a dict the fields (values and types) of the accepted spec."""

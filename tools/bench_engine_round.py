@@ -14,10 +14,12 @@ any checkout.  Each of ``REPEATS`` runs times:
   game, n = 4, d = 5, T = 1000, per round;
 - ``dense_n2_d3_us_per_round``: the same on a seeded dense game with n = 2,
   d = 3, where the oracle outweighs the two players' learner steps;
-- ``dense_n4_d5_derive_ms``: the trace derivation
-  (``dynamics._trace_from_plays``: utilities, welfare and variation sums) of
-  the T = 1000 plays of the n = 4, d = 5 run, milliseconds per call, the mean
-  of ``DERIVATIONS`` calls;
+- ``dense_n4_d5_derive_ms``: the trace derivation (utilities, welfare and
+  variation sums) of the T = 1000 plays of the n = 4, d = 5 run,
+  milliseconds per call, the mean of ``DERIVATIONS`` calls.  It times
+  ``dynamics.Trace(game, plays, meta)``, which derives them on
+  construction; checkouts that predate it derive them with
+  ``dynamics._trace_from_plays``, and their labels timed that call;
 - ``run_experiment_s``: ``run_experiment`` of ``auction_fig1.cfg`` into a
   temporary directory (both arms, traces, reports and plots).
 
@@ -74,11 +76,17 @@ def _us_per_round(game, specs, T: int) -> float:
 
 
 def _derive_ms(game, trace) -> float:
-    from regretlab.dynamics import _trace_from_plays
+    from regretlab import dynamics
 
+    if hasattr(dynamics, "_trace_from_plays"):  # before a Trace derived itself
+        def derive():
+            dynamics._trace_from_plays(game, trace.plays, "utility", trace.meta)
+    else:
+        def derive():
+            dynamics.Trace(game, trace.plays, trace.meta)
     start = time.perf_counter()
     for _ in range(DERIVATIONS):
-        _trace_from_plays(game, trace.plays, "utility", trace.meta)
+        derive()
     return (time.perf_counter() - start) / DERIVATIONS * 1e3
 
 

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import (DEFAULT_ENUM_CAP, EnumerationCapError, NormalFormGame, _check_cap,
-                    _check_profile)
+from .games import NormalFormGame, _check_cap, _check_profile
 
-__all__ = ["AuctionSpec", "AuctionGame"]
+__all__ = ["AuctionSpec", "AuctionGame", "masked_values", "uniform_values"]
 
 
 @dataclass
@@ -147,10 +146,8 @@ class AuctionGame(NormalFormGame):
         value - bid there and 0 elsewhere, and the welfare sums the winners'
         values."""
         if self._dense is None:
-            if math.prod(self.dims) > DEFAULT_ENUM_CAP:
-                raise EnumerationCapError(
-                    f"{math.prod(self.dims)} pure profiles exceed the enumeration cap "
-                    f"{DEFAULT_ENUM_CAP}; refusing to approximate")
+            _check_cap(math.prod(self.dims), "an auction's utility tensors span",
+                       "pure profiles")
             # bidder i's strategy index, item and bid index along its own axis
             grid = [np.arange(self.dims[i]).reshape((-1,) + (1,) * (self.n - 1 - i))
                     for i in range(self.n)]

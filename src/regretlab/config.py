@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 
-from .games import _check_cap, _is_pure_profile
+from .games import _check_cap, _check_claim
 from .learners import (_ALGORITHMS, _FIXED_FIELDS, _PREDICTORS, LearnerSpec, _choice,
                        declares_variation_bound)
 from .regularizers import _REGISTRY
@@ -270,12 +270,12 @@ def _validate_game(sect, errors):
         n = players
     elif gtype in ("dense_csv", "network"):
         game["path"] = r.read("path", required=True)
-    smoothness = _validate_smoothness(r, n, dims)
+    smoothness = _validate_smoothness(r, dims)
     r.finish()
     return game, n, smoothness
 
 
-def _validate_smoothness(r: _SectionReader, n, dims):
+def _validate_smoothness(r: _SectionReader, dims):
     has_lam, has_mu, has_star = r.has("lambda"), r.has("mu"), r.has("s_star")
     if not (has_lam or has_mu or has_star):
         return None
@@ -286,14 +286,13 @@ def _validate_smoothness(r: _SectionReader, n, dims):
     mu = r.read("mu", partial(_number, minimum=0.0))
     s_star = r.read("s_star", partial(_int_list, minimum=0, noun="strategy indices",
                                       entries="indices"))
-    if s_star is not None:
-        if n is not None and len(s_star) != n:
-            r.error(r.line_of("s_star"), f"game.s_star names {len(s_star)} strategies "
-                                         f"for {n} players")
-        elif n is not None and dims is not None and not _is_pure_profile(s_star, dims):
-            r.error(r.line_of("s_star"), "game.s_star has an out-of-range strategy index")
     if lam is None or mu is None:
         return None
+    if dims is not None and s_star is not None:
+        try:
+            _check_claim(dims, lam, mu, s_star)
+        except ValueError as exc:
+            r.error(r.line_of("s_star"), f"game.{exc}")
     return {"lambda": lam, "mu": mu, "s_star": s_star}
 
 

@@ -442,8 +442,8 @@ def read_trace_csv(source):
     int ``T`` >= 1.  A network game needs a positive finite float ``eta`` and,
     if given, a ``mode`` of routing; any other game needs one ``learners``
     object per player (see ``_learner_meta``) and, if given, a ``mode`` of
-    utility or cost and a ``smoothness`` object with finite numbers
-    ``lambda`` > 0 and ``mu`` >= 0 and an optional list of int ``s_star``.
+    utility or cost and a ``smoothness`` object whose ``lambda``, ``mu`` and
+    optional ``s_star`` pass ``games._check_claim``.
 
     ``source`` is a path, read as UTF-8 (a file that is not is a ``ValueError``
     naming it), or an open text file such as ``io.StringIO(text,
@@ -567,25 +567,11 @@ def _check_game_meta(meta: dict, dims) -> None:
     claim = meta.get("smoothness") or {}
     if not isinstance(claim, dict):
         raise ValueError(f"trace line 1: metadata smoothness must be an object, got {claim!r}")
-    for key in ("lambda", "mu") if claim else ():
-        value = claim.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"trace line 1: metadata smoothness {key} must be a number, "
-                             f"got {value!r}")
-    s_star = claim.get("s_star")
     if claim:
         try:
-            games._check_smoothness(claim["lambda"], claim["mu"])
-            games._check_search(dims, s_star)
+            games._check_claim(dims, claim.get("lambda"), claim.get("mu"), claim.get("s_star"))
         except ValueError as exc:
             raise ValueError(f"trace line 1: metadata smoothness: {exc}") from None
-    if s_star is not None and not (isinstance(s_star, list)
-                                   and all(type(x) is int for x in s_star)):
-        raise ValueError(f"trace line 1: metadata smoothness s_star must be a list of "
-                         f"integers, got {s_star!r}")
-    if s_star is not None and not games._is_pure_profile(s_star, dims):
-        raise ValueError(f"trace line 1: metadata smoothness s_star {s_star} is not a "
-                         f"pure profile of a game with dims {list(dims)}")
     n = len(dims)
     learners = meta.get("learners")
     if not isinstance(learners, list) or len(learners) != n \

@@ -27,7 +27,7 @@ from .config import ExperimentSpec
 from .dynamics import Trace, regret_series, report, run, write_trace_file
 # perfbench times report under this name; the alias goes once it calls report
 from .dynamics import report as full_report
-from .games import _check_search, _is_pure_profile, load_dense_csv
+from .games import _check_claim, load_dense_csv
 from .learners import declares_variation_bound
 from .library import make_matrix_game, make_random_game
 from .robust import wrap_doubling
@@ -216,14 +216,14 @@ def _game_arms(spec: ExperimentSpec, write_arm) -> dict:
     n = game.n
     problems = [f"[learner.{i}] refers to player {i} but the game has {n} players"
                 for i in spec.overrides if i >= n]
-    s_star = (spec.smoothness or {}).get("s_star")
-    if s_star is not None and not _is_pure_profile(s_star, game.dims):
-        problems.append(f"game.s_star names {len(s_star)} strategies for {n} players"
-                        if len(s_star) != n else "game.s_star has an out-of-range strategy index")
+    claim = spec.smoothness
+    if claim:
+        try:
+            _check_claim(game.dims, claim["lambda"], claim["mu"], claim.get("s_star"))
+        except ValueError as exc:
+            problems.append(str(exc))
     if problems:
         raise ValueError("; ".join(problems))
-    if spec.smoothness:
-        _check_search(game.dims, s_star)
 
     arms = [("main", _arm_players(game, spec.specs_for(n), spec.robust))]
     if spec.baseline is not None:
@@ -231,8 +231,8 @@ def _game_arms(spec: ExperimentSpec, write_arm) -> dict:
     series, plots = {}, {}
     for label, players in arms:
         trace = run(game, players, spec.T, spec.mode)
-        if spec.smoothness:
-            trace.meta["smoothness"] = spec.smoothness
+        if claim:
+            trace.meta["smoothness"] = claim
         rep = report(trace)
         summary = {"regrets": rep.regrets, "sum_regret": rep.summary["sum_regret"]}
         if label == "main":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -321,7 +322,6 @@ class SmoothnessCertificate:
     worst_profile: tuple
     slack: float
     opt: float
-    poa_factor: float
 
 
 def brute_force_opt(game: NormalFormGame, mode: str = "utility"):
@@ -342,17 +342,24 @@ def _check_smoothness(lam, mu) -> None:
         raise ValueError(f"need finite lambda > 0 and mu >= 0, got ({lam}, {mu})")
 
 
-def _is_pure_profile(s, dims) -> bool:
-    """Whether ``s`` holds one strategy index in [0, d_i) per player."""
-    return len(s) == len(dims) and all(0 <= x < d for x, d in zip(s, dims))
-
-
-def _check_search(dims, s_star) -> None:
-    """The search rule: without ``s_star``, ``verify_smoothness`` tries each of
-    the N pure profiles as a candidate against all N, so N * N checks above
-    the cap are refused (N itself above it is the utility tensors' refusal)."""
+def _check_claim(dims, lam, mu, s_star=None) -> None:
+    """The one rule for a (lam, mu)-smoothness claim on a game of ``dims``:
+    real lambda > 0 and mu >= 0, both finite; a given ``s_star`` a list of
+    integers that is a pure profile; without one, a search of N * N checks for
+    N pure profiles within the cap (N above it is the utility tensors' refusal)."""
+    for name, x in (("lambda", lam), ("mu", mu)):
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {x!r}")
+    _check_smoothness(lam, mu)
     profiles = math.prod(dims)
-    if s_star is None and profiles <= DEFAULT_ENUM_CAP:
+    if s_star is not None:
+        if not (isinstance(s_star, (list, tuple)) and all(
+                isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in s_star)):
+            raise ValueError(f"s_star must be a list of integers, got {s_star!r}")
+        if len(s_star) != len(dims) or not all(0 <= x < d for x, d in zip(s_star, dims)):
+            raise ValueError(f"s_star {[int(x) for x in s_star]} is not a pure profile of a "
+                             f"game with dims {list(dims)}")
+    elif profiles <= DEFAULT_ENUM_CAP:
         _check_cap(profiles * profiles, f"give s_star: a smoothness search without it over "
                    f"{profiles} pure profiles makes", "candidate-profile checks")
 
@@ -362,16 +369,13 @@ def verify_smoothness(
 ) -> SmoothnessCertificate:
     """Brute-force check of (lam, mu)-smoothness (raw units) at the deviation
     profile ``s_star`` or, without one, at every pure profile in lexicographic
-    order, refused above ``DEFAULT_ENUM_CAP`` checks (``_check_search``).
-    Returns the first candidate that verifies, else the candidate with the
-    largest slack (unverified, never an exception)."""
-    _check_smoothness(lam, mu)
-    _check_search(game.dims, s_star)
+    order, once the claim passes ``_check_claim``.  Returns the first candidate
+    that verifies, else the candidate with the largest slack (unverified, never
+    an exception)."""
+    _check_claim(game.dims, lam, mu, s_star)
     opt, _ = brute_force_opt(game, mode)
     if s_star is not None:
         s_star = tuple(int(x) for x in s_star)
-        if not _is_pure_profile(s_star, game.dims):
-            raise ValueError(f"s_star {list(s_star)} is not a pure profile of this game")
     tensors = game.utility_tensors()
     welfare = game.welfare_tensor()
     residual = welfare - sum(tensors)
@@ -391,15 +395,11 @@ def verify_smoothness(
         if value >= -TOL:
             break
     value, cand, flat = best
-    if mode == "utility":
-        poa_factor = (1.0 + mu) / lam
-    else:
-        poa_factor = lam * (1.0 + mu) / (mu * (1.0 - mu)) if 0 < mu < 1 else math.inf
     return SmoothnessCertificate(
         lam=float(lam), mu=float(mu), s_star=cand,
         verified=bool(value >= -TOL),
         worst_profile=tuple(int(x) for x in np.unravel_index(flat, welfare.shape)),
-        slack=value, opt=opt, poa_factor=poa_factor,
+        slack=value, opt=opt,
     )
 
 

@@ -29,7 +29,9 @@ __all__ = [
     "OmdLearner",
     "BestResponseLearner",
     "make_learner",
+    "declared_variation_bound",
     "declares_variation_bound",
+    "variation_sums",
     "certify_variation_bound",
     "certify_stability",
     "TOL",

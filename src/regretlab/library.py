@@ -16,13 +16,7 @@ import numpy as np
 
 from .auctions import AuctionGame, AuctionSpec
 from .continuous import CongestionNetwork
-from .games import (
-    DEFAULT_ENUM_CAP,
-    DenseGame,
-    EnumerationCapError,
-    SmoothnessCertificate,
-    verify_smoothness,
-)
+from .games import DenseGame, SmoothnessCertificate, _check_cap, verify_smoothness
 from .learners import LearnerSpec
 
 __all__ = [
@@ -77,9 +71,7 @@ def make_random_game(n: int, dims, seed: int) -> DenseGame:
         raise ValueError(f"a random game needs n >= 1 and n dims, each >= 1, "
                          f"got n={n}, dims={dims}")
     count = n * math.prod(dims)
-    if count > DEFAULT_ENUM_CAP:
-        raise EnumerationCapError(f"a random game with {count} utilities exceeds the "
-                                  f"enumeration cap {DEFAULT_ENUM_CAP}; refusing to draw them")
+    _check_cap(count, "a random game draws", "utilities")
     vals = splitmix64_floats(seed, count)
     per = count // n
     tensors = [np.array(vals[i * per : (i + 1) * per]).reshape(dims) for i in range(n)]

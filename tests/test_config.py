@@ -420,12 +420,12 @@ class TestSmoothnessClaim:
     def test_s_star_wrong_length(self):
         errs = errors_of(self.base("lambda = 1", "mu = 0.5",
                                    "s_star = 0,0,0"))  # line 6
-        assert errs == ["line 6: game.s_star names 3 strategies for 2 players"]
+        assert errs == ["line 6: game.s_star [0, 0, 0] is not a pure profile of a game with dims [2, 2]"]
 
     def test_s_star_index_out_of_range(self):
         errs = errors_of(self.base("lambda = 1", "mu = 0.5",
                                    "s_star = 0,5"))  # line 6
-        assert errs == ["line 6: game.s_star has an out-of-range strategy index"]
+        assert errs == ["line 6: game.s_star [0, 5] is not a pure profile of a game with dims [2, 2]"]
 
     def test_s_star_negative_index(self):
         errs = errors_of(self.base("lambda = 1", "mu = 0.5",

@@ -207,7 +207,6 @@ class TestCostSmoothness:
         assert cert.verified is True
         assert cert.slack == pytest.approx(0.5, abs=1e-12)
         assert cert.opt == pytest.approx(1.0, abs=1e-12)
-        assert cert.poa_factor == pytest.approx(6.0, abs=1e-12)
 
     def test_hand_instance_is_refuted(self):
         # deviating to s* = (0,0) from profile (1,1) costs 2 while

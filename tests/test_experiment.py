@@ -21,7 +21,7 @@ import regretlab
 from regretlab import dynamics
 from regretlab.auctions import AuctionGame, AuctionSpec, masked_values
 from regretlab.cli import _parse_config_file, main
-from regretlab.config import parse_config
+from regretlab.config import ConfigError, parse_config
 from regretlab.continuous import (CongestionNetwork, ContinuousTrace, _tuned_eta,
                                   lipschitz_constant, parse_network, run_continuous)
 from regretlab.dynamics import (
@@ -517,7 +517,7 @@ class TestRunExperiment:
             run_experiment(spec, out_dir=str(tmp_path / "out"))
         msg = str(excinfo.value)
         assert "[learner.5] refers to player 5 but the game has 2 players" in msg
-        assert "game.s_star names 3 strategies for 2 players" in msg
+        assert "s_star [0, 0, 0] is not a pure profile of a game with dims [2, 2]" in msg
 
     def test_masked_auction_values_and_report_round_trip(self, tmp_path, capsys):
         spec = parse_config(AUCTION_CFG.replace("items = 1\nvalue = 4\n",
@@ -776,7 +776,7 @@ class TestCliSimulate:
                         "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 5\n")
         assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == \
-            "error: game.s_star has an out-of-range strategy index\n"
+            "error: s_star [0, 2] is not a pure profile of a game with dims [2, 2]\n"
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("cfg_text", [
@@ -1009,13 +1009,13 @@ class TestCliReport:
         (lambda m: {**m, "game": {**m["game"], "matrix": {"a": 1}}},
          "metadata game: float() argument must be a string or a real number, not 'dict'"),
         (lambda m: {**m, "smoothness": {"mu": 1.0}},
-         "metadata smoothness lambda must be a number, got None"),
+         "metadata smoothness: lambda must be a number, got None"),
         (lambda m: {**m, "smoothness": {"lambda": 1.0, "mu": "1"}},
-         "metadata smoothness mu must be a number, got '1'"),
+         "metadata smoothness: mu must be a number, got '1'"),
         (lambda m: {**m, "smoothness": [1.0, 1.0]},
          "metadata smoothness must be an object, got [1.0, 1.0]"),
         (lambda m: {**m, "smoothness": {**m["smoothness"], "s_star": 5}},
-         "metadata smoothness s_star must be a list of integers, got 5"),
+         "metadata smoothness: s_star must be a list of integers, got 5"),
         (lambda m: {**m, "smoothness": {**m["smoothness"], "mu": math.inf}},
          "metadata smoothness: need finite lambda > 0 and mu >= 0, got (1.0, inf)"),
         (lambda m: {**m, "smoothness": {**m["smoothness"], "mu": -0.5}},
@@ -1060,11 +1060,11 @@ class TestCliReport:
          "metadata learners[1]: inner.algorithm 'hedge' with predictor 'none' declares "
          "no variation bound to wrap"),
         (lambda m: {**m, "smoothness": {**m["smoothness"], "s_star": [0]}},
-         "metadata smoothness s_star [0] is not a pure profile of a game with dims [2, 2]"),
+         "metadata smoothness: s_star [0] is not a pure profile of a game with dims [2, 2]"),
         (lambda m: {**m, "smoothness": {**m["smoothness"], "s_star": [0, 5]}},
-         "metadata smoothness s_star [0, 5] is not a pure profile of a game with dims [2, 2]"),
+         "metadata smoothness: s_star [0, 5] is not a pure profile of a game with dims [2, 2]"),
         (lambda m: {**m, "smoothness": {**m["smoothness"], "s_star": [-1, 0]}},
-         "metadata smoothness s_star [-1, 0] is not a pure profile of a game with dims [2, 2]"),
+         "metadata smoothness: s_star [-1, 0] is not a pure profile of a game with dims [2, 2]"),
     ], ids=["no-T", "no-game", "T-string", "T-bool", "no-learners", "short-learners",
             "bad-mode", "list", "game-no-matrix", "matrix-dict", "smoothness-no-lambda",
             "mu-string", "smoothness-list", "s_star-int", "mu-inf", "mu-negative",
@@ -1315,7 +1315,7 @@ class TestCliVerifySmooth:
         assert main(["verify-smooth", cfg]) == 1
         err = capsys.readouterr().err
         assert err == f"error: s_star [{s_star.replace(',', ', ')}] is not a pure " \
-                      f"profile of this game\n"
+                      f"profile of a game with dims [2, 2]\n"
 
     def test_cost_claim_without_s_star_searches(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, COST_CFG.replace("s_star = 0,0\n", ""))
@@ -1339,7 +1339,37 @@ class TestCliVerifySmooth:
                         "value = 20\nbids = 1..20\nlambda = 0.5\nmu = 0\n"
                         "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 5\n")
         assert main(["verify-smooth", cfg]) == 1
-        assert "exceed the enumeration cap" in capsys.readouterr().err
+        assert "span 40960000 pure profiles, above the enumeration cap" \
+            in capsys.readouterr().err
+
+
+class TestOneClaimRule:
+    """One rule checks a smoothness claim wherever it enters: a bad s_star
+    reads the same behind the prefix of each place that finds it."""
+
+    @pytest.mark.parametrize("s_star", [[0], [0, 5]], ids=["short", "out-of-range"])
+    def test_a_bad_s_star_reads_the_same_at_every_entry_point(self, tmp_path, capsys, s_star):
+        tail = f"s_star {s_star} is not a pure profile of a game with dims [2, 2]"
+        claim = f"lambda = 1\nmu = 1\ns_star = {','.join(map(str, s_star))}\n"
+        rest = "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 5\n"
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("[game]\ntype = matrix\nmatrix = 1,0; 0,1\n" + claim + rest)
+        assert excinfo.value.errors == [f"line 6: game.{tail}"]
+        # a dense game's dims are known only once its file is read
+        (tmp_path / "p.csv").write_text("2,2,2\n0,0,0.1,0.2\n0,1,0.3,0.4\n"
+                                        "1,0,0.5,0.6\n1,1,0.7,0.8\n")
+        cfg = write_cfg(tmp_path, "[game]\ntype = dense_csv\npath = p.csv\n" + claim + rest)
+        trace = run(make_matrix_game([[1.0, 0.0], [0.0, 1.0]]), [LearnerSpec("hedge", 0.1)] * 2, 5)
+        trace.meta["smoothness"] = {"lambda": 1.0, "mu": 1.0, "s_star": s_star}
+        write_trace_file(trace, str(tmp_path / "trace.csv"))
+        for argv, prefix in [(["simulate", cfg, "--out", str(tmp_path / "out")], ""),
+                             (["verify-smooth", cfg], ""),
+                             (["report", str(tmp_path / "trace.csv")],
+                              "trace line 1: metadata smoothness: ")]:
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {prefix}{tail}\n"
+        assert not os.path.exists(tmp_path / "out")
 
 
 class TestCliPlot:
@@ -1525,8 +1555,8 @@ class TestCliErrorBoundary:
         done = run_module("report", self.random_game_trace(tmp_path, change))
         self.assert_one_line_error(done, f"trace line 1: metadata game: {message}")
 
-    CAP_MESSAGE = ("a random game with 2000000000000 utilities exceeds the enumeration "
-                   "cap 10000000; refusing to draw them")
+    CAP_MESSAGE = ("a random game draws 2000000000000 utilities, above the enumeration "
+                   "cap 10000000; refusing to allocate them")
 
     def assert_refused_at_once(self, *argv):
         # a refusal that failed would draw 2e12 floats: the child gets 2 GiB

@@ -128,7 +128,7 @@ class AuctionGame(NormalFormGame):
     def _utilities_and_welfare(self, profile) -> tuple:
         win = self._win_probabilities(profile)
         welfare = self._welfare(profile, win)  # before _raw_block overwrites win
-        return self._normalized_block(*self._raw_block(profile, win)), welfare
+        return self._normalize(*self._raw_block(profile, win)), welfare
 
     def _welfare(self, profile, win):
         """Expected welfare of a checked profile, given its win probabilities."""

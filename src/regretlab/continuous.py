@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import _check_cap
+from .games import _check_cap, _check_step_size
 from .learners import Certificate, LearnerSpec, make_learner
 from .regularizers import project_simplex
 
@@ -282,6 +282,8 @@ def run_continuous(network: CongestionNetwork, eta: float, T: int) -> Continuous
         raise ValueError(f"T must be >= 1, got {T}")
     width = sum(map(len, network.paths))
     _check_cap(T * width, f"T = {T} rounds of {width} paths make", "play cells")
+    F = sum(f for *_, f in network.players)  # a gradient <= sum_e latency + F * slope at F
+    _check_step_size(eta, T, sum(3 * a * F * F + 2 * b * F + c for *_, a, b, c in network.edges))
     learners = [make_learner(spec, len(p)) for p in network.paths]
     flows = [np.empty((T, len(p))) for p in network.paths]
     for t in range(T):

@@ -142,8 +142,8 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     Best-response players respond to the current round's strategies of every
     distribution player (and the previous round's strategies of any other
     responder), so the dynamics stay simultaneous and well defined; the
-    engine sets each responder's ``utilities`` before it plays, its row of one
-    all-players oracle call that the round's responders share.
+    engine sets each responder's ``utilities`` before it plays: its slice of
+    the block of one all-players oracle call the round's responders share.
 
     Consecutive players with one FTRL or OMD spec and one strategy count step
     as one group (see ``_units``): one play, one write of it and one observe
@@ -171,6 +171,8 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
     units = []
     for learner, players in _units(specs, dims):
         k, d, lo = len(players), dims[players[0]], sum(dims[:players[0]])
+        # a fresh doubling wrapper's eta, min(alpha, eta_star), is the largest it takes
+        games._check_step_size(getattr(learner, "eta", None), T, d, f"player {players[0]}: ")
         shape = (d,) if k == 1 else (k, d)
         units.append((learner, players, shape, np.empty((T,) + shape),
                       slice(lo, lo + k * d), (learner.feedback == "cost") == (mode == "cost")))
@@ -181,8 +183,7 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
         w = np.asarray(learner.play(), dtype=float)
         _check_shape(players[0], w, shape)
         record[t] = w
-        for i, row in zip(players, w.reshape(len(players), -1)):
-            current[i] = row
+        current[players[0]:players[-1] + 1] = w.reshape(len(players), -1)
 
     def oracle(profile):
         try:
@@ -196,17 +197,16 @@ def run(game: NormalFormGame, specs, T: int, mode: str = "utility") -> Trace:
         current = list(profile)  # responders: previous round (uniform at t=0)
         for unit in movers:
             play(current, t, *unit)
-        # all respond before any plays: each sees the others' last round, its
-        # row of one all-players call
+        # all respond to one all-players call made before any of them plays:
+        # each sees the others' last round, in its slice of the block
         if responders:
-            u_now = oracle(current)
-        for learner, players, *_ in responders:
-            u = u_now[players[0]]
-            learner.utilities = 1.0 - u if mode == "cost" else u
+            block = oracle(current)
         for unit in responders:
+            u = block[unit[4]]
+            unit[0].utilities = 1.0 - u if mode == "cost" else u
             play(current, t, *unit)
 
-        block = oracle(current).block
+        block = oracle(current)
         for learner, _, shape, _, rows, as_is in units:
             u = block[rows].reshape(shape)
             learner.observe(u if as_is else 1.0 - u)

@@ -49,6 +49,13 @@ def _check_cap(count: int, head: str, noun: str) -> None:
                                   f"{DEFAULT_ENUM_CAP}; refusing to allocate them")
 
 
+def _check_step_size(eta, T: int, scale: float, head: str = "") -> None:
+    """Refuse eta (None: no step size) if eta * (T + 1) * scale overflows a float, where
+    ``scale`` bounds a step's summed feedback (d for unit utilities: a projection sums d)."""
+    if eta is not None and not eta * (T + 1) * scale < math.inf:
+        raise ValueError(f"{head}eta = {eta!r} is too large for T = {T} rounds")
+
+
 class UtilityRangeError(ValueError):
     """A player's normalized expected utilities escape [0, 1]."""
 
@@ -71,15 +78,6 @@ def _check_profile(game: "NormalFormGame", profile, skip: int | None = None):
         if j != skip and not (np.all(w >= -1e-12) and np.all(abs(w.sum(axis=-1) - 1.0) <= 1e-9)):
             raise ValueError(f"player {j}: strategy is not on the simplex")
     return out, lead
-
-
-class _Utilities(list):
-    """Every player's normalized utilities, L + (d_i,) views into ``block``:
-    all of them flat, player after player, so with L = () the players i..j-1
-    of one strategy count d are the (j - i, d) slice ``block[i*d:j*d]``
-    (for the engine, which feeds such a slice to a group of learners)."""
-
-    __slots__ = ("block",)
 
 
 def _utility_sum(profile, raw) -> np.ndarray:
@@ -148,24 +146,22 @@ class NormalFormGame:
         profile, _ = _check_profile(self, profile, skip=i)
         return self._check_range(i, self.normalize(self.raw_expected_utilities(i, profile)))
 
-    def _all_normalized_utilities(self, profile) -> list:
-        """Every player's ``expected_utilities`` in one call, bit for bit, each
-        row of L bit for bit as it is on its own; ``profile`` must already hold
-        float arrays of the right shapes, unchecked here."""
-        return self._normalized_block(*self._raw_block(profile))
+    def _all_normalized_utilities(self, profile) -> np.ndarray:
+        """Every player's ``expected_utilities``, bit for bit, in one flat block
+        (``_player_views`` or, of one profile, ``_slices``); each row of L keeps
+        its own bits.  ``profile`` must hold float arrays of the right shapes."""
+        block, u = self._raw_block(profile)
+        self._normalize(block, u)
+        return block
 
     def _player_views(self, block: np.ndarray, lead: tuple) -> list:
         """Every player's L + (d_i,) view into a flat block, player after player
-        (an empty L gives empty views)."""
-        if not lead:  # one profile: the players' slices, no reshape
-            return [block[s] for s in self._slices]
-        rows, u, end = math.prod(lead), [], 0
-        for d in self.dims:
-            u.append(block[end:end + rows * d].reshape(lead + (d,)))
-            end += rows * d
-        return u
+        (an L with no rows gives empty views)."""
+        rows = math.prod(lead)
+        return [block[rows * s.start:rows * s.stop].reshape(lead + (d,))
+                for s, d in zip(self._slices, self.dims)]
 
-    def _normalized_block(self, block: np.ndarray, u) -> _Utilities:
+    def _normalize(self, block: np.ndarray, u):
         """``u``, every player's raw utilities as views into the flat
         ``block``, once ``block`` is normalized in place and range-checked in
         one pass; only a block that escapes [0, 1] is checked player by
@@ -174,12 +170,11 @@ class NormalFormGame:
             block -= self.shift
             block /= self.scale
         # NaN fails the check too; an empty block has nothing to check
-        if block.size and not (block.min() >= -1e-12 and block.max() <= 1.0 + 1e-12):
+        if block.size and not (np.minimum.reduce(block) >= -1e-12
+                               and np.maximum.reduce(block) <= 1.0 + 1e-12):
             for i in range(self.n):
                 self._check_range(i, u[i])
-        out = _Utilities(u)
-        out.block = block
-        return out
+        return u
 
     @staticmethod
     def _check_range(i: int, u: np.ndarray) -> np.ndarray:
@@ -260,14 +255,16 @@ class DenseGame(NormalFormGame):
         """Every player's M_i K_i, row by row as the stacked ``M_i @ K_i[:, :, None]``,
         a chunk of rows at a time; of one profile, as the same matrix-vector
         call (so the same bits) on 1-D products, straight into its slice."""
-        lead = np.shape(profile[0])[:-1]
-        rows = math.prod(lead)
-        block = np.empty(rows * sum(self.dims))
-        u = self._player_views(block, lead)
+        lead = profile[0].shape[:-1]
         if not lead:
+            block = np.empty(self._slices[-1].stop)
+            u = [block[s] for s in self._slices]
             for m, k, ui in zip(self._m, _leave_one_out(profile, np.multiply.outer), u):
                 np.matmul(m, k.ravel(), out=ui)
             return block, u
+        rows = math.prod(lead)
+        block = np.empty(rows * self._slices[-1].stop)
+        u = self._player_views(block, lead)
         ws, step = [w.reshape(rows, w.shape[-1]) for w in profile], self._kron_rows
         for r in range(0, rows, step):
             kron = _leave_one_out([w[r:r + step] for w in ws])
@@ -278,7 +275,7 @@ class DenseGame(NormalFormGame):
     def _utilities_and_welfare(self, profile) -> tuple:
         block, u = self._raw_block(profile)
         welfare = _utility_sum(profile, u)  # before the block is normalized in place
-        return self._normalized_block(block, u), welfare
+        return self._normalize(block, u), welfare
 
     def welfare_mixed(self, profile):
         profile, lead = _check_profile(self, profile)

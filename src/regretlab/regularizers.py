@@ -38,7 +38,7 @@ def _exp_weights(z: np.ndarray) -> np.ndarray:
         np.exp(z, out=z)
         z /= np.add.reduce(z)
         return z
-    if not np.isfinite(z).all():
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise ValueError("cumulative utility vector contains non-finite entries")
     z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)

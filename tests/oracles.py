@@ -779,3 +779,47 @@ def float_per_cell_trace(text, k, dims):
         stored[t][i] = numbers[:k]
         vectors[i][t] = numbers[k:]
     return stored, vectors
+
+
+# ---------------------------------------------------------------------------
+# A serial reference engine: the round ``dynamics.run`` documents, one player
+# at a time, with no learner groups and no all-players oracle.
+# ---------------------------------------------------------------------------
+
+
+def serial_engine(game, specs, T, mode="utility"):
+    """The plays and utilities of ``dynamics.run(game, specs, T, mode)``
+    rebuilt player by player: one ``make_learner`` per spec (a prebuilt
+    learner is used as given) and each utility vector from the public
+    per-player ``game.expected_utilities(i, profile)``.  Each round every
+    other learner plays; then every best responder answers utilities (1 - c
+    in cost mode) taken at those plays and the other responders' previous
+    ones (uniform before round one); then each learner observes its
+    utilities, as costs 1 - u where its feedback kind differs from the mode.
+    Returns (plays, utils): per player, (T, d_i) arrays, utils in utility
+    units (1 - c in cost mode)."""
+    import numpy as np  # local: the rest of this module is numpy-free
+    from regretlab.learners import BestResponseLearner, OnlineLearner, make_learner
+
+    dims = game.dims
+    learners = [s if isinstance(s, OnlineLearner) else make_learner(s, d)
+                for s, d in zip(specs, dims)]
+    responders = [i for i, lr in enumerate(learners) if isinstance(lr, BestResponseLearner)]
+    plays = [np.empty((T, d)) for d in dims]
+    utils = [np.empty((T, d)) for d in dims]
+    profile = [np.full(d, 1.0 / d) for d in dims]
+    for t in range(T):
+        seen = [profile[i] if i in responders else np.asarray(lr.play(), dtype=float)
+                for i, lr in enumerate(learners)]
+        current = list(seen)
+        for i in responders:
+            u = game.expected_utilities(i, seen)
+            learners[i].utilities = 1.0 - u if mode == "cost" else u
+            current[i] = np.asarray(learners[i].play(), dtype=float)
+        for i, lr in enumerate(learners):
+            u = game.expected_utilities(i, current)
+            lr.observe(u if (lr.feedback == "cost") == (mode == "cost") else 1.0 - u)
+            plays[i][t] = current[i]
+            utils[i][t] = 1.0 - u if mode == "cost" else u
+        profile = current
+    return plays, utils

@@ -187,6 +187,11 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def all_players(g, prof):
+    """Every player's L + (d_i,) view of the all-players oracle's flat block."""
+    return g._player_views(g._all_normalized_utilities(prof), prof[0].shape[:-1])
+
+
 def sparse_profile(dims, lead, seed):
     """Random mixed strategies of shape lead + (d,) with about a third of the
     entries exactly zero."""
@@ -212,7 +217,7 @@ class TestAllPlayersOracle:
         g = AuctionGame(self.FIG1)
         prof = sparse_profile(g.dims, lead, seed=11 + len(lead))
         win = g._win_probabilities(prof)
-        u = g._all_normalized_utilities(prof)
+        u = all_players(g, prof)
         assert len(u) == g.n
         for i in range(g.n):
             ref = per_bidder_win(g, prof, i)
@@ -237,7 +242,7 @@ class TestAllPlayersOracle:
             "same_cell": [np.eye(d)[d - 1]] * n,  # everyone bids the top level on one item
         }
         for name, prof in profiles.items():
-            u = g._all_normalized_utilities(prof)
+            u = all_players(g, prof)
             for i in range(n):
                 oracle = orc.auction_expected_utilities(vals, m, levels, i, prof)
                 np.testing.assert_allclose(u[i], g.normalize(oracle), rtol=0, atol=1e-12,

@@ -80,6 +80,20 @@ class TestRunContract:
         with pytest.raises(ValueError, match="mode"):
             run(g, [hedge(0.1), hedge(0.1)], 5, mode="loss")
 
+    @pytest.mark.parametrize("player", [
+        lambda eta: LearnerSpec("oftrl", eta, "entropy", "window", 3),
+        lambda eta: make_learner(hedge(eta), 3),
+        lambda eta: wrap_doubling(LearnerSpec("optimistic_hedge"), 3, eta, alpha=eta),
+    ], ids=["spec", "prebuilt", "doubling"])
+    def test_a_step_size_too_large_for_the_run_is_refused(self, player):
+        # eta * (T + 1) * d must be finite; here T + 1 = 10 and d = 3
+        g, top = make_random_game(2, [3, 2], seed=3), float(np.finfo(float).max)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            run(g, [player(top / 40), LearnerSpec("bestresponse")], 9)
+        message = f"player 0: eta = {top / 20!r} is too large for T = 9 rounds"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(g, [player(top / 20), LearnerSpec("bestresponse")], 9)
+
     def test_meta_holds_each_learners_dict(self):
         g = make_matrix_game(A_TILTED)
         tr = run(g, [wrap_doubling(LearnerSpec("oftrl", 1.0, "entropy", "last"), 2, 0.5),

@@ -1463,6 +1463,27 @@ class TestCliErrorBoundary:
         self.assert_one_line_error(run_module(command, str(trace)),
                                    f"cannot read {trace}", "codec can't decode")
 
+    @pytest.mark.parametrize("config, T", [
+        (None, 4),
+        ("[game]\ntype = matrix\nmatrix = 1,0; 0,1\n"
+         "[learner]\nalgorithm = hedge\neta = 1e308\n[run]\nT = 40\n", 40),
+        ("[game]\ntype = matrix\nmatrix = 1,0; 0,1\n[learner]\nalgorithm = oftrl\n"
+         "regularizer = euclidean\npredictor = last\neta = 1e308\n[run]\nT = 40\n", 40),
+        (NETWORK_CFG.replace("optimistic_hedge\n", "optimistic_hedge\neta = 1e308\n"), 50),
+    ], ids=["lowerbound", "hedge", "euclidean", "network"])
+    def test_a_step_size_too_large_for_the_run_is_refused(self, tmp_path, config, T):
+        # eta * (T + 1) * d (a network's gradient bound for d) overflows a
+        # float: refused before the first round, with no numpy warning
+        if config is None:
+            done = run_module("lowerbound", "--eta", "1e308", "--T", str(T))
+        else:
+            (tmp_path / "net.txt").write_text(NET_FILE)
+            done = run_module("simulate", write_cfg(tmp_path, config),
+                              "--out", str(tmp_path / "out"))
+            assert not os.path.exists(tmp_path / "out")
+        self.assert_one_line_error(done, "eta = 1e+308 is too large", f"T = {T} rounds")
+        assert "Warning" not in done.stderr
+
     @pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\u2028"],
                              ids=["formfeed", "vtab", "file-sep", "line-sep"])
     def test_line_break_that_is_not_a_newline(self, tmp_path, sep):

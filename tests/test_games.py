@@ -14,7 +14,7 @@ import pytest
 
 import oracles as orc
 from regretlab import games
-from test_auctions import assert_same_bits
+from test_auctions import all_players, assert_same_bits
 from regretlab import (
     AuctionGame,
     AuctionSpec,
@@ -200,7 +200,7 @@ class TestLeadingAxis:
         prof = [np.empty(lead + (d,)) for d in g.dims]
         for i in range(g.n):
             assert g.expected_utilities(i, prof).shape == lead + (g.dims[i],)
-        assert [u.shape for u in g._all_normalized_utilities(prof)] == [
+        assert [u.shape for u in all_players(g, prof)] == [
             lead + (d,) for d in g.dims]
 
     def test_lone_player_utilities_broadcast_to_the_leading_shape(self):
@@ -259,7 +259,7 @@ class TestDenseAllPlayersOracle:
         # raw range [-1, 2]: the normalization is not the identity
         g = DenseGame([3.0 * t - 1.0 for t in base.tensors], scale=3.0, shift=-1.0)
         prof = stacked_profile(dims, lead, seed=n + len(lead))
-        u = g._all_normalized_utilities(prof)
+        u = all_players(g, prof)
         assert len(u) == n
         for i in range(n):
             assert u[i].shape == lead + (dims[i],)
@@ -272,7 +272,7 @@ class TestDenseAllPlayersOracle:
     def test_every_player_count_keeps_the_per_player_bits(self, n, dims, lead):
         g = make_random_game(n, dims, seed=61)
         prof = stacked_profile(dims, lead, seed=62)
-        u = g._all_normalized_utilities(prof)
+        u = all_players(g, prof)
         for i in range(n):
             assert_same_bits(u[i], g.expected_utilities(i, prof))
 
@@ -283,9 +283,9 @@ class TestDenseAllPlayersOracle:
         g = make_random_game(n, dims, seed=67)
         assert g._kron_rows < 150
         prof = stacked_profile(dims, (150,), seed=68)
-        u = g._all_normalized_utilities(prof)
+        u = all_players(g, prof)
         for r in range(150):
-            for i, v in enumerate(g._all_normalized_utilities(row(prof, r))):
+            for i, v in enumerate(all_players(g, row(prof, r))):
                 assert_same_bits(u[i][r], v)
 
     def test_an_off_simplex_profile_names_the_first_escaping_player(self):
@@ -311,7 +311,7 @@ class TestDenseAllPlayersOracle:
         base = make_random_game(n, dims, seed=70 + sum(dims))
         g = DenseGame([scale * t + shift for t in base.tensors], scale=scale, shift=shift)
         prof = stacked_profile(dims, (), seed=71 + n)
-        u = g._all_normalized_utilities(prof)
+        u = all_players(g, prof)
         for i in range(n):
             oracle = g.normalize(orc.enum_expected_utilities(g.tensors, i, prof))
             np.testing.assert_allclose(u[i], oracle, rtol=0, atol=1e-12)
@@ -327,17 +327,17 @@ class TestDenseAllPlayersOracle:
                 return block, u
 
         g = RawNegativeZero([np.zeros((2, 2)), np.zeros((2, 2))], shift=shift)
-        u = g._all_normalized_utilities([np.array([0.5, 0.5])] * 2)
+        block = g._all_normalized_utilities([np.array([0.5, 0.5])] * 2)
         # -0.0 - (-0.0) is +0.0; only a +0.0 shift and a unit scale keep -0.0
-        assert_same_bits(u.block[:1], np.array([bits]))
+        assert_same_bits(block[:1], np.array([bits]))
 
     def test_a_long_leading_axis_is_taken_in_chunks_of_rows(self):
         dims = [3, 2, 4, 2]
         g = make_random_game(4, dims, seed=63)
         prof = stacked_profile(dims, (7,), seed=64)
-        whole = g._all_normalized_utilities(prof)
+        whole = all_players(g, prof)
         g._kron_rows = 3  # 7 rows: chunks of 3, 3 and 1
-        for u, v in zip(g._all_normalized_utilities(prof), whole):
+        for u, v in zip(all_players(g, prof), whole):
             np.testing.assert_allclose(u, v, rtol=0, atol=1e-15)
 
 

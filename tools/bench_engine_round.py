@@ -25,6 +25,11 @@ any checkout.  Each of ``REPEATS`` runs times:
 
 A fresh process that runs the experiment once reports its peak RSS.
 
+Beside each of the three per-round rows, ``calls_per_round`` records the
+Python and C calls one round makes (``benchlib.call_counts``): those of a
+T = 200 run of the row's ``dynamics.run`` minus those of a T = 100 run,
+over 100 rounds.  They are exact, so two invocations give the same counts.
+
 The samples are merged under ``--label`` into ``BENCH_engine_round.json`` at
 the repository root by ``benchlib``, with the SHA-256 of the artifacts the
 experiment wrote.  Only the standard library and numpy are used.
@@ -43,12 +48,14 @@ CONFIG = os.path.join(benchlib.ROOT, "configs", "auction_fig1.cfg")
 WHAT = ("dynamics.run per round on configs/auction_fig1.cfg's main arm (T = 2000) and on "
         "dense n = 4, d = 5 and n = 2, d = 3 oftrl self-play (T = 1000), microseconds; "
         "the trace derivation of the n = 4, d = 5 plays, milliseconds; run_experiment of "
-        "auction_fig1.cfg, seconds; all wall clock; peak RSS of fresh processes")
+        "auction_fig1.cfg, seconds; all wall clock; peak RSS of fresh processes; Python and "
+        "C calls per round of each per-round row (calls_per_round), T = 200 minus T = 100")
 TIMINGS = ("auction_fig1_us_per_round", "dense_n4_d5_us_per_round", "dense_n2_d3_us_per_round",
            "dense_n4_d5_derive_ms", "run_experiment_s")
 REPEATS = 3
 DENSE_T = 1000
 DERIVATIONS = 20
+COUNT_T = (100, 200)  # the two horizons whose difference counts calls per round
 ARTIFACTS = ("trace.csv", "trace_baseline.csv", "report.csv", "report_baseline.csv")
 
 
@@ -73,6 +80,15 @@ def _us_per_round(game, specs, T: int) -> float:
     start = time.perf_counter()
     run(game, specs, T)
     return (time.perf_counter() - start) / T * 1e6
+
+
+def _calls_per_round(game, specs) -> dict:
+    from regretlab.dynamics import run
+
+    (p0, c0), (p1, c1) = [benchlib.call_counts(lambda T=T: run(game, specs, T))
+                          for T in COUNT_T]
+    rounds = COUNT_T[1] - COUNT_T[0]
+    return {"python": (p1 - p0) / rounds, "c": (c1 - c0) / rounds}
 
 
 def _derive_ms(game, trace) -> float:
@@ -123,8 +139,10 @@ def measure(src: str) -> dict:
         if digests not in (None, written):
             raise RuntimeError("run_experiment wrote different artifacts on a rerun")
         digests = written
+    calls = {"auction_fig1_us_per_round": _calls_per_round(auction, auction_specs)}
+    calls.update((name, _calls_per_round(game, specs)) for name, game, specs in dense)
     return {"samples": samples, "peak_rss_mb": benchlib.fresh_peak_rss(__file__, src),
-            "artifact_sha256": digests}
+            "artifact_sha256": digests, "calls_per_round": calls}
 
 
 if __name__ == "__main__":

@@ -7,6 +7,9 @@ samples, a ``measure(src)`` and, if it uses ``fresh_peak_rss``, a
 - imports the package from ``--src`` and checks that it came from there;
 - ``measure(src)`` returns ``{"samples": {name: [seconds or us, ...]},
   "peak_rss_mb": float, ...}``, every other key being recorded as is;
+- ``call_counts(fn)`` counts the Python and C calls ``fn()`` makes, exact
+  where a wall clock drifts; a script records such counts under its own
+  key beside its samples;
 - ``fresh_peak_rss`` reruns the script with ``--child ARGS`` in a fresh
   process, which calls ``child(*ARGS)`` and prints its own peak RSS
   (``VmHWM``, not ``ru_maxrss``, which would include this process's peak);
@@ -84,6 +87,25 @@ def _summary(samples) -> dict:
             "iqr": float(q3 - q1), "min": float(np.min(samples)), "n": len(samples)}
 
 
+def call_counts(fn) -> tuple[int, int]:
+    """The (Python, C) calls ``fn()`` makes: the ``call`` and ``c_call``
+    events a ``sys.setprofile`` hook sees, the hook's own removal included.
+    The hook sees no ufunc operator such as ``a + b``, so a count measures
+    interpreter work, not array work; the same code gives the same counts."""
+    counts = {"call": 0, "c_call": 0}
+
+    def hook(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts["call"], counts["c_call"]
+
+
 def fresh_peak_rss(script: str, src: str, *args: str) -> float:
     """Peak RSS in MB of ``script --src SRC --child ARGS`` run in a fresh process."""
     done = subprocess.run([sys.executable, os.path.abspath(script), "--src", src,
@@ -148,5 +170,8 @@ def main(script: str, doc: str, what: str, timings, measure, child=None, argv=No
     for name, stats in entry["summary"].items():
         print(f"{args.label} {name}: median {stats['median']:.4g} "
               f"IQR {stats['iqr']:.3g} min {stats['min']:.4g} (n={stats['n']})")
+    for name, calls in entry.get("calls_per_round", {}).items():
+        print(f"{args.label} {name}: {calls['python']:.2f} Python calls, "
+              f"{calls['c']:.2f} C calls per round")
     print(f"{args.label} peak_rss_mb: {entry['peak_rss_mb']:.4g}")
     return 0

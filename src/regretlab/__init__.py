@@ -9,7 +9,7 @@ floors.
 """
 
 from .auctions import AuctionGame, AuctionSpec, masked_values, uniform_values
-from .config import ConfigError, ExperimentSpec, RobustSettings, parse_config
+from .config import ConfigError, ExperimentSpec, parse_config
 from .continuous import (
     CongestionNetwork,
     certify_total_regret,
@@ -90,7 +90,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuctionGame", "AuctionSpec", "masked_values", "uniform_values",
-    "ConfigError", "ExperimentSpec", "RobustSettings", "parse_config",
+    "ConfigError", "ExperimentSpec", "parse_config",
     "CongestionNetwork", "certify_total_regret", "gradient", "linearized_regret",
     "lipschitz_constant", "parse_network", "run_continuous", "true_regret",
     "FirstOrderConstants", "FirstOrderHedge", "certify_cost_welfare",

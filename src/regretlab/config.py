@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .games import _check_cap, _check_claim
-from .learners import (_ALGORITHMS, _FIXED_FIELDS, _PREDICTORS, LearnerSpec, _choice,
-                       declares_variation_bound)
+from .learners import _ALGORITHMS, _FIXED_FIELDS, _PREDICTORS, LearnerSpec, _choice, _wrappable
 from .regularizers import _REGISTRY
 
-__all__ = ["ConfigError", "RobustSettings", "ExperimentSpec", "parse_config"]
+__all__ = ["ConfigError", "ExperimentSpec", "parse_config"]
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
 _GAME_TYPES = {"auction", "matrix", "random", "dense_csv", "network"}
@@ -38,12 +37,6 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RobustSettings:
-    eta_star: float
-    alpha: float | None = None  # None -> the regularizer's range constant
-
-
-@dataclass
 class ExperimentSpec:
     game: dict
     learner: LearnerSpec
@@ -51,7 +44,7 @@ class ExperimentSpec:
     baseline: LearnerSpec | None = None
     T: int = 1
     mode: str = "utility"
-    robust: RobustSettings | None = None
+    robust: float | None = None  # [robust]'s eta_star: wrap each wrappable player
     outputs: dict = field(default_factory=dict)
     smoothness: dict | None = None
 
@@ -347,11 +340,8 @@ def _validate_robust(sect, errors):
         return None
     r = _SectionReader("robust", sect, errors)
     eta_star = r.read("eta_star", _POSITIVE, required=True)
-    alpha = r.read("alpha", _POSITIVE)
     r.finish()
-    if eta_star is None:
-        return None
-    return RobustSettings(eta_star=eta_star, alpha=alpha)
+    return eta_star
 
 
 def _validate_outputs(sect, errors):
@@ -406,11 +396,10 @@ def parse_config(text: str) -> ExperimentSpec:
     outputs = _validate_outputs(sections.get("outputs"), errors)
 
     if robust is not None and learner is not None and not is_network:
-        if not declares_variation_bound(learner):
-            errors.append(f"line {sections['robust']['line']}: [robust] needs a "
-                          f"learner with declared variation-bound constants "
-                          f"(an optimistic predictor), not {learner.algorithm!r} "
-                          f"with predictor {learner.predictor!r}")
+        try:
+            _wrappable(learner)
+        except ValueError as exc:
+            errors.append(f"line {sections['robust']['line']}: [robust] {exc}")
 
     if is_network:
         if learner is not None \

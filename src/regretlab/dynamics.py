@@ -38,10 +38,10 @@ from .learners import (
     _best_vertex_regret,
     _positive_finite,
     _regularized_learner,
+    _wrappable,
     certify_stability,
     certify_variation_bound,
     declared_variation_bound,
-    declares_variation_bound,
     make_learner,
     variation_steps,
 )
@@ -275,8 +275,8 @@ class _Facts:
         for i, e in enumerate(_learner_meta(e) for e in meta.get("learners", [None] * self.n)):
             d = trace.plays[i].shape[1]
             if isinstance(e, tuple):  # certify_robust's alpha, beta, gamma, eta_star, pair
-                _, beta, gamma, pair = parametric_constants(e[0], d)
-                self.wrapped[i] = (e[1], beta, gamma, e[2], pair)
+                alpha, beta, gamma, pair = parametric_constants(e[0], d)
+                self.wrapped[i] = (alpha, beta, gamma, e[1], pair)
             elif isinstance(e, LearnerSpec):
                 s = e.resolved()
                 if (b := declared_variation_bound(s, d)) is not None:
@@ -587,9 +587,9 @@ def _check_game_meta(meta: dict, dims) -> None:
 def _learner_meta(entry):
     """A ``learners`` entry of a trace's meta, by the one rule the reader and
     ``report`` share: None for none or a prebuilt learner
-    (``algorithm`` its only key), ``(inner spec, alpha, eta_star)`` for a
-    doubling wrapper (``algorithm`` robust, its inner spec declaring a
-    variation bound), else the entry's LearnerSpec."""
+    (``algorithm`` its only key), ``(inner spec, eta_star)`` for a doubling
+    wrapper (``algorithm`` robust, its inner spec wrappable), else the entry's
+    LearnerSpec."""
     if not entry or entry.keys() == {"algorithm"}:
         return None
     if entry.get("algorithm") != "robust":
@@ -597,13 +597,9 @@ def _learner_meta(entry):
     inner = entry.get("inner")
     if not isinstance(inner, dict):
         raise ValueError(f"inner must be a learner spec object, got {inner!r}")
-    for key in ("alpha", "eta_star"):
-        _positive_finite(key, entry.get(key))
+    _positive_finite("eta_star", entry.get("eta_star"))
     try:
-        inner = LearnerSpec.from_dict(inner)
+        inner = _wrappable(LearnerSpec.from_dict(inner))
     except ValueError as exc:
         raise ValueError(f"inner.{exc}") from None
-    if not declares_variation_bound(inner):
-        raise ValueError(f"inner.algorithm {inner.algorithm!r} with predictor "
-                         f"{inner.predictor!r} declares no variation bound to wrap")
-    return inner, entry["alpha"], entry["eta_star"]
+    return inner, entry["eta_star"]

@@ -71,15 +71,14 @@ def build_game_from_config(game: dict):
     raise ValueError(f"unknown game type {gtype!r}")
 
 
-def _arm_players(game, specs, robust):
-    """Per-player learner list for the engine; wrapped when [robust] asks and
-    the player's family declares variation-bound constants.  A player with
-    one strategy stays unwrapped: its regret is 0, and its alpha (ln 1) is
-    no step-size scale."""
-    if robust is None:
+def _arm_players(game, specs, eta_star):
+    """Per-player learner list for the engine; wrapped at ``eta_star`` (the
+    config's [robust]) where the player's family declares variation-bound
+    constants.  A player with one strategy stays unwrapped: its regret is 0,
+    and a wrapper refuses it."""
+    if eta_star is None:
         return list(specs)
-    return [wrap_doubling(s, d, robust.eta_star, robust.alpha)
-            if d >= 2 and declares_variation_bound(s) else s
+    return [wrap_doubling(s, d, eta_star) if d >= 2 and declares_variation_bound(s) else s
             for s, d in zip(specs, game.dims)]
 
 

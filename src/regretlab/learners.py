@@ -357,7 +357,7 @@ def _real(x) -> bool:
 
 
 def _positive_finite(key: str, x) -> None:
-    """A doubling wrapper's rule for alpha and eta_star, built or read back."""
+    """A doubling wrapper's rule for eta_star, built or read back."""
     if not (_real(x) and 0.0 < x < math.inf):
         raise ValueError(f"{key} must be a positive finite number, got {x!r}")
 
@@ -439,6 +439,15 @@ def declares_variation_bound(spec: LearnerSpec) -> bool:
     step size): a row of ``_VARIATION_BOUNDS``."""
     s = spec.resolved()
     return (s.algorithm, s.predictor) in _VARIATION_BOUNDS
+
+
+def _wrappable(spec: LearnerSpec) -> LearnerSpec:
+    """``spec`` if a doubling wrapper can wrap its family, one that declares
+    variation-bound constants; else the one ValueError every caller prefixes."""
+    if not declares_variation_bound(spec):
+        raise ValueError(f"algorithm {spec.algorithm!r} with predictor {spec.predictor!r} "
+                         f"declares no variation bound to wrap")
+    return spec
 
 
 def declared_variation_bound(spec: LearnerSpec, d: int) -> VariationBound | None:

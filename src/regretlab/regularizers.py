@@ -59,7 +59,12 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     k = np.arange(1, v.shape[-1] + 1)
     cond = u + (1.0 - css) / k > 0.0
     if v.ndim == 1:  # a vector's plain indexing costs a fraction of the block path
-        rho = k[cond][-1]
+        try:
+            rho = k[cond][-1]
+        except IndexError:  # no k at all: even 1 - v_(1) rounds to -v_(1)
+            raise ValueError(f"simplex projection lost its threshold: entries of magnitude "
+                             f"{np.abs(v).max():.3g} leave no float precision for a sum "
+                             f"of 1 (a smaller eta keeps them in range)") from None
         theta = (css[rho - 1] - 1.0) / rho
     else:  # each row's largest such k (its last True), and its threshold
         rho = v.shape[-1] - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)

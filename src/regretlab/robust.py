@@ -16,8 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .learners import (TOL, Certificate, OnlineLearner, _best_vertex_regret, _positive_finite,
-                       _term, declared_variation_bound, declares_variation_bound, make_learner,
-                       variation_sums)
+                       _term, _wrappable, declared_variation_bound, make_learner, variation_sums)
 
 __all__ = ["DoublingWrapper", "wrap_doubling", "parametric_constants", "certify_robust"]
 
@@ -26,28 +25,22 @@ class DoublingWrapper(OnlineLearner):
     """The doubling schedule around the step-size learner family ``spec``
     describes (``spec.eta`` is ignored: the wrapper owns the step size).
 
-    ``alpha`` is the parametric constant of the inner learner's regret bound
-    (regret <= alpha/eta + ...) and defaults to the family's own (the
-    regularizer's range); ``eta_star`` caps the step size.  Epoch state is
-    exposed for certificates: ``epoch``, ``budget``, ``eta``,
-    ``variation_total`` and the ``epoch_log`` of (round, variation_total,
-    old_budget) entries at each switch.
+    ``alpha``, the parametric constant of the inner learner's regret bound
+    (regret <= alpha/eta + ...), is the family's own (``parametric_constants``);
+    ``eta_star`` caps the step size.  Epoch state is exposed for certificates:
+    ``epoch``, ``budget``, ``eta``, ``variation_total`` and the ``epoch_log``
+    of (round, variation_total, old_budget) entries at each switch.
     """
 
     algorithm = "robust"
 
-    def __init__(self, spec, d: int, eta_star: float, alpha: float | None = None):
-        if not declares_variation_bound(spec):
-            raise ValueError(
-                f"doubling wrapper needs a step-size learner with declared variation-bound "
-                f"constants, got {spec.algorithm!r} with predictor {spec.predictor!r}")
-        if alpha is None:
-            alpha = parametric_constants(spec, d)[0]
+    def __init__(self, spec, d: int, eta_star: float):
+        if d < 2:  # alpha = ln 1 = 0 would scale no step size
+            raise ValueError(f"a doubling wrapper needs at least 2 strategies, got d = {d}")
+        self.alpha = parametric_constants(spec, d)[0]
+        _positive_finite("eta_star", eta_star)
         super().__init__(d)
-        for key, x in (("alpha", alpha), ("eta_star", eta_star)):
-            _positive_finite(key, x)
         self.inner_spec = spec
-        self.alpha = float(alpha)
         self.eta_star = float(eta_star)
         self.epoch = 1
         self.budget = 1.0
@@ -64,7 +57,7 @@ class DoublingWrapper(OnlineLearner):
     def to_dict(self) -> dict:
         """Metadata without a fixed eta, so the reporter attaches no
         constant-step certificate to a wrapped learner."""
-        return {"algorithm": "robust", "alpha": self.alpha, "eta_star": self.eta_star,
+        return {"algorithm": "robust", "eta_star": self.eta_star,
                 "inner": self.inner_spec.to_dict()}
 
     def _play(self) -> np.ndarray:
@@ -91,12 +84,9 @@ wrap_doubling = DoublingWrapper
 
 
 def parametric_constants(spec, d: int):
-    """The eta-free (alpha, beta, gamma, norm_pair) of a step-size learner's
-    variation bound — its declared constants evaluated at eta = 1."""
-    b = declared_variation_bound(replace(spec.resolved(), eta=1.0), d)
-    if b is None:
-        raise ValueError(
-            f"algorithm {spec.algorithm!r} declares no variation bound to wrap")
+    """The eta-free (alpha, beta, gamma, norm_pair) of a wrappable learner's
+    variation bound: its declared constants evaluated at eta = 1."""
+    b = declared_variation_bound(replace(_wrappable(spec).resolved(), eta=1.0), d)
     return b.alpha, b.beta, b.gamma, b.norm_pair
 
 

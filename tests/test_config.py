@@ -9,7 +9,6 @@ import pytest
 from regretlab.config import (
     ConfigError,
     ExperimentSpec,
-    RobustSettings,
     parse_config,
 )
 from regretlab.learners import LearnerSpec
@@ -205,8 +204,7 @@ class TestNonFiniteNumbers:
           "predictor = geometric", "predictor_param = {}", *RUN_10),
          "learner.predictor_param", 8),
         ((*ROBUST, "eta_star = {}"), "robust.eta_star", 10),
-        ((*ROBUST, "eta_star = 0.5", "alpha = {}"), "robust.alpha", 11),
-    ], ids=["value", "lambda", "mu", "eta", "predictor_param", "eta_star", "alpha"])
+    ], ids=["value", "lambda", "mu", "eta", "predictor_param", "eta_star"])
     def test_is_a_config_error_naming_the_line(self, rows, key, line, value):
         errs = errors_of(lines(*(row.format(value) for row in rows)))
         assert errs == [f"line {line}: {key} must be a finite number, got {value}"]
@@ -725,14 +723,14 @@ class TestRobustSection:
                      "[learner]", "algorithm = optimistic_hedge", "eta = 0.1",
                      *RUN_10, *extra)
 
-    def test_robust_settings_parse(self):
-        spec = parse_config(self.optimistic("[robust]", "eta_star = 0.5",
-                                            "alpha = 2"))
-        assert spec.robust == RobustSettings(eta_star=0.5, alpha=2.0)
-
-    def test_alpha_defaults_to_none(self):
+    def test_robust_is_the_wrappers_eta_star(self):
         spec = parse_config(self.optimistic("[robust]", "eta_star = 0.5"))
-        assert spec.robust == RobustSettings(eta_star=0.5, alpha=None)
+        assert spec.robust == 0.5
+
+    def test_alpha_is_an_unknown_key(self):
+        # a wrapper's alpha is its learner family's constant, not a setting
+        errs = errors_of(self.optimistic("[robust]", "eta_star = 0.5", "alpha = 2"))  # 11
+        assert errs == ["line 11: unknown key robust.alpha"]
 
     def test_eta_star_required(self):
         errs = errors_of(self.optimistic("[robust]"))  # line 9
@@ -751,9 +749,8 @@ class TestRobustSection:
                      "[robust]",             # 9
                      "eta_star = 0.5")
         assert errors_of(text) == [
-            "line 9: [robust] needs a learner with declared variation-bound "
-            "constants (an optimistic predictor), not 'hedge' with "
-            "predictor 'none'"
+            "line 9: [robust] algorithm 'hedge' with predictor 'none' declares no "
+            "variation bound to wrap"
         ]
 
     @pytest.mark.parametrize("rows", [
@@ -768,7 +765,7 @@ class TestRobustSection:
     def test_robust_accepts_optimistic_families(self, rows):
         text = lines(*MATRIX_GAME, "[learner]", *rows, *RUN_10,
                      "[robust]", "eta_star = 0.5")
-        assert parse_config(text).robust == RobustSettings(0.5, None)
+        assert parse_config(text).robust == 0.5
 
     def test_outputs_dir(self):
         spec = parse_config(self.optimistic("[outputs]", "dir = somewhere"))

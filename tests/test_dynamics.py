@@ -83,8 +83,7 @@ class TestRunContract:
     @pytest.mark.parametrize("player", [
         lambda eta: LearnerSpec("oftrl", eta, "entropy", "window", 3),
         lambda eta: make_learner(hedge(eta), 3),
-        lambda eta: wrap_doubling(LearnerSpec("optimistic_hedge"), 3, eta, alpha=eta),
-    ], ids=["spec", "prebuilt", "doubling"])
+    ], ids=["spec", "prebuilt"])
     def test_a_step_size_too_large_for_the_run_is_refused(self, player):
         # eta * (T + 1) * d must be finite; here T + 1 = 10 and d = 3
         g, top = make_random_game(2, [3, 2], seed=3), float(np.finfo(float).max)
@@ -99,7 +98,7 @@ class TestRunContract:
         tr = run(g, [wrap_doubling(LearnerSpec("oftrl", 1.0, "entropy", "last"), 2, 0.5),
                      LearnerSpec("bestresponse")], 5)
         assert tr.meta["learners"] == [
-            {"algorithm": "robust", "alpha": math.log(2), "eta_star": 0.5,
+            {"algorithm": "robust", "eta_star": 0.5,
              "inner": {"algorithm": "oftrl", "eta": 1.0, "regularizer": "entropy",
                        "predictor": "last", "predictor_param": None}},
             {"algorithm": "bestresponse", "eta": None, "regularizer": "entropy",
@@ -594,7 +593,7 @@ class TestReportCertificates:
 
     def test_wrapped_players_get_robust_bound_certificates(self):
         g = make_matrix_game(np.array([[0.8, 0.1], [0.2, 0.9]]))
-        players = [wrap_doubling(LearnerSpec("optimistic_hedge"), 2, 0.5, None)
+        players = [wrap_doubling(LearnerSpec("optimistic_hedge"), 2, 0.5)
                    for _ in range(2)]
         tr = run(g, players, 40)
         rep = report(tr)

@@ -349,8 +349,8 @@ class TestOnePassRule:
         g = make_random_game(2, [3, 3], seed=5)
         cost = run(g, [LearnerSpec("first_order_hedge")] * 2, 200, "cost")
         cost.meta["smoothness"] = {"lambda": 5.0, "mu": 0.5, "s_star": None}
-        wrapped = [wrap_doubling(LearnerSpec("optimistic_hedge"), 3, 0.5, None),
-                   wrap_doubling(LearnerSpec("optimistic_hedge"), 3, 0.5, None)]
+        wrapped = [wrap_doubling(LearnerSpec("optimistic_hedge"), 3, 0.5),
+                   wrap_doubling(LearnerSpec("optimistic_hedge"), 3, 0.5)]
         for tr in (cost, run(g, wrapped, 60),
                    run(g, [LearnerSpec("optimistic_hedge", 0.5)] * 2, 16)):
             reports.append(report(tr))
@@ -404,7 +404,7 @@ class TestLearnerClaimsFail:
         "regret_vs_stability": lambda: _stuck_trace(16, OPT_HEDGE, [1]),
         "individual_rate": lambda: _stuck_trace(16, OPT_HEDGE, [1]),
         "robust_bound": lambda: _stuck_trace(16, {
-            "algorithm": "robust", "alpha": math.log(2.0), "eta_star": 1.0,
+            "algorithm": "robust", "eta_star": 1.0,
             "inner": LearnerSpec("optimistic_hedge").to_dict()}, [1]),
         "total_linearized_regret": lambda: _congested_trace(16),
     }
@@ -1034,7 +1034,7 @@ class TestCliReport:
          "geometric predictor"),
         (meta_with_learner({"algorithm": "oftrl", "eta": [1], "predictor": "last"}),
          "metadata learners[1]: eta must be positive and finite, got [1]"),
-        (meta_with_learner({"algorithm": "robust", "alpha": 1.0, "eta_star": 0.5}),
+        (meta_with_learner({"algorithm": "robust", "eta_star": 0.5}),
          "metadata learners[1]: inner must be a learner spec object, got None"),
         (meta_with_learner({"eta": 0.25}),
          f"metadata learners[1]: algorithm must be one of {ALGORITHMS}; got None"),
@@ -1048,14 +1048,14 @@ class TestCliReport:
         (meta_with_learner({"algorithm": "oftrl", "eta": 0.25, "predictor": "window",
                             "predictor_param": 2.5}),
          "metadata learners[1]: predictor_param must be a window size >= 1, got 2.5"),
-        (meta_with_learner({"algorithm": "robust", "alpha": 1.0, "eta_star": 0.5,
+        (meta_with_learner({"algorithm": "robust", "eta_star": 0.5,
                             "inner": {"algorithm": "oftrl", "eta": 0.1, "predictor": "zz"}}),
          "metadata learners[1]: inner.predictor must be one of geometric, last, none, "
          "window; got 'zz'"),
-        (meta_with_learner({"algorithm": "robust", "alpha": 1.0, "eta_star": "0.5",
+        (meta_with_learner({"algorithm": "robust", "eta_star": "0.5",
                             "inner": {"algorithm": "oftrl", "eta": 0.1, "predictor": "last"}}),
          "metadata learners[1]: eta_star must be a positive finite number, got '0.5'"),
-        (meta_with_learner({"algorithm": "robust", "alpha": 1.0, "eta_star": 0.5,
+        (meta_with_learner({"algorithm": "robust", "eta_star": 0.5,
                             "inner": {"algorithm": "hedge", "eta": 0.1}}),
          "metadata learners[1]: inner.algorithm 'hedge' with predictor 'none' declares "
          "no variation bound to wrap"),
@@ -1483,6 +1483,18 @@ class TestCliErrorBoundary:
             assert not os.path.exists(tmp_path / "out")
         self.assert_one_line_error(done, "eta = 1e+308 is too large", f"T = {T} rounds")
         assert "Warning" not in done.stderr
+
+    @pytest.mark.parametrize("eta", ["1e17", "1e300"])
+    def test_a_projection_beyond_float_precision_is_refused(self, tmp_path, eta):
+        # eta * (T + 1) * d is finite, but the Euclidean player's projection
+        # can no longer tell a sum of 1 from 0
+        config = ("[game]\ntype = random\nplayers = 2\ndims = 3,2\nseed = 3\n"
+                  "[learner]\nalgorithm = oftrl\nregularizer = euclidean\npredictor = last\n"
+                  f"eta = {eta}\n[run]\nT = 9\n")
+        done = run_module("simulate", write_cfg(tmp_path, config),
+                          "--out", str(tmp_path / "out"))
+        self.assert_one_line_error(done, "simplex projection lost its threshold",
+                                   "a smaller eta keeps them in range")
 
     @pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\u2028"],
                              ids=["formfeed", "vtab", "file-sep", "line-sep"])

@@ -700,7 +700,7 @@ class TestToDict:
 
     def test_a_wrapper_writes_its_schedule_and_inner_spec(self):
         w = wrap_doubling(LearnerSpec("optimistic_hedge"), 2, 0.1)
-        assert w.to_dict() == {"algorithm": "robust", "alpha": math.log(2), "eta_star": 0.1,
+        assert w.to_dict() == {"algorithm": "robust", "eta_star": 0.1,
                                "inner": spec_dict("optimistic_hedge")}
 
 

@@ -2,6 +2,7 @@
 constants, and 1-strong-convexity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,18 @@ class TestProjectSimplex:
 
     def test_an_empty_block_has_no_rows(self):
         assert project_simplex(np.empty((0, 2, 3))).shape == (0, 2, 3)
+
+    @pytest.mark.parametrize("v, shown", [
+        ([1e17, 0.0], "1e+17"), ([3e16, 1.0, 2.0], "3e+16"), ([1e300, -1e300], "1e+300"),
+    ])
+    def test_a_vector_beyond_float_precision_is_a_value_error(self, v, shown):
+        # 1 - v_(1) rounds to -v_(1), so no k passes the threshold test
+        with pytest.raises(ValueError, match=rf"^simplex projection lost its threshold: "
+                                             rf"entries of magnitude {re.escape(shown)} "):
+            project_simplex(np.array(v))
+
+    def test_a_vector_within_float_precision_keeps_its_projection(self):
+        assert_same_bits(project_simplex(np.array([1e15, 0.0])), np.array([1.0, 0.0]))
 
 
 class TestDiameterConstants:

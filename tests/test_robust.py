@@ -1,13 +1,16 @@
 """Tests for the doubling wrapper: epoch schedule, dual regret bound, tunings."""
 
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 import oracles as orc
-from regretlab.dynamics import regret, report, run
+from regretlab.cli import main
+from regretlab.config import ConfigError, parse_config
+from regretlab.dynamics import read_trace_csv, regret, report, run, write_trace_csv
 from regretlab.learners import (LearnerSpec, VariationBound, certify_variation_bound,
                                 variation_sums)
 from regretlab.library import make_matrix_game, make_random_game, splitmix64_floats
@@ -68,16 +71,13 @@ class TestParametricConstants:
 
 class TestWrapperConstruction:
     def test_rejects_nonpositive_parameters(self):
-        with pytest.raises(ValueError, match="alpha"):
-            wrap_doubling(OPT_HEDGE, 2, eta_star=0.1, alpha=0.0)
-        with pytest.raises(ValueError, match="eta_star"):
-            wrap_doubling(OPT_HEDGE, 2, eta_star=-1.0)
+        for eta_star in (0.0, -1.0):
+            with pytest.raises(ValueError, match="eta_star"):
+                wrap_doubling(OPT_HEDGE, 2, eta_star=eta_star)
 
     @pytest.mark.parametrize("key, kwargs", [
         ("eta_star", {"eta_star": math.nan}),
         ("eta_star", {"eta_star": math.inf}),
-        ("alpha", {"eta_star": 0.1, "alpha": math.inf}),
-        ("alpha", {"eta_star": 0.1, "alpha": math.nan}),
     ])
     def test_rejects_non_finite_parameters(self, key, kwargs):
         # by the rule and the words of a trace's metadata, which would refuse
@@ -88,18 +88,33 @@ class TestWrapperConstruction:
             wrap_doubling(OPT_HEDGE, 2, **kwargs)
 
     def test_rejects_non_step_size_learners(self):
-        with pytest.raises(ValueError, match="step-size"):
+        with pytest.raises(ValueError, match="^algorithm 'bestresponse' with predictor 'none' "
+                                             "declares no variation bound to wrap$"):
             wrap_doubling(LearnerSpec("bestresponse"), 2, eta_star=0.1)
 
-    def test_rejects_a_learner_without_a_variation_bound_even_with_alpha(self):
+    def test_rejects_a_learner_without_a_variation_bound(self):
         # the trace reader refuses such a wrapper, so the wrapper refuses it first
-        with pytest.raises(ValueError, match="step-size learner with declared variation-bound "
-                                             "constants, got 'hedge' with predictor 'none'"):
-            wrap_doubling(LearnerSpec("hedge", 0.1), 2, 0.5, alpha=1.0)
+        with pytest.raises(ValueError, match="^algorithm 'hedge' with predictor 'none' "
+                                             "declares no variation bound to wrap$"):
+            wrap_doubling(LearnerSpec("hedge", 0.1), 2, 0.5)
 
-    def test_alpha_defaults_to_the_parametric_regret_constant(self):
-        w = wrap_doubling(OPT_HEDGE, 2, eta_star=0.1)
-        assert w.alpha == pytest.approx(math.log(2), abs=1e-15)
+    @pytest.mark.parametrize("d", [1, 0])
+    def test_rejects_fewer_than_two_strategies(self, d):
+        # one strategy's alpha is ln 1 = 0, which would scale no step size
+        with pytest.raises(ValueError,
+                           match=f"^a doubling wrapper needs at least 2 strategies, got d = {d}$"):
+            wrap_doubling(OPT_HEDGE, d, eta_star=0.1)
+
+    @pytest.mark.parametrize("spec, d", [
+        (OPT_HEDGE, 2),
+        (LearnerSpec("oftrl", regularizer="euclidean", predictor="last"), 3),
+        (LearnerSpec("omd", predictor="last"), 5),
+    ])
+    def test_alpha_is_the_familys_parametric_regret_constant(self, spec, d):
+        w = wrap_doubling(spec, d, eta_star=0.1)
+        assert w.alpha == parametric_constants(spec, d)[0]
+        assert w.alpha == pytest.approx(math.log(d) if spec.regularizer == "entropy"
+                                        else 0.5 * (1.0 - 1.0 / d), abs=1e-15)
 
     def test_initial_tuning(self):
         # alpha = ln 2, eta_star = 0.1: epoch 1 runs at min(ln2/1, 0.1) = 0.1
@@ -328,7 +343,7 @@ class TestEngineIntegration:
         w = wrap_doubling(OPT_HEDGE, 2, eta_star=0.1)
         d = w.to_dict()
         assert d["algorithm"] == "robust"
-        assert "eta" not in d
+        assert "eta" not in d and "alpha" not in d  # alpha is the inner family's
         assert d["inner"]["algorithm"] == "optimistic_hedge"
 
     def test_report_attaches_no_constant_step_certificates(self):
@@ -342,11 +357,54 @@ class TestEngineIntegration:
         assert tr.meta["learners"][0]["algorithm"] == "robust"
 
     def test_trace_round_trips_through_csv(self):
-        from regretlab.dynamics import read_trace_csv, write_trace_csv
-
         g = make_matrix_game(A_TILTED)
         tr = run(g, [wrap_doubling(OPT_HEDGE, 2, 0.05),
                      wrap_doubling(OPT_HEDGE, 2, 0.05)], 16)
         back = read_trace_csv(io.StringIO(write_trace_csv(tr), newline=None))
         np.testing.assert_array_equal(back.plays[0], tr.plays[0])
         assert back.meta["learners"][0]["eta_star"] == 0.05
+
+    def test_an_old_traces_alpha_is_ignored(self):
+        # alpha is the inner family's constant: a stated one is a key no spec reads
+        g = make_matrix_game(A_TILTED)
+        text = write_trace_csv(run(g, [wrap_doubling(OPT_HEDGE, 2, 0.05) for _ in range(2)], 16))
+        first, rest = text.split("\n", 1)
+        meta = json.loads(first[len("# meta="):])
+        for entry in meta["learners"]:
+            entry["alpha"] = 99.0
+        old = read_trace_csv(io.StringIO(f"# meta={json.dumps(meta)}\n{rest}", newline=None))
+        new = read_trace_csv(io.StringIO(text, newline=None))
+        assert [c.details["alpha"] for c in report(old).certificates] == [math.log(2)] * 2
+        assert [(c.lhs, c.rhs) for c in report(old).certificates] \
+            == [(c.lhs, c.rhs) for c in report(new).certificates]
+
+
+class TestOneWrappabilityRule:
+    """One fault, a plain-Hedge inner, meets one message behind each entry
+    point's own prefix: a config's [robust], the API and a trace's metadata."""
+
+    TAIL = "algorithm 'hedge' with predictor 'none' declares no variation bound to wrap"
+
+    def test_every_entry_point_refuses_a_hedge_inner_in_the_same_words(self, tmp_path, capsys):
+        hedge = LearnerSpec("hedge", 0.1)
+        with pytest.raises(ConfigError) as config:
+            parse_config("[game]\ntype = matrix\nmatrix = 1,0; 0,1\n"
+                         "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 10\n"
+                         "[robust]\neta_star = 0.5\n")  # [robust] is line 9
+        with pytest.raises(ValueError) as wrapper:
+            wrap_doubling(hedge, 2, 0.5)
+        with pytest.raises(ValueError) as constants:
+            parametric_constants(hedge, 2)
+        first, rest = write_trace_csv(run(make_matrix_game(A_TILTED),
+                                          [wrap_doubling(OPT_HEDGE, 2, 0.5) for _ in range(2)],
+                                          4)).split("\n", 1)
+        meta = json.loads(first[len("# meta="):])
+        meta["learners"][1]["inner"] = hedge.to_dict()
+        path = tmp_path / "trace.csv"
+        path.write_text(f"# meta={json.dumps(meta)}\n{rest}", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 1
+        assert config.value.errors == [f"line 9: [robust] {self.TAIL}"]
+        assert str(wrapper.value) == str(constants.value) == self.TAIL
+        assert capsys.readouterr().err \
+            == f"error: trace line 1: metadata learners[1]: inner.{self.TAIL}\n"

@@ -41,7 +41,7 @@ from regretlab.library import make_random_game
 from regretlab.robust import wrap_doubling
 
 g = make_random_game(2, [3, 3], seed=5)
-wrapped = [wrap_doubling(LearnerSpec("optimistic_hedge"), 3, 0.5, None) for _ in range(2)]
+wrapped = [wrap_doubling(LearnerSpec("optimistic_hedge"), 3, 0.5) for _ in range(2)]
 write_trace_file(run(g, wrapped, 60), os.path.join(sys.argv[1], "trace_robust.csv"))
 write_trace_file(run(g, [LearnerSpec("optimistic_hedge", 0.5)] * 2, 16),
                  os.path.join(sys.argv[1], "trace_rate.csv"))

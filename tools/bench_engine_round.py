@@ -16,10 +16,8 @@ any checkout.  Each of ``REPEATS`` runs times:
   d = 3, where the oracle outweighs the two players' learner steps;
 - ``dense_n4_d5_derive_ms``: the trace derivation (utilities, welfare and
   variation sums) of the T = 1000 plays of the n = 4, d = 5 run,
-  milliseconds per call, the mean of ``DERIVATIONS`` calls.  It times
-  ``dynamics.Trace(game, plays, meta)``, which derives them on
-  construction; checkouts that predate it derive them with
-  ``dynamics._trace_from_plays``, and their labels timed that call;
+  milliseconds per call, the mean of ``DERIVATIONS`` calls of
+  ``dynamics.Trace(game, plays, meta)``, which derives them on construction;
 - ``run_experiment_s``: ``run_experiment`` of ``auction_fig1.cfg`` into a
   temporary directory (both arms, traces, reports and plots).
 
@@ -92,17 +90,11 @@ def _calls_per_round(game, specs) -> dict:
 
 
 def _derive_ms(game, trace) -> float:
-    from regretlab import dynamics
+    from regretlab.dynamics import Trace
 
-    if hasattr(dynamics, "_trace_from_plays"):  # before a Trace derived itself
-        def derive():
-            dynamics._trace_from_plays(game, trace.plays, "utility", trace.meta)
-    else:
-        def derive():
-            dynamics.Trace(game, trace.plays, trace.meta)
     start = time.perf_counter()
     for _ in range(DERIVATIONS):
-        derive()
+        Trace(game, trace.plays, trace.meta)
     return (time.perf_counter() - start) / DERIVATIONS * 1e3
 
 

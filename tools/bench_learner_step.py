@@ -21,7 +21,14 @@ wall clock per step in microseconds:
   3)``, which reads the stream as costs and tunes its own step size.
 
 Every other learner runs at eta = 0.1.  A fresh process that runs one sample of
-each reports its peak RSS.  The samples are merged under ``--label`` into
+each reports its peak RSS.
+
+Beside each row, ``calls_per_step`` records the Python and C calls one step
+makes (``benchlib.call_counts``): those of a fresh learner driven through
+200 steps of the row's stream minus those of 100 steps, over 100 steps.  They
+are exact, so two invocations give the same counts.
+
+The samples are merged under ``--label`` into
 ``BENCH_learner_step.json`` at the repository root by ``benchlib``.  Only
 the standard library and numpy are used.
 """
@@ -39,12 +46,14 @@ WHAT = ("one play + observe of make_learner(spec, 3) for oftrl/entropy/window-5,
         "omd/entropy/last and omd/euclidean/last, and of the engine's group of four "
         "optimistic Hedge players over 5 strategies, and of first-order Hedge over 3 "
         "strategies, microseconds per step, wall clock; "
-        "peak RSS of a fresh process")
+        "peak RSS of a fresh process; Python and C calls per step of each row "
+        "(calls_per_step), 200 steps minus 100")
 TIMINGS = ("oftrl_entropy_window5_us", "omd_entropy_last_us", "omd_euclidean_last_us",
            "group_oftrl_entropy_last_4x5_us", "first_order_hedge_us")
 REPEATS = 5
 STEPS = 20000
 ETA = 0.1
+COUNT_STEPS = (100, 200)  # the two stream lengths whose difference counts calls per step
 
 
 def _builders() -> dict:
@@ -68,13 +77,24 @@ def _builders() -> dict:
     }
 
 
-def _us_per_step(build, stream) -> float:
-    learner = build()
-    start = time.perf_counter()
+def _drive(learner, stream) -> None:
     for u in stream:
         learner.play()
         learner.observe(u)
+
+
+def _us_per_step(build, stream) -> float:
+    learner = build()
+    start = time.perf_counter()
+    _drive(learner, stream)
     return (time.perf_counter() - start) / len(stream) * 1e6
+
+
+def _calls_per_step(build, stream) -> dict:
+    (p0, c0), (p1, c1) = [benchlib.call_counts(lambda n=n: _drive(build(), stream[:n]))
+                          for n in COUNT_STEPS]
+    steps = COUNT_STEPS[1] - COUNT_STEPS[0]
+    return {"python": (p1 - p0) / steps, "c": (c1 - c0) / steps}
 
 
 def _streams(builders) -> dict:
@@ -97,7 +117,12 @@ def measure(src: str) -> dict:
     for _ in range(REPEATS):
         for name, (build, _) in builders.items():
             samples[name].append(_us_per_step(build, streams[name]))
-    return {"samples": samples, "peak_rss_mb": benchlib.fresh_peak_rss(__file__, src)}
+    # counted after the samples: a first drive's one-time setup would land in
+    # the 100-step count alone (oftrl/entropy/window-5 read 7.97 Python calls
+    # per step, not 8)
+    calls = {name: _calls_per_step(build, streams[name]) for name, (build, _) in builders.items()}
+    return {"samples": samples, "peak_rss_mb": benchlib.fresh_peak_rss(__file__, src),
+            "calls_per_step": calls}
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ samples, a ``measure(src)`` and, if it uses ``fresh_peak_rss``, a
 - ``measure(src)`` returns ``{"samples": {name: [seconds or us, ...]},
   "peak_rss_mb": float, ...}``, every other key being recorded as is;
 - ``call_counts(fn)`` counts the Python and C calls ``fn()`` makes, exact
-  where a wall clock drifts; a script records such counts under its own
-  key beside its samples;
+  where a wall clock drifts; a script records such counts beside its samples
+  under ``calls_per_round`` or ``calls_per_step``, which ``main`` prints;
 - ``fresh_peak_rss`` reruns the script with ``--child ARGS`` in a fresh
   process, which calls ``child(*ARGS)`` and prints its own peak RSS
   (``VmHWM``, not ``ru_maxrss``, which would include this process's peak);
@@ -170,8 +170,9 @@ def main(script: str, doc: str, what: str, timings, measure, child=None, argv=No
     for name, stats in entry["summary"].items():
         print(f"{args.label} {name}: median {stats['median']:.4g} "
               f"IQR {stats['iqr']:.3g} min {stats['min']:.4g} (n={stats['n']})")
-    for name, calls in entry.get("calls_per_round", {}).items():
-        print(f"{args.label} {name}: {calls['python']:.2f} Python calls, "
-              f"{calls['c']:.2f} C calls per round")
+    for unit in ("round", "step"):
+        for name, calls in entry.get(f"calls_per_{unit}", {}).items():
+            print(f"{args.label} {name}: {calls['python']:.2f} Python calls, "
+                  f"{calls['c']:.2f} C calls per {unit}")
     print(f"{args.label} peak_rss_mb: {entry['peak_rss_mb']:.4g}")
     return 0

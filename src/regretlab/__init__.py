@@ -41,7 +41,6 @@ from .experiment import (
     OUTPUT_ROOT_ENV,
     bid_trajectory,
     build_game_from_config,
-    mean_bid_oscillation,
     run_experiment,
 )
 from .games import (
@@ -75,7 +74,6 @@ from .library import (
     lower_bound_experiment,
     make_matrix_game,
     make_random_game,
-    make_random_smooth_game,
     splitmix64_floats,
 )
 from .regularizers import NegativeEntropy, SquaredEuclidean, get_regularizer
@@ -98,7 +96,7 @@ __all__ = [
     "RegretReport", "Trace", "read_trace_csv", "regret", "regret_series", "report",
     "run", "write_trace_csv", "write_trace_file",
     "OUTPUT_ROOT_ENV", "bid_trajectory", "build_game_from_config",
-    "mean_bid_oscillation", "run_experiment",
+    "run_experiment",
     "DenseGame", "EnumerationCapError", "NormalFormGame", "SmoothnessCertificate",
     "brute_force_opt", "load_dense_csv", "poa_welfare_bound",
     "verify_smoothness", "UtilityRangeError",
@@ -107,7 +105,7 @@ __all__ = [
     "certify_variation_bound", "declared_variation_bound", "declares_variation_bound",
     "make_learner", "variation_sums",
     "build_game", "lower_bound_experiment", "make_matrix_game", "make_random_game",
-    "make_random_smooth_game", "splitmix64_floats",
+    "splitmix64_floats",
     "NegativeEntropy", "SquaredEuclidean", "get_regularizer",
     "DoublingWrapper", "certify_robust", "parametric_constants", "wrap_doubling",
     "__version__",

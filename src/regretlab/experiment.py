@@ -1,12 +1,16 @@
 """Config-driven experiment runner.
 
 ``run_experiment`` executes a parsed ExperimentSpec end to end.  Each game
-kind runs its arms (the main arm and the optional baseline arm) one at a
-time and hands each to one writer, which saves its trace CSV (``flows.csv``
-for routing) and report CSV before the next arm runs; the SVG plots and a
-manifest.json follow.  Every report CSV is ``dynamics.report`` of its arm's
-trace, so it is recomputable from the matching trace CSV alone, as the
-CLI's ``report`` subcommand does.
+kind runs its arms (the main arm and the optional baseline arm), and each arm
+runs, reports and saves its trace CSV (``flows.csv`` for routing) and report
+CSV in one process.  A baseline arm runs in a child made with ``os.fork``
+while this process runs the main arm; only a small record of it (its manifest
+summary, whether a certificate failed, its artifact paths and its regrets to
+date) comes back, pickled through a pipe.  Where ``os.fork`` does not exist
+the arms run here one after the other.  The SVG plots and a manifest.json
+follow.  Every report CSV is ``dynamics.report`` of its arm's trace, so it is
+recomputable from the matching trace CSV alone, as the CLI's ``report``
+subcommand does.
 
 Artifacts land under ``$REGRETLAB_OUT`` (default: the current directory) in
 the subdirectory named by [outputs] dir.
@@ -18,6 +22,7 @@ import csv
 import io
 import json
 import os
+import pickle
 
 import numpy as np
 
@@ -39,7 +44,6 @@ __all__ = [
     "run_experiment",
     "write_report_csv",
     "bid_trajectory",
-    "mean_bid_oscillation",
     "regret_plot",
     "bids_plot",
 ]
@@ -139,18 +143,6 @@ def bid_trajectory(trace: Trace, player: int, item: int):
     return prob, cond
 
 
-def mean_bid_oscillation(trace: Trace, player: int) -> float:
-    """Mean over rounds of the L1 change in the player's unconditional
-    expected-bid-per-item vector — the sawtooth size."""
-    m, levels = _auction_layout(trace)
-    nb = len(levels)
-    w = trace.plays[player]
-    expected = np.stack([w[:, j * nb:(j + 1) * nb] @ levels for j in range(m)], axis=1)
-    if len(expected) < 2:
-        return 0.0
-    return float(np.mean(np.sum(np.abs(np.diff(expected, axis=0)), axis=1)))
-
-
 # ---------------------------------------------------------------------------
 # plots
 
@@ -200,7 +192,8 @@ def bids_plot(trace: Trace) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the runner: a game kind hands each arm to run_experiment's writer in turn
+# the runner: a game kind hands each arm to run_experiment's writer, which
+# returns the arm's record; run_experiment merges the records in arm order
 
 
 def _out_dir(spec: ExperimentSpec) -> str:
@@ -208,9 +201,65 @@ def _out_dir(spec: ExperimentSpec) -> str:
     return os.path.join(root, spec.outputs.get("dir") or "experiment")
 
 
-def _game_arms(spec: ExperimentSpec, write_arm) -> dict:
-    """Normal-form and auction games: the main arm, the optional baseline arm,
-    the regret plot of both, and the bid plot of an auction's main arm."""
+def _run_beside(first, second) -> list:
+    """``[first(), second()]``, with ``second`` run in a child made with
+    ``os.fork`` while this process runs ``first``; one after the other where
+    ``os.fork`` does not exist.  The child's return value, or the exception
+    it raised, comes back pickled through a pipe and is returned or raised
+    here once the child is reaped; when both fail, ``first``'s exception wins."""
+    if not hasattr(os, "fork"):
+        return [first(), second()]
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        _child(second, read_fd, write_fd)
+    os.close(write_fd)
+    try:
+        result = first()
+    finally:  # the child may be blocked on a full pipe: read it all, then reap it
+        try:
+            with open(read_fd, "rb") as fh:
+                data = fh.read()
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if not data:
+        raise ChildProcessError(f"an arm's process ended (wait status {status}) "
+                                "without sending its result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return [result, value]
+
+
+def _child(call, read_fd: int, write_fd: int):
+    """The forked side of ``_run_beside``: send ``(True, call())`` or
+    ``(False, exception)`` and leave through ``os._exit``, so the caller's
+    stack, its stdio buffers and its atexit handlers are never run here."""
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            sent = (True, call())
+        except BaseException as exc:
+            sent = (False, exc)
+        data = pickle.dumps(sent, protocol=pickle.HIGHEST_PROTOCOL)  # whole, or nothing sent
+        with open(write_fd, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _game_arms(spec: ExperimentSpec, write_arm):
+    """Normal-form and auction games: the main arm and the optional baseline
+    arm, each handed to ``write_arm`` in its own process, then the regret plot
+    of both and the bid plot of an auction's main arm.  Returns the
+    (label, record) of each arm in arm order and the plots."""
     game = build_game_from_config(spec.game)
     n = game.n
     problems = [f"[learner.{i}] refers to player {i} but the game has {n} players"
@@ -224,27 +273,35 @@ def _game_arms(spec: ExperimentSpec, write_arm) -> dict:
     if problems:
         raise ValueError("; ".join(problems))
 
-    arms = [("main", _arm_players(game, spec.specs_for(n), spec.robust))]
-    if spec.baseline is not None:
-        arms.append(("baseline", [spec.baseline] * n))
-    series, plots = {}, {}
-    for label, players in arms:
+    def arm(label, players):
+        """Run, report and write one arm; keep its record, its (n, T) regrets
+        to date and, for an auction's main arm, the bid plot's text."""
         trace = run(game, players, spec.T, spec.mode)
         if claim:
             trace.meta["smoothness"] = claim
         rep = report(trace)
         summary = {"regrets": rep.regrets, "sum_regret": rep.summary["sum_regret"]}
+        bids = None
         if label == "main":
             summary.update(rep.summary, T=spec.T, mode=spec.mode)
             if spec.game["type"] == "auction":
-                plots["bids_svg"] = ("bids.svg", bids_plot(trace))
-        write_arm(label, "trace", trace, rep, summary)
-        series[label] = _regret_series(trace)
-        del trace  # only its (n, T) regrets stay while the next arm runs
-    return {"regret_svg": ("regret.svg", _regret_lines(series)), **plots}
+                bids = bids_plot(trace)
+        return label, write_arm(label, "trace", trace, rep, summary), _regret_series(trace), bids
+
+    players = _arm_players(game, spec.specs_for(n), spec.robust)
+    if spec.baseline is None:
+        done = [arm("main", players)]
+    else:
+        done = _run_beside(lambda: arm("main", players),
+                           lambda: arm("baseline", [spec.baseline] * n))
+    plots = {"regret_svg": ("regret.svg",
+                            _regret_lines({label: series for label, _, series, _ in done}))}
+    if done[0][3] is not None:
+        plots["bids_svg"] = ("bids.svg", done[0][3])
+    return [(label, record) for label, record, _, _ in done], plots
 
 
-def _routing_arms(spec: ExperimentSpec, write_arm) -> dict:
+def _routing_arms(spec: ExperimentSpec, write_arm):
     """Splittable routing: one arm at the configured or the tuned step size
     1/(2Ln), certified only at the tuned one, and its cost plot."""
     network = build_game_from_config(spec.game)
@@ -257,11 +314,11 @@ def _routing_arms(spec: ExperimentSpec, write_arm) -> dict:
     series = [(f"player {i} cost", ts, cost) for i, cost in enumerate(trace.costs)]
     series.append(("total cost", ts, trace.total_cost))
     plot = line_plot(series, title="Routing costs", xlabel="round", ylabel="cost")
-    write_arm("main", "flows", trace, rep, {
+    record = write_arm("main", "flows", trace, rep, {
         "T": spec.T, "mode": "routing", "linearized_regrets": rep.regrets,
         "true_regrets": rep.regrets_raw,
         **{k: rep.summary[k] for k in ("eta", "sum_linearized_regret", "avg_total_cost")}})
-    return {"costs_svg": ("costs.svg", plot)}
+    return [("main", record)], {"costs_svg": ("costs.svg", plot)}
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> dict:
@@ -269,29 +326,43 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> dict:
 
     Returns the manifest (also written as manifest.json).  The manifest's
     exit_code is 0 on success and 2 when any claimed certificate fails;
-    artifacts are written either way, each arm's before the next arm runs
-    and manifest.json last, into a directory created at the first write."""
+    artifacts are written either way, into a directory created at the first
+    write.  A baseline arm runs in a forked child beside the main arm (one
+    after the other without ``os.fork``); each arm writes its own trace and
+    report files as it finishes, and the plots and manifest.json follow once
+    both have.  If an arm raises, its error is raised here (the main arm's
+    when both do), after the other arm has finished: the files of an arm
+    that finished stay, and no manifest is written."""
     out = out_dir or _out_dir(spec)
     artifacts = {}
     manifest = {"out_dir": out, "artifacts": artifacts, "exit_code": 0}
 
-    def save(key, name, write, *args):
+    def save(name, write, *args) -> str:
         os.makedirs(out, exist_ok=True)
-        artifacts[key] = os.path.join(out, name)
-        write(*args, artifacts[key])
+        path = os.path.join(out, name)
+        write(*args, path)
+        return path
 
-    def write_arm(label, trace_stem, trace, rep, summary):
-        if rep.failed():
-            manifest["exit_code"] = 2
+    def write_arm(label, trace_stem, trace, rep, summary) -> dict:
+        """Save one arm's trace and report files, in the arm's own process,
+        and return the record the manifest needs of it."""
         suffix = "" if label == "main" else f"_{label}"
-        save("trace" + suffix, f"{trace_stem}{suffix}.csv", write_trace_file, trace)
-        save("report" + suffix, f"report{suffix}.csv", write_report_csv, rep)
-        manifest["summary" if label == "main" else f"{label}_summary"] = dict(
-            summary, certificates={c.name: c.status for c in rep.certificates})
+        return {"failed": rep.failed(),
+                "summary": dict(summary, certificates={c.name: c.status
+                                                       for c in rep.certificates}),
+                "artifacts": {
+                    "trace" + suffix: save(f"{trace_stem}{suffix}.csv", write_trace_file, trace),
+                    "report" + suffix: save(f"report{suffix}.csv", write_report_csv, rep)}}
 
     kind_arms = _routing_arms if spec.game["type"] == "network" else _game_arms
-    for key, (name, svg) in kind_arms(spec, write_arm).items():
-        save(key, name, write_svg, svg)
+    records, plots = kind_arms(spec, write_arm)
+    for label, record in records:
+        if record["failed"]:
+            manifest["exit_code"] = 2
+        manifest["summary" if label == "main" else f"{label}_summary"] = record["summary"]
+        artifacts.update(record["artifacts"])
+    for key, (name, svg) in plots.items():
+        artifacts[key] = save(name, write_svg, svg)
     artifacts["manifest"] = os.path.join(out, "manifest.json")
     with open(artifacts["manifest"], "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -16,14 +16,13 @@ import numpy as np
 
 from .auctions import AuctionGame, AuctionSpec
 from .continuous import CongestionNetwork
-from .games import DenseGame, SmoothnessCertificate, _check_cap, verify_smoothness
+from .games import DenseGame, _check_cap
 from .learners import LearnerSpec
 
 __all__ = [
     "splitmix64_floats",
     "make_matrix_game",
     "make_random_game",
-    "make_random_smooth_game",
     "LowerBoundResult",
     "lower_bound_experiment",
     "build_game",
@@ -76,16 +75,6 @@ def make_random_game(n: int, dims, seed: int) -> DenseGame:
     per = count // n
     tensors = [np.array(vals[i * per : (i + 1) * per]).reshape(dims) for i in range(n)]
     return DenseGame(tensors, meta={"kind_detail": "random", "seed": seed})
-
-
-def make_random_smooth_game(
-    n: int, d: int, lam: float, mu: float, seed: int
-) -> tuple[DenseGame, SmoothnessCertificate]:
-    """Random game plus ``verify_smoothness(game, lam, mu)``: the first pure
-    deviation profile that verifies, or, when none does, an unverified
-    certificate naming the profile with the largest slack."""
-    game = make_random_game(n, [d] * n, seed)
-    return game, verify_smoothness(game, lam, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -61,15 +61,24 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     if v.ndim == 1:  # a vector's plain indexing costs a fraction of the block path
         try:
             rho = k[cond][-1]
-        except IndexError:  # no k at all: even 1 - v_(1) rounds to -v_(1)
-            raise ValueError(f"simplex projection lost its threshold: entries of magnitude "
-                             f"{np.abs(v).max():.3g} leave no float precision for a sum "
-                             f"of 1 (a smaller eta keeps them in range)") from None
+        except IndexError:
+            raise _lost_threshold(v) from None
         theta = (css[rho - 1] - 1.0) / rho
     else:  # each row's largest such k (its last True), and its threshold
+        found = np.logical_or.reduce(cond, axis=-1)
+        if not found.all():  # the first row without one, as the vector path refuses it
+            raise _lost_threshold(v[np.unravel_index(np.argmin(found), found.shape)])
         rho = v.shape[-1] - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)
         theta = (np.take_along_axis(css, rho - 1, axis=-1) - 1.0) / rho
     return np.maximum(v - theta, 0.0)
+
+
+def _lost_threshold(v: np.ndarray) -> ValueError:
+    """The refusal of a vector where no k passes the threshold test: even
+    1 - v_(1) rounds to -v_(1)."""
+    return ValueError(f"simplex projection lost its threshold: entries of magnitude "
+                      f"{np.abs(v).max():.3g} leave no float precision for a sum "
+                      f"of 1 (a smaller eta keeps them in range)")
 
 
 def _check_dim(d: int) -> None:

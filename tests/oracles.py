@@ -700,6 +700,18 @@ def splitmix64_reference(seed, count):
     return out
 
 
+def make_random_smooth_game(n, d, lam, mu, seed):
+    """A seeded random game with ``d`` strategies per player, plus
+    ``verify_smoothness(game, lam, mu)``: the first pure deviation profile
+    that verifies, or, when none does, an unverified certificate naming the
+    profile with the largest slack."""
+    from regretlab.games import verify_smoothness
+    from regretlab.library import make_random_game
+
+    game = make_random_game(n, [d] * n, seed)
+    return game, verify_smoothness(game, lam, mu)
+
+
 # ---------------------------------------------------------------------------
 # Bid-trajectory recomputation from a raw strategy vector.
 # ---------------------------------------------------------------------------
@@ -713,6 +725,21 @@ def bid_split(weights, m, bid_levels, item):
         return 0.0, 0.0
     cond = sum(bid_levels[b] * weights[item * nb + b] for b in range(nb)) / prob
     return prob, cond
+
+
+def mean_bid_oscillation(trace, player):
+    """Mean over rounds of the L1 change in the player's unconditional
+    expected-bid-per-item vector of an auction trace: the sawtooth size."""
+    import numpy as np  # local: the rest of this module is numpy-free
+    from regretlab.experiment import _auction_layout
+
+    m, levels = _auction_layout(trace)
+    nb = len(levels)
+    w = trace.plays[player]
+    expected = np.stack([w[:, j * nb:(j + 1) * nb] @ levels for j in range(m)], axis=1)
+    if len(expected) < 2:
+        return 0.0
+    return float(np.mean(np.sum(np.abs(np.diff(expected, axis=0)), axis=1)))
 
 
 def softmax(z):

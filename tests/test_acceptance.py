@@ -34,7 +34,6 @@ from regretlab.costmode import (
 from regretlab.dynamics import regret, regret_series, report, run
 from regretlab.experiment import (
     build_game_from_config,
-    mean_bid_oscillation,
     run_experiment,
 )
 from regretlab.games import DenseGame, verify_smoothness
@@ -48,7 +47,6 @@ from regretlab.library import (
     lower_bound_experiment,
     make_matrix_game,
     make_random_game,
-    make_random_smooth_game,
 )
 from regretlab.robust import certify_robust, parametric_constants, wrap_doubling
 
@@ -178,8 +176,8 @@ def test_03_auction_optimism_beats_plain_hedge():
     assert float(prefix.max()) <= cap + TOL
     assert float(prefix.max()) == pytest.approx(73.29331384897296, abs=TOL)
 
-    osc_opt = float(np.mean([mean_bid_oscillation(opt, i) for i in range(game.n)]))
-    osc_hed = float(np.mean([mean_bid_oscillation(hed, i) for i in range(game.n)]))
+    osc_opt = float(np.mean([orc.mean_bid_oscillation(opt, i) for i in range(game.n)]))
+    osc_hed = float(np.mean([orc.mean_bid_oscillation(hed, i) for i in range(game.n)]))
     assert osc_opt < osc_hed
     assert osc_opt == pytest.approx(0.003716235754961883, abs=TOL)
     assert osc_hed == pytest.approx(0.003731105463631053, abs=TOL)
@@ -303,7 +301,7 @@ def test_08_welfare_floor_holds_for_every_learner_family():
     for n, d, lam, mu, seed in ((2, 2, 0.3, 0.5, 6),
                                 (3, 2, 0.3, 0.5, 0),
                                 (2, 3, 0.5, 0.5, 0)):
-        game, cert = make_random_smooth_game(n, d, lam, mu, seed=seed)
+        game, cert = orc.make_random_smooth_game(n, d, lam, mu, seed=seed)
         assert cert.verified, (n, d, lam, mu, seed)
         fixtures.append((game, cert))
 

@@ -1165,16 +1165,19 @@ class TestTraceIoMemory:
         assert result is None
         assert peak < 0.25 * path.stat().st_size
 
-    def test_an_auction_experiment_holds_one_arm_at_a_time(self, tmp_path):
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "serial"])
+    def test_an_auction_experiment_holds_one_arm_at_a_time(self, tmp_path, monkeypatch, fork):
         with open(os.path.join(CONFIG_DIR, "auction_fig1.cfg"), encoding="utf-8") as fh:
             spec = parse_config(fh.read())
         game = experiment.build_game_from_config(spec.game)
         arm = 2 * 8 * spec.T * sum(game.dims)  # one arm's plays plus utilities, in bytes
+        if not fork:  # both arms here, one after the other
+            monkeypatch.delattr(os, "fork")
         _, _, peak = self.traced(lambda: experiment.run_experiment(spec, str(tmp_path)))
         # 1.42x: the peak is one arm's own run (its plays, its utilities and the
         # derivation's temporaries); the first arm's trace kept through the
         # second run read 2.9x, and both traces kept beside each trace file's
-        # whole text 5.1x
+        # whole text 5.1x.  A forked baseline's memory is its child's, untraced.
         assert peak < 1.5 * arm
 
     def test_an_auction_arm_run_frees_its_group_record(self):

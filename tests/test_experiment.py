@@ -1,6 +1,7 @@
 """End-to-end runner, trace-only reporting, bid diagnostics, SVG plots,
 and the command-line front end (artifacts, recomputability, exit codes)."""
 
+import hashlib
 import json
 import math
 import os
@@ -38,10 +39,10 @@ from regretlab.experiment import (
     _arm_players,
     _game_arms,
     _routing_arms,
+    _run_beside,
     bid_trajectory,
     bids_plot,
     build_game_from_config,
-    mean_bid_oscillation,
     regret_plot,
     run_experiment,
     write_report_csv,
@@ -254,7 +255,7 @@ class TestBidTrajectory:
         with pytest.raises(ValueError, match="auction trace"):
             bid_trajectory(tr, 0, 0)
         with pytest.raises(ValueError, match="auction trace"):
-            mean_bid_oscillation(tr, 0)
+            orc.mean_bid_oscillation(tr, 0)
 
 
 class TestMeanBidOscillation:
@@ -265,11 +266,11 @@ class TestMeanBidOscillation:
              [0, 1, 0, 0],
              [0, 0, 0.5, 0.5]]
         tr = auction_trace(w, 2, [1.0, 2.0])
-        assert mean_bid_oscillation(tr, 0) == pytest.approx(2.25, abs=1e-12)
+        assert orc.mean_bid_oscillation(tr, 0) == pytest.approx(2.25, abs=1e-12)
 
     def test_single_round_has_no_oscillation(self):
         tr = auction_trace(np.full((1, 4), 0.25), 2, [1.0, 2.0])
-        assert mean_bid_oscillation(tr, 0) == 0.0
+        assert orc.mean_bid_oscillation(tr, 0) == 0.0
 
     def test_matches_plain_loop_recompute(self):
         m, levels = 2, [1.0, 3.0, 5.0]
@@ -282,7 +283,7 @@ class TestMeanBidOscillation:
                 for j in range(m)] for t in range(8)]
         jumps = [sum(abs(exp[t + 1][j] - exp[t][j]) for j in range(m))
                  for t in range(7)]
-        assert mean_bid_oscillation(tr, 0) == pytest.approx(
+        assert orc.mean_bid_oscillation(tr, 0) == pytest.approx(
             sum(jumps) / len(jumps), abs=1e-12)
 
 
@@ -342,10 +343,13 @@ class TestOnePassRule:
         """Every arm of every shipped config, reported in memory, plus seeded
         cost, doubling-wrapped and rate-tuned (eta = T^-1/4) self-play."""
         reports = []
-        for name in SHIPPED_CONFIGS:
-            spec = _parse_config_file(os.path.join(CONFIG_DIR, name))
-            arms = _routing_arms if spec.game["type"] == "network" else _game_arms
-            arms(spec, lambda _label, _stem, _trace, rep, _summary: reports.append(rep))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delattr(os, "fork")  # every arm in this process, so each report is kept
+            for name in SHIPPED_CONFIGS:
+                spec = _parse_config_file(os.path.join(CONFIG_DIR, name))
+                arms = _routing_arms if spec.game["type"] == "network" else _game_arms
+                arms(spec, lambda _label, _stem, _trace, rep, _summary: reports.append(rep))
+        assert len(reports) == 6  # auction_fig1 and matrix_smooth have two arms each
         g = make_random_game(2, [3, 3], seed=5)
         cost = run(g, [LearnerSpec("first_order_hedge")] * 2, 200, "cost")
         cost.meta["smoothness"] = {"lambda": 5.0, "mu": 0.5, "s_star": None}
@@ -551,6 +555,111 @@ class TestRunExperiment:
             assert main(["report", str(tmp_path / "one" / f)]) == 0
             report = "report.csv" if f == "flows.csv" else f.replace("trace", "report")
             assert capsys.readouterr().out.encode() == runs[0][report]
+
+
+def _digests(out) -> dict:
+    """SHA-256 of every file under ``out`` by name, its path blanked in the bytes."""
+    return {name: hashlib.sha256((out / name).read_bytes().replace(
+        str(out).encode(), b"<OUT>")).hexdigest() for name in os.listdir(out)}
+
+
+MATRIX_BASELINE = "[baseline]\nalgorithm = hedge\neta = 0.25\n"
+MATRIX_MAIN = "[learner]\nalgorithm = optimistic_hedge\neta = 0.25\n"
+
+
+class TestForkedBaseline:
+    """A baseline arm runs in a child forked beside the main arm: the bytes
+    are those of one arm after the other, each arm's error comes back as it
+    was raised, and no child outlives the call."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("name", ["matrix_smooth.cfg", "auction_fig1.cfg"])
+    def test_the_bytes_are_those_of_one_arm_after_the_other(self, tmp_path, monkeypatch,
+                                                             name):
+        spec = _parse_config_file(os.path.join(CONFIG_DIR, name))
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        run_experiment(spec, str(tmp_path / "forked"))
+        assert forks == [1]
+        monkeypatch.delattr(os, "fork")
+        run_experiment(spec, str(tmp_path / "serial"))
+        forked = _digests(tmp_path / "forked")
+        assert "trace_baseline.csv" in forked and "manifest.json" in forked
+        assert forked == _digests(tmp_path / "serial")
+
+    def test_a_failing_baseline_keeps_the_main_arms_files(self, tmp_path, monkeypatch,
+                                                          capsys):
+        cfg = write_cfg(tmp_path, MATRIX_SMOOTH_CFG.replace(
+            MATRIX_BASELINE, MATRIX_BASELINE.replace("0.25", "1e308")))
+        done = run_module("simulate", cfg, "--out", str(tmp_path / "forked"))
+        monkeypatch.delattr(os, "fork")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "serial")]) == 1
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == capsys.readouterr().err
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: ") and "eta = 1e+308 is too large" in line
+        for out in ("forked", "serial"):  # the main arm's files stay; no manifest
+            assert sorted(os.listdir(tmp_path / out)) == ["report.csv", "trace.csv"]
+
+    @pytest.mark.parametrize("baseline_eta, kept", [
+        ("0.25", ["report_baseline.csv", "trace_baseline.csv"]), ("1e307", None),
+    ], ids=["healthy", "failing"])
+    def test_a_failing_main_arm_reports_its_own_error(self, tmp_path, baseline_eta, kept):
+        cfg = write_cfg(tmp_path, MATRIX_SMOOTH_CFG.replace(
+            MATRIX_MAIN, MATRIX_MAIN.replace("0.25", "1e308")).replace(
+            MATRIX_BASELINE, MATRIX_BASELINE.replace("0.25", baseline_eta)))
+        out = tmp_path / "out"
+        done = run_module("simulate", cfg, "--out", str(out))
+        assert done.returncode == 1 and "Traceback" not in done.stderr
+        [line] = done.stderr.splitlines()
+        assert "eta = 1e+308 is too large" in line and "1e+307" not in line
+        # a baseline that finished keeps its files; there is no manifest
+        assert (sorted(os.listdir(out)) if out.exists() else None) == kept
+
+
+class TestRunBeside:
+    """``experiment._run_beside``: the second call runs in a forked child,
+    the first here, and both results come back in order."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_the_second_call_runs_in_another_process(self):
+        here, there = _run_beside(os.getpid, os.getpid)
+        assert here == os.getpid() != there
+
+    def test_without_fork_both_run_here_in_order(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        calls = []
+        assert _run_beside(lambda: calls.append(1) or 1, lambda: calls.append(2) or 2) == [1, 2]
+        assert calls == [1, 2]
+
+    def test_the_childs_exception_is_raised_with_its_type_and_message(self):
+        with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+            _run_beside(lambda: None, lambda: 1 / 0)
+
+    def test_when_both_fail_the_first_calls_exception_wins(self):
+        with pytest.raises(KeyError, match="first"):
+            _run_beside(lambda: {}["first"], lambda: 1 / 0)
+
+    def test_a_child_that_sends_nothing_is_an_os_error(self):
+        with pytest.raises(ChildProcessError, match="without sending its result"):
+            _run_beside(lambda: None, lambda: os._exit(3))
+
+    def test_the_child_never_flushes_this_processs_buffers(self, tmp_path):
+        path = tmp_path / "buffered.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("once")  # still in the buffer when the child is forked
+            _run_beside(lambda: None, lambda: None)
+        assert path.read_text(encoding="utf-8") == "once"
 
 
 def shipped_arm_traces(spec, T):
@@ -1485,16 +1594,24 @@ class TestCliErrorBoundary:
         assert "Warning" not in done.stderr
 
     @pytest.mark.parametrize("eta", ["1e17", "1e300"])
-    def test_a_projection_beyond_float_precision_is_refused(self, tmp_path, eta):
-        # eta * (T + 1) * d is finite, but the Euclidean player's projection
-        # can no longer tell a sum of 1 from 0
-        config = ("[game]\ntype = random\nplayers = 2\ndims = 3,2\nseed = 3\n"
-                  "[learner]\nalgorithm = oftrl\nregularizer = euclidean\npredictor = last\n"
-                  f"eta = {eta}\n[run]\nT = 9\n")
+    @pytest.mark.parametrize("game, learner", [
+        ("players = 2\ndims = 3,2\nseed = 3", "oftrl"),
+        ("players = 3\ndims = 4\nseed = 8", "omd"),
+    ], ids=["vector", "block"])
+    def test_a_projection_beyond_float_precision_is_refused(self, tmp_path, game, learner,
+                                                            eta):
+        # eta * (T + 1) * d is finite, but the Euclidean projection can no
+        # longer tell a sum of 1 from 0: one player's vector, or the (3, 4)
+        # block of three players sharing one spec, each row refused as a
+        # vector is, before a play leaves the simplex or a utility overflows
+        config = (f"[game]\ntype = random\n{game}\n"
+                  f"[learner]\nalgorithm = {learner}\nregularizer = euclidean\n"
+                  f"predictor = last\neta = {eta}\n[run]\nT = 9\n")
         done = run_module("simulate", write_cfg(tmp_path, config),
                           "--out", str(tmp_path / "out"))
         self.assert_one_line_error(done, "simplex projection lost its threshold",
                                    "a smaller eta keeps them in range")
+        assert "Warning" not in done.stderr
 
     @pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\u2028"],
                              ids=["formfeed", "vtab", "file-sep", "line-sep"])

@@ -18,7 +18,6 @@ from regretlab import (
     lower_bound_experiment,
     make_matrix_game,
     make_random_game,
-    make_random_smooth_game,
     splitmix64_floats,
     verify_smoothness,
 )
@@ -98,7 +97,7 @@ class TestRandomGames:
         np.testing.assert_allclose(flat, expected, atol=0)
 
     def test_smooth_game_certificate(self):
-        game, cert = make_random_smooth_game(2, 2, 0.3, 0.5, seed=6)
+        game, cert = orc.make_random_smooth_game(2, 2, 0.3, 0.5, seed=6)
         assert cert.verified
         slack, _, _ = orc.enum_smoothness_slack(
             game.utility_tensors(), 0.3, 0.5, tuple(cert.s_star)
@@ -107,7 +106,7 @@ class TestRandomGames:
 
     def test_smooth_game_not_found_is_a_value(self):
         # lambda far too large: no deviation profile can verify
-        game, cert = make_random_smooth_game(2, 2, 50.0, 0.0, seed=6)
+        game, cert = orc.make_random_smooth_game(2, 2, 50.0, 0.0, seed=6)
         assert cert.verified is False
 
 

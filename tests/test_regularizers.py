@@ -121,6 +121,36 @@ class TestProjectSimplex:
                                              rf"entries of magnitude {re.escape(shown)} "):
             project_simplex(np.array(v))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_block_projects_or_refuses_as_its_rows_do(self, seed):
+        # rows of magnitudes 1 to 1e300, mixed in one block: the block path
+        # gives each row's vector-path bits, or the vector path's ValueError
+        # of its first refused row
+        rng = np.random.default_rng(seed)
+        outcomes = set()
+        for shape in [(5, 4)] * 40 + [(2, 3, 3)] * 20:
+            rows = shape[:-1] + (1,)  # most rows within float precision (below 1e16)
+            exponent = np.where(rng.random(rows) < 0.8, rng.integers(0, 17, rows),
+                                rng.integers(17, 301, rows))
+            block = rng.standard_normal(shape) * 10.0 ** exponent
+            refusals = []
+            for idx in np.ndindex(shape[:-1]):
+                try:
+                    project_simplex(block[idx])
+                except ValueError as exc:
+                    refusals.append(str(exc))
+            if refusals:
+                with pytest.raises(ValueError) as excinfo:
+                    project_simplex(block)
+                assert str(excinfo.value) == refusals[0]
+                outcomes.add("refused")
+                continue
+            w = project_simplex(block)
+            for idx in np.ndindex(shape[:-1]):
+                assert_same_bits(w[idx], project_simplex(block[idx]))
+            outcomes.add("projected")
+        assert outcomes == {"refused", "projected"}
+
     def test_a_vector_within_float_precision_keeps_its_projection(self):
         assert_same_bits(project_simplex(np.array([1e15, 0.0])), np.array([1.0, 0.0]))
 

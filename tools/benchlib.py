@@ -10,9 +10,11 @@ samples, a ``measure(src)`` and, if it uses ``fresh_peak_rss``, a
 - ``call_counts(fn)`` counts the Python and C calls ``fn()`` makes, exact
   where a wall clock drifts; a script records such counts beside its samples
   under ``calls_per_round`` or ``calls_per_step``, which ``main`` prints;
-- ``fresh_peak_rss`` reruns the script with ``--child ARGS`` in a fresh
+- ``fresh_child`` reruns the script with ``--child ARGS`` in a fresh
   process, which calls ``child(*ARGS)`` and prints its own peak RSS
-  (``VmHWM``, not ``ru_maxrss``, which would include this process's peak);
+  (``VmHWM``, not ``ru_maxrss``, which would include this process's peak)
+  beside any readings ``child`` returns as a dict; ``fresh_peak_rss`` keeps
+  the peak RSS alone;
 - ``merge`` records the samples under ``--label`` in ``BENCH_<name>.json`` at
   the repository root (``<name>`` from ``bench_<name>.py``), with the host
   fingerprint, the checkout's git commit and a SHA-256 of its
@@ -106,11 +108,17 @@ def call_counts(fn) -> tuple[int, int]:
     return counts["call"], counts["c_call"]
 
 
-def fresh_peak_rss(script: str, src: str, *args: str) -> float:
-    """Peak RSS in MB of ``script --src SRC --child ARGS`` run in a fresh process."""
+def fresh_child(script: str, src: str, *args: str) -> dict:
+    """The readings of ``script --src SRC --child ARGS`` run in a fresh
+    process: its ``peak_rss_mb`` and whatever its ``child`` returned."""
     done = subprocess.run([sys.executable, os.path.abspath(script), "--src", src,
                            "--child", *args], capture_output=True, text=True, check=True)
-    return json.loads(done.stdout)["peak_rss_mb"]
+    return json.loads(done.stdout)
+
+
+def fresh_peak_rss(script: str, src: str, *args: str) -> float:
+    """Peak RSS in MB of ``script --src SRC --child ARGS`` run in a fresh process."""
+    return fresh_child(script, src, *args)["peak_rss_mb"]
 
 
 def merge(script: str, what: str, timings, label: str, src: str, result: dict) -> dict:
@@ -157,8 +165,8 @@ def main(script: str, doc: str, what: str, timings, measure, child=None, argv=No
     if args.child is not None:
         if child is None:
             parser.error("this script runs no --child process")
-        child(*args.child)
-        print(json.dumps({"peak_rss_mb": _peak_rss_mb()}))
+        readings = child(*args.child) or {}
+        print(json.dumps({"peak_rss_mb": _peak_rss_mb(), **readings}))
         return 0
     if not args.label:
         parser.error("--label is required")

@@ -2,7 +2,7 @@
 
 Subcommands: ``simulate <config>``, ``report <trace.csv>``,
 ``lowerbound --eta X --T N``, ``verify-smooth <config>``, and
-``plot <trace.csv> --kind {regret|bids}``.
+``plot <trace.csv>... --kind {regret|bids}``.
 
 Exit codes: 0 success, 1 usage or config problem, 2 certificate failure.
 """
@@ -55,8 +55,8 @@ def _build_parser() -> _Parser:
                        "smoothness claim")
     p.add_argument("config", help="experiment config file")
 
-    p = sub.add_parser("plot", help="render an SVG from a trace")
-    p.add_argument("trace", help="trace CSV written by simulate")
+    p = sub.add_parser("plot", help="render an SVG from one or more traces")
+    p.add_argument("trace", nargs="+", help="trace CSVs written by simulate")
     p.add_argument("--kind", choices=("regret", "bids"), default="regret")
     p.add_argument("--out", default=None, help="output SVG path")
     return parser
@@ -135,9 +135,16 @@ def _cmd_verify_smooth(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    trace = read_trace_csv(args.trace)
-    svg = regret_plot({"run": trace}) if args.kind == "regret" else bids_plot(trace)
-    out = args.out or os.path.join(os.path.dirname(os.path.abspath(args.trace)),
+    # each trace's arm label is the runner's: trace.csv is main, trace_<label>.csv is <label>
+    stems = [os.path.splitext(os.path.basename(path))[0] for path in args.trace]
+    labels = ["main" if stem == "trace" else stem.removeprefix("trace_") for stem in stems]
+    if args.kind == "bids" and len(labels) > 1:
+        raise ValueError("plot --kind bids takes one trace")
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"two traces have the same arm label: {', '.join(labels)}")
+    traces = [read_trace_csv(path) for path in args.trace]
+    svg = regret_plot(dict(zip(labels, traces))) if args.kind == "regret" else bids_plot(traces[0])
+    out = args.out or os.path.join(os.path.dirname(os.path.abspath(args.trace[0])),
                                    f"{args.kind}.svg")
     write_svg(svg, out)
     print(f"wrote {out}")

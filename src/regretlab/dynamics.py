@@ -51,7 +51,6 @@ from .robust import certify_robust, parametric_constants
 
 __all__ = [
     "Trace",
-    "RegretReport",
     "run",
     "regret",
     "regret_series",

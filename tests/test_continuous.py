@@ -515,6 +515,20 @@ class TestCertificate:
         tr = run_continuous(net, 0.1, 50)
         assert sum(linearized_regret(tr, i) for i in range(2)) == 0.0
 
+    @pytest.mark.parametrize("over, passed", [(1e-4, False), (1e-8, True)])
+    def test_the_tolerance_is_one_millionth(self, over, passed):
+        # a total linearized regret `over` above n*R/eta, at the eta that a
+        # bundle with L = 1/(2 n eta) tunes: past the 1e-6 tolerance, or within it
+        net = parse_network(QUAD_NETWORK)
+        tr = run_continuous(net, 0.1, 50)
+        total = sum(linearized_regret(tr, i) for i in range(net.n))
+        R = max(f * math.log(len(paths)) for (_s, _t, f), paths in zip(net.players, net.paths))
+        tr.meta["eta"] = net.n * R / (total - over)
+        L = 1.0 / (2.0 * net.n * tr.eta)
+        cert = certify_total_regret(tr, continuous.LipschitzBundle(K=0.0, L_paper=L, L_derived=L))
+        assert cert.lhs == total and cert.lhs - cert.rhs == pytest.approx(over, rel=1e-3)
+        assert cert.passed is passed
+
     def test_step_size_mismatch_is_rejected(self):
         net = parse_network(TWO_EDGE_TWO_PLAYER)
         bun = lipschitz_constant(net)

@@ -470,6 +470,16 @@ class TestReportCertificates:
         names = [c.name for c in report(tr).certificates]
         assert "sum_regret_bound" not in names
 
+    @pytest.mark.parametrize("eta, attached", [(0.25, True), (0.3, False)])
+    def test_sum_regret_bound_needs_beta_within_gamma_over_n_minus_1_squared(self, eta,
+                                                                             attached):
+        # oftrl/last declares beta = eta, gamma = 1/(4 eta): at n = 3 the claim
+        # holds to eta = 1/4, where beta <= gamma/(n-1) would reach eta = 0.35
+        specs = [LearnerSpec("oftrl", eta, predictor="last")] * 3
+        tr = run(make_random_game(3, [3, 3, 3], 5), specs, 50)
+        names = [c.name for c in report(tr).certificates]
+        assert ("sum_regret_bound" in names) is attached
+
     def test_sum_regret_bound_absent_with_plain_hedge(self):
         # plain Hedge declares no variation constants, so no sum bound
         tr = run(make_matrix_game(A_TILTED), [hedge(0.5), opt_hedge(0.5)], 20)

@@ -454,6 +454,11 @@ class TestRunExperiment:
         with open(manifest["artifacts"]["manifest"], "r", encoding="utf-8") as fh:
             assert json.load(fh) == manifest
 
+    def test_a_robust_config_wraps_each_two_strategy_player(self, tmp_path):
+        cfg = MATRIX_SMOOTH_CFG.replace("[run]", "[robust]\neta_star = 0.25\n\n[run]")
+        manifest = run_experiment(parse_config(cfg), out_dir=str(tmp_path / "arm"))
+        assert {"robust_bound[0]", "robust_bound[1]"} <= set(manifest["summary"]["certificates"])
+
     def test_regret_svg_has_one_polyline_per_series(self, tmp_path):
         out = str(tmp_path / "arm")
         manifest = run_experiment(parse_config(MATRIX_SMOOTH_CFG), out_dir=out)
@@ -1490,6 +1495,38 @@ class TestCliPlot:
         dest = os.path.join(str(tmp_path / "arm"), "regret.svg")
         assert f"wrote {dest}" in capsys.readouterr().out
         assert polylines(read(dest)) == 2  # one arm: sum + max series
+
+    @pytest.mark.parametrize("name", ["auction_fig1.cfg", "cost_congestion.cfg",
+                                      "matrix_smooth.cfg"])
+    def test_the_plot_of_a_configs_traces_is_its_regret_svg(self, tmp_path, capsys, name):
+        spec = _parse_config_file(os.path.join(CONFIG_DIR, name))
+        artifacts = run_experiment(spec, out_dir=str(tmp_path / "out"))["artifacts"]
+        drawn = read(artifacts["regret_svg"])
+        traces = [artifacts[key] for key in ("trace", "trace_baseline") if key in artifacts]
+        assert main(["plot", *traces]) == 0
+        assert f"wrote {artifacts['regret_svg']}" in capsys.readouterr().out
+        assert read(artifacts["regret_svg"]) == drawn
+
+    @pytest.mark.parametrize("stem, label", [("trace", "main"), ("trace_baseline", "baseline"),
+                                             ("arm", "arm")])
+    def test_a_trace_is_labelled_by_its_file_name(self, tmp_path, stem, label):
+        manifest = run_experiment(parse_config(MATRIX_SMOOTH_CFG),
+                                  out_dir=str(tmp_path / "arm"))
+        path = tmp_path / f"{stem}.csv"
+        shutil.copy(manifest["artifacts"]["trace"], path)
+        assert main(["plot", str(path), "--out", str(tmp_path / "r.svg")]) == 0
+        assert re.findall(r">(\w+): sum of regrets<", read(tmp_path / "r.svg")) == [label]
+
+    @pytest.mark.parametrize("kind, message", [
+        ("regret", "error: two traces have the same arm label: main, main\n"),
+        ("bids", "error: plot --kind bids takes one trace\n"),
+    ], ids=["regret", "bids"])
+    def test_traces_a_plot_cannot_take_are_refused(self, tmp_path, capsys, kind, message):
+        manifest = run_experiment(parse_config(MATRIX_SMOOTH_CFG),
+                                  out_dir=str(tmp_path / "arm"))
+        trace = manifest["artifacts"]["trace"]
+        assert main(["plot", trace, trace, "--kind", kind]) == 1
+        assert capsys.readouterr().err == message
 
     def test_bids_plot_explicit_path(self, tmp_path, capsys):
         manifest = run_experiment(parse_config(AUCTION_CFG),

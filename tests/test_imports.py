@@ -1,13 +1,21 @@
 """Package imports sit at module level, except where an import cycle needs a
-function-local one; every package export is public in its own module."""
+function-local one; the package exports exactly its library modules' public
+names, and importing it loads those modules and not the CLI."""
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import regretlab
 
 PACKAGE = pathlib.Path(regretlab.__file__).parent
+# every module but the package itself and the CLI front end, in file order
+LIBRARY = [f"regretlab.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
+           if path.stem not in ("__init__", "__main__", "cli")]
 
 # (module, imported module) of every import inside a function body
 EXPECTED = {
@@ -36,15 +44,20 @@ def test_function_local_imports_are_the_pinned_set():
 
 
 def test_every_package_export_is_in_its_modules_all():
-    # the module that defines a name, or for a constant the one it is imported from
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    source = {a.asname or a.name: f"regretlab.{node.module}" for node in tree.body
-              if isinstance(node, ast.ImportFrom) for a in node.names}
-    missing = []
-    for name in regretlab.__all__:
-        if name == "__version__":
-            continue
-        module = getattr(getattr(regretlab, name), "__module__", None) or source[name]
-        if name not in importlib.import_module(module).__all__:
-            missing.append(f"{module}.{name}")
-    assert missing == []
+    # the ordered union of the library modules' __all__, each name once, then
+    # __version__; each name is the very object its module holds
+    union = []
+    for module in map(importlib.import_module, LIBRARY):
+        union += [name for name in module.__all__ if name not in union]
+        for name in module.__all__:
+            assert getattr(regretlab, name) is getattr(module, name), f"{module.__name__}.{name}"
+    assert regretlab.__all__ == union + ["__version__"]
+
+
+def test_import_loads_the_library_modules_and_not_the_cli():
+    code = "import json, sys, regretlab; json.dump(sorted(sys.modules), sys.stdout)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded = json.loads(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+    assert [m for m in loaded if m.startswith("regretlab")] == ["regretlab", *LIBRARY]
+    assert "argparse" not in loaded

@@ -21,7 +21,12 @@ per shipped ``configs/*.cfg`` of this repository, with the package from
   without ``[baseline]``, or a package that forks none).  A forked child's
   RSS counts the pages it shares with its parent.
 
-The invocation's ``peak_rss_mb`` is the largest of all these readings.  The
+The invocation's ``peak_rss_mb`` is the largest of all these readings.
+``calls_per_config`` records the Python and C calls (``benchlib.call_counts``)
+of one more ``simulate`` per config, run in this process after the timed ones,
+so no import is counted.  ``os.fork`` is hidden for it, so a baseline arm runs
+here after the main arm and its calls are counted too.  The counts are exact,
+so two invocations give the same counts.  The
 samples are merged under ``--label`` into ``BENCH_simulate.json`` at the
 repository root by ``benchlib``.  Compare two checkouts by alternating their
 labelled runs.  Only the standard library and numpy are used.
@@ -43,7 +48,9 @@ CONFIGS = sorted(glob.glob(os.path.join(benchlib.ROOT, "configs", "*.cfg")))
 STEMS = [os.path.basename(c)[:-len(".cfg")] for c in CONFIGS]
 WHAT = ("regretlab simulate of every shipped config in a fresh process: wall clock "
         "in seconds, that process's own peak RSS (VmHWM) in MB and the largest peak "
-        "RSS of the arm processes it forked (ru_maxrss of RUSAGE_CHILDREN) in MB")
+        "RSS of the arm processes it forked (ru_maxrss of RUSAGE_CHILDREN) in MB; Python "
+        "and C calls per config (calls_per_config) from one more simulate in the measuring "
+        "process, its imports done and os.fork hidden, so both arms' calls are counted")
 TIMINGS = tuple(f"{stem}_{unit}" for stem in STEMS for unit in ("s", "rss_mb", "arm_rss_mb"))
 REPEATS = 5
 
@@ -69,6 +76,19 @@ def child(config: str, out: str) -> dict:
     return {"arm_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0}
 
 
+def _calls(config: str) -> dict:
+    """The Python and C calls of ``simulate CONFIG`` in this process, with
+    ``os.fork`` hidden so a baseline arm runs (and is counted) here too."""
+    fork = os.__dict__.pop("fork", None)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            python, c = benchlib.call_counts(lambda: child(config, tmp))
+    finally:
+        if fork is not None:
+            os.fork = fork
+    return {"python": python, "c": c}
+
+
 def measure(src: str) -> dict:
     samples = {name: [] for name in TIMINGS}
     for _ in range(REPEATS):
@@ -79,7 +99,8 @@ def measure(src: str) -> dict:
             samples[f"{stem}_rss_mb"].append(readings["peak_rss_mb"])
             samples[f"{stem}_arm_rss_mb"].append(readings["arm_rss_mb"])
     peak = max(x for name, xs in samples.items() if name.endswith("_rss_mb") for x in xs)
-    return {"samples": samples, "peak_rss_mb": peak}
+    calls = {f"{stem}_s": _calls(config) for stem, config in zip(STEMS, CONFIGS)}
+    return {"samples": samples, "peak_rss_mb": peak, "calls_per_config": calls}
 
 
 if __name__ == "__main__":

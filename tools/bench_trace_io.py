@@ -24,6 +24,12 @@ through the runner's writer) reports its peak RSS (``peak_rss_mb``); another
 that runs the main arm and writes its trace with the runner's writer reports
 ``stream_write_rss_mb``.
 
+Beside the ``stream_write_s`` and ``read_s`` rows, ``calls_per_row`` records
+the Python and C calls (``benchlib.call_counts``) of one write of the
+auction trace with the runner's writer and of one ``read_trace_csv`` of the
+file, each over the trace's rows (one per round and player).  They are
+exact, so two invocations give the same counts.
+
 The samples are merged under ``--label`` into ``BENCH_trace_io.json`` at the
 repository root by ``benchlib``, with the SHA-256 of the trace this checkout
 wrote.  Only the standard library and numpy are used.
@@ -41,7 +47,8 @@ import benchlib
 CONFIG = os.path.join(benchlib.ROOT, "configs", "auction_fig1.cfg")
 WHAT = ("trace CSV I/O on configs/auction_fig1.cfg's main-arm trace, and read_trace_csv of "
         "a dense n = 4, d = 5, T = 5000 oftrl self-play trace, wall-clock seconds; "
-        "peak RSS of fresh processes")
+        "peak RSS of fresh processes; Python and C calls per written and per read row of "
+        "the auction trace (calls_per_row)")
 TIMINGS = ("write_s", "read_s", "full_report_s", "dense_read_s", "stream_write_s")
 REPEATS = 7
 DENSE_T = 5000
@@ -118,11 +125,16 @@ def measure(src: str) -> dict:
                                  (stream_write.__name__, fh.read())):
                 if data != written:
                     raise RuntimeError(f"{writer} did not reproduce simulate's trace bytes")
+        rows, calls = trace.n * trace.T, {}  # a row per round and player
+        for name, fn in (("stream_write_s", lambda: stream_write(trace, streamed)),
+                         ("read_s", lambda: read_trace_csv(streamed))):
+            python, c = benchlib.call_counts(fn)
+            calls[name] = {"python": python / rows, "c": c / rows}
         peak = benchlib.fresh_peak_rss(__file__, src, trace_path)
         stream_peak = benchlib.fresh_peak_rss(__file__, src, trace_path, "stream")
     return {"samples": samples, "peak_rss_mb": peak, "stream_write_rss_mb": stream_peak,
             "stream_writer": stream_write.__name__, "trace_bytes": len(written),
-            "trace_sha256": benchlib.sha256(written)}
+            "trace_sha256": benchlib.sha256(written), "calls_per_row": calls}
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ samples, a ``measure(src)`` and, if it uses ``fresh_peak_rss``, a
   "peak_rss_mb": float, ...}``, every other key being recorded as is;
 - ``call_counts(fn)`` counts the Python and C calls ``fn()`` makes, exact
   where a wall clock drifts; a script records such counts beside its samples
-  under ``calls_per_round`` or ``calls_per_step``, which ``main`` prints;
+  under ``calls_per_round``, ``calls_per_step``, ``calls_per_row`` or
+  ``calls_per_config``, which ``main`` prints;
 - ``fresh_child`` reruns the script with ``--child ARGS`` in a fresh
   process, which calls ``child(*ARGS)`` and prints its own peak RSS
   (``VmHWM``, not ``ru_maxrss``, which would include this process's peak)
@@ -178,9 +179,9 @@ def main(script: str, doc: str, what: str, timings, measure, child=None, argv=No
     for name, stats in entry["summary"].items():
         print(f"{args.label} {name}: median {stats['median']:.4g} "
               f"IQR {stats['iqr']:.3g} min {stats['min']:.4g} (n={stats['n']})")
-    for unit in ("round", "step"):
+    for unit in ("round", "step", "row", "config"):
         for name, calls in entry.get(f"calls_per_{unit}", {}).items():
-            print(f"{args.label} {name}: {calls['python']:.2f} Python calls, "
-                  f"{calls['c']:.2f} C calls per {unit}")
+            print(f"{args.label} {name}: {calls['python']:.6g} Python calls, "
+                  f"{calls['c']:.6g} C calls per {unit}")
     print(f"{args.label} peak_rss_mb: {entry['peak_rss_mb']:.4g}")
     return 0

@@ -24,7 +24,7 @@ import numpy as np
 
 from .games import NormalFormGame, _check_cap, _check_profile
 
-__all__ = ["AuctionSpec", "AuctionGame", "masked_values", "uniform_values"]
+__all__ = ["AuctionSpec", "AuctionGame", "uniform_values"]
 
 
 @dataclass
@@ -59,15 +59,6 @@ class AuctionSpec:
 
 def uniform_values(n: int, m: int, v: float) -> np.ndarray:
     return np.full((n, m), float(v))
-
-
-def masked_values(n: int, m: int, v: float, seed: int) -> np.ndarray:
-    """Player-specific item subsets: each (player, item) value is v with
-    probability 1/2 else 0, from a seeded splitmix64 stream."""
-    from .library import splitmix64_floats  # local: library imports auctions
-
-    bits = splitmix64_floats(seed, n * m)
-    return np.where(np.asarray(bits).reshape(n, m) < 0.5, float(v), 0.0)
 
 
 def _check_payoff_cap(n: int, m: int, nb: int) -> None:

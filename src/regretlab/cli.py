@@ -15,10 +15,9 @@ import sys
 
 from .config import ConfigError, parse_config
 from .dynamics import read_trace_csv, report
-from .experiment import (bids_plot, build_game_from_config, regret_plot, run_experiment,
-                         write_report_csv)
+from .experiment import (bids_plot, build_game_from_config, lower_bound_experiment, regret_plot,
+                         run_experiment, write_report_csv)
 from .games import verify_smoothness
-from .library import lower_bound_experiment
 from .svgplot import write_svg
 
 __all__ = ["main"]

@@ -1,10 +1,10 @@
-"""Cost-minimization games and first-order regret machinery.
+"""Cost-minimization games: fixed-step Hedge over costs, the measured
+constants of first-order regret and the average-cost welfare certificate.
 
 A cost game is a dense game whose oracle values are per-player costs in
-[0, 1]; the dynamics engine feeds utility-maximizing learners 1 - c, while
-``FirstOrderHedge`` is cost-native: exponential weights on cumulative cost
-with a doubling schedule keyed to the best strategy's cumulative cost, so its
-regret scales with the best arm's total cost rather than with T.
+[0, 1]; the dynamics engine feeds utility-maximizing learners 1 - c.  The
+cost-native ``learners.FirstOrderHedge``, whose regret scales with the best
+arm's total cost rather than with T, is the learner that certificate assumes.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import SmoothnessCertificate
-from .learners import TOL, Certificate, ZeroPredictor, _RegularizedLearner
+# FirstOrderHedge only for perfbench/spans.py, which reads it here (ROADMAP item 1)
+from .learners import TOL, Certificate, FirstOrderHedge, ZeroPredictor, _RegularizedLearner
 from .regularizers import NegativeEntropy
 
 __all__ = [
     "CostHedge",
-    "FirstOrderHedge",
     "FirstOrderConstants",
     "fit_first_order_constants",
     "certify_cost_welfare",
@@ -41,44 +41,6 @@ class CostHedge(_RegularizedLearner):
 
     def _observe(self, c: np.ndarray) -> None:
         _RegularizedLearner._observe(self, 1.0 - c)
-
-
-class FirstOrderHedge(_RegularizedLearner):
-    """Cost-native Hedge with a first-order doubling schedule.
-
-    Weights are proportional to exp(-eta_r * cumulative epoch cost): the
-    entropy step on ``cumulative``, which holds minus the epoch's cost.  The
-    budget L_r starts at 1 and doubles whenever the globally best strategy's
-    cumulative cost exceeds it; each breach retunes eta_r = sqrt(ln d / L_r)
-    and restarts the epoch sum.  On a stream with a zero-cost strategy the
-    budget never breaks, so regret stays bounded independent of T.
-    """
-
-    algorithm = "first_order_hedge"
-    feedback = "cost"
-
-    def __init__(self, d: int):
-        super().__init__(d, NegativeEntropy(), 1.0, ZeroPredictor())  # eta: tuned below
-        self.budget, self.epoch = 1.0, 1
-        self.global_cum = np.zeros(d)
-        self.eta = self._tuned_eta()
-
-    def _tuned_eta(self) -> float:
-        return math.sqrt(max(math.log(self.d), 1e-12) / self.budget)
-
-    def _observe(self, c: np.ndarray) -> None:
-        bad = [x for x in c.tolist() if not -1e-12 <= x <= 1.0 + 1e-12]  # NaN too
-        if bad:
-            raise ValueError(f"costs must lie in [0,1], got {bad[0]}")
-        self.cumulative -= c
-        self.global_cum += c
-        best = float(self.global_cum.min())
-        if best > self.budget:
-            while best > self.budget:
-                self.budget *= 2.0
-            self.epoch += 1
-            self.eta = self._tuned_eta()
-            self.cumulative.fill(0.0)
 
 
 @dataclass

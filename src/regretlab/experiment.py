@@ -1,4 +1,4 @@
-"""Config-driven experiment runner.
+"""Config-driven experiment runner, and the sqrt(T) lower-bound experiment.
 
 ``run_experiment`` executes a parsed ExperimentSpec end to end.  Each game
 kind runs its arms (the main arm and the optional baseline arm), and each arm
@@ -13,7 +13,8 @@ recomputable from the matching trace CSV alone, as the CLI's ``report``
 subcommand does.
 
 Artifacts land under ``$REGRETLAB_OUT`` (default: the current directory) in
-the subdirectory named by [outputs] dir.
+the subdirectory named by [outputs] dir.  ``lower_bound_experiment`` runs
+Hedge against a best responder, whose regret grows with sqrt(T).
 """
 
 from __future__ import annotations
@@ -21,20 +22,22 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import pickle
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import continuous
-from .auctions import AuctionGame, AuctionSpec, _check_payoff_cap, masked_values, uniform_values
+from .auctions import AuctionGame, AuctionSpec, _check_payoff_cap, uniform_values
 from .config import ExperimentSpec
-from .dynamics import Trace, regret_series, report, run, write_trace_file
+from .dynamics import Trace, regret, regret_series, report, run, write_trace_file
 # perfbench times report under this name; the alias goes once it calls report
 from .dynamics import report as full_report
 from .games import _check_claim, load_dense_csv
-from .learners import declares_variation_bound
-from .library import make_matrix_game, make_random_game
+from .learners import LearnerSpec, declares_variation_bound
+from .library import make_matrix_game, make_random_game, masked_values
 from .robust import wrap_doubling
 from .svgplot import line_plot, write_svg
 
@@ -46,6 +49,8 @@ __all__ = [
     "bid_trajectory",
     "regret_plot",
     "bids_plot",
+    "LowerBoundResult",
+    "lower_bound_experiment",
 ]
 
 OUTPUT_ROOT_ENV = "REGRETLAB_OUT"
@@ -368,3 +373,46 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> dict:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
+
+
+# ---------------------------------------------------------------------------
+# the sqrt(T) lower-bound experiment
+
+
+@dataclass
+class LowerBoundResult:
+    """Realized regrets of Hedge against a best responder, with the closed
+    forms quoted for the two matrices.
+
+    Note: on game A the dynamics are exactly solvable and the realized regret
+    equals (T/2)*(1/2 - 1/(1+e^eta)) for even T -- half of ``closed_form_A``.
+    Both numbers are reported; certificates built on this experiment test the
+    realized dynamics.
+    """
+
+    eta: float
+    T: int
+    r_game_A: float
+    r_game_Aprime: float
+    closed_form_A: float
+    closed_form_Aprime_lb: float
+
+
+def lower_bound_experiment(eta: float, T: int) -> LowerBoundResult:
+    """Run Hedge(eta) as the row player against a best-responding column on
+    the identity matrix A and on the single-column matrix A' = (1; 0)."""
+    specs = [LearnerSpec("hedge", eta=eta), LearnerSpec("bestresponse")]  # checks eta
+    if T < 1 or T % 2:
+        raise ValueError(f"T must be a positive even integer, got {T}")
+    trace_a = run(make_matrix_game(np.eye(2)), specs, T)
+    trace_ap = run(make_matrix_game(np.array([[1.0], [0.0]])), specs, T)
+    q = math.exp(-eta)  # (e^eta - 1)/(e^eta + 1) as (1 - q)/(1 + q): no overflow
+    return LowerBoundResult(
+        eta=eta,
+        T=T,
+        r_game_A=regret(trace_a, 0),
+        r_game_Aprime=regret(trace_ap, 0),
+        closed_form_A=(T / 2.0) * (1.0 - q) / (1.0 + q),
+        # (1 - e^{-T eta}) / (2 (1 - e^{-eta})) through expm1: q is 1.0 below eta = 2^-53
+        closed_form_Aprime_lb=math.expm1(-T * eta) / (2.0 * math.expm1(-eta)),
+    )

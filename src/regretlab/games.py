@@ -368,29 +368,32 @@ def verify_smoothness(
     profile ``s_star`` or, without one, at every pure profile in lexicographic
     order, once the claim passes ``_check_claim``.  Returns the first candidate
     that verifies, else the candidate with the largest slack (unverified, never
-    an exception)."""
+    an exception); a claim whose lam * Opt, mu * W or slack overflows is refused."""
     _check_claim(game.dims, lam, mu, s_star)
     opt, _ = brute_force_opt(game, mode)
     if s_star is not None:
         s_star = tuple(int(x) for x in s_star)
     tensors = game.utility_tensors()
     welfare = game.welfare_tensor()
-    residual = welfare - sum(tensors)
     best = None
-    for cand in [s_star] if s_star is not None else np.ndindex(*game.dims):
-        dev = np.zeros_like(welfare)
-        for i in range(game.n):
-            dev = dev + np.expand_dims(np.take(tensors[i], cand[i], axis=i), axis=i)
-        if mode == "utility":
-            slack = dev + residual - lam * opt + mu * welfare
-        else:
-            slack = lam * opt + mu * welfare - dev
-        flat = int(np.argmin(slack))
-        value = float(slack.flat[flat])
-        if best is None or value > best[0]:
-            best = (value, cand, flat)
-        if value >= -TOL:
-            break
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # an inf or a nan raises
+            lam_opt, mu_w = np.float64(lam) * opt, mu * welfare  # a Python float would not
+            residual = welfare - sum(tensors)
+            for cand in [s_star] if s_star is not None else np.ndindex(*game.dims):
+                dev = np.zeros_like(welfare)
+                for i in range(game.n):
+                    dev = dev + np.expand_dims(np.take(tensors[i], cand[i], axis=i), axis=i)
+                slack = (dev + residual - lam_opt + mu_w if mode == "utility"
+                         else lam_opt + mu_w - dev)
+                flat = int(np.argmin(slack))
+                value = float(slack.flat[flat])
+                if best is None or value > best[0]:
+                    best = (value, cand, flat)
+                if value >= -TOL:
+                    break
+    except FloatingPointError:
+        raise ValueError(f"smoothness ({lam}, {mu}) overflows a float on this game") from None
     value, cand, flat = best
     return SmoothnessCertificate(
         lam=float(lam), mu=float(mu), s_star=cand,

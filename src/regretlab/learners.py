@@ -28,6 +28,7 @@ __all__ = [
     "FtrlLearner",
     "OmdLearner",
     "BestResponseLearner",
+    "FirstOrderHedge",
     "make_learner",
     "declared_variation_bound",
     "declares_variation_bound",
@@ -327,6 +328,44 @@ class BestResponseLearner(OnlineLearner):
         pass
 
 
+class FirstOrderHedge(_RegularizedLearner):
+    """Cost-native Hedge with a first-order doubling schedule.
+
+    Weights are proportional to exp(-eta_r * cumulative epoch cost): the
+    entropy step on ``cumulative``, which holds minus the epoch's cost.  The
+    budget L_r starts at 1 and doubles whenever the globally best strategy's
+    cumulative cost exceeds it; each breach retunes eta_r = sqrt(ln d / L_r)
+    and restarts the epoch sum.  On a stream with a zero-cost strategy the
+    budget never breaks, so regret stays bounded independent of T.
+    """
+
+    algorithm = "first_order_hedge"
+    feedback = "cost"
+
+    def __init__(self, d: int):
+        super().__init__(d, NegativeEntropy(), 1.0, ZeroPredictor())  # eta: tuned below
+        self.budget, self.epoch = 1.0, 1
+        self.global_cum = np.zeros(d)
+        self.eta = self._tuned_eta()
+
+    def _tuned_eta(self) -> float:
+        return math.sqrt(max(math.log(self.d), 1e-12) / self.budget)
+
+    def _observe(self, c: np.ndarray) -> None:
+        bad = [x for x in c.tolist() if not -1e-12 <= x <= 1.0 + 1e-12]  # NaN too
+        if bad:
+            raise ValueError(f"costs must lie in [0,1], got {bad[0]}")
+        self.cumulative -= c
+        self.global_cum += c
+        best = float(self.global_cum.min())
+        if best > self.budget:
+            while best > self.budget:
+                self.budget *= 2.0
+            self.epoch += 1
+            self.eta = self._tuned_eta()
+            self.cumulative.fill(0.0)
+
+
 # ---------------------------------------------------------------------------
 # specs and construction
 
@@ -470,8 +509,6 @@ def make_learner(spec: LearnerSpec, d: int) -> OnlineLearner:
     s = spec.resolved()
     if s.algorithm in ("ftrl", "omd"):
         return _regularized_learner(spec, d)
-    from .costmode import FirstOrderHedge  # local: costmode imports learners
-
     learner = BestResponseLearner(d) if s.algorithm == "bestresponse" else FirstOrderHedge(d)
     learner.spec = spec
     return learner

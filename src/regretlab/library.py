@@ -1,30 +1,27 @@
-"""Concrete games and named experiments.
+"""Concrete games and seeded draws.
 
-Random games come from a splitmix64 stream so identical seeds give identical
-game bytes on every platform; matrix games embed a zero-sum game into [0, 1];
-``lower_bound_experiment`` runs the multiplicative-weights-versus-best-response
-construction whose regret grows with sqrt(T).
+Random games and masked auction values come from a splitmix64 stream, so
+identical seeds give identical game bytes on every platform; matrix games
+embed a zero-sum game into [0, 1]; ``build_game`` rebuilds any game from its
+trace metadata.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .auctions import AuctionGame, AuctionSpec
 from .continuous import CongestionNetwork
 from .games import DenseGame, _check_cap
-from .learners import LearnerSpec
 
 __all__ = [
     "splitmix64_floats",
     "make_matrix_game",
     "make_random_game",
-    "LowerBoundResult",
-    "lower_bound_experiment",
+    "masked_values",
     "build_game",
 ]
 
@@ -77,49 +74,11 @@ def make_random_game(n: int, dims, seed: int) -> DenseGame:
     return DenseGame(tensors, meta={"kind_detail": "random", "seed": seed})
 
 
-# ---------------------------------------------------------------------------
-# the sqrt(T) lower-bound experiment
-
-
-@dataclass
-class LowerBoundResult:
-    """Realized regrets of Hedge against a best responder, with the closed
-    forms quoted for the two matrices.
-
-    Note: on game A the dynamics are exactly solvable and the realized regret
-    equals (T/2)*(1/2 - 1/(1+e^eta)) for even T -- half of ``closed_form_A``.
-    Both numbers are reported; certificates built on this experiment test the
-    realized dynamics.
-    """
-
-    eta: float
-    T: int
-    r_game_A: float
-    r_game_Aprime: float
-    closed_form_A: float
-    closed_form_Aprime_lb: float
-
-
-def lower_bound_experiment(eta: float, T: int) -> LowerBoundResult:
-    """Run Hedge(eta) as the row player against a best-responding column on
-    the identity matrix A and on the single-column matrix A' = (1; 0)."""
-    specs = [LearnerSpec("hedge", eta=eta), LearnerSpec("bestresponse")]  # checks eta
-    if T < 1 or T % 2:
-        raise ValueError(f"T must be a positive even integer, got {T}")
-    from .dynamics import regret, run  # local: dynamics imports library
-
-    trace_a = run(make_matrix_game(np.eye(2)), specs, T)
-    trace_ap = run(make_matrix_game(np.array([[1.0], [0.0]])), specs, T)
-    q = math.exp(-eta)  # (e^eta - 1)/(e^eta + 1) as (1 - q)/(1 + q): no overflow
-    return LowerBoundResult(
-        eta=eta,
-        T=T,
-        r_game_A=regret(trace_a, 0),
-        r_game_Aprime=regret(trace_ap, 0),
-        closed_form_A=(T / 2.0) * (1.0 - q) / (1.0 + q),
-        # (1 - e^{-T eta}) / (2 (1 - e^{-eta})) through expm1: q is 1.0 below eta = 2^-53
-        closed_form_Aprime_lb=math.expm1(-T * eta) / (2.0 * math.expm1(-eta)),
-    )
+def masked_values(n: int, m: int, v: float, seed: int) -> np.ndarray:
+    """Player-specific item subsets: each (player, item) value is v with
+    probability 1/2 else 0, from a seeded splitmix64 stream."""
+    bits = splitmix64_floats(seed, n * m)
+    return np.where(np.asarray(bits).reshape(n, m) < 0.5, float(v), 0.0)
 
 
 # ---------------------------------------------------------------------------

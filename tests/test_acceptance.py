@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from regretlab.auctions import AuctionGame, AuctionSpec, masked_values, uniform_values
+from regretlab.auctions import AuctionGame, AuctionSpec, uniform_values
 from regretlab.config import parse_config
 from regretlab.continuous import (
     certify_total_regret,
@@ -27,26 +27,27 @@ from regretlab.continuous import (
     run_continuous,
 )
 from regretlab.costmode import (
-    FirstOrderHedge,
     certify_cost_welfare,
     fit_first_order_constants,
 )
 from regretlab.dynamics import regret, regret_series, report, run
 from regretlab.experiment import (
     build_game_from_config,
+    lower_bound_experiment,
     run_experiment,
 )
 from regretlab.games import DenseGame, verify_smoothness
 from regretlab.learners import (
+    FirstOrderHedge,
     LearnerSpec,
     certify_variation_bound,
     declared_variation_bound,
     make_learner,
 )
 from regretlab.library import (
-    lower_bound_experiment,
     make_matrix_game,
     make_random_game,
+    masked_values,
 )
 from regretlab.robust import certify_robust, parametric_constants, wrap_doubling
 

@@ -20,7 +20,7 @@ import pytest
 import oracles as orc
 import regretlab
 from regretlab import dynamics
-from regretlab.auctions import AuctionGame, AuctionSpec, masked_values
+from regretlab.auctions import AuctionGame, AuctionSpec
 from regretlab.cli import _parse_config_file, main
 from regretlab.config import ConfigError, parse_config
 from regretlab.continuous import (CongestionNetwork, ContinuousTrace, _tuned_eta,
@@ -49,7 +49,7 @@ from regretlab.experiment import (
 )
 from regretlab.games import DEFAULT_ENUM_CAP
 from regretlab.learners import Certificate, LearnerSpec
-from regretlab.library import make_matrix_game, make_random_game
+from regretlab.library import make_matrix_game, make_random_game, masked_values
 from regretlab.robust import wrap_doubling
 from regretlab.svgplot import line_plot, write_svg
 
@@ -1483,6 +1483,32 @@ class TestOneClaimRule:
             capsys.readouterr()
             assert main(argv) == 1
             assert capsys.readouterr().err == f"error: {prefix}{tail}\n"
+        assert not os.path.exists(tmp_path / "out")
+
+
+class TestOverflowingClaim:
+    """A smoothness claim whose lambda * Opt, mu * W or slack overflows a
+    float is refused in one line, with no numpy warning, wherever it is
+    checked on the game."""
+
+    @pytest.mark.parametrize("lam", [1e308, 1.0], ids=["lambda-overflows", "mu-overflows"])
+    def test_is_refused_by_simulate_verify_smooth_and_report(self, tmp_path, capsys, lam):
+        cfg = write_cfg(tmp_path, "[game]\ntype = auction\nbidders = 2\nitems = 1\nvalue = 20\n"
+                        f"bids = 1..3\nlambda = {lam!r}\nmu = 1e308\ns_star = 0,0\n"
+                        "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 5\n")
+        spec = _parse_config_file(cfg)
+        trace = run(build_game_from_config(spec.game), [spec.learner] * 2, 5)
+        trace.meta["smoothness"] = spec.smoothness
+        write_trace_file(trace, str(tmp_path / "trace.csv"))
+        for argv in (["simulate", cfg, "--out", str(tmp_path / "out")], ["verify-smooth", cfg],
+                     ["report", str(tmp_path / "trace.csv")]):
+            capsys.readouterr()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(argv) == 1, argv
+            assert caught == []
+            assert capsys.readouterr().err == \
+                f"error: smoothness ({lam}, 1e+308) overflows a float on this game\n"
         assert not os.path.exists(tmp_path / "out")
 
 

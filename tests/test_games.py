@@ -8,6 +8,7 @@ Frozen numbers below come from the plain-loop enumeration oracles in
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -450,6 +451,33 @@ class TestVerifySmoothness:
         assert cert.verified
         slack, _, _ = orc.enum_smoothness_slack(g.utility_tensors(), 1.0, 1.0, tuple(cert.s_star))
         assert slack >= -1e-9
+
+    @pytest.mark.parametrize("mode, lam, mu", [
+        ("utility", 1e308, 0.0),  # lambda * Opt = 2e308
+        ("utility", 1.0, 1e308),  # mu * W = 2e308
+        ("cost", 0.5e308, 0.9e308),  # each term finite, the slack 2.8e308
+    ])
+    def test_a_claim_that_overflows_a_float_is_refused_without_a_warning(self, mode, lam, mu):
+        g = DenseGame([np.ones((2, 2)), np.ones((2, 2))])  # W = Opt = 2 at every profile
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"smoothness ({lam}, {mu}) overflows a float on this game")):
+                verify_smoothness(g, lam, mu, (0, 0), mode=mode)
+
+    @pytest.mark.parametrize("mode", ["utility", "cost"])
+    def test_the_slack_keeps_the_bits_of_the_per_candidate_formula(self, mode):
+        # lambda * Opt and mu * W are taken once, not per candidate: same bits
+        for seed in (1, 2, 3):
+            g = make_random_game(3, [3, 2, 4], seed=seed)
+            t, w = g.utility_tensors(), g.welfare_tensor()
+            opt = brute_force_opt(g, mode)[0]
+            dev = sum(np.expand_dims(np.take(t[i], (2, 1, 3)[i], axis=i), axis=i)
+                      for i in range(3))
+            slack = (dev + (w - sum(t)) - 0.7 * opt + 0.3 * w if mode == "utility"
+                     else 0.7 * opt + 0.3 * w - dev)
+            cert = verify_smoothness(g, 0.7, 0.3, (2, 1, 3), mode=mode)
+            assert_same_bits(cert.slack, slack.min())
 
 
 class TestSmoothnessScan:

@@ -137,8 +137,7 @@ class AuctionGame(NormalFormGame):
         value - bid there and 0 elsewhere, and the welfare sums the winners'
         values."""
         if self._dense is None:
-            _check_cap(math.prod(self.dims), "an auction's utility tensors span",
-                       "pure profiles")
+            _check_cap(self.dims, "an auction's utility tensors span", "pure profiles")
             # bidder i's strategy index, item and bid index along its own axis
             grid = [np.arange(self.dims[i]).reshape((-1,) + (1,) * (self.n - 1 - i))
                     for i in range(self.n)]

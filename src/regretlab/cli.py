@@ -164,7 +164,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # bad input: a one-line message, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

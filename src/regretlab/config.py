@@ -150,13 +150,15 @@ def _number(text, where, minimum=None, strict=False):
     return x
 
 
-def _integer(text, where, minimum):
+def _integer(text, where, minimum, capped_noun=None):
     try:
         x = int(text)
     except ValueError:
         raise ValueError(f"{where} must be an integer, got {text!r}") from None
     if x < minimum:
         raise ValueError(f"{where} must be >= {minimum}, got {x}")
+    if capped_noun:  # a count of things, each to be allocated for
+        _check_cap(x, f"{where} asks for", capped_noun)
     return x
 
 
@@ -208,6 +210,7 @@ def _matrix(text, where):
 
 _POSITIVE = partial(_number, minimum=0.0, strict=True)
 _COUNT = partial(_integer, minimum=1)
+_PLAYERS = partial(_integer, minimum=1, capped_noun="players")  # before dims is broadcast
 _SEED = partial(_integer, minimum=0)
 
 
@@ -250,7 +253,7 @@ def _validate_game(sect, errors):
         if A is not None:
             dims = [len(A), len(A[0])]
     elif gtype == "random":
-        players = r.read("players", _COUNT, required=True)
+        players = r.read("players", _PLAYERS, required=True)
         dims = r.read("dims", partial(_int_list, minimum=1), required=True)
         seed = r.read("seed", _SEED, required=True)
         if dims is not None and players is not None:

@@ -35,7 +35,7 @@ from .config import ExperimentSpec
 from .dynamics import Trace, regret, regret_series, report, run, write_trace_file
 # perfbench times report under this name; the alias goes once it calls report
 from .dynamics import report as full_report
-from .games import _check_claim, load_dense_csv
+from .games import load_dense_csv, verify_smoothness
 from .learners import LearnerSpec, declares_variation_bound
 from .library import make_matrix_game, make_random_game, masked_values
 from .robust import wrap_doubling
@@ -270,9 +270,10 @@ def _game_arms(spec: ExperimentSpec, write_arm):
     problems = [f"[learner.{i}] refers to player {i} but the game has {n} players"
                 for i in spec.overrides if i >= n]
     claim = spec.smoothness
-    if claim:
+    if claim:  # refused before round 1 if the claim cannot be checked on this game
         try:
-            _check_claim(game.dims, claim["lambda"], claim["mu"], claim.get("s_star"))
+            verify_smoothness(game, claim["lambda"], claim["mu"], claim.get("s_star"),
+                              mode=spec.mode)
         except ValueError as exc:
             problems.append(str(exc))
     if problems:

@@ -42,11 +42,25 @@ class EnumerationCapError(ValueError):
     exceed the enumeration cap (a ValueError: the input is too large)."""
 
 
-def _check_cap(count: int, head: str, noun: str) -> None:
-    """The size rule: refuse ``count`` cells above the cap before allocating."""
+def _capped_prod(factors) -> tuple:
+    """(product, every factor in it) of int factors >= 1, multiplied until it passes the cap."""
+    factors, product = iter(factors), 1
+    for f in factors:
+        product *= f
+        if product > DEFAULT_ENUM_CAP:
+            return product, next(factors, None) is None
+    return product, True
+
+
+def _check_cap(count, head: str, noun: str) -> int:
+    """The size rule: refuse ``count`` cells (an int, or its factors for
+    ``_capped_prod``: "at least" a floor) above the cap before allocating."""
+    count, exact = _capped_prod([count] if isinstance(count, numbers.Integral) else count)
     if count > DEFAULT_ENUM_CAP:
-        raise EnumerationCapError(f"{head} {count} {noun}, above the enumeration cap "
+        floor = "" if exact else "at least "
+        raise EnumerationCapError(f"{head} {floor}{count} {noun}, above the enumeration cap "
                                   f"{DEFAULT_ENUM_CAP}; refusing to allocate them")
+    return count
 
 
 def _check_step_size(eta, T: int, scale: float, head: str = "") -> None:
@@ -88,10 +102,11 @@ def _utility_sum(profile, raw) -> np.ndarray:
 
 
 class NormalFormGame:
-    """Base interface; concrete games implement ``_raw_block``, the raw oracles
-    and ``_utilities_and_welfare``."""
-
-    kind = "abstract"
+    """Shared machinery; a concrete game defines ``kind``, ``describe()``, the
+    raw ``utility_tensors()`` and ``welfare_tensor()`` over pure profiles and,
+    along a leading shape L: ``_raw_block`` (every player's raw utilities, a
+    flat block player after player, and its L + (d_i,) views),
+    ``_utilities_and_welfare`` and ``welfare_mixed`` (a float if L = ())."""
 
     def __init__(self, n: int, dims, scale: float = 1.0, shift: float = 0.0):
         self.n = int(n)
@@ -109,31 +124,10 @@ class NormalFormGame:
         # each player's slice of the flat all-players block of one profile
         self._slices = [slice(end - d, end) for d, end in zip(self.dims, accumulate(self.dims))]
 
-    # -- raw-unit oracles (implemented by subclasses), along a leading shape L
-    def _raw_block(self, profile) -> tuple:
-        """(flat block, L + (d_i,) views): every player's raw utilities, player
-        after player."""
-        raise NotImplementedError
-
     def raw_expected_utilities(self, i: int, profile) -> np.ndarray:
         """Player i's raw utilities, shape L + (d_i,): its view of the raw block."""
         return self._raw_block(profile)[1][i]
 
-    def welfare_mixed(self, profile):
-        """Expected raw welfare under the product distribution (float if L = ())."""
-        raise NotImplementedError
-
-    def utility_tensors(self) -> list[np.ndarray]:
-        """Per-player raw utility tensors over all pure profiles."""
-        raise NotImplementedError
-
-    def welfare_tensor(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        raise NotImplementedError
-
-    # -- shared machinery ----------------------------------------------------
     def normalize(self, raw):
         return (np.asarray(raw, dtype=float) - self.shift) / self.scale
 
@@ -348,7 +342,7 @@ def _check_claim(dims, lam, mu, s_star=None) -> None:
         if isinstance(x, bool) or not isinstance(x, numbers.Real):
             raise ValueError(f"{name} must be a number, got {x!r}")
     _check_smoothness(lam, mu)
-    profiles = math.prod(dims)
+    profiles = _capped_prod(dims)[0]
     if s_star is not None:
         if not (isinstance(s_star, (list, tuple)) and all(
                 isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in s_star)):
@@ -452,8 +446,7 @@ def load_dense_csv(text: str) -> DenseGame:
     if n < 1 or len(dims) != n or min(dims) < 1:
         raise ValueError(f"dense-game line {rows[0][0]}: header gives n={n} and counts "
                          f"{dims}; expected n >= 1 and n counts, each >= 1")
-    _check_cap(n * math.prod(dims), f"dense-game line {rows[0][0]}: header asks for",
-               "utilities")
+    _check_cap([n, *dims], f"dense-game line {rows[0][0]}: header asks for", "utilities")
     tensors, seen = [np.full(dims, np.nan) for _ in range(n)], set()
     for ln, r in rows[1:]:
         if len(r) != 2 * n:

@@ -203,6 +203,7 @@ class OnlineLearner:
     ``shape`` is that of each play and each observed utility: (d,), or
     (*lead, d) for a group of learners that steps as one (FTRL and OMD
     only, built by ``_regularized_learner``), row j being learner j's.
+    Subclasses define ``_play()`` and ``_observe(u)``, u a checked copy.
     """
 
     feedback = "utility"
@@ -236,12 +237,6 @@ class OnlineLearner:
     def to_dict(self) -> dict:
         """The learner as trace metadata: its spec's dict, else its class name."""
         return self.spec.to_dict() if self.spec is not None else {"algorithm": type(self).__name__}
-
-    def _play(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def _observe(self, u: np.ndarray) -> None:
-        raise NotImplementedError
 
 
 class _RegularizedLearner(OnlineLearner):

@@ -8,7 +8,6 @@ trace metadata.
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
@@ -58,16 +57,19 @@ def make_matrix_game(A) -> DenseGame:
 def make_random_game(n: int, dims, seed: int) -> DenseGame:
     """Dense game with independent uniform [0,1) utilities from a seeded
     splitmix64 stream (player-major order).  Refuses, before drawing, more
-    than ``DEFAULT_ENUM_CAP`` utilities in all."""
-    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (n, *dims)):
-        raise ValueError(f"a random game needs an integer n and integer dims, "
-                         f"got n={n!r}, dims={dims!r}")
-    dims = [int(d) for d in dims]
-    if n < 1 or len(dims) != n or min(dims) < 1:
-        raise ValueError(f"a random game needs n >= 1 and n dims, each >= 1, "
-                         f"got n={n}, dims={dims}")
-    count = n * math.prod(dims)
-    _check_cap(count, "a random game draws", "utilities")
+    than ``DEFAULT_ENUM_CAP`` utilities in all; n and each dim are checked as
+    the size rule reaches them, so it reads at most one dim past the cap."""
+    def factors():
+        for x in (n, *dims):
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise ValueError(f"a random game needs an integer n and integer dims, "
+                                 f"got n={n!r}, dims={dims!r}")
+            if x < 1 or len(dims) != n:
+                raise ValueError(f"a random game needs n >= 1 and n dims, each >= 1, "
+                                 f"got n={n}, dims={list(dims)}")
+            yield int(x)
+
+    count = _check_cap(factors(), "a random game draws", "utilities")
     vals = splitmix64_floats(seed, count)
     per = count // n
     tensors = [np.array(vals[i * per : (i + 1) * per]).reshape(dims) for i in range(n)]

@@ -23,11 +23,9 @@ def escape(text: str) -> str:  # XML entities for &, < and >, & first
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Round tick positions covering [lo, hi]."""
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / target
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About five round tick positions covering [lo, hi], lo < hi."""
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag

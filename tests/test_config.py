@@ -3,6 +3,7 @@ rejected with line-numbered messages, and validation collects all problems
 in one pass instead of stopping at the first."""
 
 import os
+import time
 
 import pytest
 
@@ -251,6 +252,29 @@ class TestGameSection:
         assert "line 5: game.value must be > 0.0, got 0.0" in errs
         assert "line 7: game.value_mask_seed must be >= 0, got -3" in errs
         assert len(errs) == 3
+
+    def test_auction_item_values_above_the_cap(self):
+        text = lines(
+            "[game]", "type = auction", "bidders = 10000",
+            "items = 10000",             # 4
+            "value = 5", "bids = 1..2",
+            "[learner]", "algorithm = hedge", "eta = 0.1", *RUN_10)
+        assert errors_of(text) == [
+            "line 4: game.items: 10000 bidders and 10000 items make 100000000 item values, "
+            "above the enumeration cap 10000000; refusing to allocate them"]
+
+    def test_random_players_above_the_cap_are_refused_before_dims_are_broadcast(self):
+        # one more player than the cap: a broadcast dims list would hold 10^7 entries
+        text = lines(
+            "[game]", "type = random",
+            "players = 10000001",        # 3
+            "dims = 2", "seed = 1",
+            "[learner]", "algorithm = hedge", "eta = 0.1", *RUN_10)
+        start = time.perf_counter()
+        assert errors_of(text) == [
+            "line 3: game.players asks for 10000001 players, above the enumeration cap "
+            "10000000; refusing to allocate them"]
+        assert time.perf_counter() - start < 0.1
 
     def test_bids_comma_list(self):
         text = lines(
@@ -581,6 +605,15 @@ class TestLearnerSection:
                                          "predictor_param = 0.9"))
         assert spec.learner == LearnerSpec("oftrl", 0.1, "entropy",
                                            "geometric", 0.9)
+
+    def test_a_bad_param_of_a_predictor_without_one(self):
+        # the bad value is reported, and so is the key, which does not apply
+        errs = errors_of(with_learner("algorithm = oftrl", "eta = 0.1", "predictor = last",
+                                      "predictor_param = abc"))  # line 8
+        assert errs == [
+            "line 8: learner.predictor_param must be a number, got 'abc'",
+            "line 8: learner.predictor_param only applies to window/geometric predictors",
+        ]
 
     def test_param_without_matching_predictor(self):
         errs = errors_of(with_learner("algorithm = oftrl", "eta = 0.1",

@@ -1511,6 +1511,19 @@ class TestOverflowingClaim:
                 f"error: smoothness ({lam}, 1e+308) overflows a float on this game\n"
         assert not os.path.exists(tmp_path / "out")
 
+    def test_simulate_refuses_it_before_round_1(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("an arm ran before the claim was refused")
+
+        monkeypatch.setattr(regretlab.experiment, "run", no_run)
+        cfg = write_cfg(tmp_path, "[game]\ntype = auction\nbidders = 2\nitems = 1\nvalue = 20\n"
+                        "bids = 1..3\nlambda = 1e308\nmu = 1e308\ns_star = 0,0\n"
+                        "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 20000\n")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            "error: smoothness (1e+308, 1e+308) overflows a float on this game\n"
+        assert not os.path.exists(tmp_path / "out")
+
 
 class TestCliPlot:
     def test_regret_plot_default_path(self, tmp_path, capsys):
@@ -1999,8 +2012,118 @@ class TestCliErrorBoundary:
         assert not dest.parent.exists()
 
 
+class TestSizeRefusalsStopAtTheCap:
+    """A size refusal multiplies a count's factors only until the product
+    passes the cap, and names that product as a floor, so no input makes it
+    form or print a number much longer than the cap.  Each case takes well
+    under a second.  Multiplied out, the count of 10^5 two-strategy players
+    has 30,108 digits, past Python's 4300-digit limit for printing one."""
+
+    SUFFIX = ", above the enumeration cap 10000000; refusing to allocate them\n"
+
+    def assert_refused_at_once(self, capsys, argv, message):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"error: {message}{self.SUFFIX}"
+
+    @pytest.mark.parametrize("players, floor", [(10**5, 12800000), (10**7, 20000000)])
+    def test_a_random_game_config(self, tmp_path, capsys, players, floor):
+        cfg = write_cfg(tmp_path, f"[game]\ntype = random\nplayers = {players}\ndims = 2\n"
+                        "seed = 1\n[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 10\n")
+        self.assert_refused_at_once(capsys, ["simulate", cfg, "--out", str(tmp_path / "out")],
+                                    f"a random game draws at least {floor} utilities")
+        assert not (tmp_path / "out").exists()
+
+    # 10^6 players, not 10^7: the JSON of a 10^7-entry dims list alone takes
+    # about a second to parse
+    @pytest.mark.parametrize("players, floor", [(10**5, 12800000), (10**6, 16000000)])
+    def test_a_random_game_in_a_trace(self, tmp_path, capsys, players, floor):
+        trace = TestCliErrorBoundary.random_game_trace(
+            tmp_path, lambda g: {**g, "n": players, "dims": [2] * players})
+        self.assert_refused_at_once(capsys, ["report", trace], "trace line 1: metadata game: "
+                                    f"a random game draws at least {floor} utilities")
+
+    @pytest.mark.parametrize("header, floor", [
+        ("100000," + ",".join(["2"] * 100000), 12800000), ("4,10000,10000,10000,10000", 400000000),
+    ], ids=["100000-players", "4-players"])
+    def test_a_dense_csv_header(self, tmp_path, capsys, header, floor):
+        (tmp_path / "p.csv").write_text(header + "\n")
+        cfg = write_cfg(tmp_path, "[game]\ntype = dense_csv\npath = p.csv\n"
+                        "[learner]\nalgorithm = hedge\neta = 0.1\n[run]\nT = 10\n")
+        self.assert_refused_at_once(capsys, ["simulate", cfg, "--out", str(tmp_path / "out")],
+                                    f"dense-game line 1: header asks for at least {floor} "
+                                    "utilities")
+
+    @pytest.mark.parametrize("command", ["verify-smooth", "simulate"])
+    def test_an_auction_claim(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, "[game]\ntype = auction\nbidders = 100000\nitems = 1\n"
+                        "value = 20\nbids = 1..2\nlambda = 1\nmu = 1\n[learner]\n"
+                        "algorithm = hedge\neta = 0.1\n[run]\nT = 10\n")
+        argv = [command, cfg] + (["--out", str(tmp_path / "out")] if command == "simulate" else [])
+        self.assert_refused_at_once(capsys, argv, "an auction's utility tensors span at least "
+                                    "16777216 pure profiles")
+        assert not (tmp_path / "out").exists()
+
+
+class TestGuardsInProcess:
+    """Input guards and error handlers that the subprocess tests reach only
+    in a child interpreter, or that nothing else reaches, each run in this
+    process through ``cli.main`` or a public function."""
+
+    @pytest.mark.parametrize("game, message", [
+        ({"kind": "auction", "n": 0, "m": 1, "values": [[1.0]], "bid_levels": [1.0]},
+         "need n >= 1, m >= 1 and at least one bid level"),
+        ({"kind": "dense", "tensors": [[]]}, "bad game shape: n=1, dims=(0,)"),
+        ({"kind": "dense", "tensors": []}, "a dense game needs at least one utility tensor"),
+        ({"kind": "dense", "tensors": [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5, 0.5]]]},
+         "all utility tensors must share the shape d_1 x ... x d_n"),
+    ], ids=["auction-no-bidders", "no-strategies", "no-tensors", "unequal-tensors"])
+    def test_a_meta_game_that_cannot_be_built(self, tmp_path, capsys, game, message):
+        trace = TestCliErrorBoundary.random_game_trace(tmp_path, lambda g: game)
+        assert main(["report", trace]) == 1
+        assert capsys.readouterr().err == f"error: trace line 1: metadata game: {message}\n"
+
+    def test_a_random_and_an_unknown_game_type(self):
+        game = build_game_from_config({"type": "random", "players": 2, "dims": [2, 3],
+                                       "seed": 5})
+        for a, b in zip(game.utility_tensors(), make_random_game(2, [2, 3], 5).utility_tensors()):
+            np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValueError, match="^unknown game type 'x'$"):
+            build_game_from_config({"type": "x"})
+
+    def test_a_regret_plot_of_a_routing_trace(self, tmp_path, capsys):
+        manifest = run_experiment(network_spec(tmp_path), out_dir=str(tmp_path / "routing"))
+        capsys.readouterr()
+        assert main(["plot", manifest["artifacts"]["trace"]]) == 1
+        assert capsys.readouterr().err == \
+            "error: regret plots need a normal-form or auction trace\n"
+        assert not (tmp_path / "routing" / "regret.svg").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_fork_that_fails_leaves_no_pipe_open(self, tmp_path, capsys, monkeypatch):
+        def refuse():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        cfg = write_cfg(tmp_path, MATRIX_SMOOTH_CFG)
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert capsys.readouterr().err == "error: fork refused\n"
+        assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # SVG rendering
+
+
+def axis_labels(svg: str) -> tuple:
+    """The x axis's and the y axis's tick labels of a ``line_plot`` SVG."""
+    texts = [el for el in ET.fromstring(svg).iter() if el.tag.endswith("text")]
+    return ([el.text for el in texts if el.get("text-anchor") == "middle"
+             and el.get("y") == "392"],
+            [el.text for el in texts if el.get("text-anchor") == "end"])
 
 
 class TestSvgPlot:
@@ -2023,6 +2146,19 @@ class TestSvgPlot:
         svg = line_plot([("flat", [1, 2, 3], [2.0, 2.0, 2.0])])
         ET.fromstring(svg)
         assert polylines(svg) == 1
+
+    def test_a_one_round_regret_plot_spans_one_unit_of_x(self, tmp_path):
+        manifest = run_experiment(parse_config(MATRIX_SMOOTH_CFG.replace("T = 60", "T = 1")),
+                                  out_dir=str(tmp_path / "arm"))
+        svg = read(manifest["artifacts"]["regret_svg"])
+        assert polylines(svg) == 4  # two arms: sum + max series each
+        assert axis_labels(svg)[0] == ["1", "1.2", "1.4", "1.6", "1.8", "2"]
+
+    def test_a_tick_that_drifts_past_the_range_is_left_out(self):
+        # x spans [0, 0.3] and y, padded, [0.03, 0.3]: at a step of 0.1 the
+        # last tick sums to 0.30000000000000004, past either axis's end
+        svg = line_plot([("s", [0, 0.3], [0.04, 0.29])])
+        assert axis_labels(svg) == (["0", "0.1", "0.2"], ["0.1", "0.2"])
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="at least one series"):

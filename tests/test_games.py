@@ -541,6 +541,10 @@ class TestPoaWelfareBound:
     def test_unit_case(self):
         assert poa_welfare_bound(1.0, 1.0, 2.0, [5.0], 5) == pytest.approx(0.5, abs=1e-15)
 
+    def test_a_horizon_below_one_round_is_refused(self):
+        with pytest.raises(ValueError, match=r"^T must be >= 1, got 0$"):
+            poa_welfare_bound(1.0, 1.0, 2.0, [5.0], 0)
+
 
 class TestDenseCsv:
     def test_round_trip(self):

@@ -19,6 +19,7 @@ from regretlab import (
     certify_variation_bound,
     declared_variation_bound,
     declares_variation_bound,
+    get_regularizer,
     make_learner,
     splitmix64_floats,
     variation_sums,
@@ -28,6 +29,7 @@ from regretlab.costmode import CostHedge
 from regretlab.learners import (
     GeometricDiscount,
     WindowAverage,
+    ZeroPredictor,
     _regularized_learner,
     variation_steps,
 )
@@ -87,6 +89,19 @@ class TestPlayObserveContract:
         learner.play()
         with pytest.raises(ValueError, match="shape"):
             learner.observe(np.array([0.5, 0.5, 0.5]))
+
+    @pytest.mark.parametrize("spec", [SPECS["hedge"], LearnerSpec("bestresponse")],
+                             ids=["hedge", "bestresponse"])
+    def test_a_learner_needs_a_strategy(self, spec):
+        with pytest.raises(ValueError, match=r"^strategy count must be >= 1, got 0$"):
+            make_learner(spec, 0)
+
+    @pytest.mark.parametrize("eta", [0.0, -0.1, math.inf, math.nan])
+    def test_a_regularized_learner_needs_a_positive_finite_eta(self, eta):
+        # LearnerSpec refuses such an eta first; the learner's own rule guards
+        # a learner built without a spec
+        with pytest.raises(ValueError, match="^eta must be positive and finite, got "):
+            FtrlLearner(3, get_regularizer("entropy"), eta, ZeroPredictor())
 
     def test_plays_on_simplex(self):
         for name, spec in SPECS.items():

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -22,6 +23,7 @@ from regretlab import (
     verify_smoothness,
 )
 from regretlab.auctions import AuctionGame, AuctionSpec, uniform_values
+from regretlab.games import EnumerationCapError
 
 
 def top_53_bits(outputs):
@@ -103,6 +105,26 @@ class TestRandomGames:
             game.utility_tensors(), 0.3, 0.5, tuple(cert.s_star)
         )
         assert cert.slack == pytest.approx(slack, abs=1e-12)
+
+    @pytest.mark.parametrize("n, dims, message", [
+        (2, [2.5, 2], "a random game needs an integer n and integer dims, got n=2, "
+                      "dims=[2.5, 2]"),
+        (True, [2], "a random game needs an integer n and integer dims, got n=True, dims=[2]"),
+        (0, [], "a random game needs n >= 1 and n dims, each >= 1, got n=0, dims=[]"),
+        (2, [2], "a random game needs n >= 1 and n dims, each >= 1, got n=2, dims=[2]"),
+        (2, [3, 0], "a random game needs n >= 1 and n dims, each >= 1, got n=2, dims=[3, 0]"),
+    ], ids=["fractional-dim", "bool-n", "no-players", "too-few-dims", "empty-dim"])
+    def test_bad_arguments_are_refused(self, n, dims, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_random_game(n, dims, seed=1)
+
+    def test_dims_past_the_cap_go_unread(self):
+        # 4 * 10^6 * 10^6 passes the cap at the second dim; the third is read
+        # to tell that the count is a floor, and the last, not even an
+        # integer, is never read
+        with pytest.raises(EnumerationCapError, match=r"^a random game draws at least "
+                           r"4000000000000 utilities, above the enumeration cap 10000000;"):
+            make_random_game(4, [10**6, 10**6, 1, "x"], seed=1)
 
     def test_smooth_game_not_found_is_a_value(self):
         # lambda far too large: no deviation profile can verify

@@ -16,10 +16,12 @@ reached when a line event fell on one of them.  Docstrings and ``global``
 carry none.  Runs of unreached statements with no reached one between them
 print as one range.
 
-Not seen: lines reached only in a subprocess (the CLI tests that run
-``python -m regretlab``) or in the child that ``experiment._run_beside``
-forks (``experiment._child`` and the branch that calls it).  Those lines are
-listed although some test reaches them there.
+A process forked from this one (the child that ``experiment._run_beside``
+makes) keeps the hook; for the run's duration ``os._exit`` is wrapped so
+that such a child writes the lines it reached to a file before it exits, and
+they are counted.  Not seen: lines reached only in a subprocess (the CLI
+tests that run ``python -m regretlab``).  Those lines are listed although
+some test reaches them there.
 
 Tracing slows the suite about twofold.  Only the standard library and pytest
 are used.  Exits with pytest's status.
@@ -29,8 +31,10 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import json
 import os
 import sys
+import tempfile
 import threading
 import types
 
@@ -68,6 +72,32 @@ def _trace_package(files):
     threading.settrace(tracer)
     sys.settrace(tracer)
     return hits
+
+
+@contextlib.contextmanager
+def _forks_report_back(hits):
+    """While active, a process forked from this one writes ``hits`` to a
+    file of its own when it calls ``os._exit``; on leaving, every such file
+    is merged into ``hits``."""
+    parent, real_exit = os.getpid(), os._exit
+    with tempfile.TemporaryDirectory() as tmp:
+        def exit_reporting(code):
+            try:
+                if os.getpid() != parent:
+                    with open(os.path.join(tmp, f"{os.getpid()}.json"), "w") as fh:
+                        json.dump({path: sorted(lines) for path, lines in hits.items()}, fh)
+            finally:
+                real_exit(code)
+
+        os._exit = exit_reporting
+        try:
+            yield
+        finally:
+            os._exit = real_exit
+            for name in os.listdir(tmp):
+                with open(os.path.join(tmp, name)) as fh:
+                    for path, lines in json.load(fh).items():
+                        hits[path].update(lines)
 
 
 def _code_lines(code: types.CodeType) -> set:
@@ -145,7 +175,7 @@ def main() -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     hits = _trace_package(files)
     try:
-        with contextlib.redirect_stdout(sys.stderr):
+        with _forks_report_back(hits), contextlib.redirect_stdout(sys.stderr):
             status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
                                   *(f"--deselect={t}" for t in DOCUMENTED_FAILURES), "tests"])
     finally:
@@ -153,7 +183,7 @@ def main() -> int:
         threading.settrace(None)
     print("# statement lines of src/regretlab never reached by Tier-1 in this process "
           f"(pytest exit status {int(status)})")
-    print("# not seen: subprocess CLI tests and the child experiment._run_beside forks")
+    print("# not seen: subprocess CLI tests")
     for line in census(hits):
         print(line)
     return int(status)
